@@ -18,7 +18,8 @@ for text, dim in [
     e = parse(text, dim)
     print(f"  n={dim}:  {text!r:40} ->  {to_text(e)}")
 
-print("\nMembership is three-valued (in / out / unknown):\n")
+print("\nMembership is a three-valued Verdict (true / false / unknown);")
+print("the CLI prints the same answers as in / out / unknown:\n")
 cantor = parse("cantor", 2)
 for v in ("1/4", "1/2", "1/3", "2/3", "4/9", "7/9"):
     print(f"  {v} in the Cantor set: {member(cantor, (Fr(v),)).value}")

@@ -37,7 +37,7 @@ from .geometry import (
     t_level,
 )
 from .harness import SuiteConfig, SuiteResult, generate_samples, run_suite
-from .setdsl import Membership, ParseError, SetExpr, find_witness, member, parse, to_text
+from .setdsl import ParseError, SetExpr, find_witness, member, parse, to_text
 from .theorems import PropertyReport, TraceStep, classify, explain
 from .topology import (
     BasicOpen,
@@ -67,7 +67,6 @@ __all__ = [
     "FiniteList",
     "HalfBall",
     "InteriorBall",
-    "Membership",
     "ParseError",
     "Point",
     "PropertyReport",

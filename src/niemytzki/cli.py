@@ -15,10 +15,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .descriptive import compare_topologies, infer, subset
-from .geometry import Point, rat_to_str
+from .descriptive import TopologyOrder, infer, subset
+from .geometry import Point
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
-from .setdsl import ParseError, parse, to_text
+from .setdsl import IN, OUT, UNKNOWN, ParseError, member, parse, to_text
 from .theorems import UnknownProperty, classify, explain
 from .topology import (
     SequenceFamily,
@@ -35,6 +35,10 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VERIFICATION = 3
 EXIT_UNDECIDABLE = 4
+
+
+# membership verdicts on the wire
+_MEMBERSHIP_WORDS = {IN: "in", OUT: "out", UNKNOWN: "unknown"}
 
 
 class UsageError(ValueError):
@@ -124,15 +128,13 @@ def _cmd_classify(args) -> int:
 def _cmd_member(args) -> int:
     expr = parse(args.set, args.dimension)
     point = _parse_boundary_point(args.point, args.dimension)
-    from .setdsl import member
-
-    verdict = member(expr, point)
+    word = _MEMBERSHIP_WORDS[member(expr, point)]
     payload = {
         "set": to_text(expr),
-        "point": [rat_to_str(c) for c in point],
-        "membership": verdict.value,
+        "point": [str(c) for c in point],
+        "membership": word,
     }
-    _emit(payload, args.json, verdict.value)
+    _emit(payload, args.json, word)
     return EXIT_OK
 
 
@@ -147,12 +149,12 @@ def _cmd_nbhd(args) -> int:
     payload = {
         "topology": topo.to_json(),
         "point": point.to_json(),
-        "eps": rat_to_str(eps),
+        "eps": str(eps),
         "neighborhood": element.to_json(),
     }
     human = (
         f"{element.kind} at ({','.join(element.center.to_json())}) "
-        f"radius {rat_to_str(element.radius)}"
+        f"radius {element.radius}"
     )
     _emit(payload, args.json, human)
     return EXIT_OK
@@ -193,12 +195,13 @@ def _cmd_converge(args) -> int:
 def _cmd_compare(args) -> int:
     eA = parse(args.set_a, args.dimension)
     eB = parse(args.set_b, args.dimension)
-    order = compare_topologies(eA, eB, budget=args.budget, seed=args.seed)
-    sub = subset(eA, eB, budget=args.budget, seed=args.seed)
+    fwd = subset(eA, eB, budget=args.budget, seed=args.seed)
+    rev = subset(eB, eA, budget=args.budget, seed=args.seed)
+    order = TopologyOrder.of(fwd, rev)
     payload = {
         "set_a": to_text(eA),
         "set_b": to_text(eB),
-        "subset_a_in_b": sub.value,
+        "subset_a_in_b": fwd.value,
         "relation": order.value,
     }
     _emit(payload, args.json, f"tau(A) vs tau(B): {order.value}")
@@ -229,12 +232,15 @@ def _cmd_check(args) -> int:
 def _cmd_explain(args) -> int:
     report = classify(parse(args.set, args.dimension), args.dimension)
     steps = explain(report, args.property)
+    record = report.to_json()
+    if args.property.startswith("boundary."):
+        verdict = record["boundary_subspace"].get(args.property.split(".", 1)[1])
+    else:
+        verdict = record["properties"].get(args.property)
     payload = {
         "space": report.space,
         "property": args.property,
-        "verdict": report.to_json()["properties"].get(args.property)
-        if not args.property.startswith("boundary.")
-        else report.to_json()["boundary_subspace"].get(args.property.split(".", 1)[1]),
+        "verdict": verdict,
         "trace": [s.to_json() for s in steps],
     }
     lines = [f"{args.property}:"]
@@ -266,13 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("member", help="membership of a boundary point in A")
     _add_common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--point", required=True, help="n-1 comma-separated rationals")
+    p.add_argument("--point", required=True,
+                   help="n-1 comma-separated rationals; write --point=<coords> "
+                        "when the value starts with '-'")
     p.set_defaults(handler=_cmd_member)
 
     p = commands.add_parser("nbhd", help="basic neighborhood of a point")
     _add_common(p)
     p.add_argument("--topology", required=True, help="euclidean, niemytzki, or a set expression")
-    p.add_argument("--point", required=True, help="n comma-separated rationals")
+    p.add_argument("--point", required=True,
+                   help="n comma-separated rationals; write --point=<coords> "
+                        "when the value starts with '-'")
     p.add_argument("--eps", required=True)
     p.set_defaults(handler=_cmd_nbhd)
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
-from .geometry import DimensionMismatch
+from .geometry import DimensionMismatch, sq_dist_coords
 from .setdsl import (
     All,
     Bernstein,
@@ -52,12 +52,13 @@ from .setdsl import (
     SinglePoint,
     Union,
     arity,
+    axis,
     find_witness,
     member,
     normalize,
     structural_candidates,
 )
-from .trivalent import FALSE, TRUE, UNKNOWN, Verdict
+from .trivalent import FALSE, TRUE, UNKNOWN, Verdict, all3
 
 T, F, U = TRUE, FALSE, UNKNOWN
 
@@ -198,21 +199,12 @@ def _any_false(verdicts) -> Verdict:
     return F if any(v is F for v in verdicts) else U
 
 
-def _kleene_and(verdicts) -> Verdict:
-    vs = list(verdicts)
-    if any(v is F for v in vs):
-        return F
-    if all(v is T for v in vs):
-        return T
-    return U
-
-
 def _union_flags(parts: list[dict[str, Verdict]]) -> dict[str, Verdict]:
     def col(name):
         return [p[name] for p in parts]
 
     return {
-        "countable": _kleene_and(col("countable")),
+        "countable": all3(col("countable")),
         "co_countable": _any_true(col("co_countable")),
         "closed": _all_true(col("closed")),
         "open": _all_true(col("open")),
@@ -221,8 +213,8 @@ def _union_flags(parts: list[dict[str, Verdict]]) -> dict[str, Verdict]:
         "compact": _all_true(col("compact")),
         "contains_closed_uncountable": _any_true(col("contains_closed_uncountable")),
         "equals_all": _any_true(col("equals_all")),
-        "equals_empty": _kleene_and(col("equals_empty")),
-        "bounded": _kleene_and(col("bounded")),
+        "equals_empty": all3(col("equals_empty")),
+        "bounded": all3(col("bounded")),
     }
 
 
@@ -232,14 +224,14 @@ def _inter_flags(parts: list[dict[str, Verdict]]) -> dict[str, Verdict]:
 
     return {
         "countable": _any_true(col("countable")),
-        "co_countable": _kleene_and(col("co_countable")),
+        "co_countable": all3(col("co_countable")),
         "closed": _all_true(col("closed")),
         "open": _all_true(col("open")),
         "g_delta": _all_true(col("g_delta")),
         "f_sigma": _all_true(col("f_sigma")),
         "compact": _all_true(col("compact")),
         "contains_closed_uncountable": _any_false(col("contains_closed_uncountable")),
-        "equals_all": _kleene_and(col("equals_all")),
+        "equals_all": all3(col("equals_all")),
         "equals_empty": _any_true(col("equals_empty")),
         "bounded": _any_true(col("bounded")),
     }
@@ -308,10 +300,6 @@ def _interval_misses_cantor(lo: Fraction, hi: Fraction, depth: int = 0) -> bool:
     return False
 
 
-def _sq(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    return sum(((a - b) * (a - b) for a, b in zip(p, q)), Fraction(0))
-
-
 def _ball_inside(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
     """Sound test that the closed ball B[c, r] is contained in the set."""
     if isinstance(e, All):
@@ -320,9 +308,9 @@ def _ball_inside(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
                       SinglePoint, FiniteSet)):
         return False  # none of these contains a ball of positive radius
     if isinstance(e, ClosedBall):
-        return r <= e.radius and _sq(c, e.center) <= (e.radius - r) ** 2
+        return r <= e.radius and sq_dist_coords(c, e.center) <= (e.radius - r) ** 2
     if isinstance(e, OpenBall):
-        return r < e.radius and _sq(c, e.center) < (e.radius - r) ** 2
+        return r < e.radius and sq_dist_coords(c, e.center) < (e.radius - r) ** 2
     if isinstance(e, Complement):
         return _ball_disjoint(e.body, c, r)
     if isinstance(e, Union):
@@ -341,9 +329,9 @@ def _ball_disjoint(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
         # (a ball is an uncountable compactum)
         return False
     if isinstance(e, SinglePoint):
-        return _sq(e.coords, c) > r * r
+        return sq_dist_coords(e.coords, c) > r * r
     if isinstance(e, FiniteSet):
-        return all(_sq(pt, c) > r * r for pt in e.points)
+        return all(sq_dist_coords(pt, c) > r * r for pt in e.points)
     if isinstance(e, Lattice):
         # disjoint if along some axis the interval [c_i - r, c_i + r]
         # contains no integer
@@ -355,9 +343,9 @@ def _ball_disjoint(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
             return True
         return any(ci - r > 0 or ci + r < 0 for ci in c[1:])
     if isinstance(e, ClosedBall):
-        return _sq(c, e.center) > (r + e.radius) ** 2
+        return sq_dist_coords(c, e.center) > (r + e.radius) ** 2
     if isinstance(e, OpenBall):
-        return _sq(c, e.center) >= (r + e.radius) ** 2
+        return sq_dist_coords(c, e.center) >= (r + e.radius) ** 2
     if isinstance(e, Complement):
         return _ball_inside(e.body, c, r)
     if isinstance(e, Union):
@@ -369,9 +357,6 @@ def _ball_disjoint(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
 
 def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
     cands: list[tuple[tuple[Fraction, ...], Fraction]] = []
-
-    def axis(center, i, offset):
-        return center[:i] + (center[i] + offset,) + center[i + 1:]
 
     def from_ball(center, radius):
         cands.append((center, radius / 2))
@@ -402,11 +387,7 @@ def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fra
             ((Fraction(-5, 2),) + (Fraction(1, 2),) * (m - 1), Fraction(1, 4)),
         ]
     )
-    deduped = []
-    for cand in cands:
-        if cand not in deduped:
-            deduped.append(cand)
-    return deduped
+    return list(dict.fromkeys(cands))
 
 
 _BALL_SEARCH_BUDGET = 1000
@@ -546,13 +527,14 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         ]
         # the Cantor box is the segment between the corners; balls are convex
         if isinstance(b, ClosedBall):
-            return all(_sq(corner, b.center) <= b.radius ** 2 for corner in corners)
-        return all(_sq(corner, b.center) < b.radius ** 2 for corner in corners)
+            return all(sq_dist_coords(c, b.center) <= b.radius ** 2 for c in corners)
+        return all(sq_dist_coords(c, b.center) < b.radius ** 2 for c in corners)
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
         strict = isinstance(a, ClosedBall) and isinstance(b, OpenBall)
+        gap = (b.radius - a.radius) ** 2
         if strict:
-            return a.radius < b.radius and _sq(a.center, b.center) < (b.radius - a.radius) ** 2
-        return a.radius <= b.radius and _sq(a.center, b.center) <= (b.radius - a.radius) ** 2
+            return a.radius < b.radius and sq_dist_coords(a.center, b.center) < gap
+        return a.radius <= b.radius and sq_dist_coords(a.center, b.center) <= gap
     return False
 
 
@@ -579,6 +561,19 @@ class TopologyOrder(Enum):
     INCOMPARABLE = "incomparable"
     UNKNOWN = "unknown"
 
+    @staticmethod
+    def of(fwd: Verdict, rev: Verdict) -> "TopologyOrder":
+        """The order given the verdicts of A ⊆ B (fwd) and B ⊆ A (rev)."""
+        if fwd is T and rev is T:
+            return TopologyOrder.EQUAL
+        if fwd is T:
+            return TopologyOrder.FINER
+        if rev is T:
+            return TopologyOrder.COARSER
+        if fwd is F and rev is F:
+            return TopologyOrder.INCOMPARABLE
+        return TopologyOrder.UNKNOWN
+
 
 def compare_topologies(eA: SetExpr, eB: SetExpr, budget: int = 1000, seed: int = 0) -> TopologyOrder:
     """Order of tau(A) versus tau(B): A ⊆ B iff tau(A) ⊇ tau(B).
@@ -586,14 +581,6 @@ def compare_topologies(eA: SetExpr, eB: SetExpr, budget: int = 1000, seed: int =
     FINER means tau(A) ⊇ tau(B) is established (EQUAL when both inclusions
     are); whether the inclusion is strict may be open.
     """
-    fwd = subset(eA, eB, budget=budget, seed=seed)
-    rev = subset(eB, eA, budget=budget, seed=seed)
-    if fwd is T and rev is T:
-        return TopologyOrder.EQUAL
-    if fwd is T:
-        return TopologyOrder.FINER
-    if rev is T:
-        return TopologyOrder.COARSER
-    if fwd is F and rev is F:
-        return TopologyOrder.INCOMPARABLE
-    return TopologyOrder.UNKNOWN
+    return TopologyOrder.of(
+        subset(eA, eB, budget=budget, seed=seed), subset(eB, eA, budget=budget, seed=seed)
+    )

@@ -51,11 +51,6 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def rat_to_str(value: Fraction) -> str:
-    """Canonical text form, ``p/q`` or plain ``p`` for integers."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Point:
     """A point of X_n: rational coordinates with the last one >= 0, n >= 2."""
@@ -91,7 +86,7 @@ class Point:
         return self.coords[:-1]
 
     def to_json(self) -> list[str]:
-        return [rat_to_str(c) for c in self.coords]
+        return [str(c) for c in self.coords]
 
     @staticmethod
     def from_json(data: Sequence[str]) -> "Point":
@@ -122,10 +117,15 @@ def _check_dims(p: Point, q: Point) -> None:
         raise DimensionMismatch(f"dimension {p.dimension} vs {q.dimension}")
 
 
+def sq_dist_coords(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
+    """sum_i (p_i - q_i)^2 over paired coordinates of two rational tuples."""
+    return sum(((a - b) * (a - b) for a, b in zip(p, q)), Fraction(0))
+
+
 def sq_dist(p: Point, q: Point) -> Fraction:
     """Squared Euclidean distance sum_i (p_i - q_i)^2, kept squared to stay rational."""
     _check_dims(p, q)
-    return sum(((a - b) * (a - b) for a, b in zip(p.coords, q.coords)), Fraction(0))
+    return sq_dist_coords(p.coords, q.coords)
 
 
 def in_ball(x: Point, b: BallSpec) -> bool:
@@ -142,11 +142,7 @@ def tangent_gauge(x: Point, a: Point) -> Fraction:
     _check_dims(x, a)
     if not a.is_boundary:
         raise ValueError("tangency point must lie on the boundary hyperplane")
-    g = sum(
-        ((xc - ac) * (xc - ac) for xc, ac in zip(x.coords[:-1], a.coords[:-1])),
-        Fraction(0),
-    )
-    return g + x.coords[-1] * x.coords[-1]
+    return sq_dist_coords(x.coords[:-1], a.coords[:-1]) + x.coords[-1] * x.coords[-1]
 
 
 def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:

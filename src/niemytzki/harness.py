@@ -35,7 +35,6 @@ from .geometry import (
     Point,
     in_ball,
     in_tangent_ball,
-    rat_to_str,
     separating_f,
     sq_dist,
     t_level,
@@ -362,9 +361,7 @@ def _gen_s7(cfg: SuiteConfig) -> Iterator[dict]:
 
 def _fmt(value) -> str:
     if isinstance(value, Point):
-        return "(" + ",".join(rat_to_str(c) for c in value.coords) + ")"
-    if isinstance(value, Fraction):
-        return rat_to_str(value)
+        return "(" + ",".join(str(c) for c in value.coords) + ")"
     return str(value)
 
 

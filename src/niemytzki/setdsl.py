@@ -12,13 +12,15 @@ being ``integer [ "/" positive-integer ]`` and coordinate arity n-1:
                | "finite{" coords { ";" coords } "}"
                | "cball(" coords ";" rat ")" | "oball(" coords ";" rat ")"
 
-Membership is three-valued.  Only rational points are representable, so
-``rationals`` answers In for every representable point; the uncountable
-picture is handled by class-level inference in :mod:`niemytzki.descriptive`.
-``bernstein`` is purely symbolic and always answers Unknown: Bernstein sets
-are non-constructive, only their class-level facts are usable.  ``cantor``
-is the middle-thirds set embedded as C × {0}^(n-2), decided exactly on the
-eventually periodic ternary expansion of the rational first coordinate.
+Membership is a three-valued :class:`~niemytzki.trivalent.Verdict`, named
+here ``IN``, ``OUT`` and ``UNKNOWN``.  Only rational points are
+representable, so ``rationals`` holds every representable point (``IN``);
+the uncountable picture is handled by class-level inference in
+:mod:`niemytzki.descriptive`.  ``bernstein`` is purely symbolic and its
+membership is always ``UNKNOWN``: Bernstein sets are non-constructive,
+only their class-level facts are usable.  ``cantor`` is the middle-thirds
+set embedded as C × {0}^(n-2), decided exactly on the eventually periodic
+ternary expansion of the rational first coordinate.
 """
 
 from __future__ import annotations
@@ -27,43 +29,15 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .geometry import DimensionMismatch, rat_to_str
+from .geometry import DimensionMismatch, sq_dist_coords
+from .trivalent import Verdict, all3, any3
 
-
-class Membership(Enum):
-    IN = "in"
-    OUT = "out"
-    UNKNOWN = "unknown"
-
-    def __invert__(self) -> "Membership":
-        if self is Membership.IN:
-            return Membership.OUT
-        if self is Membership.OUT:
-            return Membership.IN
-        return Membership.UNKNOWN
-
-    def __and__(self, other: "Membership") -> "Membership":
-        if Membership.OUT in (self, other):
-            return Membership.OUT
-        if self is Membership.IN and other is Membership.IN:
-            return Membership.IN
-        return Membership.UNKNOWN
-
-    def __or__(self, other: "Membership") -> "Membership":
-        if Membership.IN in (self, other):
-            return Membership.IN
-        if self is Membership.OUT and other is Membership.OUT:
-            return Membership.OUT
-        return Membership.UNKNOWN
-
-
-IN = Membership.IN
-OUT = Membership.OUT
-UNKNOWN = Membership.UNKNOWN
+IN = Verdict.TRUE
+OUT = Verdict.FALSE
+UNKNOWN = Verdict.UNKNOWN
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -164,10 +138,7 @@ def normalize(e: SetExpr) -> SetExpr:
                 flat.append(nm)
         if not flat:
             raise ValueError("unions and intersections need at least one member")
-        seen: list[SetExpr] = []
-        for m in flat:
-            if m not in seen:
-                seen.append(m)
+        seen = list(dict.fromkeys(flat))
         if len(seen) == 1:
             return seen[0]
         return kind(tuple(seen))
@@ -195,7 +166,7 @@ def arity(e: SetExpr) -> Optional[int]:
 # --- printing ----------------------------------------------------------------
 
 def _coords_text(coords: Sequence[Fraction]) -> str:
-    return ",".join(rat_to_str(c) for c in coords)
+    return ",".join(str(c) for c in coords)
 
 
 def to_text(e: SetExpr) -> str:
@@ -217,9 +188,9 @@ def to_text(e: SetExpr) -> str:
     if isinstance(e, FiniteSet):
         return "finite{" + ";".join(_coords_text(p) for p in e.points) + "}"
     if isinstance(e, ClosedBall):
-        return f"cball({_coords_text(e.center)};{rat_to_str(e.radius)})"
+        return f"cball({_coords_text(e.center)};{e.radius})"
     if isinstance(e, OpenBall):
-        return f"oball({_coords_text(e.center)};{rat_to_str(e.radius)})"
+        return f"oball({_coords_text(e.center)};{e.radius})"
     if isinstance(e, Complement):
         body = to_text(e.body)
         if isinstance(e.body, (Union, Inter)):
@@ -406,10 +377,6 @@ def parse(text: str, dimension: int = 2) -> SetExpr:
 
 # --- membership --------------------------------------------------------------
 
-def _sq(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    return sum(((a - b) * (a - b) for a, b in zip(p, q)), Fraction(0))
-
-
 def in_cantor(x: Fraction) -> bool:
     """Exact middle-thirds membership for a rational in [0, 1].
 
@@ -437,7 +404,7 @@ def in_cantor(x: Fraction) -> bool:
     return True
 
 
-def member(e: SetExpr, p: Sequence[Fraction]) -> Membership:
+def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
     """Three-valued membership of a boundary point (n-1 rational coordinates)."""
     p = tuple(p)
     if isinstance(e, Empty):
@@ -467,23 +434,17 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Membership:
     if isinstance(e, ClosedBall):
         if len(e.center) != len(p):
             raise DimensionMismatch("ball arity differs from the query point")
-        return IN if _sq(p, e.center) <= e.radius * e.radius else OUT
+        return IN if sq_dist_coords(p, e.center) <= e.radius * e.radius else OUT
     if isinstance(e, OpenBall):
         if len(e.center) != len(p):
             raise DimensionMismatch("ball arity differs from the query point")
-        return IN if _sq(p, e.center) < e.radius * e.radius else OUT
+        return IN if sq_dist_coords(p, e.center) < e.radius * e.radius else OUT
     if isinstance(e, Complement):
         return ~member(e.body, p)
     if isinstance(e, Union):
-        out = OUT
-        for m in e.members:
-            out = out | member(m, p)
-        return out
+        return any3(member(m, p) for m in e.members)
     if isinstance(e, Inter):
-        out = IN
-        for m in e.members:
-            out = out & member(m, p)
-        return out
+        return all3(member(m, p) for m in e.members)
     raise TypeError(f"not a set expression: {e!r}")
 
 
@@ -501,15 +462,17 @@ _PROBE_VALUES = (
 )
 
 
+def axis(center: tuple[Fraction, ...], i: int, offset: Fraction) -> tuple[Fraction, ...]:
+    """The center moved by offset along coordinate axis i."""
+    return center[:i] + (center[i] + offset,) + center[i + 1:]
+
+
 def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
     """Deterministic candidate points harvested from the expression tree."""
     acc: list[tuple[Fraction, ...]] = []
 
     def pad(first: Fraction) -> tuple[Fraction, ...]:
         return (first,) + (Fraction(0),) * (m - 1)
-
-    def axis(center: tuple[Fraction, ...], i: int, offset: Fraction):
-        return center[:i] + (center[i] + offset,) + center[i + 1:]
 
     def walk(node: SetExpr):
         if isinstance(node, SinglePoint):
@@ -539,11 +502,7 @@ def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
                 walk(child)
 
     walk(e)
-    deduped: list[tuple[Fraction, ...]] = []
-    for cand in acc:
-        if len(cand) == m and cand not in deduped:
-            deduped.append(cand)
-    return deduped
+    return list(dict.fromkeys(cand for cand in acc if len(cand) == m))
 
 
 def _probe_points(m: int) -> list[tuple[Fraction, ...]]:

@@ -33,7 +33,7 @@ from .geometry import (
     in_tangent_ball,
     inner_ball_radius,
     rat,
-    rat_to_str,
+    sq_dist,
     tangent_gauge,
     translate,
 )
@@ -102,7 +102,7 @@ class BasicOpen:
         return {
             "kind": self.kind,
             "center": self.center.to_json(),
-            "radius": rat_to_str(self.radius),
+            "radius": str(self.radius),
         }
 
 
@@ -258,7 +258,7 @@ class Vertical(SequenceFamily):
         return {
             "family": "vertical",
             "anchor": self.anchor.to_json(),
-            "height": rat_to_str(self.height),
+            "height": str(self.height),
         }
 
 
@@ -297,7 +297,7 @@ class TangentCircle(SequenceFamily):
         return {
             "family": "tangent-circle",
             "anchor": self.anchor.to_json(),
-            "eps": rat_to_str(self.eps),
+            "eps": str(self.eps),
         }
 
 
@@ -334,7 +334,7 @@ class IndexBound:
         return {
             "kind": "index-bound",
             "form": self.form,
-            "coefficient": rat_to_str(self.coefficient),
+            "coefficient": str(self.coefficient),
             "description": self.description,
         }
 
@@ -360,7 +360,7 @@ class DiscretenessRadii:
         return {
             "kind": "discreteness-radii",
             "entries": [
-                {"point": p.to_json(), "radius": rat_to_str(r)} for p, r in self.entries
+                {"point": p.to_json(), "radius": str(r)} for p, r in self.entries
             ],
         }
 
@@ -380,8 +380,6 @@ class ConvergenceVerdict:
 def _isolating_radii(
     fam: TangentCircle, prefix: int
 ) -> tuple[tuple[Point, Fraction], ...]:
-    from .geometry import sq_dist  # local import to keep module top uncluttered
-
     terms = [fam.term(k) for k in range(1, prefix + 1)]
     entries = []
     for i, p in enumerate(terms):

@@ -4,6 +4,10 @@ The engine is sound but deliberately incomplete: True and False are claims,
 Unknown is always an admissible answer.  Conjunction and disjunction follow
 Kleene's strong tables, so Unknown absorbs exactly where a missing fact could
 still flip the outcome.
+
+Membership of a boundary point is a verdict too: :mod:`niemytzki.setdsl`
+names the three values IN, OUT and UNKNOWN, and only the CLI prints them as
+the words in / out / unknown.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ class Verdict(Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
-    @staticmethod
-    def of(value: bool) -> "Verdict":
-        return Verdict.TRUE if value else Verdict.FALSE
-
     def __invert__(self) -> "Verdict":
         if self is Verdict.TRUE:
             return Verdict.FALSE
@@ -28,18 +28,10 @@ class Verdict(Enum):
         return Verdict.UNKNOWN
 
     def __and__(self, other: "Verdict") -> "Verdict":
-        if Verdict.FALSE in (self, other):
-            return Verdict.FALSE
-        if self is Verdict.TRUE and other is Verdict.TRUE:
-            return Verdict.TRUE
-        return Verdict.UNKNOWN
+        return all3((self, other))
 
     def __or__(self, other: "Verdict") -> "Verdict":
-        if Verdict.TRUE in (self, other):
-            return Verdict.TRUE
-        if self is Verdict.FALSE and other is Verdict.FALSE:
-            return Verdict.FALSE
-        return Verdict.UNKNOWN
+        return any3((self, other))
 
     def __bool__(self):  # pragma: no cover
         raise TypeError("three-valued verdicts do not collapse to bool; compare explicitly")
@@ -51,16 +43,18 @@ UNKNOWN = Verdict.UNKNOWN
 
 
 def all3(verdicts) -> Verdict:
-    """Kleene conjunction over an iterable."""
-    out = TRUE
-    for v in verdicts:
-        out = out & v
-    return out
+    """Kleene conjunction over an iterable: False if any conjunct is False,
+    else Unknown if any is Unknown, else True.  Every item is consumed."""
+    vs = list(verdicts)
+    if FALSE in vs:
+        return FALSE
+    return UNKNOWN if UNKNOWN in vs else TRUE
 
 
 def any3(verdicts) -> Verdict:
-    """Kleene disjunction over an iterable."""
-    out = FALSE
-    for v in verdicts:
-        out = out | v
-    return out
+    """Kleene disjunction over an iterable: True if any disjunct is True,
+    else Unknown if any is Unknown, else False.  Every item is consumed."""
+    vs = list(verdicts)
+    if TRUE in vs:
+        return TRUE
+    return UNKNOWN if UNKNOWN in vs else FALSE

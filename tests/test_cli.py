@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from niemytzki import cli
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -128,6 +130,24 @@ class TestCommands:
         proc = run_cli("nbhd", "--topology", "rationals", "--point", "1/2,0",
                        "--eps", "2", "--json")
         assert json.loads(proc.stdout)["neighborhood"]["kind"] == "half-ball"
+
+
+class TestMemberWireWords:
+    """member returns a Verdict; only the CLI spells it in / out / unknown."""
+
+    def test_unknown_json(self, capsys):
+        assert cli.main(["member", "--set", "bernstein", "--point", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["membership"] == "unknown"
+
+    def test_unknown_human(self, capsys):
+        assert cli.main(["member", "--set", "bernstein", "--point", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "unknown"
+
+    def test_negative_point_with_equals_form(self, capsys):
+        assert cli.main(["member", "--set", "oball(0;1)", "--point=-1/2", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["point"] == ["-1/2"]
+        assert data["membership"] == "in"
 
 
 class TestDeterminism:
