@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .descriptive import TopologyOrder, infer, subset
+from .descriptive import TopologyOrder, subset
 from .geometry import Point
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
 from .setdsl import IN, OUT, UNKNOWN, ParseError, member, parse, to_text
@@ -110,10 +110,9 @@ def _verdict_lines(block: dict) -> str:
 
 
 def _cmd_classify(args) -> int:
-    expr = parse(args.set, args.dimension)
-    report = classify(expr, args.dimension)
+    report = classify(args.set, args.dimension)
     payload = report.to_json()
-    payload["set_classes"] = infer(expr).to_json()
+    payload["set_classes"] = report.set_classes.to_json()
     human = (
         f"space: {report.space}   dimension: {report.dimension}\n"
         + _verdict_lines(payload["properties"])
@@ -230,7 +229,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    report = classify(parse(args.set, args.dimension), args.dimension)
+    report = classify(args.set, args.dimension)
     steps = explain(report, args.property)
     record = report.to_json()
     if args.property.startswith("boundary."):
@@ -272,17 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("member", help="membership of a boundary point in A")
     _add_common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--point", required=True,
-                   help="n-1 comma-separated rationals; write --point=<coords> "
-                        "when the value starts with '-'")
+    p.add_argument("--point", required=True, help="n-1 comma-separated rationals")
     p.set_defaults(handler=_cmd_member)
 
     p = commands.add_parser("nbhd", help="basic neighborhood of a point")
     _add_common(p)
     p.add_argument("--topology", required=True, help="euclidean, niemytzki, or a set expression")
-    p.add_argument("--point", required=True,
-                   help="n comma-separated rationals; write --point=<coords> "
-                        "when the value starts with '-'")
+    p.add_argument("--point", required=True, help="n comma-separated rationals")
     p.add_argument("--eps", required=True)
     p.set_defaults(handler=_cmd_nbhd)
 
@@ -316,10 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE_RE = re.compile(r"-[\d./]")
+
+
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Join a value such as ``-1/2`` or ``-1,2`` to the ``--point`` before
+    it: argparse would read the separate word as an unknown option."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--point" and _NEGATIVE_VALUE_RE.match(word):
+            out[-1] = f"--point={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

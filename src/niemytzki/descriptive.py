@@ -53,7 +53,10 @@ from .setdsl import (
     Union,
     arity,
     axis,
+    complement,
     find_witness,
+    join,
+    leaves,
     member,
     normalize,
     structural_candidates,
@@ -121,17 +124,11 @@ _PRIMITIVE_AXIOMS = {
     # yet contain none, so they are neither G_delta nor F_sigma, neither
     # closed nor open, and hold no closed uncountable subset.
     Bernstein: _row(F, F, F, F, F, F, F, F, F, F, F),
+    SinglePoint: _row(T, F, T, F, T, T, T, F, F, F, T),
+    FiniteSet: _row(T, F, T, F, T, T, T, F, F, F, T),
+    ClosedBall: _row(F, F, T, F, T, T, T, T, F, F, T),
+    OpenBall: _row(F, F, F, T, T, T, F, T, F, F, T),
 }
-
-
-def _point_axioms() -> dict[str, Verdict]:
-    return _row(T, F, T, F, T, T, T, F, F, F, T)
-
-
-def _ball_axioms(closed_ball: bool) -> dict[str, Verdict]:
-    if closed_ball:
-        return _row(F, F, T, F, T, T, T, T, F, F, T)
-    return _row(F, F, F, T, T, T, F, T, F, F, T)
 
 
 # --- implication closure -------------------------------------------------------
@@ -199,42 +196,20 @@ def _any_false(verdicts) -> Verdict:
     return F if any(v is F for v in verdicts) else U
 
 
-def _union_flags(parts: list[dict[str, Verdict]]) -> dict[str, Verdict]:
-    def col(name):
-        return [p[name] for p in parts]
-
-    return {
-        "countable": all3(col("countable")),
-        "co_countable": _any_true(col("co_countable")),
-        "closed": _all_true(col("closed")),
-        "open": _all_true(col("open")),
-        "g_delta": _all_true(col("g_delta")),
-        "f_sigma": _all_true(col("f_sigma")),
-        "compact": _all_true(col("compact")),
-        "contains_closed_uncountable": _any_true(col("contains_closed_uncountable")),
-        "equals_all": _any_true(col("equals_all")),
-        "equals_empty": all3(col("equals_empty")),
-        "bounded": all3(col("bounded")),
-    }
-
-
-def _inter_flags(parts: list[dict[str, Verdict]]) -> dict[str, Verdict]:
-    def col(name):
-        return [p[name] for p in parts]
-
-    return {
-        "countable": _any_true(col("countable")),
-        "co_countable": all3(col("co_countable")),
-        "closed": _all_true(col("closed")),
-        "open": _all_true(col("open")),
-        "g_delta": _all_true(col("g_delta")),
-        "f_sigma": _all_true(col("f_sigma")),
-        "compact": _all_true(col("compact")),
-        "contains_closed_uncountable": _any_false(col("contains_closed_uncountable")),
-        "equals_all": all3(col("equals_all")),
-        "equals_empty": _any_true(col("equals_empty")),
-        "bounded": _any_true(col("bounded")),
-    }
+# flag: (its rule over the members of a union, over those of an intersection)
+_CONNECTIVE_RULES = {
+    "countable": (all3, _any_true),
+    "co_countable": (_any_true, all3),
+    "closed": (_all_true, _all_true),
+    "open": (_all_true, _all_true),
+    "g_delta": (_all_true, _all_true),
+    "f_sigma": (_all_true, _all_true),
+    "compact": (_all_true, _all_true),
+    "contains_closed_uncountable": (_any_true, _any_false),
+    "equals_all": (_any_true, all3),
+    "equals_empty": (all3, _any_true),
+    "bounded": (all3, _any_true),
+}
 
 
 _SWAP_PAIRS = (
@@ -357,24 +332,14 @@ def _ball_disjoint(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
 
 def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
     cands: list[tuple[tuple[Fraction, ...], Fraction]] = []
-
-    def from_ball(center, radius):
-        cands.append((center, radius / 2))
-        cands.append((center, radius / 4))
-        for i in range(len(center)):
-            for frac in (Fraction(3, 4), Fraction(1, 2), Fraction(-3, 4), Fraction(-1, 2)):
-                cands.append((axis(center, i, frac * radius), radius / 8))
-
-    def walk(node):
+    for node in leaves(e):
         if isinstance(node, (ClosedBall, OpenBall)):
-            from_ball(node.center, node.radius)
-        elif isinstance(node, Complement):
-            walk(node.body)
-        elif isinstance(node, (Union, Inter)):
-            for child in node.members:
-                walk(child)
-
-    walk(e)
+            center, radius = node.center, node.radius
+            cands.append((center, radius / 2))
+            cands.append((center, radius / 4))
+            for i in range(len(center)):
+                for frac in (Fraction(3, 4), Fraction(1, 2), Fraction(-3, 4), Fraction(-1, 2)):
+                    cands.append((axis(center, i, frac * radius), radius / 8))
     zeros = (Fraction(0),) * m
     halves = (Fraction(1, 2),) * m
     cands.extend(
@@ -393,7 +358,6 @@ def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fra
 _BALL_SEARCH_BUDGET = 1000
 
 
-@lru_cache(maxsize=None)
 def _closed_ball_witness(e: SetExpr, m: int) -> bool:
     for center, radius in _candidate_balls(e, m)[:_BALL_SEARCH_BUDGET]:
         if _ball_inside(e, center, radius):
@@ -405,18 +369,13 @@ def _closed_ball_witness(e: SetExpr, m: int) -> bool:
 
 def _combine_node(e: SetExpr) -> dict[str, Verdict]:
     """Flags of a complement-free node from axioms and its children's records."""
-    if isinstance(e, (SinglePoint, FiniteSet)):
-        return _point_axioms()
-    if isinstance(e, ClosedBall):
-        return _ball_axioms(closed_ball=True)
-    if isinstance(e, OpenBall):
-        return _ball_axioms(closed_ball=False)
     if type(e) in _PRIMITIVE_AXIOMS:
         return dict(_PRIMITIVE_AXIOMS[type(e)])
-    if isinstance(e, Union):
-        return _union_flags([dict(_flags(m)) for m in e.members])
-    if isinstance(e, Inter):
-        return _inter_flags([dict(_flags(m)) for m in e.members])
+    if isinstance(e, (Union, Inter)):
+        parts = [_flags(m) for m in e.members]
+        side = isinstance(e, Inter)
+        return {name: rules[side]([p[name] for p in parts])
+                for name, rules in _CONNECTIVE_RULES.items()}
     raise TypeError(f"not a combinable set expression: {e!r}")
 
 
@@ -433,7 +392,7 @@ def _pair_flags(key: SetExpr) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
     to the other through the swap, so the engine answers symmetrically about
     a set and its complement.
     """
-    ckey = normalize(Complement(key))
+    ckey = complement(key)
     a = _close(_combine_node(key), key)
     if isinstance(key, Bernstein):
         # the complement of a Bernstein set is again a Bernstein set
@@ -445,22 +404,32 @@ def _pair_flags(key: SetExpr) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
     b = _close(b, ckey)
 
     m = arity(key) or 1
+    # each side's searches run at most once, while their flag is Unknown:
+    # a search's answer is fixed, so a failed one is not worth repeating
+    searches = [
+        (flags, expr, name, found, witness)
+        for flags, expr in ((a, key), (b, ckey))
+        for name, found, witness in (
+            ("contains_closed_uncountable", T, _closed_ball_witness),
+            ("equals_empty", F, _point_witness),
+        )
+    ]
     changed = True
     while changed:
         changed = False
         if _merge(a, _swap(b), key):
-            a = _close(a, key)
+            _close(a, key)
             changed = True
         if _merge(b, _swap(a), ckey):
-            b = _close(b, ckey)
+            _close(b, ckey)
             changed = True
-        for flags, expr in ((a, key), (b, ckey)):
-            if flags["contains_closed_uncountable"] is U and _closed_ball_witness(expr, m):
-                flags["contains_closed_uncountable"] = T
-                _close(flags, expr)
-                changed = True
-            if flags["equals_empty"] is U and _point_witness(expr, m):
-                flags["equals_empty"] = F
+        for search in list(searches):
+            flags, expr, name, found, witness = search
+            if flags[name] is not U:
+                continue
+            searches.remove(search)
+            if witness(expr, m):
+                flags[name] = found
                 _close(flags, expr)
                 changed = True
     return a, b
@@ -548,7 +517,7 @@ def subset(e1: SetExpr, e2: SetExpr, budget: int = 1000, seed: int = 0) -> Verdi
     a = arity(e1) or arity(e2)
     if a is not None:
         dim = a + 1
-    gap = normalize(Inter((e1, Complement(e2))))
+    gap = join(Inter, (e1, complement(e2)))
     if find_witness(gap, budget=budget, seed=seed, dimension=dim) is not None:
         return F
     return U

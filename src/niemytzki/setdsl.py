@@ -21,6 +21,13 @@ membership is always ``UNKNOWN``: Bernstein sets are non-constructive,
 only their class-level facts are usable.  ``cantor`` is the middle-thirds
 set embedded as C × {0}^(n-2), decided exactly on the eventually periodic
 ternary expansion of the rational first coordinate.
+
+Every expression the library returns is normal (see :func:`normalize`): no
+double complement, no complemented ``empty`` or ``all``, no union directly
+inside a union nor intersection inside an intersection, no repeated member
+and no one-member union or intersection.  Given normal arguments,
+:func:`complement` and :func:`join` return normal results, so derived
+expressions are built normal and never normalised again.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .geometry import DimensionMismatch, sq_dist_coords
 from .trivalent import Verdict, all3, any3
@@ -115,51 +122,77 @@ class Inter(SetExpr):
     members: tuple[SetExpr, ...]
 
 
+# the primitives written as a bare word, in the order of the grammar
+_PLAIN_PRIMITIVES = {
+    "empty": Empty,
+    "all": All,
+    "rationals": Rationals,
+    "lattice": Lattice,
+    "cantor": Cantor,
+    "bernstein": Bernstein,
+}
+_PLAIN_NAMES = {kind: name for name, kind in _PLAIN_PRIMITIVES.items()}
+
+
+def complement(e: SetExpr) -> SetExpr:
+    """The complement of a normal expression, in normal form."""
+    if isinstance(e, Complement):
+        return e.body
+    if isinstance(e, All):
+        return Empty()
+    if isinstance(e, Empty):
+        return All()
+    return Complement(e)
+
+
+def join(kind: type, members: Iterable[SetExpr]) -> SetExpr:
+    """The union or intersection (``kind``) of normal expressions, in normal
+    form: members of the same kind are flattened one level, duplicates
+    dropped and a single member returned as it is."""
+    flat: list[SetExpr] = []
+    for m in members:
+        if isinstance(m, kind):
+            flat.extend(m.members)
+        else:
+            flat.append(m)
+    if not flat:
+        raise ValueError("unions and intersections need at least one member")
+    seen = tuple(dict.fromkeys(flat))
+    return seen[0] if len(seen) == 1 else kind(seen)
+
+
 def normalize(e: SetExpr) -> SetExpr:
     """Structural normal form: no double complements, no complemented
     constants, flattened and deduplicated unions/intersections."""
     if isinstance(e, Complement):
-        body = normalize(e.body)
-        if isinstance(body, Complement):
-            return body.body
-        if isinstance(body, All):
-            return Empty()
-        if isinstance(body, Empty):
-            return All()
-        return Complement(body)
+        return complement(normalize(e.body))
     if isinstance(e, (Union, Inter)):
-        kind = type(e)
-        flat: list[SetExpr] = []
-        for m in e.members:
-            nm = normalize(m)
-            if isinstance(nm, kind):
-                flat.extend(nm.members)
-            else:
-                flat.append(nm)
-        if not flat:
-            raise ValueError("unions and intersections need at least one member")
-        seen = list(dict.fromkeys(flat))
-        if len(seen) == 1:
-            return seen[0]
-        return kind(tuple(seen))
+        return join(type(e), [normalize(m) for m in e.members])
     return e
+
+
+def leaves(e: SetExpr) -> Iterator[SetExpr]:
+    """The primitives of the expression tree, pre-order, left to right."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Complement):
+            stack.append(node.body)
+        elif isinstance(node, (Union, Inter)):
+            stack.extend(reversed(node.members))
+        else:
+            yield node
 
 
 def arity(e: SetExpr) -> Optional[int]:
     """Coordinate arity carried by the expression, None if purely symbolic."""
-    if isinstance(e, SinglePoint):
-        return len(e.coords)
-    if isinstance(e, FiniteSet):
-        return len(e.points[0]) if e.points else None
-    if isinstance(e, (ClosedBall, OpenBall)):
-        return len(e.center)
-    if isinstance(e, Complement):
-        return arity(e.body)
-    if isinstance(e, (Union, Inter)):
-        for m in e.members:
-            a = arity(m)
-            if a is not None:
-                return a
+    for leaf in leaves(e):
+        if isinstance(leaf, SinglePoint):
+            return len(leaf.coords)
+        if isinstance(leaf, FiniteSet) and leaf.points:
+            return len(leaf.points[0])
+        if isinstance(leaf, (ClosedBall, OpenBall)):
+            return len(leaf.center)
     return None
 
 
@@ -171,18 +204,8 @@ def _coords_text(coords: Sequence[Fraction]) -> str:
 
 def to_text(e: SetExpr) -> str:
     """Canonical text form; parse(to_text(e), n) == e for normalized e."""
-    if isinstance(e, Empty):
-        return "empty"
-    if isinstance(e, All):
-        return "all"
-    if isinstance(e, Rationals):
-        return "rationals"
-    if isinstance(e, Lattice):
-        return "lattice"
-    if isinstance(e, Cantor):
-        return "cantor"
-    if isinstance(e, Bernstein):
-        return "bernstein"
+    if type(e) in _PLAIN_NAMES:
+        return _PLAIN_NAMES[type(e)]
     if isinstance(e, SinglePoint):
         return f"point({_coords_text(e.coords)})"
     if isinstance(e, FiniteSet):
@@ -220,15 +243,6 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(r"(?P<num>-?\d+)|(?P<name>[a-z]+)|(?P<sym>[|&!(){};,/])")
 _WS_RE = re.compile(r"\s*")
 
-_PLAIN_PRIMITIVES = {
-    "empty": Empty,
-    "all": All,
-    "rationals": Rationals,
-    "lattice": Lattice,
-    "cantor": Cantor,
-    "bernstein": Bernstein,
-}
-
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -246,11 +260,25 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _integer(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError("integer literal too long", pos) from exc
+
+
 class _Parser:
+    # Deepest nesting of "(" and "!" accepted.  The parser and the engine
+    # recurse once or more per level, so an expression nested this deep
+    # still runs through every command within Python's default recursion
+    # limit of 1000 frames.
+    MAX_DEPTH = 100
+
     def __init__(self, text: str, dimension: int):
         self.tokens = _tokenize(text)
         self.length = len(text)
         self.i = 0
+        self.depth = 0
         self.want = dimension - 1
 
     def _peek(self):
@@ -293,15 +321,19 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.length)
+        if tok[1] not in ("!", "("):
+            return self.primitive()
+        self._next()
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels", tok[2])
         if tok[1] == "!":
-            self._next()
-            return Complement(self.factor())
-        if tok[1] == "(":
-            self._next()
+            inner = Complement(self.factor())
+        else:
             inner = self.expr()
             self._next(")")
-            return inner
-        return self.primitive()
+        self.depth -= 1
+        return inner
 
     def primitive(self) -> SetExpr:
         kind, name, pos = self._next()
@@ -351,13 +383,13 @@ class _Parser:
         kind, text, pos = self._next()
         if kind != "num":
             raise ParseError(f"expected a rational, found {text!r}", pos)
-        num = int(text)
+        num = _integer(text, pos)
         if (tok := self._peek()) and tok[1] == "/":
             self._next()
             dkind, dtext, dpos = self._next()
             if dkind != "num":
                 raise ParseError(f"expected a denominator, found {dtext!r}", dpos)
-            den = int(dtext)
+            den = _integer(dtext, dpos)
             if den <= 0:
                 raise ParseError("denominator must be a positive integer", dpos)
             return Fraction(num, den)
@@ -474,7 +506,7 @@ def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
     def pad(first: Fraction) -> tuple[Fraction, ...]:
         return (first,) + (Fraction(0),) * (m - 1)
 
-    def walk(node: SetExpr):
+    for node in leaves(e):
         if isinstance(node, SinglePoint):
             acc.append(node.coords)
         elif isinstance(node, FiniteSet):
@@ -495,13 +527,7 @@ def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
         elif isinstance(node, (Rationals, All)):
             acc.append(pad(Fraction(0)))
             acc.append(pad(Fraction(1, 2)))
-        elif isinstance(node, Complement):
-            walk(node.body)
-        elif isinstance(node, (Union, Inter)):
-            for child in node.members:
-                walk(child)
 
-    walk(e)
     return list(dict.fromkeys(cand for cand in acc if len(cand) == m))
 
 
@@ -554,18 +580,8 @@ def random_expr(rng: random.Random, dimension: int = 2, max_depth: int = 4) -> S
 
     def prim() -> SetExpr:
         roll = rng.randint(0, 9)
-        if roll == 0:
-            return Empty()
-        if roll == 1:
-            return All()
-        if roll == 2:
-            return Rationals()
-        if roll == 3:
-            return Lattice()
-        if roll == 4:
-            return Cantor()
-        if roll == 5:
-            return Bernstein()
+        if roll < len(_PLAIN_NAMES):
+            return tuple(_PLAIN_NAMES)[roll]()
         if roll == 6:
             return SinglePoint(coords())
         if roll == 7:

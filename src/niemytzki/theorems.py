@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
-from .descriptive import SoundnessError, infer
+from .descriptive import DescClass, SoundnessError, infer
 from .setdsl import (
     All,
     Bernstein,
@@ -46,6 +46,7 @@ from .setdsl import (
     Rationals,
     SetExpr,
     SinglePoint,
+    complement,
     normalize,
     parse,
     to_text,
@@ -151,6 +152,7 @@ class PropertyReport:
     boundary: dict[str, Verdict]
     boundary_dim: Optional[int]
     trace: tuple[TraceStep, ...]
+    set_classes: DescClass  # the descriptive flags of A the verdicts rest on
 
     def verdict(self, name: str) -> TUnion[Verdict, int, None]:
         if name == "dim":
@@ -212,13 +214,11 @@ _COROLLARY_ROWS: tuple[tuple[object, str, str, dict[str, Verdict]], ...] = (
 
 def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     """Full property report for (X_n, tau(A)) and its boundary subspace."""
-    if isinstance(expr, str):
-        expr = parse(expr, dimension)
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
-    e = normalize(expr)
+    e = parse(expr, dimension) if isinstance(expr, str) else normalize(expr)
     desc = infer(e)
-    comp = normalize(Complement(e))
+    comp = complement(e)
     comp_desc = infer(comp)
 
     trace: list[TraceStep] = []
@@ -412,6 +412,7 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
         boundary=boundary,
         boundary_dim=bdim,
         trace=tuple(trace),
+        set_classes=desc,
     )
     _assert_coherent(report)
     return report

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from niemytzki import cli
+from niemytzki import cli, setdsl
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -41,7 +41,7 @@ class TestExitCodes:
         assert proc.returncode == 0
 
     def test_verification_failure_maps_to_exit_3(self, monkeypatch, capsys):
-        from niemytzki import cli
+        from niemytzki import cli, setdsl
         from niemytzki.harness import Failure, SuiteResult
 
         def broken(cfg):
@@ -148,6 +148,76 @@ class TestMemberWireWords:
         data = json.loads(capsys.readouterr().out)
         assert data["point"] == ["-1/2"]
         assert data["membership"] == "in"
+
+
+class TestNegativePointWords:
+    """A --point value that starts with '-' may be written as its own word."""
+
+    def test_member_negative_pair(self):
+        proc = run_cli("member", "--dimension", "3", "--set", "all", "--point", "-1,2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "in"
+
+    def test_member_negative_fraction(self):
+        proc = run_cli("member", "--set", "all", "--point", "-1/2", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["point"] == ["-1/2"]
+
+    def test_nbhd_negative_point(self):
+        proc = run_cli("nbhd", "--topology", "niemytzki", "--point", "-1,0", "--eps", "1",
+                       "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["point"] == ["-1", "0"]
+
+
+def _nested(depth: int) -> str:
+    """Union and intersection alternating `depth` parentheses deep: each
+    "(" opens a new tree level, the deepest shape for a given nesting."""
+    text = "cantor"
+    for i in range(depth):
+        text = f"(point({i}) {'&|'[i % 2]} {text})"
+    return text
+
+
+class TestHostileInput:
+    """Oversized input is a parse error (exit 2), never a traceback."""
+
+    CAP = setdsl._Parser.MAX_DEPTH
+
+    @pytest.mark.parametrize("text", [
+        _nested(CAP),
+        "!(cball(0;1) | " * (CAP // 2) + "lattice" + ")" * (CAP // 2),
+        "!" * CAP + "cantor",
+        "(" * CAP + "cantor" + ")" * CAP,
+    ], ids=["alternating", "complemented-unions", "bangs", "parentheses"])
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--set"],
+        ["explain", "--property", "lindelof", "--set"],
+        ["member", "--point", "1/3", "--set"],
+        ["compare", "--set-b", "cball(0;1)", "--set-a"],
+    ], ids=lambda argv: argv[0])
+    def test_nesting_at_the_cap_runs(self, argv, text, capsys):
+        assert cli.main([*argv, text, "--json"]) == 0
+        json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("text", [
+        _nested(CAP + 1),
+        "!" * (CAP + 1) + "cantor",
+        "(" * (CAP + 1) + "cantor" + ")" * (CAP + 1),
+        "!" * 5000 + "empty",
+        "(" * 3000 + "all" + ")" * 3000,
+    ], ids=["alternating", "bangs", "parentheses", "5000-bangs", "3000-parentheses"])
+    def test_nesting_past_the_cap_is_a_parse_error(self, text, capsys):
+        assert cli.main(["classify", "--set", text]) == 2
+        err = capsys.readouterr().err
+        assert f"nested deeper than {self.CAP}" in err
+        assert "offset" in err
+
+    def test_overlong_literal_is_a_parse_error(self, capsys):
+        assert cli.main(["classify", "--set", f"point({'7' * 5000})"]) == 2
+        assert "(at offset 6)" in capsys.readouterr().err
+        assert cli.main(["classify", "--set", f"point(1/{'7' * 5000})"]) == 2
+        assert "(at offset 8)" in capsys.readouterr().err
 
 
 class TestDeterminism:

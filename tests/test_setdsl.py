@@ -23,8 +23,12 @@ from niemytzki.setdsl import (
     Rationals,
     SinglePoint,
     Union,
+    _Parser,
+    complement,
     find_witness,
     in_cantor,
+    join,
+    leaves,
     member,
     normalize,
     parse,
@@ -101,6 +105,73 @@ class TestNormalize:
 
     def test_singleton_collapses(self):
         assert normalize(Union((Cantor(), Cantor()))) == Cantor()
+
+
+def _seeded_corpus():
+    rng = random.Random(11)
+    return [(random_expr(rng, dim, max_depth=4), dim) for _ in range(150) for dim in (2, 3)]
+
+
+class TestSmartConstructors:
+    """complement and join build from normal parts what normalize would."""
+
+    def test_complement_matches_normalize(self):
+        for e, _ in _seeded_corpus():
+            assert complement(e) == normalize(Complement(e))
+
+    def test_gap_matches_normalize(self):
+        corpus = _seeded_corpus()
+        for (e1, d1), (e2, d2) in zip(corpus, corpus[2:]):
+            assert d1 == d2
+            want = normalize(Inter((e1, Complement(e2))))
+            assert join(Inter, (e1, complement(e2))) == want
+
+    def test_join_of_one_normal_member_is_that_member(self):
+        assert join(Union, (Union((Cantor(), Lattice())),)) == Union((Cantor(), Lattice()))
+        assert join(Inter, (Cantor(), Cantor())) == Cantor()
+
+    def test_join_needs_a_member(self):
+        with pytest.raises(ValueError):
+            join(Union, ())
+
+
+def _reference_leaves(e):
+    if isinstance(e, Complement):
+        return _reference_leaves(e.body)
+    if isinstance(e, (Union, Inter)):
+        return [leaf for m in e.members for leaf in _reference_leaves(m)]
+    return [e]
+
+
+class TestLeaves:
+    def test_matches_a_recursive_walk(self):
+        for e, _ in _seeded_corpus():
+            assert list(leaves(e)) == _reference_leaves(e)
+
+    def test_pre_order_left_to_right(self):
+        e = parse("cantor | !(lattice & point(1)) | bernstein")
+        assert list(leaves(e)) == [Cantor(), Lattice(), SinglePoint((Fr(1),)), Bernstein()]
+
+
+class TestLimits:
+    CAP = _Parser.MAX_DEPTH
+
+    def test_nesting_at_the_cap_parses(self):
+        assert parse("(" * self.CAP + "cantor" + ")" * self.CAP) == Cantor()
+        assert parse("!" * self.CAP + "cantor") == Cantor()
+
+    def test_nesting_past_the_cap_reports_the_offset(self):
+        with pytest.raises(ParseError) as err:
+            parse("(" * (self.CAP + 1) + "cantor" + ")" * (self.CAP + 1))
+        assert err.value.position == self.CAP
+        with pytest.raises(ParseError) as err:
+            parse("cantor | " + "!" * (self.CAP + 1) + "cantor")
+        assert err.value.position == 9 + self.CAP
+
+    def test_overlong_integer_reports_the_offset(self):
+        with pytest.raises(ParseError) as err:
+            parse("cball(0;" + "9" * 5000 + ")")
+        assert err.value.position == 8
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from niemytzki.descriptive import infer
 from niemytzki.setdsl import All, Union, normalize, random_expr
 from niemytzki.theorems import (
     BOUNDARY_ORDER,
@@ -11,6 +12,7 @@ from niemytzki.theorems import (
     explain,
 )
 from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
+from catalog import build
 
 
 def verdicts(report, names):
@@ -181,3 +183,10 @@ class TestReportJson:
     def test_dim_serialization(self):
         assert classify("all", 2).to_json()["properties"]["dim"] == 2
         assert classify("empty", 2).to_json()["properties"]["dim"] == "unknown"
+
+
+class TestSetClasses:
+    def test_report_carries_the_flags_of_the_set(self):
+        for n in (2, 3):
+            for name, e, _, _, _ in build(n):
+                assert classify(e, n).set_classes == infer(e), name
