@@ -18,7 +18,7 @@ from fractions import Fraction
 from .descriptive import TopologyOrder, subset
 from .geometry import Point
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
-from .setdsl import IN, OUT, UNKNOWN, ParseError, member, parse, to_text
+from .setdsl import IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
 from .theorems import UnknownProperty, classify, explain
 from .topology import (
     SequenceFamily,
@@ -45,14 +45,19 @@ class UsageError(ValueError):
     pass
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """A ``rat`` flag value, read as the expression parser reads one."""
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise UsageError(f"bad rational in {what}: {exc}") from exc
+
+
 def _fractions(text: str, want: int, what: str) -> tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != want:
         raise UsageError(f"{what} needs {want} coordinate(s), got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational in {what}: {exc}") from exc
+    return tuple(_rational(p, what) for p in parts)
 
 
 def _parse_point(text: str, dimension: int) -> Point:
@@ -88,10 +93,7 @@ def _parse_family(text: str, dimension: int) -> SequenceFamily:
             "family syntax: vertical((coords);rat) or tangent-circle((coords);rat)"
         )
     coords = _fractions(m.group("coords"), dimension - 1, "family anchor")
-    try:
-        param = Fraction(m.group("param").strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad family parameter: {exc}") from exc
+    param = _rational(m.group("param"), "family parameter")
     anchor = Point.boundary(*coords)
     if m.group("name") == "vertical":
         return Vertical(anchor, param)
@@ -140,10 +142,7 @@ def _cmd_member(args) -> int:
 def _cmd_nbhd(args) -> int:
     topo = _parse_topology(args.topology, args.dimension)
     point = _parse_point(args.point, args.dimension)
-    try:
-        eps = Fraction(args.eps)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --eps: {exc}") from exc
+    eps = _rational(args.eps, "--eps")
     element = local_base_element(topo, point, eps)
     payload = {
         "topology": topo.to_json(),
@@ -271,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("member", help="membership of a boundary point in A")
     _add_common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--point", required=True, help="n-1 comma-separated rationals")
+    p.add_argument("--point", required=True, help="n-1 comma-separated rationals (p or p/q)")
     p.set_defaults(handler=_cmd_member)
 
     p = commands.add_parser("nbhd", help="basic neighborhood of a point")
     _add_common(p)
     p.add_argument("--topology", required=True, help="euclidean, niemytzki, or a set expression")
-    p.add_argument("--point", required=True, help="n comma-separated rationals")
-    p.add_argument("--eps", required=True)
+    p.add_argument("--point", required=True, help="n comma-separated rationals (p or p/q)")
+    p.add_argument("--eps", required=True, help="a positive rational (p or p/q)")
     p.set_defaults(handler=_cmd_nbhd)
 
     p = commands.add_parser("converge", help="convergence of a closed-form family")

@@ -383,7 +383,9 @@ def _point_witness(e: SetExpr, m: int) -> bool:
     return any(member(e, cand) is IN for cand in structural_candidates(e, m))
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long session of fresh expressions cannot grow it without
+# limit; the benchmark's corpus and wide workloads stay well below it.
+@lru_cache(maxsize=2**14)
 def _pair_flags(key: SetExpr) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
     """Joint records of a complement-free expression and of its complement.
 

@@ -67,12 +67,12 @@ class Point:
 
     @staticmethod
     def of(*coords: RatLike) -> "Point":
-        return Point(tuple(rat(c) for c in coords))
+        return Point(coords)
 
     @staticmethod
     def boundary(*coords: RatLike) -> "Point":
         """Boundary point of L_n given by its first n-1 coordinates."""
-        return Point(tuple(rat(c) for c in coords) + (Fraction(0),))
+        return Point(coords + (0,))
 
     @property
     def dimension(self) -> int:
@@ -90,7 +90,7 @@ class Point:
 
     @staticmethod
     def from_json(data: Sequence[str]) -> "Point":
-        return Point(tuple(Fraction(s) for s in data))
+        return Point(tuple(data))
 
 
 def translate(p: Point, delta: Sequence[RatLike]) -> Point:
@@ -129,8 +129,24 @@ def sq_dist(p: Point, q: Point) -> Fraction:
 
 
 def in_ball(x: Point, b: BallSpec) -> bool:
-    """Strict membership in the open ball: sq_dist < radius^2."""
+    """Strict membership in the Euclidean ball B(center, radius): sq_dist < radius^2.
+
+    A topology.TangentBall is a BallSpec too but not this set: use ``contains``."""
     return sq_dist(x, b.center) < b.radius * b.radius
+
+
+def _check_tangency(a: Point) -> None:
+    if not a.is_boundary:
+        raise ValueError("tangency point must lie on the boundary hyperplane")
+
+
+def _tangent_eps(a: Point, eps: RatLike) -> Fraction:
+    """The parameter of the tangent ball at a, as an exact positive rational."""
+    eps = rat(eps)
+    if eps <= 0:
+        raise ValueError("tangent-ball parameter must be positive")
+    _check_tangency(a)
+    return eps
 
 
 def tangent_gauge(x: Point, a: Point) -> Fraction:
@@ -140,8 +156,7 @@ def tangent_gauge(x: Point, a: Point) -> Fraction:
     the gauge equals 2*eps*x_n exactly on the bounding sphere.
     """
     _check_dims(x, a)
-    if not a.is_boundary:
-        raise ValueError("tangency point must lie on the boundary hyperplane")
+    _check_tangency(a)
     return sq_dist_coords(x.coords[:-1], a.coords[:-1]) + x.coords[-1] * x.coords[-1]
 
 
@@ -152,11 +167,7 @@ def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
     Boundary points other than a are never inside: the tangent ball meets
     L_n exactly in its tangency point.
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("tangent-ball parameter must be positive")
-    if not a.is_boundary:
-        raise ValueError("tangency point must lie on the boundary hyperplane")
+    eps = _tangent_eps(a, eps)
     if x == a:
         return True
     xn = x.coords[-1]
@@ -170,9 +181,7 @@ def t_level(x: Point, a: Point, eps: RatLike) -> Fraction:
     tangent ball of parameter t*eps, and t < 1 iff x lies inside the tangent
     ball of parameter eps.  Undefined on the boundary hyperplane.
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("tangent-ball parameter must be positive")
+    eps = _tangent_eps(a, eps)
     xn = x.coords[-1]
     if xn == 0:
         raise ValueError("level is undefined on the boundary hyperplane")
@@ -183,12 +192,12 @@ def separating_f(x: Point, a: Point, eps: RatLike) -> Fraction:
     """The separating function of the tangent ball: 0 at a, the level inside,
     1 outside.  Always in [0, 1], and f(x) < s iff x lies in the tangent ball
     of parameter s*eps, for every s in (0, 1)."""
-    eps = rat(eps)
+    eps = _tangent_eps(a, eps)
     if x == a:
         return Fraction(0)
-    if in_tangent_ball(x, a, eps):
-        return t_level(x, a, eps)
-    return Fraction(1)
+    if x.is_boundary:
+        return Fraction(1)
+    return min(t_level(x, a, eps), Fraction(1))
 
 
 def inner_ball_radius(q: Point, b: BallSpec) -> Fraction:
@@ -212,11 +221,7 @@ def tangent_sphere_point(a: Point, eps: RatLike, direction: Sequence[RatLike]) -
     meets the sphere again at s = 2*eps*v_n / |v|^2, which is rational; the
     resulting point satisfies tangent_gauge = 2*eps*x_n exactly.
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("tangent-ball parameter must be positive")
-    if not a.is_boundary:
-        raise ValueError("tangency point must lie on the boundary hyperplane")
+    eps = _tangent_eps(a, eps)
     v = tuple(rat(c) for c in direction)
     if len(v) != a.dimension:
         raise DimensionMismatch("direction arity differs from the point's dimension")

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .geometry import (
-    BallSpec,
     Point,
     in_ball,
     in_tangent_ball,
@@ -67,6 +66,8 @@ from .topology import (
 )
 
 DENOMINATOR_CAP = 10_000
+COORDINATE_RANGE = (Fraction(-2), Fraction(2))  # boundary coordinates
+RADIUS_RANGE = (Fraction(1, 4), Fraction(2))  # tangent-ball parameters
 
 
 class UnknownSuite(ValueError):
@@ -83,8 +84,6 @@ class SuiteConfig:
     samples: int = 10_000
     seed: int = 42
     dimension: int = 2
-    coordinate_range: tuple[Fraction, Fraction] = (Fraction(-2), Fraction(2))
-    radius_range: tuple[Fraction, Fraction] = (Fraction(1, 4), Fraction(2))
 
     def __post_init__(self):
         if self.samples <= 0:
@@ -149,7 +148,7 @@ def _rand_rat_open(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     raise SamplingError(f"no rational found in ({lo}, {hi})")
 
 
-def _rejection(rng: random.Random, draw: Callable[[], object], accept, budget: int = 512):
+def _rejection(draw: Callable[[], object], accept, budget: int = 512):
     for _ in range(budget):
         candidate = draw()
         if accept(candidate):
@@ -158,14 +157,12 @@ def _rejection(rng: random.Random, draw: Callable[[], object], accept, budget: i
 
 
 def _rand_boundary_point(rng: random.Random, cfg: SuiteConfig) -> Point:
-    lo, hi = cfg.coordinate_range
-    coords = [_rand_rat(rng, lo, hi) for _ in range(cfg.dimension - 1)]
-    return Point.boundary(*coords)
+    lo, hi = COORDINATE_RANGE
+    return Point.boundary(*[_rand_rat(rng, lo, hi) for _ in range(cfg.dimension - 1)])
 
 
-def _rand_eps(rng: random.Random, cfg: SuiteConfig) -> Fraction:
-    lo, hi = cfg.radius_range
-    return _rand_rat_open(rng, lo, hi)
+def _rand_eps(rng: random.Random) -> Fraction:
+    return _rand_rat_open(rng, *RADIUS_RANGE)
 
 
 def _rand_direction(rng: random.Random, dimension: int) -> tuple[int, ...]:
@@ -186,7 +183,7 @@ def _tangent_interior_point(rng: random.Random, anchor: Point, eps: Fraction) ->
     def accept(x: Point) -> bool:
         return tangent_gauge(x, anchor) < 2 * eps * x.coords[-1]
 
-    return _rejection(rng, draw, accept)
+    return _rejection(draw, accept)
 
 
 # --- sample streams ----------------------------------------------------------------
@@ -201,7 +198,7 @@ def _gen_s1(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.samples):
         anchor = _rand_boundary_point(rng, cfg)
-        eps = _rand_eps(rng, cfg)
+        eps = _rand_eps(rng)
         direction = _rand_direction(rng, cfg.dimension)
         s_inside = _rand_rat_open(rng, Fraction(0), Fraction(1))
         yield {
@@ -218,7 +215,7 @@ def _gen_interior(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.samples):
         anchor = _rand_boundary_point(rng, cfg)
-        eps = _rand_eps(rng, cfg)
+        eps = _rand_eps(rng)
         yield {
             "anchor": anchor,
             "eps": eps,
@@ -230,7 +227,7 @@ def _gen_s4(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.samples):
         anchor = _rand_boundary_point(rng, cfg)
-        eps = _rand_eps(rng, cfg)
+        eps = _rand_eps(rng)
         kind = rng.randint(0, 3)
         if kind == 0:
             if rng.randint(0, 4) == 0:
@@ -263,11 +260,15 @@ def _gen_s5(cfg: SuiteConfig) -> Iterator[dict]:
         yield {"anchor_first": anchor_first, "eps": eps}
 
 
-def _containing_half_ball(rng: random.Random, x: Point) -> HalfBall:
-    m = x.dimension - 1
-    center = Point.boundary(
-        *[x.coords[i] + _rand_rat(rng, Fraction(-1), Fraction(1)) for i in range(m)]
+def _nearby_boundary_point(rng: random.Random, x: Point) -> Point:
+    """A boundary point within 1 of x in each of its first n-1 coordinates."""
+    return Point.boundary(
+        *[c + _rand_rat(rng, Fraction(-1), Fraction(1)) for c in x.boundary_coords()]
     )
+
+
+def _containing_half_ball(rng: random.Random, x: Point) -> HalfBall:
+    center = _nearby_boundary_point(rng, x)
     d2 = sq_dist(x, center)
     radius = (d2 + 3) / 2  # rational with radius^2 > d2, always
     return HalfBall(center, radius)
@@ -277,10 +278,7 @@ def _containing_tangent_ball(rng: random.Random, x: Point) -> TangentBall:
     if x.is_boundary:
         # a tangent ball contains no boundary point but its own anchor
         return TangentBall(x, _rand_rat_open(rng, Fraction(0), Fraction(2)))
-    m = x.dimension - 1
-    anchor = Point.boundary(
-        *[x.coords[i] + _rand_rat(rng, Fraction(-1), Fraction(1)) for i in range(m)]
-    )
+    anchor = _nearby_boundary_point(rng, x)
     base = tangent_gauge(x, anchor) / (2 * x.coords[-1])
     scale = 1 + _rand_rat_open(rng, Fraction(0), Fraction(1))
     return TangentBall(anchor, base * scale)
@@ -295,28 +293,21 @@ def _containing_interior_ball(rng: random.Random, x: Point) -> InteriorBall:
 
 
 def _point_inside(rng: random.Random, b: BasicOpen) -> Point:
-    if isinstance(b, InteriorBall):
-        def draw():
-            offsets = [_rand_rat(rng, -b.radius, b.radius) for _ in range(b.center.dimension)]
-            return translate(b.center, offsets)
-
-        return _rejection(rng, draw, lambda y: in_ball(y, BallSpec(b.center, b.radius)))
-    if isinstance(b, HalfBall):
-        def draw():
-            offsets = [
-                _rand_rat(rng, -b.radius, b.radius)
-                for _ in range(b.center.dimension - 1)
-            ] + [_rand_rat(rng, Fraction(0), b.radius)]
-            return translate(b.center, offsets)
-
-        return _rejection(rng, draw, lambda y: in_ball(y, BallSpec(b.center, b.radius)))
     if isinstance(b, TangentBall):
         if rng.randint(0, 5) == 0:
             return b.center
         level = _rand_rat_open(rng, Fraction(0), Fraction(1))
         direction = _rand_direction(rng, b.center.dimension)
         return tangent_sphere_point(b.center, level * b.radius, direction)
-    raise TypeError(f"not a basic open: {b!r}")
+    # an interior ball, or a half ball: its box stops at the boundary
+    last_lo = Fraction(0) if isinstance(b, HalfBall) else -b.radius
+
+    def draw():
+        offsets = [_rand_rat(rng, -b.radius, b.radius) for _ in range(b.center.dimension - 1)]
+        offsets.append(_rand_rat(rng, last_lo, b.radius))
+        return translate(b.center, offsets)
+
+    return _rejection(draw, lambda y: in_ball(y, b))
 
 
 def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
@@ -332,7 +323,7 @@ def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
             b1 = builders[rng.randint(1, 2)](rng, x)
             b2 = builders[rng.randint(1, 2)](rng, x)
         else:
-            lo, hi = cfg.coordinate_range
+            lo, hi = COORDINATE_RANGE
             coords = [_rand_rat(rng, lo, hi) for _ in range(cfg.dimension - 1)]
             coords.append(_rand_rat_open(rng, Fraction(0), hi))
             x = Point(tuple(coords))

@@ -163,12 +163,44 @@ def join(kind: type, members: Iterable[SetExpr]) -> SetExpr:
 
 def normalize(e: SetExpr) -> SetExpr:
     """Structural normal form: no double complements, no complemented
-    constants, flattened and deduplicated unions/intersections."""
+    constants, flattened and deduplicated unions/intersections.
+
+    A tree nested deeper than the parser accepts (:func:`_nesting` above
+    ``_Parser.MAX_DEPTH``) raises ValueError: the library walks trees
+    recursively, and the cap keeps every walk within the recursion limit.
+    """
+    if _nesting(e) > _Parser.MAX_DEPTH:
+        raise ValueError(f"expression nested deeper than {_Parser.MAX_DEPTH} levels")
+    return _normal(e)
+
+
+def _normal(e: SetExpr) -> SetExpr:
     if isinstance(e, Complement):
-        return complement(normalize(e.body))
+        return complement(_normal(e.body))
     if isinstance(e, (Union, Inter)):
-        return join(type(e), [normalize(m) for m in e.members])
+        return join(type(e), [_normal(m) for m in e.members])
     return e
+
+
+def _nesting(e: SetExpr) -> int:
+    """Levels of "(" and "!" the shortest text of ``e`` needs: the measure
+    the parser caps.  Iterative, so a tree of any depth can be measured."""
+    deepest = 0
+    stack = [(e, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Complement):
+            body = node.body
+            stack.append((body, depth + 1 + isinstance(body, (Union, Inter))))
+        elif isinstance(node, (Union, Inter)):
+            # a union inside an intersection, or a node inside one of its
+            # own kind, needs parentheses
+            stack.extend(
+                (m, depth + (isinstance(m, Union) or type(m) is type(node)))
+                for m in node.members
+            )
+    return deepest
 
 
 def leaves(e: SetExpr) -> Iterator[SetExpr]:
@@ -261,10 +293,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _integer(text: str, pos: int) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError("integer literal too long", pos) from exc
+    if len(text.lstrip("-")) > _Parser.MAX_DIGITS:
+        raise ParseError(f"integer literal longer than {_Parser.MAX_DIGITS} digits", pos)
+    return int(text)
 
 
 class _Parser:
@@ -273,6 +304,9 @@ class _Parser:
     # still runs through every command within Python's default recursion
     # limit of 1000 frames.
     MAX_DEPTH = 100
+    # Longest integer literal accepted, in digits: Python's default limit
+    # for int(), held here so the parser does not depend on the setting.
+    MAX_DIGITS = 4300
 
     def __init__(self, text: str, dimension: int):
         self.tokens = _tokenize(text)
@@ -298,10 +332,13 @@ class _Parser:
 
     def parse(self) -> SetExpr:
         e = self.expr()
+        self.end()
+        return normalize(e)
+
+    def end(self) -> None:
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return normalize(e)
 
     def expr(self) -> SetExpr:
         terms = [self.term()]
@@ -405,6 +442,15 @@ def parse(text: str, dimension: int = 2) -> SetExpr:
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
     return _Parser(text, dimension).parse()
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read one ``rat`` literal, ``integer [ "/" positive-integer ]``, the
+    way the parser reads the radii and coordinates of an expression."""
+    parser = _Parser(text, 2)
+    value = parser.rational()
+    parser.end()
+    return value
 
 
 # --- membership --------------------------------------------------------------

@@ -16,6 +16,11 @@ converges, and a blocking neighborhood plus per-term isolating radii when a
 boundary-sphere sequence is discrete.  Arbitrary finite prefixes only yield
 inconclusive verdicts — "for every eps, eventually inside" is undecidable
 for a black-box sequence.
+
+Every basic open is a :class:`~niemytzki.geometry.BallSpec`, the one ball
+record, which checks the radius; a subclass adds only where its center may
+sit.  ``contains`` is the one membership test: ``in_ball`` for interior and
+half balls, ``in_tangent_ball`` for a tangent ball.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .geometry import (
     tangent_gauge,
     translate,
 )
-from .setdsl import IN, OUT, All, Empty, SetExpr, member, normalize, to_text
+from .setdsl import IN, UNKNOWN, All, Empty, SetExpr, member, normalize, to_text
 
 
 class UndecidableMembership(RuntimeError):
@@ -87,15 +92,7 @@ class TopologySpec:
 # --- basic open sets ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BasicOpen:
-    center: Point
-    radius: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", rat(self.radius))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
+class BasicOpen(BallSpec):
     kind = "basic-open"
 
     def to_json(self) -> dict:
@@ -155,7 +152,18 @@ def contains(b: BasicOpen, x: Point) -> bool:
         raise DimensionMismatch("basic open and point live in different dimensions")
     if isinstance(b, TangentBall):
         return in_tangent_ball(x, b.center, b.radius)
-    return in_ball(x, BallSpec(b.center, b.radius))
+    return in_ball(x, b)
+
+
+def _keeps_half_balls(topo: TopologySpec, p: Point) -> bool:
+    """Whether the boundary point p lies in A, so that tau(A) gives it half
+    balls; an Unknown membership raises UndecidableMembership."""
+    verdict = member(topo.boundary_set, p.boundary_coords())
+    if verdict is UNKNOWN:
+        raise UndecidableMembership(
+            f"membership of {p.to_json()} in {to_text(topo.boundary_set)} is unknown"
+        )
+    return verdict is IN
 
 
 def local_base_element(topo: TopologySpec, p: Point, eps: RatLike) -> BasicOpen:
@@ -174,25 +182,19 @@ def local_base_element(topo: TopologySpec, p: Point, eps: RatLike) -> BasicOpen:
         raise DimensionMismatch("point dimension differs from the topology's")
     if not p.is_boundary:
         return InteriorBall(p, min(eps, p.coords[-1] / 2))
-    verdict = member(topo.boundary_set, p.boundary_coords())
-    if verdict is IN:
+    if _keeps_half_balls(topo, p):
         return HalfBall(p, eps)
-    if verdict is OUT:
-        return TangentBall(p, eps)
-    raise UndecidableMembership(
-        f"membership of {p.to_json()} in {to_text(topo.boundary_set)} is unknown"
-    )
+    return TangentBall(p, eps)
 
 
 def _interior_margin(b: BasicOpen, x: Point) -> Fraction:
-    ball = b.equivalent_ball() if isinstance(b, TangentBall) else BallSpec(b.center, b.radius)
-    return inner_ball_radius(x, ball)
+    return inner_ball_radius(x, b.equivalent_ball() if isinstance(b, TangentBall) else b)
 
 
 def _boundary_margin(b: HalfBall, x: Point) -> Fraction:
     if b.center == x:
         return b.radius
-    return inner_ball_radius(x, BallSpec(b.center, b.radius))
+    return inner_ball_radius(x, b)
 
 
 def refine(b1: BasicOpen, b2: BasicOpen, x: Point) -> BasicOpen:
@@ -408,12 +410,7 @@ def decide_convergence(
         raise ValueError("the limit must be the family's anchor")
     if fam.anchor.dimension != topo.dimension:
         raise DimensionMismatch("family dimension differs from the topology's")
-    verdict = member(topo.boundary_set, fam.anchor.boundary_coords())
-    if verdict not in (IN, OUT):
-        raise UndecidableMembership(
-            f"membership of the anchor in {to_text(topo.boundary_set)} is unknown"
-        )
-    euclidean_at_anchor = verdict is IN
+    euclidean_at_anchor = _keeps_half_balls(topo, fam.anchor)
 
     if isinstance(fam, Vertical):
         if euclidean_at_anchor:
@@ -446,7 +443,8 @@ def decide_convergence(
     raise TypeError(f"not a sequence family: {fam!r}")
 
 
-_DEFAULT_DELTAS = (
+# the neighborhood sizes at which certificate_failures re-checks an index bound
+_DELTAS = (
     Fraction(2),
     Fraction(1),
     Fraction(1, 2),
@@ -460,7 +458,6 @@ def certificate_failures(
     fam: SequenceFamily,
     topo: TopologySpec,
     prefix: int = 100,
-    deltas: tuple[Fraction, ...] = _DEFAULT_DELTAS,
 ) -> list[str]:
     """Re-verify every certificate on the first ``prefix`` terms.
 
@@ -473,7 +470,7 @@ def certificate_failures(
     terms = [fam.term(k) for k in range(1, prefix + 1)]
     for cert in verdict.certificates:
         if isinstance(cert, IndexBound):
-            for delta in deltas:
+            for delta in _DELTAS:
                 base = local_base_element(topo, fam.anchor, delta)
                 for k, term in enumerate(terms, start=1):
                     if contains(base, term) != cert.holds(k, delta):

@@ -219,6 +219,36 @@ class TestHostileInput:
         assert cli.main(["classify", "--set", f"point(1/{'7' * 5000})"]) == 2
         assert "(at offset 8)" in capsys.readouterr().err
 
+    def test_literal_cap_holds_without_the_interpreter_limit(self):
+        # PYTHONINTMAXSTRDIGITS=0 lifts int()'s own digit limit
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONINTMAXSTRDIGITS="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{here / 'test_setdsl.py'}::TestLimits::test_overlong_integer_reports_the_offset",
+             f"{here / 'test_cli.py'}::TestHostileInput::test_overlong_literal_is_a_parse_error"],
+            capture_output=True, text=True, env=env, cwd=here.parent, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 passed" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["nbhd", "--topology", "euclidean", "--point", "0,1", "--eps", "1e30000000"],
+        ["member", "--set", "all", "--point", "1e30000000"],
+        ["converge", "--topology", "niemytzki", "--family", "vertical((0);1e30000000)"],
+        ["nbhd", "--topology", "euclidean", "--point", "0,1", "--eps", "0.5"],
+        ["member", "--set", "all", "--point", "9" * 5000],
+    ], ids=["eps-exponent", "point-exponent", "family-exponent", "eps-decimal",
+            "point-5000-digits"])
+    def test_rational_flags_take_only_rat(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "niemytzki.cli", *argv], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bad rational in ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from niemytzki.descriptive import (
     TopologyOrder,
+    _pair_flags,
     compare_topologies,
     contains_closed_uncountable,
     infer,
@@ -215,3 +216,7 @@ class TestSerialization:
         assert data["closed"] == "true"
         assert data["countable"] == "false"
         assert set(data.values()) <= {"true", "false", "unknown"}
+
+
+def test_pair_flags_cache_is_bounded():
+    assert _pair_flags.cache_info().maxsize == 2**14

@@ -1,22 +1,35 @@
-"""Golden digest of the CLI's JSON output over a fixed seeded corpus.
+"""Golden digests over fixed seeded corpora.
 
-Each of about sixty seeded random expressions (n = 2 and 3) goes through
-classify, compare, member and explain, in-process.  The exit codes and the
-stdout bytes of every call are hashed together, so any change to a verdict,
-a trace, a witness or the JSON layout moves the digest.  Points are passed
-as ``--point=<coords>`` because a coordinate may start with '-'.
+CLI digest: each of about sixty seeded random expressions (n = 2 and 3) goes
+through classify, compare, member and explain, in-process.  The exit codes
+and the stdout bytes of every call are hashed together, so any change to a
+verdict, a trace, a witness or the JSON layout moves the digest.  Points are
+passed as ``--point=<coords>`` because a coordinate may start with '-'.
+
+Suite digest: every record of ``generate_samples`` and the JSON of
+``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
+a sample stream, a check count or a verdict moves the digest.
+
+When a change is meant to move a digest, recompute both with
+``python -m tests.test_golden`` (``PYTHONPATH=src``, from the repository
+root) and paste the printed values below.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import random
 from fractions import Fraction
 
 from niemytzki import cli
-from niemytzki.setdsl import random_expr, to_text
+from niemytzki.geometry import Point
+from niemytzki.harness import SuiteConfig, generate_samples, run_suite, suite_names
+from niemytzki.setdsl import SetExpr, random_expr, to_text
+from niemytzki.topology import BasicOpen
 
 GOLDEN_SHA256 = "fca2871ef7942f47d090037759cf859320915f88bff8773c6e50c4eed6d4c4f9"
+GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873ff02e24"
 
 PROPERTIES = ("lindelof", "perfect", "normal", "metrizable", "sigma_compact",
               "locally_compact", "boundary.perfect", "boundary.lindelof")
@@ -50,5 +63,40 @@ def golden_digest() -> str:
     return h.hexdigest()
 
 
+def _plain(value):
+    """A JSON-ready form of one sample-record value."""
+    if isinstance(value, (Point, BasicOpen)):
+        return value.to_json()
+    if isinstance(value, SetExpr):
+        return to_text(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def golden_suite_digest() -> str:
+    h = hashlib.sha256()
+    for suite in suite_names():
+        for n in (2, 3):
+            cfg = SuiteConfig(suite, samples=60, seed=2405, dimension=n)
+            for record in generate_samples(cfg):
+                h.update(json.dumps(_plain(record), sort_keys=True).encode())
+            h.update(json.dumps(run_suite(cfg).to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def test_golden_cli_digest():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_golden_suite_digest():
+    assert golden_suite_digest() == GOLDEN_SUITE_SHA256
+
+
+if __name__ == "__main__":
+    print(f"GOLDEN_SHA256 = {golden_digest()!r}")
+    print(f"GOLDEN_SUITE_SHA256 = {golden_suite_digest()!r}")

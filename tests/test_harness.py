@@ -37,10 +37,8 @@ class TestSampling:
             assert tangent_gauge(x, a) < 2 * eps * x.coords[-1]
 
     def test_exhausted_rejection_raises(self):
-        import random
-
         with pytest.raises(SamplingError):
-            _rejection(random.Random(0), lambda: 0, lambda _: False, budget=16)
+            _rejection(lambda: 0, lambda _: False, budget=16)
 
     def test_sphere_records_come_from_the_parameterization(self):
         cfg = SuiteConfig("S1", samples=20, seed=3, dimension=4)

@@ -32,6 +32,7 @@ from niemytzki.setdsl import (
     member,
     normalize,
     parse,
+    parse_rational,
     random_expr,
     to_text,
 )
@@ -172,6 +173,54 @@ class TestLimits:
         with pytest.raises(ParseError) as err:
             parse("cball(0;" + "9" * 5000 + ")")
         assert err.value.position == 8
+
+    def test_longest_integer_parses(self):
+        digits = "9" * _Parser.MAX_DIGITS
+        assert parse(f"cball(0;{digits})") == ClosedBall((Fr(0),), Fr(int(digits)))
+        with pytest.raises(ParseError):
+            parse(f"cball(0;{digits}9)")
+
+    @staticmethod
+    def _found_tree(levels: int):
+        """point(0) & !(point(1) & !(...)), built in Python, not parsed."""
+        e = Cantor()
+        for i in range(levels):
+            e = Inter((SinglePoint((Fr(i),)), Complement(e)))
+        return e
+
+    def test_normalize_refuses_a_tree_deeper_than_the_cap(self):
+        # each level needs "!(": 600 levels are 1200 past a cap of 100
+        with pytest.raises(ValueError, match=f"deeper than {self.CAP} levels"):
+            normalize(self._found_tree(600))
+
+    def test_normalize_takes_a_tree_at_the_cap(self):
+        e = self._found_tree(self.CAP // 2)
+        assert normalize(e) == e
+        assert parse(to_text(e)) == e
+        with pytest.raises(ValueError):
+            normalize(Complement(e))
+
+    def test_normalize_takes_every_at_cap_parse(self):
+        # the measure counts what the text needs, so parser output passes
+        for text in ("!" * self.CAP + "cantor",
+                     "!(point(0) | " * (self.CAP // 2) + "cantor" + ")" * (self.CAP // 2)):
+            assert normalize(parse(text)) == parse(text)
+
+
+class TestRationalLiterals:
+    @pytest.mark.parametrize("text,value", [
+        ("3", Fr(3)), ("-3", Fr(-3)), ("2/4", Fr(1, 2)), (" -1 / 2 ", Fr(-1, 2)),
+    ])
+    def test_rat_grammar(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "1e5", "1e30000000", "0.5", ".5", "+1", "1/0", "1/-2", "1/2/3", "inf", "nan",
+        "9" * 4301,
+    ])
+    def test_other_forms_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
 
 class TestRoundTrip:

@@ -2,8 +2,20 @@ import random
 
 import pytest
 
-from niemytzki.descriptive import infer
-from niemytzki.setdsl import All, Union, normalize, random_expr
+from fractions import Fraction
+
+from niemytzki.descriptive import compare_topologies, infer, subset
+from niemytzki.setdsl import (
+    All,
+    Cantor,
+    Complement,
+    Inter,
+    SinglePoint,
+    Union,
+    _Parser,
+    normalize,
+    random_expr,
+)
 from niemytzki.theorems import (
     BOUNDARY_ORDER,
     PROPERTY_ORDER,
@@ -11,6 +23,7 @@ from niemytzki.theorems import (
     classify,
     explain,
 )
+from niemytzki.topology import TopologySpec
 from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
 from catalog import build
 
@@ -190,3 +203,15 @@ class TestSetClasses:
         for n in (2, 3):
             for name, e, _, _, _ in build(n):
                 assert classify(e, n).set_classes == infer(e), name
+
+
+def test_trees_deeper_than_the_cap_are_refused():
+    # 600 levels of point & !(...), built in Python: past the parser's cap
+    e = Cantor()
+    for i in range(600):
+        e = Inter((SinglePoint((Fraction(i),)), Complement(e)))
+    cap = f"deeper than {_Parser.MAX_DEPTH} levels"
+    for call in (lambda: classify(e, 2), lambda: infer(e), lambda: subset(e, All()),
+                 lambda: compare_topologies(All(), e), lambda: TopologySpec(2, e)):
+        with pytest.raises(ValueError, match=cap):
+            call()

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from niemytzki.geometry import Point, tangent_gauge, tangent_sphere_point
+from niemytzki.geometry import BallSpec, Point, in_ball, tangent_gauge, tangent_sphere_point
 from niemytzki.setdsl import parse
 from niemytzki.topology import (
     BlockingNeighborhood,
@@ -52,6 +52,22 @@ class TestBasicOpenInvariants:
             HalfBall(Point.of(0, 1), Fr(1))
         with pytest.raises(ValueError):
             TangentBall(Point.of(0, 1), Fr(1))
+
+    def test_basic_opens_are_ball_records(self):
+        for b in (InteriorBall(Point.of(0, 1), Fr(1, 2)), HalfBall(Point.boundary(0), 1),
+                  TangentBall(Point.boundary(0), 1)):
+            assert isinstance(b, BallSpec)
+            assert isinstance(b.radius, Fr)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            HalfBall(Point.boundary(0), 0)
+
+    def test_contains_is_in_ball_off_tangent_balls(self):
+        rng = random.Random(5)
+        balls = (InteriorBall(Point.of(0, 1), Fr(1, 2)), HalfBall(Point.boundary(0), 1))
+        for _ in range(200):
+            x = Point.of(Fr(rng.randint(-12, 12), 8), Fr(rng.randint(0, 12), 8))
+            for b in balls:
+                assert contains(b, x) == in_ball(x, b)
 
     def test_json_has_a_kind_tag(self):
         data = TangentBall(Point.boundary(0), Fr(1)).to_json()
