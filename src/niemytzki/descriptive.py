@@ -372,7 +372,7 @@ def _combine_node(e: SetExpr) -> dict[str, Verdict]:
     if type(e) in _PRIMITIVE_AXIOMS:
         return dict(_PRIMITIVE_AXIOMS[type(e)])
     if isinstance(e, (Union, Inter)):
-        parts = [_flags(m) for m in e.members]
+        parts = list(map(_flags, e.members))  # no comprehension frame per level
         side = isinstance(e, Inter)
         return {name: rules[side]([p[name] for p in parts])
                 for name, rules in _CONNECTIVE_RULES.items()}
@@ -444,8 +444,14 @@ def _flags(e: SetExpr) -> dict[str, Verdict]:
 
 
 def infer(e: SetExpr) -> DescClass:
-    """Descriptive-class record of a normalized boundary-set expression."""
-    flags = _flags(normalize(e))
+    """Descriptive-class record of a boundary-set expression."""
+    return infer_normal(normalize(e))
+
+
+def infer_normal(e: SetExpr) -> DescClass:
+    """:func:`infer` of an expression already in normal form, such as one
+    built with ``complement`` or ``join`` from normal parts."""
+    flags = _flags(e)
     return DescClass(**{name: flags[name] for name in PUBLIC_FLAGS})
 
 

@@ -165,42 +165,22 @@ def normalize(e: SetExpr) -> SetExpr:
     """Structural normal form: no double complements, no complemented
     constants, flattened and deduplicated unions/intersections.
 
-    A tree nested deeper than the parser accepts (:func:`_nesting` above
-    ``_Parser.MAX_DEPTH``) raises ValueError: the library walks trees
-    recursively, and the cap keeps every walk within the recursion limit.
+    A tree with more than :data:`MAX_TREE_DEPTH` nested connectives raises
+    ValueError: the library walks trees recursively, and the bound keeps
+    every walk within the recursion limit.
     """
-    if _nesting(e) > _Parser.MAX_DEPTH:
-        raise ValueError(f"expression nested deeper than {_Parser.MAX_DEPTH} levels")
-    return _normal(e)
+    return _normal(e, MAX_TREE_DEPTH)
 
 
-def _normal(e: SetExpr) -> SetExpr:
+def _normal(e: SetExpr, room: int) -> SetExpr:
+    # room: how many more nested connectives the tree may have
+    if not isinstance(e, (Complement, Union, Inter)):
+        return e
+    if room == 0:
+        raise ValueError(f"expression tree deeper than {MAX_TREE_DEPTH} levels")
     if isinstance(e, Complement):
-        return complement(_normal(e.body))
-    if isinstance(e, (Union, Inter)):
-        return join(type(e), [_normal(m) for m in e.members])
-    return e
-
-
-def _nesting(e: SetExpr) -> int:
-    """Levels of "(" and "!" the shortest text of ``e`` needs: the measure
-    the parser caps.  Iterative, so a tree of any depth can be measured."""
-    deepest = 0
-    stack = [(e, 0)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(node, Complement):
-            body = node.body
-            stack.append((body, depth + 1 + isinstance(body, (Union, Inter))))
-        elif isinstance(node, (Union, Inter)):
-            # a union inside an intersection, or a node inside one of its
-            # own kind, needs parentheses
-            stack.extend(
-                (m, depth + (isinstance(m, Union) or type(m) is type(node)))
-                for m in node.members
-            )
-    return deepest
+        return complement(_normal(e.body, room - 1))
+    return join(type(e), [_normal(m, room - 1) for m in e.members])
 
 
 def leaves(e: SetExpr) -> Iterator[SetExpr]:
@@ -295,17 +275,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def _integer(text: str, pos: int) -> int:
     if len(text.lstrip("-")) > _Parser.MAX_DIGITS:
         raise ParseError(f"integer literal longer than {_Parser.MAX_DIGITS} digits", pos)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:  # the interpreter's own limit set below MAX_DIGITS
+        raise ParseError("integer literal too long", pos) from exc
 
 
 class _Parser:
     # Deepest nesting of "(" and "!" accepted.  The parser and the engine
     # recurse once or more per level, so an expression nested this deep
     # still runs through every command within Python's default recursion
-    # limit of 1000 frames.
+    # limit of 1000 frames: the deepest tree at the cap, a union and an
+    # intersection in each "(", takes classify about 830.
     MAX_DEPTH = 100
     # Longest integer literal accepted, in digits: Python's default limit
-    # for int(), held here so the parser does not depend on the setting.
+    # for int(), held here so a raised or lifted limit does not change it.
     MAX_DIGITS = 4300
 
     def __init__(self, text: str, dimension: int):
@@ -431,6 +415,12 @@ class _Parser:
                 raise ParseError("denominator must be a positive integer", dpos)
             return Fraction(num, den)
         return Fraction(num)
+
+
+# Most connectives (!, |, &) on one root-to-leaf path of a tree that
+# normalize accepts: as many as the parser builds, a union and an
+# intersection inside each "(" plus the top union and intersection.
+MAX_TREE_DEPTH = 2 * _Parser.MAX_DEPTH + 2
 
 
 def parse(text: str, dimension: int = 2) -> SetExpr:

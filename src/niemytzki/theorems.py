@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
-from .descriptive import DescClass, SoundnessError, infer
+from .descriptive import DescClass, SoundnessError, infer_normal
 from .setdsl import (
     All,
     Bernstein,
@@ -217,9 +217,9 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
     e = parse(expr, dimension) if isinstance(expr, str) else normalize(expr)
-    desc = infer(e)
+    desc = infer_normal(e)
     comp = complement(e)
-    comp_desc = infer(comp)
+    comp_desc = infer_normal(comp)
 
     trace: list[TraceStep] = []
     props: dict[str, Verdict] = {}

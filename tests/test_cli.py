@@ -172,10 +172,28 @@ class TestNegativePointWords:
 
 def _nested(depth: int) -> str:
     """Union and intersection alternating `depth` parentheses deep: each
-    "(" opens a new tree level, the deepest shape for a given nesting."""
+    "(" opens one new tree level."""
     text = "cantor"
     for i in range(depth):
         text = f"(point({i}) {'&|'[i % 2]} {text})"
+    return text
+
+
+def _deepest(depth: int) -> str:
+    """A union and an intersection inside each of `depth` parentheses: two
+    tree levels per "(", the deepest tree for a given nesting."""
+    text = "point(0) | point(1) & cantor"
+    for i in range(depth):
+        text = f"point({i}) | point({i + 1}) & ({text})"
+    return text
+
+
+def _complemented_union(depth: int) -> str:
+    """point | !(point | !(...)): a union at the top, so its complement
+    is one level deeper than the expression."""
+    text = "cantor"
+    for i in range(depth // 2):
+        text = f"point({i}) | !({text})"
     return text
 
 
@@ -189,7 +207,10 @@ class TestHostileInput:
         "!(cball(0;1) | " * (CAP // 2) + "lattice" + ")" * (CAP // 2),
         "!" * CAP + "cantor",
         "(" * CAP + "cantor" + ")" * CAP,
-    ], ids=["alternating", "complemented-unions", "bangs", "parentheses"])
+        _deepest(CAP),
+        _complemented_union(CAP),
+    ], ids=["alternating", "complemented-unions", "bangs", "parentheses", "deepest",
+            "union-of-complements"])
     @pytest.mark.parametrize("argv", [
         ["classify", "--set"],
         ["explain", "--property", "lindelof", "--set"],
@@ -219,18 +240,17 @@ class TestHostileInput:
         assert cli.main(["classify", "--set", f"point(1/{'7' * 5000})"]) == 2
         assert "(at offset 8)" in capsys.readouterr().err
 
-    def test_literal_cap_holds_without_the_interpreter_limit(self):
-        # PYTHONINTMAXSTRDIGITS=0 lifts int()'s own digit limit
-        here = Path(__file__).resolve().parent
-        env = dict(os.environ, PYTHONPATH=SRC, PYTHONINTMAXSTRDIGITS="0")
+    @pytest.mark.parametrize("limit,digits", [("0", 5000), ("1000", 5000), ("1000", 2000)])
+    def test_literal_cap_holds_under_any_interpreter_limit(self, limit, digits):
+        # PYTHONINTMAXSTRDIGITS=0 lifts int()'s own digit limit, 1000 lowers it
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{here / 'test_setdsl.py'}::TestLimits::test_overlong_integer_reports_the_offset",
-             f"{here / 'test_cli.py'}::TestHostileInput::test_overlong_literal_is_a_parse_error"],
-            capture_output=True, text=True, env=env, cwd=here.parent, timeout=120,
+            [sys.executable, "-m", "niemytzki.cli", "classify", "--set",
+             f"point({'7' * digits})"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONINTMAXSTRDIGITS=limit), timeout=30,
         )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "2 passed" in proc.stdout
+        assert proc.returncode == 2
+        assert "(at offset 6)" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["nbhd", "--topology", "euclidean", "--point", "0,1", "--eps", "1e30000000"],

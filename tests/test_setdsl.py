@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from niemytzki.setdsl import (
     IN,
+    MAX_TREE_DEPTH,
     OUT,
     UNKNOWN,
     All,
@@ -181,29 +182,51 @@ class TestLimits:
             parse(f"cball(0;{digits}9)")
 
     @staticmethod
-    def _found_tree(levels: int):
-        """point(0) & !(point(1) & !(...)), built in Python, not parsed."""
+    def _tree(levels: int, *wraps):
+        """``levels`` connectives deep, built in Python, not parsed: each
+        level wraps the tree so far with the next of ``wraps`` in turn."""
         e = Cantor()
         for i in range(levels):
-            e = Inter((SinglePoint((Fr(i),)), Complement(e)))
+            e = wraps[i % len(wraps)](SinglePoint((Fr(i),)), e)
         return e
 
-    def test_normalize_refuses_a_tree_deeper_than_the_cap(self):
-        # each level needs "!(": 600 levels are 1200 past a cap of 100
-        with pytest.raises(ValueError, match=f"deeper than {self.CAP} levels"):
-            normalize(self._found_tree(600))
+    @staticmethod
+    def _deepest_text(cap: int) -> str:
+        """A union and an intersection inside each of ``cap`` parentheses."""
+        text = "point(0) | point(1) & cantor"
+        for i in range(cap):
+            text = f"point({i}) | point({i + 1}) & ({text})"
+        return text
 
-    def test_normalize_takes_a_tree_at_the_cap(self):
-        e = self._found_tree(self.CAP // 2)
+    def test_normalize_refuses_a_tree_deeper_than_the_bound(self):
+        # point(0) & !(point(1) & !(...)): 600 levels, 1200 connectives
+        e = self._tree(1200, lambda p, t: Complement(t), lambda p, t: Inter((p, t)))
+        with pytest.raises(ValueError, match=f"deeper than {MAX_TREE_DEPTH} levels"):
+            normalize(e)
+
+    def test_normalize_takes_a_tree_at_the_bound(self):
+        for wraps in ((lambda p, t: Inter((p, t)), lambda p, t: Union((p, t))),
+                      (lambda p, t: Complement(t), lambda p, t: Inter((p, t)))):
+            e = self._tree(MAX_TREE_DEPTH, *wraps)
+            assert normalize(e) == e
+            with pytest.raises(ValueError):
+                normalize(Inter((SinglePoint((Fr(-1),)), e)))
+
+    def test_the_bound_is_the_deepest_parse(self):
+        e = parse(self._deepest_text(self.CAP))
         assert normalize(e) == e
-        assert parse(to_text(e)) == e
         with pytest.raises(ValueError):
             normalize(Complement(e))
+        with pytest.raises(ParseError):
+            parse(self._deepest_text(self.CAP + 1))
 
     def test_normalize_takes_every_at_cap_parse(self):
-        # the measure counts what the text needs, so parser output passes
+        complemented_union = "cantor"
+        for i in range(self.CAP // 2):
+            complemented_union = f"point({i}) | !({complemented_union})"
         for text in ("!" * self.CAP + "cantor",
-                     "!(point(0) | " * (self.CAP // 2) + "cantor" + ")" * (self.CAP // 2)):
+                     "!(point(0) | " * (self.CAP // 2) + "cantor" + ")" * (self.CAP // 2),
+                     complemented_union, self._deepest_text(self.CAP)):
             assert normalize(parse(text)) == parse(text)
 
 

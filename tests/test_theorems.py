@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from niemytzki.descriptive import compare_topologies, infer, subset
 from niemytzki.setdsl import (
+    MAX_TREE_DEPTH,
     All,
     Cantor,
     Complement,
@@ -14,6 +15,7 @@ from niemytzki.setdsl import (
     Union,
     _Parser,
     normalize,
+    parse,
     random_expr,
 )
 from niemytzki.theorems import (
@@ -210,8 +212,21 @@ def test_trees_deeper_than_the_cap_are_refused():
     e = Cantor()
     for i in range(600):
         e = Inter((SinglePoint((Fraction(i),)), Complement(e)))
-    cap = f"deeper than {_Parser.MAX_DEPTH} levels"
+    cap = f"deeper than {MAX_TREE_DEPTH} levels"
     for call in (lambda: classify(e, 2), lambda: infer(e), lambda: subset(e, All()),
                  lambda: compare_topologies(All(), e), lambda: TopologySpec(2, e)):
         with pytest.raises(ValueError, match=cap):
             call()
+
+
+def test_trees_at_the_bound_are_classified():
+    # the complement classify derives is one level deeper than the bound
+    e = Cantor()
+    for i in range(MAX_TREE_DEPTH):
+        e = (Inter, Union)[i % 2]((SinglePoint((Fraction(i),)), e))
+    assert isinstance(e, Union)
+    assert classify(e, 2).set_classes == infer(e)
+    text = "cantor"
+    for i in range(_Parser.MAX_DEPTH // 2):
+        text = f"point({i}) | !({text})"
+    assert classify(text, 2).to_json() == classify(parse(text), 2).to_json()
