@@ -162,23 +162,31 @@ _IMPLICATIONS: list[tuple[dict[str, Verdict], dict[str, Verdict]]] = [
 ]
 
 
+def _merge(flags: dict[str, Verdict], update: dict[str, Verdict], context: SetExpr) -> bool:
+    """Settle each Unknown flag that `update` decides; a decided flag that
+    disagrees is a contradiction.  Whether any flag changed."""
+    changed = False
+    for name, want in update.items():
+        if want is U:
+            continue
+        have = flags[name]
+        if have is U:
+            flags[name] = want
+            changed = True
+        elif have is not want:
+            raise SoundnessError(
+                f"contradiction on {name} for {context!r}: {have.value} vs {want.value}"
+            )
+    return changed
+
+
 def _close(flags: dict[str, Verdict], context: SetExpr) -> dict[str, Verdict]:
     changed = True
     while changed:
         changed = False
         for premises, conclusions in _IMPLICATIONS:
-            if any(flags[name] is not want for name, want in premises.items()):
-                continue
-            for name, want in conclusions.items():
-                have = flags[name]
-                if have is U:
-                    flags[name] = want
-                    changed = True
-                elif have is not want:
-                    raise SoundnessError(
-                        f"contradiction on {name} for {context!r}: "
-                        f"{have.value} vs {want.value}"
-                    )
+            if all(flags[name] is want for name, want in premises.items()):
+                changed |= _merge(flags, conclusions, context)
     return flags
 
 
@@ -236,22 +244,6 @@ def _swap(inner: dict[str, Verdict]) -> dict[str, Verdict]:
     else:
         out["bounded"] = U
     return out
-
-
-def _merge(flags: dict[str, Verdict], update: dict[str, Verdict], context: SetExpr) -> bool:
-    changed = False
-    for name, want in update.items():
-        if want is U:
-            continue
-        have = flags[name]
-        if have is U:
-            flags[name] = want
-            changed = True
-        elif have is not want:
-            raise SoundnessError(
-                f"contradiction on {name} for {context!r}: {have.value} vs {want.value}"
-            )
-    return changed
 
 
 # --- closed-ball witness search -------------------------------------------------
@@ -399,10 +391,8 @@ def _pair_flags(key: SetExpr) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
     if isinstance(key, Bernstein):
         # the complement of a Bernstein set is again a Bernstein set
         b = dict(_PRIMITIVE_AXIOMS[Bernstein])
-    elif isinstance(ckey, Complement):
-        b = _swap(a)
     else:
-        b = _combine_node(ckey)  # complement of all/empty is a primitive again
+        b = _swap(a)
     b = _close(b, ckey)
 
     m = arity(key) or 1
@@ -497,15 +487,9 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     if isinstance(a, Lattice) and isinstance(b, Rationals):
         return True
     if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):
-        m = len(b.center)
-        corners = [
-            (Fraction(0),) + (Fraction(0),) * (m - 1),
-            (Fraction(1),) + (Fraction(0),) * (m - 1),
-        ]
-        # the Cantor box is the segment between the corners; balls are convex
-        if isinstance(b, ClosedBall):
-            return all(sq_dist_coords(c, b.center) <= b.radius ** 2 for c in corners)
-        return all(sq_dist_coords(c, b.center) < b.radius ** 2 for c in corners)
+        # the Cantor set lies on the segment between these ends; balls are convex
+        rest = (Fraction(0),) * (len(b.center) - 1)
+        return all(member(b, (end,) + rest) is IN for end in (Fraction(0), Fraction(1)))
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
         strict = isinstance(a, ClosedBall) and isinstance(b, OpenBall)
         gap = (b.radius - a.radius) ** 2
@@ -521,12 +505,9 @@ def subset(e1: SetExpr, e2: SetExpr, budget: int = 1000, seed: int = 0) -> Verdi
     e1, e2 = normalize(e1), normalize(e2)
     if _structural_subset(e1, e2):
         return T
-    dim = None
-    a = arity(e1) or arity(e2)
-    if a is not None:
-        dim = a + 1
+    # find_witness reads the dimension off gap: e1's arity, else e2's
     gap = join(Inter, (e1, complement(e2)))
-    if find_witness(gap, budget=budget, seed=seed, dimension=dim) is not None:
+    if find_witness(gap, budget=budget, seed=seed) is not None:
         return F
     return U
 

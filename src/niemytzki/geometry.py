@@ -40,14 +40,17 @@ class DimensionMismatch(ValueError):
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, a ``p/q`` string or a Fraction to an exact rational.
 
-    Floats are rejected: the whole library is exact arithmetic.
+    A string is read as the set language's ``rat`` literal, digit cap
+    included, and anything else in it raises ValueError.  Floats are
+    rejected: the whole library is exact arithmetic.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        from .setdsl import parse_rational  # setdsl imports this module
+        return parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 

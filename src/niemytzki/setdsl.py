@@ -177,10 +177,14 @@ def _normal(e: SetExpr, room: int) -> SetExpr:
     if not isinstance(e, (Complement, Union, Inter)):
         return e
     if room == 0:
-        raise ValueError(f"expression tree deeper than {MAX_TREE_DEPTH} levels")
+        raise _too_deep()
     if isinstance(e, Complement):
         return complement(_normal(e.body, room - 1))
     return join(type(e), [_normal(m, room - 1) for m in e.members])
+
+
+def _too_deep() -> ValueError:
+    return ValueError(f"expression tree deeper than {MAX_TREE_DEPTH} levels")
 
 
 def leaves(e: SetExpr) -> Iterator[SetExpr]:
@@ -215,7 +219,17 @@ def _coords_text(coords: Sequence[Fraction]) -> str:
 
 
 def to_text(e: SetExpr) -> str:
-    """Canonical text form; parse(to_text(e), n) == e for normalized e."""
+    """Canonical text form; parse(to_text(e), n) == e for normalized e.
+
+    A tree too deep to print within the recursion limit raises ValueError,
+    as in :func:`normalize`."""
+    try:
+        return _text(e)
+    except RecursionError:
+        raise _too_deep() from None
+
+
+def _text(e: SetExpr) -> str:
     if type(e) in _PLAIN_NAMES:
         return _PLAIN_NAMES[type(e)]
     if isinstance(e, SinglePoint):
@@ -227,16 +241,16 @@ def to_text(e: SetExpr) -> str:
     if isinstance(e, OpenBall):
         return f"oball({_coords_text(e.center)};{e.radius})"
     if isinstance(e, Complement):
-        body = to_text(e.body)
+        body = _text(e.body)
         if isinstance(e.body, (Union, Inter)):
             return f"!({body})"
         return f"!{body}"
     if isinstance(e, Union):
-        return " | ".join(to_text(m) for m in e.members)
+        return " | ".join(_text(m) for m in e.members)
     if isinstance(e, Inter):
         parts = []
         for m in e.members:
-            t = to_text(m)
+            t = _text(m)
             parts.append(f"({t})" if isinstance(m, Union) else t)
         return " & ".join(parts)
     raise TypeError(f"not a set expression: {e!r}")
@@ -473,8 +487,17 @@ def in_cantor(x: Fraction) -> bool:
 
 
 def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
-    """Three-valued membership of a boundary point (n-1 rational coordinates)."""
-    p = tuple(p)
+    """Three-valued membership of a boundary point (n-1 rational coordinates).
+
+    A tree too deep to walk within the recursion limit raises ValueError,
+    as in :func:`normalize`."""
+    try:
+        return _member(e, tuple(p))
+    except RecursionError:
+        raise _too_deep() from None
+
+
+def _member(e: SetExpr, p: tuple[Fraction, ...]) -> Verdict:
     if isinstance(e, Empty):
         return OUT
     if isinstance(e, All):
@@ -508,11 +531,11 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
             raise DimensionMismatch("ball arity differs from the query point")
         return IN if sq_dist_coords(p, e.center) < e.radius * e.radius else OUT
     if isinstance(e, Complement):
-        return ~member(e.body, p)
+        return ~_member(e.body, p)
     if isinstance(e, Union):
-        return any3(member(m, p) for m in e.members)
+        return any3(_member(m, p) for m in e.members)
     if isinstance(e, Inter):
-        return all3(member(m, p) for m in e.members)
+        return all3(_member(m, p) for m in e.members)
     raise TypeError(f"not a set expression: {e!r}")
 
 

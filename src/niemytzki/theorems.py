@@ -3,8 +3,10 @@
 Every verdict about (X_n, tau(A)) or the boundary subspace (L_n, tau(A)|L_n)
 is produced by a named rule consuming descriptive-class flags of A (and of
 its complement), and every rule records the statement it encodes as a
-verbatim citation, so reports are auditable.  Unknown flags propagate to
-Unknown verdicts: the engine never guesses.
+verbatim citation, so reports are auditable.  Each verdict is set by the
+rule step that traces it: the report is read off those steps, so a verdict
+and its trace cannot disagree.  Unknown flags propagate to Unknown
+verdicts: the engine never guesses.
 
 Rule table:
 
@@ -172,14 +174,14 @@ class PropertyReport:
         )
 
     def to_json(self) -> dict:
-        props: dict = {name: self.properties[name].value for name in PROPERTY_ORDER}
-        props["dim"] = "unknown" if self.dim is None else self.dim
+        properties: dict = {name: self.properties[name].value for name in PROPERTY_ORDER}
+        properties["dim"] = "unknown" if self.dim is None else self.dim
         boundary: dict = {name: self.boundary[name].value for name in BOUNDARY_ORDER}
         boundary["dim"] = "unknown" if self.boundary_dim is None else self.boundary_dim
         return {
             "space": self.space,
             "dimension": self.dimension,
-            "properties": props,
+            "properties": properties,
             "boundary_subspace": boundary,
             "trace": [step.to_json() for step in self.trace],
         }
@@ -222,18 +224,15 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     comp_desc = infer_normal(comp)
 
     trace: list[TraceStep] = []
-    props: dict[str, Verdict] = {}
+    settled: dict[str, Verdict] = {}  # every verdict, under its public name
 
     def step(rule, citation, targets, inputs, verdict):
-        trace.append(
-            TraceStep(
-                rule,
-                citation,
-                tuple(targets),
-                {k: str(v) for k, v in inputs.items()},
-                verdict,
-            )
-        )
+        trace.append(TraceStep(rule, citation, tuple(targets), dict(inputs), verdict))
+
+    def settle(rule, citation, targets, inputs, verdict: Verdict):
+        step(rule, citation, targets, inputs, verdict.value)
+        for name in targets:
+            settled[name] = verdict
 
     # R7: constants of the construction
     for name, citation in (
@@ -242,29 +241,24 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
         ("tychonoff", CIT_TYCHONOFF),
         ("completely_hausdorff", CIT_COMPLETELY_HAUSDORFF),
     ):
-        props[name] = TRUE
-        step("R7", citation, (name,), {}, TRUE.value)
+        settle("R7", citation, (name,), {}, TRUE)
 
     # R1: the metrizability triple
-    triple = ("metrizable", "second_countable", "hereditarily_lindelof")
-    for name in triple:
-        props[name] = desc.co_countable
-    step(
+    settle(
         "R1",
         CIT_SECOND_COUNTABLE,
-        triple,
+        ("metrizable", "second_countable", "hereditarily_lindelof"),
         {"co_countable(A)": desc.co_countable.value, "criterion": CIT_CO_COUNTABLE},
-        desc.co_countable.value,
+        desc.co_countable,
     )
 
     # R2: local compactness
-    props["locally_compact"] = desc.equals_all
-    step(
+    settle(
         "R2",
         CIT_LOCALLY_COMPACT,
         ("locally_compact",),
         {"equals_all(A)": desc.equals_all.value},
-        desc.equals_all.value,
+        desc.equals_all,
     )
 
     # R3: perfectness
@@ -276,16 +270,16 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
             {},
             FALSE.value,
         )
-    props["perfect"] = desc.g_delta
-    step(
+    settle(
         "R3",
         CIT_PERFECT,
         ("perfect", "boundary.perfect"),
         {"g_delta(A)": desc.g_delta.value},
-        desc.g_delta.value,
+        desc.g_delta,
     )
 
     # R4: the Lindelöf quadruple via the complement pivot
+    quadruple = ("lindelof", "normal", "paracompact", "countably_paracompact")
     pivot = comp_desc.contains_closed_uncountable
     comp_is_bernstein = isinstance(comp, Bernstein) or (
         isinstance(comp, Complement) and isinstance(comp.body, Bernstein)
@@ -294,47 +288,40 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
         step(
             "AX-bernstein",
             CIT_BERNSTEIN_COMPACTA,
-            ("lindelof", "normal", "paracompact", "countably_paracompact"),
+            quadruple,
             {"complement": to_text(comp)},
             pivot.value,
         )
     step(
         "R4-input",
         CIT_LINDELOF_LEMMA,
-        ("lindelof", "normal", "paracompact", "countably_paracompact"),
+        quadruple,
         {
             "complement": to_text(comp),
             "contains_closed_uncountable(complement)": pivot.value,
         },
         pivot.value,
     )
-    quadruple = ("lindelof", "normal", "paracompact", "countably_paracompact")
-    lind = ~pivot
-    for name in quadruple:
-        props[name] = lind
-    step(
+    settle(
         "R4",
         CIT_PARACOMPACT,
         quadruple + ("boundary.lindelof",),
         {"contains_closed_uncountable(complement)": pivot.value},
-        lind.value,
+        ~pivot,
     )
+    normal = settled["normal"]
 
     # RW: weak paracompactness is settled only for the tangent-ball extreme
-    weakly = FALSE if desc.equals_empty is TRUE else UNKNOWN
-    props["weakly_paracompact"] = weakly
-    step(
+    settle(
         "RW",
         CIT_WEAKLY_PARACOMPACT,
         ("weakly_paracompact",),
         {"equals_empty(A)": desc.equals_empty.value},
-        weakly.value,
+        FALSE if desc.equals_empty is TRUE else UNKNOWN,
     )
 
     # R5: sigma-compactness
-    sigma = desc.f_sigma & desc.co_countable
-    props["sigma_compact"] = sigma
-    step(
+    settle(
         "R5",
         CIT_SIGMA_COMPACT,
         ("sigma_compact", "boundary.sigma_compact"),
@@ -342,27 +329,25 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
             "f_sigma(A)": desc.f_sigma.value,
             "co_countable(A)": desc.co_countable.value,
         },
-        sigma.value,
+        desc.f_sigma & desc.co_countable,
     )
 
     # R6: embedding of the boundary hyperplane
-    props["boundary_z_embedded"] = lind
-    props["boundary_cstar_embedded"] = lind
-    step(
+    settle(
         "R6",
         CIT_CSTAR,
         ("boundary_z_embedded", "boundary_cstar_embedded"),
-        {"normal": lind.value},
-        lind.value,
+        {"normal": normal.value},
+        normal,
     )
 
     # R8: covering dimension, settled only in the normal case
-    dim_value: Optional[int] = dimension if lind is TRUE else None
+    dim_value: Optional[int] = dimension if normal is TRUE else None
     step(
         "R8",
         CIT_DIM,
         ("dim",),
-        {"normal": lind.value},
+        {"normal": normal.value},
         "unknown" if dim_value is None else str(dim_value),
     )
 
@@ -370,29 +355,19 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     for prim, rule, citation, expected in _COROLLARY_ROWS:
         if e == prim:
             for name, want in expected.items():
-                if props[name] is not want:
+                if settled[name] is not want:
                     raise SoundnessError(
                         f"rule output for {name} contradicts the corollary {rule}"
                     )
             step(rule, citation, tuple(expected), {}, "consistent")
 
     # boundary subspace block
-    boundary: dict[str, Verdict] = {
-        "hereditarily_collectionwise_normal": TRUE,
-        "perfect": props["perfect"],
-        "lindelof": props["lindelof"],
-        "sigma_compact": props["sigma_compact"],
-    }
-    step("B1", CIT_HCWN, ("boundary.hereditarily_collectionwise_normal",), {}, TRUE.value)
+    settle("B1", CIT_HCWN, ("boundary.hereditarily_collectionwise_normal",), {}, TRUE)
     step(
         "B2",
         CIT_REDUCTION,
         ("boundary.perfect", "boundary.lindelof", "boundary.sigma_compact"),
-        {
-            "perfect": props["perfect"].value,
-            "lindelof": props["lindelof"].value,
-            "sigma_compact": props["sigma_compact"].value,
-        },
+        {name: settled[name].value for name in ("perfect", "lindelof", "sigma_compact")},
         "transferred",
     )
     bdim = _boundary_dim(e, dimension)
@@ -407,9 +382,9 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     report = PropertyReport(
         space=to_text(e),
         dimension=dimension,
-        properties=props,
+        properties={name: settled[name] for name in PROPERTY_ORDER},
         dim=dim_value,
-        boundary=boundary,
+        boundary={name: settled[f"boundary.{name}"] for name in BOUNDARY_ORDER},
         boundary_dim=bdim,
         trace=tuple(trace),
         set_classes=desc,

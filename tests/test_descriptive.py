@@ -163,6 +163,10 @@ class TestSubset:
         assert subset(Cantor(), parse("cball(1/2,0;1/2)", 3)) is TRUE
         assert subset(Cantor(), parse("oball(1/2;2/3)")) is TRUE
 
+    def test_cantor_touches_the_open_ball_boundary(self):
+        # 0 and 1 lie on the sphere of B(1/2, 1/2): in the closed ball only
+        assert subset(Cantor(), parse("oball(1/2;1/2)")) is FALSE
+
     def test_member_of_union(self):
         e = parse("lattice")
         assert subset(e, Union((e, Cantor()))) is TRUE
@@ -220,3 +224,9 @@ class TestSerialization:
 
 def test_pair_flags_cache_is_bounded():
     assert _pair_flags.cache_info().maxsize == 2**14
+
+
+def test_the_complement_record_of_all_is_that_of_empty():
+    # the complement's record is swapped from the set's, never read off a table
+    assert _pair_flags(All())[1] == _pair_flags(Empty())[0]
+    assert _pair_flags(Empty())[1] == _pair_flags(All())[0]

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -36,6 +37,17 @@ class TestPoint:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             Point((Fr(1),))
+
+    def test_strings_are_read_as_rat_literals(self):
+        assert P("1/3", "1").coords == (Fr(1, 3), Fr(1))
+        assert Point.boundary("-1/8").coords == (Fr(-1, 8), Fr(0))
+        # exponent and decimal forms are refused at once, however large
+        for call in (lambda: P("1e3000000", 1), lambda: Point.from_json(["1e3000000", "1"]),
+                     lambda: P("0.5", 1)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError):
+                call()
+            assert time.perf_counter() - start < 0.5
 
     def test_json_round_trip_is_exact(self):
         p = P("22/7", "0", "355/113")

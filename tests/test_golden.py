@@ -6,11 +6,17 @@ and the stdout bytes of every call are hashed together, so any change to a
 verdict, a trace, a witness or the JSON layout moves the digest.  Points are
 passed as ``--point=<coords>`` because a coordinate may start with '-'.
 
+Inference digest: the full descriptive record, ``infer(e).to_json()``, of
+each expression and of its complement, over seeded random corpora (n = 2
+and 3) and the README's flagship boundary sets.  No CLI output shows the
+complement's record in full, so this pins what the flag engine derives for
+it.
+
 Suite digest: every record of ``generate_samples`` and the JSON of
 ``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
 a sample stream, a check count or a verdict moves the digest.
 
-When a change is meant to move a digest, recompute both with
+When a change is meant to move a digest, recompute them with
 ``python -m tests.test_golden`` (``PYTHONPATH=src``, from the repository
 root) and paste the printed values below.
 """
@@ -23,13 +29,18 @@ import random
 from fractions import Fraction
 
 from niemytzki import cli
+from niemytzki.descriptive import infer
 from niemytzki.geometry import Point
 from niemytzki.harness import SuiteConfig, generate_samples, run_suite, suite_names
-from niemytzki.setdsl import SetExpr, random_expr, to_text
+from niemytzki.setdsl import SetExpr, complement, parse, random_expr, to_text
 from niemytzki.topology import BasicOpen
 
 GOLDEN_SHA256 = "fca2871ef7942f47d090037759cf859320915f88bff8773c6e50c4eed6d4c4f9"
 GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873ff02e24"
+GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
+
+FLAGSHIP_SETS = ("empty", "all", "rationals", "!rationals", "cantor", "!cantor",
+                 "bernstein")
 
 PROPERTIES = ("lindelof", "perfect", "normal", "metrizable", "sigma_compact",
               "locally_compact", "boundary.perfect", "boundary.lindelof")
@@ -60,6 +71,18 @@ def golden_digest() -> str:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         h.update(f"{code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def golden_inference_digest() -> str:
+    h = hashlib.sha256()
+    rng = random.Random(2405)
+    for n in (2, 3):
+        exprs = [parse(text, n) for text in FLAGSHIP_SETS]
+        exprs += [random_expr(rng, n) for _ in range(200)]
+        for e in exprs:
+            records = [infer(e).to_json(), infer(complement(e)).to_json()]
+            h.update(json.dumps(records, sort_keys=True).encode())
     return h.hexdigest()
 
 
@@ -97,6 +120,11 @@ def test_golden_suite_digest():
     assert golden_suite_digest() == GOLDEN_SUITE_SHA256
 
 
+def test_golden_inference_digest():
+    assert golden_inference_digest() == GOLDEN_INFERENCE_SHA256
+
+
 if __name__ == "__main__":
     print(f"GOLDEN_SHA256 = {golden_digest()!r}")
     print(f"GOLDEN_SUITE_SHA256 = {golden_suite_digest()!r}")
+    print(f"GOLDEN_INFERENCE_SHA256 = {golden_inference_digest()!r}")

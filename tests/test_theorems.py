@@ -14,9 +14,12 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _Parser,
+    find_witness,
+    member,
     normalize,
     parse,
     random_expr,
+    to_text,
 )
 from niemytzki.theorems import (
     BOUNDARY_ORDER,
@@ -149,6 +152,13 @@ class TestEquivalenceClasses:
             assert r.dim == reference.dim
 
 
+FLAGSHIP_SETS = ("empty", "all", "rationals", "!rationals", "cantor", "!cantor",
+                 "bernstein")
+
+# the rules whose step sets a verdict; the others record evidence for one
+DECIDING_RULES = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "RW", "B1"}
+
+
 class TestTrace:
     def test_every_decided_property_has_a_step(self):
         r = classify("bernstein", 2)
@@ -158,6 +168,16 @@ class TestTrace:
         for name in BOUNDARY_ORDER:
             if r.boundary[name] is not UNKNOWN:
                 assert explain(r, f"boundary.{name}"), name
+        # every verdict, Unknown included, is the one a deciding step shows
+        rng = random.Random(18)
+        reports = [classify(text, n) for n in (2, 3) for text in FLAGSHIP_SETS]
+        reports += [classify(random_expr(rng, n), n) for n in (2, 3) for _ in range(150)]
+        for r in reports:
+            entries = [(name, r.properties[name]) for name in PROPERTY_ORDER]
+            entries += [(f"boundary.{name}", r.boundary[name]) for name in BOUNDARY_ORDER]
+            for name, verdict in entries:
+                deciding = [s for s in explain(r, name) if s.rule in DECIDING_RULES]
+                assert [s.verdict for s in deciding] == [verdict.value], (r.space, name)
 
     def test_bernstein_lindelof_trace_cites_the_axiom_and_the_rule(self):
         steps = explain(classify("bernstein", 2), "lindelof")
@@ -214,7 +234,9 @@ def test_trees_deeper_than_the_cap_are_refused():
         e = Inter((SinglePoint((Fraction(i),)), Complement(e)))
     cap = f"deeper than {MAX_TREE_DEPTH} levels"
     for call in (lambda: classify(e, 2), lambda: infer(e), lambda: subset(e, All()),
-                 lambda: compare_topologies(All(), e), lambda: TopologySpec(2, e)):
+                 lambda: compare_topologies(All(), e), lambda: TopologySpec(2, e),
+                 lambda: member(e, (Fraction(1, 3),)), lambda: to_text(e),
+                 lambda: find_witness(e, 10)):
         with pytest.raises(ValueError, match=cap):
             call()
 
