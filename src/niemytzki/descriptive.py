@@ -46,11 +46,13 @@ from .setdsl import (
     IN,
     Inter,
     Lattice,
+    NodeTable,
     OpenBall,
     Rationals,
     SetExpr,
     SinglePoint,
     Union,
+    WITHIN,
     arity,
     axis,
     complement,
@@ -218,6 +220,7 @@ _CONNECTIVE_RULES = {
     "equals_empty": (all3, _any_true),
     "bounded": (all3, _any_true),
 }
+_SIDE = NodeTable({Union: 0, Inter: 1})  # which rule of the pair a connective reads
 
 
 _SWAP_PAIRS = (
@@ -267,59 +270,45 @@ def _interval_misses_cantor(lo: Fraction, hi: Fraction, depth: int = 0) -> bool:
     return False
 
 
-def _ball_inside(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
-    """Sound test that the closed ball B[c, r] is contained in the set."""
-    if isinstance(e, All):
-        return True
-    if isinstance(e, (Empty, Rationals, Lattice, Cantor, Bernstein,
-                      SinglePoint, FiniteSet)):
-        return False  # none of these contains a ball of positive radius
-    if isinstance(e, ClosedBall):
-        return r <= e.radius and sq_dist_coords(c, e.center) <= (e.radius - r) ** 2
-    if isinstance(e, OpenBall):
-        return r < e.radius and sq_dist_coords(c, e.center) < (e.radius - r) ** 2
-    if isinstance(e, Complement):
-        return _ball_disjoint(e.body, c, r)
-    if isinstance(e, Union):
-        return any(_ball_inside(m, c, r) for m in e.members)
-    if isinstance(e, Inter):
-        return all(_ball_inside(m, c, r) for m in e.members)
-    return False
+def _ball_within(c: tuple[Fraction, ...], r: Fraction, kind: type, b: SetExpr) -> bool:
+    """Whether the ball of center c, radius r and kind (ClosedBall or
+    OpenBall) lies in the ball b."""
+    # strict only for a closed ball inside an open one
+    within = WITHIN[type(b) if kind is ClosedBall else ClosedBall]
+    return within(r, b.radius) and within(sq_dist_coords(c, b.center), (b.radius - r) ** 2)
 
 
-def _ball_disjoint(e: SetExpr, c: tuple[Fraction, ...], r: Fraction) -> bool:
-    """Sound test that the closed ball B[c, r] misses the set."""
-    if isinstance(e, Empty):
-        return True
-    if isinstance(e, (All, Rationals, Bernstein)):
-        # rationals are dense; a Bernstein set meets every closed ball
-        # (a ball is an uncountable compactum)
-        return False
-    if isinstance(e, SinglePoint):
-        return sq_dist_coords(e.coords, c) > r * r
-    if isinstance(e, FiniteSet):
-        return all(sq_dist_coords(pt, c) > r * r for pt in e.points)
-    if isinstance(e, Lattice):
-        # disjoint if along some axis the interval [c_i - r, c_i + r]
-        # contains no integer
-        return any(
-            math.ceil(ci - r) > math.floor(ci + r) for ci in c
-        )
-    if isinstance(e, Cantor):
-        if _interval_misses_cantor(c[0] - r, c[0] + r):
-            return True
-        return any(ci - r > 0 or ci + r < 0 for ci in c[1:])
-    if isinstance(e, ClosedBall):
-        return sq_dist_coords(c, e.center) > (r + e.radius) ** 2
-    if isinstance(e, OpenBall):
-        return sq_dist_coords(c, e.center) >= (r + e.radius) ** 2
-    if isinstance(e, Complement):
-        return _ball_inside(e.body, c, r)
-    if isinstance(e, Union):
-        return all(_ball_disjoint(m, c, r) for m in e.members)
-    if isinstance(e, Inter):
-        return any(_ball_disjoint(m, c, r) for m in e.members)
-    return False
+# Sound tests that the closed ball B[c, r] lies in the set e, and that it
+# misses e: one row per kind of node.
+_INSIDE = NodeTable({
+    All: lambda e, c, r: True,
+    # none of these contains a ball of positive radius
+    **dict.fromkeys((Empty, Rationals, Lattice, Cantor, Bernstein, SinglePoint, FiniteSet),
+                    lambda e, c, r: False),
+    **dict.fromkeys((ClosedBall, OpenBall), lambda e, c, r: _ball_within(c, r, ClosedBall, e)),
+    Complement: lambda e, c, r: _DISJOINT[type(e.body)](e.body, c, r),
+    Union: lambda e, c, r: any(_INSIDE[type(m)](m, c, r) for m in e.members),
+    Inter: lambda e, c, r: all(_INSIDE[type(m)](m, c, r) for m in e.members),
+})
+
+_DISJOINT = NodeTable({
+    Empty: lambda e, c, r: True,
+    # rationals are dense; a Bernstein set meets every closed ball (a ball
+    # is an uncountable compactum)
+    **dict.fromkeys((All, Rationals, Bernstein), lambda e, c, r: False),
+    SinglePoint: lambda e, c, r: sq_dist_coords(e.coords, c) > r * r,
+    FiniteSet: lambda e, c, r: all(sq_dist_coords(pt, c) > r * r for pt in e.points),
+    # disjoint if along some axis the interval [c_i - r, c_i + r] holds no integer
+    Lattice: lambda e, c, r: any(math.ceil(ci - r) > math.floor(ci + r) for ci in c),
+    Cantor: lambda e, c, r: (_interval_misses_cantor(c[0] - r, c[0] + r)
+                             or any(ci - r > 0 or ci + r < 0 for ci in c[1:])),
+    # disjoint if the point of B[c, r] nearest the center lies outside the ball
+    **dict.fromkeys((ClosedBall, OpenBall), lambda e, c, r: not WITHIN[type(e)](
+        sq_dist_coords(c, e.center), (r + e.radius) ** 2)),
+    Complement: lambda e, c, r: _INSIDE[type(e.body)](e.body, c, r),
+    Union: lambda e, c, r: all(_DISJOINT[type(m)](m, c, r) for m in e.members),
+    Inter: lambda e, c, r: any(_DISJOINT[type(m)](m, c, r) for m in e.members),
+})
 
 
 def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
@@ -352,7 +341,7 @@ _BALL_SEARCH_BUDGET = 1000
 
 def _closed_ball_witness(e: SetExpr, m: int) -> bool:
     for center, radius in _candidate_balls(e, m)[:_BALL_SEARCH_BUDGET]:
-        if _ball_inside(e, center, radius):
+        if _INSIDE[type(e)](e, center, radius):
             return True
     return False
 
@@ -363,12 +352,10 @@ def _combine_node(e: SetExpr) -> dict[str, Verdict]:
     """Flags of a complement-free node from axioms and its children's records."""
     if type(e) in _PRIMITIVE_AXIOMS:
         return dict(_PRIMITIVE_AXIOMS[type(e)])
-    if isinstance(e, (Union, Inter)):
-        parts = list(map(_flags, e.members))  # no comprehension frame per level
-        side = isinstance(e, Inter)
-        return {name: rules[side]([p[name] for p in parts])
-                for name, rules in _CONNECTIVE_RULES.items()}
-    raise TypeError(f"not a combinable set expression: {e!r}")
+    side = _SIDE[type(e)]
+    parts = list(map(_flags, e.members))  # no comprehension frame per level
+    return {name: rules[side]([p[name] for p in parts])
+            for name, rules in _CONNECTIVE_RULES.items()}
 
 
 def _point_witness(e: SetExpr, m: int) -> bool:
@@ -491,11 +478,7 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         rest = (Fraction(0),) * (len(b.center) - 1)
         return all(member(b, (end,) + rest) is IN for end in (Fraction(0), Fraction(1)))
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
-        strict = isinstance(a, ClosedBall) and isinstance(b, OpenBall)
-        gap = (b.radius - a.radius) ** 2
-        if strict:
-            return a.radius < b.radius and sq_dist_coords(a.center, b.center) < gap
-        return a.radius <= b.radius and sq_dist_coords(a.center, b.center) <= gap
+        return _ball_within(a.center, a.radius, type(a), b)
     return False
 
 

@@ -195,12 +195,10 @@ def separating_f(x: Point, a: Point, eps: RatLike) -> Fraction:
     """The separating function of the tangent ball: 0 at a, the level inside,
     1 outside.  Always in [0, 1], and f(x) < s iff x lies in the tangent ball
     of parameter s*eps, for every s in (0, 1)."""
-    eps = _tangent_eps(a, eps)
-    if x == a:
-        return Fraction(0)
-    if x.is_boundary:
-        return Fraction(1)
-    return min(t_level(x, a, eps), Fraction(1))
+    if not x.is_boundary:
+        return min(t_level(x, a, eps), Fraction(1))  # t_level checks eps
+    _tangent_eps(a, eps)
+    return Fraction(0) if x == a else Fraction(1)
 
 
 def inner_ball_radius(q: Point, b: BallSpec) -> Fraction:

@@ -28,11 +28,19 @@ inside a union nor intersection inside an intersection, no repeated member
 and no one-member union or intersection.  Given normal arguments,
 :func:`complement` and :func:`join` return normal results, so derived
 expressions are built normal and never normalised again.
+
+Each operation on the tree is one table keyed by node type, mostly a
+:class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
+primitive needs a row in each: ``_TEXT`` and ``_MEMBER`` here,
+``_PRIMITIVE_AXIOMS``, ``_INSIDE`` and ``_DISJOINT`` in
+:mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in :mod:`niemytzki.theorems`,
+and, if it carries coordinates, the leaf-arity rule ``_COORDS``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -134,6 +142,22 @@ _PLAIN_PRIMITIVES = {
 _PLAIN_NAMES = {kind: name for name, kind in _PLAIN_PRIMITIVES.items()}
 
 
+class NodeTable(dict):
+    """One tree operation: the function for each kind of node, keyed by its
+    exact type (no node class subclasses another), so a walk decides a
+    node's kind with one lookup.  A type with no row is not a node."""
+
+    __slots__ = ()
+
+    def __missing__(self, kind: type):
+        raise TypeError(f"not a set expression: {kind.__name__}")
+
+
+# Whether a squared distance lies within a ball's squared radius: the one
+# comparison where a closed ball (<=) and an open ball (<) differ.
+WITHIN = {ClosedBall: operator.le, OpenBall: operator.lt}
+
+
 def complement(e: SetExpr) -> SetExpr:
     """The complement of a normal expression, in normal form."""
     if isinstance(e, Complement):
@@ -167,9 +191,25 @@ def normalize(e: SetExpr) -> SetExpr:
 
     A tree with more than :data:`MAX_TREE_DEPTH` nested connectives raises
     ValueError: the library walks trees recursively, and the bound keeps
-    every walk within the recursion limit.
+    every walk within the recursion limit.  A tree whose coordinate groups
+    differ in arity raises DimensionMismatch.
     """
-    return _normal(e, MAX_TREE_DEPTH)
+    e = _normal(e, MAX_TREE_DEPTH)
+    found = set(_arities(e))
+    if len(found) > 1:
+        raise DimensionMismatch(f"coordinate groups of arities {sorted(found)} in one set")
+    return e
+
+
+def normalize_for(e: SetExpr, dimension: int) -> SetExpr:
+    """:func:`normalize` for a session of the given dimension: a tree whose
+    coordinate groups do not have dimension - 1 coordinates raises
+    DimensionMismatch, as :func:`parse` raises ParseError on such text."""
+    e = normalize(e)
+    found = arity(e)
+    if found not in (None, dimension - 1):
+        raise DimensionMismatch(f"a set of arity {found} in dimension {dimension}")
+    return e
 
 
 def _normal(e: SetExpr, room: int) -> SetExpr:
@@ -200,16 +240,24 @@ def leaves(e: SetExpr) -> Iterator[SetExpr]:
             yield node
 
 
+# The coordinate groups each kind of leaf carries; other nodes carry none.
+_COORDS = {
+    SinglePoint: lambda e: (e.coords,),
+    FiniteSet: lambda e: e.points,
+    **dict.fromkeys((ClosedBall, OpenBall), lambda e: (e.center,)),
+}
+
+
+def _arities(e: SetExpr) -> Iterator[int]:
+    """The arity of each coordinate group of the tree, leaves in pre-order."""
+    for leaf in leaves(e):
+        if type(leaf) in _COORDS:
+            yield from map(len, _COORDS[type(leaf)](leaf))
+
+
 def arity(e: SetExpr) -> Optional[int]:
     """Coordinate arity carried by the expression, None if purely symbolic."""
-    for leaf in leaves(e):
-        if isinstance(leaf, SinglePoint):
-            return len(leaf.coords)
-        if isinstance(leaf, FiniteSet) and leaf.points:
-            return len(leaf.points[0])
-        if isinstance(leaf, (ClosedBall, OpenBall)):
-            return len(leaf.center)
-    return None
+    return next(_arities(e), None)
 
 
 # --- printing ----------------------------------------------------------------
@@ -224,36 +272,34 @@ def to_text(e: SetExpr) -> str:
     A tree too deep to print within the recursion limit raises ValueError,
     as in :func:`normalize`."""
     try:
-        return _text(e)
+        return _TEXT[type(e)](e)
     except RecursionError:
         raise _too_deep() from None
 
 
-def _text(e: SetExpr) -> str:
-    if type(e) in _PLAIN_NAMES:
-        return _PLAIN_NAMES[type(e)]
-    if isinstance(e, SinglePoint):
-        return f"point({_coords_text(e.coords)})"
-    if isinstance(e, FiniteSet):
-        return "finite{" + ";".join(_coords_text(p) for p in e.points) + "}"
-    if isinstance(e, ClosedBall):
-        return f"cball({_coords_text(e.center)};{e.radius})"
-    if isinstance(e, OpenBall):
-        return f"oball({_coords_text(e.center)};{e.radius})"
-    if isinstance(e, Complement):
-        body = _text(e.body)
-        if isinstance(e.body, (Union, Inter)):
-            return f"!({body})"
-        return f"!{body}"
-    if isinstance(e, Union):
-        return " | ".join(_text(m) for m in e.members)
-    if isinstance(e, Inter):
-        parts = []
-        for m in e.members:
-            t = _text(m)
-            parts.append(f"({t})" if isinstance(m, Union) else t)
-        return " & ".join(parts)
-    raise TypeError(f"not a set expression: {e!r}")
+def _complement_text(e: Complement) -> str:
+    body = _TEXT[type(e.body)](e.body)
+    return f"!({body})" if type(e.body) in (Union, Inter) else f"!{body}"
+
+
+def _inter_text(e: Inter) -> str:
+    parts = []
+    for m in e.members:
+        t = _TEXT[type(m)](m)
+        parts.append(f"({t})" if type(m) is Union else t)
+    return " & ".join(parts)
+
+
+_TEXT = NodeTable({
+    **{kind: (lambda e, name=name: name) for kind, name in _PLAIN_NAMES.items()},
+    SinglePoint: lambda e: f"point({_coords_text(e.coords)})",
+    FiniteSet: lambda e: "finite{" + ";".join(_coords_text(p) for p in e.points) + "}",
+    ClosedBall: lambda e: f"cball({_coords_text(e.center)};{e.radius})",
+    OpenBall: lambda e: f"oball({_coords_text(e.center)};{e.radius})",
+    Complement: _complement_text,
+    Union: lambda e: " | ".join(_TEXT[type(m)](m) for m in e.members),
+    Inter: _inter_text,
+})
 
 
 # --- parsing -----------------------------------------------------------------
@@ -331,7 +377,7 @@ class _Parser:
     def parse(self) -> SetExpr:
         e = self.expr()
         self.end()
-        return normalize(e)
+        return _normal(e, MAX_TREE_DEPTH)  # coords() checked every arity
 
     def end(self) -> None:
         tok = self._peek()
@@ -492,51 +538,51 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
     A tree too deep to walk within the recursion limit raises ValueError,
     as in :func:`normalize`."""
     try:
-        return _member(e, tuple(p))
+        return _MEMBER[type(e)](e, tuple(p))
     except RecursionError:
         raise _too_deep() from None
 
 
-def _member(e: SetExpr, p: tuple[Fraction, ...]) -> Verdict:
-    if isinstance(e, Empty):
-        return OUT
-    if isinstance(e, All):
-        return IN
-    if isinstance(e, Rationals):
-        return IN  # every representable point has rational coordinates
-    if isinstance(e, Lattice):
-        return IN if all(c.denominator == 1 for c in p) else OUT
-    if isinstance(e, Cantor):
-        if not p:
-            raise DimensionMismatch("cantor needs at least one coordinate")
-        rest_zero = all(c == 0 for c in p[1:])
-        return IN if rest_zero and in_cantor(p[0]) else OUT
-    if isinstance(e, Bernstein):
-        return UNKNOWN
-    if isinstance(e, SinglePoint):
-        if len(e.coords) != len(p):
-            raise DimensionMismatch("point arity differs from the query point")
-        return IN if e.coords == p else OUT
-    if isinstance(e, FiniteSet):
-        for pt in e.points:
-            if len(pt) != len(p):
-                raise DimensionMismatch("point arity differs from the query point")
-        return IN if p in e.points else OUT
-    if isinstance(e, ClosedBall):
-        if len(e.center) != len(p):
-            raise DimensionMismatch("ball arity differs from the query point")
-        return IN if sq_dist_coords(p, e.center) <= e.radius * e.radius else OUT
-    if isinstance(e, OpenBall):
-        if len(e.center) != len(p):
-            raise DimensionMismatch("ball arity differs from the query point")
-        return IN if sq_dist_coords(p, e.center) < e.radius * e.radius else OUT
-    if isinstance(e, Complement):
-        return ~_member(e.body, p)
-    if isinstance(e, Union):
-        return any3(_member(m, p) for m in e.members)
-    if isinstance(e, Inter):
-        return all3(_member(m, p) for m in e.members)
-    raise TypeError(f"not a set expression: {e!r}")
+def _checked(coords: tuple[Fraction, ...], p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """A coordinate group of the set, once its arity is the query point's."""
+    if len(coords) != len(p):
+        raise DimensionMismatch(f"arity {len(coords)} in the set, {len(p)} in the query point")
+    return coords
+
+
+def _cantor_member(e: Cantor, p: tuple[Fraction, ...]) -> Verdict:
+    if not p:
+        raise DimensionMismatch("cantor needs at least one coordinate")
+    rest_zero = all(c == 0 for c in p[1:])
+    return IN if rest_zero and in_cantor(p[0]) else OUT
+
+
+def _finite_member(e: FiniteSet, p: tuple[Fraction, ...]) -> Verdict:
+    for pt in e.points:
+        _checked(pt, p)
+    return IN if p in e.points else OUT
+
+
+def _ball_member(e: SetExpr, p: tuple[Fraction, ...]) -> Verdict:
+    d2 = sq_dist_coords(p, _checked(e.center, p))
+    return IN if WITHIN[type(e)](d2, e.radius * e.radius) else OUT
+
+
+_MEMBER = NodeTable({
+    Empty: lambda e, p: OUT,
+    All: lambda e, p: IN,
+    Rationals: lambda e, p: IN,  # every representable point has rational coordinates
+    Lattice: lambda e, p: IN if all(c.denominator == 1 for c in p) else OUT,
+    Cantor: _cantor_member,
+    Bernstein: lambda e, p: UNKNOWN,
+    SinglePoint: lambda e, p: IN if _checked(e.coords, p) == p else OUT,
+    FiniteSet: _finite_member,
+    ClosedBall: _ball_member,
+    OpenBall: _ball_member,
+    Complement: lambda e, p: ~_MEMBER[type(e.body)](e.body, p),
+    Union: lambda e, p: any3(_MEMBER[type(m)](m, p) for m in e.members),
+    Inter: lambda e, p: all3(_MEMBER[type(m)](m, p) for m in e.members),
+})
 
 
 # --- witness search ----------------------------------------------------------
@@ -660,4 +706,4 @@ def random_expr(rng: random.Random, dimension: int = 2, max_depth: int = 4) -> S
         members = tuple(build(depth - 1) for _ in range(rng.randint(2, 3)))
         return Union(members) if roll == 4 else Inter(members)
 
-    return normalize(build(max_depth))
+    return _normal(build(max_depth), MAX_TREE_DEPTH)  # every arity is m

@@ -43,13 +43,16 @@ from .setdsl import (
     Complement,
     Empty,
     FiniteSet,
+    Inter,
     Lattice,
+    NodeTable,
     OpenBall,
     Rationals,
     SetExpr,
     SinglePoint,
+    Union,
     complement,
-    normalize,
+    normalize_for,
     parse,
     to_text,
 )
@@ -191,15 +194,14 @@ class UnknownProperty(KeyError):
     """The report has no property of that name."""
 
 
-def _boundary_dim(e: SetExpr, dimension: int) -> Optional[int]:
-    # primitives of known dimension only; everything else stays open
-    if isinstance(e, Empty):
-        return -1
-    if isinstance(e, (SinglePoint, FiniteSet, Lattice, Rationals, Cantor)):
-        return 0
-    if isinstance(e, (ClosedBall, OpenBall, All)):
-        return dimension - 1
-    return None
+# dim A for the primitives of known dimension, given n; every other node
+# leaves it open
+_BOUNDARY_DIM = NodeTable({
+    Empty: lambda n: -1,
+    **dict.fromkeys((SinglePoint, FiniteSet, Lattice, Rationals, Cantor), lambda n: 0),
+    **dict.fromkeys((ClosedBall, OpenBall, All), lambda n: n - 1),
+    **dict.fromkeys((Bernstein, Complement, Union, Inter), lambda n: None),
+})
 
 
 _COROLLARY_ROWS: tuple[tuple[object, str, str, dict[str, Verdict]], ...] = (
@@ -218,7 +220,7 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     """Full property report for (X_n, tau(A)) and its boundary subspace."""
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
-    e = parse(expr, dimension) if isinstance(expr, str) else normalize(expr)
+    e = parse(expr, dimension) if isinstance(expr, str) else normalize_for(expr, dimension)
     desc = infer_normal(e)
     comp = complement(e)
     comp_desc = infer_normal(comp)
@@ -370,7 +372,7 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
         {name: settled[name].value for name in ("perfect", "lindelof", "sigma_compact")},
         "transferred",
     )
-    bdim = _boundary_dim(e, dimension)
+    bdim = _BOUNDARY_DIM[type(e)](dimension)
     step(
         "B3",
         CIT_DIM_BOUNDARY,

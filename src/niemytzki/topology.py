@@ -42,7 +42,7 @@ from .geometry import (
     tangent_gauge,
     translate,
 )
-from .setdsl import IN, UNKNOWN, All, Empty, SetExpr, member, normalize, to_text
+from .setdsl import IN, UNKNOWN, All, Empty, SetExpr, member, normalize_for, to_text
 
 
 class UndecidableMembership(RuntimeError):
@@ -59,7 +59,7 @@ class TopologySpec:
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
-        object.__setattr__(self, "boundary_set", normalize(self.boundary_set))
+        object.__setattr__(self, "boundary_set", normalize_for(self.boundary_set, self.dimension))
 
     @staticmethod
     def euclidean(dimension: int) -> "TopologySpec":

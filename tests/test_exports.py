@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
 import niemytzki
 from niemytzki.trivalent import Verdict
 
@@ -17,3 +22,17 @@ def test_member_answers_with_the_verdict_type():
     assert "Membership" not in niemytzki.__all__
     expr = niemytzki.parse("cantor | bernstein")
     assert isinstance(niemytzki.member(expr, (0,)), Verdict)
+
+
+def test_every_benchmark_traced_name_is_a_function_of_its_module():
+    # perfbench counts calls per layer by these names: one that no longer
+    # resolves would read as zero calls, not as an error
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert run.TRACED
+    for name in run.TRACED:
+        module, function = name.split(".")
+        value = getattr(importlib.import_module(f"niemytzki.{module}"), function, None)
+        assert inspect.isfunction(value), name

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from niemytzki import geometry
 from niemytzki.geometry import (
     BallSpec,
     DimensionMismatch,
@@ -138,6 +139,32 @@ class TestSeparatingF:
 
     def test_level_inside(self):
         assert separating_f(P(0, 1), Point.boundary(0), 1) == Fr(1, 2)
+
+    @pytest.mark.parametrize("x", [Point.boundary(0), Point.boundary(3), P(0, 1), P(5, 5)],
+                             ids=["anchor", "boundary", "inside", "outside"])
+    def test_checks_the_parameter_once(self, x, monkeypatch):
+        calls = []
+        check = geometry._tangent_eps
+
+        def counted(a, eps):
+            calls.append(eps)
+            return check(a, eps)
+
+        monkeypatch.setattr(geometry, "_tangent_eps", counted)
+        separating_f(x, Point.boundary(0), "1/2")
+        assert calls == ["1/2"]
+
+    @pytest.mark.parametrize("x", [Point.boundary(0), Point.boundary(3), P(0, 1)],
+                             ids=["anchor", "boundary", "interior"])
+    @pytest.mark.parametrize("eps", [0, -1, "-1/2"])
+    def test_refuses_a_parameter_not_positive(self, x, eps):
+        with pytest.raises(ValueError, match="parameter must be positive"):
+            separating_f(x, Point.boundary(0), eps)
+
+    def test_refuses_an_anchor_off_the_boundary(self):
+        for x in (P(0, 1), Point.boundary(0)):
+            with pytest.raises(ValueError, match="boundary hyperplane"):
+                separating_f(x, P(0, 1), 1)
 
 
 class TestInnerBallRadius:
