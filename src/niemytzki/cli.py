@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .descriptive import TopologyOrder, subset
-from .geometry import Point
+from .geometry import Point, check_dimension
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
 from .setdsl import IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
 from .theorems import UnknownProperty, classify, explain
@@ -78,7 +78,7 @@ def _parse_topology(text: str, dimension: int) -> TopologySpec:
         return TopologySpec.euclidean(dimension)
     if name == "niemytzki":
         return TopologySpec.niemytzki(dimension)
-    return TopologySpec.modified(parse(text, dimension), dimension)
+    return TopologySpec.modified(text, dimension)
 
 
 _FAMILY_RE = re.compile(
@@ -332,8 +332,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        if getattr(args, "dimension", 2) < 2:
-            raise UsageError("dimension must be at least 2")
+        check_dimension(getattr(args, "dimension", 2))
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 The ambient space is X_n = P_n ∪ L_n ⊂ R^n, where P_n is the open upper
 half-space (last coordinate positive) and L_n the boundary hyperplane (last
 coordinate zero).  Every coordinate, radius and level is a
-``fractions.Fraction`` and every predicate is a polynomial comparison: no
-square root is ever taken, so every answer is exact and decidable.
+``fractions.Fraction`` at the API and every predicate is a polynomial
+comparison: there are no floats and no square roots, so every answer is
+exact and decidable.
 
 The tangent ball at a boundary point ``a`` with parameter ``eps > 0`` is
 
@@ -17,15 +18,28 @@ interior point x to
 
     sum_{i<n} (x_i - a_i)^2 + x_n^2  <  2 * eps * x_n.
 
-The left-hand side is :func:`tangent_gauge`.  Dividing by ``2 * eps * x_n``
-gives :func:`t_level`: the unique t for which x lies on the bounding sphere
-of the tangent ball of parameter ``t * eps``.
+The left-hand side is :func:`tangent_gauge`; since a_n = 0 it is |x - a|^2.
+Dividing by ``2 * eps * x_n`` gives :func:`t_level`: the unique t for which
+x lies on the bounding sphere of the tangent ball of parameter ``t * eps``.
+
+The kernel computes fraction-free (Bareiss 1968).  Each point caches its
+coordinates over one shared denominator, ``Point.scaled = (X, d)`` with
+x_i = X_i / d, and every squared distance is the integer
+
+    S = sum_i (X_i * e - Y_i * d)^2  =  |x - y|^2 * (d * e)^2
+
+for y = Y / e.  Ball and tangent-ball membership clear the remaining
+denominators and compare two integers; :func:`sq_dist`,
+:func:`tangent_gauge`, :func:`t_level` and :func:`inner_ball_radius` build
+one Fraction from integers at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence, Union
 
 Rat = Fraction
@@ -35,6 +49,13 @@ RatLike = Union[int, str, Fraction]
 
 class DimensionMismatch(ValueError):
     """Operands live in different dimensions."""
+
+
+def check_dimension(n: int) -> None:
+    """Refuse a session dimension n below 2, for which X_n has no boundary
+    coordinates: every module reads n - 1 of them."""
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
 
 
 def rat(value: RatLike) -> Fraction:
@@ -88,6 +109,17 @@ class Point:
     def boundary_coords(self) -> tuple[Fraction, ...]:
         return self.coords[:-1]
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """(X, d): the coordinates over one shared denominator d > 0, so
+        that coords[i] == X[i] / d.  Cached beside the field, so it changes
+        neither ``==``, ``hash`` nor the pickled state."""
+        d = lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (d // c.denominator) for c in self.coords), d
+
+    def __getstate__(self):
+        return {"coords": self.coords}
+
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coords]
 
@@ -125,17 +157,31 @@ def sq_dist_coords(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
     return sum(((a - b) * (a - b) for a, b in zip(p, q)), Fraction(0))
 
 
+def _sq_int(p: Point, q: Point) -> tuple[int, int, int]:
+    """(S, d_p, d_q) with |p - q|^2 == S / (d_p * d_q)^2, all integers."""
+    (ps, dp), (qs, dq) = p.scaled, q.scaled
+    return sum([(a * dq - b * dp) ** 2 for a, b in zip(ps, qs)]), dp, dq
+
+
+def _sq_frac(p: Point, q: Point) -> Fraction:
+    s, dp, dq = _sq_int(p, q)
+    return Fraction(s, (dp * dq) ** 2)
+
+
 def sq_dist(p: Point, q: Point) -> Fraction:
     """Squared Euclidean distance sum_i (p_i - q_i)^2, kept squared to stay rational."""
     _check_dims(p, q)
-    return sq_dist_coords(p.coords, q.coords)
+    return _sq_frac(p, q)
 
 
 def in_ball(x: Point, b: BallSpec) -> bool:
     """Strict membership in the Euclidean ball B(center, radius): sq_dist < radius^2.
 
     A topology.TangentBall is a BallSpec too but not this set: use ``contains``."""
-    return sq_dist(x, b.center) < b.radius * b.radius
+    _check_dims(x, b.center)
+    s, dx, dc = _sq_int(x, b.center)
+    r = b.radius
+    return s * r.denominator ** 2 < (r.numerator * dx * dc) ** 2
 
 
 def _check_tangency(a: Point) -> None:
@@ -160,7 +206,15 @@ def tangent_gauge(x: Point, a: Point) -> Fraction:
     """
     _check_dims(x, a)
     _check_tangency(a)
-    return sq_dist_coords(x.coords[:-1], a.coords[:-1]) + x.coords[-1] * x.coords[-1]
+    return _sq_frac(x, a)  # a_n = 0, so the gauge is |x - a|^2
+
+
+def _level_int(x: Point, a: Point, eps: Fraction) -> tuple[int, int]:
+    """(N, D) with t_level(x, a, eps) == N / D and D > 0, for interior x:
+    gauge / (2*eps*x_n) with every denominator cleared."""
+    _check_dims(x, a)
+    s, dx, da = _sq_int(x, a)
+    return s * eps.denominator, 2 * eps.numerator * x.scaled[0][-1] * dx * da * da
 
 
 def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
@@ -173,8 +227,10 @@ def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
     eps = _tangent_eps(a, eps)
     if x == a:
         return True
-    xn = x.coords[-1]
-    return xn > 0 and tangent_gauge(x, a) < 2 * eps * xn
+    if x.is_boundary:
+        return False
+    level_num, level_den = _level_int(x, a, eps)
+    return level_num < level_den
 
 
 def t_level(x: Point, a: Point, eps: RatLike) -> Fraction:
@@ -185,10 +241,9 @@ def t_level(x: Point, a: Point, eps: RatLike) -> Fraction:
     ball of parameter eps.  Undefined on the boundary hyperplane.
     """
     eps = _tangent_eps(a, eps)
-    xn = x.coords[-1]
-    if xn == 0:
+    if x.is_boundary:
         raise ValueError("level is undefined on the boundary hyperplane")
-    return tangent_gauge(x, a) / (2 * eps * xn)
+    return Fraction(*_level_int(x, a, eps))
 
 
 def separating_f(x: Point, a: Point, eps: RatLike) -> Fraction:
@@ -208,11 +263,14 @@ def inner_ball_radius(q: Point, b: BallSpec) -> Fraction:
     holds because r - d >= (r^2 - d^2)/(2r) for 0 <= d < r, and the formula
     avoids the irrational d itself.
     """
-    d2 = sq_dist(q, b.center)
-    r = b.radius
-    if d2 >= r * r:
+    _check_dims(q, b.center)
+    s, dq, dc = _sq_int(q, b.center)
+    rn, rd = b.radius.numerator, b.radius.denominator
+    den = (dq * dc) ** 2  # d^2 = s / den and r^2 = rn^2 / rd^2
+    gap = rn * rn * den - s * rd * rd
+    if gap <= 0:
         raise ValueError("point is not strictly inside the ball")
-    return (r * r - d2) / (2 * r)
+    return Fraction(gap, 2 * rn * rd * den)
 
 
 def tangent_sphere_point(a: Point, eps: RatLike, direction: Sequence[RatLike]) -> Point:

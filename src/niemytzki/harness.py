@@ -23,7 +23,6 @@ rationals keep denominators at or below 10^4 to bound bignum growth.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from typing import Callable, Iterator
 
 from .geometry import (
     Point,
+    check_dimension,
     in_ball,
     in_tangent_ball,
     separating_f,
@@ -88,8 +88,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
-        if self.dimension < 2:
-            raise ValueError("dimension must be at least 2")
+        check_dimension(self.dimension)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,8 @@ class SuiteResult:
 def _rand_rat(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     for _ in range(64):
         den = rng.randint(1, DENOMINATOR_CAP)
-        a, b = math.ceil(lo * den), math.floor(hi * den)
+        a = -(-lo.numerator * den // lo.denominator)  # ceil(lo * den)
+        b = hi.numerator * den // hi.denominator  # floor(hi * den)
         if a <= b:
             return Fraction(rng.randint(a, b), den)
     raise SamplingError(f"no rational found in [{lo}, {hi}]")
@@ -180,10 +180,7 @@ def _tangent_interior_point(rng: random.Random, anchor: Point, eps: Fraction) ->
         ] + [_rand_rat_open(rng, Fraction(0), 2 * eps)]
         return translate(anchor, offsets)
 
-    def accept(x: Point) -> bool:
-        return tangent_gauge(x, anchor) < 2 * eps * x.coords[-1]
-
-    return _rejection(draw, accept)
+    return _rejection(draw, lambda x: in_tangent_ball(x, anchor, eps))
 
 
 # --- sample streams ----------------------------------------------------------------

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import DimensionMismatch, sq_dist_coords
+from .geometry import DimensionMismatch, check_dimension, sq_dist_coords
 from .trivalent import Verdict, all3, any3
 
 IN = Verdict.TRUE
@@ -278,8 +278,22 @@ def to_text(e: SetExpr) -> str:
 
 
 def _complement_text(e: Complement) -> str:
-    body = _TEXT[type(e.body)](e.body)
-    return f"!({body})" if type(e.body) in (Union, Inter) else f"!{body}"
+    return _negated(e.body, _TEXT[type(e.body)](e.body))
+
+
+def _negated(body: SetExpr, text: str) -> str:
+    """The text of Complement(body), given the text of body."""
+    return f"!({text})" if type(body) in (Union, Inter) else f"!{text}"
+
+
+def complement_text(e: SetExpr, text: str) -> str:
+    """``to_text(complement(e))`` for a normal e whose text is ``text``,
+    read off that text instead of printing the tree again."""
+    if type(e) is Complement:
+        return text[2:-1] if type(e.body) in (Union, Inter) else text[1:]
+    if type(e) in (All, Empty):
+        return to_text(complement(e))
+    return _negated(e, text)
 
 
 def _inter_text(e: Inter) -> str:
@@ -489,8 +503,7 @@ def parse(text: str, dimension: int = 2) -> SetExpr:
     Raises :class:`ParseError` with a byte offset on syntax errors and on
     coordinate groups whose arity differs from dimension - 1.
     """
-    if dimension < 2:
-        raise ValueError("dimension must be at least 2")
+    check_dimension(dimension)
     return _Parser(text, dimension).parse()
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
 from .descriptive import DescClass, SoundnessError, infer_normal
+from .geometry import check_dimension
 from .setdsl import (
     All,
     Bernstein,
@@ -52,6 +53,7 @@ from .setdsl import (
     SinglePoint,
     Union,
     complement,
+    complement_text,
     normalize_for,
     parse,
     to_text,
@@ -218,12 +220,13 @@ _COROLLARY_ROWS: tuple[tuple[object, str, str, dict[str, Verdict]], ...] = (
 
 def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     """Full property report for (X_n, tau(A)) and its boundary subspace."""
-    if dimension < 2:
-        raise ValueError("dimension must be at least 2")
+    check_dimension(dimension)
     e = parse(expr, dimension) if isinstance(expr, str) else normalize_for(expr, dimension)
     desc = infer_normal(e)
     comp = complement(e)
     comp_desc = infer_normal(comp)
+    text = to_text(e)
+    comp_text = complement_text(e, text)
 
     trace: list[TraceStep] = []
     settled: dict[str, Verdict] = {}  # every verdict, under its public name
@@ -291,7 +294,7 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
             "AX-bernstein",
             CIT_BERNSTEIN_COMPACTA,
             quadruple,
-            {"complement": to_text(comp)},
+            {"complement": comp_text},
             pivot.value,
         )
     step(
@@ -299,7 +302,7 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
         CIT_LINDELOF_LEMMA,
         quadruple,
         {
-            "complement": to_text(comp),
+            "complement": comp_text,
             "contains_closed_uncountable(complement)": pivot.value,
         },
         pivot.value,
@@ -382,7 +385,7 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     )
 
     report = PropertyReport(
-        space=to_text(e),
+        space=text,
         dimension=dimension,
         properties={name: settled[name] for name in PROPERTY_ORDER},
         dim=dim_value,

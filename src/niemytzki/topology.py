@@ -34,6 +34,7 @@ from .geometry import (
     DimensionMismatch,
     Point,
     RatLike,
+    check_dimension,
     in_ball,
     in_tangent_ball,
     inner_ball_radius,
@@ -42,7 +43,7 @@ from .geometry import (
     tangent_gauge,
     translate,
 )
-from .setdsl import IN, UNKNOWN, All, Empty, SetExpr, member, normalize_for, to_text
+from .setdsl import IN, UNKNOWN, All, Empty, SetExpr, member, normalize_for, parse, to_text
 
 
 class UndecidableMembership(RuntimeError):
@@ -51,15 +52,20 @@ class UndecidableMembership(RuntimeError):
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """One of the topologies tau(A) on X_n, A given as a set expression."""
+    """One of the topologies tau(A) on X_n, A given as a set expression.
+
+    Text is parsed, which normalizes it and checks every arity once; a tree
+    built in Python is normalized and checked by ``normalize_for``."""
 
     dimension: int
     boundary_set: SetExpr
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise ValueError("dimension must be at least 2")
-        object.__setattr__(self, "boundary_set", normalize_for(self.boundary_set, self.dimension))
+        check_dimension(self.dimension)
+        a, n = self.boundary_set, self.dimension
+        object.__setattr__(
+            self, "boundary_set", parse(a, n) if isinstance(a, str) else normalize_for(a, n)
+        )
 
     @staticmethod
     def euclidean(dimension: int) -> "TopologySpec":
@@ -70,7 +76,7 @@ class TopologySpec:
         return TopologySpec(dimension, Empty())
 
     @staticmethod
-    def modified(boundary_set: SetExpr, dimension: int) -> "TopologySpec":
+    def modified(boundary_set: SetExpr | str, dimension: int) -> "TopologySpec":
         return TopologySpec(dimension, boundary_set)
 
     @property

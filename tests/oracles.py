@@ -46,3 +46,47 @@ def cantor_brute(x: Fraction) -> bool:
         alternative = digits[:last] + [digits[last] - 1]
         return all(d != 1 for d in alternative)
     return False
+
+
+# --- the rational kernel, straight from its definitions --------------------
+# Points are plain coordinate tuples here; nothing below reads geometry.
+
+
+def sq_dist_ref(p, q) -> Fraction:
+    """|p - q|^2."""
+    return sum(((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q)), Fraction(0))
+
+
+def gauge_ref(x, a) -> Fraction:
+    """sum_{i<n} (x_i - a_i)^2 + x_n^2."""
+    return sq_dist_ref(x[:-1], a[:-1]) + Fraction(x[-1]) ** 2
+
+
+def in_ball_ref(x, center, radius) -> bool:
+    """x in the open Euclidean ball B(center, radius)."""
+    return sq_dist_ref(x, center) < Fraction(radius) ** 2
+
+
+def in_tangent_ball_ref(x, a, eps) -> bool:
+    """x in {a} ∪ B(a(eps), eps), with a(eps) = (a_1, ..., a_{n-1}, eps)."""
+    return tuple(x) == tuple(a) or in_ball_ref(x, tuple(a[:-1]) + (eps,), eps)
+
+
+def level_ref(x, a, eps) -> Fraction:
+    """The t with gauge(x, a) == 2 * t * eps * x_n."""
+    return gauge_ref(x, a) / (2 * Fraction(eps) * Fraction(x[-1]))
+
+
+def separating_ref(x, a, eps) -> Fraction:
+    """0 at a, 1 elsewhere on the boundary, min(level, 1) in the interior."""
+    if tuple(x) == tuple(a):
+        return Fraction(0)
+    if x[-1] == 0:
+        return Fraction(1)
+    return min(level_ref(x, a, eps), Fraction(1))
+
+
+def inner_radius_ref(q, center, radius) -> Fraction:
+    """(r^2 - |q - center|^2) / (2r)."""
+    r = Fraction(radius)
+    return (r * r - sq_dist_ref(q, center)) / (2 * r)

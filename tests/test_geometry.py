@@ -1,4 +1,5 @@
 import json
+import pickle
 import time
 from fractions import Fraction as Fr
 
@@ -19,6 +20,16 @@ from niemytzki.geometry import (
     t_level,
     tangent_gauge,
     tangent_sphere_point,
+)
+from niemytzki.topology import HalfBall, TangentBall, contains
+from oracles import (
+    gauge_ref,
+    in_ball_ref,
+    in_tangent_ball_ref,
+    inner_radius_ref,
+    level_ref,
+    separating_ref,
+    sq_dist_ref,
 )
 
 
@@ -261,3 +272,142 @@ def test_inner_ball_containment_property(qx, qy, wx, wy):
     y = P(q.coords[0] + scale * wx, q.coords[1] + scale * wy)
     assert sq_dist(y, q) < delta * delta
     assert in_ball(y, b)
+
+
+class TestScaledForm:
+    def test_numerators_over_the_least_common_denominator(self):
+        p = P("1/6", "-3/4", 2)
+        assert p.scaled == ((2, -9, 24), 12)
+        numerators, d = p.scaled
+        assert tuple(Fr(x, d) for x in numerators) == p.coords
+        assert Point.boundary(0).scaled == ((0, 0), 1)
+
+    def test_the_cache_is_not_part_of_the_value(self):
+        fresh, cached = P("22/7", "-1/3", "355/113"), P("22/7", "-1/3", "355/113")
+        cached.scaled
+        assert "scaled" in vars(cached) and "scaled" not in vars(fresh)
+        assert fresh == cached and hash(fresh) == hash(cached)
+        assert fresh.to_json() == cached.to_json()
+        assert pickle.dumps(fresh) == pickle.dumps(cached)
+        restored = pickle.loads(pickle.dumps(cached))
+        assert restored == fresh and restored.scaled == cached.scaled
+
+
+class TestKernelContracts:
+    """The errors of the kernel, and the order in which its checks raise."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: sq_dist(P(0, 1), P(0, 0, 1)),
+        lambda: tangent_gauge(P(0, 1), Point.boundary(0, 0)),
+        lambda: in_ball(P(0, 1), BallSpec(P(0, 0, 1), 1)),
+        lambda: in_tangent_ball(P(0, 1), Point.boundary(0, 0), 1),
+        lambda: t_level(P(0, 1), Point.boundary(0, 0), 1),
+        lambda: separating_f(P(0, 1), Point.boundary(0, 0), 1),
+        lambda: inner_ball_radius(P(0, 1), BallSpec(P(0, 0, 1), 1)),
+    ], ids=["sq_dist", "gauge", "in_ball", "in_tangent_ball", "t_level",
+            "separating_f", "inner_ball_radius"])
+    def test_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch, match="dimension 2 vs 3"):
+            call()
+
+    def test_boundary_short_cuts_come_before_the_dimension_check(self):
+        a = Point.boundary(0, 0)
+        assert not in_tangent_ball(Point.boundary(1), a, 1)
+        assert separating_f(Point.boundary(1), a, 1) == 1
+        with pytest.raises(ValueError, match="undefined on the boundary"):
+            t_level(Point.boundary(1), a, 1)
+
+    def test_parameter_and_tangency_come_first(self):
+        with pytest.raises(ValueError, match="parameter must be positive"):
+            in_tangent_ball(P(0, 1), Point.boundary(0, 0), 0)
+        with pytest.raises(ValueError, match="boundary hyperplane"):
+            t_level(P(0, 1), P(0, 0, 1), 1)
+        with pytest.raises(ValueError, match="boundary hyperplane"):
+            tangent_gauge(P(0, 1), P(0, 1))
+
+    def test_inner_radius_refuses_the_sphere_and_beyond(self):
+        b = BallSpec(P(0, 1), Fr(1, 3))
+        for q in (P("1/3", 1), P(0, "2/3"), P(5, 5)):
+            with pytest.raises(ValueError, match="not strictly inside"):
+                inner_ball_radius(q, b)
+
+
+_DEN = 10**6
+_coordinate = st.fractions(min_value=-50, max_value=50, max_denominator=_DEN)
+_positive = st.fractions(min_value=Fr(1, _DEN), max_value=50, max_denominator=_DEN)
+_height = st.one_of(st.just(Fr(0)), _positive)
+
+
+@st.composite
+def _kernel_case(draw):
+    """(x, a, eps, center, radius) in X_n, n = 2..5: a is a boundary anchor;
+    x is free, on the boundary, the anchor itself or on the tangent sphere;
+    the ball B(center, radius) may pass through x."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    head = st.lists(_coordinate, min_size=n - 1, max_size=n - 1)
+    a = Point.boundary(*draw(head))
+    eps = draw(_positive)
+    kind = draw(st.sampled_from(["free", "boundary", "anchor", "sphere"]))
+    if kind == "free":
+        x = Point(tuple(draw(head)) + (draw(_height),))
+    elif kind == "boundary":
+        x = Point.boundary(*draw(head))
+    elif kind == "anchor":
+        x = a
+    else:
+        direction = tuple(draw(st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1)))
+        x = tangent_sphere_point(a, eps, direction + (draw(st.integers(1, 9)),))
+    center = Point(tuple(draw(head)) + (draw(_height),))
+    if draw(st.booleans()):
+        # x on the sphere of B(center, radius)
+        shift = draw(_positive)
+        center = Point((x.coords[0] + shift,) + x.coords[1:])
+        radius = shift
+    else:
+        radius = draw(_positive)
+    return x, a, eps, center, radius
+
+
+def _same(got, want):
+    assert type(got) is type(want) and got == want, (got, want)
+
+
+@given(_kernel_case())
+def test_kernel_equals_the_oracle(case):
+    x, a, eps, center, radius = case
+    xs, cs, anchor = x.coords, center.coords, a.coords
+    ball = BallSpec(center, radius)
+    _same(sq_dist(x, center), sq_dist_ref(xs, cs))
+    _same(tangent_gauge(x, a), gauge_ref(xs, anchor))
+    _same(in_ball(x, ball), in_ball_ref(xs, cs, radius))
+    _same(in_tangent_ball(x, a, eps), in_tangent_ball_ref(xs, anchor, eps))
+    _same(contains(TangentBall(a, eps), x), in_tangent_ball_ref(xs, anchor, eps))
+    if center.is_boundary:
+        _same(contains(HalfBall(center, radius), x), in_ball_ref(xs, cs, radius))
+    _same(separating_f(x, a, eps), separating_ref(xs, anchor, eps))
+    if x.is_boundary:
+        with pytest.raises(ValueError):
+            t_level(x, a, eps)
+    else:
+        _same(t_level(x, a, eps), level_ref(xs, anchor, eps))
+    if in_ball_ref(xs, cs, radius):
+        _same(inner_ball_radius(x, ball), inner_radius_ref(xs, cs, radius))
+    else:
+        with pytest.raises(ValueError):
+            inner_ball_radius(x, ball)
+
+
+def test_every_entry_point_refuses_dimension_one(capsys):
+    from niemytzki.cli import main
+    from niemytzki.harness import SuiteConfig
+    from niemytzki.setdsl import All, parse
+    from niemytzki.theorems import classify
+    from niemytzki.topology import TopologySpec
+
+    for call in (lambda: SuiteConfig("S1", dimension=1), lambda: parse("cantor", 1),
+                 lambda: classify("cantor", 1), lambda: TopologySpec(1, All()),
+                 lambda: geometry.check_dimension(1)):
+        with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+            call()
+    assert main(["classify", "--dimension", "1", "--set", "cantor"]) == 1
+    assert capsys.readouterr().err == "error: dimension must be at least 2\n"

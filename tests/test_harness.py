@@ -1,9 +1,14 @@
+import math
+from fractions import Fraction as Fr
+
 import pytest
 
 from niemytzki.harness import (
+    DENOMINATOR_CAP,
     SamplingError,
     SuiteConfig,
     UnknownSuite,
+    _rand_rat,
     _rejection,
     generate_samples,
     run_suite,
@@ -35,6 +40,30 @@ class TestSampling:
         for sample in generate_samples(cfg):
             a, eps, x = sample["anchor"], sample["eps"], sample["x"]
             assert tangent_gauge(x, a) < 2 * eps * x.coords[-1]
+
+    @pytest.mark.parametrize("lo, hi", [
+        (Fr(-2), Fr(2)), (Fr(-7, 3), Fr(-1, 3)), (Fr(0), Fr(5, 7)), (Fr(-5, 7), Fr(0)),
+        (Fr(1, 4), Fr(1, 2)), (Fr(-1, 10_000), Fr(1, 10_000)), (-3, 3),
+    ])
+    @pytest.mark.parametrize("den", [1, 3, 7, 12, 9_999, DENOMINATOR_CAP])
+    def test_rational_bounds_are_ceil_and_floor(self, lo, hi, den):
+        # den 1, 7, 12 and 10^4 make lo*den and hi*den exact integers for
+        # the integer, seventh, third or quarter, and 1/10^4 bounds
+        calls = []
+
+        class Scripted:
+            def randint(self, a, b):
+                calls.append((a, b))
+                return den if (a, b) == (1, DENOMINATOR_CAP) else a
+
+        a, b = math.ceil(lo * den), math.floor(hi * den)
+        if a > b:
+            with pytest.raises(SamplingError):
+                _rand_rat(Scripted(), lo, hi)
+            assert calls == [(1, DENOMINATOR_CAP)] * 64
+        else:
+            assert _rand_rat(Scripted(), lo, hi) == Fr(a, den)
+            assert calls == [(1, DENOMINATOR_CAP), (a, b)]
 
     def test_exhausted_rejection_raises(self):
         with pytest.raises(SamplingError):

@@ -26,6 +26,7 @@ from niemytzki.setdsl import (
     Union,
     _Parser,
     complement,
+    complement_text,
     find_witness,
     in_cantor,
     join,
@@ -120,6 +121,12 @@ class TestSmartConstructors:
     def test_complement_matches_normalize(self):
         for e, _ in _seeded_corpus():
             assert complement(e) == normalize(Complement(e))
+
+    def test_complement_text_matches_printing_the_complement(self):
+        extra = [All(), Empty(), Complement(Cantor()), parse("!(cantor | lattice)"),
+                 parse("!(cantor & !lattice) & rationals")]
+        for e in [e for e, _ in _seeded_corpus()] + extra:
+            assert complement_text(e, to_text(e)) == to_text(complement(e))
 
     def test_gap_matches_normalize(self):
         corpus = _seeded_corpus()

@@ -4,7 +4,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from niemytzki.geometry import BallSpec, Point, in_ball, tangent_gauge, tangent_sphere_point
-from niemytzki.setdsl import parse
+from niemytzki import setdsl
+from niemytzki.setdsl import ParseError, parse
 from niemytzki.topology import (
     BlockingNeighborhood,
     ConvergenceVerdict,
@@ -37,6 +38,21 @@ class TestTopologySpec:
 
     def test_kind_of_a_proper_modification(self):
         assert TopologySpec.modified(parse("cantor"), 2).kind == "modified"
+
+    def test_text_is_normalized_once(self, monkeypatch):
+        text = "cantor | point(1/2) | cball(3;1)"
+        calls = {"_normal": 0, "_arities": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(setdsl, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(setdsl, name, counted)
+        spec = TopologySpec.modified(text, 2)
+        assert calls == {"_normal": 4, "_arities": 0}  # one per node, no arity walk
+        monkeypatch.undo()
+        assert spec == TopologySpec.modified(parse(text), 2)
+        with pytest.raises(ParseError):
+            TopologySpec.modified("point(1,2)", 2)
 
 
 class TestBasicOpenInvariants:
