@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .geometry import DimensionMismatch, sq_dist_coords
+from .geometry import DimensionMismatch, sq_dist_sign
 from .setdsl import (
     All,
     Bernstein,
@@ -275,7 +275,7 @@ def _ball_within(c: tuple[Fraction, ...], r: Fraction, kind: type, b: SetExpr) -
     OpenBall) lies in the ball b."""
     # strict only for a closed ball inside an open one
     within = WITHIN[type(b) if kind is ClosedBall else ClosedBall]
-    return within(r, b.radius) and within(sq_dist_coords(c, b.center), (b.radius - r) ** 2)
+    return within(r, b.radius) and within(sq_dist_sign(c, b.center, b.radius - r), 0)
 
 
 # Sound tests that the closed ball B[c, r] lies in the set e, and that it
@@ -296,15 +296,15 @@ _DISJOINT = NodeTable({
     # rationals are dense; a Bernstein set meets every closed ball (a ball
     # is an uncountable compactum)
     **dict.fromkeys((All, Rationals, Bernstein), lambda e, c, r: False),
-    SinglePoint: lambda e, c, r: sq_dist_coords(e.coords, c) > r * r,
-    FiniteSet: lambda e, c, r: all(sq_dist_coords(pt, c) > r * r for pt in e.points),
+    SinglePoint: lambda e, c, r: sq_dist_sign(e.coords, c, r) > 0,
+    FiniteSet: lambda e, c, r: all(sq_dist_sign(pt, c, r) > 0 for pt in e.points),
     # disjoint if along some axis the interval [c_i - r, c_i + r] holds no integer
     Lattice: lambda e, c, r: any(math.ceil(ci - r) > math.floor(ci + r) for ci in c),
     Cantor: lambda e, c, r: (_interval_misses_cantor(c[0] - r, c[0] + r)
                              or any(ci - r > 0 or ci + r < 0 for ci in c[1:])),
     # disjoint if the point of B[c, r] nearest the center lies outside the ball
     **dict.fromkeys((ClosedBall, OpenBall), lambda e, c, r: not WITHIN[type(e)](
-        sq_dist_coords(c, e.center), (r + e.radius) ** 2)),
+        sq_dist_sign(c, e.center, r + e.radius), 0)),
     Complement: lambda e, c, r: _INSIDE[type(e.body)](e.body, c, r),
     Union: lambda e, c, r: all(_DISJOINT[type(m)](m, c, r) for m in e.members),
     Inter: lambda e, c, r: any(_DISJOINT[type(m)](m, c, r) for m in e.members),

@@ -31,7 +31,10 @@ x_i = X_i / d, and every squared distance is the integer
 for y = Y / e.  Ball and tangent-ball membership clear the remaining
 denominators and compare two integers; :func:`sq_dist`,
 :func:`tangent_gauge`, :func:`t_level` and :func:`inner_ball_radius` build
-one Fraction from integers at the end.
+one Fraction from integers at the end.  The set language's balls use the
+same comparison: :func:`sq_dist_sign` brings two coordinate tuples to that
+form and returns the sign of |p - q|^2 - r^2, which ``setdsl.member`` and
+the ball tests of ``descriptive`` read.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+_Scaled = tuple[tuple[int, ...], int]
+
+
+def _scaled(coords: Sequence[Fraction]) -> _Scaled:
+    """(X, d): rational coordinates over one shared denominator d > 0, so
+    that coords[i] == X[i] / d."""
+    d = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (d // c.denominator) for c in coords), d
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of X_n: rational coordinates with the last one >= 0, n >= 2."""
@@ -110,12 +123,10 @@ class Point:
         return self.coords[:-1]
 
     @cached_property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """(X, d): the coordinates over one shared denominator d > 0, so
-        that coords[i] == X[i] / d.  Cached beside the field, so it changes
-        neither ``==``, ``hash`` nor the pickled state."""
-        d = lcm(*(c.denominator for c in self.coords))
-        return tuple(c.numerator * (d // c.denominator) for c in self.coords), d
+    def scaled(self) -> _Scaled:
+        """The coordinates' :func:`_scaled` form.  Cached beside the field,
+        so it changes neither ``==``, ``hash`` nor the pickled state."""
+        return _scaled(self.coords)
 
     def __getstate__(self):
         return {"coords": self.coords}
@@ -147,30 +158,40 @@ class BallSpec:
             raise ValueError("ball radius must be positive")
 
 
-def _check_dims(p: Point, q: Point) -> None:
-    if p.dimension != q.dimension:
-        raise DimensionMismatch(f"dimension {p.dimension} vs {q.dimension}")
+def _check_dims(p: Sequence[Fraction], q: Sequence[Fraction]) -> None:
+    if len(p) != len(q):
+        raise DimensionMismatch(f"dimension {len(p)} vs {len(q)}")
 
 
-def sq_dist_coords(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    """sum_i (p_i - q_i)^2 over paired coordinates of two rational tuples."""
-    return sum(((a - b) * (a - b) for a, b in zip(p, q)), Fraction(0))
-
-
-def _sq_int(p: Point, q: Point) -> tuple[int, int, int]:
+def _sq_int(p: _Scaled, q: _Scaled) -> tuple[int, int, int]:
     """(S, d_p, d_q) with |p - q|^2 == S / (d_p * d_q)^2, all integers."""
-    (ps, dp), (qs, dq) = p.scaled, q.scaled
+    (ps, dp), (qs, dq) = p, q
     return sum([(a * dq - b * dp) ** 2 for a, b in zip(ps, qs)]), dp, dq
 
 
-def _sq_frac(p: Point, q: Point) -> Fraction:
+def _sq_sign(p: _Scaled, q: _Scaled, r: Fraction) -> int:
+    """The sign (-1, 0 or 1) of |p - q|^2 - r^2, compared as integers."""
     s, dp, dq = _sq_int(p, q)
+    lhs, rhs = s * r.denominator ** 2, (r.numerator * dp * dq) ** 2
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def sq_dist_sign(p: Sequence[Fraction], q: Sequence[Fraction], r: Fraction) -> int:
+    """The sign of |p - q|^2 - r^2 for two rational coordinate tuples of one
+    arity: negative inside the open ball B(q, |r|), zero on its sphere.
+    Tuples of different arity raise DimensionMismatch."""
+    _check_dims(p, q)
+    return _sq_sign(_scaled(p), _scaled(q), r)
+
+
+def _sq_frac(p: Point, q: Point) -> Fraction:
+    s, dp, dq = _sq_int(p.scaled, q.scaled)
     return Fraction(s, (dp * dq) ** 2)
 
 
 def sq_dist(p: Point, q: Point) -> Fraction:
     """Squared Euclidean distance sum_i (p_i - q_i)^2, kept squared to stay rational."""
-    _check_dims(p, q)
+    _check_dims(p.coords, q.coords)
     return _sq_frac(p, q)
 
 
@@ -178,10 +199,8 @@ def in_ball(x: Point, b: BallSpec) -> bool:
     """Strict membership in the Euclidean ball B(center, radius): sq_dist < radius^2.
 
     A topology.TangentBall is a BallSpec too but not this set: use ``contains``."""
-    _check_dims(x, b.center)
-    s, dx, dc = _sq_int(x, b.center)
-    r = b.radius
-    return s * r.denominator ** 2 < (r.numerator * dx * dc) ** 2
+    _check_dims(x.coords, b.center.coords)
+    return _sq_sign(x.scaled, b.center.scaled, b.radius) < 0
 
 
 def _check_tangency(a: Point) -> None:
@@ -204,16 +223,15 @@ def tangent_gauge(x: Point, a: Point) -> Fraction:
     Comparing the gauge against 2*eps*x_n decides tangent-ball membership;
     the gauge equals 2*eps*x_n exactly on the bounding sphere.
     """
-    _check_dims(x, a)
+    _check_dims(x.coords, a.coords)
     _check_tangency(a)
     return _sq_frac(x, a)  # a_n = 0, so the gauge is |x - a|^2
 
 
 def _level_int(x: Point, a: Point, eps: Fraction) -> tuple[int, int]:
-    """(N, D) with t_level(x, a, eps) == N / D and D > 0, for interior x:
-    gauge / (2*eps*x_n) with every denominator cleared."""
-    _check_dims(x, a)
-    s, dx, da = _sq_int(x, a)
+    """(N, D) with t_level(x, a, eps) == N / D and D > 0, for interior x of
+    a's dimension: gauge / (2*eps*x_n) with every denominator cleared."""
+    s, dx, da = _sq_int(x.scaled, a.scaled)
     return s * eps.denominator, 2 * eps.numerator * x.scaled[0][-1] * dx * da * da
 
 
@@ -225,6 +243,7 @@ def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
     L_n exactly in its tangency point.
     """
     eps = _tangent_eps(a, eps)
+    _check_dims(x.coords, a.coords)
     if x == a:
         return True
     if x.is_boundary:
@@ -241,6 +260,7 @@ def t_level(x: Point, a: Point, eps: RatLike) -> Fraction:
     ball of parameter eps.  Undefined on the boundary hyperplane.
     """
     eps = _tangent_eps(a, eps)
+    _check_dims(x.coords, a.coords)
     if x.is_boundary:
         raise ValueError("level is undefined on the boundary hyperplane")
     return Fraction(*_level_int(x, a, eps))
@@ -250,10 +270,11 @@ def separating_f(x: Point, a: Point, eps: RatLike) -> Fraction:
     """The separating function of the tangent ball: 0 at a, the level inside,
     1 outside.  Always in [0, 1], and f(x) < s iff x lies in the tangent ball
     of parameter s*eps, for every s in (0, 1)."""
-    if not x.is_boundary:
-        return min(t_level(x, a, eps), Fraction(1))  # t_level checks eps
-    _tangent_eps(a, eps)
-    return Fraction(0) if x == a else Fraction(1)
+    eps = _tangent_eps(a, eps)
+    _check_dims(x.coords, a.coords)
+    if x.is_boundary:
+        return Fraction(0) if x == a else Fraction(1)
+    return min(Fraction(*_level_int(x, a, eps)), Fraction(1))
 
 
 def inner_ball_radius(q: Point, b: BallSpec) -> Fraction:
@@ -263,8 +284,8 @@ def inner_ball_radius(q: Point, b: BallSpec) -> Fraction:
     holds because r - d >= (r^2 - d^2)/(2r) for 0 <= d < r, and the formula
     avoids the irrational d itself.
     """
-    _check_dims(q, b.center)
-    s, dq, dc = _sq_int(q, b.center)
+    _check_dims(q.coords, b.center.coords)
+    s, dq, dc = _sq_int(q.scaled, b.center.scaled)
     rn, rd = b.radius.numerator, b.radius.denominator
     den = (dq * dc) ** 2  # d^2 = s / den and r^2 = rn^2 / rd^2
     gap = rn * rn * den - s * rd * rd

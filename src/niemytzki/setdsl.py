@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import DimensionMismatch, check_dimension, sq_dist_coords
+from .geometry import DimensionMismatch, check_dimension, sq_dist_sign
 from .trivalent import Verdict, all3, any3
 
 IN = Verdict.TRUE
@@ -153,8 +153,10 @@ class NodeTable(dict):
         raise TypeError(f"not a set expression: {kind.__name__}")
 
 
-# Whether a squared distance lies within a ball's squared radius: the one
-# comparison where a closed ball (<=) and an open ball (<) differ.
+# Whether a point lies within a ball, as WITHIN[kind](sign, 0) on the sign
+# of |p - q|^2 - r^2 from ``geometry.sq_dist_sign`` (and as WITHIN[kind](r, R)
+# between two radii): the one comparison where a closed ball (<=) and an
+# open ball (<) differ.
 WITHIN = {ClosedBall: operator.le, OpenBall: operator.lt}
 
 
@@ -577,8 +579,7 @@ def _finite_member(e: FiniteSet, p: tuple[Fraction, ...]) -> Verdict:
 
 
 def _ball_member(e: SetExpr, p: tuple[Fraction, ...]) -> Verdict:
-    d2 = sq_dist_coords(p, _checked(e.center, p))
-    return IN if WITHIN[type(e)](d2, e.radius * e.radius) else OUT
+    return IN if WITHIN[type(e)](sq_dist_sign(e.center, p, e.radius), 0) else OUT
 
 
 _MEMBER = NodeTable({

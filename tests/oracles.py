@@ -53,8 +53,9 @@ def cantor_brute(x: Fraction) -> bool:
 
 
 def sq_dist_ref(p, q) -> Fraction:
-    """|p - q|^2."""
-    return sum(((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q)), Fraction(0))
+    """|p - q|^2; tuples of different length raise ValueError."""
+    return sum(((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q, strict=True)),
+               Fraction(0))
 
 
 def gauge_ref(x, a) -> Fraction:
@@ -90,3 +91,30 @@ def inner_radius_ref(q, center, radius) -> Fraction:
     """(r^2 - |q - center|^2) / (2r)."""
     r = Fraction(radius)
     return (r * r - sq_dist_ref(q, center)) / (2 * r)
+
+
+# --- the set language's balls, from the same definitions -------------------
+# A ball is (center, radius, closed); B[c, r] is the closed ball.
+
+
+def ball_member_ref(p, center, radius, closed) -> bool:
+    """p in the closed ball B[center, radius], or in the open one."""
+    d2, r2 = sq_dist_ref(p, center), Fraction(radius) ** 2
+    return d2 <= r2 if closed else d2 < r2
+
+
+def ball_within_ref(c, r, closed, center, radius, outer_closed) -> bool:
+    """The ball (c, r) lies in the ball (center, radius): its farthest point
+    from the outer center is at distance |c - center| + r, so the test is
+    |c - center| <= radius - r, strict only for a closed ball in an open one."""
+    room = Fraction(radius) - Fraction(r)
+    if room < 0:
+        return False
+    d2 = sq_dist_ref(c, center)
+    return d2 < room ** 2 if closed and not outer_closed else d2 <= room ** 2
+
+
+def ball_disjoint_ref(c, r, center, radius, outer_closed) -> bool:
+    """B[c, r] misses the ball (center, radius): the point of B[c, r] nearest
+    the outer center is at distance |c - center| - r when that is positive."""
+    return not ball_member_ref(c, center, Fraction(radius) + Fraction(r), outer_closed)

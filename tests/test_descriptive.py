@@ -2,8 +2,12 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from niemytzki.descriptive import (
+    _DISJOINT,
+    _INSIDE,
     TopologyOrder,
     _pair_flags,
     compare_topologies,
@@ -11,6 +15,7 @@ from niemytzki.descriptive import (
     infer,
     subset,
 )
+from niemytzki.geometry import DimensionMismatch
 from niemytzki.setdsl import (
     All,
     Bernstein,
@@ -18,10 +23,13 @@ from niemytzki.setdsl import (
     ClosedBall,
     Complement,
     Empty,
+    FiniteSet,
     Inter,
+    OpenBall,
     Rationals,
     SinglePoint,
     Union,
+    member,
     normalize,
     parse,
     random_expr,
@@ -29,6 +37,7 @@ from niemytzki.setdsl import (
 from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
 
 import catalog
+from oracles import ball_disjoint_ref, ball_member_ref, ball_within_ref
 
 
 def V(flag: bool):
@@ -184,9 +193,92 @@ class TestSubset:
         assert subset(parse("cball(0;1)"), parse("cball(1/2;3/2)")) is TRUE
         assert subset(parse("cball(0;1)"), parse("oball(0;1/2)")) is FALSE
 
+    def test_balls_of_different_arity_are_refused(self):
+        # zip would pair the first coordinates only and call these nested
+        with pytest.raises(DimensionMismatch):
+            subset(parse("cball(0;1)"), parse("cball(0,0;2)", 3))
+
     def test_unprovable_is_unknown(self):
         # no rational witness can separate L_n from its rational points
         assert subset(All(), Rationals()) is UNKNOWN
+
+
+_DEN = 10**6
+_coordinate = st.fractions(min_value=-20, max_value=20, max_denominator=_DEN)
+_radius = st.fractions(min_value=Fr(1, _DEN), max_value=20, max_denominator=_DEN)
+
+
+@st.composite
+def _unit(draw, m):
+    """A rational unit vector of R^m: ± the inverse stereographic image of a
+    rational w in R^(m-1), (2w, |w|^2 - 1) / (|w|^2 + 1)."""
+    w = draw(st.lists(st.fractions(-5, 5, max_denominator=30), min_size=m - 1, max_size=m - 1))
+    n2 = sum((x * x for x in w), Fr(0))
+    sign = draw(st.sampled_from([1, -1]))
+    return tuple(sign * v / (n2 + 1) for v in [2 * x for x in w] + [n2 - 1])
+
+
+def _along(c, s, u):
+    return tuple(ci + s * ui for ci, ui in zip(c, u))
+
+
+@st.composite
+def _ball_case(draw):
+    """(c, r, C, R, p) in Q^m, m = 1..4: the closed ball B[c, r], the ball of
+    center C and radius R, and a point p.  The balls are free, internally
+    tangent (|c - C| = R - r) or externally tangent (|c - C| = R + r); p is
+    free, a center, or on the sphere of either ball."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    coords = st.lists(_coordinate, min_size=m, max_size=m).map(tuple)
+    C, R, r = draw(coords), draw(_radius), draw(_radius)
+    how = draw(st.sampled_from(["free", "internal", "external", "concentric"]))
+    if how == "free":
+        c = draw(coords)
+    elif how == "concentric":
+        c = C
+    else:
+        if how == "internal" and r > R:
+            r, R = R, r
+        c = _along(C, R - r if how == "internal" else R + r, draw(_unit(m)))
+    where = draw(st.sampled_from(["free", "center", "small sphere", "big sphere"]))
+    if where == "free":
+        p = draw(coords)
+    elif where == "center":
+        p = c
+    else:
+        p = _along(*((c, r) if where == "small sphere" else (C, R)), draw(_unit(m)))
+    return c, r, C, R, p
+
+
+@given(_ball_case())
+def test_ball_predicates_equal_the_oracle(case):
+    c, r, C, R, p = case
+    for kind in (ClosedBall, OpenBall):
+        closed = kind is ClosedBall
+        for center, radius in ((C, R), (c, r)):
+            want = ball_member_ref(p, center, radius, closed)
+            assert (member(kind(center, radius), p) is TRUE) == want
+        e = kind(C, R)
+        assert _INSIDE[kind](e, c, r) == ball_within_ref(c, r, True, C, R, closed)
+        assert _DISJOINT[kind](e, c, r) == ball_disjoint_ref(c, r, C, R, closed)
+        for inner in (ClosedBall, OpenBall):
+            want = ball_within_ref(c, r, inner is ClosedBall, C, R, closed)
+            assert (subset(inner(c, r), e, budget=20) is TRUE) == want
+    # B[c, r] holds no finite set and misses one iff it holds none of its points
+    points = (C, p)
+    assert not _INSIDE[SinglePoint](SinglePoint(p), c, r)
+    assert not _INSIDE[FiniteSet](FiniteSet(points), c, r)
+    assert _DISJOINT[SinglePoint](SinglePoint(p), c, r) == (not ball_member_ref(p, c, r, True))
+    assert _DISJOINT[FiniteSet](FiniteSet(points), c, r) == (
+        not any(ball_member_ref(q, c, r, True) for q in points))
+
+
+@pytest.mark.parametrize("e", [SinglePoint((Fr(0), Fr(5))), FiniteSet(((Fr(0), Fr(5)),)),
+                               ClosedBall((Fr(0), Fr(5)), Fr(1)), OpenBall((Fr(0), Fr(5)), Fr(1))],
+                         ids=["point", "finite", "cball", "oball"])
+def test_the_ball_rows_refuse_a_center_of_another_arity(e):
+    with pytest.raises(DimensionMismatch, match="dimension"):
+        _DISJOINT[type(e)](e, (Fr(0),), Fr(1))
 
 
 class TestCompareTopologies:

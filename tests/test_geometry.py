@@ -17,6 +17,7 @@ from niemytzki.geometry import (
     inner_ball_radius,
     separating_f,
     sq_dist,
+    sq_dist_sign,
     t_level,
     tangent_gauge,
     tangent_sphere_point,
@@ -310,12 +311,18 @@ class TestKernelContracts:
         with pytest.raises(DimensionMismatch, match="dimension 2 vs 3"):
             call()
 
-    def test_boundary_short_cuts_come_before_the_dimension_check(self):
-        a = Point.boundary(0, 0)
-        assert not in_tangent_ball(Point.boundary(1), a, 1)
-        assert separating_f(Point.boundary(1), a, 1) == 1
-        with pytest.raises(ValueError, match="undefined on the boundary"):
-            t_level(Point.boundary(1), a, 1)
+    def test_the_dimension_check_comes_before_the_boundary_short_cuts(self):
+        for call in (in_tangent_ball, t_level, separating_f):
+            for x in (Point.boundary(1), Point.boundary(0)):
+                with pytest.raises(DimensionMismatch, match="dimension 2 vs 3"):
+                    call(x, Point.boundary(0, 0), 1)
+
+    @pytest.mark.parametrize("p, q", [((Fr(0), Fr(5)), (Fr(0),)), ((), (Fr(1),)),
+                                      ((Fr(1),) * 3, (Fr(1),) * 2)])
+    def test_tuples_of_different_arity_are_refused(self, p, q):
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(DimensionMismatch, match=f"dimension {len(a)} vs {len(b)}"):
+                sq_dist_sign(a, b, Fr(1))
 
     def test_parameter_and_tangency_come_first(self):
         with pytest.raises(ValueError, match="parameter must be positive"):
