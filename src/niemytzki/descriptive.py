@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .geometry import DimensionMismatch, sq_dist_sign
+from .geometry import _sq_sign
 from .setdsl import (
     All,
     Bernstein,
@@ -270,44 +270,70 @@ def _interval_misses_cantor(lo: Fraction, hi: Fraction, depth: int = 0) -> bool:
     return False
 
 
-def _ball_within(c: tuple[Fraction, ...], r: Fraction, kind: type, b: SetExpr) -> bool:
-    """Whether the ball of center c, radius r and kind (ClosedBall or
-    OpenBall) lies in the ball b."""
+def _ball_within(a: SetExpr, b: SetExpr) -> bool:
+    """Whether the ball a lies in the ball b (each a ClosedBall or an OpenBall)."""
     # strict only for a closed ball inside an open one
-    within = WITHIN[type(b) if kind is ClosedBall else ClosedBall]
-    return within(r, b.radius) and within(sq_dist_sign(c, b.center, b.radius - r), 0)
+    within = WITHIN[type(b) if type(a) is ClosedBall else ClosedBall]
+    return (within(a.radius, b.radius)
+            and within(_sq_sign(a.scaled, b.scaled, b.radius - a.radius), 0))
 
 
-# Sound tests that the closed ball B[c, r] lies in the set e, and that it
-# misses e: one row per kind of node.
+def _union_inside(e: Union, b: ClosedBall) -> bool:
+    # no point holds a ball, and a ball that holds b has its center within
+    # R of b's along the first axis
+    index = e.index
+    if index.shapes:
+        index.check(b.center)
+        x = b.center[0]
+        if any(_ball_within(b, m) for m in index.balls_near(x, x)):
+            return True
+    return any(_INSIDE[type(m)](m, b) for m in index.others)
+
+
+def _union_disjoint(e: Union, b: ClosedBall) -> bool:
+    # a point or a ball that meets b meets the slab of b along the first axis
+    index = e.index
+    if index.shapes:
+        index.check(b.center)
+        lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
+        if not (all(_sq_sign(form, b.scaled, b.radius) > 0
+                    for form in index.points_between(lo, hi))
+                and all(_DISJOINT[type(m)](m, b) for m in index.balls_near(lo, hi))):
+            return False
+    return all(_DISJOINT[type(m)](m, b) for m in index.others)
+
+
+# Sound tests that the closed ball b = B[c, r], a ClosedBall, lies in the set
+# e, and that it misses e: one row per kind of node.
 _INSIDE = NodeTable({
-    All: lambda e, c, r: True,
+    All: lambda e, b: True,
     # none of these contains a ball of positive radius
     **dict.fromkeys((Empty, Rationals, Lattice, Cantor, Bernstein, SinglePoint, FiniteSet),
-                    lambda e, c, r: False),
-    **dict.fromkeys((ClosedBall, OpenBall), lambda e, c, r: _ball_within(c, r, ClosedBall, e)),
-    Complement: lambda e, c, r: _DISJOINT[type(e.body)](e.body, c, r),
-    Union: lambda e, c, r: any(_INSIDE[type(m)](m, c, r) for m in e.members),
-    Inter: lambda e, c, r: all(_INSIDE[type(m)](m, c, r) for m in e.members),
+                    lambda e, b: False),
+    **dict.fromkeys((ClosedBall, OpenBall), lambda e, b: _ball_within(b, e)),
+    Complement: lambda e, b: _DISJOINT[type(e.body)](e.body, b),
+    Union: _union_inside,
+    Inter: lambda e, b: all(_INSIDE[type(m)](m, b) for m in e.members),
 })
 
 _DISJOINT = NodeTable({
-    Empty: lambda e, c, r: True,
+    Empty: lambda e, b: True,
     # rationals are dense; a Bernstein set meets every closed ball (a ball
     # is an uncountable compactum)
-    **dict.fromkeys((All, Rationals, Bernstein), lambda e, c, r: False),
-    SinglePoint: lambda e, c, r: sq_dist_sign(e.coords, c, r) > 0,
-    FiniteSet: lambda e, c, r: all(sq_dist_sign(pt, c, r) > 0 for pt in e.points),
+    **dict.fromkeys((All, Rationals, Bernstein), lambda e, b: False),
+    SinglePoint: lambda e, b: _sq_sign(e.scaled, b.scaled, b.radius) > 0,
+    FiniteSet: lambda e, b: all(_sq_sign(form, b.scaled, b.radius) > 0 for form in e.scaled),
     # disjoint if along some axis the interval [c_i - r, c_i + r] holds no integer
-    Lattice: lambda e, c, r: any(math.ceil(ci - r) > math.floor(ci + r) for ci in c),
-    Cantor: lambda e, c, r: (_interval_misses_cantor(c[0] - r, c[0] + r)
-                             or any(ci - r > 0 or ci + r < 0 for ci in c[1:])),
+    Lattice: lambda e, b: any(math.ceil(ci - b.radius) > math.floor(ci + b.radius)
+                              for ci in b.center),
+    Cantor: lambda e, b: (_interval_misses_cantor(b.center[0] - b.radius, b.center[0] + b.radius)
+                          or any(ci - b.radius > 0 or ci + b.radius < 0 for ci in b.center[1:])),
     # disjoint if the point of B[c, r] nearest the center lies outside the ball
-    **dict.fromkeys((ClosedBall, OpenBall), lambda e, c, r: not WITHIN[type(e)](
-        sq_dist_sign(c, e.center, r + e.radius), 0)),
-    Complement: lambda e, c, r: _INSIDE[type(e.body)](e.body, c, r),
-    Union: lambda e, c, r: all(_DISJOINT[type(m)](m, c, r) for m in e.members),
-    Inter: lambda e, c, r: any(_DISJOINT[type(m)](m, c, r) for m in e.members),
+    **dict.fromkeys((ClosedBall, OpenBall), lambda e, b: not WITHIN[type(e)](
+        _sq_sign(b.scaled, e.scaled, b.radius + e.radius), 0)),
+    Complement: lambda e, b: _INSIDE[type(e.body)](e.body, b),
+    Union: _union_disjoint,
+    Inter: lambda e, b: any(_DISJOINT[type(m)](m, b) for m in e.members),
 })
 
 
@@ -340,10 +366,10 @@ _BALL_SEARCH_BUDGET = 1000
 
 
 def _closed_ball_witness(e: SetExpr, m: int) -> bool:
-    for center, radius in _candidate_balls(e, m)[:_BALL_SEARCH_BUDGET]:
-        if _INSIDE[type(e)](e, center, radius):
-            return True
-    return False
+    inside = _INSIDE[type(e)]
+    # each candidate is a leaf, so its center is scaled once for every test
+    return any(inside(e, ClosedBall(center, radius))
+               for center, radius in _candidate_balls(e, m)[:_BALL_SEARCH_BUDGET])
 
 
 # --- inference -----------------------------------------------------------------
@@ -455,7 +481,8 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     """Sound (never falsely True) structural subset test."""
     if a == b or isinstance(a, Empty) or isinstance(b, All):
         return True
-    if isinstance(b, Union) and any(_structural_subset(a, m) for m in b.members):
+    if isinstance(b, Union) and (a in b.index.members
+                                 or any(_structural_subset(a, m) for m in b.members)):
         return True
     if isinstance(a, Union) and all(_structural_subset(m, b) for m in a.members):
         return True
@@ -467,10 +494,7 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         return _structural_subset(b.body, a.body)
     pts = _point_list(a)
     if pts is not None:
-        try:
-            return all(member(b, p) is IN for p in pts)
-        except DimensionMismatch:  # pragma: no cover
-            return False
+        return all(member(b, p) is IN for p in pts)
     if isinstance(a, Lattice) and isinstance(b, Rationals):
         return True
     if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):
@@ -478,7 +502,7 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         rest = (Fraction(0),) * (len(b.center) - 1)
         return all(member(b, (end,) + rest) is IN for end in (Fraction(0), Fraction(1)))
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
-        return _ball_within(a.center, a.radius, type(a), b)
+        return _ball_within(a, b)
     return False
 
 

@@ -31,10 +31,9 @@ x_i = X_i / d, and every squared distance is the integer
 for y = Y / e.  Ball and tangent-ball membership clear the remaining
 denominators and compare two integers; :func:`sq_dist`,
 :func:`tangent_gauge`, :func:`t_level` and :func:`inner_ball_radius` build
-one Fraction from integers at the end.  The set language's balls use the
-same comparison: :func:`sq_dist_sign` brings two coordinate tuples to that
-form and returns the sign of |p - q|^2 - r^2, which ``setdsl.member`` and
-the ball tests of ``descriptive`` read.
+one Fraction from integers at the end.  The set language uses the same
+comparison, ``_sq_sign``, the sign of |p - q|^2 - r^2: its points and balls
+cache their scaled form as a Point does.
 """
 
 from __future__ import annotations
@@ -170,18 +169,12 @@ def _sq_int(p: _Scaled, q: _Scaled) -> tuple[int, int, int]:
 
 
 def _sq_sign(p: _Scaled, q: _Scaled, r: Fraction) -> int:
-    """The sign (-1, 0 or 1) of |p - q|^2 - r^2, compared as integers."""
+    """The sign (-1, 0 or 1) of |p - q|^2 - r^2, compared as integers.
+    Forms of different arity raise DimensionMismatch."""
+    _check_dims(p[0], q[0])
     s, dp, dq = _sq_int(p, q)
     lhs, rhs = s * r.denominator ** 2, (r.numerator * dp * dq) ** 2
     return (lhs > rhs) - (lhs < rhs)
-
-
-def sq_dist_sign(p: Sequence[Fraction], q: Sequence[Fraction], r: Fraction) -> int:
-    """The sign of |p - q|^2 - r^2 for two rational coordinate tuples of one
-    arity: negative inside the open ball B(q, |r|), zero on its sphere.
-    Tuples of different arity raise DimensionMismatch."""
-    _check_dims(p, q)
-    return _sq_sign(_scaled(p), _scaled(q), r)
 
 
 def _sq_frac(p: Point, q: Point) -> Fraction:
@@ -199,7 +192,6 @@ def in_ball(x: Point, b: BallSpec) -> bool:
     """Strict membership in the Euclidean ball B(center, radius): sq_dist < radius^2.
 
     A topology.TangentBall is a BallSpec too but not this set: use ``contains``."""
-    _check_dims(x.coords, b.center.coords)
     return _sq_sign(x.scaled, b.center.scaled, b.radius) < 0
 
 

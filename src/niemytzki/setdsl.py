@@ -33,8 +33,12 @@ Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
 primitive needs a row in each: ``_TEXT`` and ``_MEMBER`` here,
 ``_PRIMITIVE_AXIOMS``, ``_INSIDE`` and ``_DISJOINT`` in
-:mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in :mod:`niemytzki.theorems`,
-and, if it carries coordinates, the leaf-arity rule ``_COORDS``.
+:mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in :mod:`niemytzki.theorems`.
+A primitive that carries coordinates also needs the leaf-arity rule
+``_COORDS``, a cached ``scaled`` form of its coordinates, and a place in
+:class:`UnionIndex`: a union reads its coordinate leaves only through that
+index, sorted by first coordinate, so a leaf the index does not know is
+walked as one of its ``others`` on every query.
 """
 
 from __future__ import annotations
@@ -43,11 +47,13 @@ import itertools
 import operator
 import random
 import re
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import DimensionMismatch, check_dimension, sq_dist_sign
+from .geometry import DimensionMismatch, _check_dims, _Scaled, _scaled, _sq_sign, check_dimension
 from .trivalent import Verdict, all3, any3
 
 IN = Verdict.TRUE
@@ -61,6 +67,11 @@ class SetExpr:
     """Base class of boundary-set expressions."""
 
     __slots__ = ()
+
+    def __getstate__(self):
+        # the fields alone: what a node caches beside them (a scaled form, a
+        # union's index) is no part of its value
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -93,14 +104,27 @@ class Bernstein(SetExpr):
     """Symbolic Bernstein set: membership of individual points is unknowable."""
 
 
+# Each coordinate leaf caches the ``geometry._scaled`` form of its
+# coordinates as ``scaled``, beside its fields as ``Point.scaled`` is, so a
+# point is brought to integers once however many balls it is tested against.
+
 @dataclass(frozen=True)
 class SinglePoint(SetExpr):
     coords: tuple[Fraction, ...]
+
+    @cached_property
+    def scaled(self) -> _Scaled:
+        return _scaled(self.coords)
 
 
 @dataclass(frozen=True)
 class FiniteSet(SetExpr):
     points: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def scaled(self) -> tuple[_Scaled, ...]:
+        """One form per point, in order."""
+        return tuple(map(_scaled, self.points))
 
 
 @dataclass(frozen=True)
@@ -108,11 +132,19 @@ class ClosedBall(SetExpr):
     center: tuple[Fraction, ...]
     radius: Fraction
 
+    @cached_property
+    def scaled(self) -> _Scaled:
+        return _scaled(self.center)
+
 
 @dataclass(frozen=True)
 class OpenBall(SetExpr):
     center: tuple[Fraction, ...]
     radius: Fraction
+
+    @cached_property
+    def scaled(self) -> _Scaled:
+        return _scaled(self.center)
 
 
 @dataclass(frozen=True)
@@ -123,6 +155,10 @@ class Complement(SetExpr):
 @dataclass(frozen=True)
 class Union(SetExpr):
     members: tuple[SetExpr, ...]
+
+    @cached_property
+    def index(self) -> "UnionIndex":
+        return UnionIndex(self.members)
 
 
 @dataclass(frozen=True)
@@ -154,7 +190,7 @@ class NodeTable(dict):
 
 
 # Whether a point lies within a ball, as WITHIN[kind](sign, 0) on the sign
-# of |p - q|^2 - r^2 from ``geometry.sq_dist_sign`` (and as WITHIN[kind](r, R)
+# of |p - q|^2 - r^2 from ``geometry._sq_sign`` (and as WITHIN[kind](r, R)
 # between two radii): the one comparison where a closed ball (<=) and an
 # open ball (<) differ.
 WITHIN = {ClosedBall: operator.le, OpenBall: operator.lt}
@@ -547,55 +583,143 @@ def in_cantor(x: Fraction) -> bool:
     return True
 
 
+class UnionIndex:
+    """The members of one union, arranged so that a query reads only the
+    coordinate leaves it may touch (``Union.index``, built once per node).
+
+    The points of the union, its ``point`` members and the points of its
+    ``finite`` members, are in the set ``points`` by their scaled form, and
+    also sorted by first coordinate.  The closed and open balls are sorted
+    by the first coordinate c_1 of their centers; with R their largest
+    radius, ``ball_los`` and ``ball_his`` hold c_1 - R and c_1 + R, so
+    every ball that meets the slab lo <= x_1 <= hi has c_1 in
+    [lo - R, hi + R] and is found by bisection with no arithmetic.
+    ``shapes`` holds one coordinate group of each arity among these leaves.
+    Every other member, a leaf without coordinates included, is in
+    ``others``, in order.
+    """
+
+    def __init__(self, members: tuple[SetExpr, ...]):
+        self._members = members
+        points: list[tuple[tuple[Fraction, ...], _Scaled]] = []
+        balls: list[SetExpr] = []
+        others: list[SetExpr] = []
+        for m in members:
+            kind = type(m)
+            if kind in _COORDS and not all(_COORDS[kind](m)):
+                others.append(m)  # a group without coordinates has no first one
+            elif kind in WITHIN:
+                balls.append(m)
+            elif kind is SinglePoint:
+                points.append((m.coords, m.scaled))
+            elif kind is FiniteSet:
+                points.extend(zip(m.points, m.scaled))
+            else:
+                others.append(m)
+        points.sort(key=lambda pt: pt[0][0])
+        balls.sort(key=lambda b: b.center[0])
+        self.points = frozenset(form for _, form in points)
+        self.point_firsts = [coords[0] for coords, _ in points]
+        self.point_forms = [form for _, form in points]
+        reach = max((b.radius for b in balls), default=0)
+        self.balls = balls
+        self.ball_los = [b.center[0] - reach for b in balls]
+        self.ball_his = [b.center[0] + reach for b in balls]
+        groups = [coords for coords, _ in points] + [b.center for b in balls]
+        self.shapes = tuple({len(g): g for g in groups}.values())
+        self.others = tuple(others)
+
+    @cached_property
+    def members(self) -> frozenset[SetExpr]:
+        """Every member, as a set."""
+        return frozenset(self._members)
+
+    def check(self, coords: tuple[Fraction, ...]) -> None:
+        """Refuse coordinates whose arity is not every indexed leaf's."""
+        for group in self.shapes:
+            _check_dims(group, coords)
+
+    def points_between(self, lo: Fraction, hi: Fraction) -> list[_Scaled]:
+        """The scaled forms of the points with lo <= x_1 <= hi."""
+        firsts = self.point_firsts
+        return self.point_forms[bisect_left(firsts, lo):bisect_right(firsts, hi)]
+
+    def balls_near(self, lo: Fraction, hi: Fraction) -> list[SetExpr]:
+        """The balls with lo - R <= c_1 <= hi + R: every ball that meets the
+        slab lo <= x_1 <= hi."""
+        return self.balls[bisect_left(self.ball_his, lo):bisect_right(self.ball_los, hi)]
+
+    def member(self, q: SinglePoint) -> Verdict:
+        """Whether an indexed leaf holds the query point: one lookup among
+        the points, then the balls near it along the first axis."""
+        self.check(q.coords)
+        if q.scaled in self.points:
+            return IN
+        x = q.coords[0]
+        for b in self.balls_near(x, x):
+            if WITHIN[type(b)](_sq_sign(b.scaled, q.scaled, b.radius), 0):
+                return IN
+        return OUT
+
+
 def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
     """Three-valued membership of a boundary point (n-1 rational coordinates).
 
     A tree too deep to walk within the recursion limit raises ValueError,
     as in :func:`normalize`."""
     try:
-        return _MEMBER[type(e)](e, tuple(p))
+        # the rows read the query as a leaf, so it is scaled at most once
+        return _MEMBER[type(e)](e, SinglePoint(tuple(p)))
     except RecursionError:
         raise _too_deep() from None
 
 
-def _checked(coords: tuple[Fraction, ...], p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """A coordinate group of the set, once its arity is the query point's."""
-    if len(coords) != len(p):
-        raise DimensionMismatch(f"arity {len(coords)} in the set, {len(p)} in the query point")
-    return coords
-
-
-def _cantor_member(e: Cantor, p: tuple[Fraction, ...]) -> Verdict:
+def _cantor_member(e: Cantor, q: SinglePoint) -> Verdict:
+    p = q.coords
     if not p:
         raise DimensionMismatch("cantor needs at least one coordinate")
     rest_zero = all(c == 0 for c in p[1:])
     return IN if rest_zero and in_cantor(p[0]) else OUT
 
 
-def _finite_member(e: FiniteSet, p: tuple[Fraction, ...]) -> Verdict:
+def _point_member(e: SinglePoint, q: SinglePoint) -> Verdict:
+    _check_dims(e.coords, q.coords)
+    return IN if e.coords == q.coords else OUT
+
+
+def _finite_member(e: FiniteSet, q: SinglePoint) -> Verdict:
     for pt in e.points:
-        _checked(pt, p)
-    return IN if p in e.points else OUT
+        _check_dims(pt, q.coords)
+    return IN if q.coords in e.points else OUT
 
 
-def _ball_member(e: SetExpr, p: tuple[Fraction, ...]) -> Verdict:
-    return IN if WITHIN[type(e)](sq_dist_sign(e.center, p, e.radius), 0) else OUT
+def _ball_member(e: SetExpr, q: SinglePoint) -> Verdict:
+    return IN if WITHIN[type(e)](_sq_sign(e.scaled, q.scaled, e.radius), 0) else OUT
 
 
+def _union_member(e: Union, q: SinglePoint) -> Verdict:
+    index = e.index
+    verdicts = [_MEMBER[type(m)](m, q) for m in index.others]
+    if index.shapes:  # some member carries coordinates
+        verdicts.append(index.member(q))
+    return any3(verdicts)
+
+
+# Each row reads the query point q as a SinglePoint.
 _MEMBER = NodeTable({
-    Empty: lambda e, p: OUT,
-    All: lambda e, p: IN,
-    Rationals: lambda e, p: IN,  # every representable point has rational coordinates
-    Lattice: lambda e, p: IN if all(c.denominator == 1 for c in p) else OUT,
+    Empty: lambda e, q: OUT,
+    All: lambda e, q: IN,
+    Rationals: lambda e, q: IN,  # every representable point has rational coordinates
+    Lattice: lambda e, q: IN if all(c.denominator == 1 for c in q.coords) else OUT,
     Cantor: _cantor_member,
-    Bernstein: lambda e, p: UNKNOWN,
-    SinglePoint: lambda e, p: IN if _checked(e.coords, p) == p else OUT,
+    Bernstein: lambda e, q: UNKNOWN,
+    SinglePoint: _point_member,
     FiniteSet: _finite_member,
     ClosedBall: _ball_member,
     OpenBall: _ball_member,
-    Complement: lambda e, p: ~_MEMBER[type(e.body)](e.body, p),
-    Union: lambda e, p: any3(_MEMBER[type(m)](m, p) for m in e.members),
-    Inter: lambda e, p: all3(_MEMBER[type(m)](m, p) for m in e.members),
+    Complement: lambda e, q: ~_MEMBER[type(e.body)](e.body, q),
+    Union: _union_member,
+    Inter: lambda e, q: all3(_MEMBER[type(m)](m, q) for m in e.members),
 })
 
 

@@ -118,3 +118,60 @@ def ball_disjoint_ref(c, r, center, radius, outer_closed) -> bool:
     """B[c, r] misses the ball (center, radius): the point of B[c, r] nearest
     the outer center is at distance |c - center| - r when that is positive."""
     return not ball_member_ref(c, center, Fraction(radius) + Fraction(r), outer_closed)
+
+
+# --- unions of the set language's leaves, member by member ------------------
+# A member is ("point", p), ("finite", (p, ...)), ("cball", c, r),
+# ("oball", c, r), ("cantor",) or ("!cball", c, r), the complement of the
+# closed ball.  Nothing below reads the set language.
+
+
+def leaf_member_ref(leaf, p) -> bool:
+    kind = leaf[0]
+    if kind == "point":
+        return tuple(p) == tuple(leaf[1])
+    if kind == "finite":
+        return tuple(p) in map(tuple, leaf[1])
+    if kind in ("cball", "oball"):
+        return ball_member_ref(p, leaf[1], leaf[2], kind == "cball")
+    if kind == "cantor":
+        return cantor_brute(Fraction(p[0])) and all(c == 0 for c in p[1:])
+    return not ball_member_ref(p, leaf[1], leaf[2], True)
+
+
+def union_member_ref(members, p) -> bool:
+    return any(leaf_member_ref(leaf, p) for leaf in members)
+
+
+def leaf_holds_ball_ref(leaf, c, r) -> bool:
+    """B[c, r] lies in the leaf: never in a point, a finite set or the
+    Cantor set, which hold no ball."""
+    kind = leaf[0]
+    if kind in ("cball", "oball"):
+        return ball_within_ref(c, r, True, leaf[1], leaf[2], kind == "cball")
+    if kind == "!cball":
+        return ball_disjoint_ref(c, r, leaf[1], leaf[2], True)
+    return False
+
+
+def leaf_misses_ball_ref(leaf, c, r) -> bool:
+    """B[c, r] misses the leaf (the Cantor set is not covered)."""
+    kind = leaf[0]
+    if kind == "point":
+        return not ball_member_ref(leaf[1], c, r, True)
+    if kind == "finite":
+        return not any(ball_member_ref(q, c, r, True) for q in leaf[1])
+    if kind in ("cball", "oball"):
+        return ball_disjoint_ref(c, r, leaf[1], leaf[2], kind == "cball")
+    if kind == "!cball":
+        return ball_within_ref(c, r, True, leaf[1], leaf[2], True)
+    raise ValueError(f"no reference for {kind}")
+
+
+def union_holds_ball_ref(members, c, r) -> bool:
+    """Some member holds B[c, r]: what a sound test may read off a union."""
+    return any(leaf_holds_ball_ref(leaf, c, r) for leaf in members)
+
+
+def union_misses_ball_ref(members, c, r) -> bool:
+    return all(leaf_misses_ball_ref(leaf, c, r) for leaf in members)

@@ -198,6 +198,13 @@ class TestSubset:
         with pytest.raises(DimensionMismatch):
             subset(parse("cball(0;1)"), parse("cball(0,0;2)", 3))
 
+    def test_a_point_and_a_ball_of_different_arity_are_refused(self):
+        # in both orders, before the structural test and after it
+        point, ball = parse("point(0)"), parse("cball(0,0;1)", 3)
+        for a, b in ((point, ball), (ball, point)):
+            with pytest.raises(DimensionMismatch):
+                subset(a, b)
+
     def test_unprovable_is_unknown(self):
         # no rational witness can separate L_n from its rational points
         assert subset(All(), Rationals()) is UNKNOWN
@@ -259,17 +266,18 @@ def test_ball_predicates_equal_the_oracle(case):
             want = ball_member_ref(p, center, radius, closed)
             assert (member(kind(center, radius), p) is TRUE) == want
         e = kind(C, R)
-        assert _INSIDE[kind](e, c, r) == ball_within_ref(c, r, True, C, R, closed)
-        assert _DISJOINT[kind](e, c, r) == ball_disjoint_ref(c, r, C, R, closed)
+        assert _INSIDE[kind](e, ClosedBall(c, r)) == ball_within_ref(c, r, True, C, R, closed)
+        assert _DISJOINT[kind](e, ClosedBall(c, r)) == ball_disjoint_ref(c, r, C, R, closed)
         for inner in (ClosedBall, OpenBall):
             want = ball_within_ref(c, r, inner is ClosedBall, C, R, closed)
             assert (subset(inner(c, r), e, budget=20) is TRUE) == want
     # B[c, r] holds no finite set and misses one iff it holds none of its points
     points = (C, p)
-    assert not _INSIDE[SinglePoint](SinglePoint(p), c, r)
-    assert not _INSIDE[FiniteSet](FiniteSet(points), c, r)
-    assert _DISJOINT[SinglePoint](SinglePoint(p), c, r) == (not ball_member_ref(p, c, r, True))
-    assert _DISJOINT[FiniteSet](FiniteSet(points), c, r) == (
+    b = ClosedBall(c, r)
+    assert not _INSIDE[SinglePoint](SinglePoint(p), b)
+    assert not _INSIDE[FiniteSet](FiniteSet(points), b)
+    assert _DISJOINT[SinglePoint](SinglePoint(p), b) == (not ball_member_ref(p, c, r, True))
+    assert _DISJOINT[FiniteSet](FiniteSet(points), b) == (
         not any(ball_member_ref(q, c, r, True) for q in points))
 
 
@@ -278,7 +286,7 @@ def test_ball_predicates_equal_the_oracle(case):
                          ids=["point", "finite", "cball", "oball"])
 def test_the_ball_rows_refuse_a_center_of_another_arity(e):
     with pytest.raises(DimensionMismatch, match="dimension"):
-        _DISJOINT[type(e)](e, (Fr(0),), Fr(1))
+        _DISJOINT[type(e)](e, ClosedBall((Fr(0),), Fr(1)))
 
 
 class TestCompareTopologies:

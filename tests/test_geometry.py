@@ -12,12 +12,13 @@ from niemytzki.geometry import (
     BallSpec,
     DimensionMismatch,
     Point,
+    _scaled,
+    _sq_sign,
     in_ball,
     in_tangent_ball,
     inner_ball_radius,
     separating_f,
     sq_dist,
-    sq_dist_sign,
     t_level,
     tangent_gauge,
     tangent_sphere_point,
@@ -322,7 +323,7 @@ class TestKernelContracts:
     def test_tuples_of_different_arity_are_refused(self, p, q):
         for a, b in ((p, q), (q, p)):
             with pytest.raises(DimensionMismatch, match=f"dimension {len(a)} vs {len(b)}"):
-                sq_dist_sign(a, b, Fr(1))
+                _sq_sign(_scaled(a), _scaled(b), Fr(1))
 
     def test_parameter_and_tangency_come_first(self):
         with pytest.raises(ValueError, match="parameter must be positive"):

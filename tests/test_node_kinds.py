@@ -49,6 +49,27 @@ def test_member_refuses_a_leaf_of_another_arity(e):
         member(e, ZERO)
 
 
+# One message for the one arity rule, whichever kind of leaf breaks it.
+ARITY_MESSAGE = r"^dimension \d+ vs \d+$"
+ONE_COORD = {"point": SinglePoint(ZERO), "finite": FiniteSet((ZERO, (Fr(1),))),
+             "ball": ClosedBall(ZERO, Fr(1))}
+TWO = {"point": SinglePoint(TWO_COORDS), "finite": FiniteSet((TWO_COORDS, (Fr(1), Fr(1)))),
+       "ball": OpenBall(TWO_COORDS, Fr(1))}
+
+
+@pytest.mark.parametrize("kind", list(ONE_COORD))
+def test_one_message_for_a_leaf_of_another_arity(kind):
+    for e, p in ((ONE_COORD[kind], TWO_COORDS), (TWO[kind], ZERO),
+                 (Union((ONE_COORD[kind], Cantor())), TWO_COORDS)):
+        with pytest.raises(DimensionMismatch, match=ARITY_MESSAGE):
+            member(e, p)
+    for other in ONE_COORD.values():
+        for a, b in ((ONE_COORD[kind], TWO[kind]), (TWO[kind], ONE_COORD[kind]),
+                     (other, TWO[kind]), (TWO[kind], other)):
+            with pytest.raises(DimensionMismatch, match=ARITY_MESSAGE):
+                subset(a, b)
+
+
 def test_member_refuses_cantor_without_coordinates():
     with pytest.raises(DimensionMismatch):
         member(Cantor(), ())
@@ -87,8 +108,8 @@ def test_every_tree_operation_has_a_row_for_every_kind(kind):
     assert infer(e) == infer_normal(e)
     assert classify(e, 2).boundary_dim in (-1, 0, 1, None)
     for c, r in (((Fr(0),), Fr(1, 2)), ((Fr(9),), Fr(1))):
-        assert _INSIDE[type(e)](e, c, r) in (True, False)
-        assert _DISJOINT[type(e)](e, c, r) in (True, False)
+        assert _INSIDE[type(e)](e, ClosedBall(c, r)) in (True, False)
+        assert _DISJOINT[type(e)](e, ClosedBall(c, r)) in (True, False)
     assert arity(e) in (None, 1)
 
 

@@ -1,0 +1,215 @@
+"""The index of a union's coordinate leaves against plain-Fraction oracles,
+the cached scaled forms of the leaves, and how the witness searches grow
+with the width of a union."""
+
+import pickle
+import random
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from niemytzki import descriptive, geometry, setdsl
+from niemytzki.descriptive import (
+    _DISJOINT,
+    _INSIDE,
+    _candidate_balls,
+    _closed_ball_witness,
+    compare_topologies,
+    subset,
+)
+from niemytzki.geometry import DimensionMismatch
+from niemytzki.setdsl import (
+    IN,
+    OUT,
+    Cantor,
+    ClosedBall,
+    Complement,
+    FiniteSet,
+    OpenBall,
+    SinglePoint,
+    Union,
+    member,
+    parse,
+)
+from niemytzki.theorems import classify
+from niemytzki.trivalent import FALSE, TRUE
+
+from oracles import union_holds_ball_ref, union_member_ref, union_misses_ball_ref
+
+_DEN = 10**4
+_coordinate = st.fractions(min_value=-20, max_value=20, max_denominator=_DEN)
+_radius = st.fractions(min_value=Fr(1, _DEN), max_value=10, max_denominator=_DEN)
+
+
+def _shifted(center, d):
+    """The center moved by d along the first axis."""
+    return (center[0] + d,) + tuple(center[1:])
+
+
+@st.composite
+def _union_case(draw):
+    """(members, c, r, p) in Q^m, m = 1..3: a union as oracle tuples (see
+    tests/oracles.py), the closed ball B[c, r] and a query point p.
+
+    First coordinates come from a small pool holding c_1 and c_1 ± r, so
+    points repeat first coordinates and lie exactly on the sphere of
+    B[c, r]; balls are free, concentric with B[c, r] (of its radius or
+    not), or tangent to it from inside or outside along the first axis."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    coords = st.lists(_coordinate, min_size=m, max_size=m).map(tuple)
+    c, r = draw(coords), draw(_radius)
+    firsts = [c[0], c[0] - r, c[0] + r, draw(_coordinate), draw(_coordinate)]
+
+    def point():
+        rest = c[1:] if draw(st.booleans()) else draw(coords)[1:]
+        return (draw(st.sampled_from(firsts)),) + tuple(rest)
+
+    def ball():
+        R = draw(st.sampled_from([draw(_radius), r]))
+        how = draw(st.sampled_from(["free", "concentric", "outside", "inside"]))
+        sign = draw(st.sampled_from([1, -1]))
+        if how == "free":
+            return draw(coords), R
+        if how == "concentric":
+            return c, R
+        if how == "outside":
+            return _shifted(c, sign * (r + R)), R
+        R = r + draw(st.sampled_from([0, R]))
+        return _shifted(c, sign * (R - r)), R
+
+    members = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["point", "finite", "cball", "oball"]))
+        if kind == "point":
+            members.append(("point", point()))
+        elif kind == "finite":
+            members.append(("finite", tuple(point() for _ in range(draw(st.integers(1, 3))))))
+        else:
+            members.append((kind, *ball()))
+    other = draw(st.sampled_from(["cantor", "!cball"]))
+    members.insert(draw(st.integers(0, len(members))),
+                   ("cantor",) if other == "cantor" else ("!cball", *ball()))
+
+    sphere = [_shifted(leaf[1], s * leaf[2]) for leaf in members
+              if leaf[0] in ("cball", "oball", "!cball") for s in (1, -1)]
+    held = [leaf[1] for leaf in members if leaf[0] == "point"]
+    p = draw(st.sampled_from([c, _shifted(c, r), _shifted(c, -r), point(), draw(coords),
+                              *sphere, *held]))
+    return members, c, r, p
+
+
+def _node(leaf):
+    kind = leaf[0]
+    if kind == "point":
+        return SinglePoint(leaf[1])
+    if kind == "finite":
+        return FiniteSet(leaf[1])
+    if kind == "cantor":
+        return Cantor()
+    ball = (ClosedBall if kind != "oball" else OpenBall)(leaf[1], leaf[2])
+    return Complement(ball) if kind == "!cball" else ball
+
+
+@given(_union_case())
+def test_the_union_index_equals_the_oracle(case):
+    members, c, r, p = case
+    b = ClosedBall(c, r)
+    # the union, the union of its coordinate leaves alone, and each member
+    # alone, where it sets the largest radius
+    leaves = [leaf for leaf in members if leaf[0] not in ("cantor", "!cball")]
+    for part in (members, leaves, *([leaf] for leaf in members)):
+        v = Union(tuple(map(_node, part)))
+        assert (member(v, p) is IN) == union_member_ref(part, p)
+        assert _INSIDE[Union](v, b) == union_holds_ball_ref(part, c, r)
+        if ("cantor",) not in part:  # the Cantor row is a sound test, not exact
+            assert _DISJOINT[Union](v, b) == union_misses_ball_ref(part, c, r)
+    u = Union(tuple(map(_node, members)))
+    # a point or a finite set lies in the union, or one of its points is
+    # the witness of the gap
+    assert subset(SinglePoint(p), u, budget=20) is (
+        TRUE if union_member_ref(members, p) else FALSE)
+    pts = (p, c)
+    assert subset(FiniteSet(pts), u, budget=20) is (
+        TRUE if all(union_member_ref(members, q) for q in pts) else FALSE)
+    for node in u.members:
+        assert subset(node, u, budget=20) is TRUE
+
+
+def test_a_union_of_mixed_arity_is_refused():
+    with pytest.raises(DimensionMismatch):
+        member(Union((SinglePoint((Fr(1),)), SinglePoint((Fr(1), Fr(2))))), (Fr(1),))
+
+
+# --- the cached forms ----------------------------------------------------------
+
+def _leaves():
+    return [SinglePoint((Fr(1, 3), Fr(-2))), FiniteSet(((Fr(1, 3), Fr(-2)), (Fr(5, 7), Fr(0)))),
+            ClosedBall((Fr(1, 3), Fr(-2)), Fr(1, 2)), OpenBall((Fr(5, 7), Fr(0)), Fr(3))]
+
+
+@pytest.mark.parametrize("make", [_leaves, lambda: [Union(tuple(_leaves()))]],
+                         ids=["leaves", "union"])
+def test_the_caches_are_not_part_of_the_value(make):
+    for fresh, cached in zip(make(), make()):
+        name = "index" if type(cached) is Union else "scaled"
+        getattr(cached, name)
+        assert name in vars(cached) and name not in vars(fresh)
+        assert fresh == cached and hash(fresh) == hash(cached) and repr(fresh) == repr(cached)
+        assert pickle.dumps(fresh) == pickle.dumps(cached)
+        restored = pickle.loads(pickle.dumps(cached))
+        assert restored == fresh and name not in vars(restored)
+
+
+def test_each_point_is_scaled_once(monkeypatch):
+    # every ball is near the query along the first axis, and none holds it
+    u = Union(tuple(ClosedBall((Fr(i, 7), Fr(0)), Fr(2)) for i in range(5)))
+    p = (Fr(1, 3), Fr(3))
+    assert member(u, p) is OUT  # the balls' forms are cached from here on
+    calls = []
+    monkeypatch.setattr(setdsl, "_scaled", lambda coords: calls.append(coords)
+                        or geometry._scaled(coords))
+    assert member(u, p) is OUT and calls == [p]
+    # each candidate ball's center once, not once per ball of the union
+    calls.clear()
+    assert _closed_ball_witness(Complement(u), 2)
+    assert len(calls) <= len(_candidate_balls(Complement(u), 2))
+
+
+# --- growth with width -----------------------------------------------------------
+
+def _wide(k: int) -> tuple[str, str]:
+    """k distinct points on [0, k) and k/4 disjoint closed balls left of 0,
+    interleaved, and the union of the first half of them."""
+    rng = random.Random(k)
+    members = []
+    for i in range(k):
+        members.append(f"point({Fr(i) + Fr(rng.randint(0, 49), 50)})")
+        if i % 4 == 3:
+            members.append(f"cball({-3 - 3 * (i // 4)};{Fr(rng.randint(1, 4), 4)})")
+    return " | ".join(members), " | ".join(members[: len(members) // 2])
+
+
+def _comparisons(k: int, monkeypatch) -> int:
+    """Squared-distance comparisons of one cold classify and one compare."""
+    full, half = _wide(k)
+    count = [0]
+    kernel = geometry._sq_int
+
+    def counted(p, q):
+        count[0] += 1
+        return kernel(p, q)
+
+    descriptive._pair_flags.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_sq_int", counted)
+        classify(full, 2)
+        compare_topologies(parse(half, 2), parse(full, 2))
+    return count[0]
+
+
+def test_witness_searches_grow_near_linearly_with_width(monkeypatch):
+    # a full walk of the union per candidate made this ratio 12.5
+    ratio = _comparisons(800, monkeypatch) / _comparisons(200, monkeypatch)
+    assert ratio <= 5  # 4 is linear
