@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .descriptive import TopologyOrder, subset
+from .descriptive import TopologyOrder, subset_normal
 from .geometry import Point, check_dimension
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
 from .setdsl import IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
@@ -193,8 +193,8 @@ def _cmd_converge(args) -> int:
 def _cmd_compare(args) -> int:
     eA = parse(args.set_a, args.dimension)
     eB = parse(args.set_b, args.dimension)
-    fwd = subset(eA, eB, budget=args.budget, seed=args.seed)
-    rev = subset(eB, eA, budget=args.budget, seed=args.seed)
+    fwd = subset_normal(eA, eB, budget=args.budget, seed=args.seed)
+    rev = subset_normal(eB, eA, budget=args.budget, seed=args.seed)
     order = TopologyOrder.of(fwd, rev)
     payload = {
         "set_a": to_text(eA),

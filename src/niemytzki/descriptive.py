@@ -9,7 +9,9 @@ layer.
 
 The engine applies primitive axioms bottom-up, combines them over the
 boolean connectives, and then closes the flag record under a fixed list of
-implications valid in R^m, e.g.:
+implications valid in R^m.  A set's record is settled together with its
+complement's; a primitive's pair is settled once per kind, at import, since
+no primitive's flags depend on its coordinates.  The implications include:
 
   * closed or open  => both G_delta and F_sigma,
   * countable       => F_sigma and no closed uncountable subset,
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .geometry import _sq_sign
 from .setdsl import (
@@ -53,6 +54,7 @@ from .setdsl import (
     SinglePoint,
     Union,
     WITHIN,
+    _COORDS,
     arity,
     axis,
     complement,
@@ -164,9 +166,9 @@ _IMPLICATIONS: list[tuple[dict[str, Verdict], dict[str, Verdict]]] = [
 ]
 
 
-def _merge(flags: dict[str, Verdict], update: dict[str, Verdict], context: SetExpr) -> bool:
+def _merge(flags: dict[str, Verdict], update: dict[str, Verdict], context: object) -> bool:
     """Settle each Unknown flag that `update` decides; a decided flag that
-    disagrees is a contradiction.  Whether any flag changed."""
+    disagrees is a contradiction about `context`.  Whether any flag changed."""
     changed = False
     for name, want in update.items():
         if want is U:
@@ -182,7 +184,7 @@ def _merge(flags: dict[str, Verdict], update: dict[str, Verdict], context: SetEx
     return changed
 
 
-def _close(flags: dict[str, Verdict], context: SetExpr) -> dict[str, Verdict]:
+def _close(flags: dict[str, Verdict], context: object) -> dict[str, Verdict]:
     changed = True
     while changed:
         changed = False
@@ -223,30 +225,43 @@ _CONNECTIVE_RULES = {
 _SIDE = NodeTable({Union: 0, Inter: 1})  # which rule of the pair a connective reads
 
 
-_SWAP_PAIRS = (
-    ("countable", "co_countable"),
-    ("co_countable", "countable"),
-    ("closed", "open"),
-    ("open", "closed"),
-    ("g_delta", "f_sigma"),
-    ("f_sigma", "g_delta"),
-    ("equals_all", "equals_empty"),
-    ("equals_empty", "equals_all"),
-)
+# each flag of the complement that is a flag of the set, both ways round
+_SWAP_PAIRS = (("countable", "co_countable"), ("closed", "open"),
+               ("g_delta", "f_sigma"), ("equals_all", "equals_empty"))
 
 
 def _swap(inner: dict[str, Verdict]) -> dict[str, Verdict]:
     """Flags of the complement that follow directly from flags of the set."""
-    out = {dst: inner[src] for dst, src in _SWAP_PAIRS}
-    out["compact"] = U
-    out["contains_closed_uncountable"] = U
+    out = {dst: inner[src] for x, y in _SWAP_PAIRS for dst, src in ((x, y), (y, x))}
+    out["compact"] = out["contains_closed_uncountable"] = out["bounded"] = U
     if inner["bounded"] is T:
         out["bounded"] = F  # the complement contains the exterior of a ball
     elif inner["equals_all"] is T:
         out["bounded"] = T  # the complement is empty
-    else:
-        out["bounded"] = U
     return out
+
+
+def _exchange(a: dict[str, Verdict], b: dict[str, Verdict], key: object, ckey: object) -> None:
+    """Pass each of the records of a set (key) and of its complement (ckey)
+    through the swap into the other until neither changes."""
+    while _merge(a, _swap(b), key) | _merge(b, _swap(a), ckey):
+        _close(a, key)
+        _close(b, ckey)
+
+
+def _primitive_pair(kind: type) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
+    name = kind.__name__
+    a = _close(dict(_PRIMITIVE_AXIOMS[kind]), name)
+    # the complement of a Bernstein set is again a Bernstein set
+    b = _close(dict(a) if kind is Bernstein else _swap(a), f"!{name}")
+    _exchange(a, b, name, f"!{name}")
+    return a, b
+
+
+# The joint records of each kind of primitive and of its complement, settled
+# once: no primitive's flags depend on its coordinates, and each side decides
+# both flags a witness search could settle (a test holds this).
+_PRIMITIVE_PAIRS = {kind: _primitive_pair(kind) for kind in _PRIMITIVE_AXIOMS}
 
 
 # --- closed-ball witness search -------------------------------------------------
@@ -375,9 +390,7 @@ def _closed_ball_witness(e: SetExpr, m: int) -> bool:
 # --- inference -----------------------------------------------------------------
 
 def _combine_node(e: SetExpr) -> dict[str, Verdict]:
-    """Flags of a complement-free node from axioms and its children's records."""
-    if type(e) in _PRIMITIVE_AXIOMS:
-        return dict(_PRIMITIVE_AXIOMS[type(e)])
+    """Flags of a union or an intersection from its members' records."""
     side = _SIDE[type(e)]
     parts = list(map(_flags, e.members))  # no comprehension frame per level
     return {name: rules[side]([p[name] for p in parts])
@@ -388,11 +401,16 @@ def _point_witness(e: SetExpr, m: int) -> bool:
     return any(member(e, cand) is IN for cand in structural_candidates(e, m))
 
 
+# flag, the value a witness settles it to, the search for that witness
+_SEARCHES = (("contains_closed_uncountable", T, _closed_ball_witness),
+             ("equals_empty", F, _point_witness))
+
+
 # Bounded so a long session of fresh expressions cannot grow it without
 # limit; the benchmark's corpus and wide workloads stay well below it.
 @lru_cache(maxsize=2**14)
 def _pair_flags(key: SetExpr) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
-    """Joint records of a complement-free expression and of its complement.
+    """Joint records of a union or an intersection and of its complement.
 
     The two sides are closed together: anything either side learns (through
     its own rules, the ball-witness search, or a membership witness) flows
@@ -401,49 +419,24 @@ def _pair_flags(key: SetExpr) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
     """
     ckey = complement(key)
     a = _close(_combine_node(key), key)
-    if isinstance(key, Bernstein):
-        # the complement of a Bernstein set is again a Bernstein set
-        b = dict(_PRIMITIVE_AXIOMS[Bernstein])
-    else:
-        b = _swap(a)
-    b = _close(b, ckey)
-
+    b = _close(_swap(a), ckey)
+    _exchange(a, b, key, ckey)
     m = arity(key) or 1
-    # each side's searches run at most once, while their flag is Unknown:
-    # a search's answer is fixed, so a failed one is not worth repeating
-    searches = [
-        (flags, expr, name, found, witness)
-        for flags, expr in ((a, key), (b, ckey))
-        for name, found, witness in (
-            ("contains_closed_uncountable", T, _closed_ball_witness),
-            ("equals_empty", F, _point_witness),
-        )
-    ]
-    changed = True
-    while changed:
-        changed = False
-        if _merge(a, _swap(b), key):
-            _close(a, key)
-            changed = True
-        if _merge(b, _swap(a), ckey):
-            _close(b, ckey)
-            changed = True
-        for search in list(searches):
-            flags, expr, name, found, witness = search
-            if flags[name] is not U:
-                continue
-            searches.remove(search)
-            if witness(expr, m):
-                flags[name] = found
+    # each search runs at most once, while its flag is Unknown: a flag never
+    # returns to Unknown, and a search's answer is fixed
+    for flags, expr in ((a, key), (b, ckey)):
+        for name, found, witness in _SEARCHES:
+            if flags[name] is U and witness(expr, m):
+                _merge(flags, {name: found}, expr)
                 _close(flags, expr)
-                changed = True
+    _exchange(a, b, key, ckey)
     return a, b
 
 
 def _flags(e: SetExpr) -> dict[str, Verdict]:
-    if isinstance(e, Complement):
-        return _pair_flags(e.body)[1]
-    return _pair_flags(e)[0]
+    side = int(type(e) is Complement)  # which record of the pair is e's
+    node = e.body if side else e
+    return (_PRIMITIVE_PAIRS.get(type(node)) or _pair_flags(node))[side]
 
 
 def infer(e: SetExpr) -> DescClass:
@@ -469,14 +462,6 @@ def contains_closed_uncountable(e: SetExpr) -> Verdict:
 
 # --- subset and the topology poset ----------------------------------------------
 
-def _point_list(e: SetExpr) -> Optional[tuple[tuple[Fraction, ...], ...]]:
-    if isinstance(e, SinglePoint):
-        return (e.coords,)
-    if isinstance(e, FiniteSet):
-        return e.points
-    return None
-
-
 def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     """Sound (never falsely True) structural subset test."""
     if a == b or isinstance(a, Empty) or isinstance(b, All):
@@ -492,9 +477,8 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         return True
     if isinstance(a, Complement) and isinstance(b, Complement):
         return _structural_subset(b.body, a.body)
-    pts = _point_list(a)
-    if pts is not None:
-        return all(member(b, p) is IN for p in pts)
+    if type(a) in (SinglePoint, FiniteSet):
+        return all(member(b, p) is IN for p in _COORDS[type(a)](a))
     if isinstance(a, Lattice) and isinstance(b, Rationals):
         return True
     if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):
@@ -509,7 +493,11 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
 def subset(e1: SetExpr, e2: SetExpr, budget: int = 1000, seed: int = 0) -> Verdict:
     """Three-valued subset test: structural rules prove True, a witness in
     e1 \\ e2 proves False, otherwise Unknown."""
-    e1, e2 = normalize(e1), normalize(e2)
+    return subset_normal(normalize(e1), normalize(e2), budget=budget, seed=seed)
+
+
+def subset_normal(e1: SetExpr, e2: SetExpr, budget: int = 1000, seed: int = 0) -> Verdict:
+    """:func:`subset` of expressions already in normal form."""
     if _structural_subset(e1, e2):
         return T
     # find_witness reads the dimension off gap: e1's arity, else e2's
@@ -546,6 +534,6 @@ def compare_topologies(eA: SetExpr, eB: SetExpr, budget: int = 1000, seed: int =
     FINER means tau(A) ⊇ tau(B) is established (EQUAL when both inclusions
     are); whether the inclusion is strict may be open.
     """
-    return TopologyOrder.of(
-        subset(eA, eB, budget=budget, seed=seed), subset(eB, eA, budget=budget, seed=seed)
-    )
+    eA, eB = normalize(eA), normalize(eB)
+    return TopologyOrder.of(subset_normal(eA, eB, budget=budget, seed=seed),
+                            subset_normal(eB, eA, budget=budget, seed=seed))

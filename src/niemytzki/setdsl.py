@@ -34,6 +34,11 @@ Each operation on the tree is one table keyed by node type, mostly a
 primitive needs a row in each: ``_TEXT`` and ``_MEMBER`` here,
 ``_PRIMITIVE_AXIOMS``, ``_INSIDE`` and ``_DISJOINT`` in
 :mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in :mod:`niemytzki.theorems`.
+Its axiom row must decide every flag a witness search settles, for the
+primitive and for its complement: ``_PRIMITIVE_PAIRS`` is never searched.
+Two leaf walks still branch on ``isinstance`` and silently skip a primitive
+they do not name: :func:`structural_candidates` here and
+``_candidate_balls`` in :mod:`niemytzki.descriptive`.
 A primitive that carries coordinates also needs the leaf-arity rule
 ``_COORDS``, a cached ``scaled`` form of its coordinates, and a place in
 :class:`UnionIndex`: a union reads its coordinate leaves only through that
@@ -53,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import DimensionMismatch, _check_dims, _Scaled, _scaled, _sq_sign, check_dimension
+from .geometry import DimensionMismatch, _check_dims, _Scaled, _scaled, _sq_sign, check_dimension, rat
 from .trivalent import Verdict, all3, any3
 
 IN = Verdict.TRUE
@@ -663,13 +668,14 @@ class UnionIndex:
 
 
 def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
-    """Three-valued membership of a boundary point (n-1 rational coordinates).
+    """Three-valued membership of a boundary point (n-1 rational coordinates,
+    each read by :func:`geometry.rat`, so a float raises TypeError).
 
     A tree too deep to walk within the recursion limit raises ValueError,
     as in :func:`normalize`."""
     try:
         # the rows read the query as a leaf, so it is scaled at most once
-        return _MEMBER[type(e)](e, SinglePoint(tuple(p)))
+        return _MEMBER[type(e)](e, SinglePoint(tuple(map(rat, p))))
     except RecursionError:
         raise _too_deep() from None
 
@@ -793,6 +799,8 @@ def find_witness(
     then seeded random rationals.  Absence of a witness proves nothing."""
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if dimension is not None:
+        check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)
     rng = random.Random(seed)
 

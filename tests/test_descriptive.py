@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from niemytzki.descriptive import (
     _DISJOINT,
     _INSIDE,
+    _PRIMITIVE_PAIRS,
+    _SEARCHES,
     TopologyOrder,
     _pair_flags,
     compare_topologies,
@@ -327,6 +329,22 @@ def test_pair_flags_cache_is_bounded():
 
 
 def test_the_complement_record_of_all_is_that_of_empty():
-    # the complement's record is swapped from the set's, never read off a table
-    assert _pair_flags(All())[1] == _pair_flags(Empty())[0]
-    assert _pair_flags(Empty())[1] == _pair_flags(All())[0]
+    # the complement's record is swapped from the set's, never read off a row
+    assert _PRIMITIVE_PAIRS[All][1] == _PRIMITIVE_PAIRS[Empty][0]
+    assert _PRIMITIVE_PAIRS[Empty][1] == _PRIMITIVE_PAIRS[All][0]
+
+
+@pytest.mark.parametrize("kind", list(_PRIMITIVE_PAIRS), ids=lambda kind: kind.__name__)
+def test_primitive_pairs_leave_no_witness_search(kind):
+    # the table is never searched, so each side must decide every flag a
+    # witness search could settle
+    for side in _PRIMITIVE_PAIRS[kind]:
+        for name, _, _ in _SEARCHES:
+            assert side[name] is not UNKNOWN, name
+
+
+def test_the_flag_cache_holds_no_primitive():
+    _pair_flags.cache_clear()
+    infer(parse("point(0) | !cball(1;1/2) | bernstein"))
+    infer(parse("!bernstein"))
+    assert _pair_flags.cache_info().currsize == 1

@@ -12,6 +12,12 @@ and 3) and the README's flagship boundary sets.  No CLI output shows the
 complement's record in full, so this pins what the flag engine derives for
 it.
 
+Witness-search pin: how often each of the engine's two witness searches,
+``_closed_ball_witness`` and ``_point_witness``, runs and what it answers,
+over ``infer`` of each expression and of its complement in a seeded corpus
+(n = 2 and 3), starting from an empty flag cache.  The digests pin the
+answers; this pins the work done to reach them.
+
 Suite digest: every record of ``generate_samples`` and the JSON of
 ``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
 a sample stream, a check count or a verdict moves the digest.
@@ -21,6 +27,7 @@ When a change is meant to move a digest, recompute them with
 root) and paste the printed values below.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -28,7 +35,7 @@ import json
 import random
 from fractions import Fraction
 
-from niemytzki import cli
+from niemytzki import cli, descriptive
 from niemytzki.descriptive import infer
 from niemytzki.geometry import Point
 from niemytzki.harness import SuiteConfig, generate_samples, run_suite, suite_names
@@ -38,6 +45,14 @@ from niemytzki.topology import BasicOpen
 GOLDEN_SHA256 = "fca2871ef7942f47d090037759cf859320915f88bff8773c6e50c4eed6d4c4f9"
 GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873ff02e24"
 GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
+
+# (search, answer): calls, from witness_search_counts()
+WITNESS_SEARCH_COUNTS = {
+    ("closed_ball_witness", False): 844,
+    ("closed_ball_witness", True): 641,
+    ("point_witness", False): 1296,
+    ("point_witness", True): 478,
+}
 
 FLAGSHIP_SETS = ("empty", "all", "rationals", "!rationals", "cantor", "!cantor",
                  "bernstein")
@@ -86,6 +101,42 @@ def golden_inference_digest() -> str:
     return h.hexdigest()
 
 
+def witness_search_counts() -> dict[tuple[str, bool], int]:
+    counts: collections.Counter = collections.Counter()
+
+    def counting(search):
+        def counted(e, m):
+            found = search(e, m)
+            counts[search.__name__.lstrip("_"), found] += 1
+            return found
+        return counted
+
+    searches = ("_closed_ball_witness", "_point_witness")
+    wrapped = {getattr(descriptive, name): counting(getattr(descriptive, name))
+               for name in searches}
+    patched = {name: wrapped[getattr(descriptive, name)] for name in searches}
+    if hasattr(descriptive, "_SEARCHES"):
+        # the table binds the functions at import, so it is patched as well;
+        # an engine that calls the searches by name needs the names alone
+        patched["_SEARCHES"] = tuple(tuple(wrapped.get(x, x) for x in entry)
+                                     for entry in descriptive._SEARCHES)
+    saved = {name: getattr(descriptive, name) for name in patched}
+    rng = random.Random(2024)
+    try:
+        for name, value in patched.items():
+            setattr(descriptive, name, value)
+        descriptive._pair_flags.cache_clear()
+        for n in (2, 3):
+            for _ in range(2000):
+                e = random_expr(rng, n, max_depth=4)
+                infer(e)
+                infer(complement(e))
+    finally:
+        for name, value in saved.items():
+            setattr(descriptive, name, value)
+    return dict(counts)
+
+
 def _plain(value):
     """A JSON-ready form of one sample-record value."""
     if isinstance(value, (Point, BasicOpen)):
@@ -124,7 +175,12 @@ def test_golden_inference_digest():
     assert golden_inference_digest() == GOLDEN_INFERENCE_SHA256
 
 
+def test_witness_searches_run_as_often_as_pinned():
+    assert witness_search_counts() == WITNESS_SEARCH_COUNTS
+
+
 if __name__ == "__main__":
     print(f"GOLDEN_SHA256 = {golden_digest()!r}")
     print(f"GOLDEN_SUITE_SHA256 = {golden_suite_digest()!r}")
     print(f"GOLDEN_INFERENCE_SHA256 = {golden_inference_digest()!r}")
+    print(f"WITNESS_SEARCH_COUNTS = {witness_search_counts()!r}")

@@ -316,6 +316,18 @@ class TestMembership:
         assert member(Inter((Bernstein(), Empty())), p) is OUT
         assert member(Inter((Bernstein(), All())), p) is UNKNOWN
 
+    @pytest.mark.parametrize("text", ["point(1/2)", "finite{0;1/2}", "cball(0;1/2)",
+                                      "lattice | point(1/2)", "!cantor & oball(0;1)"])
+    def test_coordinates_are_read_as_rationals(self, text):
+        e = parse(text)
+        assert member(e, ("1/2",)) is member(e, (Fr(1, 2),)) is IN
+
+    @pytest.mark.parametrize("text", ["point(1/2)", "finite{1/2}", "lattice", "cantor",
+                                      "cball(0;1)", "oball(0;1) | point(2)", "all"])
+    def test_a_float_coordinate_is_refused(self, text):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            member(parse(text), (0.5,))
+
 
 class TestCantorOracleAgreement:
     def test_small_denominators_exhaustive(self):
@@ -343,6 +355,11 @@ class TestFindWitness:
 
     def test_complement_of_rationals_is_unwitnessable(self):
         assert find_witness(Complement(Rationals()), 1000, 0) is None
+
+    @pytest.mark.parametrize("dimension", [1, 0, -3])
+    def test_a_dimension_below_two_is_refused(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            find_witness(All(), dimension=dimension)
 
     def test_deterministic_under_seed(self):
         e = parse("oball(3;1/3) | lattice & cantor")

@@ -213,3 +213,11 @@ def test_witness_searches_grow_near_linearly_with_width(monkeypatch):
     # a full walk of the union per candidate made this ratio 12.5
     ratio = _comparisons(800, monkeypatch) / _comparisons(200, monkeypatch)
     assert ratio <= 5  # 4 is linear
+
+
+@pytest.mark.parametrize("k", [128, 1600])
+def test_a_wide_union_takes_one_flag_cache_entry(k):
+    # its leaves' records come from the per-kind primitive table
+    descriptive._pair_flags.cache_clear()
+    classify(_wide(k)[0], 2)
+    assert descriptive._pair_flags.cache_info().currsize == 1
