@@ -30,7 +30,7 @@ signals an implementation bug, never a property of the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -63,27 +63,12 @@ from .setdsl import (
     leaves,
     member,
     normalize,
+    on_axis,
     structural_candidates,
 )
 from .trivalent import FALSE, TRUE, UNKNOWN, Verdict, all3
 
 T, F, U = TRUE, FALSE, UNKNOWN
-
-PUBLIC_FLAGS = (
-    "countable",
-    "co_countable",
-    "closed",
-    "open",
-    "g_delta",
-    "f_sigma",
-    "compact",
-    "contains_closed_uncountable",
-    "equals_all",
-    "equals_empty",
-)
-
-_ALL_FLAGS = PUBLIC_FLAGS + ("bounded",)
-
 
 class SoundnessError(RuntimeError):
     """Two rules produced contradictory flags: an engine bug, never an input."""
@@ -106,6 +91,10 @@ class DescClass:
 
     def to_json(self) -> dict[str, str]:
         return {name: getattr(self, name).value for name in PUBLIC_FLAGS}
+
+
+PUBLIC_FLAGS = tuple(f.name for f in fields(DescClass))
+_ALL_FLAGS = PUBLIC_FLAGS + ("bounded",)
 
 
 # --- primitive axioms ---------------------------------------------------------
@@ -352,28 +341,37 @@ _DISJOINT = NodeTable({
 })
 
 
+def _balls_in_ball(e: SetExpr) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """Balls about the center of a ball and about points off it along each axis."""
+    center, radius = e.center, e.radius
+    cands = [(center, radius / 2), (center, radius / 4)]
+    for i in range(len(center)):
+        for frac in (Fraction(3, 4), Fraction(1, 2), Fraction(-3, 4), Fraction(-1, 2)):
+            cands.append((axis(center, i, frac * radius), radius / 8))
+    return cands
+
+
+# The (center, radius) candidates each kind of leaf offers the ball-witness
+# search: only a ball offers any.
+_BALL_CANDIDATES = NodeTable({
+    **dict.fromkeys((Empty, All, Rationals, Lattice, Cantor, Bernstein, SinglePoint, FiniteSet),
+                    lambda e: ()),
+    **dict.fromkeys((ClosedBall, OpenBall), _balls_in_ball),
+})
+
+
 def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    cands: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for node in leaves(e):
-        if isinstance(node, (ClosedBall, OpenBall)):
-            center, radius = node.center, node.radius
-            cands.append((center, radius / 2))
-            cands.append((center, radius / 4))
-            for i in range(len(center)):
-                for frac in (Fraction(3, 4), Fraction(1, 2), Fraction(-3, 4), Fraction(-1, 2)):
-                    cands.append((axis(center, i, frac * radius), radius / 8))
-    zeros = (Fraction(0),) * m
+    cands = [cand for node in leaves(e) for cand in _BALL_CANDIDATES[type(node)](node)]
+    zeros = on_axis(Fraction(0), m)
     halves = (Fraction(1, 2),) * m
-    cands.extend(
-        [
-            (zeros, Fraction(1)),
-            (zeros, Fraction(1, 2)),
-            (halves, Fraction(1, 4)),
-            (halves, Fraction(1, 16)),
-            ((Fraction(5, 2),) + (Fraction(1, 2),) * (m - 1), Fraction(1, 4)),
-            ((Fraction(-5, 2),) + (Fraction(1, 2),) * (m - 1), Fraction(1, 4)),
-        ]
-    )
+    cands += [
+        (zeros, Fraction(1)),
+        (zeros, Fraction(1, 2)),
+        (halves, Fraction(1, 4)),
+        (halves, Fraction(1, 16)),
+        ((Fraction(5, 2),) + (Fraction(1, 2),) * (m - 1), Fraction(1, 4)),
+        ((Fraction(-5, 2),) + (Fraction(1, 2),) * (m - 1), Fraction(1, 4)),
+    ]
     return list(dict.fromkeys(cands))
 
 

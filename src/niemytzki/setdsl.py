@@ -31,19 +31,17 @@ expressions are built normal and never normalised again.
 
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
-primitive needs a row in each: ``_TEXT`` and ``_MEMBER`` here,
-``_PRIMITIVE_AXIOMS``, ``_INSIDE`` and ``_DISJOINT`` in
-:mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in :mod:`niemytzki.theorems`.
-Its axiom row must decide every flag a witness search settles, for the
-primitive and for its complement: ``_PRIMITIVE_PAIRS`` is never searched.
-Two leaf walks still branch on ``isinstance`` and silently skip a primitive
-they do not name: :func:`structural_candidates` here and
-``_candidate_balls`` in :mod:`niemytzki.descriptive`.
-A primitive that carries coordinates also needs the leaf-arity rule
-``_COORDS``, a cached ``scaled`` form of its coordinates, and a place in
-:class:`UnionIndex`: a union reads its coordinate leaves only through that
-index, sorted by first coordinate, so a leaf the index does not know is
-walked as one of its ``others`` on every query.
+primitive needs a row in each: ``_TEXT``, ``_MEMBER``, the coordinate
+groups ``_COORDS`` and the witness candidates ``_POINT_CANDIDATES`` here,
+``_PRIMITIVE_AXIOMS``, ``_INSIDE``, ``_DISJOINT`` and the ball candidates
+``_BALL_CANDIDATES`` in :mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in
+:mod:`niemytzki.theorems`.  Its axiom row must decide every flag a witness
+search settles, for the primitive and for its complement:
+``_PRIMITIVE_PAIRS`` is never searched.
+A primitive that carries coordinates also needs a cached ``scaled`` form of
+them and a place in :class:`UnionIndex`: a union reads its coordinate
+leaves only through that index, sorted by first coordinate, so a leaf the
+index does not know is walked as one of its ``others`` on every query.
 """
 
 from __future__ import annotations
@@ -283,19 +281,19 @@ def leaves(e: SetExpr) -> Iterator[SetExpr]:
             yield node
 
 
-# The coordinate groups each kind of leaf carries; other nodes carry none.
-_COORDS = {
+# The coordinate groups a node carries itself, () for most kinds.
+_COORDS = NodeTable({
+    **dict.fromkeys((*_PLAIN_NAMES, Complement, Union, Inter), lambda e: ()),
     SinglePoint: lambda e: (e.coords,),
     FiniteSet: lambda e: e.points,
     **dict.fromkeys((ClosedBall, OpenBall), lambda e: (e.center,)),
-}
+})
 
 
 def _arities(e: SetExpr) -> Iterator[int]:
     """The arity of each coordinate group of the tree, leaves in pre-order."""
     for leaf in leaves(e):
-        if type(leaf) in _COORDS:
-            yield from map(len, _COORDS[type(leaf)](leaf))
+        yield from map(len, _COORDS[type(leaf)](leaf))
 
 
 def arity(e: SetExpr) -> Optional[int]:
@@ -611,7 +609,7 @@ class UnionIndex:
         others: list[SetExpr] = []
         for m in members:
             kind = type(m)
-            if kind in _COORDS and not all(_COORDS[kind](m)):
+            if not all(_COORDS[kind](m)):
                 others.append(m)  # a group without coordinates has no first one
             elif kind in WITHIN:
                 balls.append(m)
@@ -673,19 +671,14 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
 
     A tree too deep to walk within the recursion limit raises ValueError,
     as in :func:`normalize`."""
+    # the rows read the query as a leaf, so it is scaled at most once
+    q = SinglePoint(tuple(map(rat, p)))
+    if not q.coords:
+        raise DimensionMismatch("a boundary point needs at least one coordinate")
     try:
-        # the rows read the query as a leaf, so it is scaled at most once
-        return _MEMBER[type(e)](e, SinglePoint(tuple(map(rat, p))))
+        return _MEMBER[type(e)](e, q)
     except RecursionError:
         raise _too_deep() from None
-
-
-def _cantor_member(e: Cantor, q: SinglePoint) -> Verdict:
-    p = q.coords
-    if not p:
-        raise DimensionMismatch("cantor needs at least one coordinate")
-    rest_zero = all(c == 0 for c in p[1:])
-    return IN if rest_zero and in_cantor(p[0]) else OUT
 
 
 def _point_member(e: SinglePoint, q: SinglePoint) -> Verdict:
@@ -717,7 +710,7 @@ _MEMBER = NodeTable({
     All: lambda e, q: IN,
     Rationals: lambda e, q: IN,  # every representable point has rational coordinates
     Lattice: lambda e, q: IN if all(c.denominator == 1 for c in q.coords) else OUT,
-    Cantor: _cantor_member,
+    Cantor: lambda e, q: IN if not any(q.coords[1:]) and in_cantor(q.coords[0]) else OUT,
     Bernstein: lambda e, q: UNKNOWN,
     SinglePoint: _point_member,
     FiniteSet: _finite_member,
@@ -748,42 +741,44 @@ def axis(center: tuple[Fraction, ...], i: int, offset: Fraction) -> tuple[Fracti
     return center[:i] + (center[i] + offset,) + center[i + 1:]
 
 
+def on_axis(v: Fraction, m: int) -> tuple[Fraction, ...]:
+    """The point (v, 0, ..., 0) with m coordinates."""
+    return (v,) + (Fraction(0),) * (m - 1)
+
+
+def _ball_points(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
+    """A ball's center and the points half a radius off it along each axis."""
+    half = e.radius / 2
+    points = [e.center]
+    for i in range(len(e.center)):
+        points += (axis(e.center, i, half), axis(e.center, i, -half))
+    return points
+
+
+# The witness candidates each kind of leaf offers a search in R^m; some may
+# have another arity than m.
+_POINT_CANDIDATES = NodeTable({
+    **dict.fromkeys((Empty, Bernstein), lambda e, m: ()),
+    **dict.fromkeys((All, Rationals), lambda e, m: (on_axis(Fraction(0), m),
+                                                    on_axis(Fraction(1, 2), m))),
+    Lattice: lambda e, m: (*(on_axis(Fraction(v), m) for v in (0, 1, -1)), (Fraction(1),) * m),
+    Cantor: lambda e, m: [on_axis(c, m) for c in _CANTOR_SAMPLES],
+    SinglePoint: lambda e, m: (e.coords,),
+    FiniteSet: lambda e, m: e.points,
+    OpenBall: _ball_points,
+    # a closed ball also holds the point of its sphere along the first axis
+    ClosedBall: lambda e, m: _ball_points(e, m) + [axis(e.center, 0, e.radius)],
+})
+
+
 def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
     """Deterministic candidate points harvested from the expression tree."""
-    acc: list[tuple[Fraction, ...]] = []
-
-    def pad(first: Fraction) -> tuple[Fraction, ...]:
-        return (first,) + (Fraction(0),) * (m - 1)
-
-    for node in leaves(e):
-        if isinstance(node, SinglePoint):
-            acc.append(node.coords)
-        elif isinstance(node, FiniteSet):
-            acc.extend(node.points)
-        elif isinstance(node, (ClosedBall, OpenBall)):
-            acc.append(node.center)
-            half = node.radius / 2
-            for i in range(len(node.center)):
-                acc.append(axis(node.center, i, half))
-                acc.append(axis(node.center, i, -half))
-            if isinstance(node, ClosedBall):
-                acc.append(axis(node.center, 0, node.radius))
-        elif isinstance(node, Cantor):
-            acc.extend(pad(c) for c in _CANTOR_SAMPLES)
-        elif isinstance(node, Lattice):
-            acc.extend((pad(Fraction(0)), pad(Fraction(1)), pad(Fraction(-1))))
-            acc.append((Fraction(1),) * m)
-        elif isinstance(node, (Rationals, All)):
-            acc.append(pad(Fraction(0)))
-            acc.append(pad(Fraction(1, 2)))
-
+    acc = (cand for node in leaves(e) for cand in _POINT_CANDIDATES[type(node)](node, m))
     return list(dict.fromkeys(cand for cand in acc if len(cand) == m))
 
 
 def _probe_points(m: int) -> list[tuple[Fraction, ...]]:
-    probes = []
-    for v in _PROBE_VALUES:
-        probes.append((v,) + (Fraction(0),) * (m - 1))
+    probes = [on_axis(v, m) for v in _PROBE_VALUES]
     for v in (Fraction(1), Fraction(-1), Fraction(1, 2)):
         probes.append((v,) * m)
     if m > 1:

@@ -18,6 +18,12 @@ over ``infer`` of each expression and of its complement in a seeded corpus
 (n = 2 and 3), starting from an empty flag cache.  The digests pin the
 answers; this pins the work done to reach them.
 
+Candidate digest: the witness searches' candidate lists, in order, from
+``structural_candidates`` and ``descriptive._candidate_balls`` at the
+tree's own arity m and at m + 1, for seeded random expressions and their
+complements (n = 2, 3 and 4) and one wide union.  Any change to what a leaf
+contributes, to the order or to the deduplication moves the digest.
+
 Suite digest: every record of ``generate_samples`` and the JSON of
 ``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
 a sample stream, a check count or a verdict moves the digest.
@@ -36,15 +42,31 @@ import random
 from fractions import Fraction
 
 from niemytzki import cli, descriptive
-from niemytzki.descriptive import infer
+from niemytzki.descriptive import _candidate_balls, infer
 from niemytzki.geometry import Point
 from niemytzki.harness import SuiteConfig, generate_samples, run_suite, suite_names
-from niemytzki.setdsl import SetExpr, complement, parse, random_expr, to_text
+from niemytzki.setdsl import (
+    Cantor,
+    ClosedBall,
+    Lattice,
+    OpenBall,
+    Rationals,
+    SetExpr,
+    SinglePoint,
+    Union,
+    complement,
+    join,
+    parse,
+    random_expr,
+    structural_candidates,
+    to_text,
+)
 from niemytzki.topology import BasicOpen
 
 GOLDEN_SHA256 = "fca2871ef7942f47d090037759cf859320915f88bff8773c6e50c4eed6d4c4f9"
 GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873ff02e24"
 GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
+GOLDEN_CANDIDATE_SHA256 = "a93f0b80c0c0a86d36bfdaf835465f4c7aead8d69684fda80993f414dcba8a4b"
 
 # (search, answer): calls, from witness_search_counts()
 WITNESS_SEARCH_COUNTS = {
@@ -98,6 +120,30 @@ def golden_inference_digest() -> str:
         for e in exprs:
             records = [infer(e).to_json(), infer(complement(e)).to_json()]
             h.update(json.dumps(records, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _wide_union(rng: random.Random) -> SetExpr:
+    """A union of 48 points, 12 balls of each kind and three plain leaves."""
+    def rat() -> Fraction:
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+
+    points = [SinglePoint((rat(),)) for _ in range(48)]
+    balls = [kind((rat(),), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+             for kind in (ClosedBall, OpenBall) for _ in range(12)]
+    return join(Union, points + balls + [Cantor(), Lattice(), Rationals()])
+
+
+def golden_candidate_digest() -> str:
+    h = hashlib.sha256()
+    rng = random.Random(2405)
+    exprs = [(random_expr(rng, n), n - 1) for n in (2, 3, 4) for _ in range(120)]
+    exprs.append((_wide_union(rng), 1))
+    for e, m in exprs:
+        for tree in (e, complement(e)):
+            for arity in (m, m + 1):
+                lists = (structural_candidates(tree, arity), _candidate_balls(tree, arity))
+                h.update(repr(lists).encode())
     return h.hexdigest()
 
 
@@ -175,6 +221,10 @@ def test_golden_inference_digest():
     assert golden_inference_digest() == GOLDEN_INFERENCE_SHA256
 
 
+def test_golden_candidate_digest():
+    assert golden_candidate_digest() == GOLDEN_CANDIDATE_SHA256
+
+
 def test_witness_searches_run_as_often_as_pinned():
     assert witness_search_counts() == WITNESS_SEARCH_COUNTS
 
@@ -183,4 +233,5 @@ if __name__ == "__main__":
     print(f"GOLDEN_SHA256 = {golden_digest()!r}")
     print(f"GOLDEN_SUITE_SHA256 = {golden_suite_digest()!r}")
     print(f"GOLDEN_INFERENCE_SHA256 = {golden_inference_digest()!r}")
+    print(f"GOLDEN_CANDIDATE_SHA256 = {golden_candidate_digest()!r}")
     print(f"WITNESS_SEARCH_COUNTS = {witness_search_counts()!r}")

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from niemytzki.descriptive import _DISJOINT, _INSIDE, infer, infer_normal, subset
+from niemytzki.descriptive import _DISJOINT, _INSIDE, _candidate_balls, infer, infer_normal, subset
 from niemytzki.geometry import DimensionMismatch
 from niemytzki.setdsl import (
     IN,
@@ -25,10 +25,12 @@ from niemytzki.setdsl import (
     SetExpr,
     SinglePoint,
     Union,
+    _COORDS,
     arity,
     member,
     normalize,
     parse,
+    structural_candidates,
     to_text,
 )
 from niemytzki.theorems import classify
@@ -77,8 +79,11 @@ def test_member_refuses_cantor_without_coordinates():
 
 @pytest.mark.parametrize("e", [42, Union((All(), 42)), Complement(42)],
                          ids=["top", "in-union", "in-complement"])
-@pytest.mark.parametrize("call", [lambda e: member(e, ZERO), to_text, infer],
-                         ids=["member", "to_text", "infer"])
+@pytest.mark.parametrize("call", [lambda e: member(e, ZERO), to_text, infer, normalize,
+                                  lambda e: structural_candidates(e, 1),
+                                  lambda e: _candidate_balls(e, 1)],
+                         ids=["member", "to_text", "infer", "normalize",
+                              "structural_candidates", "candidate_balls"])
 def test_a_node_that_is_not_an_expression_is_refused(call, e):
     with pytest.raises(TypeError, match="set expression"):
         call(e)
@@ -111,6 +116,15 @@ def test_every_tree_operation_has_a_row_for_every_kind(kind):
         assert _INSIDE[type(e)](e, ClosedBall(c, r)) in (True, False)
         assert _DISJOINT[type(e)](e, ClosedBall(c, r)) in (True, False)
     assert arity(e) in (None, 1)
+    assert all(len(g) == 1 for g in _COORDS[type(e)](e))
+    assert all(len(p) == 1 for p in structural_candidates(e, 1))
+    assert all(len(c) == 1 and r > 0 for c, r in _candidate_balls(e, 1))
+
+
+@pytest.mark.parametrize("kind", list(SAMPLES), ids=lambda kind: kind.__name__)
+def test_member_refuses_a_query_without_coordinates(kind):
+    with pytest.raises(DimensionMismatch):
+        member(SAMPLES[kind], ())
 
 
 MIXED = [
