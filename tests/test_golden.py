@@ -24,6 +24,14 @@ tree's own arity m and at m + 1, for seeded random expressions and their
 complements (n = 2, 3 and 4) and one wide union.  Any change to what a leaf
 contributes, to the order or to the deduplication moves the digest.
 
+Witness digest: ``find_witness`` at budgets 1, 5, 40 and 1000 and seeds 0
+and 3, on seeded random expressions e, their complements and the gaps
+e1 & !e2 between neighbours (n = 2, 3 and 4), and on hand-built gaps whose
+witness is a random candidate a/b with gcd(a, b) > 1 (through ``lattice``,
+``point`` and ``finite``).  Any change to a candidate, to the order they are
+tried in, to a membership answer or to the reduction of a random candidate
+moves the digest.
+
 Suite digest: every record of ``generate_samples`` and the JSON of
 ``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
 a sample stream, a check count or a verdict moves the digest.
@@ -54,7 +62,9 @@ from niemytzki.setdsl import (
     SetExpr,
     SinglePoint,
     Union,
+    Inter,
     complement,
+    find_witness,
     join,
     parse,
     random_expr,
@@ -67,6 +77,7 @@ GOLDEN_SHA256 = "fca2871ef7942f47d090037759cf859320915f88bff8773c6e50c4eed6d4c4f
 GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873ff02e24"
 GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
 GOLDEN_CANDIDATE_SHA256 = "a93f0b80c0c0a86d36bfdaf835465f4c7aead8d69684fda80993f414dcba8a4b"
+GOLDEN_WITNESS_SHA256 = "41ab03164abc479a301ada11c5e0db881c9a3020f54a69991c2d716863b10ced"
 
 # (search, answer): calls, from witness_search_counts()
 WITNESS_SEARCH_COUNTS = {
@@ -144,6 +155,33 @@ def golden_candidate_digest() -> str:
             for arity in (m, m + 1):
                 lists = (structural_candidates(tree, arity), _candidate_balls(tree, arity))
                 h.update(repr(lists).encode())
+    return h.hexdigest()
+
+
+# Gaps whose witness at seeds 0 and 3 is a random candidate a/b with b | a
+# and b > 1: 273/13 at seed 0 in R, past the lattice's own candidates and
+# the probes; 136/8 once 21 is cut out by a point; -300/5 once a finite set
+# cuts out 21, 17 and -218 and holds 42/21; (-90/15, 252/1) at seed 3 in R^2.
+WITNESS_GAPS = (
+    ("lattice & !finite{0;1;-1;2;-2;5}", 2),
+    ("lattice & !finite{0;1;-1;2;-2;5} & !point(21)", 2),
+    ("lattice & !finite{0;1;-1;2;-2;5;21;17;-218}", 2),
+    ("lattice & !finite{0,0;1,0;-1,0;2,0;-2,0;5,0;1,1;-1,-1;0,1;0,2}", 3),
+)
+
+
+def golden_witness_digest() -> str:
+    h = hashlib.sha256()
+    rng = random.Random(2405)
+    gaps = [(parse(text, n), n) for text, n in WITNESS_GAPS]
+    for n in (2, 3, 4):
+        exprs = [random_expr(rng, n) for _ in range(20)]
+        for e1, e2 in zip(exprs, exprs[1:] + exprs[:1]):
+            gaps += [(e1, n), (complement(e1), n), (join(Inter, (e1, complement(e2))), n)]
+    for gap, n in gaps:
+        for seed in (0, 3):
+            for budget in (1, 5, 40, 1000):
+                h.update(repr(find_witness(gap, budget, seed, dimension=n)).encode())
     return h.hexdigest()
 
 
@@ -225,6 +263,10 @@ def test_golden_candidate_digest():
     assert golden_candidate_digest() == GOLDEN_CANDIDATE_SHA256
 
 
+def test_golden_witness_digest():
+    assert golden_witness_digest() == GOLDEN_WITNESS_SHA256
+
+
 def test_witness_searches_run_as_often_as_pinned():
     assert witness_search_counts() == WITNESS_SEARCH_COUNTS
 
@@ -234,4 +276,5 @@ if __name__ == "__main__":
     print(f"GOLDEN_SUITE_SHA256 = {golden_suite_digest()!r}")
     print(f"GOLDEN_INFERENCE_SHA256 = {golden_inference_digest()!r}")
     print(f"GOLDEN_CANDIDATE_SHA256 = {golden_candidate_digest()!r}")
+    print(f"GOLDEN_WITNESS_SHA256 = {golden_witness_digest()!r}")
     print(f"WITNESS_SEARCH_COUNTS = {witness_search_counts()!r}")

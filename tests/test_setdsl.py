@@ -364,3 +364,17 @@ class TestFindWitness:
     def test_deterministic_under_seed(self):
         e = parse("oball(3;1/3) | lattice & cantor")
         assert find_witness(e, 500, 9) == find_witness(e, 500, 9)
+
+    @pytest.mark.parametrize("text, seed, want", [
+        # 273/13 at seed 0 and 120/20 at seed 3, drawn after every structural
+        # candidate and probe
+        ("lattice & !finite{0;1;-1;2;-2;5}", 0, (Fr(21),)),
+        ("lattice & !finite{0;1;-1;2;-2;5}", 3, (Fr(6),)),
+        # 273/13 is the point 21, so 136/8 comes next
+        ("lattice & !finite{0;1;-1;2;-2;5} & !point(21)", 0, (Fr(17),)),
+        # 42/21 is the finite set's 2, so -300/5 comes next
+        ("lattice & !finite{0;1;-1;2;-2;5;21;17;-218}", 0, (Fr(-60),)),
+    ])
+    def test_a_random_candidate_is_read_in_lowest_terms(self, text, seed, want):
+        w = find_witness(parse(text), 1000, seed)
+        assert w == want and all(type(c) is Fr and c.denominator == 1 for c in w)
