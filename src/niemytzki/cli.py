@@ -4,13 +4,15 @@ Commands: classify, member, nbhd, converge, compare, check, explain.
 ``--json`` switches to a machine-readable record; identical invocations
 (including seeds) print byte-identical JSON.  Exit codes: 0 success,
 1 usage error, 2 expression parse error, 3 verification failure,
-4 undecidable-membership abort.
+4 undecidable-membership abort, 141 (128 + SIGPIPE) when standard output
+is closed before the answer is written, as by ``niemytzki check ... | head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -35,6 +37,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VERIFICATION = 3
 EXIT_UNDECIDABLE = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 
 # membership verdicts on the wire
@@ -326,6 +329,18 @@ def _attach_point_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so a closed pipe is found here, not at exit
+    except BrokenPipeError:
+        # the recipe of Python's signal module notes: output still buffered
+        # goes to devnull, so the flush at shutdown does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))

@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import _sq_sign
+from .geometry import _scaled, _sq_sign
 from .setdsl import (
     All,
     Bernstein,
@@ -62,6 +62,7 @@ from .setdsl import (
     join,
     leaves,
     member,
+    member_test,
     normalize,
     on_axis,
     structural_candidates,
@@ -288,8 +289,7 @@ def _union_inside(e: Union, b: ClosedBall) -> bool:
     index = e.index
     if index.shapes:
         index.check(b.center)
-        x = b.center[0]
-        if any(_ball_within(b, m) for m in index.balls_near(x, x)):
+        if any(_ball_within(b, m) for m in index.balls_near(b.scaled)):
             return True
     return any(_INSIDE[type(m)](m, b) for m in index.others)
 
@@ -302,7 +302,7 @@ def _union_disjoint(e: Union, b: ClosedBall) -> bool:
         lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
         if not (all(_sq_sign(form, b.scaled, b.radius) > 0
                     for form in index.points_between(lo, hi))
-                and all(_DISJOINT[type(m)](m, b) for m in index.balls_near(lo, hi))):
+                and all(_DISJOINT[type(m)](m, b) for m in index.balls_near(b.scaled, b.radius))):
             return False
     return all(_DISJOINT[type(m)](m, b) for m in index.others)
 
@@ -396,7 +396,8 @@ def _combine_node(e: SetExpr) -> dict[str, Verdict]:
 
 
 def _point_witness(e: SetExpr, m: int) -> bool:
-    return any(member(e, cand) is IN for cand in structural_candidates(e, m))
+    test = member_test(e, m)  # built once, for every candidate
+    return any(test(_scaled(cand)) is IN for cand in structural_candidates(e, m))
 
 
 # flag, the value a witness settles it to, the search for that witness

@@ -31,7 +31,7 @@ expressions are built normal and never normalised again.
 
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
-primitive needs a row in each: ``_TEXT``, ``_MEMBER``, the coordinate
+primitive needs a row in each: ``_TEXT``, ``_MEMBER_TESTS``, the coordinate
 groups ``_COORDS`` and the witness candidates ``_POINT_CANDIDATES`` here,
 ``_PRIMITIVE_AXIOMS``, ``_INSIDE``, ``_DISJOINT`` and the ball candidates
 ``_BALL_CANDIDATES`` in :mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in
@@ -41,7 +41,17 @@ search settles, for the primitive and for its complement:
 A primitive that carries coordinates also needs a cached ``scaled`` form of
 them and a place in :class:`UnionIndex`: a union reads its coordinate
 leaves only through that index, sorted by first coordinate, so a leaf the
-index does not know is walked as one of its ``others`` on every query.
+index does not know is tested as one of its ``others`` on every query.
+
+Membership is one test per node, built once from its ``_MEMBER_TESTS`` row
+and its members' tests and cached beside the node's fields, as its hash is.
+A test reads the query point as its integer form ``(X, d)`` from
+``geometry._scaled`` and stops at the first member that settles the Kleene
+and/or; the arity of the query is checked once, at the root, against the
+arities the node caches beside its test.  :func:`member` is that check and
+one call; :func:`find_witness` builds the test once per search and forms
+each random candidate from integers, making a ``Fraction`` only for the
+witness it returns.
 """
 
 from __future__ import annotations
@@ -54,10 +64,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from math import ceil, floor, gcd, lcm
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .geometry import DimensionMismatch, _check_dims, _Scaled, _scaled, _sq_sign, check_dimension, rat
-from .trivalent import Verdict, all3, any3
+from .trivalent import Verdict
 
 IN = Verdict.TRUE
 OUT = Verdict.FALSE
@@ -69,40 +80,61 @@ UNKNOWN = Verdict.UNKNOWN
 class SetExpr:
     """Base class of boundary-set expressions."""
 
-    __slots__ = ()
+    # What a node caches beside its fields: its hash and its membership test
+    # (see _compiled).  A scaled form or a union's index sits in __dict__.
+    __slots__ = ("_hash", "_member_test")
 
     def __getstate__(self):
-        # the fields alone: what a node caches beside them (a scaled form, a
-        # union's index) is no part of its value
+        # the fields alone: what a node caches beside them (its hash, a
+        # scaled form, a union's index, its membership test) is no part of
+        # its value
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def __hash__(self) -> int:
+        # the hash a frozen dataclass computes, cached beside the fields so
+        # that a lookup does not hash the whole subtree again
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(self.__getstate__().values()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
-@dataclass(frozen=True)
+
+def _node(cls: type) -> type:
+    """A frozen dataclass node whose hash is cached (``SetExpr.__hash__``):
+    the decorator would otherwise replace it with one computed per call."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = SetExpr.__hash__
+    return cls
+
+
+@_node
 class Empty(SetExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class All(SetExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Rationals(SetExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Lattice(SetExpr):
     """The integer lattice Z^(n-1)."""
 
 
-@dataclass(frozen=True)
+@_node
 class Cantor(SetExpr):
     """The middle-thirds Cantor set embedded as C × {0}^(n-2)."""
 
 
-@dataclass(frozen=True)
+@_node
 class Bernstein(SetExpr):
     """Symbolic Bernstein set: membership of individual points is unknowable."""
 
@@ -111,7 +143,7 @@ class Bernstein(SetExpr):
 # coordinates as ``scaled``, beside its fields as ``Point.scaled`` is, so a
 # point is brought to integers once however many balls it is tested against.
 
-@dataclass(frozen=True)
+@_node
 class SinglePoint(SetExpr):
     coords: tuple[Fraction, ...]
 
@@ -120,7 +152,7 @@ class SinglePoint(SetExpr):
         return _scaled(self.coords)
 
 
-@dataclass(frozen=True)
+@_node
 class FiniteSet(SetExpr):
     points: tuple[tuple[Fraction, ...], ...]
 
@@ -130,7 +162,7 @@ class FiniteSet(SetExpr):
         return tuple(map(_scaled, self.points))
 
 
-@dataclass(frozen=True)
+@_node
 class ClosedBall(SetExpr):
     center: tuple[Fraction, ...]
     radius: Fraction
@@ -140,7 +172,7 @@ class ClosedBall(SetExpr):
         return _scaled(self.center)
 
 
-@dataclass(frozen=True)
+@_node
 class OpenBall(SetExpr):
     center: tuple[Fraction, ...]
     radius: Fraction
@@ -150,12 +182,12 @@ class OpenBall(SetExpr):
         return _scaled(self.center)
 
 
-@dataclass(frozen=True)
+@_node
 class Complement(SetExpr):
     body: SetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Union(SetExpr):
     members: tuple[SetExpr, ...]
 
@@ -164,7 +196,7 @@ class Union(SetExpr):
         return UnionIndex(self.members)
 
 
-@dataclass(frozen=True)
+@_node
 class Inter(SetExpr):
     members: tuple[SetExpr, ...]
 
@@ -569,10 +601,13 @@ def in_cantor(x: Fraction) -> bool:
     deterministic, dies inside the middle gap, and x is in C iff it revisits
     a state.
     """
-    if x < 0 or x > 1:
+    return _in_cantor(x.numerator, x.denominator)
+
+
+def _in_cantor(m: int, q: int) -> bool:
+    """:func:`in_cantor` of m / q, for q > 0."""
+    if m < 0 or m > q:
         return False
-    q = x.denominator
-    m = x.numerator
     seen = set()
     while m not in seen:
         seen.add(m)
@@ -594,9 +629,11 @@ class UnionIndex:
     ``finite`` members, are in the set ``points`` by their scaled form, and
     also sorted by first coordinate.  The closed and open balls are sorted
     by the first coordinate c_1 of their centers; with R their largest
-    radius, ``ball_los`` and ``ball_his`` hold c_1 - R and c_1 + R, so
-    every ball that meets the slab lo <= x_1 <= hi has c_1 in
-    [lo - R, hi + R] and is found by bisection with no arithmetic.
+    radius, every ball that meets the slab |x_1 - y| <= r has c_1 within
+    r + R of y.  On the grid of step 1/s, s = ceil(1/R), ``ball_floors`` and
+    ``ball_tops`` hold the cells of c_1 - R and c_1 + R, so that
+    :meth:`balls_near` finds those balls by bisection on integers, with at
+    most the balls within 1/s <= R more.
     ``shapes`` holds one coordinate group of each arity among these leaves.
     Every other member, a leaf without coordinates included, is in
     ``others``, in order.
@@ -626,8 +663,9 @@ class UnionIndex:
         self.point_forms = [form for _, form in points]
         reach = max((b.radius for b in balls), default=0)
         self.balls = balls
-        self.ball_los = [b.center[0] - reach for b in balls]
-        self.ball_his = [b.center[0] + reach for b in balls]
+        self.scale = s = ceil(1 / reach) if balls else 1
+        self.ball_floors = [floor((b.center[0] - reach) * s) for b in balls]
+        self.ball_tops = [floor((b.center[0] + reach) * s) for b in balls]
         groups = [coords for coords, _ in points] + [b.center for b in balls]
         self.shapes = tuple({len(g): g for g in groups}.values())
         self.others = tuple(others)
@@ -647,22 +685,160 @@ class UnionIndex:
         firsts = self.point_firsts
         return self.point_forms[bisect_left(firsts, lo):bisect_right(firsts, hi)]
 
-    def balls_near(self, lo: Fraction, hi: Fraction) -> list[SetExpr]:
-        """The balls with lo - R <= c_1 <= hi + R: every ball that meets the
-        slab lo <= x_1 <= hi."""
-        return self.balls[bisect_left(self.ball_his, lo):bisect_right(self.ball_los, hi)]
+    def balls_near(self, q: _Scaled, r: Fraction = 0) -> list[SetExpr]:
+        """The balls that may meet the slab |x_1 - y_1| <= r around the
+        point y of scaled form q: every ball with |c_1 - y_1| <= r + R, and
+        at most those within 1/s more."""
+        (Y, d), s = q, self.scale
+        a, b = r.numerator, r.denominator
+        y, w = Y[0] * b * s, a * d * s  # the slab's cells: floor((y -+ w) / (b d))
+        lo, hi = (y - w) // (b * d), (y + w) // (b * d)
+        return self.balls[bisect_left(self.ball_tops, lo):bisect_right(self.ball_floors, hi)]
 
-    def member(self, q: SinglePoint) -> Verdict:
-        """Whether an indexed leaf holds the query point: one lookup among
-        the points, then the balls near it along the first axis."""
-        self.check(q.coords)
-        if q.scaled in self.points:
+
+# --- membership tests ------------------------------------------------------------
+# Each node's membership test is built once, from the rows of _MEMBER_TESTS,
+# and cached beside its fields (see _compiled).  A test reads a query point
+# as its geometry._scaled form (X, d).  For rational coordinates in lowest
+# terms that form is canonical, gcd(X_1, ..., X_k, d) = 1, so two points are
+# equal exactly when their forms are.  Beside the test each node keeps the
+# arities of its coordinate groups, so a query's arity is checked once, at
+# the root, and the tests may stop at the first member that settles the
+# Kleene and/or.
+
+_Test = Callable[[_Scaled], Verdict]
+
+
+def _compiled(e: SetExpr) -> tuple[_Test, tuple[int, ...]]:
+    """e's membership test and the sorted distinct arities of its coordinate
+    groups, built on first use.  A value that is not a node raises TypeError."""
+    build = _MEMBER_TESTS[type(e)]
+    try:
+        return e._member_test
+    except AttributeError:
+        found = build(e)
+        object.__setattr__(e, "_member_test", found)
+        return found
+
+
+def _distinct(arities: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(arities)))
+
+
+def _symbolic(test: _Test):
+    """The row of a leaf without coordinates: one test for all its kind."""
+    found = (test, ())
+    return lambda e: found
+
+
+def _cantor_test(q: _Scaled) -> Verdict:
+    X, d = q
+    return IN if not any(X[1:]) and _in_cantor(X[0], d) else OUT
+
+
+def _point_test(e: SinglePoint):
+    form = e.scaled
+    return (lambda q: IN if q == form else OUT), (len(e.coords),)
+
+
+def _finite_test(e: FiniteSet):
+    forms = frozenset(e.scaled)
+    return (lambda q: IN if q in forms else OUT), _distinct(map(len, e.points))
+
+
+def _ball_test(e: SetExpr):
+    form, radius, within = e.scaled, e.radius, WITHIN[type(e)]
+    return (lambda q: IN if within(_sq_sign(form, q, radius), 0) else OUT), (len(e.center),)
+
+
+def _complement_test(e: Complement):
+    body, arities = _compiled(e.body)
+
+    def test(q: _Scaled) -> Verdict:
+        v = body(q)
+        return OUT if v is IN else IN if v is OUT else UNKNOWN
+
+    return test, arities
+
+
+def _union_test(e: Union):
+    """One set lookup among the union's points, then the balls near the
+    query along the first axis, then the other members in order."""
+    index = e.index
+    parts = list(map(_compiled, index.others))  # no comprehension frame per level
+    others = tuple(test for test, _ in parts)
+    points, balls = index.points, index.balls
+
+    def test(q: _Scaled) -> Verdict:
+        if points and q in points:
             return IN
-        x = q.coords[0]
-        for b in self.balls_near(x, x):
-            if WITHIN[type(b)](_sq_sign(b.scaled, q.scaled, b.radius), 0):
+        if balls:
+            for b in index.balls_near(q):
+                if WITHIN[type(b)](_sq_sign(b.scaled, q, b.radius), 0):
+                    return IN
+        unknown = False
+        for other in others:
+            v = other(q)
+            if v is IN:
                 return IN
-        return OUT
+            if v is UNKNOWN:
+                unknown = True
+        return UNKNOWN if unknown else OUT
+
+    shapes = map(len, index.shapes)
+    return test, _distinct(itertools.chain(shapes, *(arities for _, arities in parts)))
+
+
+def _inter_test(e: Inter):
+    parts = list(map(_compiled, e.members))
+    members = tuple(test for test, _ in parts)
+
+    def test(q: _Scaled) -> Verdict:
+        unknown = False
+        for part in members:
+            v = part(q)
+            if v is OUT:
+                return OUT
+            if v is UNKNOWN:
+                unknown = True
+        return UNKNOWN if unknown else IN
+
+    return test, _distinct(itertools.chain.from_iterable(arities for _, arities in parts))
+
+
+# Each row builds a node's (test, arities) pair, reading its members' pairs.
+_MEMBER_TESTS = NodeTable({
+    Empty: _symbolic(lambda q: OUT),
+    All: _symbolic(lambda q: IN),
+    Rationals: _symbolic(lambda q: IN),  # every representable point has rational coordinates
+    Lattice: _symbolic(lambda q: IN if q[1] == 1 else OUT),
+    Cantor: _symbolic(_cantor_test),
+    Bernstein: _symbolic(lambda q: UNKNOWN),
+    SinglePoint: _point_test,
+    FiniteSet: _finite_test,
+    ClosedBall: _ball_test,
+    OpenBall: _ball_test,
+    Complement: _complement_test,
+    Union: _union_test,
+    Inter: _inter_test,
+})
+
+
+def member_test(e: SetExpr, m: int) -> _Test:
+    """e's membership test for points of m coordinates, read as their
+    ``geometry._scaled`` forms.  A query without coordinates (m = 0), or a
+    tree with a coordinate group of another arity than m, raises
+    DimensionMismatch; a tree too deep to walk, ValueError."""
+    if not m:
+        raise DimensionMismatch("a boundary point needs at least one coordinate")
+    try:
+        test, arities = _compiled(e)
+    except RecursionError:
+        raise _too_deep() from None
+    for found in arities:
+        if found != m:
+            raise DimensionMismatch(f"dimension {found} vs {m}")
+    return test
 
 
 def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
@@ -671,55 +847,12 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
 
     A tree too deep to walk within the recursion limit raises ValueError,
     as in :func:`normalize`."""
-    # the rows read the query as a leaf, so it is scaled at most once
-    q = SinglePoint(tuple(map(rat, p)))
-    if not q.coords:
-        raise DimensionMismatch("a boundary point needs at least one coordinate")
+    coords = tuple(map(rat, p))
+    test = member_test(e, len(coords))
     try:
-        return _MEMBER[type(e)](e, q)
+        return test(_scaled(coords))
     except RecursionError:
         raise _too_deep() from None
-
-
-def _point_member(e: SinglePoint, q: SinglePoint) -> Verdict:
-    _check_dims(e.coords, q.coords)
-    return IN if e.coords == q.coords else OUT
-
-
-def _finite_member(e: FiniteSet, q: SinglePoint) -> Verdict:
-    for pt in e.points:
-        _check_dims(pt, q.coords)
-    return IN if q.coords in e.points else OUT
-
-
-def _ball_member(e: SetExpr, q: SinglePoint) -> Verdict:
-    return IN if WITHIN[type(e)](_sq_sign(e.scaled, q.scaled, e.radius), 0) else OUT
-
-
-def _union_member(e: Union, q: SinglePoint) -> Verdict:
-    index = e.index
-    verdicts = [_MEMBER[type(m)](m, q) for m in index.others]
-    if index.shapes:  # some member carries coordinates
-        verdicts.append(index.member(q))
-    return any3(verdicts)
-
-
-# Each row reads the query point q as a SinglePoint.
-_MEMBER = NodeTable({
-    Empty: lambda e, q: OUT,
-    All: lambda e, q: IN,
-    Rationals: lambda e, q: IN,  # every representable point has rational coordinates
-    Lattice: lambda e, q: IN if all(c.denominator == 1 for c in q.coords) else OUT,
-    Cantor: lambda e, q: IN if not any(q.coords[1:]) and in_cantor(q.coords[0]) else OUT,
-    Bernstein: lambda e, q: UNKNOWN,
-    SinglePoint: _point_member,
-    FiniteSet: _finite_member,
-    ClosedBall: _ball_member,
-    OpenBall: _ball_member,
-    Complement: lambda e, q: ~_MEMBER[type(e.body)](e.body, q),
-    Union: _union_member,
-    Inter: lambda e, q: all3(_MEMBER[type(m)](m, q) for m in e.members),
-})
 
 
 # --- witness search ----------------------------------------------------------
@@ -797,18 +930,27 @@ def find_witness(
     if dimension is not None:
         check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)
-    rng = random.Random(seed)
-
-    def randoms() -> Iterator[tuple[Fraction, ...]]:
-        while True:
-            yield tuple(
-                Fraction(rng.randint(-300, 300), rng.randint(1, 100)) for _ in range(m)
-            )
-
-    pool = itertools.chain(structural_candidates(e, m), _probe_points(m), randoms())
-    for cand in itertools.islice(pool, budget):
-        if member(e, cand) is IN:
-            return cand
+    fixed = structural_candidates(e, m) + _probe_points(m)
+    test = member_test(e, m)
+    try:
+        for cand in fixed[:budget]:
+            if test(_scaled(cand)) is IN:
+                return cand
+        # then seeded random rationals a/b, each read in lowest terms, so
+        # that a query's form is built from integers alone
+        rng = random.Random(seed)
+        for _ in range(budget - len(fixed)):
+            nums, dens = [], []
+            for _ in range(m):
+                a, b = rng.randint(-300, 300), rng.randint(1, 100)
+                g = gcd(a, b)
+                nums.append(a // g)
+                dens.append(b // g)
+            d = lcm(*dens)
+            if test((tuple(num * (d // den) for num, den in zip(nums, dens)), d)) is IN:
+                return tuple(map(Fraction, nums, dens))
+    except RecursionError:
+        raise _too_deep() from None
     return None
 
 

@@ -175,3 +175,37 @@ def union_holds_ball_ref(members, c, r) -> bool:
 
 def union_misses_ball_ref(members, c, r) -> bool:
     return all(leaf_misses_ball_ref(leaf, c, r) for leaf in members)
+
+
+# --- whole trees, three-valued -------------------------------------------------
+# A tree is a leaf as above, one of ("empty",), ("all",), ("rationals",),
+# ("lattice",) and ("bernstein",), or ("!", tree), ("|", (tree, ...)) or
+# ("&", (tree, ...)).  A verdict is True, False or None for Unknown.  Nothing
+# below reads the set language.
+
+
+def tree_member_ref(tree, p):
+    """Membership of p (coordinates as Fractions) by Kleene's strong tables:
+    complement swaps True and False, a union is True if a member is, an
+    intersection False if a member is, and otherwise Unknown wins over the
+    remaining value.  Every representable point is rational, and Bernstein
+    sets are Unknown everywhere."""
+    kind = tree[0]
+    if kind == "!":
+        v = tree_member_ref(tree[1], p)
+        return None if v is None else not v
+    if kind in ("|", "&"):
+        decisive = kind == "|"
+        verdicts = [tree_member_ref(t, p) for t in tree[1]]
+        if any(v is decisive for v in verdicts):
+            return decisive
+        return None if any(v is None for v in verdicts) else not decisive
+    if kind == "empty":
+        return False
+    if kind in ("all", "rationals"):
+        return True
+    if kind == "lattice":
+        return all(Fraction(c).denominator == 1 for c in p)
+    if kind == "bernstein":
+        return None
+    return leaf_member_ref(tree, p)

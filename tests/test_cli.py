@@ -30,6 +30,22 @@ class TestExitCodes:
         assert run_cli("nonsense").returncode == 1
         assert run_cli("member", "--set", "cantor", "--point", "1/4,1/2").returncode == 1
 
+    @pytest.mark.parametrize("args", [("check", "--suite", "S1", "--samples", "50"),
+                                      ("classify", "--set", "cantor", "--json")])
+    def test_a_closed_stdout_exits_141_without_a_traceback(self, args):
+        # a pipe whose reader is gone before the first write, as with
+        # `niemytzki check ... | head -c 1` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "niemytzki.cli", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_CLOSED_PIPE == 141
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
     def test_parse_error(self):
         proc = run_cli("classify", "--set", "cantor |")
         assert proc.returncode == 2

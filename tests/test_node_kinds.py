@@ -1,6 +1,8 @@
 """Every node kind through every tree operation, and the errors a tree that
 is not an expression, or whose arities disagree, is refused with."""
 
+import pickle
+from dataclasses import fields
 from fractions import Fraction as Fr
 
 import pytest
@@ -119,6 +121,25 @@ def test_every_tree_operation_has_a_row_for_every_kind(kind):
     assert all(len(g) == 1 for g in _COORDS[type(e)](e))
     assert all(len(p) == 1 for p in structural_candidates(e, 1))
     assert all(len(c) == 1 and r > 0 for c, r in _candidate_balls(e, 1))
+
+
+NESTED = Union((Inter((SinglePoint((Fr(1, 3),)), Complement(ClosedBall((Fr(2),), Fr(1, 2))))),
+               Cantor(), Inter((FiniteSet((ZERO, (Fr(5, 7),))),
+                                Complement(Union((OpenBall((Fr(1),), Fr(3)), Bernstein())))))))
+
+
+@pytest.mark.parametrize("e", [*SAMPLES.values(), NESTED],
+                         ids=[*(kind.__name__ for kind in SAMPLES), "nested"])
+def test_a_pickled_node_round_trips_with_its_hash(e):
+    # the hash and the membership test are cached beside the fields: neither
+    # changes the value, and the test, a closure, is never pickled
+    fresh = pickle.loads(pickle.dumps(e))
+    member(e, ZERO)
+    h = hash(e)
+    assert h == hash(tuple(getattr(e, f.name) for f in fields(e)))  # the dataclass hash
+    assert pickle.dumps(e) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(e))
+    assert restored == e and hash(restored) == h and repr(restored) == repr(e)
 
 
 @pytest.mark.parametrize("kind", list(SAMPLES), ids=lambda kind: kind.__name__)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niemytzki.setdsl import (
@@ -36,9 +36,10 @@ from niemytzki.setdsl import (
     parse,
     parse_rational,
     random_expr,
+    structural_candidates,
     to_text,
 )
-from oracles import cantor_brute
+from oracles import cantor_brute, tree_member_ref
 
 
 class TestParser:
@@ -327,6 +328,55 @@ class TestMembership:
     def test_a_float_coordinate_is_refused(self, text):
         with pytest.raises(TypeError, match="not an exact rational"):
             member(parse(text), (0.5,))
+
+
+def _ref_tree(e):
+    """The tree as tests/oracles.py spells it."""
+    kind = type(e)
+    if kind is Complement:
+        return ("!", _ref_tree(e.body))
+    if kind in (Union, Inter):
+        return ("|" if kind is Union else "&", tuple(map(_ref_tree, e.members)))
+    if kind is SinglePoint:
+        return ("point", e.coords)
+    if kind is FiniteSet:
+        return ("finite", e.points)
+    if kind in (ClosedBall, OpenBall):
+        return ("cball" if kind is ClosedBall else "oball", e.center, e.radius)
+    return (kind.__name__.lower(),)
+
+
+_REF_VERDICT = {IN: True, OUT: False, UNKNOWN: None}
+
+
+@st.composite
+def _member_case(draw):
+    """(tree, query, point): a seeded random tree at n = 2, 3 or 4 and a
+    point, often one of the tree's own witness candidates, whose
+    coordinates the query spells as ints, Fractions or "p/q" strings (not
+    always in lowest terms)."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    e = random_expr(random.Random(draw(st.integers(0, 2**32))), n)
+    coordinate = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    anywhere = st.tuples(*[coordinate] * (n - 1))
+    candidates = structural_candidates(e, n - 1)
+    point = draw(st.sampled_from(candidates) | anywhere if candidates else anywhere)
+    query = []
+    for c in point:
+        spelling = draw(st.sampled_from(("int", "fraction", "text")))
+        if spelling == "text":
+            k = draw(st.integers(1, 4))
+            query.append(f"{c.numerator * k}/{c.denominator * k}")
+        else:
+            query.append(int(c) if spelling == "int" and c.denominator == 1 else c)
+    return e, tuple(query), point
+
+
+@settings(max_examples=500)
+@given(_member_case())
+def test_member_agrees_with_the_tree_oracle(case):
+    e, query, point = case
+    assert _REF_VERDICT[member(e, query)] is tree_member_ref(_ref_tree(e), point)
 
 
 class TestCantorOracleAgreement:
