@@ -37,7 +37,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VERIFICATION = 3
 EXIT_UNDECIDABLE = 4
-EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE: what a shell shows for a writer whose reader has gone
 
 
 # membership verdicts on the wire
@@ -333,8 +333,9 @@ def main(argv=None) -> int:
         code = _main(argv)
         sys.stdout.flush()  # so a closed pipe is found here, not at exit
     except BrokenPipeError:
-        # the recipe of Python's signal module notes: output still buffered
-        # goes to devnull, so the flush at shutdown does not fail again
+        # as the SIGPIPE note of Python's signal documentation does: what is
+        # still buffered goes to devnull, so the flush at exit cannot fail
+        # again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
     return code

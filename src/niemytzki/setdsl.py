@@ -713,12 +713,11 @@ def _compiled(e: SetExpr) -> tuple[_Test, tuple[int, ...]]:
     """e's membership test and the sorted distinct arities of its coordinate
     groups, built on first use.  A value that is not a node raises TypeError."""
     build = _MEMBER_TESTS[type(e)]
-    try:
-        return e._member_test
-    except AttributeError:
+    found = getattr(e, "_member_test", None)  # most calls build, so no try
+    if found is None:
         found = build(e)
         object.__setattr__(e, "_member_test", found)
-        return found
+    return found
 
 
 def _distinct(arities: Iterable[int]) -> tuple[int, ...]:
