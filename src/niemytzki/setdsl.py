@@ -697,14 +697,10 @@ class UnionIndex:
 
 
 # --- membership tests ------------------------------------------------------------
-# Each node's membership test is built once, from the rows of _MEMBER_TESTS,
-# and cached beside its fields (see _compiled).  A test reads a query point
-# as its geometry._scaled form (X, d).  For rational coordinates in lowest
-# terms that form is canonical, gcd(X_1, ..., X_k, d) = 1, so two points are
-# equal exactly when their forms are.  Beside the test each node keeps the
-# arities of its coordinate groups, so a query's arity is checked once, at
-# the root, and the tests may stop at the first member that settles the
-# Kleene and/or.
+# A test reads a query point as its geometry._scaled form (X, d).  For
+# rational coordinates in lowest terms that form is canonical,
+# gcd(X_1, ..., X_k, d) = 1, so two points are equal exactly when their
+# forms are.
 
 _Test = Callable[[_Scaled], Verdict]
 
