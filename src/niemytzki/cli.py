@@ -20,7 +20,7 @@ from fractions import Fraction
 from .descriptive import TopologyOrder, subset_normal
 from .geometry import Point, check_dimension
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
-from .setdsl import IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
+from .setdsl import DEFAULT_BUDGET, IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
 from .theorems import UnknownProperty, classify, explain
 from .topology import (
     SequenceFamily,
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--set-a", required=True)
     p.add_argument("--set-b", required=True)
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_compare)
 

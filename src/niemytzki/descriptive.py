@@ -42,6 +42,7 @@ from .setdsl import (
     Cantor,
     ClosedBall,
     Complement,
+    DEFAULT_BUDGET,
     Empty,
     FiniteSet,
     IN,
@@ -489,13 +490,13 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     return False
 
 
-def subset(e1: SetExpr, e2: SetExpr, budget: int = 1000, seed: int = 0) -> Verdict:
+def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """Three-valued subset test: structural rules prove True, a witness in
     e1 \\ e2 proves False, otherwise Unknown."""
     return subset_normal(normalize(e1), normalize(e2), budget=budget, seed=seed)
 
 
-def subset_normal(e1: SetExpr, e2: SetExpr, budget: int = 1000, seed: int = 0) -> Verdict:
+def subset_normal(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """:func:`subset` of expressions already in normal form."""
     if _structural_subset(e1, e2):
         return T
@@ -527,7 +528,7 @@ class TopologyOrder(Enum):
         return TopologyOrder.UNKNOWN
 
 
-def compare_topologies(eA: SetExpr, eB: SetExpr, budget: int = 1000, seed: int = 0) -> TopologyOrder:
+def compare_topologies(eA: SetExpr, eB: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> TopologyOrder:
     """Order of tau(A) versus tau(B): A ⊆ B iff tau(A) ⊇ tau(B).
 
     FINER means tau(A) ⊇ tau(B) is established (EQUAL when both inclusions

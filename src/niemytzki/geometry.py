@@ -83,8 +83,11 @@ _Scaled = tuple[tuple[int, ...], int]
 def _scaled(coords: Sequence[Fraction]) -> _Scaled:
     """(X, d): rational coordinates over one shared denominator d > 0, so
     that coords[i] == X[i] / d."""
-    d = lcm(*(c.denominator for c in coords))
-    return tuple(c.numerator * (d // c.denominator) for c in coords), d
+    if len(coords) == 1:  # the boundary of the plane: read the two integers
+        c = coords[0]
+        return (c.numerator,), c.denominator
+    d = lcm(*[c.denominator for c in coords])
+    return tuple([c.numerator * (d // c.denominator) for c in coords]), d
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,12 @@ A test reads the query point as its integer form ``(X, d)`` from
 ``geometry._scaled`` and stops at the first member that settles the Kleene
 and/or; the arity of the query is checked once, at the root, against the
 arities the node caches beside its test.  :func:`member` is that check and
-one call; :func:`find_witness` builds the test once per search and forms
-each random candidate from integers, making a ``Fraction`` only for the
-witness it returns.
+one call; :func:`find_witness` builds the test once per search and runs it
+on integer forms it does not make itself: the probe points are formed once
+per arity m, and the seeded random candidates are drawn once per
+(seed, m), lazily, into one stream that keeps the forms of the first
+``DEFAULT_BUDGET`` of them and is read by every later search.  A
+``Fraction`` is made only for a random witness that is returned.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ import itertools
 import operator
 import random
 import re
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import ceil, floor, gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -905,45 +909,116 @@ def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
     return list(dict.fromkeys(cand for cand in acc if len(cand) == m))
 
 
-def _probe_points(m: int) -> list[tuple[Fraction, ...]]:
+# Candidates a witness search tries unless told otherwise, the default of
+# find_witness, of descriptive's subset and compare_topologies and of the
+# CLI's --budget; also how many random forms a candidate stream keeps.
+DEFAULT_BUDGET = 1000
+
+
+# The probes and the random candidates depend only on the arity m and the
+# seed, so each is formed once per process and read by every search.  Both
+# caches are bounded, so a session of many seeds keeps the latest few.
+
+@lru_cache(maxsize=32)
+def _probes(m: int) -> tuple[tuple[tuple[Fraction, ...], _Scaled], ...]:
+    """The fixed probe points of R^m, each beside its scaled form."""
     probes = [on_axis(v, m) for v in _PROBE_VALUES]
     for v in (Fraction(1), Fraction(-1), Fraction(1, 2)):
         probes.append((v,) * m)
     if m > 1:
         for v in (Fraction(1), Fraction(2)):
             probes.append((Fraction(0),) * (m - 1) + (v,))
-    return probes
+    return tuple((p, _scaled(p)) for p in probes)
+
+
+class _Stream:
+    """The random witness candidates of one seed in R^m, in the order every
+    search tries them: per coordinate a/b with a = randint(-300, 300) and
+    b = randint(1, 100), read in lowest terms, the point kept as its integer
+    form (X, d).  A candidate is drawn when a search first reads it, and the
+    first DEFAULT_BUDGET are kept (``forms``); a search that reads past them
+    goes on from a copy of the generator, which is no longer drawn from once
+    ``forms`` is full, and keeps nothing, so a large budget costs time, not
+    memory."""
+
+    __slots__ = ("m", "forms", "_rng", "_lock")
+
+    def __init__(self, seed, m: int):
+        self.m = m
+        self.forms: list[_Scaled] = []
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+
+    def _draw(self, rng: random.Random) -> _Scaled:
+        nums, dens = [], []
+        for _ in range(self.m):
+            a, b = rng.randint(-300, 300), rng.randint(1, 100)
+            g = gcd(a, b)
+            nums.append(a // g)
+            dens.append(b // g)
+        d = lcm(*dens)
+        return tuple([num * (d // den) for num, den in zip(nums, dens)]), d
+
+    def take(self, count: int) -> Iterator[_Scaled]:
+        """The first count candidates of the stream, in order."""
+        forms, draw, rng, i = self.forms, self._draw, self._rng, 0
+        while i < count:
+            if i < len(forms):
+                stop = min(count, len(forms))
+                yield from forms[i:stop]
+                i = stop
+            elif i < DEFAULT_BUDGET:
+                with self._lock:  # each place drawn once, by the first reader
+                    if i == len(forms):
+                        forms.append(draw(rng))
+                yield forms[i]
+                i += 1
+            else:
+                rng = random.Random()
+                rng.setstate(self._rng.getstate())
+                for _ in range(count - i):
+                    yield draw(rng)
+                return
+
+
+# typed: seeds that compare equal may seed different draws, 10**20 and 1e20,
+# and an answer must not depend on which of them was searched with first
+@lru_cache(maxsize=32, typed=True)
+def _stream(seed, m: int) -> _Stream:
+    """The one candidate stream of (seed, m)."""
+    return _Stream(seed, m)
 
 
 def find_witness(
-    e: SetExpr, budget: int = 1000, seed: int = 0, dimension: int | None = None
+    e: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0, dimension: int | None = None
 ) -> Optional[tuple[Fraction, ...]]:
-    """Search for a point with membership In: structural candidates first,
-    then seeded random rationals.  Absence of a witness proves nothing."""
+    """Search for a point with membership In among budget candidates: the
+    structural candidates of the tree, then fixed probe points, then seeded
+    random rationals.  Absence of a witness proves nothing.
+
+    The tree's membership test is built once per search.  The probes and
+    the random candidates are read from caches shared by every search of
+    the same arity and seed (``_probes``, ``_stream``), as integer forms, so
+    a ``Fraction`` is made only for a random witness that is returned."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if dimension is not None:
         check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)
-    fixed = structural_candidates(e, m) + _probe_points(m)
+    structural, probes = structural_candidates(e, m), _probes(m)
     test = member_test(e, m)
+    left = budget - len(structural)  # what the probes and the stream may use
     try:
-        for cand in fixed[:budget]:
+        for cand in structural[:budget]:
             if test(_scaled(cand)) is IN:
                 return cand
-        # then seeded random rationals a/b, each read in lowest terms, so
-        # that a query's form is built from integers alone
-        rng = random.Random(seed)
-        for _ in range(budget - len(fixed)):
-            nums, dens = [], []
-            for _ in range(m):
-                a, b = rng.randint(-300, 300), rng.randint(1, 100)
-                g = gcd(a, b)
-                nums.append(a // g)
-                dens.append(b // g)
-            d = lcm(*dens)
-            if test((tuple(num * (d // den) for num, den in zip(nums, dens)), d)) is IN:
-                return tuple(map(Fraction, nums, dens))
+        for cand, form in probes[:max(left, 0)]:
+            if test(form) is IN:
+                return cand
+        for form in _stream(seed, m).take(left - len(probes)):
+            if test(form) is IN:
+                X, d = form
+                return tuple(Fraction(x, d) for x in X)
     except RecursionError:
         raise _too_deep() from None
     return None

@@ -5,7 +5,9 @@ These deliberately avoid the implementation paths they check.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def ternary_digits(x: Fraction) -> tuple[list[int], bool]:
@@ -50,6 +52,15 @@ def cantor_brute(x: Fraction) -> bool:
 
 # --- the rational kernel, straight from its definitions --------------------
 # Points are plain coordinate tuples here; nothing below reads geometry.
+
+
+def scaled_ref(coords) -> tuple[tuple[int, ...], int]:
+    """(X, d) with coords[i] == X[i] / d for the least d > 0: d grows by the
+    denominator each coordinate still has once multiplied by it."""
+    d = 1
+    for c in coords:
+        d *= (Fraction(c) * d).denominator
+    return tuple(int(Fraction(c) * d) for c in coords), d
 
 
 def sq_dist_ref(p, q) -> Fraction:
@@ -209,3 +220,24 @@ def tree_member_ref(tree, p):
     if kind == "bernstein":
         return None
     return leaf_member_ref(tree, p)
+
+
+# --- the random witness candidates, as the search once drew them ------------
+# The loop find_witness ran for every search before its candidates were kept
+# in one stream per (seed, m); nothing below reads the set language.
+
+
+def random_forms_ref(seed, m: int, count: int) -> list[tuple[tuple[int, ...], int]]:
+    """The integer forms (X, d) of the first count random candidates."""
+    forms = []
+    rng = random.Random(seed)
+    for _ in range(count):
+        nums, dens = [], []
+        for _ in range(m):
+            a, b = rng.randint(-300, 300), rng.randint(1, 100)
+            g = gcd(a, b)
+            nums.append(a // g)
+            dens.append(b // g)
+        d = lcm(*dens)
+        forms.append((tuple(num * (d // den) for num, den in zip(nums, dens)), d))
+    return forms

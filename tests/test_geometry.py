@@ -2,6 +2,7 @@ import json
 import pickle
 import time
 from fractions import Fraction as Fr
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,7 @@ from oracles import (
     in_tangent_ball_ref,
     inner_radius_ref,
     level_ref,
+    scaled_ref,
     separating_ref,
     sq_dist_ref,
 )
@@ -283,6 +285,22 @@ class TestScaledForm:
         numerators, d = p.scaled
         assert tuple(Fr(x, d) for x in numerators) == p.coords
         assert Point.boundary(0).scaled == ((0, 0), 1)
+
+    @given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=4))
+    def test_the_form_is_canonical(self, coords):
+        X, d = _scaled(coords)
+        assert (X, d) == scaled_ref(coords)
+        assert d > 0 and tuple(Fr(x, d) for x in X) == tuple(coords)
+        assert gcd(*X, d) == 1 and all(type(x) is int for x in (*X, d))
+
+    @pytest.mark.parametrize("coords, form", [
+        ((Fr(-3, 4),), ((-3,), 4)),
+        ((Fr(-7),), ((-7,), 1)),
+        ((Fr(-1, 6), Fr(5, 4)), ((-2, 15), 12)),
+        ((Fr(0), Fr(-2, 3), Fr(1, 3), Fr(-9, 2)), ((0, -4, 2, -27), 6)),
+    ])
+    def test_negative_numerators(self, coords, form):
+        assert _scaled(coords) == form == scaled_ref(coords)
 
     def test_the_cache_is_not_part_of_the_value(self):
         fresh, cached = P("22/7", "-1/3", "355/113"), P("22/7", "-1/3", "355/113")

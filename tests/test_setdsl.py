@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niemytzki.setdsl import (
+    DEFAULT_BUDGET,
     IN,
     MAX_TREE_DEPTH,
     OUT,
@@ -25,6 +28,7 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _Parser,
+    _stream,
     complement,
     complement_text,
     find_witness,
@@ -39,7 +43,7 @@ from niemytzki.setdsl import (
     structural_candidates,
     to_text,
 )
-from oracles import cantor_brute, tree_member_ref
+from oracles import cantor_brute, random_forms_ref, tree_member_ref
 
 
 class TestParser:
@@ -428,3 +432,81 @@ class TestFindWitness:
     def test_a_random_candidate_is_read_in_lowest_terms(self, text, seed, want):
         w = find_witness(parse(text), 1000, seed)
         assert w == want and all(type(c) is Fr and c.denominator == 1 for c in w)
+
+
+class TestCandidateStream:
+    """The random candidates of one (seed, m) are drawn once, as the search
+    once drew them for every call, and kept up to DEFAULT_BUDGET."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 3, 10**20])
+    def test_the_stream_is_the_search_s_draws(self, seed, m):
+        _stream.cache_clear()
+        want = random_forms_ref(seed, m, 2500)
+        stream = _stream(seed, m)
+        assert list(stream.take(700)) == want[:700]
+        assert len(stream.forms) == 700
+        # two reads in a row past the cap, each from the state at the cap
+        assert list(stream.take(2500)) == want
+        assert list(stream.take(2500)) == want
+        assert stream.forms == want[:DEFAULT_BUDGET]
+
+    def test_a_witness_past_the_cap(self):
+        # the lattice without the structural candidates, the probes and
+        # every integer among the first 1100 draws of seed 0: its witness is
+        # the first integer drawn after them, past the cap
+        draws = random_forms_ref(0, 1, 5000)
+        skip = {0, 1, -1, 2, -2, 5} | {X[0] for X, d in draws[:1100] if d == 1}
+        gap = parse(f"lattice & !finite{{{';'.join(map(str, sorted(skip)))}}}")
+        want = next(X for X, d in draws if d == 1 and X[0] not in skip)
+        assert draws.index((want, 1)) >= DEFAULT_BUDGET
+        _stream.cache_clear()
+        for _ in range(2):  # cold, then read from the kept forms
+            assert find_witness(gap, 5000, 0) == (Fr(want[0]),)
+            assert len(_stream(0, 1).forms) == DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("seeds", [(10**20, 1e20), (0, 0.0, False)])
+    def test_equal_seeds_of_other_types_do_not_share_a_stream(self, seeds):
+        gap = parse("lattice & !finite{0;1;-1;2;-2;5}")
+        answers = []
+        for order in (seeds, seeds[::-1]):
+            _stream.cache_clear()
+            answers.append({repr(seed): find_witness(gap, seed=seed) for seed in order})
+        assert answers[0] == answers[1]
+        if 1e20 in seeds:  # random.Random seeds the two differently
+            assert find_witness(gap, seed=10**20) != find_witness(gap, seed=1e20)
+
+    def test_a_search_draws_only_what_it_reads(self):
+        # every structural candidate and probe is excluded, so the first
+        # random candidate is the witness
+        gap = parse("!finite{0;1;-1;2;-2;1/2;-1/2;3/2;1/3;5}")
+        _stream.cache_clear()
+        (X, d), = random_forms_ref(7, 1, 1)
+        assert find_witness(gap, seed=7) == (Fr(X[0], d),)
+        assert len(_stream(7, 1).forms) == 1
+
+    def test_a_cleared_cache_starts_again_from_the_seed(self):
+        old = _stream(5, 2)
+        list(old.take(40))
+        _stream.cache_clear()
+        fresh = _stream(5, 2)
+        assert fresh is not old and fresh.forms == []
+        assert list(fresh.take(40)) == random_forms_ref(5, 2, 40) == old.forms
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_threads_reading_one_cold_stream_see_the_same_draws(self, seed):
+        _stream.cache_clear()
+        stream, want, read = _stream(seed, 2), random_forms_ref(seed, 2, 900), []
+        threads = [threading.Thread(target=lambda: read.append(list(stream.take(900))))
+                   for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert read == [want] * len(threads) and stream.forms == want
