@@ -999,7 +999,9 @@ def find_witness(
     The tree's membership test is built once per search.  The probes and
     the random candidates are read from caches shared by every search of
     the same arity and seed (``_probes``, ``_stream``), as integer forms, so
-    a ``Fraction`` is made only for a random witness that is returned."""
+    a ``Fraction`` is made only for a random witness that is returned.  The
+    seed is a key of that cache: it must be hashable, and ``None`` seeds one
+    stream from the operating system per process, not one per search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if dimension is not None:
