@@ -17,6 +17,8 @@ Modules:
   cli          command-line front end
 """
 
+from types import ModuleType as _ModuleType
+
 from .descriptive import (
     DescClass,
     TopologyOrder,
@@ -58,52 +60,11 @@ from .topology import (
 )
 from .trivalent import Verdict
 
-__all__ = [
-    "BallSpec",
-    "BasicOpen",
-    "ConvergenceVerdict",
-    "DescClass",
-    "DimensionMismatch",
-    "FiniteList",
-    "HalfBall",
-    "InteriorBall",
-    "ParseError",
-    "Point",
-    "PropertyReport",
-    "SequenceFamily",
-    "SetExpr",
-    "SuiteConfig",
-    "SuiteResult",
-    "TangentBall",
-    "TangentCircle",
-    "TopologyOrder",
-    "TopologySpec",
-    "TraceStep",
-    "UndecidableMembership",
-    "Verdict",
-    "Vertical",
-    "classify",
-    "compare_topologies",
-    "contains",
-    "contains_closed_uncountable",
-    "decide_convergence",
-    "explain",
-    "find_witness",
-    "generate_samples",
-    "in_ball",
-    "in_tangent_ball",
-    "infer",
-    "inner_ball_radius",
-    "local_base_element",
-    "member",
-    "parse",
-    "refine",
-    "run_suite",
-    "separating_f",
-    "sq_dist",
-    "subset",
-    "t_level",
-    "to_text",
-]
+# every public name imported above; the submodules, bound as attributes of
+# the package by those imports, are not among them
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

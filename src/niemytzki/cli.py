@@ -17,11 +17,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .descriptive import TopologyOrder, subset_normal
+from .descriptive import compare_normal
 from .geometry import Point, check_dimension
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
 from .setdsl import DEFAULT_BUDGET, IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
-from .theorems import UnknownProperty, classify, explain
+from .theorems import UnknownProperty, classify, explain, verdict_json
 from .topology import (
     SequenceFamily,
     TangentCircle,
@@ -196,9 +196,7 @@ def _cmd_converge(args) -> int:
 def _cmd_compare(args) -> int:
     eA = parse(args.set_a, args.dimension)
     eB = parse(args.set_b, args.dimension)
-    fwd = subset_normal(eA, eB, budget=args.budget, seed=args.seed)
-    rev = subset_normal(eB, eA, budget=args.budget, seed=args.seed)
-    order = TopologyOrder.of(fwd, rev)
+    fwd, _, order = compare_normal(eA, eB, budget=args.budget, seed=args.seed)
     payload = {
         "set_a": to_text(eA),
         "set_b": to_text(eB),
@@ -233,15 +231,10 @@ def _cmd_check(args) -> int:
 def _cmd_explain(args) -> int:
     report = classify(args.set, args.dimension)
     steps = explain(report, args.property)
-    record = report.to_json()
-    if args.property.startswith("boundary."):
-        verdict = record["boundary_subspace"].get(args.property.split(".", 1)[1])
-    else:
-        verdict = record["properties"].get(args.property)
     payload = {
         "space": report.space,
         "property": args.property,
-        "verdict": verdict,
+        "verdict": verdict_json(report.verdict(args.property)),
         "trace": [s.to_json() for s in steps],
     }
     lines = [f"{args.property}:"]

@@ -22,6 +22,10 @@ no primitive's flags depend on its coordinates.  The implications include:
   * a Bernstein set and its complement contain no uncountable compacta and
     are neither G_delta nor F_sigma (trusted axioms).
 
+:func:`compare_normal` settles A ⊆ B and B ⊆ A, each by :func:`subset_normal`,
+and reads the order of tau(A) and tau(B) off the two verdicts;
+:func:`compare_topologies` is that order for arguments it normalises.
+
 True/False answers are sound claims; Unknown is the fallback — the engine
 never guesses.  A contradiction between rules raises SoundnessError and
 signals an implementation bug, never a property of the input.
@@ -534,6 +538,13 @@ def compare_topologies(eA: SetExpr, eB: SetExpr, budget: int = DEFAULT_BUDGET, s
     FINER means tau(A) ⊇ tau(B) is established (EQUAL when both inclusions
     are); whether the inclusion is strict may be open.
     """
-    eA, eB = normalize(eA), normalize(eB)
-    return TopologyOrder.of(subset_normal(eA, eB, budget=budget, seed=seed),
-                            subset_normal(eB, eA, budget=budget, seed=seed))
+    return compare_normal(normalize(eA), normalize(eB), budget=budget, seed=seed)[2]
+
+
+def compare_normal(eA: SetExpr, eB: SetExpr, budget: int = DEFAULT_BUDGET,
+                   seed: int = 0) -> tuple[Verdict, Verdict, TopologyOrder]:
+    """A ⊆ B, B ⊆ A and the order of tau(A) versus tau(B), for expressions
+    already in normal form."""
+    fwd = subset_normal(eA, eB, budget=budget, seed=seed)
+    rev = subset_normal(eB, eA, budget=budget, seed=seed)
+    return fwd, rev, TopologyOrder.of(fwd, rev)

@@ -44,8 +44,6 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence, Union
 
-Rat = Fraction
-
 RatLike = Union[int, str, Fraction]
 
 

@@ -27,7 +27,10 @@ double complement, no complemented ``empty`` or ``all``, no union directly
 inside a union nor intersection inside an intersection, no repeated member
 and no one-member union or intersection.  Given normal arguments,
 :func:`complement` and :func:`join` return normal results, so derived
-expressions are built normal and never normalised again.
+expressions are built normal and never normalised again.  The parser
+builds through these two as it reads, so :func:`parse` returns the normal
+tree without a second pass; :func:`normalize` applies them bottom-up to a
+tree built in Python, and :func:`normalize_for` takes text or a tree.
 
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
@@ -278,10 +281,13 @@ def normalize(e: SetExpr) -> SetExpr:
     return e
 
 
-def normalize_for(e: SetExpr, dimension: int) -> SetExpr:
-    """:func:`normalize` for a session of the given dimension: a tree whose
-    coordinate groups do not have dimension - 1 coordinates raises
-    DimensionMismatch, as :func:`parse` raises ParseError on such text."""
+def normalize_for(e: SetExpr | str, dimension: int) -> SetExpr:
+    """The normal tree of text, read by :func:`parse`, or of a tree built in
+    Python, for a session of the given dimension: a tree whose coordinate
+    groups do not have dimension - 1 coordinates raises DimensionMismatch,
+    as :func:`parse` raises ParseError on such text."""
+    if isinstance(e, str):
+        return parse(e, dimension)
     e = normalize(e)
     found = arity(e)
     if found not in (None, dimension - 1):
@@ -466,9 +472,9 @@ class _Parser:
         return tok
 
     def parse(self) -> SetExpr:
-        e = self.expr()
+        e = self.expr()  # normal, and coords() checked every arity
         self.end()
-        return _normal(e, MAX_TREE_DEPTH)  # coords() checked every arity
+        return e
 
     def end(self) -> None:
         tok = self._peek()
@@ -476,18 +482,18 @@ class _Parser:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
 
     def expr(self) -> SetExpr:
-        terms = [self.term()]
-        while (tok := self._peek()) and tok[1] == "|":
-            self._next()
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else Union(tuple(terms))
+        return self._joined(Union, "|", self.term)
 
     def term(self) -> SetExpr:
-        factors = [self.factor()]
-        while (tok := self._peek()) and tok[1] == "&":
+        return self._joined(Inter, "&", self.factor)
+
+    def _joined(self, kind: type, sym: str, part: Callable[[], SetExpr]) -> SetExpr:
+        """``part { sym part }``, the parts joined into one normal node."""
+        parts = [part()]
+        while (tok := self._peek()) and tok[1] == sym:
             self._next()
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Inter(tuple(factors))
+            parts.append(part())
+        return parts[0] if len(parts) == 1 else join(kind, parts)
 
     def factor(self) -> SetExpr:
         tok = self._peek()
@@ -500,7 +506,7 @@ class _Parser:
         if self.depth > self.MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels", tok[2])
         if tok[1] == "!":
-            inner = Complement(self.factor())
+            inner = complement(self.factor())
         else:
             inner = self.expr()
             self._next(")")
@@ -1057,8 +1063,8 @@ def random_expr(rng: random.Random, dimension: int = 2, max_depth: int = 4) -> S
         if roll <= 2:
             return prim()
         if roll == 3:
-            return Complement(build(depth - 1))
-        members = tuple(build(depth - 1) for _ in range(rng.randint(2, 3)))
-        return Union(members) if roll == 4 else Inter(members)
+            return complement(build(depth - 1))
+        members = [build(depth - 1) for _ in range(rng.randint(2, 3))]
+        return join(Union if roll == 4 else Inter, members)
 
-    return _normal(build(max_depth), MAX_TREE_DEPTH)  # every arity is m
+    return build(max_depth)  # normal, and every arity is m

@@ -55,7 +55,6 @@ from .setdsl import (
     complement,
     complement_text,
     normalize_for,
-    parse,
     to_text,
 )
 from .trivalent import FALSE, TRUE, UNKNOWN, Verdict
@@ -179,21 +178,31 @@ class PropertyReport:
         )
 
     def to_json(self) -> dict:
-        properties: dict = {name: self.properties[name].value for name in PROPERTY_ORDER}
-        properties["dim"] = "unknown" if self.dim is None else self.dim
-        boundary: dict = {name: self.boundary[name].value for name in BOUNDARY_ORDER}
-        boundary["dim"] = "unknown" if self.boundary_dim is None else self.boundary_dim
         return {
             "space": self.space,
             "dimension": self.dimension,
-            "properties": properties,
-            "boundary_subspace": boundary,
+            "properties": {n: verdict_json(self.verdict(n)) for n in (*PROPERTY_ORDER, "dim")},
+            "boundary_subspace": {
+                n: verdict_json(self.verdict(f"boundary.{n}")) for n in (*BOUNDARY_ORDER, "dim")
+            },
             "trace": [step.to_json() for step in self.trace],
         }
 
 
+def verdict_json(verdict: TUnion[Verdict, int, None]) -> TUnion[str, int]:
+    """One verdict of a report as JSON writes it: a Verdict as its value, a
+    settled dimension as itself and an unsettled one as "unknown"."""
+    if isinstance(verdict, Verdict):
+        return verdict.value
+    return "unknown" if verdict is None else verdict
+
+
 class UnknownProperty(KeyError):
-    """The report has no property of that name."""
+    """The report has no property of that name.  Its message is its one
+    argument, not the repr a KeyError prints."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 # dim A for the primitives of known dimension, given n; every other node
@@ -221,7 +230,7 @@ _COROLLARY_ROWS: tuple[tuple[object, str, str, dict[str, Verdict]], ...] = (
 def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     """Full property report for (X_n, tau(A)) and its boundary subspace."""
     check_dimension(dimension)
-    e = parse(expr, dimension) if isinstance(expr, str) else normalize_for(expr, dimension)
+    e = normalize_for(expr, dimension)
     desc = infer_normal(e)
     comp = complement(e)
     comp_desc = infer_normal(comp)
@@ -425,6 +434,7 @@ def _assert_coherent(report: PropertyReport) -> None:
 
 def explain(report: PropertyReport, property_name: str) -> list[TraceStep]:
     """The ordered trace steps that produced one property's verdict."""
-    if property_name not in report.property_names():
-        raise UnknownProperty(property_name)
+    names = report.property_names()
+    if property_name not in names:
+        raise UnknownProperty(f"unknown property {property_name!r}; known: {', '.join(names)}")
     return [s for s in report.trace if property_name in s.targets]

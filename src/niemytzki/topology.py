@@ -9,6 +9,8 @@ A boundary set A ⊆ L_n induces the topology tau(A) on X_n:
 tau(L_n) is the Euclidean topology and tau(∅) the classical tangent-ball
 (Niemytzki) topology; the constructors below normalize those two cases so
 ``euclidean(n) == modified(all, n)`` and ``niemytzki(n) == modified(empty, n)``.
+A boundary set given as text or as a tree is read once, by
+``setdsl.normalize_for``.
 
 Convergence is decided only for the two closed-form sequence families, with
 machine-checkable certificates: an exact index bound when the sequence
@@ -43,7 +45,7 @@ from .geometry import (
     tangent_gauge,
     translate,
 )
-from .setdsl import IN, UNKNOWN, All, Empty, SetExpr, member, normalize_for, parse, to_text
+from .setdsl import IN, UNKNOWN, All, Empty, SetExpr, member, normalize_for, to_text
 
 
 class UndecidableMembership(RuntimeError):
@@ -54,18 +56,16 @@ class UndecidableMembership(RuntimeError):
 class TopologySpec:
     """One of the topologies tau(A) on X_n, A given as a set expression.
 
-    Text is parsed, which normalizes it and checks every arity once; a tree
-    built in Python is normalized and checked by ``normalize_for``."""
+    Text or a tree built in Python becomes one normal tree through
+    ``setdsl.normalize_for``, which checks every arity once: text as it is
+    parsed, a tree as it is normalized."""
 
     dimension: int
     boundary_set: SetExpr
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        a, n = self.boundary_set, self.dimension
-        object.__setattr__(
-            self, "boundary_set", parse(a, n) if isinstance(a, str) else normalize_for(a, n)
-        )
+        object.__setattr__(self, "boundary_set", normalize_for(self.boundary_set, self.dimension))
 
     @staticmethod
     def euclidean(dimension: int) -> "TopologySpec":

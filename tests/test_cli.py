@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from niemytzki import cli, setdsl
+from niemytzki.setdsl import random_expr, to_text
+from niemytzki.theorems import classify
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -142,10 +145,50 @@ class TestCommands:
         assert run_cli("explain", "--set", "cantor",
                        "--property", "frobnication").returncode == 1
 
+    def test_explain_unknown_property_names_the_known_ones(self):
+        proc = run_cli("explain", "--set", "cantor", "--property", "nonsense")
+        known = ", ".join(classify("cantor", 2).property_names())
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: unknown property 'nonsense'; known: {known}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_modified_topology_expression(self):
         proc = run_cli("nbhd", "--topology", "rationals", "--point", "1/2,0",
                        "--eps", "2", "--json")
         assert json.loads(proc.stdout)["neighborhood"]["kind"] == "half-ball"
+
+
+def _json_of(capsys, *argv) -> dict:
+    assert cli.main([*argv, "--json"]) == cli.EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+class TestExplainVerdicts:
+    """explain --json prints, for every property name, the verdict that
+    classify --json prints for it."""
+
+    FLAGSHIP = ("empty", "all", "cantor", "bernstein", "rationals", "!rationals", "lattice")
+
+    @staticmethod
+    def _sets():
+        rng = random.Random(14)
+        corpus = [(to_text(random_expr(rng, n, max_depth=3)), n) for n in (2, 3) for _ in range(6)]
+        return [(text, 2) for text in TestExplainVerdicts.FLAGSHIP] + corpus
+
+    def test_explain_prints_the_classify_verdict_of_every_property(self, capsys):
+        dims = set()
+        for text, n in self._sets():
+            common = ("--set", text, "--dimension", str(n))
+            record = _json_of(capsys, "classify", *common)
+            for name in classify(text, n).property_names():
+                block, key = (("boundary_subspace", name[len("boundary."):])
+                              if name.startswith("boundary.") else ("properties", name))
+                explained = _json_of(capsys, "explain", *common, "--property", name)
+                assert explained["verdict"] == record[block][key], (text, n, name)
+            dims.add((record["properties"]["dim"], record["boundary_subspace"]["dim"]))
+        # a settled and an unsettled dimension, of the space and of its boundary
+        assert {d == "unknown" for d, _ in dims} == {True, False}
+        assert {b == "unknown" for _, b in dims} == {True, False}
 
 
 class TestMemberWireWords:

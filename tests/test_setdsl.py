@@ -4,7 +4,7 @@ import threading
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from niemytzki.setdsl import (
@@ -381,6 +381,53 @@ def _member_case(draw):
 def test_member_agrees_with_the_tree_oracle(case):
     e, query, point = case
     assert _REF_VERDICT[member(e, query)] is tree_member_ref(_ref_tree(e), point)
+
+
+# few coordinate values, so that members and leaves repeat
+_RAW_VALUE = st.sampled_from((Fr(0), Fr(1), Fr(-1, 2), Fr(3, 4)))
+
+
+def _raw_trees(m: int):
+    """Trees as built in Python, never normalised: double complements,
+    complemented constants, a union in a union or an intersection in an
+    intersection, repeated and single members."""
+    coords = st.tuples(*[_RAW_VALUE] * m)
+    radius = st.sampled_from((Fr(1), Fr(1, 3)))
+    leaf = st.one_of(
+        st.sampled_from((Empty(), All(), Rationals(), Lattice(), Cantor(), Bernstein())),
+        st.builds(SinglePoint, coords),
+        st.builds(FiniteSet, st.lists(coords, min_size=1, max_size=3).map(tuple)),
+        st.builds(ClosedBall, coords, radius),
+        st.builds(OpenBall, coords, radius),
+    )
+
+    def connectives(children):
+        members = st.builds(lambda xs, k: tuple(xs + xs[:k]),
+                            st.lists(children, min_size=1, max_size=3), st.integers(0, 2))
+        return st.one_of(st.builds(Complement, children),
+                         st.builds(Union, members), st.builds(Inter, members))
+
+    return st.recursive(leaf, connectives, max_leaves=12)
+
+
+def _raw_text(e) -> str:
+    """e printed as it was built: every "!" kept, every connective in
+    parentheses."""
+    kind = type(e)
+    if kind is Complement:
+        return f"!({_raw_text(e.body)})"
+    if kind in (Union, Inter):
+        return "(" + (" | " if kind is Union else " & ").join(map(_raw_text, e.members)) + ")"
+    return to_text(e)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda n: st.tuples(st.just(n), _raw_trees(n - 1))))
+@example((2, Union((Union((Cantor(), Cantor())), Complement(Complement(All())),
+                    Inter((Complement(Empty()), Inter((Lattice(), Lattice())))))))).via("edge cases")
+def test_parse_reads_raw_text_into_the_normal_tree(case):
+    n, raw = case
+    assert parse(_raw_text(raw), n) == normalize(raw)
 
 
 class TestCantorOracleAgreement:

@@ -198,6 +198,13 @@ class TestTrace:
         with pytest.raises(UnknownProperty):
             explain(r, "compactly_generated")
 
+    def test_unknown_property_is_a_key_error_naming_the_known_ones(self):
+        r = classify("cantor", 2)
+        with pytest.raises(KeyError) as err:
+            explain(r, "compactly_generated")
+        known = ", ".join(r.property_names())
+        assert str(err.value) == f"unknown property 'compactly_generated'; known: {known}"
+
     def test_dim_and_boundary_namespaces(self):
         r = classify("all", 2)
         assert explain(r, "dim")[0].rule == "R8"

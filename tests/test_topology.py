@@ -48,7 +48,7 @@ class TestTopologySpec:
                 return _f(*args)
             monkeypatch.setattr(setdsl, name, counted)
         spec = TopologySpec.modified(text, 2)
-        assert calls == {"_normal": 4, "_arities": 0}  # one per node, no arity walk
+        assert calls == {"_normal": 0, "_arities": 0}  # parsed normal, no arity walk
         monkeypatch.undo()
         assert spec == TopologySpec.modified(parse(text), 2)
         with pytest.raises(ParseError):
