@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .descriptive import compare_normal
+from .descriptive import compare
 from .geometry import Point, check_dimension
 from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
 from .setdsl import DEFAULT_BUDGET, IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
@@ -196,7 +196,7 @@ def _cmd_converge(args) -> int:
 def _cmd_compare(args) -> int:
     eA = parse(args.set_a, args.dimension)
     eB = parse(args.set_b, args.dimension)
-    fwd, _, order = compare_normal(eA, eB, budget=args.budget, seed=args.seed)
+    fwd, _, order = compare(eA, eB, budget=args.budget, seed=args.seed)
     payload = {
         "set_a": to_text(eA),
         "set_b": to_text(eB),

@@ -22,9 +22,11 @@ no primitive's flags depend on its coordinates.  The implications include:
   * a Bernstein set and its complement contain no uncountable compacta and
     are neither G_delta nor F_sigma (trusted axioms).
 
-:func:`compare_normal` settles A ⊆ B and B ⊆ A, each by :func:`subset_normal`,
-and reads the order of tau(A) and tau(B) off the two verdicts;
-:func:`compare_topologies` is that order for arguments it normalises.
+:func:`compare` settles A ⊆ B and B ⊆ A, each by :func:`subset`, and reads
+the order of tau(A) and tau(B) off the two verdicts; :func:`compare_topologies`
+is that order alone.  Every entry point takes any tree and normalises it,
+which for a tree marked normal, as :func:`~niemytzki.setdsl.parse` returns
+one, is a single read.
 
 True/False answers are sound claims; Unknown is the fallback — the engine
 never guesses.  A contradiction between rules raises SoundnessError and
@@ -445,13 +447,7 @@ def _flags(e: SetExpr) -> dict[str, Verdict]:
 
 def infer(e: SetExpr) -> DescClass:
     """Descriptive-class record of a boundary-set expression."""
-    return infer_normal(normalize(e))
-
-
-def infer_normal(e: SetExpr) -> DescClass:
-    """:func:`infer` of an expression already in normal form, such as one
-    built with ``complement`` or ``join`` from normal parts."""
-    flags = _flags(e)
+    flags = _flags(normalize(e))
     return DescClass(**{name: flags[name] for name in PUBLIC_FLAGS})
 
 
@@ -497,11 +493,7 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
 def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """Three-valued subset test: structural rules prove True, a witness in
     e1 \\ e2 proves False, otherwise Unknown."""
-    return subset_normal(normalize(e1), normalize(e2), budget=budget, seed=seed)
-
-
-def subset_normal(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
-    """:func:`subset` of expressions already in normal form."""
+    e1, e2 = normalize(e1), normalize(e2)
     if _structural_subset(e1, e2):
         return T
     # find_witness reads the dimension off gap: e1's arity, else e2's
@@ -538,13 +530,13 @@ def compare_topologies(eA: SetExpr, eB: SetExpr, budget: int = DEFAULT_BUDGET, s
     FINER means tau(A) ⊇ tau(B) is established (EQUAL when both inclusions
     are); whether the inclusion is strict may be open.
     """
-    return compare_normal(normalize(eA), normalize(eB), budget=budget, seed=seed)[2]
+    return compare(eA, eB, budget=budget, seed=seed)[2]
 
 
-def compare_normal(eA: SetExpr, eB: SetExpr, budget: int = DEFAULT_BUDGET,
-                   seed: int = 0) -> tuple[Verdict, Verdict, TopologyOrder]:
-    """A ⊆ B, B ⊆ A and the order of tau(A) versus tau(B), for expressions
-    already in normal form."""
-    fwd = subset_normal(eA, eB, budget=budget, seed=seed)
-    rev = subset_normal(eB, eA, budget=budget, seed=seed)
+def compare(eA: SetExpr, eB: SetExpr, budget: int = DEFAULT_BUDGET,
+            seed: int = 0) -> tuple[Verdict, Verdict, TopologyOrder]:
+    """A ⊆ B, B ⊆ A and the order of tau(A) versus tau(B)."""
+    eA, eB = normalize(eA), normalize(eB)  # once: each subset then reads the mark
+    fwd = subset(eA, eB, budget=budget, seed=seed)
+    rev = subset(eB, eA, budget=budget, seed=seed)
     return fwd, rev, TopologyOrder.of(fwd, rev)

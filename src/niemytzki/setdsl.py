@@ -32,6 +32,19 @@ builds through these two as it reads, so :func:`parse` returns the normal
 tree without a second pass; :func:`normalize` applies them bottom-up to a
 tree built in Python, and :func:`normalize_for` takes text or a tree.
 
+A normal tree is one :func:`parse` could return: besides that form, each
+coordinate and radius is an ``int`` or a ``Fraction``, each radius is
+positive, each finite set has a point and every coordinate group has the
+same arity, at least one.  A tree known to be normal is marked so at its
+root, beside its fields as its hash is: :func:`parse` and :func:`normalize`
+mark what they return, and :func:`complement` marks its result when its
+argument is marked.  :func:`join` does not mark, since its members may
+differ in arity.  A marked complement may be one connective deeper than
+:data:`MAX_TREE_DEPTH` allows; every walk has room for that level, as
+:func:`~niemytzki.theorems.classify` walks the complement of each set.
+:func:`normalize` of a marked tree is one read, so every entry point takes
+any tree and each tree is normalised once.
+
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
 primitive needs a row in each: ``_TEXT``, ``_MEMBER_TESTS``, the coordinate
@@ -87,14 +100,15 @@ UNKNOWN = Verdict.UNKNOWN
 class SetExpr:
     """Base class of boundary-set expressions."""
 
-    # What a node caches beside its fields: its hash and its membership test
-    # (see _compiled).  A scaled form or a union's index sits in __dict__.
-    __slots__ = ("_hash", "_member_test")
+    # What a node caches beside its fields: its hash, its membership test
+    # (see _compiled) and the mark that it is normal (see normalize).  A
+    # scaled form or a union's index sits in __dict__.
+    __slots__ = ("_hash", "_member_test", "_is_normal")
 
     def __getstate__(self):
         # the fields alone: what a node caches beside them (its hash, a
-        # scaled form, a union's index, its membership test) is no part of
-        # its value
+        # scaled form, a union's index, its membership test, its mark) is no
+        # part of its value
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __hash__(self) -> int:
@@ -238,15 +252,25 @@ class NodeTable(dict):
 WITHIN = {ClosedBall: operator.le, OpenBall: operator.lt}
 
 
+def _marked(e: SetExpr) -> SetExpr:
+    """e, marked as normal: a tree that :func:`normalize` accepts, in its
+    normal form."""
+    object.__setattr__(e, "_is_normal", True)
+    return e
+
+
 def complement(e: SetExpr) -> SetExpr:
-    """The complement of a normal expression, in normal form."""
+    """The complement of a normal expression, in normal form, marked normal
+    when e is marked."""
     if isinstance(e, Complement):
-        return e.body
-    if isinstance(e, All):
-        return Empty()
-    if isinstance(e, Empty):
-        return All()
-    return Complement(e)
+        c = e.body
+    elif isinstance(e, All):
+        c = Empty()
+    elif isinstance(e, Empty):
+        c = All()
+    else:
+        c = Complement(e)
+    return _marked(c) if getattr(e, "_is_normal", False) else c
 
 
 def join(kind: type, members: Iterable[SetExpr]) -> SetExpr:
@@ -267,27 +291,35 @@ def join(kind: type, members: Iterable[SetExpr]) -> SetExpr:
 
 def normalize(e: SetExpr) -> SetExpr:
     """Structural normal form: no double complements, no complemented
-    constants, flattened and deduplicated unions/intersections.
+    constants, flattened and deduplicated unions/intersections.  The result
+    is marked normal, and a marked tree is returned as it is.
 
     A tree with more than :data:`MAX_TREE_DEPTH` nested connectives raises
     ValueError: the library walks trees recursively, and the bound keeps
     every walk within the recursion limit.  A tree whose coordinate groups
-    differ in arity raises DimensionMismatch.
+    differ in arity raises DimensionMismatch, and a leaf that :func:`parse`
+    would refuse raises as :func:`_arities` says.
     """
-    e = _normal(e, MAX_TREE_DEPTH)
+    if getattr(e, "_is_normal", False):
+        return e
+    normal = _normal(e, MAX_TREE_DEPTH)
+    # the leaves of e, not of its normal form: a duplicate dropped there,
+    # such as point(1.0) beside point(1), would go unchecked
     found = set(_arities(e))
     if len(found) > 1:
         raise DimensionMismatch(f"coordinate groups of arities {sorted(found)} in one set")
-    return e
+    return _marked(normal)
 
 
 def normalize_for(e: SetExpr | str, dimension: int) -> SetExpr:
     """The normal tree of text, read by :func:`parse`, or of a tree built in
-    Python, for a session of the given dimension: a tree whose coordinate
-    groups do not have dimension - 1 coordinates raises DimensionMismatch,
-    as :func:`parse` raises ParseError on such text."""
+    Python, for a session of the given dimension: a dimension below 2
+    raises ValueError, and a tree whose coordinate groups do not have
+    dimension - 1 coordinates DimensionMismatch, as :func:`parse` raises
+    ParseError on such text."""
     if isinstance(e, str):
         return parse(e, dimension)
+    check_dimension(dimension)
     e = normalize(e)
     found = arity(e)
     if found not in (None, dimension - 1):
@@ -333,9 +365,37 @@ _COORDS = NodeTable({
 
 
 def _arities(e: SetExpr) -> Iterator[int]:
-    """The arity of each coordinate group of the tree, leaves in pre-order."""
+    """The arity of each coordinate group of the tree, leaves in pre-order.
+
+    A leaf that :func:`parse` would refuse raises as it is reached: a
+    coordinate or radius that is not an ``int`` or a ``Fraction`` TypeError,
+    as :func:`geometry.rat` does for a float; a radius <= 0 or a finite set
+    without points ValueError; a group without coordinates
+    DimensionMismatch."""
     for leaf in leaves(e):
-        yield from map(len, _COORDS[type(leaf)](leaf))
+        kind = type(leaf)
+        groups = _COORDS[kind](leaf)
+        if kind in WITHIN and _exact(leaf.radius) <= 0:
+            raise ValueError("radius must be positive")
+        if kind is FiniteSet and not groups:
+            raise ValueError("a finite set needs at least one point")
+        for group in groups:
+            if not group:
+                raise _no_coordinates()
+            for c in group:
+                _exact(c)
+            yield len(group)
+
+
+def _exact(c):
+    """c, if it is an int or a Fraction (a bool is not)."""
+    if type(c) not in (int, Fraction):
+        raise TypeError(f"not an exact rational: {c!r}")
+    return c
+
+
+def _no_coordinates() -> DimensionMismatch:
+    return DimensionMismatch("a boundary point needs at least one coordinate")
 
 
 def arity(e: SetExpr) -> Optional[int]:
@@ -587,7 +647,7 @@ def parse(text: str, dimension: int = 2) -> SetExpr:
     coordinate groups whose arity differs from dimension - 1.
     """
     check_dimension(dimension)
-    return _Parser(text, dimension).parse()
+    return _marked(_Parser(text, dimension).parse())
 
 
 def parse_rational(text: str) -> Fraction:
@@ -835,7 +895,7 @@ def member_test(e: SetExpr, m: int) -> _Test:
     tree with a coordinate group of another arity than m, raises
     DimensionMismatch; a tree too deep to walk, ValueError."""
     if not m:
-        raise DimensionMismatch("a boundary point needs at least one coordinate")
+        raise _no_coordinates()
     try:
         test, arities = _compiled(e)
     except RecursionError:
@@ -850,8 +910,10 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
     """Three-valued membership of a boundary point (n-1 rational coordinates,
     each read by :func:`geometry.rat`, so a float raises TypeError).
 
-    A tree too deep to walk within the recursion limit raises ValueError,
-    as in :func:`normalize`."""
+    The tree is taken as given, not normalised or checked: for a tree that
+    :func:`normalize` refuses the answer means nothing.  A tree too deep to
+    walk within the recursion limit raises ValueError, as in
+    :func:`normalize`."""
     coords = tuple(map(rat, p))
     test = member_test(e, len(coords))
     try:
@@ -1000,7 +1062,8 @@ def find_witness(
 ) -> Optional[tuple[Fraction, ...]]:
     """Search for a point with membership In among budget candidates: the
     structural candidates of the tree, then fixed probe points, then seeded
-    random rationals.  Absence of a witness proves nothing.
+    random rationals.  Absence of a witness proves nothing.  The tree is
+    taken as given, as by :func:`member`.
 
     The tree's membership test is built once per search.  The probes and
     the random candidates are read from caches shared by every search of

@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
-from .descriptive import DescClass, SoundnessError, infer_normal
-from .geometry import check_dimension
+from .descriptive import DescClass, SoundnessError, infer
 from .setdsl import (
     All,
     Bernstein,
@@ -229,11 +228,10 @@ _COROLLARY_ROWS: tuple[tuple[object, str, str, dict[str, Verdict]], ...] = (
 
 def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     """Full property report for (X_n, tau(A)) and its boundary subspace."""
-    check_dimension(dimension)
     e = normalize_for(expr, dimension)
-    desc = infer_normal(e)
+    desc = infer(e)
     comp = complement(e)
-    comp_desc = infer_normal(comp)
+    comp_desc = infer(comp)
     text = to_text(e)
     comp_text = complement_text(e, text)
 

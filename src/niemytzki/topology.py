@@ -36,7 +36,6 @@ from .geometry import (
     DimensionMismatch,
     Point,
     RatLike,
-    check_dimension,
     in_ball,
     in_tangent_ball,
     inner_ball_radius,
@@ -57,14 +56,13 @@ class TopologySpec:
     """One of the topologies tau(A) on X_n, A given as a set expression.
 
     Text or a tree built in Python becomes one normal tree through
-    ``setdsl.normalize_for``, which checks every arity once: text as it is
-    parsed, a tree as it is normalized."""
+    ``setdsl.normalize_for``, which checks the dimension and every arity
+    once: text as it is parsed, a tree as it is normalized."""
 
     dimension: int
     boundary_set: SetExpr
 
     def __post_init__(self):
-        check_dimension(self.dimension)
         object.__setattr__(self, "boundary_set", normalize_for(self.boundary_set, self.dimension))
 
     @staticmethod

@@ -432,6 +432,8 @@ def test_every_entry_point_refuses_dimension_one(capsys):
 
     for call in (lambda: SuiteConfig("S1", dimension=1), lambda: parse("cantor", 1),
                  lambda: classify("cantor", 1), lambda: TopologySpec(1, All()),
+                 lambda: classify(All(), 1), lambda: classify("all", 1),
+                 lambda: TopologySpec.modified("all", 1),
                  lambda: geometry.check_dimension(1)):
         with pytest.raises(ValueError, match="^dimension must be at least 2$"):
             call()

@@ -390,16 +390,26 @@ _RAW_VALUE = st.sampled_from((Fr(0), Fr(1), Fr(-1, 2), Fr(3, 4)))
 def _raw_trees(m: int):
     """Trees as built in Python, never normalised: double complements,
     complemented constants, a union in a union or an intersection in an
-    intersection, repeated and single members."""
+    intersection, repeated and single members.  One leaf in eight is one
+    parse refuses: a ball of radius 0 or below, a point with a float
+    coordinate or a finite set without points."""
     coords = st.tuples(*[_RAW_VALUE] * m)
     radius = st.sampled_from((Fr(1), Fr(1, 3)))
-    leaf = st.one_of(
+    accepted = st.one_of(
         st.sampled_from((Empty(), All(), Rationals(), Lattice(), Cantor(), Bernstein())),
         st.builds(SinglePoint, coords),
         st.builds(FiniteSet, st.lists(coords, min_size=1, max_size=3).map(tuple)),
         st.builds(ClosedBall, coords, radius),
         st.builds(OpenBall, coords, radius),
     )
+    refused = st.one_of(
+        st.builds(lambda kind, c, r: kind(c, r), st.sampled_from((ClosedBall, OpenBall)),
+                  coords, st.sampled_from((Fr(0), Fr(-1, 2)))),
+        # 1.0 equals the rational 1, so such a point may be a repeated member
+        coords.map(lambda c: SinglePoint((1.0,) + c[1:])),
+        st.just(FiniteSet(())),
+    )
+    leaf = st.integers(0, 7).flatmap(lambda i: refused if i == 0 else accepted)
 
     def connectives(children):
         members = st.builds(lambda xs, k: tuple(xs + xs[:k]),
@@ -425,9 +435,19 @@ def _raw_text(e) -> str:
 @given(st.sampled_from((2, 3, 4)).flatmap(lambda n: st.tuples(st.just(n), _raw_trees(n - 1))))
 @example((2, Union((Union((Cantor(), Cantor())), Complement(Complement(All())),
                     Inter((Complement(Empty()), Inter((Lattice(), Lattice())))))))).via("edge cases")
+@example((2, Union((SinglePoint((Fr(1),)), SinglePoint((1.0,)))))).via("a float dropped as a repeat")
+@example((2, Complement(FiniteSet(())))).via("a finite set without points")
+@example((3, Inter((Cantor(), OpenBall((Fr(0), Fr(1)), Fr(0)))))).via("a ball of radius 0")
 def test_parse_reads_raw_text_into_the_normal_tree(case):
+    # normalize and parse accept the same trees, and agree on them
     n, raw = case
-    assert parse(_raw_text(raw), n) == normalize(raw)
+    try:
+        want = normalize(raw)
+    except (TypeError, ValueError):
+        with pytest.raises(ParseError):
+            parse(_raw_text(raw), n)
+    else:
+        assert parse(_raw_text(raw), n) == want
 
 
 class TestCantorOracleAgreement:

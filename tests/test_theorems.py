@@ -4,7 +4,8 @@ import pytest
 
 from fractions import Fraction
 
-from niemytzki.descriptive import compare_topologies, infer, subset
+from niemytzki import setdsl
+from niemytzki.descriptive import compare, compare_topologies, infer, subset
 from niemytzki.setdsl import (
     MAX_TREE_DEPTH,
     All,
@@ -14,6 +15,7 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _Parser,
+    complement,
     find_witness,
     member,
     normalize,
@@ -232,6 +234,50 @@ class TestSetClasses:
         for n in (2, 3):
             for name, e, _, _, _ in build(n):
                 assert classify(e, n).set_classes == infer(e), name
+
+
+class TestNormalisedOnce:
+    TEXTS = ("cantor | point(1/2) & !cball(3;1)", "!(lattice | oball(0;2))")
+
+    @staticmethod
+    def _count_normal(monkeypatch) -> dict:
+        calls = {"_normal": 0}
+        walk = setdsl._normal
+
+        def counted(*args):
+            calls["_normal"] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(setdsl, "_normal", counted)
+        return calls
+
+    def test_parsed_text_is_not_normalised_again(self, monkeypatch):
+        a, b = (parse(text) for text in self.TEXTS)
+        calls = self._count_normal(monkeypatch)
+        for call in (lambda: compare_topologies(a, b), lambda: compare(a, b),
+                     lambda: subset(a, b), lambda: infer(a), lambda: classify(a, 2),
+                     lambda: classify(self.TEXTS[1], 2)):
+            call()
+            assert calls == {"_normal": 0}
+
+    def test_a_raw_tree_is_walked_once(self, monkeypatch):
+        def raw():
+            return Union((Complement(Complement(Cantor())), Inter((All(), SinglePoint((Fraction(1),))))))
+
+        calls = self._count_normal(monkeypatch)
+        normalize(raw())
+        once = calls["_normal"]
+        assert once > 0
+        calls["_normal"] = 0
+        assert normalize(normalize(raw())) == parse("cantor | all & point(1)")
+        assert calls["_normal"] == once
+
+    def test_the_complement_of_a_marked_tree_is_marked(self, monkeypatch):
+        e = parse(self.TEXTS[0])
+        calls = self._count_normal(monkeypatch)
+        for c in (complement(e), complement(complement(e)), complement(parse("all"))):
+            assert normalize(c) is c
+        assert calls == {"_normal": 0}
 
 
 def test_trees_deeper_than_the_cap_are_refused():
