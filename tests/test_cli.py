@@ -84,6 +84,59 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
 
+    @pytest.mark.parametrize("argv,code,err", [
+        (["check", "--suite", "S9"], 1, "error: unknown suite 'S9'; known: S1, S2, S3, S4, S5, S6, S7\n"),
+        (["explain", "--set", "cantor", "--property", "nope"], 1, "error: unknown property 'nope'; known: "),
+        (["nbhd", "--topology", "bernstein", "--point", "0,0", "--eps", "1"], 4,
+         "undecidable: membership of ['0', '0'] in bernstein is unknown\n"),
+    ], ids=["unknown-suite", "unknown-property", "undecidable"])
+    def test_each_caught_error_has_its_exit_code_and_line(self, argv, code, err, capsys):
+        assert cli.main(argv) == code
+        out, printed = capsys.readouterr()
+        assert out == "" and printed.startswith(err)
+        assert printed.count("\n") == 1
+
+    def test_a_sampling_error_is_a_usage_error(self, monkeypatch, capsys):
+        from niemytzki.harness import SamplingError
+
+        def exhausted(cfg):
+            raise SamplingError("rejection sampler exhausted")
+
+        monkeypatch.setattr(cli, "run_suite", exhausted)
+        assert cli.main(["check", "--suite", "S1", "--samples", "1"]) == 1
+        assert capsys.readouterr().err == "error: rejection sampler exhausted\n"
+
+    def test_suite_help_names_every_suite(self):
+        from niemytzki.harness import suite_names
+
+        (suite,) = [a for a in _subcommand("check")._actions if a.dest == "suite"]
+        assert suite.help == f"one of {', '.join(suite_names())}"
+
+
+def _subcommand(name: str):
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return commands.choices[name]
+
+
+# one valid call of each command; check's --samples 0 shows that the
+# dimension is refused before any other argument is read
+SEVEN_COMMANDS = [
+    ["classify", "--set", "cantor"],
+    ["member", "--set", "cantor", "--point", "1/4"],
+    ["nbhd", "--topology", "niemytzki", "--point", "0,0", "--eps", "1"],
+    ["converge", "--family", "vertical((0);1)", "--topology", "euclidean"],
+    ["compare", "--set-a", "empty", "--set-b", "all"],
+    ["check", "--suite", "S1", "--samples", "0"],
+    ["explain", "--set", "cantor", "--property", "lindelof"],
+]
+
+
+@pytest.mark.parametrize("dimension", ["1", "0"])
+@pytest.mark.parametrize("argv", SEVEN_COMMANDS, ids=lambda argv: argv[0])
+def test_every_command_refuses_a_dimension_below_two(argv, dimension, capsys):
+    assert cli.main([*argv, "--dimension", dimension]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: dimension must be at least 2\n")
+
 
 class TestCommands:
     def test_classify_bernstein(self):
