@@ -15,56 +15,48 @@ Modules:
   theorems     characterization rules producing citation-traced reports
   harness      seeded exact property suites
   cli          command-line front end
+
+``import niemytzki`` loads none of them.  Each public name below is read
+from its home module on first use (PEP 562), so ``niemytzki.classify``
+loads ``theorems`` and what it imports, and nothing else.  The CLI does the
+same per command.  Every command loads ``setdsl``, ``geometry`` and
+``trivalent``, which is all ``member`` needs; ``compare`` adds
+``descriptive``, ``classify`` and ``explain`` add ``descriptive`` and
+``theorems``, ``nbhd`` and ``converge`` add ``topology``, and ``check``
+adds ``topology`` and ``harness``.
 """
 
-from types import ModuleType as _ModuleType
+import importlib as _importlib
 
-from .descriptive import (
-    DescClass,
-    TopologyOrder,
-    compare_topologies,
-    contains_closed_uncountable,
-    infer,
-    subset,
-)
-from .geometry import (
-    BallSpec,
-    DimensionMismatch,
-    Point,
-    in_ball,
-    in_tangent_ball,
-    inner_ball_radius,
-    separating_f,
-    sq_dist,
-    t_level,
-)
-from .harness import SuiteConfig, SuiteResult, generate_samples, run_suite
-from .setdsl import ParseError, SetExpr, find_witness, member, parse, to_text
-from .theorems import PropertyReport, TraceStep, classify, explain
-from .topology import (
-    BasicOpen,
-    ConvergenceVerdict,
-    FiniteList,
-    HalfBall,
-    InteriorBall,
-    SequenceFamily,
-    TangentBall,
-    TangentCircle,
-    TopologySpec,
-    UndecidableMembership,
-    Vertical,
-    contains,
-    decide_convergence,
-    local_base_element,
-    refine,
-)
-from .trivalent import Verdict
+_HOMES = {
+    "descriptive": ("DescClass", "TopologyOrder", "compare_topologies",
+                    "contains_closed_uncountable", "infer", "subset"),
+    "geometry": ("BallSpec", "DimensionMismatch", "Point", "in_ball", "in_tangent_ball",
+                 "inner_ball_radius", "separating_f", "sq_dist", "t_level"),
+    "harness": ("SuiteConfig", "SuiteResult", "generate_samples", "run_suite"),
+    "setdsl": ("ParseError", "SetExpr", "find_witness", "member", "parse", "to_text"),
+    "theorems": ("PropertyReport", "TraceStep", "classify", "explain"),
+    "topology": ("BasicOpen", "ConvergenceVerdict", "FiniteList", "HalfBall", "InteriorBall",
+                 "SequenceFamily", "TangentBall", "TangentCircle", "TopologySpec",
+                 "UndecidableMembership", "Vertical", "contains", "decide_convergence",
+                 "local_base_element", "refine"),
+    "trivalent": ("Verdict",),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-# every public name imported above; the submodules, bound as attributes of
-# the package by those imports, are not among them
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import a public name's home module on first use and keep the value."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

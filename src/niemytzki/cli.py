@@ -16,21 +16,17 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .descriptive import compare
-from .geometry import Point, check_dimension
-from .harness import SuiteConfig, SamplingError, UnknownSuite, run_suite, suite_names
+from .geometry import Point
 from .setdsl import DEFAULT_BUDGET, IN, OUT, UNKNOWN, ParseError, member, parse, parse_rational, to_text
-from .theorems import UnknownProperty, classify, explain, verdict_json
-from .topology import (
-    SequenceFamily,
-    TangentCircle,
-    TopologySpec,
-    UndecidableMembership,
-    Vertical,
-    decide_convergence,
-    local_base_element,
-)
+
+if TYPE_CHECKING:
+    from .topology import SequenceFamily, TopologySpec
+
+# setdsl and geometry serve every command.  Each handler imports the other
+# modules it uses, so that a cold call loads only those: classify never
+# loads topology, and only check loads harness.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,6 +72,8 @@ def _parse_boundary_point(text: str, dimension: int) -> tuple[Fraction, ...]:
 
 
 def _parse_topology(text: str, dimension: int) -> TopologySpec:
+    from .topology import TopologySpec
+
     name = text.strip().lower()
     if name == "euclidean":
         return TopologySpec.euclidean(dimension)
@@ -90,6 +88,8 @@ _FAMILY_RE = re.compile(
 
 
 def _parse_family(text: str, dimension: int) -> SequenceFamily:
+    from .topology import TangentCircle, Vertical
+
     m = _FAMILY_RE.fullmatch(text)
     if m is None:
         raise UsageError(
@@ -115,6 +115,8 @@ def _verdict_lines(block: dict) -> str:
 
 
 def _cmd_classify(args) -> int:
+    from .theorems import classify
+
     report = classify(args.set, args.dimension)
     payload = report.to_json()
     payload["set_classes"] = report.set_classes.to_json()
@@ -143,6 +145,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_nbhd(args) -> int:
+    from .topology import local_base_element
+
     topo = _parse_topology(args.topology, args.dimension)
     point = _parse_point(args.point, args.dimension)
     eps = _rational(args.eps, "--eps")
@@ -162,6 +166,8 @@ def _cmd_nbhd(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    from .topology import decide_convergence
+
     topo = _parse_topology(args.topology, args.dimension)
     fam = _parse_family(args.family, args.dimension)
     verdict = decide_convergence(fam, topo, fam.anchor)
@@ -194,6 +200,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .descriptive import compare
+
     eA = parse(args.set_a, args.dimension)
     eB = parse(args.set_b, args.dimension)
     fwd, _, order = compare(eA, eB, budget=args.budget, seed=args.seed)
@@ -208,6 +216,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .harness import SuiteConfig, run_suite
+
     cfg = SuiteConfig(
         suite=args.suite,
         samples=args.samples,
@@ -229,6 +239,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from .theorems import classify, explain, verdict_json
+
     report = classify(args.set, args.dimension)
     steps = explain(report, args.property)
     payload = {
@@ -292,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("check", help="run a verification suite")
     _add_common(p)
-    p.add_argument("--suite", required=True, help=f"one of {', '.join(suite_names())}")
+    p.add_argument("--suite", required=True, help="one of S1, S2, S3, S4, S5, S6, S7")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=_cmd_check)
@@ -334,6 +346,22 @@ def main(argv=None) -> int:
     return code
 
 
+# The classes _main maps to exit codes live in modules a command may not have
+# loaded.  An except clause's expression is evaluated only when an exception
+# reaches that clause, so these imports are paid on the error path alone.
+def _undecidable() -> type:
+    from .topology import UndecidableMembership
+
+    return UndecidableMembership
+
+
+def _usage_errors() -> tuple[type, ...]:
+    from .harness import SamplingError, UnknownSuite
+    from .theorems import UnknownProperty
+
+    return (UsageError, UnknownSuite, UnknownProperty, SamplingError, ValueError)
+
+
 def _main(argv) -> int:
     parser = build_parser()
     try:
@@ -341,15 +369,14 @@ def _main(argv) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        check_dimension(getattr(args, "dimension", 2))
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UndecidableMembership as exc:
+    except _undecidable() as exc:
         print(f"undecidable: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
-    except (UsageError, UnknownSuite, UnknownProperty, SamplingError, ValueError) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

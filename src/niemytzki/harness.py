@@ -86,9 +86,9 @@ class SuiteConfig:
     dimension: int = 2
 
     def __post_init__(self):
+        check_dimension(self.dimension)
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
-        check_dimension(self.dimension)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ class TestExitCodes:
             result.failures.append(Failure(0, "synthetic", {}))
             return result
 
-        monkeypatch.setattr(cli, "run_suite", broken)
+        monkeypatch.setattr("niemytzki.harness.run_suite", broken)
         code = cli.main(["check", "--suite", "S1", "--samples", "1", "--json"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["ok"] is False
@@ -102,7 +102,7 @@ class TestExitCodes:
         def exhausted(cfg):
             raise SamplingError("rejection sampler exhausted")
 
-        monkeypatch.setattr(cli, "run_suite", exhausted)
+        monkeypatch.setattr("niemytzki.harness.run_suite", exhausted)
         assert cli.main(["check", "--suite", "S1", "--samples", "1"]) == 1
         assert capsys.readouterr().err == "error: rejection sampler exhausted\n"
 
@@ -136,6 +136,36 @@ SEVEN_COMMANDS = [
 def test_every_command_refuses_a_dimension_below_two(argv, dimension, capsys):
     assert cli.main([*argv, "--dimension", dimension]) == cli.EXIT_USAGE
     assert capsys.readouterr() == ("", "error: dimension must be at least 2\n")
+
+
+# what a call of each command must not import: a cold call pays for the
+# modules it loads
+_FOOTPRINT = r"""
+import contextlib, io, json, sys
+import niemytzki
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("niemytzki."))))
+from niemytzki import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("niemytzki."))))
+"""
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["classify", "--set", "cantor | point(1/2)"], {"harness", "topology"}),
+    (["compare", "--set-a", "cantor", "--set-b", "rationals"], {"harness", "topology"}),
+    (["member", "--set", "cantor", "--point", "1/4"], {"harness", "topology"}),
+    (["explain", "--set", "cantor", "--property", "perfect"], {"harness", "topology"}),
+    (["nbhd", "--topology", "cantor", "--point", "0,1", "--eps", "1"], {"harness"}),
+    (["converge", "--family", "vertical((0);1)", "--topology", "niemytzki"], {"harness"}),
+], ids=["classify", "compare", "member", "explain", "nbhd", "converge"])
+def test_a_command_imports_only_what_it_uses(argv, absent):
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    after_package, after_call = (json.loads(line) for line in proc.stdout.splitlines())
+    assert after_package == []
+    assert {f"niemytzki.{name}" for name in absent}.isdisjoint(after_call), after_call
 
 
 class TestCommands:
