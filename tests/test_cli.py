@@ -109,13 +109,9 @@ class TestExitCodes:
     def test_suite_help_names_every_suite(self):
         from niemytzki.harness import suite_names
 
-        (suite,) = [a for a in _subcommand("check")._actions if a.dest == "suite"]
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        (suite,) = [a for a in commands.choices["check"]._actions if a.dest == "suite"]
         assert suite.help == f"one of {', '.join(suite_names())}"
-
-
-def _subcommand(name: str):
-    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
-    return commands.choices[name]
 
 
 # one valid call of each command; check's --samples 0 shows that the
