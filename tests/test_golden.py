@@ -34,7 +34,9 @@ moves the digest.
 
 Suite digest: every record of ``generate_samples`` and the JSON of
 ``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
-a sample stream, a check count or a verdict moves the digest.
+a sample stream, a check count or a verdict moves the digest.  A second
+suite digest does the same for the four sampled suites S2, S3, S4 and S6 at
+n = 4, where the rejection samplers turn down the largest share of draws.
 
 When a change is meant to move a digest, recompute them with
 ``python -m tests.test_golden`` (``PYTHONPATH=src``, from the repository
@@ -75,6 +77,7 @@ from niemytzki.topology import BasicOpen
 
 GOLDEN_SHA256 = "fca2871ef7942f47d090037759cf859320915f88bff8773c6e50c4eed6d4c4f9"
 GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873ff02e24"
+GOLDEN_SUITE_N4_SHA256 = "be194f85789cef83971ba9fabfb37c60793fef41f2418e94a7743b504b364b43"
 GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
 GOLDEN_CANDIDATE_SHA256 = "a93f0b80c0c0a86d36bfdaf835465f4c7aead8d69684fda80993f414dcba8a4b"
 GOLDEN_WITNESS_SHA256 = "41ab03164abc479a301ada11c5e0db881c9a3020f54a69991c2d716863b10ced"
@@ -236,15 +239,19 @@ def _plain(value):
     return value
 
 
-def golden_suite_digest() -> str:
+def golden_suite_digest(suites=None, dimensions=(2, 3)) -> str:
     h = hashlib.sha256()
-    for suite in suite_names():
-        for n in (2, 3):
+    for suite in suites or suite_names():
+        for n in dimensions:
             cfg = SuiteConfig(suite, samples=60, seed=2405, dimension=n)
             for record in generate_samples(cfg):
                 h.update(json.dumps(_plain(record), sort_keys=True).encode())
             h.update(json.dumps(run_suite(cfg).to_json(), sort_keys=True).encode())
     return h.hexdigest()
+
+
+def golden_suite_n4_digest() -> str:
+    return golden_suite_digest(("S2", "S3", "S4", "S6"), dimensions=(4,))
 
 
 def test_golden_cli_digest():
@@ -253,6 +260,10 @@ def test_golden_cli_digest():
 
 def test_golden_suite_digest():
     assert golden_suite_digest() == GOLDEN_SUITE_SHA256
+
+
+def test_golden_suite_n4_digest():
+    assert golden_suite_n4_digest() == GOLDEN_SUITE_N4_SHA256
 
 
 def test_golden_inference_digest():
@@ -274,6 +285,7 @@ def test_witness_searches_run_as_often_as_pinned():
 if __name__ == "__main__":
     print(f"GOLDEN_SHA256 = {golden_digest()!r}")
     print(f"GOLDEN_SUITE_SHA256 = {golden_suite_digest()!r}")
+    print(f"GOLDEN_SUITE_N4_SHA256 = {golden_suite_n4_digest()!r}")
     print(f"GOLDEN_INFERENCE_SHA256 = {golden_inference_digest()!r}")
     print(f"GOLDEN_CANDIDATE_SHA256 = {golden_candidate_digest()!r}")
     print(f"GOLDEN_WITNESS_SHA256 = {golden_witness_digest()!r}")
