@@ -17,8 +17,10 @@ stream and identical verdicts.
   S7  three-valued logic laws of the membership oracle.
 
 Sphere samples come from the rational parameterization, never from
-rejection: measure-zero sets are unreachable by sampling.  Generated
-rationals keep denominators at or below 10^4 to bound bignum growth.
+rejection: measure-zero sets are unreachable by sampling.  Points inside a
+ball come from rejection on a box, and each draw is decided on its offsets
+from the ball's center before any point is built.  Generated rationals keep
+denominators at or below 10^4 to bound bignum growth.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from typing import Callable, Iterator
 
 from .geometry import (
     Point,
+    _scaled,
+    _sq_sign,
     check_dimension,
-    in_ball,
     in_tangent_ball,
     separating_f,
     sq_dist,
@@ -148,11 +151,19 @@ def _rand_rat_open(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     raise SamplingError(f"no rational found in ({lo}, {hi})")
 
 
-def _rejection(draw: Callable[[], object], accept, budget: int = 512):
-    for _ in range(budget):
-        candidate = draw()
-        if accept(candidate):
-            return candidate
+def _draw_inside(
+    base: Point, draw: Callable[[], list[Fraction]], center: Fraction, radius: Fraction
+) -> Point:
+    """base + o for the first offsets o = draw() with |o - center*e_n| < radius.
+
+    Each draw is decided on its offsets alone, as integers through the
+    kernel's one comparison, and only the kept one becomes a point."""
+    last = len(base.coords) - 1
+    target = _scaled((0,) * last + (center,))
+    for _ in range(512):
+        offsets = draw()
+        if _sq_sign(_scaled(offsets), target, radius) < 0:
+            return translate(base, offsets)
     raise SamplingError("region empty after the rejection budget was exhausted")
 
 
@@ -172,15 +183,15 @@ def _rand_direction(rng: random.Random, dimension: int) -> tuple[int, ...]:
 
 
 def _tangent_interior_point(rng: random.Random, anchor: Point, eps: Fraction) -> Point:
-    """Rejection sample strictly inside B(a(eps), eps)."""
+    """Rejection sample strictly inside B(a(eps), eps): the offsets x - a of
+    an interior x lie there iff |o - eps*e_n| < eps."""
 
     def draw():
-        offsets = [
+        return [
             _rand_rat(rng, -eps, eps) for _ in range(anchor.dimension - 1)
         ] + [_rand_rat_open(rng, Fraction(0), 2 * eps)]
-        return translate(anchor, offsets)
 
-    return _rejection(draw, lambda x: in_tangent_ball(x, anchor, eps))
+    return _draw_inside(anchor, draw, eps, eps)
 
 
 # --- sample streams ----------------------------------------------------------------
@@ -302,9 +313,9 @@ def _point_inside(rng: random.Random, b: BasicOpen) -> Point:
     def draw():
         offsets = [_rand_rat(rng, -b.radius, b.radius) for _ in range(b.center.dimension - 1)]
         offsets.append(_rand_rat(rng, last_lo, b.radius))
-        return translate(b.center, offsets)
+        return offsets
 
-    return _rejection(draw, lambda y: in_ball(y, b))
+    return _draw_inside(b.center, draw, Fraction(0), b.radius)
 
 
 def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
@@ -450,8 +461,9 @@ def _run_s4(cfg: SuiteConfig, rec: _Recorder) -> None:
 
 
 def _run_s5(cfg: SuiteConfig, rec: _Recorder) -> None:
-    # samples is the prefix length here; the pairwise isolation check is
-    # quadratic, so the prefix is capped
+    # samples is the prefix length here, capped at 250: the certificates are
+    # linear in the prefix, but the cap fixes the check count of a run
+    # (2 * (2 * prefix + 2)), which perfbench's expected_checks reads
     prefix = min(cfg.samples, 250)
     topo = TopologySpec.niemytzki(cfg.dimension)
     for sample in generate_samples(cfg):

@@ -27,6 +27,7 @@ half balls, ``in_tangent_ball`` for a tangent ball.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -358,7 +359,8 @@ class BlockingNeighborhood:
 @dataclass(frozen=True)
 class DiscretenessRadii:
     """Per-term isolating interior balls: each excludes every other term and
-    the anchor, witnessing discreteness of the prefix."""
+    the anchor, witnessing discreteness of the prefix.  The entries are
+    terms 1..prefix in order, one each."""
 
     entries: tuple[tuple[Point, Fraction], ...]
 
@@ -386,11 +388,22 @@ class ConvergenceVerdict:
 def _isolating_radii(
     fam: TangentCircle, prefix: int
 ) -> tuple[tuple[Point, Fraction], ...]:
-    terms = [fam.term(k) for k in range(1, prefix + 1)]
+    """Each of the first ``prefix`` terms with a radius whose interior ball
+    holds no other term and not the anchor.
+
+    The lemma: term k lies on the circle of radius eps about a + eps*e_n at
+    angle 2*arctan(1/k) from a, and these angles fall strictly towards the
+    anchor's 0 while staying at most pi/2.  A chord grows with the angle it
+    spans, so among the terms and the anchor the nearest point to term k is
+    term k-1 or term k+1, and the anchor after the last term: the squared
+    gap of each term is the smaller of its two neighbours' along the chain
+    term 1, ..., term prefix, anchor, and the chain has prefix links.
+    """
+    chain = [fam.term(k) for k in range(1, prefix + 1)] + [fam.anchor]
+    links = [sq_dist(p, q) for p, q in zip(chain, chain[1:])]
     entries = []
-    for i, p in enumerate(terms):
-        others = [q for j, q in enumerate(terms) if j != i] + [fam.anchor]
-        gap = min(sq_dist(p, q) for q in others)
+    for i, p in enumerate(chain[:-1]):
+        gap = min(links[i - 1], links[i]) if i else links[0]
         # any radius with radius^2 <= gap works; min(1, gap) does, exactly
         radius = min(Fraction(1), gap, p.coords[-1] / 2)
         entries.append((p, radius))
@@ -457,6 +470,48 @@ _DELTAS = (
 )
 
 
+def _coverage_failures(
+    entries: tuple[tuple[Point, Fraction], ...], terms: list[Point]
+) -> list[str]:
+    """One message per position at which the entries' points differ from
+    terms 1..prefix: a wrong point, a missing term or an entry past the
+    prefix."""
+    failures = []
+    for k in range(1, max(len(entries), len(terms)) + 1):
+        if k > len(entries):
+            failures.append(f"radii certificate omits term {k}")
+        elif k > len(terms):
+            failures.append(f"radii entry {k} lies beyond the prefix")
+        elif entries[k - 1][0] != terms[k - 1]:
+            failures.append(f"radii entry {k} is not term {k}")
+    return failures
+
+
+def _isolation_failures(
+    entries: tuple[tuple[Point, Fraction], ...], anchor: Point
+) -> list[str]:
+    """Whether each entry's interior ball admits another entry or the anchor.
+
+    Nothing is assumed about where the points lie.  An entry q with
+    |q_1 - p_1| >= r lies outside the open ball B(p, r), so each ball tests
+    only the entries whose first coordinate lies within its radius, found by
+    bisection on the entries sorted by it once; they are tested in entry
+    order, which keeps the messages in the order of the full pair check."""
+    order = sorted(range(len(entries)), key=lambda j: entries[j][0].coords[0])
+    firsts = [entries[j][0].coords[0] for j in order]
+    failures = []
+    for i, (p, radius) in enumerate(entries):
+        ball = InteriorBall(p, radius)
+        c, r = p.coords[0], ball.radius
+        window = order[bisect_right(firsts, c - r):bisect_left(firsts, c + r)]
+        for j in sorted(window):
+            if j != i and contains(ball, entries[j][0]):
+                failures.append(f"isolating ball of term {i + 1} admits term {j + 1}")
+        if contains(ball, anchor):
+            failures.append(f"isolating ball of term {i + 1} admits the anchor")
+    return failures
+
+
 def certificate_failures(
     verdict: ConvergenceVerdict,
     fam: SequenceFamily,
@@ -466,7 +521,9 @@ def certificate_failures(
     """Re-verify every certificate on the first ``prefix`` terms.
 
     Index bounds are exact iff-thresholds, so both directions are checked.
-    Returns human-readable failure messages; an empty list means verified.
+    Isolating radii must cover exactly the prefix, and every ball is tested
+    against every other entry and the anchor.  Returns human-readable
+    failure messages; an empty list means verified.
     """
     failures: list[str] = []
     if isinstance(fam, FiniteList):
@@ -491,16 +548,8 @@ def certificate_failures(
                     if gauge != 2 * fam.eps * term.coords[-1]:
                         failures.append(f"gauge equality fails at k={k}")
         elif isinstance(cert, DiscretenessRadii):
-            listed = [p for p, _ in cert.entries]
-            for i, (p, radius) in enumerate(cert.entries):
-                ball = InteriorBall(p, radius)
-                for j, q in enumerate(listed):
-                    if j != i and contains(ball, q):
-                        failures.append(
-                            f"isolating ball of term {i + 1} admits term {j + 1}"
-                        )
-                if contains(ball, fam.anchor):
-                    failures.append(f"isolating ball of term {i + 1} admits the anchor")
+            failures += _coverage_failures(cert.entries, terms)
+            failures += _isolation_failures(cert.entries, fam.anchor)
         else:
             failures.append(f"unknown certificate {cert!r}")
     return failures

@@ -241,3 +241,50 @@ def random_forms_ref(seed, m: int, count: int) -> list[tuple[tuple[int, ...], in
         d = lcm(*dens)
         forms.append((tuple(num * (d // den) for num, den in zip(nums, dens)), d))
     return forms
+
+
+# --- tangent-circle certificates, every pair checked ------------------------
+# A point is a coordinate tuple and an anchor its boundary point; nothing
+# below reads topology.
+
+
+def tangent_circle_term_ref(anchor, eps, k: int) -> tuple[Fraction, ...]:
+    """a + (2 eps k/(k^2+1), 0, ..., 0, 2 eps/(k^2+1))."""
+    eps, den = Fraction(eps), k * k + 1
+    return ((Fraction(anchor[0]) + 2 * eps * k / den,)
+            + tuple(Fraction(c) for c in anchor[1:-1]) + (2 * eps / den,))
+
+
+def isolating_radii_ref(anchor, eps, prefix: int) -> list[tuple[tuple, Fraction]]:
+    """Each term with min(1, least squared distance to another term or to
+    the anchor, x_n / 2), the distances taken over every pair once."""
+    terms = [tangent_circle_term_ref(anchor, eps, k) for k in range(1, prefix + 1)]
+    gaps = [sq_dist_ref(p, anchor) for p in terms]
+    for i, p in enumerate(terms):
+        for j in range(i + 1, prefix):
+            d2 = sq_dist_ref(p, terms[j])
+            gaps[i], gaps[j] = min(gaps[i], d2), min(gaps[j], d2)
+    return [(p, min(Fraction(1), gap, p[-1] / 2)) for p, gap in zip(terms, gaps)]
+
+
+def isolation_failures_ref(entries, anchor, eps, prefix: int) -> list[str]:
+    """The failures of a radii certificate: first each position at which
+    the entries differ from terms 1..prefix, then, for each entry in turn,
+    every other entry and the anchor that its open ball admits."""
+    terms = [tangent_circle_term_ref(anchor, eps, k) for k in range(1, prefix + 1)]
+    points = [tuple(p) for p, _ in entries]
+    failures = []
+    for k in range(1, max(len(points), len(terms)) + 1):
+        if k > len(points):
+            failures.append(f"radii certificate omits term {k}")
+        elif k > len(terms):
+            failures.append(f"radii entry {k} lies beyond the prefix")
+        elif points[k - 1] != terms[k - 1]:
+            failures.append(f"radii entry {k} is not term {k}")
+    for i, (p, radius) in enumerate(entries):
+        for j, q in enumerate(points):
+            if j != i and in_ball_ref(q, p, radius):
+                failures.append(f"isolating ball of term {i + 1} admits term {j + 1}")
+        if in_ball_ref(anchor, p, radius):
+            failures.append(f"isolating ball of term {i + 1} admits the anchor")
+    return failures

@@ -2,14 +2,17 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from niemytzki.geometry import BallSpec, Point, in_ball, in_tangent_ball, translate
 from niemytzki.harness import (
     DENOMINATOR_CAP,
     SamplingError,
     SuiteConfig,
     UnknownSuite,
+    _draw_inside,
     _rand_rat,
-    _rejection,
     generate_samples,
     run_suite,
     suite_names,
@@ -66,13 +69,59 @@ class TestSampling:
             assert calls == [(1, DENOMINATOR_CAP), (a, b)]
 
     def test_exhausted_rejection_raises(self):
-        with pytest.raises(SamplingError):
-            _rejection(lambda: 0, lambda _: False, budget=16)
+        draws = []
+
+        def draw():
+            draws.append(None)
+            return [Fr(2), Fr(0)]
+
+        with pytest.raises(SamplingError, match="^region empty after the rejection "
+                                                "budget was exhausted$"):
+            _draw_inside(Point.boundary(0), draw, Fr(0), Fr(1))
+        assert len(draws) == 512
 
     def test_sphere_records_come_from_the_parameterization(self):
         cfg = SuiteConfig("S1", samples=20, seed=3, dimension=4)
         for sample in generate_samples(cfg):
             assert sample["direction"][-1] >= 1
+
+
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+_positive = st.fractions(min_value=Fr(1, 60), max_value=3, max_denominator=60)
+
+
+def _keeps(base, offsets, center, radius):
+    """Whether _draw_inside keeps its first draw: later draws fall on the
+    center, which every ball holds."""
+    draws = iter([offsets])
+    fallback = [Fr(0)] * (len(offsets) - 1) + [center]
+    x = _draw_inside(base, lambda: next(draws, fallback), center, radius)
+    return x == translate(base, offsets)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(_coord, min_size=n - 1, max_size=n - 1),
+    st.lists(_coord, min_size=n - 1, max_size=n - 1),
+    _positive, _positive)))
+@example(([0], [1], Fr(1), Fr(1)))  # on the sphere
+def test_offset_test_agrees_with_the_tangent_ball(case):
+    head, offset_head, last, eps = case
+    a = Point.boundary(*head)
+    offsets = offset_head + [last]
+    assert _keeps(a, offsets, eps, eps) == in_tangent_ball(translate(a, offsets), a, eps)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(_coord, min_size=n, max_size=n),
+    st.lists(_coord, min_size=n, max_size=n),
+    _positive)))
+@example(([0, 1], [1, 0], Fr(1)))  # on the sphere
+def test_offset_test_agrees_with_the_ball(case):
+    coords, offsets, radius = case
+    center = Point(tuple(coords[:-1]) + (abs(coords[-1]),))
+    offsets[-1] = max(offsets[-1], -center.coords[-1])  # stay in the half-space
+    assert _keeps(center, offsets, Fr(0), radius) == in_ball(
+        translate(center, offsets), BallSpec(center, radius))
 
 
 class TestSuites:

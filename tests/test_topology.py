@@ -26,6 +26,8 @@ from niemytzki.topology import (
     refine,
 )
 
+from oracles import isolating_radii_ref, isolation_failures_ref
+
 NIEM2 = TopologySpec.niemytzki(2)
 EUCL2 = TopologySpec.euclidean(2)
 
@@ -308,3 +310,95 @@ class TestVerdictJson:
         assert data["converges"] is False
         kinds = [c["kind"] for c in data["certificates"]]
         assert kinds == ["blocking-neighborhood", "discreteness-radii"]
+
+
+# S5's two (anchor_first, eps) pairs and one more
+_CIRCLES = ((Fr(0), Fr(1)), (Fr(1, 3), Fr(3, 2)), (Fr(-5, 7), Fr(2, 9)))
+
+
+def _circle(anchor_first, eps, n):
+    return TangentCircle(Point.boundary(anchor_first, *[Fr(0)] * (n - 2)), eps)
+
+
+def _radii_failures(fam, entries, prefix):
+    """certificate_failures of a niemytzki verdict whose radii are entries."""
+    topo = TopologySpec.niemytzki(fam.anchor.dimension)
+    verdict = ConvergenceVerdict(False, (DiscretenessRadii(tuple(entries)),))
+    return certificate_failures(verdict, fam, topo, prefix=prefix)
+
+
+def _ref_failures(fam, entries, prefix):
+    plain = [(p.coords, r) for p, r in entries]
+    return isolation_failures_ref(plain, fam.anchor.coords, fam.eps, prefix)
+
+
+class TestIsolationAgainstThePairOracle:
+    @pytest.mark.parametrize("prefix", [0, 1, 2, 3, 7, 50, 100])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("anchor_first, eps", _CIRCLES)
+    def test_radii_equal_the_pairwise_ones(self, anchor_first, eps, n, prefix):
+        fam = _circle(anchor_first, eps, n)
+        verdict = decide_convergence(fam, TopologySpec.niemytzki(n), fam.anchor, prefix)
+        entries = verdict.certificates[1].entries
+        assert [(p.coords, r) for p, r in entries] == isolating_radii_ref(
+            fam.anchor.coords, eps, prefix)
+
+    @pytest.mark.parametrize("prefix", [1, 2, 7, 30])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("anchor_first, eps", _CIRCLES)
+    def test_honest_certificates_pass_both_checks(self, anchor_first, eps, n, prefix):
+        fam = _circle(anchor_first, eps, n)
+        verdict = decide_convergence(fam, TopologySpec.niemytzki(n), fam.anchor, prefix)
+        entries = verdict.certificates[1].entries
+        assert _radii_failures(fam, entries, prefix) == [] == _ref_failures(
+            fam, entries, prefix)
+
+    def _honest(self, prefix=10):
+        fam = _circle(Fr(0), Fr(1), 2)
+        verdict = decide_convergence(fam, NIEM2, fam.anchor, prefix)
+        return fam, list(verdict.certificates[1].entries)
+
+    def _same_failures(self, fam, entries, prefix=10):
+        got = _radii_failures(fam, entries, prefix)
+        assert got == _ref_failures(fam, entries, prefix)
+        return got
+
+    def test_a_raised_radius_admits_its_neighbour(self):
+        fam, entries = self._honest()
+        entries[0] = (entries[0][0], Fr(7, 10))  # below term 1's height 1
+        assert self._same_failures(fam, entries) == [
+            "isolating ball of term 1 admits term 2"]
+
+    def test_swapped_entries(self):
+        fam, entries = self._honest()
+        entries[1], entries[4] = entries[4], entries[1]
+        assert self._same_failures(fam, entries) == [
+            "radii entry 2 is not term 2", "radii entry 5 is not term 5"]
+
+    def test_forged_entries(self):
+        fam, _ = self._honest()
+        forged = [(Point.of(10, 1), Fr(1, 2)), (Point.of(20, 1), Fr(1, 2))]
+        assert self._same_failures(fam, forged) == (
+            ["radii entry 1 is not term 1", "radii entry 2 is not term 2"]
+            + [f"radii certificate omits term {k}" for k in range(3, 11)])
+
+    def test_truncated_entries(self):
+        fam, entries = self._honest()
+        assert self._same_failures(fam, entries[:3]) == [
+            f"radii certificate omits term {k}" for k in range(4, 11)]
+        assert self._same_failures(fam, [entries[0], entries[4], entries[9]]) == (
+            ["radii entry 2 is not term 2", "radii entry 3 is not term 3"]
+            + [f"radii certificate omits term {k}" for k in range(4, 11)])
+
+    def test_entries_past_the_prefix(self):
+        fam, entries = self._honest(12)
+        assert self._same_failures(fam, entries) == [
+            "radii entry 11 lies beyond the prefix", "radii entry 12 lies beyond the prefix"]
+
+    def test_every_pair_is_still_checked(self):
+        # radii the lemma would never give: each ball reaches past its
+        # neighbours, so the failures come from entries far apart in x_1
+        fam, entries = self._honest()
+        widened = [(p, p.coords[-1] * Fr(99, 100)) for p, _ in entries]
+        got = self._same_failures(fam, widened)
+        assert "isolating ball of term 1 admits term 3" in got
