@@ -158,8 +158,7 @@ def _draw_inside(
 
     Each draw is decided on its offsets alone, as integers through the
     kernel's one comparison, and only the kept one becomes a point."""
-    last = len(base.coords) - 1
-    target = _scaled((0,) * last + (center,))
+    target = _scaled((0,) * (base.dimension - 1) + (center,))
     for _ in range(512):
         offsets = draw()
         if _sq_sign(_scaled(offsets), target, radius) < 0:

@@ -395,9 +395,9 @@ def _isolating_radii(
     angle 2*arctan(1/k) from a, and these angles fall strictly towards the
     anchor's 0 while staying at most pi/2.  A chord grows with the angle it
     spans, so among the terms and the anchor the nearest point to term k is
-    term k-1 or term k+1, and the anchor after the last term: the squared
-    gap of each term is the smaller of its two neighbours' along the chain
-    term 1, ..., term prefix, anchor, and the chain has prefix links.
+    term k-1 or term k+1, and the anchor after the last term.  The squared
+    gap of each term is therefore the shorter of its two links along the
+    chain term 1, ..., term prefix, anchor: prefix distances in all.
     """
     chain = [fam.term(k) for k in range(1, prefix + 1)] + [fam.anchor]
     links = [sq_dist(p, q) for p, q in zip(chain, chain[1:])]
