@@ -36,12 +36,11 @@ signals an implementation bug, never a property of the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import _scaled, _sq_sign
+from .geometry import _record, _scaled, _sq_sign
 from .setdsl import (
     All,
     Bernstein,
@@ -82,7 +81,7 @@ class SoundnessError(RuntimeError):
     """Two rules produced contradictory flags: an engine bug, never an input."""
 
 
-@dataclass(frozen=True)
+@_record
 class DescClass:
     """Three-valued descriptive-class record of a boundary set."""
 
@@ -101,7 +100,7 @@ class DescClass:
         return {name: getattr(self, name).value for name in PUBLIC_FLAGS}
 
 
-PUBLIC_FLAGS = tuple(f.name for f in fields(DescClass))
+PUBLIC_FLAGS = DescClass._fields
 _ALL_FLAGS = PUBLIC_FLAGS + ("bounded",)
 
 

@@ -34,17 +34,96 @@ denominators and compare two integers; :func:`sq_dist`,
 one Fraction from integers at the end.  The set language uses the same
 comparison, ``_sq_sign``, the sign of |p - q|^2 - r^2: its points and balls
 cache their scaled form as a Point does.
+
+Every record class of the package, from :class:`Point` here to the set
+expressions, topologies, certificates and reports, is made by
+:func:`_record`: an immutable value of its annotated fields, inherited
+fields first, listed in the class attribute ``_fields``.  For each class it
+generates, with one ``exec``, an ``__init__`` that takes the fields
+positionally or by keyword (a class attribute beside the annotation is the
+default) and then calls ``__post_init__``, an ``__eq__`` that compares the
+field tuples of two records of the same class and a ``__hash__`` of the
+field tuple; classes of one shape share one compiled source.  ``__repr__``
+reads ``Name(field=value!r, ...)``.  Assigning or deleting an attribute
+raises AttributeError; ``__post_init__`` and cached properties write past
+that guard.  A record pickles its fields alone.  The helper stands in for
+``dataclasses``, which a cold command would otherwise import (with
+``inspect``) and run for every class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
+from types import CodeType
 from typing import Sequence, Union
 
 RatLike = Union[int, str, Fraction]
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_state(self) -> dict:
+    # the fields alone: what a record caches beside them is no part of its value
+    return {name: getattr(self, name) for name in self._fields}
+
+
+def _record_repr(self) -> str:
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+@lru_cache(maxsize=None)
+def _record_code(source: str) -> CodeType:
+    # records of one shape share their source: compile it once
+    return compile(source, "<record>", "exec")
+
+
+def _record(cls: type) -> type:
+    """Make ``cls`` an immutable record of its annotated fields (see the
+    module docstring).  A field with a class attribute of its name takes
+    that value as its default; the generated methods read the fields by
+    name, so ``==`` and ``hash`` cost what a hand-written pair would."""
+    inherited = getattr(cls, "_fields", ())
+    own = [f for f in cls.__dict__.get("__annotations__", {}) if f not in inherited]
+    fields = cls._fields = inherited + tuple(own)
+    env = {"__name__": cls.__module__, "_setattr": object.__setattr__}
+    params = ["self"]
+    for f in fields:
+        if hasattr(cls, f):
+            env[f"_default_{f}"] = getattr(cls, f)
+            params.append(f"{f}=_default_{f}")
+        else:
+            params.append(f)
+    body = [f"    _setattr(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    mine = "(" + "".join(f"self.{f}, " for f in fields) + ")"
+    exec(_record_code("\n".join([
+        f"def __init__({', '.join(params)}):", *(body or ["    pass"]),
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return {mine} == {mine.replace('self.', 'other.')}",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash({mine})",
+    ])), env)
+    for name in ("__init__", "__eq__", "__hash__"):
+        fn = env[name]
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    cls.__getstate__ = _record_state
+    return cls
 
 
 class DimensionMismatch(ValueError):
@@ -88,7 +167,7 @@ def _scaled(coords: Sequence[Fraction]) -> _Scaled:
     return tuple([c.numerator * (d // c.denominator) for c in coords]), d
 
 
-@dataclass(frozen=True)
+@_record
 class Point:
     """A point of X_n: rational coordinates with the last one >= 0, n >= 2."""
 
@@ -128,9 +207,6 @@ class Point:
         so it changes neither ``==``, ``hash`` nor the pickled state."""
         return _scaled(self.coords)
 
-    def __getstate__(self):
-        return {"coords": self.coords}
-
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coords]
 
@@ -145,7 +221,7 @@ def translate(p: Point, delta: Sequence[RatLike]) -> Point:
     return Point(tuple(c + rat(d) for c, d in zip(p.coords, delta)))
 
 
-@dataclass(frozen=True)
+@_record
 class BallSpec:
     """An open Euclidean ball B(center, radius), radius > 0."""
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .geometry import (
     Point,
+    _record,
     _scaled,
     _sq_sign,
     check_dimension,
@@ -81,7 +81,7 @@ class SamplingError(RuntimeError):
     """The sampler exhausted its budget without hitting the target region."""
 
 
-@dataclass(frozen=True)
+@_record
 class SuiteConfig:
     suite: str
     samples: int = 10_000
@@ -94,7 +94,7 @@ class SuiteConfig:
             raise ValueError("sample count must be positive")
 
 
-@dataclass(frozen=True)
+@_record
 class Failure:
     index: int
     check: str
@@ -104,15 +104,20 @@ class Failure:
         return {"index": self.index, "check": self.check, "data": dict(self.data)}
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    dimension: int
-    samples: int
-    seed: int
-    checks: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    elapsed: float = 0.0
+    """What one run of a suite found; ``run_suite`` fills in the checks, the
+    failures and the elapsed time as the run goes."""
+
+    def __init__(self, suite: str, dimension: int, samples: int, seed: int,
+                 checks: int = 0, failures: list[Failure] | None = None,
+                 elapsed: float = 0.0):
+        self.suite = suite
+        self.dimension = dimension
+        self.samples = samples
+        self.seed = seed
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:

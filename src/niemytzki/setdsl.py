@@ -81,13 +81,21 @@ import random
 import re
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, floor, gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .geometry import DimensionMismatch, _check_dims, _Scaled, _scaled, _sq_sign, check_dimension, rat
+from .geometry import (
+    DimensionMismatch,
+    _check_dims,
+    _record,
+    _Scaled,
+    _scaled,
+    _sq_sign,
+    check_dimension,
+    rat,
+)
 from .trivalent import Verdict
 
 IN = Verdict.TRUE
@@ -105,27 +113,22 @@ class SetExpr:
     # scaled form or a union's index sits in __dict__.
     __slots__ = ("_hash", "_member_test", "_is_normal")
 
-    def __getstate__(self):
-        # the fields alone: what a node caches beside them (its hash, a
-        # scaled form, a union's index, its membership test, its mark) is no
-        # part of its value
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def __hash__(self) -> int:
-        # the hash a frozen dataclass computes, cached beside the fields so
-        # that a lookup does not hash the whole subtree again
+        # the hash of the field tuple, as every record's, cached beside the
+        # fields so that a lookup does not hash the whole subtree again
         try:
             return self._hash
         except AttributeError:
-            h = hash(tuple(self.__getstate__().values()))
+            h = hash(tuple([getattr(self, f) for f in self._fields]))
             object.__setattr__(self, "_hash", h)
             return h
 
 
 def _node(cls: type) -> type:
-    """A frozen dataclass node whose hash is cached (``SetExpr.__hash__``):
-    the decorator would otherwise replace it with one computed per call."""
-    cls = dataclass(frozen=True)(cls)
+    """A record node (``geometry._record``) whose hash is cached
+    (``SetExpr.__hash__``): the record's own would hash the subtree per call.
+    As every record does, a node pickles its fields alone."""
+    cls = _record(cls)
     cls.__hash__ = SetExpr.__hash__
     return cls
 

@@ -31,10 +31,10 @@ Rule table:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
 from .descriptive import DescClass, SoundnessError, infer
+from .geometry import _record
 from .setdsl import (
     All,
     Bernstein,
@@ -130,7 +130,7 @@ BOUNDARY_ORDER = (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class TraceStep:
     rule: str
     citation: str
@@ -148,7 +148,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class PropertyReport:
     space: str
     dimension: int

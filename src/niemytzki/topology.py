@@ -28,8 +28,8 @@ half balls, ``in_tangent_ball`` for a tangent ball.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .geometry import (
@@ -37,6 +37,7 @@ from .geometry import (
     DimensionMismatch,
     Point,
     RatLike,
+    _record,
     in_ball,
     in_tangent_ball,
     inner_ball_radius,
@@ -52,7 +53,7 @@ class UndecidableMembership(RuntimeError):
     """The boundary-set oracle answered Unknown where a decision was needed."""
 
 
-@dataclass(frozen=True)
+@_record
 class TopologySpec:
     """One of the topologies tau(A) on X_n, A given as a set expression.
 
@@ -96,7 +97,7 @@ class TopologySpec:
 
 # --- basic open sets ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class BasicOpen(BallSpec):
     kind = "basic-open"
 
@@ -108,7 +109,7 @@ class BasicOpen(BallSpec):
         }
 
 
-@dataclass(frozen=True)
+@_record
 class InteriorBall(BasicOpen):
     """B(center, radius) with radius < center_n, so the ball stays in P_n."""
 
@@ -122,7 +123,7 @@ class InteriorBall(BasicOpen):
             raise ValueError("interior ball must stay inside the open half-space")
 
 
-@dataclass(frozen=True)
+@_record
 class HalfBall(BasicOpen):
     """B(center, radius) ∩ X_n for a boundary center."""
 
@@ -134,7 +135,7 @@ class HalfBall(BasicOpen):
             raise ValueError("half balls are centered on the boundary hyperplane")
 
 
-@dataclass(frozen=True)
+@_record
 class TangentBall(BasicOpen):
     """{center} ∪ B(center(radius), radius) for a boundary center."""
 
@@ -236,12 +237,28 @@ def refine(b1: BasicOpen, b2: BasicOpen, x: Point) -> BasicOpen:
 
 # --- closed-form sequence families ------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class SequenceFamily:
-    pass
+    """A sequence x_1, x_2, ... of points of X_n.  A closed-form family
+    builds each term once per family object: ``term`` keeps what it built
+    beside the fields, so the kept terms change neither ``==``, ``hash``
+    nor the pickled state."""
+
+    @cached_property
+    def _terms(self) -> dict[int, Point]:
+        return {}
+
+    def term(self, k: int) -> Point:
+        if k < 1:
+            raise ValueError("terms are indexed from 1")
+        terms = self._terms
+        point = terms.get(k)
+        if point is None:
+            point = terms[k] = self._term(k)
+        return point
 
 
-@dataclass(frozen=True)
+@_record
 class Vertical(SequenceFamily):
     """x_k = a + (0, ..., 0, height/k): descends to the anchor along the normal."""
 
@@ -255,9 +272,7 @@ class Vertical(SequenceFamily):
         if self.height <= 0:
             raise ValueError("height must be positive")
 
-    def term(self, k: int) -> Point:
-        if k < 1:
-            raise ValueError("terms are indexed from 1")
+    def _term(self, k: int) -> Point:
         offset = (0,) * (self.anchor.dimension - 1) + (self.height / k,)
         return translate(self.anchor, offset)
 
@@ -269,7 +284,7 @@ class Vertical(SequenceFamily):
         }
 
 
-@dataclass(frozen=True)
+@_record
 class TangentCircle(SequenceFamily):
     """Rational points marching to the anchor along the tangent-ball sphere.
 
@@ -289,9 +304,7 @@ class TangentCircle(SequenceFamily):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
-    def term(self, k: int) -> Point:
-        if k < 1:
-            raise ValueError("terms are indexed from 1")
+    def _term(self, k: int) -> Point:
         den = k * k + 1
         offset = (
             (2 * self.eps * k / den,)
@@ -308,7 +321,7 @@ class TangentCircle(SequenceFamily):
         }
 
 
-@dataclass(frozen=True)
+@_record
 class FiniteList(SequenceFamily):
     points: tuple[Point, ...]
 
@@ -318,7 +331,7 @@ class FiniteList(SequenceFamily):
 
 # --- convergence certificates -----------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class IndexBound:
     """Exact membership threshold for the eps-neighborhood of the anchor.
 
@@ -346,7 +359,7 @@ class IndexBound:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class BlockingNeighborhood:
     """A basic open around the limit containing no term of the sequence."""
 
@@ -356,7 +369,7 @@ class BlockingNeighborhood:
         return {"kind": "blocking-neighborhood", "neighborhood": self.neighborhood.to_json()}
 
 
-@dataclass(frozen=True)
+@_record
 class DiscretenessRadii:
     """Per-term isolating interior balls: each excludes every other term and
     the anchor, witnessing discreteness of the prefix.  The entries are
@@ -373,10 +386,10 @@ class DiscretenessRadii:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class ConvergenceVerdict:
     converges: Optional[bool]  # None: inconclusive (finite prefixes only)
-    certificates: tuple = field(default_factory=tuple)
+    certificates: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -496,12 +509,18 @@ def _isolation_failures(
     |q_1 - p_1| >= r lies outside the open ball B(p, r), so each ball tests
     only the entries whose first coordinate lies within its radius, found by
     bisection on the entries sorted by it once; they are tested in entry
-    order, which keeps the messages in the order of the full pair check."""
+    order, which keeps the messages in the order of the full pair check.
+    An entry with no interior ball, its radius not below its point's height
+    or its point on the boundary, is one failure and tests nothing."""
     order = sorted(range(len(entries)), key=lambda j: entries[j][0].coords[0])
     firsts = [entries[j][0].coords[0] for j in order]
     failures = []
     for i, (p, radius) in enumerate(entries):
-        ball = InteriorBall(p, radius)
+        try:
+            ball = InteriorBall(p, radius)
+        except ValueError:  # the radius or the point: no interior ball
+            failures.append(f"isolating ball of term {i + 1} is not an interior ball")
+            continue
         c, r = p.coords[0], ball.radius
         window = order[bisect_right(firsts, c - r):bisect_left(firsts, c + r)]
         for j in sorted(window):

@@ -270,7 +270,8 @@ def isolating_radii_ref(anchor, eps, prefix: int) -> list[tuple[tuple, Fraction]
 def isolation_failures_ref(entries, anchor, eps, prefix: int) -> list[str]:
     """The failures of a radii certificate: first each position at which
     the entries differ from terms 1..prefix, then, for each entry in turn,
-    every other entry and the anchor that its open ball admits."""
+    every other entry and the anchor that its open ball admits, or that the
+    entry has no interior ball (radius not in (0, height))."""
     terms = [tangent_circle_term_ref(anchor, eps, k) for k in range(1, prefix + 1)]
     points = [tuple(p) for p, _ in entries]
     failures = []
@@ -282,6 +283,9 @@ def isolation_failures_ref(entries, anchor, eps, prefix: int) -> list[str]:
         elif points[k - 1] != terms[k - 1]:
             failures.append(f"radii entry {k} is not term {k}")
     for i, (p, radius) in enumerate(entries):
+        if not 0 < radius < p[-1]:
+            failures.append(f"isolating ball of term {i + 1} is not an interior ball")
+            continue
         for j, q in enumerate(points):
             if j != i and in_ball_ref(q, p, radius):
                 failures.append(f"isolating ball of term {i + 1} admits term {j + 1}")

@@ -135,7 +135,8 @@ def test_every_command_refuses_a_dimension_below_two(argv, dimension, capsys):
 
 
 # what a call of each command must not import: a cold call pays for the
-# modules it loads
+# modules it loads.  No command loads dataclasses or inspect: the records are
+# made by geometry._record.
 _FOOTPRINT = r"""
 import contextlib, io, json, sys
 import niemytzki
@@ -144,6 +145,7 @@ from niemytzki import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(sys.argv[1:]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("niemytzki."))))
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)))
 """
 
 
@@ -154,14 +156,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("niemytzki."))))
     (["explain", "--set", "cantor", "--property", "perfect"], {"harness", "topology"}),
     (["nbhd", "--topology", "cantor", "--point", "0,1", "--eps", "1"], {"harness"}),
     (["converge", "--family", "vertical((0);1)", "--topology", "niemytzki"], {"harness"}),
-], ids=["classify", "compare", "member", "explain", "nbhd", "converge"])
+    (["check", "--suite", "S5", "--samples", "3"], {"descriptive", "theorems"}),
+], ids=["classify", "compare", "member", "explain", "nbhd", "converge", "check"])
 def test_a_command_imports_only_what_it_uses(argv, absent):
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    after_package, after_call = (json.loads(line) for line in proc.stdout.splitlines())
+    after_package, after_call, stdlib = (json.loads(line) for line in proc.stdout.splitlines())
     assert after_package == []
     assert {f"niemytzki.{name}" for name in absent}.isdisjoint(after_call), after_call
+    assert stdlib == []
 
 
 class TestCommands:

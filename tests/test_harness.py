@@ -17,6 +17,7 @@ from niemytzki.harness import (
     run_suite,
     suite_names,
 )
+from niemytzki.topology import TangentCircle
 
 
 class TestSampling:
@@ -135,6 +136,16 @@ class TestSuites:
     def test_s5_prefix_run(self):
         result = run_suite(SuiteConfig("S5", samples=50, seed=42, dimension=2))
         assert result.failures == []
+
+    def test_s5_builds_each_term_once(self, monkeypatch):
+        # _run_s5, decide_convergence and certificate_failures all read the
+        # terms; the family object builds each of them once
+        built = []
+        build = TangentCircle._term
+        monkeypatch.setattr(TangentCircle, "_term", lambda fam, k: built.append(k) or build(fam, k))
+        result = run_suite(SuiteConfig("S5", samples=6, seed=42, dimension=2))
+        assert result.ok and result.checks == 2 * (2 * 6 + 2)  # two families
+        assert built == list(range(1, 7)) * 2
 
     def test_alias_names(self):
         assert run_suite(SuiteConfig("boundary-identity", samples=20, seed=1)).ok

@@ -369,6 +369,28 @@ class TestIsolationAgainstThePairOracle:
         assert self._same_failures(fam, entries) == [
             "isolating ball of term 1 admits term 2"]
 
+    def test_an_entry_without_an_interior_ball_is_reported(self):
+        # term 1 of the circle at 0 with eps 1 has height 1: a radius of 5
+        # raised ValueError from InteriorBall instead of failing the check
+        fam, entries = self._honest(3)
+        entries[0] = (entries[0][0], Fr(5))
+        assert self._same_failures(fam, entries, 3) == [
+            "isolating ball of term 1 is not an interior ball"]
+
+    @pytest.mark.parametrize("radius", [Fr(1), Fr(0), Fr(-1, 2)], ids=["height", "zero", "negative"])
+    def test_a_radius_outside_the_height_is_reported(self, radius):
+        fam, entries = self._honest()
+        assert entries[0][0].coords[-1] == 1
+        entries[0] = (entries[0][0], radius)
+        assert self._same_failures(fam, entries) == [
+            "isolating ball of term 1 is not an interior ball"]
+
+    def test_a_boundary_entry_is_reported(self):
+        fam, entries = self._honest()
+        entries[1] = (fam.anchor, Fr(1, 2))
+        assert self._same_failures(fam, entries) == [
+            "radii entry 2 is not term 2", "isolating ball of term 2 is not an interior ball"]
+
     def test_swapped_entries(self):
         fam, entries = self._honest()
         entries[1], entries[4] = entries[4], entries[1]
