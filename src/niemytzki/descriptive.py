@@ -7,11 +7,17 @@ a closed uncountable subset, and whether A is all of L_n or empty.  The flag
 characterization; it is evaluated on the complement of A by the theorem
 layer.
 
-The engine applies primitive axioms bottom-up, combines them over the
-boolean connectives, and then closes the flag record under a fixed list of
-implications valid in R^m.  A set's record is settled together with its
-complement's; a primitive's pair is settled once per kind, at import, since
-no primitive's flags depend on its coordinates.  The implications include:
+A set's flags and its complement's make one record, a pair of ints
+(true_bits, false_bits): the set's flags in the low half, the complement's
+in the high half, so the complement's record is the set's with the halves
+swapped.  The engine applies primitive axioms bottom-up (once per kind, at
+import: no primitive's flags depend on its coordinates), combines members'
+masks over the connectives, and closes the record under rules valid in R^m:
+the implications below on each half, and cross rules between the halves (A
+countable iff its complement co-countable, closed iff open, G_delta iff
+F_sigma, all iff empty; a bounded A has an unbounded complement, and L_n an
+empty one).  Only this closure checks for contradictions.  The implications
+include:
 
   * closed or open  => both G_delta and F_sigma,
   * countable       => F_sigma and no closed uncountable subset,
@@ -73,7 +79,7 @@ from .setdsl import (
     on_axis,
     structural_candidates,
 )
-from .trivalent import FALSE, TRUE, UNKNOWN, Verdict, all3
+from .trivalent import FALSE, TRUE, UNKNOWN, Verdict
 
 T, F, U = TRUE, FALSE, UNKNOWN
 
@@ -104,12 +110,36 @@ PUBLIC_FLAGS = DescClass._fields
 _ALL_FLAGS = PUBLIC_FLAGS + ("bounded",)
 
 
+# --- flag records ----------------------------------------------------------------
+# bit i is flag i of _ALL_FLAGS for the set, bit _HALF + i that of its complement
+
+_HALF = len(_ALL_FLAGS)
+_BIT = {name: 1 << i for i, name in enumerate(_ALL_FLAGS)}
+_LOW = (1 << _HALF) - 1
+
+
+def _mask(*names: str) -> int:
+    return sum(_BIT[name] for name in names)
+
+
+def _bits(flags: dict[str, Verdict], shift: int = 0) -> tuple[int, int]:
+    """The true and the false bits of the decided flags, on the half at shift."""
+    return tuple(_mask(*[name for name, v in flags.items() if v is want]) << shift
+                 for want in (T, F))
+
+
+def _flip(record: tuple[int, int]) -> tuple[int, int]:
+    """The record of the complement: the two halves swapped."""
+    t, f = record
+    return t >> _HALF | (t & _LOW) << _HALF, f >> _HALF | (f & _LOW) << _HALF
+
+
 # --- primitive axioms ---------------------------------------------------------
 # Order of flags: countable, co_countable, closed, open, g_delta, f_sigma,
 # compact, contains_closed_uncountable, equals_all, equals_empty, bounded.
 
-def _row(ct, cc, cl, op, gd, fs, cp, cu, ea, ee, bd) -> dict[str, Verdict]:
-    return dict(zip(_ALL_FLAGS, (ct, cc, cl, op, gd, fs, cp, cu, ea, ee, bd)))
+def _row(ct, cc, cl, op, gd, fs, cp, cu, ea, ee, bd) -> tuple[int, int]:
+    return _bits(dict(zip(_ALL_FLAGS, (ct, cc, cl, op, gd, fs, cp, cu, ea, ee, bd))))
 
 
 _PRIMITIVE_AXIOMS = {
@@ -122,8 +152,9 @@ _PRIMITIVE_AXIOMS = {
     Cantor: _row(F, F, T, F, T, T, T, T, F, F, T),
     # Bernstein sets and their complements meet every uncountable compactum
     # yet contain none, so they are neither G_delta nor F_sigma, neither
-    # closed nor open, and hold no closed uncountable subset.
-    Bernstein: _row(F, F, F, F, F, F, F, F, F, F, F),
+    # closed nor open, and hold no closed uncountable subset.  The row holds
+    # for both halves: the complement of a Bernstein set is one too.
+    Bernstein: tuple(x | x << _HALF for x in _row(F, F, F, F, F, F, F, F, F, F, F)),
     SinglePoint: _row(T, F, T, F, T, T, T, F, F, F, T),
     FiniteSet: _row(T, F, T, F, T, T, T, F, F, F, T),
     ClosedBall: _row(F, F, T, F, T, T, T, T, F, F, T),
@@ -133,6 +164,7 @@ _PRIMITIVE_AXIOMS = {
 
 # --- implication closure -------------------------------------------------------
 
+# Each row holds for a set and for its complement alike.
 _IMPLICATIONS: list[tuple[dict[str, Verdict], dict[str, Verdict]]] = [
     ({"closed": T}, {"g_delta": T, "f_sigma": T}),
     ({"open": T}, {"g_delta": T, "f_sigma": T}),
@@ -161,103 +193,53 @@ _IMPLICATIONS: list[tuple[dict[str, Verdict], dict[str, Verdict]]] = [
                       "equals_empty": F, "equals_all": F}),
 ]
 
+# Rows from flags of one side to flags of the other, either way round: each
+# flag of the complement that is a flag of the set, and two bounded facts.
+_CROSS = [
+    ({x: v}, {y: v})
+    for pair in (("countable", "co_countable"), ("closed", "open"),
+                 ("g_delta", "f_sigma"), ("equals_all", "equals_empty"))
+    for x, y in (pair, pair[::-1]) for v in (T, F)
+] + [
+    ({"bounded": T}, {"bounded": F}),  # the other side contains the exterior of a ball
+    ({"equals_all": T}, {"bounded": T}),  # the other side is empty
+]
 
-def _merge(flags: dict[str, Verdict], update: dict[str, Verdict], context: object) -> bool:
-    """Settle each Unknown flag that `update` decides; a decided flag that
-    disagrees is a contradiction about `context`.  Whether any flag changed."""
-    changed = False
-    for name, want in update.items():
-        if want is U:
-            continue
-        have = flags[name]
-        if have is U:
-            flags[name] = want
-            changed = True
-        elif have is not want:
-            raise SoundnessError(
-                f"contradiction on {name} for {context!r}: {have.value} vs {want.value}"
-            )
-    return changed
+# Every row as masks (needs-true, needs-false, sets-true, sets-false), once
+# for each side it reads.
+_RULES = tuple(
+    _bits(premises, src) + _bits(conclusions, dst)
+    for rows, shifts in ((_IMPLICATIONS, ((0, 0), (_HALF, _HALF))),
+                         (_CROSS, ((0, _HALF), (_HALF, 0))))
+    for premises, conclusions in rows for src, dst in shifts
+)
 
 
-def _close(flags: dict[str, Verdict], context: object) -> dict[str, Verdict]:
+def _close(record: tuple[int, int], tree: object) -> tuple[int, int]:
+    """The least record above `record` that every rule leaves as it is.  A
+    flag it makes both true and false is a contradiction about `tree`, the
+    set whose record it is."""
+    t, f = record
     changed = True
     while changed:
         changed = False
-        for premises, conclusions in _IMPLICATIONS:
-            if all(flags[name] is want for name, want in premises.items()):
-                changed |= _merge(flags, conclusions, context)
-    return flags
+        for need_t, need_f, put_t, put_f in _RULES:
+            if (put_t & ~t or put_f & ~f) and t & need_t == need_t and f & need_f == need_f:
+                t |= put_t
+                f |= put_f
+                changed = True
+    clash = t & f
+    if clash:
+        names = ", ".join(f"{_ALL_FLAGS[i % _HALF]} of the {'complement' if i >= _HALF else 'set'}"
+                          for i in range(2 * _HALF) if clash >> i & 1)
+        raise SoundnessError(f"contradiction on {names} for {tree!r}")
+    return t, f
 
 
-# --- combinators ---------------------------------------------------------------
-
-def _all_true(verdicts) -> Verdict:
-    return T if all(v is T for v in verdicts) else U
-
-
-def _any_true(verdicts) -> Verdict:
-    return T if any(v is T for v in verdicts) else U
-
-
-def _any_false(verdicts) -> Verdict:
-    return F if any(v is F for v in verdicts) else U
-
-
-# flag: (its rule over the members of a union, over those of an intersection)
-_CONNECTIVE_RULES = {
-    "countable": (all3, _any_true),
-    "co_countable": (_any_true, all3),
-    "closed": (_all_true, _all_true),
-    "open": (_all_true, _all_true),
-    "g_delta": (_all_true, _all_true),
-    "f_sigma": (_all_true, _all_true),
-    "compact": (_all_true, _all_true),
-    "contains_closed_uncountable": (_any_true, _any_false),
-    "equals_all": (_any_true, all3),
-    "equals_empty": (all3, _any_true),
-    "bounded": (all3, _any_true),
-}
-_SIDE = NodeTable({Union: 0, Inter: 1})  # which rule of the pair a connective reads
-
-
-# each flag of the complement that is a flag of the set, both ways round
-_SWAP_PAIRS = (("countable", "co_countable"), ("closed", "open"),
-               ("g_delta", "f_sigma"), ("equals_all", "equals_empty"))
-
-
-def _swap(inner: dict[str, Verdict]) -> dict[str, Verdict]:
-    """Flags of the complement that follow directly from flags of the set."""
-    out = {dst: inner[src] for x, y in _SWAP_PAIRS for dst, src in ((x, y), (y, x))}
-    out["compact"] = out["contains_closed_uncountable"] = out["bounded"] = U
-    if inner["bounded"] is T:
-        out["bounded"] = F  # the complement contains the exterior of a ball
-    elif inner["equals_all"] is T:
-        out["bounded"] = T  # the complement is empty
-    return out
-
-
-def _exchange(a: dict[str, Verdict], b: dict[str, Verdict], key: object, ckey: object) -> None:
-    """Pass each of the records of a set (key) and of its complement (ckey)
-    through the swap into the other until neither changes."""
-    while _merge(a, _swap(b), key) | _merge(b, _swap(a), ckey):
-        _close(a, key)
-        _close(b, ckey)
-
-
-def _primitive_pair(kind: type) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
-    name = kind.__name__
-    a = _close(dict(_PRIMITIVE_AXIOMS[kind]), name)
-    # the complement of a Bernstein set is again a Bernstein set
-    b = _close(dict(a) if kind is Bernstein else _swap(a), f"!{name}")
-    _exchange(a, b, name, f"!{name}")
-    return a, b
-
-
-# The joint records of each kind of primitive and of its complement, settled
+# The joint record of each kind of primitive and of its complement, settled
 # once: no primitive's flags depend on its coordinates, and each side decides
 # both flags a witness search could settle (a test holds this).
-_PRIMITIVE_PAIRS = {kind: _primitive_pair(kind) for kind in _PRIMITIVE_AXIOMS}
+_PRIMITIVE_PAIRS = {kind: _close(row, kind.__name__) for kind, row in _PRIMITIVE_AXIOMS.items()}
 
 
 # --- closed-ball witness search -------------------------------------------------
@@ -393,12 +375,31 @@ def _closed_ball_witness(e: SetExpr, m: int) -> bool:
 
 # --- inference -----------------------------------------------------------------
 
-def _combine_node(e: SetExpr) -> dict[str, Verdict]:
-    """Flags of a union or an intersection from its members' records."""
-    side = _SIDE[type(e)]
-    parts = list(map(_flags, e.members))  # no comprehension frame per level
-    return {name: rules[side]([p[name] for p in parts])
-            for name, rules in _CONNECTIVE_RULES.items()}
+_EVERY = ("closed", "open", "g_delta", "f_sigma", "compact")
+
+# Per connective, over the set's half: the flags true when true for every
+# member, those true when true for some member, and those false when false
+# for some member.
+_CONNECTIVES = NodeTable({
+    Union: (_mask(*_EVERY, "countable", "equals_empty", "bounded"),
+            _mask("co_countable", "contains_closed_uncountable", "equals_all"),
+            _mask("countable", "equals_empty", "bounded")),
+    Inter: (_mask(*_EVERY, "co_countable", "equals_all"),
+            _mask("countable", "equals_empty", "bounded"),
+            _mask("co_countable", "contains_closed_uncountable", "equals_all")),
+})
+
+
+def _combine_node(e: SetExpr) -> tuple[int, int]:
+    """The set's half of a union's or an intersection's record, from its
+    members' records."""
+    every, some, false_some = _CONNECTIVES[type(e)]
+    all_t, any_t, any_f = -1, 0, 0
+    for t, f in map(_flags, e.members):
+        all_t &= t
+        any_t |= t
+        any_f |= f
+    return all_t & every | any_t & some, any_f & false_some
 
 
 def _point_witness(e: SetExpr, m: int) -> bool:
@@ -414,40 +415,38 @@ _SEARCHES = (("contains_closed_uncountable", T, _closed_ball_witness),
 # Bounded so a long session of fresh expressions cannot grow it without
 # limit; the benchmark's corpus and wide workloads stay well below it.
 @lru_cache(maxsize=2**14)
-def _pair_flags(key: SetExpr) -> tuple[dict[str, Verdict], dict[str, Verdict]]:
-    """Joint records of a union or an intersection and of its complement.
+def _pair_flags(key: SetExpr) -> tuple[int, int]:
+    """Joint record of a union or an intersection and of its complement.
 
-    The two sides are closed together: anything either side learns (through
+    One closure settles both halves: anything either side learns (through
     its own rules, the ball-witness search, or a membership witness) flows
-    to the other through the swap, so the engine answers symmetrically about
-    a set and its complement.
+    to the other, so the engine answers symmetrically about a set and its
+    complement.
     """
-    ckey = complement(key)
-    a = _close(_combine_node(key), key)
-    b = _close(_swap(a), ckey)
-    _exchange(a, b, key, ckey)
+    record = _close(_combine_node(key), key)
     m = arity(key) or 1
     # each search runs at most once, while its flag is Unknown: a flag never
     # returns to Unknown, and a search's answer is fixed
-    for flags, expr in ((a, key), (b, ckey)):
+    for shift, expr in ((0, key), (_HALF, complement(key))):
         for name, found, witness in _SEARCHES:
-            if flags[name] is U and witness(expr, m):
-                _merge(flags, {name: found}, expr)
-                _close(flags, expr)
-    _exchange(a, b, key, ckey)
-    return a, b
+            bit = _BIT[name] << shift
+            t, f = record
+            if not (t | f) & bit and witness(expr, m):
+                record = _close((t | bit, f) if found is T else (t, f | bit), key)
+    return record
 
 
-def _flags(e: SetExpr) -> dict[str, Verdict]:
-    side = int(type(e) is Complement)  # which record of the pair is e's
-    node = e.body if side else e
-    return (_PRIMITIVE_PAIRS.get(type(node)) or _pair_flags(node))[side]
+def _flags(e: SetExpr) -> tuple[int, int]:
+    if type(e) is Complement:
+        return _flip(_flags(e.body))
+    return _PRIMITIVE_PAIRS.get(type(e)) or _pair_flags(e)
 
 
 def infer(e: SetExpr) -> DescClass:
     """Descriptive-class record of a boundary-set expression."""
-    flags = _flags(normalize(e))
-    return DescClass(**{name: flags[name] for name in PUBLIC_FLAGS})
+    t, f = _flags(normalize(e))
+    return DescClass(*(T if t >> i & 1 else F if f >> i & 1 else U
+                       for i in range(len(PUBLIC_FLAGS))))
 
 
 def contains_closed_uncountable(e: SetExpr) -> Verdict:

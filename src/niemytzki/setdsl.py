@@ -51,9 +51,10 @@ primitive needs a row in each: ``_TEXT``, ``_MEMBER_TESTS``, the coordinate
 groups ``_COORDS`` and the witness candidates ``_POINT_CANDIDATES`` here,
 ``_PRIMITIVE_AXIOMS``, ``_INSIDE``, ``_DISJOINT`` and the ball candidates
 ``_BALL_CANDIDATES`` in :mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in
-:mod:`niemytzki.theorems`.  Its axiom row must decide every flag a witness
-search settles, for the primitive and for its complement:
-``_PRIMITIVE_PAIRS`` is never searched.
+:mod:`niemytzki.theorems`.  Its axiom row is closed once into its kind's
+record in ``_PRIMITIVE_PAIRS``, whose two halves hold the flags of the
+primitive and of its complement.  That table is never searched, so the
+closed row must decide, on both halves, every flag a witness search settles.
 A primitive that carries coordinates also needs a cached ``scaled`` form of
 them and a place in :class:`UnionIndex`: a union reads its coordinate
 leaves only through that index, sorted by first coordinate, so a leaf the

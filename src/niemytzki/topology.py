@@ -331,6 +331,9 @@ class FiniteList(SequenceFamily):
 
 # --- convergence certificates -----------------------------------------------------
 
+_INDEX_FORMS = ("linear", "quadratic")  # the forms IndexBound.holds reads
+
+
 @_record
 class IndexBound:
     """Exact membership threshold for the eps-neighborhood of the anchor.
@@ -510,21 +513,31 @@ def _isolation_failures(
     only the entries whose first coordinate lies within its radius, found by
     bisection on the entries sorted by it once; they are tested in entry
     order, which keeps the messages in the order of the full pair check.
-    An entry with no interior ball, its radius not below its point's height
-    or its point on the boundary, is one failure and tests nothing."""
+    An entry whose point lies in another dimension than the anchor, whose
+    radius is no exact rational, or that has no interior ball (its radius
+    not below its point's height, or its point on the boundary) is one
+    failure and tests nothing; no ball tests a point of another dimension."""
     order = sorted(range(len(entries)), key=lambda j: entries[j][0].coords[0])
     firsts = [entries[j][0].coords[0] for j in order]
+    n = anchor.dimension
     failures = []
     for i, (p, radius) in enumerate(entries):
+        if p.dimension != n:
+            failures.append(f"isolating ball of term {i + 1} lies in another dimension")
+            continue
         try:
             ball = InteriorBall(p, radius)
+        except TypeError:  # rat refuses a float
+            failures.append(f"isolating ball of term {i + 1} has no exact radius")
+            continue
         except ValueError:  # the radius or the point: no interior ball
             failures.append(f"isolating ball of term {i + 1} is not an interior ball")
             continue
         c, r = p.coords[0], ball.radius
         window = order[bisect_right(firsts, c - r):bisect_left(firsts, c + r)]
         for j in sorted(window):
-            if j != i and contains(ball, entries[j][0]):
+            q = entries[j][0]
+            if j != i and q.dimension == n and contains(ball, q):
                 failures.append(f"isolating ball of term {i + 1} admits term {j + 1}")
         if contains(ball, anchor):
             failures.append(f"isolating ball of term {i + 1} admits the anchor")
@@ -539,17 +552,20 @@ def certificate_failures(
 ) -> list[str]:
     """Re-verify every certificate on the first ``prefix`` terms.
 
-    Index bounds are exact iff-thresholds, so both directions are checked.
-    Isolating radii must cover exactly the prefix, and every ball is tested
-    against every other entry and the anchor.  Returns human-readable
-    failure messages; an empty list means verified.
+    Index bounds are exact iff-thresholds, so both directions are checked;
+    one of an unknown form fails.  Isolating radii must cover exactly the
+    prefix, and every ball is tested against every other entry and the
+    anchor.  Returns human-readable failure messages; an empty list means
+    verified.
     """
     failures: list[str] = []
     if isinstance(fam, FiniteList):
         return failures
     terms = [fam.term(k) for k in range(1, prefix + 1)]
     for cert in verdict.certificates:
-        if isinstance(cert, IndexBound):
+        if isinstance(cert, IndexBound) and cert.form not in _INDEX_FORMS:
+            failures.append(f"index bound of unknown form {cert.form!r}")
+        elif isinstance(cert, IndexBound):
             for delta in _DELTAS:
                 base = local_base_element(topo, fam.anchor, delta)
                 for k, term in enumerate(terms, start=1):

@@ -28,10 +28,10 @@ class Verdict(Enum):
         return Verdict.UNKNOWN
 
     def __and__(self, other: "Verdict") -> "Verdict":
-        return all3((self, other))
+        return _AND[self, other]
 
     def __or__(self, other: "Verdict") -> "Verdict":
-        return any3((self, other))
+        return _OR[self, other]
 
     def __bool__(self):  # pragma: no cover
         raise TypeError("three-valued verdicts do not collapse to bool; compare explicitly")
@@ -41,20 +41,8 @@ TRUE = Verdict.TRUE
 FALSE = Verdict.FALSE
 UNKNOWN = Verdict.UNKNOWN
 
-
-def all3(verdicts) -> Verdict:
-    """Kleene conjunction over an iterable: False if any conjunct is False,
-    else Unknown if any is Unknown, else True.  Every item is consumed."""
-    vs = list(verdicts)
-    if FALSE in vs:
-        return FALSE
-    return UNKNOWN if UNKNOWN in vs else TRUE
-
-
-def any3(verdicts) -> Verdict:
-    """Kleene disjunction over an iterable: True if any disjunct is True,
-    else Unknown if any is Unknown, else False.  Every item is consumed."""
-    vs = list(verdicts)
-    if TRUE in vs:
-        return TRUE
-    return UNKNOWN if UNKNOWN in vs else FALSE
+# Kleene's strong tables: under FALSE < UNKNOWN < TRUE a conjunction is the
+# lesser of its two operands and a disjunction the greater.
+_ORDER = (FALSE, UNKNOWN, TRUE)
+_AND = {(a, b): _ORDER[min(i, j)] for i, a in enumerate(_ORDER) for j, b in enumerate(_ORDER)}
+_OR = {(a, b): _ORDER[max(i, j)] for i, a in enumerate(_ORDER) for j, b in enumerate(_ORDER)}

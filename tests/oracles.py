@@ -10,44 +10,28 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def ternary_digits(x: Fraction) -> tuple[list[int], bool]:
-    """Digits of the eventually periodic ternary expansion of x in [0, 1).
-
-    Long division: d_i = floor(3 r / q), r <- 3 r mod q, stopping when a
-    remainder repeats.  Returns (digits up to the first repeated remainder,
-    terminating?) where terminating means the expansion ends in zeros.
-    """
-    p, q = x.numerator, x.denominator
-    digits: list[int] = []
-    seen: set[int] = set()
-    r = p
-    while r not in seen:
-        seen.add(r)
-        d, r = divmod(3 * r, q)
-        digits.append(d)
-    return digits, r == 0
-
-
 def cantor_brute(x: Fraction) -> bool:
     """Middle-thirds membership by inspecting the digit expansion(s).
 
     x is in the Cantor set iff some ternary expansion avoids the digit 1.
-    The long-division expansion is the greedy one; when it terminates, the
-    alternative expansion (decrement the last nonzero digit, then repeat 2s)
-    is inspected as well.
+    Long division gives the greedy expansion, d_i = floor(3 r / q) and
+    r <- 3 r mod q, until a remainder repeats.  Without a 1 it avoids the
+    digit.  At its first 1, x is in the set only if the expansion stops
+    there, ...1000... = ...0222..., so the division stops at that digit
+    instead of running through a period that may be as long as q.
     """
     if x < 0 or x > 1:
         return False
     if x == 1:
         return True  # 0.222... repeating
-    digits, terminating = ternary_digits(x)
-    if all(d != 1 for d in digits):
-        return True
-    if terminating:
-        last = max(i for i, d in enumerate(digits) if d != 0)
-        alternative = digits[:last] + [digits[last] - 1]
-        return all(d != 1 for d in alternative)
-    return False
+    q, r = x.denominator, x.numerator
+    seen: set[int] = set()
+    while r not in seen:
+        seen.add(r)
+        d, r = divmod(3 * r, q)
+        if d == 1:
+            return r == 0
+    return True
 
 
 # --- the rational kernel, straight from its definitions --------------------
@@ -271,7 +255,8 @@ def isolation_failures_ref(entries, anchor, eps, prefix: int) -> list[str]:
     """The failures of a radii certificate: first each position at which
     the entries differ from terms 1..prefix, then, for each entry in turn,
     every other entry and the anchor that its open ball admits, or that the
-    entry has no interior ball (radius not in (0, height))."""
+    entry lies in another dimension than the anchor, has a radius that is
+    no int or Fraction, or has no interior ball (radius not in (0, height))."""
     terms = [tangent_circle_term_ref(anchor, eps, k) for k in range(1, prefix + 1)]
     points = [tuple(p) for p, _ in entries]
     failures = []
@@ -283,12 +268,101 @@ def isolation_failures_ref(entries, anchor, eps, prefix: int) -> list[str]:
         elif points[k - 1] != terms[k - 1]:
             failures.append(f"radii entry {k} is not term {k}")
     for i, (p, radius) in enumerate(entries):
+        if len(p) != len(anchor):
+            failures.append(f"isolating ball of term {i + 1} lies in another dimension")
+            continue
+        if not isinstance(radius, (int, Fraction)):
+            failures.append(f"isolating ball of term {i + 1} has no exact radius")
+            continue
         if not 0 < radius < p[-1]:
             failures.append(f"isolating ball of term {i + 1} is not an interior ball")
             continue
         for j, q in enumerate(points):
-            if j != i and in_ball_ref(q, p, radius):
+            if j != i and len(q) == len(p) and in_ball_ref(q, p, radius):
                 failures.append(f"isolating ball of term {i + 1} admits term {j + 1}")
         if in_ball_ref(anchor, p, radius):
             failures.append(f"isolating ball of term {i + 1} admits the anchor")
     return failures
+
+
+# --- the flag closure of the descriptive engine ---------------------------------
+# A copy of its rows: a flag maps to True or False, and a flag missing from a
+# record is Unknown.
+
+_IMPLICATION_ROWS = [
+    ({"closed": True}, {"g_delta": True, "f_sigma": True}),
+    ({"open": True}, {"g_delta": True, "f_sigma": True}),
+    ({"countable": True}, {"f_sigma": True, "contains_closed_uncountable": False,
+                           "co_countable": False, "equals_all": False}),
+    ({"co_countable": True}, {"g_delta": True, "countable": False, "equals_empty": False}),
+    ({"contains_closed_uncountable": True}, {"countable": False, "equals_empty": False}),
+    ({"closed": True, "countable": False}, {"contains_closed_uncountable": True}),
+    ({"g_delta": True, "countable": False}, {"contains_closed_uncountable": True}),
+    ({"closed": True, "contains_closed_uncountable": False}, {"countable": True}),
+    ({"g_delta": True, "contains_closed_uncountable": False}, {"countable": True}),
+    ({"closed": True, "bounded": True}, {"compact": True}),
+    ({"closed": False}, {"compact": False}),
+    ({"bounded": False}, {"compact": False}),
+    ({"compact": True}, {"closed": True, "bounded": True}),
+    ({"bounded": True}, {"equals_all": False}),
+    ({"equals_empty": True}, {"countable": True, "closed": True, "open": True, "compact": True,
+                              "bounded": True, "equals_all": False,
+                              "contains_closed_uncountable": False}),
+    ({"equals_all": True}, {"co_countable": True, "closed": True, "open": True,
+                            "countable": False, "bounded": False, "equals_empty": False,
+                            "contains_closed_uncountable": True}),
+    ({"f_sigma": False}, {"closed": False, "open": False, "countable": False, "compact": False,
+                          "equals_empty": False, "equals_all": False}),
+    ({"g_delta": False}, {"closed": False, "open": False, "co_countable": False,
+                          "equals_empty": False, "equals_all": False}),
+]
+
+_COMPLEMENT_PAIRS = (("countable", "co_countable"), ("closed", "open"),
+                     ("g_delta", "f_sigma"), ("equals_all", "equals_empty"))
+
+
+class FlagContradiction(ValueError):
+    """Two rows settle one flag both ways."""
+
+
+def _merge_ref(flags: dict, update: dict) -> bool:
+    changed = False
+    for name, want in update.items():
+        if name not in flags:
+            flags[name] = want
+            changed = True
+        elif flags[name] != want:
+            raise FlagContradiction(name)
+    return changed
+
+
+def _close_ref(flags: dict) -> dict:
+    changed = True
+    while changed:
+        changed = False
+        for premises, conclusions in _IMPLICATION_ROWS:
+            if all(name in flags and flags[name] == want for name, want in premises.items()):
+                changed |= _merge_ref(flags, conclusions)
+    return flags
+
+
+def _swap_ref(inner: dict) -> dict:
+    """What a record says of its complement's flags."""
+    out = {dst: inner[src] for x, y in _COMPLEMENT_PAIRS
+           for dst, src in ((x, y), (y, x)) if src in inner}
+    if inner.get("bounded") is True:
+        out["bounded"] = False  # the complement contains the exterior of a ball
+    elif inner.get("equals_all") is True:
+        out["bounded"] = True  # the complement is empty
+    return out
+
+
+def close_pair_ref(a: dict, b: dict) -> tuple[dict, dict]:
+    """The records of a set (a) and of its complement (b), each closed under
+    the rows and passed through the swap into the other until neither
+    changes.  A contradiction raises FlagContradiction."""
+    a, b = _close_ref(dict(a)), _close_ref(dict(b))
+    while _merge_ref(a, _swap_ref(b)) | _merge_ref(b, _swap_ref(a)):
+        _close_ref(a)
+        _close_ref(b)
+    return a, b

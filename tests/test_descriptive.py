@@ -2,15 +2,22 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niemytzki.descriptive import (
+    _ALL_FLAGS,
+    _BIT,
     _DISJOINT,
+    _HALF,
     _INSIDE,
     _PRIMITIVE_PAIRS,
     _SEARCHES,
+    SoundnessError,
     TopologyOrder,
+    _bits,
+    _close,
+    _flip,
     _pair_flags,
     compare_topologies,
     contains_closed_uncountable,
@@ -39,7 +46,13 @@ from niemytzki.setdsl import (
 from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
 
 import catalog
-from oracles import ball_disjoint_ref, ball_member_ref, ball_within_ref
+from oracles import (
+    FlagContradiction,
+    ball_disjoint_ref,
+    ball_member_ref,
+    ball_within_ref,
+    close_pair_ref,
+)
 
 
 def V(flag: bool):
@@ -329,18 +342,54 @@ def test_pair_flags_cache_is_bounded():
 
 
 def test_the_complement_record_of_all_is_that_of_empty():
-    # the complement's record is swapped from the set's, never read off a row
-    assert _PRIMITIVE_PAIRS[All][1] == _PRIMITIVE_PAIRS[Empty][0]
-    assert _PRIMITIVE_PAIRS[Empty][1] == _PRIMITIVE_PAIRS[All][0]
+    # the complement's half is settled by the cross rules, never read off a row
+    assert _flip(_PRIMITIVE_PAIRS[All]) == _PRIMITIVE_PAIRS[Empty]
+    assert _flip(_PRIMITIVE_PAIRS[Empty]) == _PRIMITIVE_PAIRS[All]
 
 
 @pytest.mark.parametrize("kind", list(_PRIMITIVE_PAIRS), ids=lambda kind: kind.__name__)
 def test_primitive_pairs_leave_no_witness_search(kind):
     # the table is never searched, so each side must decide every flag a
     # witness search could settle
-    for side in _PRIMITIVE_PAIRS[kind]:
+    t, f = _PRIMITIVE_PAIRS[kind]
+    for shift in (0, _HALF):
         for name, _, _ in _SEARCHES:
-            assert side[name] is not UNKNOWN, name
+            assert (t | f) >> shift & _BIT[name], (shift, name)
+
+
+def _as_pair(record):
+    """A record as the oracle's two dicts: the set's flags, the complement's."""
+    t, f = record
+    return tuple({name: bool(t >> shift & bit) for name, bit in _BIT.items()
+                  if (t | f) >> shift & bit} for shift in (0, _HALF))
+
+
+_SLOTS = [(shift, name) for shift in (0, _HALF) for name in _ALL_FLAGS]
+
+
+@settings(max_examples=400)
+@given(st.dictionaries(st.sampled_from(_SLOTS), st.booleans(), max_size=6))
+def test_the_bit_closure_is_the_fixpoint_of_the_pair_oracle(assignment):
+    record = (sum(_BIT[name] << shift for (shift, name), v in assignment.items() if v),
+              sum(_BIT[name] << shift for (shift, name), v in assignment.items() if not v))
+    try:
+        expected = close_pair_ref(*_as_pair(record))
+    except FlagContradiction:
+        with pytest.raises(SoundnessError):
+            _close(record, "tree")
+        return
+    assert _as_pair(_close(record, "tree")) == expected
+
+
+def test_a_contradiction_names_the_flag_the_side_and_the_tree():
+    tree = parse("cantor | point(1/3)", 2)
+    # the complement of a set equal to L_n is empty: bounded and compact
+    record = (_bits({"equals_all": TRUE})[0], _bits({"bounded": FALSE}, _HALF)[1])
+    with pytest.raises(SoundnessError) as raised:
+        _close(record, tree)
+    assert str(raised.value) == (
+        "contradiction on compact of the complement, bounded of the complement"
+        f" for {tree!r}")
 
 
 def test_the_flag_cache_holds_no_primitive():

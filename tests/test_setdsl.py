@@ -461,6 +461,13 @@ class TestCantorOracleAgreement:
     def test_matches_brute_force(self, x):
         assert in_cantor(x) == cantor_brute(x)
 
+    def test_a_long_ternary_period_is_decided_at_its_first_one(self):
+        # the denominator's ternary period is near 10**12: long division
+        # through the whole period, as the oracle once did, never ends
+        x = Fr(1, 3) + Fr(1, 999983 * 999979)
+        assert cantor_brute(x) is False
+        assert in_cantor(x) is False
+
 
 class TestFindWitness:
     def test_all_has_the_origin(self):

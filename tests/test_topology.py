@@ -280,6 +280,13 @@ class TestDecideConvergence:
         assert verdict.converges is False
         assert certificate_failures(verdict, fam, topo) == []
 
+    def test_an_index_bound_of_unknown_form_fails(self):
+        # holds raised ValueError instead of failing the check
+        fam = TangentCircle(Point.boundary(0), Fr(1))
+        verdict = ConvergenceVerdict(True, (IndexBound("cubic", Fr(1), "k^3 > 1/eps"),))
+        assert certificate_failures(verdict, fam, NIEM2, prefix=3) == [
+            "index bound of unknown form 'cubic'"]
+
     def test_bernstein_anchor_aborts(self):
         topo = TopologySpec.modified(parse("bernstein"), 2)
         fam = Vertical(Point.boundary(0), Fr(1))
@@ -384,6 +391,20 @@ class TestIsolationAgainstThePairOracle:
         entries[0] = (entries[0][0], radius)
         assert self._same_failures(fam, entries) == [
             "isolating ball of term 1 is not an interior ball"]
+
+    def test_an_entry_of_another_dimension_is_reported(self):
+        # contains raised DimensionMismatch instead of failing the check
+        fam, entries = self._honest(3)
+        entries[1] = (Point.of(Fr(4, 5), 0, Fr(2, 5)), entries[1][1])
+        assert self._same_failures(fam, entries, 3) == [
+            "radii entry 2 is not term 2", "isolating ball of term 2 lies in another dimension"]
+
+    def test_an_inexact_radius_is_reported(self):
+        # rat raised TypeError on the float instead of failing the check
+        fam, entries = self._honest(3)
+        entries[0] = (entries[0][0], 0.5)
+        assert self._same_failures(fam, entries, 3) == [
+            "isolating ball of term 1 has no exact radius"]
 
     def test_a_boundary_entry_is_reported(self):
         fam, entries = self._honest()
