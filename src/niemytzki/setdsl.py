@@ -65,13 +65,25 @@ and its members' tests and cached beside the node's fields, as its hash is.
 A test reads the query point as its integer form ``(X, d)`` from
 ``geometry._scaled`` and stops at the first member that settles the Kleene
 and/or; the arity of the query is checked once, at the root, against the
-arities the node caches beside its test.  :func:`member` is that check and
+arities the node caches beside its test.  The same row, in the same walk,
+gives the node's support, cached in the same slot: the span [lo, hi] of
+first coordinates outside which the test never answers IN (``NOWHERE`` if
+it never does, ``ANYWHERE`` if no interval bounds it), and whether it can
+ever answer OUT.  Points, finite sets and balls give their x_1 hull and
+``cantor`` [0, 1]; ``empty`` and ``bernstein`` are nowhere, ``all``,
+``rationals`` and ``lattice`` anywhere; an intersection meets its members'
+spans, a union takes their hull, reading its index, and ``!b`` is nowhere
+exactly when b never answers OUT.  :func:`member` is the arity check and
 one call; :func:`find_witness` builds the test once per search and runs it
 on integer forms it does not make itself: the probe points are formed once
 per arity m, and the seeded random candidates are drawn once per
 (seed, m), lazily, into one stream that keeps the forms of the first
-``DEFAULT_BUDGET`` of them and is read by every later search.  A
-``Fraction`` is made only for a random witness that is returned.
+``DEFAULT_BUDGET`` of them and is read by every later search.  A search
+returns None at once when the span is nowhere, before any candidate is
+formed or drawn, and does not test a candidate whose x_1 lies outside the
+span, though it counts against the budget, so every answer is the one a
+search testing every candidate gives.  A ``Fraction`` is made only for a
+random witness that is returned.
 """
 
 from __future__ import annotations
@@ -703,8 +715,8 @@ class UnionIndex:
     ``finite`` members, are in the set ``points`` by their scaled form, and
     also sorted by first coordinate.  The closed and open balls are sorted
     by the first coordinate c_1 of their centers; with R their largest
-    radius, every ball that meets the slab |x_1 - y| <= r has c_1 within
-    r + R of y.  On the grid of step 1/s, s = ceil(1/R), ``ball_floors`` and
+    radius (``reach``), every ball that meets the slab |x_1 - y| <= r has
+    c_1 within r + R of y.  On the grid of step 1/s, s = ceil(1/R), ``ball_floors`` and
     ``ball_tops`` hold the cells of c_1 - R and c_1 + R, so that
     :meth:`balls_near` finds those balls by bisection on integers, with at
     most the balls within 1/s <= R more.
@@ -735,7 +747,7 @@ class UnionIndex:
         self.points = frozenset(form for _, form in points)
         self.point_firsts = [coords[0] for coords, _ in points]
         self.point_forms = [form for _, form in points]
-        reach = max((b.radius for b in balls), default=0)
+        self.reach = reach = max((b.radius for b in balls), default=0)
         self.balls = balls
         self.scale = s = ceil(1 / reach) if balls else 1
         self.ball_floors = [floor((b.center[0] - reach) * s) for b in balls]
@@ -775,13 +787,23 @@ class UnionIndex:
 # rational coordinates in lowest terms that form is canonical,
 # gcd(X_1, ..., X_k, d) = 1, so two points are equal exactly when their
 # forms are.
+#
+# Beside its test, a node's record holds the sorted distinct arities of its
+# coordinate groups and its support: the span of first coordinates outside
+# which the test never answers IN, and whether it can ever answer OUT.  A
+# span is [a/b, c/g], held as the integers (a, b, c, g) with b, g > 0 and
+# compared by cross-multiplying, as a query form is; or NOWHERE when the
+# test never answers IN, or ANYWHERE when no interval bounds it.
 
 _Test = Callable[[_Scaled], Verdict]
 
+NOWHERE = "nowhere"
+ANYWHERE = "anywhere"
 
-def _compiled(e: SetExpr) -> tuple[_Test, tuple[int, ...]]:
-    """e's membership test and the sorted distinct arities of its coordinate
-    groups, built on first use.  A value that is not a node raises TypeError."""
+
+def _compiled(e: SetExpr) -> tuple:
+    """e's record, (test, arities, span, may_out), built on first use from
+    its ``_MEMBER_TESTS`` row.  A value that is not a node raises TypeError."""
     build = _MEMBER_TESTS[type(e)]
     found = getattr(e, "_member_test", None)  # most calls build, so no try
     if found is None:
@@ -794,9 +816,57 @@ def _distinct(arities: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(arities)))
 
 
-def _symbolic(test: _Test):
-    """The row of a leaf without coordinates: one test for all its kind."""
-    found = (test, ())
+def _meet(spans: Iterable) -> object:
+    """The span of an intersection: where every member's test may answer IN."""
+    found = ANYWHERE
+    for span in spans:
+        if span is NOWHERE:
+            return NOWHERE
+        if found is ANYWHERE:
+            found = span
+        elif span is not ANYWHERE:
+            a, b, c, g = found
+            a2, b2, c2, g2 = span
+            if a2 * b > a * b2:  # the higher low end
+                a, b = a2, b2
+            if c2 * g < c * g2:  # the lower high end
+                c, g = c2, g2
+            if a * g > c * b:
+                return NOWHERE
+            found = (a, b, c, g)
+    return found
+
+
+def _hull(spans: Iterable) -> object:
+    """The span of a union: where some member's test may answer IN."""
+    found = NOWHERE
+    for span in spans:
+        if span is ANYWHERE:
+            return ANYWHERE
+        if found is NOWHERE:
+            found = span
+        elif span is not NOWHERE:
+            a, b, c, g = found
+            a2, b2, c2, g2 = span
+            if a2 * b < a * b2:
+                a, b = a2, b2
+            if c2 * g > c * g2:
+                c, g = c2, g2
+            found = (a, b, c, g)
+    return found
+
+
+def _around(lo: _Scaled, hi: _Scaled, r: Fraction) -> tuple[int, int, int, int]:
+    """The span from the first coordinate of the form lo less |r| to that
+    of the form hi plus |r|."""
+    n, k = abs(r.numerator), r.denominator
+    (X, d), (Y, e) = lo, hi
+    return X[0] * k - n * d, d * k, Y[0] * k + n * e, e * k
+
+
+def _symbolic(test: _Test, span, may_out: bool):
+    """The row of a leaf without coordinates: one record for all its kind."""
+    found = (test, (), span, may_out)
     return lambda e: found
 
 
@@ -806,28 +876,40 @@ def _cantor_test(q: _Scaled) -> Verdict:
 
 
 def _point_test(e: SinglePoint):
+    # (a leaf without coordinates has no span: its tree fails the arity check)
     form = e.scaled
-    return (lambda q: IN if q == form else OUT), (len(e.coords),)
+    X, d = form
+    span = (X[0], d, X[0], d) if X else NOWHERE
+    return (lambda q: IN if q == form else OUT), (len(e.coords),), span, True
 
 
 def _finite_test(e: FiniteSet):
     forms = frozenset(e.scaled)
-    return (lambda q: IN if q in forms else OUT), _distinct(map(len, e.points))
+    firsts = [p[0] for p in e.points if p]
+    span = NOWHERE
+    if firsts:
+        lo, hi = min(firsts), max(firsts)
+        span = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return (lambda q: IN if q in forms else OUT), _distinct(map(len, e.points)), span, True
 
 
 def _ball_test(e: SetExpr):
     form, radius, within = e.scaled, e.radius, WITHIN[type(e)]
-    return (lambda q: IN if within(_sq_sign(form, q, radius), 0) else OUT), (len(e.center),)
+    span = _around(form, form, radius) if e.center else NOWHERE
+    return ((lambda q: IN if within(_sq_sign(form, q, radius), 0) else OUT),
+            (len(e.center),), span, True)
 
 
 def _complement_test(e: Complement):
-    body, arities = _compiled(e.body)
+    body, arities, span, may_out = _compiled(e.body)
 
     def test(q: _Scaled) -> Verdict:
         v = body(q)
         return OUT if v is IN else IN if v is OUT else UNKNOWN
 
-    return test, arities
+    # In wherever the body may be Out, which no span bounds; Out only where
+    # the body may be In
+    return test, arities, ANYWHERE if may_out else NOWHERE, span is not NOWHERE
 
 
 def _union_test(e: Union):
@@ -835,7 +917,7 @@ def _union_test(e: Union):
     query along the first axis, then the other members in order."""
     index = e.index
     parts = list(map(_compiled, index.others))  # no comprehension frame per level
-    others = tuple(test for test, _ in parts)
+    others = tuple(test for test, _, _, _ in parts)
     points, balls = index.points, index.balls
 
     def test(q: _Scaled) -> Verdict:
@@ -854,13 +936,20 @@ def _union_test(e: Union):
                 unknown = True
         return UNKNOWN if unknown else OUT
 
+    spans = [span for _, _, span, _ in parts]
+    if points:
+        (X, d), (Y, g) = index.point_forms[0], index.point_forms[-1]
+        spans.append((X[0], d, Y[0], g))
+    if balls:  # each within R of its center, between the outer two centers
+        spans.append(_around(balls[0].scaled, balls[-1].scaled, index.reach))
     shapes = map(len, index.shapes)
-    return test, _distinct(itertools.chain(shapes, *(arities for _, arities in parts)))
+    arities = itertools.chain(shapes, *(arities for _, arities, _, _ in parts))
+    return test, _distinct(arities), _hull(spans), all(out for _, _, _, out in parts)
 
 
 def _inter_test(e: Inter):
     parts = list(map(_compiled, e.members))
-    members = tuple(test for test, _ in parts)
+    members = tuple(test for test, _, _, _ in parts)
 
     def test(q: _Scaled) -> Verdict:
         unknown = False
@@ -872,17 +961,20 @@ def _inter_test(e: Inter):
                 unknown = True
         return UNKNOWN if unknown else IN
 
-    return test, _distinct(itertools.chain.from_iterable(arities for _, arities in parts))
+    arities = itertools.chain.from_iterable(arities for _, arities, _, _ in parts)
+    return (test, _distinct(arities), _meet(span for _, _, span, _ in parts),
+            any(out for _, _, _, out in parts))
 
 
-# Each row builds a node's (test, arities) pair, reading its members' pairs.
+# Each row builds a node's record, reading its members' records.
 _MEMBER_TESTS = NodeTable({
-    Empty: _symbolic(lambda q: OUT),
-    All: _symbolic(lambda q: IN),
-    Rationals: _symbolic(lambda q: IN),  # every representable point has rational coordinates
-    Lattice: _symbolic(lambda q: IN if q[1] == 1 else OUT),
-    Cantor: _symbolic(_cantor_test),
-    Bernstein: _symbolic(lambda q: UNKNOWN),
+    Empty: _symbolic(lambda q: OUT, NOWHERE, True),
+    All: _symbolic(lambda q: IN, ANYWHERE, False),
+    # every representable point has rational coordinates
+    Rationals: _symbolic(lambda q: IN, ANYWHERE, False),
+    Lattice: _symbolic(lambda q: IN if q[1] == 1 else OUT, ANYWHERE, True),
+    Cantor: _symbolic(_cantor_test, (0, 1, 1, 1), True),
+    Bernstein: _symbolic(lambda q: UNKNOWN, NOWHERE, False),
     SinglePoint: _point_test,
     FiniteSet: _finite_test,
     ClosedBall: _ball_test,
@@ -901,7 +993,7 @@ def member_test(e: SetExpr, m: int) -> _Test:
     if not m:
         raise _no_coordinates()
     try:
-        test, arities = _compiled(e)
+        test, arities, _, _ = _compiled(e)
     except RecursionError:
         raise _too_deep() from None
     for found in arities:
@@ -1061,6 +1153,19 @@ def _stream(seed, m: int) -> _Stream:
     return _Stream(seed, m)
 
 
+def _within(span, test: _Test) -> Callable[[_Scaled], Optional[Verdict]]:
+    """test, for the forms whose first coordinate lies in the span; a form
+    outside it gets no verdict (None) and is not tested, since the test
+    never answers IN there."""
+    a, b, c, g = span
+
+    def pruned(q: _Scaled) -> Optional[Verdict]:
+        x, d = q[0][0], q[1]
+        return test(q) if a * d <= x * b and x * g <= c * d else None
+
+    return pruned
+
+
 def find_witness(
     e: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0, dimension: int | None = None
 ) -> Optional[tuple[Fraction, ...]]:
@@ -1069,19 +1174,29 @@ def find_witness(
     random rationals.  Absence of a witness proves nothing.  The tree is
     taken as given, as by :func:`member`.
 
-    The tree's membership test is built once per search.  The probes and
-    the random candidates are read from caches shared by every search of
-    the same arity and seed (``_probes``, ``_stream``), as integer forms, so
-    a ``Fraction`` is made only for a random witness that is returned.  The
-    seed is a key of that cache: it must be hashable, and ``None`` seeds one
-    stream from the operating system per process, not one per search."""
+    The tree's membership test is built once per search, with its support.
+    A tree whose test never answers In (span ``NOWHERE``) returns None at
+    once, before any candidate is formed or drawn; otherwise a candidate
+    whose first coordinate lies outside the span is not tested.  It still
+    counts against the budget, so every answer is the one the search that
+    tests each candidate returns.  The probes and the random candidates
+    are read from caches shared by every search of the same arity and seed
+    (``_probes``, ``_stream``), as integer forms, so a ``Fraction`` is made
+    only for a random witness that is returned.  The seed is a key of that
+    cache: it must be hashable, and ``None`` seeds one stream from the
+    operating system per process, not one per search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if dimension is not None:
         check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)
-    structural, probes = structural_candidates(e, m), _probes(m)
     test = member_test(e, m)
+    span = _compiled(e)[2]  # built beside the test
+    if span is NOWHERE:
+        return None
+    if span is not ANYWHERE:
+        test = _within(span, test)
+    structural, probes = structural_candidates(e, m), _probes(m)
     left = budget - len(structural)  # what the probes and the stream may use
     try:
         for cand in structural[:budget]:

@@ -513,15 +513,20 @@ def _isolation_failures(
     only the entries whose first coordinate lies within its radius, found by
     bisection on the entries sorted by it once; they are tested in entry
     order, which keeps the messages in the order of the full pair check.
-    An entry whose point lies in another dimension than the anchor, whose
-    radius is no exact rational, or that has no interior ball (its radius
-    not below its point's height, or its point on the boundary) is one
-    failure and tests nothing; no ball tests a point of another dimension."""
-    order = sorted(range(len(entries)), key=lambda j: entries[j][0].coords[0])
-    firsts = [entries[j][0].coords[0] for j in order]
+    An entry whose point is no ``Point`` or lies in another dimension than
+    the anchor, whose radius is no exact rational, or that has no interior
+    ball (its radius not below its point's height, or its point on the
+    boundary) is one failure and tests nothing; no ball tests a point that
+    is no ``Point`` or lies in another dimension."""
     n = anchor.dimension
+    usable = [j for j, (p, _) in enumerate(entries) if isinstance(p, Point) and p.dimension == n]
+    order = sorted(usable, key=lambda j: entries[j][0].coords[0])
+    firsts = [entries[j][0].coords[0] for j in order]
     failures = []
     for i, (p, radius) in enumerate(entries):
+        if not isinstance(p, Point):
+            failures.append(f"isolating ball of term {i + 1} is not a point")
+            continue
         if p.dimension != n:
             failures.append(f"isolating ball of term {i + 1} lies in another dimension")
             continue
@@ -537,7 +542,7 @@ def _isolation_failures(
         window = order[bisect_right(firsts, c - r):bisect_left(firsts, c + r)]
         for j in sorted(window):
             q = entries[j][0]
-            if j != i and q.dimension == n and contains(ball, q):
+            if j != i and contains(ball, q):
                 failures.append(f"isolating ball of term {i + 1} admits term {j + 1}")
         if contains(ball, anchor):
             failures.append(f"isolating ball of term {i + 1} admits the anchor")

@@ -227,6 +227,58 @@ def random_forms_ref(seed, m: int, count: int) -> list[tuple[tuple[int, ...], in
     return forms
 
 
+# --- the witness search, every candidate tested ----------------------------
+# The structural candidates are the package's own harvest; the probes are
+# written out here, and every candidate is decided by tree_member_ref.
+
+
+def ref_tree(e):
+    """A set expression as tree_member_ref spells it, read off each node's
+    class name and fields."""
+    kind = type(e).__name__
+    if kind == "Complement":
+        return ("!", ref_tree(e.body))
+    if kind in ("Union", "Inter"):
+        return ("|" if kind == "Union" else "&", tuple(map(ref_tree, e.members)))
+    if kind == "SinglePoint":
+        return ("point", e.coords)
+    if kind == "FiniteSet":
+        return ("finite", e.points)
+    if kind in ("ClosedBall", "OpenBall"):
+        return ("cball" if kind == "ClosedBall" else "oball", e.center, e.radius)
+    return (kind.lower(),)
+
+
+def probes_ref(m: int) -> list[tuple[Fraction, ...]]:
+    """The fixed probe points of R^m, in the order a search tries them."""
+    zeros = (Fraction(0),) * (m - 1)
+    values = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+              Fraction(1, 3), 5)
+    probes = [(Fraction(v),) + zeros for v in values]
+    probes += [(Fraction(v),) * m for v in (1, -1, Fraction(1, 2))]
+    if m > 1:
+        probes += [zeros + (Fraction(v),) for v in (1, 2)]
+    return probes
+
+
+def find_witness_ref(tree, budget: int, seed, m: int):
+    """The first of budget candidates in which the tree holds (True): its
+    structural candidates, the probes, then the random candidates of seed;
+    None if no candidate is a witness."""
+    from niemytzki.setdsl import structural_candidates
+
+    ref = ref_tree(tree)
+    fixed = structural_candidates(tree, m) + probes_ref(m)
+    for cand in fixed[:budget]:
+        if tree_member_ref(ref, cand) is True:
+            return tuple(cand)
+    for X, d in random_forms_ref(seed, m, budget - len(fixed)):
+        cand = tuple(Fraction(x, d) for x in X)
+        if tree_member_ref(ref, cand) is True:
+            return cand
+    return None
+
+
 # --- tangent-circle certificates, every pair checked ------------------------
 # A point is a coordinate tuple and an anchor its boundary point; nothing
 # below reads topology.

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from niemytzki.setdsl import (
+    ANYWHERE,
     DEFAULT_BUDGET,
     IN,
     MAX_TREE_DEPTH,
+    NOWHERE,
     OUT,
     UNKNOWN,
     All,
@@ -28,6 +30,8 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _Parser,
+    _compiled,
+    _probes,
     _stream,
     complement,
     complement_text,
@@ -43,7 +47,14 @@ from niemytzki.setdsl import (
     structural_candidates,
     to_text,
 )
-from oracles import cantor_brute, random_forms_ref, tree_member_ref
+from oracles import (
+    cantor_brute,
+    find_witness_ref,
+    probes_ref,
+    random_forms_ref,
+    ref_tree,
+    tree_member_ref,
+)
 
 
 class TestParser:
@@ -334,22 +345,6 @@ class TestMembership:
             member(parse(text), (0.5,))
 
 
-def _ref_tree(e):
-    """The tree as tests/oracles.py spells it."""
-    kind = type(e)
-    if kind is Complement:
-        return ("!", _ref_tree(e.body))
-    if kind in (Union, Inter):
-        return ("|" if kind is Union else "&", tuple(map(_ref_tree, e.members)))
-    if kind is SinglePoint:
-        return ("point", e.coords)
-    if kind is FiniteSet:
-        return ("finite", e.points)
-    if kind in (ClosedBall, OpenBall):
-        return ("cball" if kind is ClosedBall else "oball", e.center, e.radius)
-    return (kind.__name__.lower(),)
-
-
 _REF_VERDICT = {IN: True, OUT: False, UNKNOWN: None}
 
 
@@ -380,7 +375,7 @@ def _member_case(draw):
 @given(_member_case())
 def test_member_agrees_with_the_tree_oracle(case):
     e, query, point = case
-    assert _REF_VERDICT[member(e, query)] is tree_member_ref(_ref_tree(e), point)
+    assert _REF_VERDICT[member(e, query)] is tree_member_ref(ref_tree(e), point)
 
 
 # few coordinate values, so that members and leaves repeat
@@ -585,3 +580,87 @@ class TestCandidateStream:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert read == [want] * len(threads) and stream.forms == want
+
+
+def _search_tree(rng: random.Random, n: int):
+    """A random tree, or the gap e1 & !e2 between two, so that many
+    searches find nothing."""
+    e = random_expr(rng, n)
+    return join(Inter, [e, complement(random_expr(rng, n))]) if rng.random() < 0.5 else e
+
+
+def _span(e):
+    """The span of e's support as two Fractions, or its sentinel."""
+    span = _compiled(e)[2]
+    if span in (NOWHERE, ANYWHERE):
+        return span
+    a, b, c, g = span
+    return Fr(a, b), Fr(c, g)
+
+
+class TestWitnessSupport:
+    """A search returns what testing every candidate in order returns: the
+    support settles a hopeless search at once and skips candidates outside
+    its span, each still counted against the budget."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_probes_are_the_oracle_s(self, m):
+        assert [p for p, _ in _probes(m)] == probes_ref(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(0, 3),
+           st.sampled_from((1, 7, 40, 1000, 1500)))
+    def test_the_search_equals_the_oracle(self, tree_seed, n, seed, budget):
+        # 1500 reads past the kept forms of the stream
+        e = _search_tree(random.Random(tree_seed), n)
+        want = find_witness_ref(e, budget, seed, n - 1)
+        assert find_witness(e, budget, seed, dimension=n) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_in_point_lies_in_the_support(self, n):
+        rng = random.Random(n)
+        m = n - 1
+        stream = [tuple(Fr(x, d) for x in X) for X, d in random_forms_ref(0, m, 200)]
+        for _ in range(40):
+            e = _search_tree(rng, n)
+            span, may_out = _span(e), _compiled(e)[3]
+            for p in structural_candidates(e, m) + probes_ref(m) + stream:
+                v = member(e, p)
+                if v is IN:
+                    assert span is ANYWHERE or span is not NOWHERE and span[0] <= p[0] <= span[1]
+                assert may_out or v is not OUT
+
+    @pytest.mark.parametrize("text", [
+        "bernstein & cball(0;1)", "cball(0;1) & !bernstein", "cball(0;1) & !rationals",
+        "point(1) & point(2)", "cball(0;1) & oball(5;1)", "!all",
+        "!(!bernstein | point(1))",  # the union is never Out
+    ])
+    def test_a_hopeless_search_draws_nothing(self, text):
+        e = parse(text)
+        assert _span(e) is NOWHERE
+        _stream.cache_clear()
+        assert find_witness(e, seed=0) is None is find_witness_ref(e, DEFAULT_BUDGET, 0, 1)
+        assert len(_stream(0, 1).forms) == 0
+
+    def test_a_skipped_candidate_counts_against_the_budget(self):
+        # the ball's four candidates are taken out, so its first witness is
+        # a random candidate in [9, 11], drawn after others the span skips
+        e = parse("cball(10;1) & !finite{10;19/2;21/2;11}")
+        assert _span(e) == (9, 11)
+        draws = random_forms_ref(0, 1, DEFAULT_BUDGET)
+        hit = next(k for k, (X, d) in enumerate(draws)
+                   if 9 <= Fr(X[0], d) <= 11 and Fr(X[0], d) not in (10, Fr(19, 2), Fr(21, 2), 11))
+        assert any(not 9 <= Fr(X[0], d) <= 11 for X, d in draws[:hit])
+        reach = len(structural_candidates(e, 1)) + len(probes_ref(1)) + hit + 1
+        X, d = draws[hit]
+        assert find_witness(e, reach, 0) == (Fr(X[0], d),) == find_witness_ref(e, reach, 0, 1)
+        assert find_witness(e, reach - 1, 0) is None is find_witness_ref(e, reach - 1, 0, 1)
+
+    @pytest.mark.parametrize("text, want", [
+        ("cball(0;1) & !finite{0;1/2;-1/2;1}", (Fr(-1),)),  # the probe -1, the low end
+        ("(oball(0;1) | point(3)) & !finite{0;1/2;-1/2}", (Fr(3),)),  # the high end
+    ])
+    def test_a_candidate_at_an_end_of_the_span_is_tested(self, text, want):
+        e = parse(text)
+        assert want[0] in _span(e)
+        assert find_witness(e, seed=0) == want == find_witness_ref(e, DEFAULT_BUDGET, 0, 1)

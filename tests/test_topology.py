@@ -399,6 +399,14 @@ class TestIsolationAgainstThePairOracle:
         assert self._same_failures(fam, entries, 3) == [
             "radii entry 2 is not term 2", "isolating ball of term 2 lies in another dimension"]
 
+    def test_an_entry_that_is_no_point_is_reported(self):
+        # the sort key raised AttributeError on the coordinate tuple instead
+        # of failing the check
+        fam, entries = self._honest(3)
+        entries[0] = (entries[0][0].coords, entries[0][1])
+        assert _radii_failures(fam, entries, 3) == [
+            "radii entry 1 is not term 1", "isolating ball of term 1 is not a point"]
+
     def test_an_inexact_radius_is_reported(self):
         # rat raised TypeError on the float instead of failing the check
         fam, entries = self._honest(3)
