@@ -464,11 +464,15 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     """Sound (never falsely True) structural subset test."""
     if a == b or isinstance(a, Empty) or isinstance(b, All):
         return True
-    if isinstance(b, Union) and (a in b.index.members
-                                 or any(_structural_subset(a, m) for m in b.members)):
-        return True
     if isinstance(a, Union) and all(_structural_subset(m, b) for m in a.members):
         return True
+    if isinstance(b, Union):
+        if a in b.index.members:
+            return True
+        # a point or a finite set is decided below, by one test through b's index
+        if type(a) not in (SinglePoint, FiniteSet) and any(
+                _structural_subset(a, m) for m in b.members):
+            return True
     if isinstance(a, Inter) and any(_structural_subset(m, b) for m in a.members):
         return True
     if isinstance(b, Inter) and all(_structural_subset(a, m) for m in b.members):

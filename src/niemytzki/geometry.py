@@ -35,6 +35,14 @@ one Fraction from integers at the end.  The set language uses the same
 comparison, ``_sq_sign``, the sign of |p - q|^2 - r^2: its points and balls
 cache their scaled form as a Point does.
 
+The level is read on forms alone: ``_level_int(x, a, en, ed)`` is the pair
+(N, D) of the level of x for eps = en/ed, which need not be reduced.  On
+L_n it reads 0/1 at a and 1/0 at every other point, so x lies in the
+tangent ball iff N < D, and the separating function is N/D capped at 1.
+:func:`in_tangent_ball`, :func:`t_level`, :func:`separating_f` and the
+harness's suites S1-S4 all read it, and :func:`tangent_sphere_point` and
+suite S1 build their sphere points with ``_sphere_form``.
+
 Every record class of the package, from :class:`Point` here to the set
 expressions, topologies, certificates and reports, is made by
 :func:`_record`: an immutable value of its annotated fields, inherited
@@ -167,6 +175,12 @@ def _scaled(coords: Sequence[Fraction]) -> _Scaled:
     return tuple([c.numerator * (d // c.denominator) for c in coords]), d
 
 
+def _unscaled(form: _Scaled) -> tuple[Fraction, ...]:
+    """The rational coordinates of a form (X, d), which need not be reduced."""
+    X, d = form
+    return tuple([Fraction(c, d) for c in X])
+
+
 @_record
 class Point:
     """A point of X_n: rational coordinates with the last one >= 0, n >= 2."""
@@ -297,11 +311,17 @@ def tangent_gauge(x: Point, a: Point) -> Fraction:
     return _sq_frac(x, a)  # a_n = 0, so the gauge is |x - a|^2
 
 
-def _level_int(x: Point, a: Point, eps: Fraction) -> tuple[int, int]:
-    """(N, D) with t_level(x, a, eps) == N / D and D > 0, for interior x of
-    a's dimension: gauge / (2*eps*x_n) with every denominator cleared."""
-    s, dx, da = _sq_int(x.scaled, a.scaled)
-    return s * eps.denominator, 2 * eps.numerator * x.scaled[0][-1] * dx * da * da
+def _level_int(x: _Scaled, a: _Scaled, en: int, ed: int) -> tuple[int, int]:
+    """(N, D) with N / D the level of the form x for the tangent ball at the
+    boundary form a of parameter en/ed > 0, forms of one arity: the gauge
+    over 2*eps*x_n with every denominator cleared, D > 0 for interior x.  On
+    the boundary the level reads 0/1 at a and 1/0 elsewhere, so that x lies
+    in the tangent ball iff N < D, for every x."""
+    s, dx, da = _sq_int(x, a)
+    xn = x[0][-1]
+    if xn:
+        return s * ed, 2 * en * xn * dx * da * da
+    return (0, 1) if s == 0 else (1, 0)  # |x - a| = 0 iff x = a
 
 
 def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
@@ -313,11 +333,12 @@ def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
     """
     eps = _tangent_eps(a, eps)
     _check_dims(x.coords, a.coords)
-    if x == a:
-        return True
-    if x.is_boundary:
-        return False
-    level_num, level_den = _level_int(x, a, eps)
+    return _in_tangent_int(x.scaled, a.scaled, eps.numerator, eps.denominator)
+
+
+def _in_tangent_int(x: _Scaled, a: _Scaled, en: int, ed: int) -> bool:
+    """:func:`in_tangent_ball` on forms and eps = en/ed: the level is below 1."""
+    level_num, level_den = _level_int(x, a, en, ed)
     return level_num < level_den
 
 
@@ -332,7 +353,7 @@ def t_level(x: Point, a: Point, eps: RatLike) -> Fraction:
     _check_dims(x.coords, a.coords)
     if x.is_boundary:
         raise ValueError("level is undefined on the boundary hyperplane")
-    return Fraction(*_level_int(x, a, eps))
+    return Fraction(*_level_int(x.scaled, a.scaled, eps.numerator, eps.denominator))
 
 
 def separating_f(x: Point, a: Point, eps: RatLike) -> Fraction:
@@ -341,9 +362,8 @@ def separating_f(x: Point, a: Point, eps: RatLike) -> Fraction:
     of parameter s*eps, for every s in (0, 1)."""
     eps = _tangent_eps(a, eps)
     _check_dims(x.coords, a.coords)
-    if x.is_boundary:
-        return Fraction(0) if x == a else Fraction(1)
-    return min(Fraction(*_level_int(x, a, eps)), Fraction(1))
+    level_num, level_den = _level_int(x.scaled, a.scaled, eps.numerator, eps.denominator)
+    return Fraction(level_num, level_den) if level_num < level_den else Fraction(1)
 
 
 def inner_ball_radius(q: Point, b: BallSpec) -> Fraction:
@@ -376,6 +396,14 @@ def tangent_sphere_point(a: Point, eps: RatLike, direction: Sequence[RatLike]) -
         raise DimensionMismatch("direction arity differs from the point's dimension")
     if v[-1] <= 0:
         raise ValueError("direction must point into the open half-space (v_n > 0)")
-    norm2 = sum((c * c for c in v), Fraction(0))
-    s = 2 * eps * v[-1] / norm2
-    return translate(a, tuple(s * c for c in v))
+    return Point(_unscaled(_sphere_form(a.scaled, eps.numerator, eps.denominator, _scaled(v)[0])))
+
+
+def _sphere_form(a: _Scaled, en: int, ed: int, v: Sequence[int]) -> _Scaled:
+    """The form of a + s*v, s = 2*eps*v_n / |v|^2, for the boundary form a,
+    eps = en/ed and an integer direction v with v_n > 0: the point of
+    :func:`tangent_sphere_point`.  A direction's scale cancels from s*v, so
+    a rational direction is read as the integers of its form."""
+    (A, d), norm2 = a, sum([c * c for c in v])
+    scale, k = ed * norm2, 2 * en * v[-1] * d
+    return tuple([c * scale + k * w for c, w in zip(A, v)]), d * scale

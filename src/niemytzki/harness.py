@@ -21,6 +21,15 @@ rejection: measure-zero sets are unreachable by sampling.  Points inside a
 ball come from rejection on a box, and each draw is decided on its offsets
 from the ball's center before any point is built.  Generated rationals keep
 denominators at or below 10^4 to bound bignum growth.
+
+S1-S4 sample and decide on integers.  A drawn rational is the pair (k, den)
+of its draws and a point is geometry's scaled form (X, d), neither reduced,
+and every check is an integer cross-product through the kernel's gauge
+(``_sq_int``), level (``_level_int``) and membership (``_in_tangent_int``).
+Fractions and Points are made in two places only: ``generate_samples``,
+which hands out each sample as its public record, and a failure's data.
+S5-S7 sample on Fractions; S6 reads the same integer draws and converts
+them where it uses them.
 """
 
 from __future__ import annotations
@@ -28,18 +37,21 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator
 
 from .geometry import (
     Point,
+    _level_int,
     _record,
-    _scaled,
+    _Scaled,
+    _in_tangent_int,
+    _sphere_form,
+    _sq_int,
     _sq_sign,
+    _unscaled,
     check_dimension,
-    in_tangent_ball,
-    separating_f,
     sq_dist,
-    t_level,
     tangent_gauge,
     tangent_sphere_point,
     translate,
@@ -50,10 +62,12 @@ from .setdsl import (
     UNKNOWN,
     Complement,
     Inter,
+    SetExpr,
     Union,
     member,
     random_expr,
     structural_candidates,
+    to_text,
 )
 from .topology import (
     BasicOpen,
@@ -69,8 +83,8 @@ from .topology import (
 )
 
 DENOMINATOR_CAP = 10_000
-COORDINATE_RANGE = (Fraction(-2), Fraction(2))  # boundary coordinates
-RADIUS_RANGE = (Fraction(1, 4), Fraction(2))  # tangent-ball parameters
+COORDINATE_RANGE = ((-2, 1), (2, 1))  # boundary coordinates, as integer pairs
+RADIUS_RANGE = ((1, 4), (2, 1))  # tangent-ball parameters
 
 
 class UnknownSuite(ValueError):
@@ -137,46 +151,68 @@ class SuiteResult:
 
 
 # --- deterministic rational sampling ----------------------------------------------
+# A drawn rational is an integer pair (k, den), den > 0, kept as drawn: each
+# draw depends only on the values of its bounds, so a pair need not be in
+# lowest terms.  Points are geometry's scaled forms (X, d), not reduced either.
 
-def _rand_rat(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+_Rat = tuple[int, int]
+_ZERO, _ONE, _TWO = (0, 1), (1, 1), (2, 1)
+
+
+def _rand_rat(rng: random.Random, lo: _Rat, hi: _Rat) -> _Rat:
+    (ln, ld), (hn, hd) = lo, hi
     for _ in range(64):
         den = rng.randint(1, DENOMINATOR_CAP)
-        a = -(-lo.numerator * den // lo.denominator)  # ceil(lo * den)
-        b = hi.numerator * den // hi.denominator  # floor(hi * den)
+        a = -(-ln * den // ld)  # ceil(lo * den)
+        b = hn * den // hd  # floor(hi * den)
         if a <= b:
-            return Fraction(rng.randint(a, b), den)
-    raise SamplingError(f"no rational found in [{lo}, {hi}]")
+            return rng.randint(a, b), den
+    raise SamplingError(f"no rational found in [{Fraction(*lo)}, {Fraction(*hi)}]")
 
 
-def _rand_rat_open(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+def _rand_rat_open(rng: random.Random, lo: _Rat, hi: _Rat) -> _Rat:
+    (ln, ld), (hn, hd) = lo, hi
     for _ in range(64):
-        v = _rand_rat(rng, lo, hi)
-        if lo < v < hi:
+        k, den = v = _rand_rat(rng, lo, hi)
+        if ln * den < k * ld and k * hd < hn * den:  # lo < k/den < hi
             return v
-    raise SamplingError(f"no rational found in ({lo}, {hi})")
+    raise SamplingError(f"no rational found in ({Fraction(*lo)}, {Fraction(*hi)})")
+
+
+def _form(rats: list[_Rat]) -> _Scaled:
+    """The scaled form of drawn pairs, over the lcm of their denominators."""
+    d = lcm(*[den for _, den in rats])
+    return tuple([k * (d // den) for k, den in rats]), d
+
+
+def _shift(base: _Scaled, offsets: _Scaled) -> _Scaled:
+    """The scaled form of base + offsets."""
+    (B, db), (O, do) = base, offsets
+    d = lcm(db, do)
+    return tuple([b * (d // db) + o * (d // do) for b, o in zip(B, O)]), d
 
 
 def _draw_inside(
-    base: Point, draw: Callable[[], list[Fraction]], center: Fraction, radius: Fraction
-) -> Point:
+    base: _Scaled, draw: Callable[[], list[_Rat]], center: Fraction, radius: Fraction
+) -> _Scaled:
     """base + o for the first offsets o = draw() with |o - center*e_n| < radius.
 
     Each draw is decided on its offsets alone, as integers through the
-    kernel's one comparison, and only the kept one becomes a point."""
-    target = _scaled((0,) * (base.dimension - 1) + (center,))
+    kernel's one comparison, and only the kept one is added to base."""
+    target = ((0,) * (len(base[0]) - 1) + (center.numerator,), center.denominator)
     for _ in range(512):
-        offsets = draw()
-        if _sq_sign(_scaled(offsets), target, radius) < 0:
-            return translate(base, offsets)
+        offsets = _form(draw())
+        if _sq_sign(offsets, target, radius) < 0:
+            return _shift(base, offsets)
     raise SamplingError("region empty after the rejection budget was exhausted")
 
 
-def _rand_boundary_point(rng: random.Random, cfg: SuiteConfig) -> Point:
+def _rand_boundary_point(rng: random.Random, dimension: int) -> _Scaled:
     lo, hi = COORDINATE_RANGE
-    return Point.boundary(*[_rand_rat(rng, lo, hi) for _ in range(cfg.dimension - 1)])
+    return _form([_rand_rat(rng, lo, hi) for _ in range(dimension - 1)] + [_ZERO])
 
 
-def _rand_eps(rng: random.Random) -> Fraction:
+def _rand_eps(rng: random.Random) -> _Rat:
     return _rand_rat_open(rng, *RADIUS_RANGE)
 
 
@@ -186,47 +222,69 @@ def _rand_direction(rng: random.Random, dimension: int) -> tuple[int, ...]:
     return head + (rng.randint(1, 9),)
 
 
-def _tangent_interior_point(rng: random.Random, anchor: Point, eps: Fraction) -> Point:
+def _tangent_interior_point(rng: random.Random, anchor: _Scaled, eps: _Rat) -> _Scaled:
     """Rejection sample strictly inside B(a(eps), eps): the offsets x - a of
     an interior x lie there iff |o - eps*e_n| < eps."""
+    (en, ed), m = eps, len(anchor[0]) - 1
 
     def draw():
-        return [
-            _rand_rat(rng, -eps, eps) for _ in range(anchor.dimension - 1)
-        ] + [_rand_rat_open(rng, Fraction(0), 2 * eps)]
+        return [_rand_rat(rng, (-en, ed), eps) for _ in range(m)] + [
+            _rand_rat_open(rng, _ZERO, (2 * en, ed))]
 
-    return _draw_inside(anchor, draw, eps, eps)
+    radius = Fraction(en, ed)
+    return _draw_inside(anchor, draw, radius, radius)
 
 
 # --- sample streams ----------------------------------------------------------------
+# One generator per suite, named in _SUITES: run_suite feeds its stream to the
+# suite's checks, and generate_samples hands it out.  S1-S4 sample on
+# integers, and generate_samples turns each of their samples into its public
+# record.
 
 def generate_samples(cfg: SuiteConfig) -> Iterator[dict]:
     """The deterministic sample stream feeding the suite of the config."""
     key = _canonical_suite(cfg.suite)
-    return _GENERATORS[key](cfg)
+    samples = _SUITES[key][1](cfg)
+    return map(_public, samples) if key in _INTEGER_SUITES else samples
+
+
+def _public(sample: dict) -> dict:
+    """The public record of an S1-S4 sample: points as Points and rationals
+    as Fractions.  S1's sphere point follows from its anchor, eps and
+    direction, so the record leaves it out."""
+    record = {}
+    for key, value in sample.items():
+        if key in ("anchor", "x"):
+            record[key] = Point(_unscaled(value))
+        elif key == "direction":
+            record[key] = value
+        elif key != "sphere":
+            record[key] = Fraction(*value)
+    return record
 
 
 def _gen_s1(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.samples):
-        anchor = _rand_boundary_point(rng, cfg)
+        anchor = _rand_boundary_point(rng, cfg.dimension)
         eps = _rand_eps(rng)
         direction = _rand_direction(rng, cfg.dimension)
-        s_inside = _rand_rat_open(rng, Fraction(0), Fraction(1))
+        s_inside = _rand_rat_open(rng, _ZERO, _ONE)
         yield {
             "anchor": anchor,
             "eps": eps,
             "direction": direction,
             "s_inside": s_inside,
-            "s_at": Fraction(1),
-            "s_outside": _rand_rat_open(rng, Fraction(1), Fraction(2)),
+            "s_at": _ONE,
+            "s_outside": _rand_rat_open(rng, _ONE, _TWO),
+            "sphere": _sphere_form(anchor, *eps, direction),
         }
 
 
 def _gen_interior(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.samples):
-        anchor = _rand_boundary_point(rng, cfg)
+        anchor = _rand_boundary_point(rng, cfg.dimension)
         eps = _rand_eps(rng)
         yield {
             "anchor": anchor,
@@ -237,29 +295,26 @@ def _gen_interior(cfg: SuiteConfig) -> Iterator[dict]:
 
 def _gen_s4(cfg: SuiteConfig) -> Iterator[dict]:
     rng = random.Random(cfg.seed)
+    m = cfg.dimension - 1
     for _ in range(cfg.samples):
-        anchor = _rand_boundary_point(rng, cfg)
-        eps = _rand_eps(rng)
+        anchor = _rand_boundary_point(rng, cfg.dimension)
+        eps = en, ed = _rand_eps(rng)
+        lo, hi = (-2 * en, ed), (2 * en, ed)
         kind = rng.randint(0, 3)
         if kind == 0:
             if rng.randint(0, 4) == 0:
                 x = anchor
             else:
-                offsets = [
-                    _rand_rat(rng, -2 * eps, 2 * eps)
-                    for _ in range(cfg.dimension - 1)
-                ] + [Fraction(0)]
-                x = translate(anchor, offsets)
+                x = _shift(anchor, _form([_rand_rat(rng, lo, hi) for _ in range(m)] + [_ZERO]))
         else:
-            offsets = [
-                _rand_rat(rng, -2 * eps, 2 * eps) for _ in range(cfg.dimension - 1)
-            ] + [_rand_rat_open(rng, Fraction(0), 3 * eps)]
-            x = translate(anchor, offsets)
+            offsets = [_rand_rat(rng, lo, hi) for _ in range(m)]
+            offsets.append(_rand_rat_open(rng, _ZERO, (3 * en, ed)))
+            x = _shift(anchor, _form(offsets))
         yield {
             "anchor": anchor,
             "eps": eps,
             "x": x,
-            "s": _rand_rat_open(rng, Fraction(0), Fraction(1)),
+            "s": _rand_rat_open(rng, _ZERO, _ONE),
         }
 
 
@@ -275,7 +330,7 @@ def _gen_s5(cfg: SuiteConfig) -> Iterator[dict]:
 def _nearby_boundary_point(rng: random.Random, x: Point) -> Point:
     """A boundary point within 1 of x in each of its first n-1 coordinates."""
     return Point.boundary(
-        *[c + _rand_rat(rng, Fraction(-1), Fraction(1)) for c in x.boundary_coords()]
+        *[c + Fraction(*_rand_rat(rng, (-1, 1), _ONE)) for c in x.boundary_coords()]
     )
 
 
@@ -289,17 +344,18 @@ def _containing_half_ball(rng: random.Random, x: Point) -> HalfBall:
 def _containing_tangent_ball(rng: random.Random, x: Point) -> TangentBall:
     if x.is_boundary:
         # a tangent ball contains no boundary point but its own anchor
-        return TangentBall(x, _rand_rat_open(rng, Fraction(0), Fraction(2)))
+        return TangentBall(x, Fraction(*_rand_rat_open(rng, _ZERO, _TWO)))
     anchor = _nearby_boundary_point(rng, x)
     base = tangent_gauge(x, anchor) / (2 * x.coords[-1])
-    scale = 1 + _rand_rat_open(rng, Fraction(0), Fraction(1))
+    scale = 1 + Fraction(*_rand_rat_open(rng, _ZERO, _ONE))
     return TangentBall(anchor, base * scale)
 
 
 def _containing_interior_ball(rng: random.Random, x: Point) -> InteriorBall:
     n = x.dimension
     r1 = x.coords[-1] * Fraction(rng.randint(1, 4), 10)
-    offsets = [_rand_rat(rng, -r1 / (2 * n), r1 / (2 * n)) for _ in range(n)]
+    k, den = hi = (r1 / (2 * n)).as_integer_ratio()
+    offsets = [Fraction(*_rand_rat(rng, (-k, den), hi)) for _ in range(n)]
     center = translate(x, offsets)
     return InteriorBall(center, r1 / 2 + sq_dist(x, center))
 
@@ -308,18 +364,19 @@ def _point_inside(rng: random.Random, b: BasicOpen) -> Point:
     if isinstance(b, TangentBall):
         if rng.randint(0, 5) == 0:
             return b.center
-        level = _rand_rat_open(rng, Fraction(0), Fraction(1))
+        level = Fraction(*_rand_rat_open(rng, _ZERO, _ONE))
         direction = _rand_direction(rng, b.center.dimension)
         return tangent_sphere_point(b.center, level * b.radius, direction)
     # an interior ball, or a half ball: its box stops at the boundary
-    last_lo = Fraction(0) if isinstance(b, HalfBall) else -b.radius
+    k, den = hi = b.radius.as_integer_ratio()
+    last_lo = _ZERO if isinstance(b, HalfBall) else (-k, den)
 
     def draw():
-        offsets = [_rand_rat(rng, -b.radius, b.radius) for _ in range(b.center.dimension - 1)]
-        offsets.append(_rand_rat(rng, last_lo, b.radius))
+        offsets = [_rand_rat(rng, (-k, den), hi) for _ in range(b.center.dimension - 1)]
+        offsets.append(_rand_rat(rng, last_lo, hi))
         return offsets
 
-    return _draw_inside(b.center, draw, Fraction(0), b.radius)
+    return Point(_unscaled(_draw_inside(b.center.scaled, draw, Fraction(0), b.radius)))
 
 
 def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
@@ -331,13 +388,13 @@ def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
     )
     for _ in range(cfg.samples):
         if rng.randint(0, 3) == 0:
-            x = _rand_boundary_point(rng, cfg)
+            x = Point(_unscaled(_rand_boundary_point(rng, cfg.dimension)))
             b1 = builders[rng.randint(1, 2)](rng, x)
             b2 = builders[rng.randint(1, 2)](rng, x)
         else:
             lo, hi = COORDINATE_RANGE
-            coords = [_rand_rat(rng, lo, hi) for _ in range(cfg.dimension - 1)]
-            coords.append(_rand_rat_open(rng, Fraction(0), hi))
+            coords = [Fraction(*_rand_rat(rng, lo, hi)) for _ in range(cfg.dimension - 1)]
+            coords.append(Fraction(*_rand_rat_open(rng, _ZERO, hi)))
             x = Point(tuple(coords))
             b1 = builders[rng.randint(0, 2)](rng, x)
             b2 = builders[rng.randint(0, 2)](rng, x)
@@ -363,8 +420,19 @@ def _gen_s7(cfg: SuiteConfig) -> Iterator[dict]:
 # --- the suites ---------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    """A failure's data value as text: a point, a coordinate tuple or an
+    S1-S4 form (X, d) reads (c1,...,cn), an S1-S4 pair (k, den) reads as
+    its rational, and a set expression as its text."""
+    if isinstance(value, SetExpr):
+        return to_text(value)
     if isinstance(value, Point):
-        return "(" + ",".join(str(c) for c in value.coords) + ")"
+        value = value.coords
+    elif isinstance(value, tuple) and len(value) == 2 and type(value[1]) is int:
+        if not isinstance(value[0], tuple):
+            return str(Fraction(*value))
+        value = _unscaled(value)
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(str, value)) + ")"
     return str(value)
 
 
@@ -381,96 +449,108 @@ class _Recorder:
             )
 
 
-def _run_s1(cfg: SuiteConfig, rec: _Recorder) -> None:
-    for sample in generate_samples(cfg):
-        a, eps = sample["anchor"], sample["eps"]
-        x = tangent_sphere_point(a, eps, sample["direction"])
+# S1-S4 decide every check on the integer samples.  For forms x, a of one
+# arity, _sq_int(x, a) = (g, dx, da) gives the gauge |x - a|^2 = g/(dx*da)^2,
+# _level_int the level and _in_tangent_int the membership; the tangent ball
+# of parameter s*eps is read with the products en*sn and ed*sd.
+
+def _run_s1(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
+    for sample in samples:
+        a, eps, x = sample["anchor"], sample["eps"], sample["sphere"]
+        s_in, s_at, s_out = sample["s_inside"], sample["s_at"], sample["s_outside"]
+        en, ed = eps
+        g, dx, da = _sq_int(x, a)
         rec.check(
-            tangent_gauge(x, a) == 2 * eps * x.coords[-1],
+            g * ed == 2 * en * x[0][-1] * dx * da * da,
             "gauge equality on the sphere", anchor=a, eps=eps, x=x,
         )
-        rec.check(x != a, "sphere point differs from the anchor", x=x)
+        rec.check(g != 0, "sphere point differs from the anchor", x=x)
         rec.check(
-            not in_tangent_ball(x, a, sample["s_inside"] * eps),
-            "outside every shrunken tangent ball", x=x, s=sample["s_inside"],
+            not _in_tangent_int(x, a, en * s_in[0], ed * s_in[1]),
+            "outside every shrunken tangent ball", x=x, s=s_in,
         )
         rec.check(
-            not in_tangent_ball(x, a, sample["s_at"] * eps),
+            not _in_tangent_int(x, a, en * s_at[0], ed * s_at[1]),
             "outside the tangent ball itself", x=x,
         )
         rec.check(
-            in_tangent_ball(x, a, sample["s_outside"] * eps),
-            "inside every enlarged tangent ball", x=x, s=sample["s_outside"],
+            _in_tangent_int(x, a, en * s_out[0], ed * s_out[1]),
+            "inside every enlarged tangent ball", x=x, s=s_out,
         )
-        rec.check(t_level(x, a, eps) == 1, "level one on the sphere", x=x)
+        level_num, level_den = _level_int(x, a, en, ed)
+        rec.check(level_num == level_den, "level one on the sphere", x=x)
         rec.index += 1
 
 
-def _run_s2(cfg: SuiteConfig, rec: _Recorder) -> None:
-    for sample in generate_samples(cfg):
+def _run_s2(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
+    for sample in samples:
         a, eps, x = sample["anchor"], sample["eps"], sample["x"]
-        t = t_level(x, a, eps)
-        rec.check(0 < t < 1, "interior level in (0,1)", x=x, t=t)
-        rec.check(in_tangent_ball(x, a, eps), "interior point inside", x=x)
+        en, ed = eps
+        t = tn, td = _level_int(x, a, en, ed)
+        rec.check(0 < tn < td, "interior level in (0,1)", x=x, t=t)
+        rec.check(_in_tangent_int(x, a, en, ed), "interior point inside", x=x)
+        g, dx, da = _sq_int(x, a)
         rec.check(
-            tangent_gauge(x, a) == 2 * (t * eps) * x.coords[-1],
+            g * ed * td == 2 * tn * en * x[0][-1] * dx * da * da,
             "point sits on its level sphere", x=x, t=t,
         )
         rec.check(
-            not in_tangent_ball(x, a, t * eps),
+            not _in_tangent_int(x, a, en * tn, ed * td),
             "level sphere is outside its own tangent ball", x=x, t=t,
         )
         rec.check(
-            in_tangent_ball(x, a, (t + 1) / 2 * eps),
+            _in_tangent_int(x, a, en * (tn + td), ed * 2 * td),  # (t+1)/2 * eps
             "strictly larger levels swallow the point", x=x, t=t,
         )
         rec.index += 1
 
 
-def _run_s3(cfg: SuiteConfig, rec: _Recorder) -> None:
-    for sample in generate_samples(cfg):
+def _run_s3(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
+    for sample in samples:
         a, eps, x = sample["anchor"], sample["eps"], sample["x"]
-        t = t_level(x, a, eps)
-        gauge = tangent_gauge(x, a)
-        rec.check(2 * eps * x.coords[-1] > 0, "level equation is nondegenerate", x=x)
-        rec.check(gauge == 2 * t * eps * x.coords[-1], "own level satisfies the equality", x=x)
-        for wrong in (t / 2, 2 * t, t + Fraction(1, 3)):
+        en, ed = eps
+        t = tn, td = _level_int(x, a, en, ed)
+        g, dx, da = _sq_int(x, a)
+        # the gauge equals 2*l*eps*x_n for the level l = p/q iff gauge * q == p * unit
+        gauge, unit = g * ed, 2 * en * x[0][-1] * dx * da * da
+        rec.check(en * x[0][-1] > 0, "level equation is nondegenerate", x=x)
+        rec.check(gauge * td == tn * unit, "own level satisfies the equality", x=x)
+        for wrong in ((tn, 2 * td), (2 * tn, td), (3 * tn + td, 3 * td)):  # t/2, 2t, t+1/3
             rec.check(
-                gauge != 2 * wrong * eps * x.coords[-1],
+                gauge * wrong[1] != wrong[0] * unit,
                 "no other level satisfies the equality", x=x, t=t, wrong=wrong,
             )
         rec.index += 1
 
 
-def _run_s4(cfg: SuiteConfig, rec: _Recorder) -> None:
-    for sample in generate_samples(cfg):
+def _run_s4(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
+    for sample in samples:
         a, eps, x, s = sample["anchor"], sample["eps"], sample["x"], sample["s"]
-        f = separating_f(x, a, eps)
-        rec.check(0 <= f <= 1, "separating value stays in [0,1]", x=x, f=f)
-        rec.check(
-            (f < s) == in_tangent_ball(x, a, s * eps),
-            "sublevel identity", x=x, s=s, f=f,
-        )
-        if x != a and not x.is_boundary:
-            t = t_level(x, a, eps)
+        (en, ed), (sn, sd) = eps, s
+        t = tn, td = _level_int(x, a, en, ed)
+        f = fn, fd = t if tn < td else _ONE  # separating_f: the level, capped at 1
+        inside = _in_tangent_int(x, a, en * sn, ed * sd)
+        rec.check(0 <= fn <= fd, "separating value stays in [0,1]", x=x, f=f)
+        rec.check((fn * sd < sn * fd) == inside, "sublevel identity", x=x, s=s, f=f)
+        if x[0][-1]:  # interior, so x != a
             rec.check(
-                (t < s) == in_tangent_ball(x, a, s * eps),
+                (tn * sd < sn * td) == inside,
                 "tangent-ball/level duality", x=x, s=s, t=t,
             )
             rec.check(
-                (t < 1) == in_tangent_ball(x, a, eps),
+                (tn < td) == _in_tangent_int(x, a, en, ed),
                 "duality at the full parameter", x=x, t=t,
             )
         rec.index += 1
 
 
-def _run_s5(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _run_s5(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
     # samples is the prefix length here, capped at 250: the certificates are
     # linear in the prefix, but the cap fixes the check count of a run
     # (2 * (2 * prefix + 2)), which perfbench's expected_checks reads
     prefix = min(cfg.samples, 250)
     topo = TopologySpec.niemytzki(cfg.dimension)
-    for sample in generate_samples(cfg):
+    for sample in samples:
         head = [sample["anchor_first"]] + [Fraction(0)] * (cfg.dimension - 2)
         anchor = Point.boundary(*head)
         fam = TangentCircle(anchor, sample["eps"])
@@ -493,9 +573,9 @@ def _run_s5(cfg: SuiteConfig, rec: _Recorder) -> None:
         rec.index += 1
 
 
-def _run_s6(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _run_s6(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
     rng = random.Random(cfg.seed + 1)  # witness stream, separate from the samples
-    for sample in generate_samples(cfg):
+    for sample in samples:
         x, b1, b2 = sample["x"], sample["b1"], sample["b2"]
         rec.check(contains(b1, x) and contains(b2, x), "construction places x inside", x=x)
         result = refine(b1, b2, x)
@@ -509,8 +589,8 @@ def _run_s6(cfg: SuiteConfig, rec: _Recorder) -> None:
         rec.index += 1
 
 
-def _run_s7(cfg: SuiteConfig, rec: _Recorder) -> None:
-    for sample in generate_samples(cfg):
+def _run_s7(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
+    for sample in samples:
         e1, e2, p = sample["e1"], sample["e2"], sample["p"]
         m1, m2 = member(e1, p), member(e2, p)
         rec.check(
@@ -569,18 +649,18 @@ def _canonical_suite(name: str) -> str:
     raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
 
 
-_GENERATORS = {key: gen for key, (_, gen, _) in _SUITES.items()}
+_INTEGER_SUITES = ("S1", "S2", "S3", "S4")
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteResult:
     """Run one suite to completion and report every counterexample."""
     key = _canonical_suite(cfg.suite)
-    runner, _, _ = _SUITES[key]
+    runner, generate, _ = _SUITES[key]
     result = SuiteResult(
         suite=key, dimension=cfg.dimension, samples=cfg.samples, seed=cfg.seed
     )
     start = time.perf_counter()
     rec = _Recorder(result)
-    runner(cfg, rec)
+    runner(generate(cfg), cfg, rec)
     result.elapsed = time.perf_counter() - start
     return result

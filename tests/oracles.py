@@ -88,6 +88,87 @@ def inner_radius_ref(q, center, radius) -> Fraction:
     return (r * r - sq_dist_ref(q, center)) / (2 * r)
 
 
+# --- the S1-S4 suite checks, on public sample records -----------------------
+# A record's points are read as coordinate tuples (a Point through its
+# coords); every check is decided by the references above.
+
+
+def sphere_point_ref(a, eps, v) -> tuple[Fraction, ...]:
+    """a + s*v with s = 2 eps v_n / |v|^2: where the ray from a along v meets
+    the bounding sphere of the tangent ball of parameter eps again."""
+    s = 2 * Fraction(eps) * v[-1] / sum(c * c for c in v)
+    return tuple(Fraction(c) + s * w for c, w in zip(a, v))
+
+
+def _text(value) -> str:
+    """A failure's data value as the suites print it."""
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(str, value)) + ")"
+    return str(value)
+
+
+def suite_checks_ref(suite: str, sample: dict) -> tuple[list[str], list[tuple[str, dict]]]:
+    """The checks one S1-S4 record undergoes: each check's name in order,
+    and (name, data) for each check that fails, with the data as text.  An
+    S1 record is checked at the sphere point of its anchor, eps and
+    direction, or at its "x" if it has one."""
+    names, failures = [], []
+
+    def check(holds, name, **data):
+        names.append(name)
+        if not holds:
+            failures.append((name, {k: _text(v) for k, v in data.items()}))
+
+    def coords(p):
+        return tuple(getattr(p, "coords", p))
+
+    a, eps = coords(sample["anchor"]), sample["eps"]
+    if suite == "S1":
+        x = coords(sample["x"]) if "x" in sample else sphere_point_ref(a, eps, sample["direction"])
+        s_in, s_out = sample["s_inside"], sample["s_outside"]
+        check(gauge_ref(x, a) == 2 * eps * x[-1], "gauge equality on the sphere",
+              anchor=a, eps=eps, x=x)
+        check(x != a, "sphere point differs from the anchor", x=x)
+        check(not in_tangent_ball_ref(x, a, s_in * eps), "outside every shrunken tangent ball",
+              x=x, s=s_in)
+        check(not in_tangent_ball_ref(x, a, sample["s_at"] * eps),
+              "outside the tangent ball itself", x=x)
+        check(in_tangent_ball_ref(x, a, s_out * eps), "inside every enlarged tangent ball",
+              x=x, s=s_out)
+        # the level is undefined on the boundary, so no boundary point has level one
+        check(x[-1] != 0 and level_ref(x, a, eps) == 1, "level one on the sphere", x=x)
+        return names, failures
+    x = coords(sample["x"])
+    if suite == "S2":
+        t = level_ref(x, a, eps)
+        check(0 < t < 1, "interior level in (0,1)", x=x, t=t)
+        check(in_tangent_ball_ref(x, a, eps), "interior point inside", x=x)
+        check(gauge_ref(x, a) == 2 * (t * eps) * x[-1], "point sits on its level sphere",
+              x=x, t=t)
+        check(not in_tangent_ball_ref(x, a, t * eps),
+              "level sphere is outside its own tangent ball", x=x, t=t)
+        check(in_tangent_ball_ref(x, a, (t + 1) / 2 * eps),
+              "strictly larger levels swallow the point", x=x, t=t)
+    elif suite == "S3":
+        t, gauge = level_ref(x, a, eps), gauge_ref(x, a)
+        check(2 * eps * x[-1] > 0, "level equation is nondegenerate", x=x)
+        check(gauge == 2 * t * eps * x[-1], "own level satisfies the equality", x=x)
+        for wrong in (t / 2, 2 * t, t + Fraction(1, 3)):
+            check(gauge != 2 * wrong * eps * x[-1], "no other level satisfies the equality",
+                  x=x, t=t, wrong=wrong)
+    else:
+        s, f = sample["s"], separating_ref(x, a, eps)
+        check(0 <= f <= 1, "separating value stays in [0,1]", x=x, f=f)
+        check((f < s) == in_tangent_ball_ref(x, a, s * eps), "sublevel identity", x=x, s=s, f=f)
+        if x[-1] != 0:
+            t = level_ref(x, a, eps)
+            check((t < s) == in_tangent_ball_ref(x, a, s * eps), "tangent-ball/level duality",
+                  x=x, s=s, t=t)
+            check((t < 1) == in_tangent_ball_ref(x, a, eps), "duality at the full parameter",
+                  x=x, t=t)
+    return names, failures
+
+
 # --- the set language's balls, from the same definitions -------------------
 # A ball is (center, radius, closed); B[c, r] is the closed ball.
 

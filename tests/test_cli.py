@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from niemytzki import cli, setdsl
 from niemytzki.setdsl import random_expr, to_text
@@ -426,3 +431,54 @@ class TestDeterminism:
         first, second = run_cli(*args), run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+# --- mutated input, in process -------------------------------------------------------
+
+_WORDS = ("point(", "finite{", "cball(", "oball(", "cantor", "rationals", "lattice",
+          "bernstein", "empty", "all", " | ", " & ", "!", "(", ")", ";", ",", "/", "-",
+          "{", "}", "1/2", "0", "7", "99999999999")
+_BASES = {n: [to_text(random_expr(random.Random(i), n)) for i in range(6)] for n in (2, 3, 4)}
+
+
+@st.composite
+def _mutated_text(draw, n):
+    """A text of the set language at dimension n after up to three random
+    insertions, deletions and grammar words."""
+    text = draw(st.sampled_from(_BASES[n]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "word")))
+        if edit == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 4)):]
+        else:
+            piece = draw(st.sampled_from(_WORDS) if edit == "word" else st.characters())
+            text = text[:i] + piece + text[i:]
+    return text
+
+
+@st.composite
+def _mutated_argv(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    text, other = draw(_mutated_text(n)), draw(_mutated_text(n))
+    coords = ",".join(draw(st.sampled_from(("0", "1/2", "-3", "1"))) for _ in range(n))
+    command = draw(st.sampled_from(("classify", "member", "explain", "compare", "nbhd")))
+    argv = {
+        "classify": [f"--set={text}"],
+        "member": [f"--set={text}", f"--point={coords.partition(',')[2]}"],
+        "explain": [f"--set={text}", "--property=normal"],
+        "compare": [f"--set-a={text}", f"--set-b={other}"],
+        "nbhd": [f"--topology={text}", f"--point={coords}", "--eps=1/2"],
+    }[command]
+    return [command, *argv, "--dimension", str(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_argv())
+def test_mutated_input_gets_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert code in range(5), (argv, err.getvalue())

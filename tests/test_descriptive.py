@@ -15,8 +15,10 @@ from niemytzki.descriptive import (
     _SEARCHES,
     SoundnessError,
     TopologyOrder,
+    _ball_within,
     _bits,
     _close,
+    _structural_subset,
     _flip,
     _pair_flags,
     compare_topologies,
@@ -26,6 +28,7 @@ from niemytzki.descriptive import (
 )
 from niemytzki.geometry import DimensionMismatch
 from niemytzki.setdsl import (
+    IN,
     All,
     Bernstein,
     Cantor,
@@ -34,10 +37,12 @@ from niemytzki.setdsl import (
     Empty,
     FiniteSet,
     Inter,
+    Lattice,
     OpenBall,
     Rationals,
     SinglePoint,
     Union,
+    _COORDS,
     member,
     normalize,
     parse,
@@ -397,3 +402,55 @@ def test_the_flag_cache_holds_no_primitive():
     infer(parse("point(0) | !cball(1;1/2) | bernstein"))
     infer(parse("!bernstein"))
     assert _pair_flags.cache_info().currsize == 1
+
+
+# --- the structural subset rules ----------------------------------------------------
+
+def _subset_in_the_former_order(a, b):
+    """The structural subset rules with a union b tried member by member,
+    and before a union a, as they were once ordered."""
+    again = _subset_in_the_former_order
+    if a == b or isinstance(a, Empty) or isinstance(b, All):
+        return True
+    if isinstance(b, Union) and (a in b.index.members or any(again(a, m) for m in b.members)):
+        return True
+    if isinstance(a, Union) and all(again(m, b) for m in a.members):
+        return True
+    if isinstance(a, Inter) and any(again(m, b) for m in a.members):
+        return True
+    if isinstance(b, Inter) and all(again(a, m) for m in b.members):
+        return True
+    if isinstance(a, Complement) and isinstance(b, Complement):
+        return again(b.body, a.body)
+    if type(a) in (SinglePoint, FiniteSet):
+        return all(member(b, p) is IN for p in _COORDS[type(a)](a))
+    if isinstance(a, Lattice) and isinstance(b, Rationals):
+        return True
+    if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):
+        rest = (Fr(0),) * (len(b.center) - 1)
+        return all(member(b, (end,) + rest) is IN for end in (Fr(0), Fr(1)))
+    if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
+        return _ball_within(a, b)
+    return False
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_the_rule_order_changes_no_structural_subset(seed, n):
+    rng = random.Random(seed)
+    e1, e2 = normalize(random_expr(rng, n)), normalize(random_expr(rng, n))
+    both = normalize(Union((e1, e2)))
+    for a, b in ((e1, e2), (e2, e1), (e1, both), (both, e1), (both, both), (e2, both)):
+        assert _structural_subset(a, b) == _subset_in_the_former_order(a, b)
+
+
+def test_a_sub_union_of_points_compiles_no_point_test():
+    rng = random.Random(11)
+    members = [f"point({i + Fr(rng.randint(0, 49), 50)})" for i in range(32)]
+    members[3::4] = [f"cball({-3 - 3 * i};1/2)" for i in range(8)]  # the wide shape
+    full = parse(" | ".join(members), 2)
+    half = parse(" | ".join(members[:16]), 2)
+    assert subset(half, full) is TRUE
+    points = [m for m in full.members if isinstance(m, SinglePoint)]
+    assert len(points) == 24
+    assert not any(hasattr(m, "_member_test") for m in points)
