@@ -460,6 +460,14 @@ def contains_closed_uncountable(e: SetExpr) -> Verdict:
 
 # --- subset and the topology poset ----------------------------------------------
 
+_POINT_KINDS = (SinglePoint, FiniteSet)
+
+
+def _point_forms(e: SetExpr) -> tuple:
+    """The cached scaled forms of a point's or a finite set's points."""
+    return e.scaled if type(e) is FiniteSet else (e.scaled,)
+
+
 def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     """Sound (never falsely True) structural subset test."""
     if a == b or isinstance(a, Empty) or isinstance(b, All):
@@ -470,7 +478,7 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         if a in b.index.members:
             return True
         # a point or a finite set is decided below, by one test through b's index
-        if type(a) not in (SinglePoint, FiniteSet) and any(
+        if type(a) not in _POINT_KINDS and any(
                 _structural_subset(a, m) for m in b.members):
             return True
     if isinstance(a, Inter) and any(_structural_subset(m, b) for m in a.members):
@@ -479,7 +487,14 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         return True
     if isinstance(a, Complement) and isinstance(b, Complement):
         return _structural_subset(b.body, a.body)
-    if type(a) in (SinglePoint, FiniteSet):
+    if type(a) in _POINT_KINDS:
+        if type(b) in _POINT_KINDS:
+            mine, theirs = _point_forms(a), _point_forms(b)
+            arities = {len(X) for X, _ in mine + theirs}
+            # equal points have equal forms; a pair without one arity m >= 1
+            # takes the member path below, which raises
+            if len(arities) == 1 and 0 not in arities:
+                return all(form in theirs for form in mine)
         return all(member(b, p) is IN for p in _COORDS[type(a)](a))
     if isinstance(a, Lattice) and isinstance(b, Rationals):
         return True

@@ -3,10 +3,8 @@
 Every verdict about (X_n, tau(A)) or the boundary subspace (L_n, tau(A)|L_n)
 is produced by a named rule consuming descriptive-class flags of A (and of
 its complement), and every rule records the statement it encodes as a
-verbatim citation, so reports are auditable.  Each verdict is set by the
-rule step that traces it: the report is read off those steps, so a verdict
-and its trace cannot disagree.  Unknown flags propagate to Unknown
-verdicts: the engine never guesses.
+verbatim citation, so reports are auditable.  Unknown flags propagate to
+Unknown verdicts: the engine never guesses.
 
 Rule table:
 
@@ -27,6 +25,18 @@ Rule table:
       when the whole space is.
   B3  dim of the boundary subspace equals dim A, reported for primitives of
       known dimension.
+
+The report is built from one table, ``_RULES``, with one row per rule step
+in trace order: the rule id, its citation, its targets, and two functions
+of the facts of the call (the normal tree A and its complement, their flag
+records and texts, dim A and the verdicts settled so far): the step's
+inputs and its verdict.  ``classify`` evaluates the rows in order.  A
+verdict that is a ``Verdict`` settles the row's targets and traces the
+row, so a verdict and its trace cannot disagree; a string only traces it,
+as evidence (an axiom, the R4 pivot, a dimension, a consistent corollary);
+None leaves the row out of the report (an axiom or a corollary C1-C4 about
+another set).  A corollary row raises SoundnessError when a settled verdict
+contradicts it.
 """
 
 from __future__ import annotations
@@ -58,76 +68,14 @@ from .setdsl import (
 )
 from .trivalent import FALSE, TRUE, UNKNOWN, Verdict
 
-# Statements quoted verbatim so trace output is auditable.
-CIT_SEPARABLE = "the space (X_n, τ(A)) is first-countable and separable"
-CIT_TYCHONOFF = "one can prove that the space (X_n, τ(A)) is Tychonoff"
-CIT_COMPLETELY_HAUSDORFF = "the space (X_n, τ_N) is completely Hausdorff"
-CIT_SECOND_COUNTABLE = "The space (X_n, τ(A)) is second-countable."
-CIT_CO_COUNTABLE = "|L_n \\ A| ≤ ℵ₀"
-CIT_LOCALLY_COMPACT = (
-    "The space (X_n, τ(A)) is locally compact iff A = L_n i. e. τ(A) = τ_E."
-)
-CIT_PERFECT = (
-    "The space (L_n, τ(A)|L_n) is perfect iff A is a G_δ-set in (L_n, (τ_E)|L_n)."
-)
-CIT_REDUCTION = (
-    "(X_n, τ(A)) is perfect (resp. Lindelöf or σ-compact) iff "
-    "(L_n, τ(A)|L_n) is the same."
-)
-CIT_PARACOMPACT = "The space (X_n, τ(A)) is paracompact."
-CIT_LINDELOF_LEMMA = (
-    "The space (L_n, τ(A)|L_n) is Lindelöf iff L_n \\ A does not contain "
-    "a closed uncountable subset of (L_n, (τ_E)|L_n)."
-)
-CIT_SIGMA_COMPACT = (
-    "The space (L_n, τ(A)|L_n) is σ-compact iff A is a F_σ-set in "
-    "(L_n, (τ_E)|L_n) and |L_n \\ A| ≤ ℵ₀."
-)
-CIT_CSTAR = (
-    "The subset L_n of (X_n, τ(A)) is C*-embedded in (X_n, τ(A))."
-)
-CIT_DIM = "dim (X_n, τ(A)) = n"
-CIT_DIM_BOUNDARY = "dim (L_n, τ(A)|L_n) = dim A"
-CIT_HCWN = "the space (L_n, τ(A)|L_n) is hereditarily collectionwise normal"
-CIT_WEAKLY_PARACOMPACT = (
-    "neither normal, countably paracompact nor weakly paracompact"
-)
-CIT_BERNSTEIN_COMPACTA = "do not contain uncountable compacta"
-CIT_BERNSTEIN_CLASS = "neither a G_δ-set nor an F_σ-set"
-CIT_BERNSTEIN_COROLLARY = "Lindelöf but it is not perfect"
-CIT_CANTOR_COROLLARY = "is perfect but it is not Lindelöf"
-CIT_DENSE_COUNTABLE_COROLLARY = "neither perfect nor Lindelöf"
-CIT_CODENSE_COROLLARY = "second-countable but it is not σ-compact"
-CIT_SIGMA_SECOND = (
-    "If (X_n, τ(A)) is σ-compact then (X_n, τ(A)) is second-countable."
-)
-
 PROPERTY_ORDER = (
-    "separable",
-    "first_countable",
-    "tychonoff",
-    "completely_hausdorff",
-    "metrizable",
-    "second_countable",
-    "hereditarily_lindelof",
-    "locally_compact",
-    "perfect",
-    "lindelof",
-    "normal",
-    "paracompact",
-    "countably_paracompact",
-    "weakly_paracompact",
-    "sigma_compact",
-    "boundary_z_embedded",
-    "boundary_cstar_embedded",
+    "separable", "first_countable", "tychonoff", "completely_hausdorff",
+    "metrizable", "second_countable", "hereditarily_lindelof", "locally_compact",
+    "perfect", "lindelof", "normal", "paracompact", "countably_paracompact",
+    "weakly_paracompact", "sigma_compact", "boundary_z_embedded", "boundary_cstar_embedded",
 )
 
-BOUNDARY_ORDER = (
-    "hereditarily_collectionwise_normal",
-    "perfect",
-    "lindelof",
-    "sigma_compact",
-)
+BOUNDARY_ORDER = ("hereditarily_collectionwise_normal", "perfect", "lindelof", "sigma_compact")
 
 
 @_record
@@ -214,203 +162,190 @@ _BOUNDARY_DIM = NodeTable({
 })
 
 
-_COROLLARY_ROWS: tuple[tuple[object, str, str, dict[str, Verdict]], ...] = (
-    (Bernstein(), "C1", CIT_BERNSTEIN_COROLLARY,
-     {"lindelof": TRUE, "perfect": FALSE}),
-    (Cantor(), "C2", CIT_CANTOR_COROLLARY,
-     {"perfect": TRUE, "lindelof": FALSE}),
-    (Rationals(), "C3", CIT_DENSE_COUNTABLE_COROLLARY,
-     {"perfect": FALSE, "lindelof": FALSE}),
-    (Complement(Rationals()), "C4", CIT_CODENSE_COROLLARY,
-     {"second_countable": TRUE, "sigma_compact": FALSE}),
+_QUADRUPLE = ("lindelof", "normal", "paracompact", "countably_paracompact")
+
+
+class _Facts:
+    """What the rows of ``_RULES`` read in one call: the normal tree A and its
+    complement, their flag records and texts, dim A, and the verdicts
+    settled so far, each under its public name."""
+
+    __slots__ = ("e", "desc", "comp", "comp_desc", "text", "comp_text",
+                 "dimension", "boundary_dim", "settled")
+
+    def __init__(self, expr: TUnion[SetExpr, str], dimension: int):
+        e = self.e = normalize_for(expr, dimension)
+        self.desc = infer(e)
+        self.comp = complement(e)
+        self.comp_desc = infer(self.comp)
+        self.text = to_text(e)
+        self.comp_text = complement_text(e, self.text)
+        self.dimension = dimension
+        self.boundary_dim: Optional[int] = _BOUNDARY_DIM[type(e)](dimension)
+        self.settled: dict[str, Verdict] = {}
+
+    @property
+    def normal(self) -> Verdict:
+        return self.settled["normal"]
+
+    @property
+    def dim(self) -> Optional[int]:
+        """dim X_n, settled only in the normal case (R8)."""
+        return self.dimension if self.normal is TRUE else None
+
+
+def _no_inputs(f: _Facts) -> dict[str, str]:
+    return {}
+
+
+def _holds(f: _Facts) -> Verdict:
+    return TRUE
+
+
+def _normal_input(f: _Facts) -> dict[str, str]:
+    return {"normal": f.normal.value}
+
+
+def _dim_text(dim: Optional[int]) -> str:
+    return "unknown" if dim is None else str(dim)
+
+
+def _pivot_inputs(f: _Facts) -> dict[str, str]:
+    return {
+        "complement": f.comp_text,
+        "contains_closed_uncountable(complement)": f.comp_desc.contains_closed_uncountable.value,
+    }
+
+
+def _bernstein_compacta(f: _Facts) -> Optional[str]:
+    comp = f.comp.body if isinstance(f.comp, Complement) else f.comp
+    if isinstance(comp, Bernstein):
+        return f.comp_desc.contains_closed_uncountable.value
+    return None
+
+
+def _corollary(rule: str, citation: str, prim: SetExpr, **expected: Verdict) -> tuple:
+    """The row of a corollary about the one set prim: there it checks each
+    settled verdict it names, and elsewhere it is left out."""
+    def check(f: _Facts) -> Optional[str]:
+        if f.e != prim:
+            return None
+        for name, want in expected.items():
+            if f.settled[name] is not want:
+                raise SoundnessError(f"rule output for {name} contradicts the corollary {rule}")
+        return "consistent"
+    return rule, citation, tuple(expected), _no_inputs, check
+
+
+# One row per rule step, in trace order: (rule, citation, targets, inputs,
+# verdict), the last two functions of the call's _Facts (the module docstring
+# says what a verdict does).  Each citation quotes its statement verbatim, so
+# a trace is auditable.
+_SEPARABLE = "the space (X_n, τ(A)) is first-countable and separable"
+_RULES: tuple[tuple, ...] = (
+    # R7: constants of the construction
+    ("R7", _SEPARABLE, ("separable",), _no_inputs, _holds),
+    ("R7", _SEPARABLE, ("first_countable",), _no_inputs, _holds),
+    ("R7", "one can prove that the space (X_n, τ(A)) is Tychonoff", ("tychonoff",),
+     _no_inputs, _holds),
+    ("R7", "the space (X_n, τ_N) is completely Hausdorff", ("completely_hausdorff",),
+     _no_inputs, _holds),
+    ("R1", "The space (X_n, τ(A)) is second-countable.",
+     ("metrizable", "second_countable", "hereditarily_lindelof"),
+     lambda f: {"co_countable(A)": f.desc.co_countable.value, "criterion": "|L_n \\ A| ≤ ℵ₀"},
+     lambda f: f.desc.co_countable),
+    ("R2", "The space (X_n, τ(A)) is locally compact iff A = L_n i. e. τ(A) = τ_E.",
+     ("locally_compact",),
+     lambda f: {"equals_all(A)": f.desc.equals_all.value},
+     lambda f: f.desc.equals_all),
+    ("AX-bernstein", "neither a G_δ-set nor an F_σ-set", ("perfect",), _no_inputs,
+     lambda f: FALSE.value if isinstance(f.e, Bernstein) and f.desc.g_delta is FALSE else None),
+    ("R3", "The space (L_n, τ(A)|L_n) is perfect iff A is a G_δ-set in (L_n, (τ_E)|L_n).",
+     ("perfect", "boundary.perfect"),
+     lambda f: {"g_delta(A)": f.desc.g_delta.value},
+     lambda f: f.desc.g_delta),
+    # R4: the Lindelöf quadruple via the complement pivot
+    ("AX-bernstein", "do not contain uncountable compacta", _QUADRUPLE,
+     lambda f: {"complement": f.comp_text}, _bernstein_compacta),
+    ("R4-input",
+     "The space (L_n, τ(A)|L_n) is Lindelöf iff L_n \\ A does not contain "
+     "a closed uncountable subset of (L_n, (τ_E)|L_n).",
+     _QUADRUPLE, _pivot_inputs,
+     lambda f: f.comp_desc.contains_closed_uncountable.value),
+    ("R4", "The space (X_n, τ(A)) is paracompact.", _QUADRUPLE + ("boundary.lindelof",),
+     lambda f: {"contains_closed_uncountable(complement)":
+                f.comp_desc.contains_closed_uncountable.value},
+     lambda f: ~f.comp_desc.contains_closed_uncountable),
+    # RW: weak paracompactness is settled only for the tangent-ball extreme
+    ("RW", "neither normal, countably paracompact nor weakly paracompact",
+     ("weakly_paracompact",),
+     lambda f: {"equals_empty(A)": f.desc.equals_empty.value},
+     lambda f: FALSE if f.desc.equals_empty is TRUE else UNKNOWN),
+    ("R5",
+     "The space (L_n, τ(A)|L_n) is σ-compact iff A is a F_σ-set in "
+     "(L_n, (τ_E)|L_n) and |L_n \\ A| ≤ ℵ₀.",
+     ("sigma_compact", "boundary.sigma_compact"),
+     lambda f: {"f_sigma(A)": f.desc.f_sigma.value, "co_countable(A)": f.desc.co_countable.value},
+     lambda f: f.desc.f_sigma & f.desc.co_countable),
+    ("R6", "The subset L_n of (X_n, τ(A)) is C*-embedded in (X_n, τ(A)).",
+     ("boundary_z_embedded", "boundary_cstar_embedded"), _normal_input, lambda f: f.normal),
+    ("R8", "dim (X_n, τ(A)) = n", ("dim",), _normal_input, lambda f: _dim_text(f.dim)),
+    # corollary cross-checks for the flagship boundary sets
+    _corollary("C1", "Lindelöf but it is not perfect", Bernstein(),
+               lindelof=TRUE, perfect=FALSE),
+    _corollary("C2", "is perfect but it is not Lindelöf", Cantor(),
+               perfect=TRUE, lindelof=FALSE),
+    _corollary("C3", "neither perfect nor Lindelöf", Rationals(),
+               perfect=FALSE, lindelof=FALSE),
+    _corollary("C4", "second-countable but it is not σ-compact", Complement(Rationals()),
+               second_countable=TRUE, sigma_compact=FALSE),
+    # the boundary subspace block
+    ("B1", "the space (L_n, τ(A)|L_n) is hereditarily collectionwise normal",
+     ("boundary.hereditarily_collectionwise_normal",), _no_inputs, _holds),
+    ("B2",
+     "(X_n, τ(A)) is perfect (resp. Lindelöf or σ-compact) iff (L_n, τ(A)|L_n) is the same.",
+     ("boundary.perfect", "boundary.lindelof", "boundary.sigma_compact"),
+     lambda f: {name: f.settled[name].value for name in ("perfect", "lindelof", "sigma_compact")},
+     lambda f: "transferred"),
+    ("B3", "dim (L_n, τ(A)|L_n) = dim A", ("boundary.dim",), _no_inputs,
+     lambda f: _dim_text(f.boundary_dim)),
 )
 
 
 def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
     """Full property report for (X_n, tau(A)) and its boundary subspace."""
-    e = normalize_for(expr, dimension)
-    desc = infer(e)
-    comp = complement(e)
-    comp_desc = infer(comp)
-    text = to_text(e)
-    comp_text = complement_text(e, text)
-
+    facts = _Facts(expr, dimension)
+    settled = facts.settled
     trace: list[TraceStep] = []
-    settled: dict[str, Verdict] = {}  # every verdict, under its public name
-
-    def step(rule, citation, targets, inputs, verdict):
-        trace.append(TraceStep(rule, citation, tuple(targets), dict(inputs), verdict))
-
-    def settle(rule, citation, targets, inputs, verdict: Verdict):
-        step(rule, citation, targets, inputs, verdict.value)
-        for name in targets:
-            settled[name] = verdict
-
-    # R7: constants of the construction
-    for name, citation in (
-        ("separable", CIT_SEPARABLE),
-        ("first_countable", CIT_SEPARABLE),
-        ("tychonoff", CIT_TYCHONOFF),
-        ("completely_hausdorff", CIT_COMPLETELY_HAUSDORFF),
-    ):
-        settle("R7", citation, (name,), {}, TRUE)
-
-    # R1: the metrizability triple
-    settle(
-        "R1",
-        CIT_SECOND_COUNTABLE,
-        ("metrizable", "second_countable", "hereditarily_lindelof"),
-        {"co_countable(A)": desc.co_countable.value, "criterion": CIT_CO_COUNTABLE},
-        desc.co_countable,
-    )
-
-    # R2: local compactness
-    settle(
-        "R2",
-        CIT_LOCALLY_COMPACT,
-        ("locally_compact",),
-        {"equals_all(A)": desc.equals_all.value},
-        desc.equals_all,
-    )
-
-    # R3: perfectness
-    if isinstance(e, Bernstein) and desc.g_delta is FALSE:
-        step(
-            "AX-bernstein",
-            CIT_BERNSTEIN_CLASS,
-            ("perfect",),
-            {},
-            FALSE.value,
-        )
-    settle(
-        "R3",
-        CIT_PERFECT,
-        ("perfect", "boundary.perfect"),
-        {"g_delta(A)": desc.g_delta.value},
-        desc.g_delta,
-    )
-
-    # R4: the Lindelöf quadruple via the complement pivot
-    quadruple = ("lindelof", "normal", "paracompact", "countably_paracompact")
-    pivot = comp_desc.contains_closed_uncountable
-    comp_is_bernstein = isinstance(comp, Bernstein) or (
-        isinstance(comp, Complement) and isinstance(comp.body, Bernstein)
-    )
-    if comp_is_bernstein:
-        step(
-            "AX-bernstein",
-            CIT_BERNSTEIN_COMPACTA,
-            quadruple,
-            {"complement": comp_text},
-            pivot.value,
-        )
-    step(
-        "R4-input",
-        CIT_LINDELOF_LEMMA,
-        quadruple,
-        {
-            "complement": comp_text,
-            "contains_closed_uncountable(complement)": pivot.value,
-        },
-        pivot.value,
-    )
-    settle(
-        "R4",
-        CIT_PARACOMPACT,
-        quadruple + ("boundary.lindelof",),
-        {"contains_closed_uncountable(complement)": pivot.value},
-        ~pivot,
-    )
-    normal = settled["normal"]
-
-    # RW: weak paracompactness is settled only for the tangent-ball extreme
-    settle(
-        "RW",
-        CIT_WEAKLY_PARACOMPACT,
-        ("weakly_paracompact",),
-        {"equals_empty(A)": desc.equals_empty.value},
-        FALSE if desc.equals_empty is TRUE else UNKNOWN,
-    )
-
-    # R5: sigma-compactness
-    settle(
-        "R5",
-        CIT_SIGMA_COMPACT,
-        ("sigma_compact", "boundary.sigma_compact"),
-        {
-            "f_sigma(A)": desc.f_sigma.value,
-            "co_countable(A)": desc.co_countable.value,
-        },
-        desc.f_sigma & desc.co_countable,
-    )
-
-    # R6: embedding of the boundary hyperplane
-    settle(
-        "R6",
-        CIT_CSTAR,
-        ("boundary_z_embedded", "boundary_cstar_embedded"),
-        {"normal": normal.value},
-        normal,
-    )
-
-    # R8: covering dimension, settled only in the normal case
-    dim_value: Optional[int] = dimension if normal is TRUE else None
-    step(
-        "R8",
-        CIT_DIM,
-        ("dim",),
-        {"normal": normal.value},
-        "unknown" if dim_value is None else str(dim_value),
-    )
-
-    # corollary cross-checks for the flagship boundary sets
-    for prim, rule, citation, expected in _COROLLARY_ROWS:
-        if e == prim:
-            for name, want in expected.items():
-                if settled[name] is not want:
-                    raise SoundnessError(
-                        f"rule output for {name} contradicts the corollary {rule}"
-                    )
-            step(rule, citation, tuple(expected), {}, "consistent")
-
-    # boundary subspace block
-    settle("B1", CIT_HCWN, ("boundary.hereditarily_collectionwise_normal",), {}, TRUE)
-    step(
-        "B2",
-        CIT_REDUCTION,
-        ("boundary.perfect", "boundary.lindelof", "boundary.sigma_compact"),
-        {name: settled[name].value for name in ("perfect", "lindelof", "sigma_compact")},
-        "transferred",
-    )
-    bdim = _BOUNDARY_DIM[type(e)](dimension)
-    step(
-        "B3",
-        CIT_DIM_BOUNDARY,
-        ("boundary.dim",),
-        {},
-        "unknown" if bdim is None else str(bdim),
-    )
-
+    for rule, citation, targets, inputs, verdict in _RULES:
+        found = verdict(facts)
+        if found is None:
+            continue
+        if isinstance(found, Verdict):
+            for name in targets:
+                settled[name] = found
+            found = found.value
+        trace.append(TraceStep(rule, citation, targets, inputs(facts), found))
     report = PropertyReport(
-        space=text,
+        space=facts.text,
         dimension=dimension,
         properties={name: settled[name] for name in PROPERTY_ORDER},
-        dim=dim_value,
+        dim=facts.dim,
         boundary={name: settled[f"boundary.{name}"] for name in BOUNDARY_ORDER},
-        boundary_dim=bdim,
+        boundary_dim=facts.boundary_dim,
         trace=tuple(trace),
-        set_classes=desc,
+        set_classes=facts.desc,
     )
     _assert_coherent(report)
     return report
 
 
 _IMPLICATION_CHECKS = (
-    ("sigma_compact", "second_countable", CIT_SIGMA_SECOND),
-    ("sigma_compact", "perfect", CIT_SIGMA_COMPACT),
-    ("sigma_compact", "lindelof", CIT_SIGMA_COMPACT),
-    ("second_countable", "lindelof", CIT_SECOND_COUNTABLE),
-    ("locally_compact", "metrizable", CIT_LOCALLY_COMPACT),
+    ("sigma_compact", "second_countable"),
+    ("sigma_compact", "perfect"),
+    ("sigma_compact", "lindelof"),
+    ("second_countable", "lindelof"),
+    ("locally_compact", "metrizable"),
 )
 
 
@@ -423,7 +358,7 @@ def _assert_coherent(report: PropertyReport) -> None:
     ):
         if len({p[name] for name in group}) != 1:
             raise SoundnessError(f"equivalence class {group} split in {report.space}")
-    for antecedent, consequent, _ in _IMPLICATION_CHECKS:
+    for antecedent, consequent in _IMPLICATION_CHECKS:
         if p[antecedent] is TRUE and p[consequent] is FALSE:
             raise SoundnessError(
                 f"implication {antecedent} => {consequent} broken in {report.space}"

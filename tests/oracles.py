@@ -499,3 +499,60 @@ def close_pair_ref(a: dict, b: dict) -> tuple[dict, dict]:
         _close_ref(a)
         _close_ref(b)
     return a, b
+
+
+# --- the property report, from the rule statements ----------------------------
+# The rule table of the theorems module docstring, applied to the flag records
+# of A and of its complement as infer returns them.  Nothing below reads the
+# theorems module.  A verdict is True, False or None for Unknown.
+
+_THREE = {"true": True, "false": False, "unknown": None}
+
+
+def _and_ref(a, b):
+    if a is False or b is False:
+        return False
+    return True if a is True and b is True else None
+
+
+def classify_ref(e, n: int) -> dict:
+    """The public verdicts, dim and boundary dim of (X_n, tau(A)) for a
+    normal tree e, and the rule ids its trace lists, in order."""
+    from niemytzki.descriptive import infer
+    from niemytzki.setdsl import complement
+
+    comp = complement(e)
+    flags = {name: _THREE[v] for name, v in infer(e).to_json().items()}
+    comp_flags = {name: _THREE[v] for name, v in infer(comp).to_json().items()}
+    pivot = comp_flags["contains_closed_uncountable"]
+    normal = None if pivot is None else not pivot  # R4
+    p = dict.fromkeys(("separable", "first_countable", "tychonoff", "completely_hausdorff"), True)
+    p.update(dict.fromkeys(("metrizable", "second_countable", "hereditarily_lindelof"),
+                           flags["co_countable"]))  # R1
+    p["locally_compact"] = flags["equals_all"]  # R2
+    p["perfect"] = flags["g_delta"]  # R3
+    p.update(dict.fromkeys(("lindelof", "normal", "paracompact", "countably_paracompact"), normal))
+    p["weakly_paracompact"] = False if flags["equals_empty"] is True else None  # RW
+    p["sigma_compact"] = _and_ref(flags["f_sigma"], flags["co_countable"])  # R5
+    p["boundary_z_embedded"] = p["boundary_cstar_embedded"] = normal  # R6
+    boundary = {"hereditarily_collectionwise_normal": True}  # B1
+    boundary.update({name: p[name] for name in ("perfect", "lindelof", "sigma_compact")})  # B2
+    kind = ref_tree(e)
+    # B3: dim A for a primitive of known dimension (dim of the empty set is -1)
+    zero = ("point", "finite", "lattice", "rationals", "cantor")
+    boundary_dim = {"empty": -1, **dict.fromkeys(zero, 0),
+                    **dict.fromkeys(("cball", "oball", "all"), n - 1)}.get(kind[0])
+
+    rules = ["R7"] * 4 + ["R1", "R2"]
+    if kind == ("bernstein",) and flags["g_delta"] is False:  # the axiom on its class
+        rules.append("AX-bernstein")
+    rules.append("R3")
+    if ref_tree(comp) in (("bernstein",), ("!", ("bernstein",))):  # the axiom on compacta
+        rules.append("AX-bernstein")
+    rules += ["R4-input", "R4", "RW", "R5", "R6", "R8"]
+    corollaries = {("bernstein",): "C1", ("cantor",): "C2", ("rationals",): "C3",
+                   ("!", ("rationals",)): "C4"}
+    rules += [corollaries[kind]] if kind in corollaries else []
+    rules += ["B1", "B2", "B3"]
+    return {"properties": p, "dim": n if normal is True else None,  # R8
+            "boundary": boundary, "boundary_dim": boundary_dim, "rules": rules}

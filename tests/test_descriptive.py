@@ -43,6 +43,7 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _COORDS,
+    leaves,
     member,
     normalize,
     parse,
@@ -442,6 +443,15 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
     both = normalize(Union((e1, e2)))
     for a, b in ((e1, e2), (e2, e1), (e1, both), (both, e1), (both, both), (e2, both)):
         assert _structural_subset(a, b) == _subset_in_the_former_order(a, b)
+    # points and finite sets against each other, decided on their forms
+    coords = [(Fr(0),) * (n - 1)] + [p for m in leaves(both) if type(m) in (SinglePoint, FiniteSet)
+                                     for p in _COORDS[type(m)](m)]
+    coords = coords[:5]
+    pool = [SinglePoint(p) for p in coords] + [FiniteSet(tuple(coords[i::2])) for i in (0, 1)]
+    pool.append(FiniteSet(tuple(coords + coords[:1])))  # a repeated point
+    for a in pool:
+        for b in pool + [both]:
+            assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
 
 
 def test_a_sub_union_of_points_compiles_no_point_test():
@@ -454,3 +464,22 @@ def test_a_sub_union_of_points_compiles_no_point_test():
     points = [m for m in full.members if isinstance(m, SinglePoint)]
     assert len(points) == 24
     assert not any(hasattr(m, "_member_test") for m in points)
+
+
+def test_a_union_against_a_union_compiles_no_point_test():
+    rng = random.Random(11)
+    members = [f"point({i + Fr(rng.randint(0, 49), 50)})" for i in range(32)]
+    members[3::4] = [f"cball({-3 - 3 * i};1/2)" for i in range(8)]  # the wide shape
+    full = parse(" | ".join(members), 2)
+    half = parse(" | ".join(members[:16]), 2)
+    assert subset(full, half) is FALSE
+    points = [m for m in half.members if isinstance(m, SinglePoint)]
+    assert len(points) == 12
+    assert not any(hasattr(m, "_member_test") for m in points)
+
+
+def test_points_of_another_arity_still_raise():
+    a, b = SinglePoint((Fr(1), Fr(2))), SinglePoint((Fr(1),))
+    for x, y in ((a, b), (b, a), (FiniteSet(((Fr(1),),)), a), (SinglePoint(()), b)):
+        with pytest.raises(DimensionMismatch):
+            _structural_subset(x, y)

@@ -1,11 +1,21 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from niemytzki import setdsl
-from niemytzki.descriptive import compare, compare_topologies, infer, subset
+from niemytzki import setdsl, theorems
+from niemytzki.descriptive import (
+    DescClass,
+    SoundnessError,
+    compare,
+    compare_topologies,
+    infer,
+    subset,
+)
 from niemytzki.setdsl import (
     MAX_TREE_DEPTH,
     All,
@@ -26,6 +36,7 @@ from niemytzki.setdsl import (
 from niemytzki.theorems import (
     BOUNDARY_ORDER,
     PROPERTY_ORDER,
+    PropertyReport,
     UnknownProperty,
     classify,
     explain,
@@ -33,6 +44,7 @@ from niemytzki.theorems import (
 from niemytzki.topology import TopologySpec
 from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
 from catalog import build
+from oracles import classify_ref
 
 
 def verdicts(report, names):
@@ -305,3 +317,68 @@ def test_trees_at_the_bound_are_classified():
     for i in range(_Parser.MAX_DEPTH // 2):
         text = f"point({i}) | !({text})"
     assert classify(text, 2).to_json() == classify(parse(text), 2).to_json()
+
+
+# --- the rule table against the rule statements ----------------------------------
+
+def _as_ref(report) -> dict:
+    """A report as classify_ref spells it."""
+    three = {TRUE: True, FALSE: False, UNKNOWN: None}
+    return {"properties": {name: three[v] for name, v in report.properties.items()},
+            "dim": report.dim,
+            "boundary": {name: three[v] for name, v in report.boundary.items()},
+            "boundary_dim": report.boundary_dim,
+            "rules": [s.rule for s in report.trace]}
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 4]))
+def test_classify_is_the_rule_oracle(seed, n):
+    e = normalize(random_expr(random.Random(seed), n))
+    assert _as_ref(classify(e, n)) == classify_ref(e, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("text", ["bernstein", "!bernstein", "cantor", "rationals",
+                                  "!rationals", "empty"])
+def test_classify_is_the_rule_oracle_on_the_named_sets(text, n):
+    e = parse(text, n)
+    assert _as_ref(classify(e, n)) == classify_ref(e, n)
+
+
+def test_a_rule_output_against_a_corollary_raises(monkeypatch):
+    real = theorems.infer
+
+    def lindelof_cantor(e):
+        # the complement of the Cantor set without a closed uncountable subset
+        desc = real(e)
+        if e == complement(Cantor()):
+            fields = {name: getattr(desc, name) for name in DescClass._fields}
+            return DescClass(**{**fields, "contains_closed_uncountable": FALSE})
+        return desc
+
+    monkeypatch.setattr(theorems, "infer", lindelof_cantor)
+    with pytest.raises(SoundnessError,
+                       match=r"^rule output for lindelof contradicts the corollary C2$"):
+        classify("cantor")
+
+
+def test_a_broken_implication_raises():
+    r = classify("all", 2)
+    props = {**r.properties, **dict.fromkeys(
+        ("lindelof", "normal", "paracompact", "countably_paracompact",
+         "boundary_z_embedded", "boundary_cstar_embedded"), FALSE)}
+    assert props["sigma_compact"] is TRUE
+    fields = {name: getattr(r, name) for name in PropertyReport._fields}
+    with pytest.raises(SoundnessError,
+                       match=r"^implication sigma_compact => lindelof broken in all$"):
+        theorems._assert_coherent(PropertyReport(**{**fields, "properties": props}))
+
+
+def test_the_docstring_rule_list_is_the_table():
+    listed = re.findall(r"^  (R\d|RW|B\d)  ", theorems.__doc__, re.M)
+    assert len(listed) == len(set(listed)) == 12
+    assert set(listed) == {row[0] for row in theorems._RULES
+                           if re.fullmatch(r"R\d|RW|B\d", row[0])}
+    targets = {name for row in theorems._RULES for name in row[2]}
+    assert targets <= set(classify("cantor", 2).property_names())
