@@ -32,6 +32,15 @@ witness is a random candidate a/b with gcd(a, b) > 1 (through ``lattice``,
 tried in, to a membership answer or to the reduction of a random candidate
 moves the digest.
 
+Parse digest: ``parse`` at n = 2, 3 and 4 of about 1,500 seeded ASCII
+texts, each the ``to_text`` of a ``random_expr`` tree with zero to three
+random inserts, deletes or replaces of grammar characters and words, a few
+fixed hostile texts (too deep, too long, empty), and ``parse_rational`` of
+mutated ``rat`` literals.  Each text hashes its canonical text or the
+class, message and offset of the error it raises, so any change to what
+the parser accepts, to what it builds or to an error's message or offset
+moves the digest.
+
 Suite digest: every record of ``generate_samples`` and the JSON of
 ``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
 a sample stream, a check count or a verdict moves the digest.  A second
@@ -69,6 +78,7 @@ from niemytzki.setdsl import (
     find_witness,
     join,
     parse,
+    parse_rational,
     random_expr,
     structural_candidates,
     to_text,
@@ -81,6 +91,7 @@ GOLDEN_SUITE_N4_SHA256 = "be194f85789cef83971ba9fabfb37c60793fef41f2418e94a7743b
 GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
 GOLDEN_CANDIDATE_SHA256 = "a93f0b80c0c0a86d36bfdaf835465f4c7aead8d69684fda80993f414dcba8a4b"
 GOLDEN_WITNESS_SHA256 = "41ab03164abc479a301ada11c5e0db881c9a3020f54a69991c2d716863b10ced"
+GOLDEN_PARSE_SHA256 = "ba5618ae52d3b1a7f344b423cd58b22b43525aa8b9dc19388721b0b3e1cde947"
 
 # (search, answer): calls, from witness_search_counts()
 WITNESS_SEARCH_COUNTS = {
@@ -188,6 +199,56 @@ def golden_witness_digest() -> str:
     return h.hexdigest()
 
 
+# What a mutation inserts, or puts in place of one character: every
+# character of the grammar, words of it and stray ASCII.
+PARSE_NOISE = (*"|&!(){};,/- 0123456789", " point(", " finite{", " cball(", " oball(",
+               " empty ", " all ", " lattice ", " cantor ", " bernstein ", "pointx", "1/0",
+               "-0", "x", "@", ".", "\t", "#")
+
+# Texts few mutations of a small tree reach: input that ends at each place
+# the grammar expects more, and the nesting and literal caps and their
+# neighbours.
+PARSE_FIXED = ("", "   ", "!", "(all", "all |", "all & ", "all)", "point", "point(", "point(1",
+               "point(1,", "point(1/", "point(1/2", "finite{", "finite{1;", "finite{1,2",
+               "cball(0;", "cball(0,0;", "oball(0;1", "oball(0;1/", "(" * 100 + "all" + ")" * 100, "(" * 101 + "all" + ")" * 101,
+               "!" * 100 + "all", "!" * 101 + "all", "point(" + "9" * 4300 + ")",
+               "point(" + "9" * 4301 + ")", "point(1/" + "9" * 4301 + ")",
+               "point(-" + "9" * 4300 + ")", "cball(0;0)", "oball(0;-1/2)")
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """text with zero to three random inserts, deletes or replaces."""
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.choice(("insert", "delete", "replace"))
+        if op == "insert":
+            text = text[:i] + rng.choice(PARSE_NOISE) + text[i:]
+        else:
+            text = text[:i] + (rng.choice(PARSE_NOISE) if op == "replace" else "") + text[i + 1:]
+    return text
+
+
+def _parsed(read, text: str) -> str:
+    """What read(text) gives, or the class, message and offset it raises."""
+    try:
+        return repr(read(text))
+    except ValueError as exc:  # ParseError, and the depth ValueError
+        return f"{type(exc).__name__}: {exc} @ {getattr(exc, 'position', None)}"
+
+
+def golden_parse_digest() -> str:
+    h = hashlib.sha256()
+    rng = random.Random(2405)
+    for n in (2, 3, 4):
+        texts = [_mutated(rng, to_text(random_expr(rng, n))) for _ in range(400)]
+        for text in (*PARSE_FIXED, *texts):
+            h.update(_parsed(lambda t: to_text(parse(t, n)), text).encode())
+    for _ in range(300):
+        literal = str(Fraction(rng.randint(-99, 99), rng.randint(1, 30)))
+        h.update(_parsed(parse_rational, _mutated(rng, literal)).encode())
+    return h.hexdigest()
+
+
 def witness_search_counts() -> dict[tuple[str, bool], int]:
     counts: collections.Counter = collections.Counter()
 
@@ -278,6 +339,10 @@ def test_golden_witness_digest():
     assert golden_witness_digest() == GOLDEN_WITNESS_SHA256
 
 
+def test_golden_parse_digest():
+    assert golden_parse_digest() == GOLDEN_PARSE_SHA256
+
+
 def test_witness_searches_run_as_often_as_pinned():
     assert witness_search_counts() == WITNESS_SEARCH_COUNTS
 
@@ -289,4 +354,5 @@ if __name__ == "__main__":
     print(f"GOLDEN_INFERENCE_SHA256 = {golden_inference_digest()!r}")
     print(f"GOLDEN_CANDIDATE_SHA256 = {golden_candidate_digest()!r}")
     print(f"GOLDEN_WITNESS_SHA256 = {golden_witness_digest()!r}")
+    print(f"GOLDEN_PARSE_SHA256 = {golden_parse_digest()!r}")
     print(f"WITNESS_SEARCH_COUNTS = {witness_search_counts()!r}")
