@@ -288,9 +288,11 @@ def _union_disjoint(e: Union, b: ClosedBall) -> bool:
     if index.shapes:
         index.check(b.center)
         lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
-        if not (all(_sq_sign(form, b.scaled, b.radius) > 0
-                    for form in index.points_between(lo, hi))
-                and all(_DISJOINT[type(m)](m, b) for m in index.balls_near(b.scaled, b.radius))):
+        # the balls first: b often lies in one of them, which settles the
+        # answer before the points near b are found by bisection
+        if not (all(_DISJOINT[type(m)](m, b) for m in index.balls_near(b.scaled, b.radius))
+                and all(_sq_sign(form, b.scaled, b.radius) > 0
+                        for form in index.points_between(lo, hi))):
             return False
     return all(_DISJOINT[type(m)](m, b) for m in index.others)
 

@@ -2,7 +2,8 @@
 
 Expressions describe subsets A of the boundary hyperplane L_n ≅ R^(n-1);
 points are given by their first n-1 coordinates.  Grammar, with ``rat``
-being ``integer [ "/" positive-integer ]`` and coordinate arity n-1:
+being ``integer [ "/" positive-integer ]`` in ASCII digits, whitespace
+allowed between tokens, and coordinate arity n-1:
 
     expr      := term { "|" term }
     term      := factor { "&" factor }
@@ -75,15 +76,16 @@ ever answer OUT.  Points, finite sets and balls give their x_1 hull and
 spans, a union takes their hull, reading its index, and ``!b`` is nowhere
 exactly when b never answers OUT.  :func:`member` is the arity check and
 one call; :func:`find_witness` builds the test once per search and runs it
-on integer forms it does not make itself: the probe points are formed once
-per arity m, and the seeded random candidates are drawn once per
-(seed, m), lazily, into one stream that keeps the forms of the first
+on one stream of integer forms, cut at the budget: the tree's structural
+candidates, formed per search, then the probe points, formed once per
+arity m, then the seeded random candidates, drawn once per (seed, m),
+lazily, into one stream that keeps the forms of the first
 ``DEFAULT_BUDGET`` of them and is read by every later search.  A search
 returns None at once when the span is nowhere, before any candidate is
 formed or drawn, and does not test a candidate whose x_1 lies outside the
 span, though it counts against the budget, so every answer is the one a
-search testing every candidate gives.  A ``Fraction`` is made only for a
-random witness that is returned.
+search testing every candidate gives.  A ``Fraction`` is made only for the
+witness that is returned, so a witness is always a tuple of them.
 """
 
 from __future__ import annotations
@@ -106,6 +108,7 @@ from .geometry import (
     _Scaled,
     _scaled,
     _sq_sign,
+    _unscaled,
     check_dimension,
     rat,
 )
@@ -485,23 +488,21 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"(?P<num>-?\d+)|(?P<name>[a-z]+)|(?P<sym>[|&!(){};,/])")
-_WS_RE = re.compile(r"\s*")
+# One token per match, in order: a whitespace run is skipped, and the first
+# character no other group reads is a "bad" token.  Digits are ASCII.
+_TOKEN_RE = re.compile(r"(?P<num>-?[0-9]+)|(?P<name>[a-z]+)|(?P<sym>[|&!(){};,/])|(?P<bad>\S)")
+
+_Token = tuple[str, str, int]  # (kind, text, offset)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, closed by one ``("end", "", len(text))``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        pos = _WS_RE.match(text, pos).end()
-        if pos >= len(text):
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -512,6 +513,13 @@ def _integer(text: str, pos: int) -> int:
         return int(text)
     except ValueError as exc:  # the interpreter's own limit set below MAX_DIGITS
         raise ParseError("integer literal too long", pos) from exc
+
+
+def _unexpected(tok: _Token, wanted: str, at_end: str = "") -> ParseError:
+    kind, text, pos = tok
+    if kind == "end":
+        return ParseError("unexpected end of input" + at_end, pos)
+    return ParseError(f"expected {wanted}, found {text!r}", pos)
 
 
 class _Parser:
@@ -525,27 +533,36 @@ class _Parser:
     # for int(), held here so a raised or lifted limit does not change it.
     MAX_DIGITS = 4300
 
+    # The "end" token is never read past: its text matches no symbol and
+    # its kind no token a rule reads.
     def __init__(self, text: str, dimension: int):
         self.tokens = _tokenize(text)
-        self.length = len(text)
         self.i = 0
         self.depth = 0
         self.want = dimension - 1
 
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self, expect: str | None = None):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(
-                f"unexpected end of input" + (f", expected {expect!r}" if expect else ""),
-                self.length,
-            )
-        if expect is not None and tok[1] != expect:
-            raise ParseError(f"expected {expect!r}, found {tok[1]!r}", tok[2])
+    def _symbol(self, sym: str) -> None:
+        """Read the symbol sym."""
+        tok = self.tokens[self.i]
+        if tok[1] != sym:
+            raise _unexpected(tok, repr(sym), f", expected {sym!r}")
         self.i += 1
-        return tok
+
+    def _read(self, kind: str, wanted: str) -> tuple[str, int]:
+        """The text and offset of the next token, which must be of the kind."""
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise _unexpected(tok, wanted)
+        self.i += 1
+        return tok[1], tok[2]
+
+    def _list(self, sep: str, part: Callable[[], object]) -> list:
+        """``part { sep part }``: the parts, in order."""
+        parts = [part()]
+        while self.tokens[self.i][1] == sep:
+            self.i += 1
+            parts.append(part())
+        return parts
 
     def parse(self) -> SetExpr:
         e = self.expr()  # normal, and coords() checked every arity
@@ -553,79 +570,63 @@ class _Parser:
         return e
 
     def end(self) -> None:
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", pos)
 
     def expr(self) -> SetExpr:
-        return self._joined(Union, "|", self.term)
+        parts = self._list("|", self.term)
+        return parts[0] if len(parts) == 1 else join(Union, parts)
 
     def term(self) -> SetExpr:
-        return self._joined(Inter, "&", self.factor)
-
-    def _joined(self, kind: type, sym: str, part: Callable[[], SetExpr]) -> SetExpr:
-        """``part { sym part }``, the parts joined into one normal node."""
-        parts = [part()]
-        while (tok := self._peek()) and tok[1] == sym:
-            self._next()
-            parts.append(part())
-        return parts[0] if len(parts) == 1 else join(kind, parts)
+        parts = self._list("&", self.factor)
+        return parts[0] if len(parts) == 1 else join(Inter, parts)
 
     def factor(self) -> SetExpr:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        if tok[1] not in ("!", "("):
+        _, sym, pos = self.tokens[self.i]
+        if sym != "!" and sym != "(":
             return self.primitive()
-        self._next()
+        self.i += 1
         self.depth += 1
         if self.depth > self.MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels", tok[2])
-        if tok[1] == "!":
+            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels", pos)
+        if sym == "!":
             inner = complement(self.factor())
         else:
             inner = self.expr()
-            self._next(")")
+            self._symbol(")")
         self.depth -= 1
         return inner
 
     def primitive(self) -> SetExpr:
-        kind, name, pos = self._next()
-        if kind != "name":
-            raise ParseError(f"expected a primitive, found {name!r}", pos)
+        name, pos = self._read("name", "a primitive")
         if name in _PLAIN_PRIMITIVES:
             return _PLAIN_PRIMITIVES[name]()
         if name == "point":
-            self._next("(")
+            self._symbol("(")
             coords = self.coords()
-            self._next(")")
+            self._symbol(")")
             return SinglePoint(coords)
         if name == "finite":
-            self._next("{")
-            points = [self.coords()]
-            while (tok := self._peek()) and tok[1] == ";":
-                self._next()
-                points.append(self.coords())
-            self._next("}")
+            self._symbol("{")
+            points = self._list(";", self.coords)
+            self._symbol("}")
             return FiniteSet(tuple(points))
         if name in ("cball", "oball"):
-            self._next("(")
+            self._symbol("(")
             center = self.coords()
-            self._next(";")
-            rpos = self._peek()[2] if self._peek() else self.length
+            self._symbol(";")
+            rpos = self.tokens[self.i][2]
             radius = self.rational()
-            self._next(")")
+            self._symbol(")")
             if radius <= 0:
                 raise ParseError("radius must be positive", rpos)
             return (ClosedBall if name == "cball" else OpenBall)(center, radius)
         raise ParseError(f"unknown primitive {name!r}", pos)
 
     def coords(self) -> tuple[Fraction, ...]:
-        start = self._peek()[2] if self._peek() else self.length
-        values = [self.rational()]
-        while (tok := self._peek()) and tok[1] == ",":
-            self._next()
-            values.append(self.rational())
+        start = self.tokens[self.i][2]
+        values = self._list(",", self.rational)
         if len(values) != self.want:
             raise ParseError(
                 f"expected {self.want} coordinate(s) for this dimension, got {len(values)}",
@@ -634,20 +635,16 @@ class _Parser:
         return tuple(values)
 
     def rational(self) -> Fraction:
-        kind, text, pos = self._next()
-        if kind != "num":
-            raise ParseError(f"expected a rational, found {text!r}", pos)
+        text, pos = self._read("num", "a rational")
         num = _integer(text, pos)
-        if (tok := self._peek()) and tok[1] == "/":
-            self._next()
-            dkind, dtext, dpos = self._next()
-            if dkind != "num":
-                raise ParseError(f"expected a denominator, found {dtext!r}", dpos)
-            den = _integer(dtext, dpos)
-            if den <= 0:
-                raise ParseError("denominator must be a positive integer", dpos)
-            return Fraction(num, den)
-        return Fraction(num)
+        if self.tokens[self.i][1] != "/":
+            return Fraction(num)
+        self.i += 1
+        text, pos = self._read("num", "a denominator")
+        den = _integer(text, pos)
+        if den <= 0:
+            raise ParseError("denominator must be a positive integer", pos)
+        return Fraction(num, den)
 
 
 # Most connectives (!, |, &) on one root-to-leaf path of a tree that
@@ -1084,26 +1081,27 @@ DEFAULT_BUDGET = 1000
 # caches are bounded, so a session of many seeds keeps the latest few.
 
 @lru_cache(maxsize=32)
-def _probes(m: int) -> tuple[tuple[tuple[Fraction, ...], _Scaled], ...]:
-    """The fixed probe points of R^m, each beside its scaled form."""
+def _probes(m: int) -> tuple[_Scaled, ...]:
+    """The scaled forms of the fixed probe points of R^m."""
     probes = [on_axis(v, m) for v in _PROBE_VALUES]
     for v in (Fraction(1), Fraction(-1), Fraction(1, 2)):
         probes.append((v,) * m)
     if m > 1:
         for v in (Fraction(1), Fraction(2)):
             probes.append((Fraction(0),) * (m - 1) + (v,))
-    return tuple((p, _scaled(p)) for p in probes)
+    return tuple(map(_scaled, probes))
 
 
 class _Stream:
     """The random witness candidates of one seed in R^m, in the order every
     search tries them: per coordinate a/b with a = randint(-300, 300) and
     b = randint(1, 100), read in lowest terms, the point kept as its integer
-    form (X, d).  A candidate is drawn when a search first reads it, and the
-    first DEFAULT_BUDGET are kept (``forms``); a search that reads past them
-    goes on from a copy of the generator, which is no longer drawn from once
-    ``forms`` is full, and keeps nothing, so a large budget costs time, not
-    memory."""
+    form (X, d).  Iterating the stream yields its candidates in that order,
+    without end.  A candidate is drawn when some reader first reaches it,
+    and the first DEFAULT_BUDGET are kept (``forms``); a reader that goes
+    past them goes on from a copy of the generator, which is no longer drawn
+    from once ``forms`` is full, and keeps nothing, so a large budget costs
+    time, not memory."""
 
     __slots__ = ("m", "forms", "_rng", "_lock")
 
@@ -1123,26 +1121,23 @@ class _Stream:
         d = lcm(*dens)
         return tuple([num * (d // den) for num, den in zip(nums, dens)]), d
 
-    def take(self, count: int) -> Iterator[_Scaled]:
-        """The first count candidates of the stream, in order."""
-        forms, draw, rng, i = self.forms, self._draw, self._rng, 0
-        while i < count:
-            if i < len(forms):
-                stop = min(count, len(forms))
-                yield from forms[i:stop]
-                i = stop
-            elif i < DEFAULT_BUDGET:
-                with self._lock:  # each place drawn once, by the first reader
-                    if i == len(forms):
-                        forms.append(draw(rng))
-                yield forms[i]
-                i += 1
-            else:
-                rng = random.Random()
-                rng.setstate(self._rng.getstate())
-                for _ in range(count - i):
-                    yield draw(rng)
-                return
+    def __iter__(self) -> Iterator[_Scaled]:
+        forms = self.forms
+        return itertools.chain(itertools.islice(forms, len(forms)), self._drawn(len(forms)))
+
+    def _drawn(self, i: int) -> Iterator[_Scaled]:
+        """The candidates from place i on, where i <= len(forms)."""
+        forms = self.forms
+        while i < DEFAULT_BUDGET:
+            with self._lock:  # each place drawn once, by the first reader
+                if i == len(forms):
+                    forms.append(self._draw(self._rng))
+            yield forms[i]
+            i += 1
+        rng = random.Random()
+        rng.setstate(self._rng.getstate())
+        while True:
+            yield self._draw(rng)
 
 
 # typed: seeds that compare equal may seed different draws, 10**20 and 1e20,
@@ -1151,6 +1146,15 @@ class _Stream:
 def _stream(seed, m: int) -> _Stream:
     """The one candidate stream of (seed, m)."""
     return _Stream(seed, m)
+
+
+def _candidates(e: SetExpr, m: int, seed) -> Iterator[Iterable[_Scaled]]:
+    """The sources of a search's candidate forms, in order: e's structural
+    candidates, the probes, then the stream of (seed, m), looked up only
+    once the others are spent."""
+    yield map(_scaled, structural_candidates(e, m))
+    yield _probes(m)
+    yield _stream(seed, m)
 
 
 def _within(span, test: _Test) -> Callable[[_Scaled], Optional[Verdict]]:
@@ -1179,12 +1183,15 @@ def find_witness(
     once, before any candidate is formed or drawn; otherwise a candidate
     whose first coordinate lies outside the span is not tested.  It still
     counts against the budget, so every answer is the one the search that
-    tests each candidate returns.  The probes and the random candidates
-    are read from caches shared by every search of the same arity and seed
-    (``_probes``, ``_stream``), as integer forms, so a ``Fraction`` is made
-    only for a random witness that is returned.  The seed is a key of that
-    cache: it must be hashable, and ``None`` seeds one stream from the
-    operating system per process, not one per search."""
+    tests each candidate returns.  Every candidate is tried as its integer
+    form, in one stream cut at the budget; the probes and the random
+    candidates are read from caches shared by every search of the same
+    arity and seed (``_probes``, ``_stream``), and the random ones only once
+    the structural candidates and the probes are spent.  The witness is
+    returned as a tuple of ``Fraction``s, whatever numbers the tree holds.
+    The seed is a key of the random candidates' cache: it must be hashable,
+    and ``None`` seeds one stream from the operating system per process,
+    not one per search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if dimension is not None:
@@ -1196,19 +1203,11 @@ def find_witness(
         return None
     if span is not ANYWHERE:
         test = _within(span, test)
-    structural, probes = structural_candidates(e, m), _probes(m)
-    left = budget - len(structural)  # what the probes and the stream may use
+    forms = itertools.chain.from_iterable(_candidates(e, m, seed))
     try:
-        for cand in structural[:budget]:
-            if test(_scaled(cand)) is IN:
-                return cand
-        for cand, form in probes[:max(left, 0)]:
+        for form in itertools.islice(forms, budget):
             if test(form) is IN:
-                return cand
-        for form in _stream(seed, m).take(left - len(probes)):
-            if test(form) is IN:
-                X, d = form
-                return tuple(Fraction(x, d) for x in X)
+                return _unscaled(form)
     except RecursionError:
         raise _too_deep() from None
     return None

@@ -128,10 +128,10 @@ class PropertyReport:
         return {
             "space": self.space,
             "dimension": self.dimension,
-            "properties": {n: verdict_json(self.verdict(n)) for n in (*PROPERTY_ORDER, "dim")},
-            "boundary_subspace": {
-                n: verdict_json(self.verdict(f"boundary.{n}")) for n in (*BOUNDARY_ORDER, "dim")
-            },
+            "properties": {**{n: self.properties[n].value for n in PROPERTY_ORDER},
+                           "dim": verdict_json(self.dim)},
+            "boundary_subspace": {**{n: self.boundary[n].value for n in BOUNDARY_ORDER},
+                                  "dim": verdict_json(self.boundary_dim)},
             "trace": [step.to_json() for step in self.trace],
         }
 

@@ -352,7 +352,7 @@ def find_witness_ref(tree, budget: int, seed, m: int):
     fixed = structural_candidates(tree, m) + probes_ref(m)
     for cand in fixed[:budget]:
         if tree_member_ref(ref, cand) is True:
-            return tuple(cand)
+            return tuple(map(Fraction, cand))
     for X, d in random_forms_ref(seed, m, budget - len(fixed)):
         cand = tuple(Fraction(x, d) for x in X)
         if tree_member_ref(ref, cand) is True:

@@ -101,6 +101,20 @@ class TestExitCodes:
         assert out == "" and printed.startswith(err)
         assert printed.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["member", "--set", "point(\u0663)", "--point", "3"], 2,
+         "parse error: unexpected character '\u0663' (at offset 6)\n"),
+        (["member", "--set", "cantor", "--point", "\u0661/\u0664"], 1,
+         "error: bad rational in --point: unexpected character '\u0661' (at offset 0)\n"),
+        (["nbhd", "--topology", "niemytzki", "--point", "0,1", "--eps", "\u0661"], 1,
+         "error: bad rational in --eps: unexpected character '\u0661' (at offset 0)\n"),
+        (["converge", "--family", "vertical((\u0660);1)", "--topology", "euclidean"], 1,
+         "error: bad rational in family anchor: unexpected character '\u0660' (at offset 0)\n"),
+    ], ids=["set", "point", "eps", "family"])
+    def test_a_non_ascii_digit_is_refused(self, argv, code, err, capsys):
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == ("", err)
+
     def test_a_sampling_error_is_a_usage_error(self, monkeypatch, capsys):
         from niemytzki.harness import SamplingError
 

@@ -35,8 +35,8 @@ moves the digest.
 Parse digest: ``parse`` at n = 2, 3 and 4 of about 1,500 seeded ASCII
 texts, each the ``to_text`` of a ``random_expr`` tree with zero to three
 random inserts, deletes or replaces of grammar characters and words, a few
-fixed hostile texts (too deep, too long, empty), and ``parse_rational`` of
-mutated ``rat`` literals.  Each text hashes its canonical text or the
+fixed hostile texts (ending early, nested too deep, literals too long), and
+``parse_rational`` of mutated ``rat`` literals.  Each text hashes its canonical text or the
 class, message and offset of the error it raises, so any change to what
 the parser accepts, to what it builds or to an error's message or offset
 moves the digest.
@@ -210,8 +210,8 @@ PARSE_NOISE = (*"|&!(){};,/- 0123456789", " point(", " finite{", " cball(", " ob
 # neighbours.
 PARSE_FIXED = ("", "   ", "!", "(all", "all |", "all & ", "all)", "point", "point(", "point(1",
                "point(1,", "point(1/", "point(1/2", "finite{", "finite{1;", "finite{1,2",
-               "cball(0;", "cball(0,0;", "oball(0;1", "oball(0;1/", "(" * 100 + "all" + ")" * 100, "(" * 101 + "all" + ")" * 101,
-               "!" * 100 + "all", "!" * 101 + "all", "point(" + "9" * 4300 + ")",
+               "cball(0;", "cball(0,0;", "oball(0;1", "oball(0;1/",
+               "(" * 100 + "all" + ")" * 100, "(" * 101 + "all" + ")" * 101, "!" * 100 + "all", "!" * 101 + "all", "point(" + "9" * 4300 + ")",
                "point(" + "9" * 4301 + ")", "point(1/" + "9" * 4301 + ")",
                "point(-" + "9" * 4300 + ")", "cball(0;0)", "oball(0;-1/2)")
 

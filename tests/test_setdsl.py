@@ -2,11 +2,13 @@ import random
 import sys
 import threading
 from fractions import Fraction as Fr
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from niemytzki.geometry import _scaled
 from niemytzki.setdsl import (
     ANYWHERE,
     DEFAULT_BUDGET,
@@ -72,6 +74,20 @@ class TestParser:
                 Complement(OpenBall((Fr(0), Fr(0)), Fr(1, 2))),
             )
         )
+
+    @pytest.mark.parametrize("text, offset", [
+        ("point(\u0663)", 6),  # ARABIC-INDIC DIGIT THREE
+        ("point(1/\u0664)", 8),
+        ("cball(0;\uff13)", 8),  # FULLWIDTH DIGIT THREE
+        ("finite{1;-\u0967}", 9),  # DEVANAGARI DIGIT ONE: the sign reads no digit
+    ])
+    def test_digits_are_ascii(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"unexpected character {text[offset]!r} (at offset {offset})"
+        assert info.value.position == offset
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_rational(text[offset:])
 
     def test_finite_set_with_semicolons(self):
         e = parse("finite{0;1;-3/2}")
@@ -502,6 +518,15 @@ class TestFindWitness:
         w = find_witness(parse(text), 1000, seed)
         assert w == want and all(type(c) is Fr and c.denominator == 1 for c in w)
 
+    @pytest.mark.parametrize("e, want", [
+        (SinglePoint((1, 2)), (Fr(1), Fr(2))),
+        (FiniteSet(((3,), (Fr(1, 2),))), (Fr(3),)),
+        (ClosedBall((0,), 1), (Fr(0),)),
+    ])
+    def test_a_witness_is_fractions_from_a_tree_of_ints(self, e, want):
+        w = find_witness(e)
+        assert w == want and all(type(c) is Fr for c in w)
+
 
 class TestCandidateStream:
     """The random candidates of one (seed, m) are drawn once, as the search
@@ -513,11 +538,11 @@ class TestCandidateStream:
         _stream.cache_clear()
         want = random_forms_ref(seed, m, 2500)
         stream = _stream(seed, m)
-        assert list(stream.take(700)) == want[:700]
+        assert list(islice(stream, 700)) == want[:700]
         assert len(stream.forms) == 700
         # two reads in a row past the cap, each from the state at the cap
-        assert list(stream.take(2500)) == want
-        assert list(stream.take(2500)) == want
+        assert list(islice(stream, 2500)) == want
+        assert list(islice(stream, 2500)) == want
         assert stream.forms == want[:DEFAULT_BUDGET]
 
     def test_a_witness_past_the_cap(self):
@@ -557,17 +582,17 @@ class TestCandidateStream:
     def test_a_cleared_cache_starts_again_from_the_seed(self):
         _stream.cache_clear()
         old = _stream(5, 2)
-        list(old.take(40))
+        list(islice(old, 40))
         _stream.cache_clear()
         fresh = _stream(5, 2)
         assert fresh is not old and fresh.forms == []
-        assert list(fresh.take(40)) == random_forms_ref(5, 2, 40) == old.forms
+        assert list(islice(fresh, 40)) == random_forms_ref(5, 2, 40) == old.forms
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_threads_reading_one_cold_stream_see_the_same_draws(self, seed):
         _stream.cache_clear()
         stream, want, read = _stream(seed, 2), random_forms_ref(seed, 2, 900), []
-        threads = [threading.Thread(target=lambda: read.append(list(stream.take(900))))
+        threads = [threading.Thread(target=lambda: read.append(list(islice(stream, 900))))
                    for _ in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -605,7 +630,7 @@ class TestWitnessSupport:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_the_probes_are_the_oracle_s(self, m):
-        assert [p for p, _ in _probes(m)] == probes_ref(m)
+        assert list(_probes(m)) == [_scaled(p) for p in probes_ref(m)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(0, 3),
