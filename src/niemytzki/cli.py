@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Commands: classify, member, nbhd, converge, compare, check, explain.
+Commands: classify, member, nbhd, converge, compare, check, explain.  A
+command is one row of ``_COMMANDS``: its help text, its handler and its own
+flags; ``build_parser`` adds ``--dimension`` and ``--json`` to each.  A
+handler returns what it prints, and ``_main`` is the one place that prints.
 ``--json`` switches to a machine-readable record; identical invocations
 (including seeds) print byte-identical JSON.  Exit codes: 0 success,
 1 usage error, 2 expression parse error, 3 verification failure,
@@ -59,18 +62,6 @@ def _fractions(text: str, want: int, what: str) -> tuple[Fraction, ...]:
     return tuple(_rational(p, what) for p in parts)
 
 
-def _parse_point(text: str, dimension: int) -> Point:
-    coords = _fractions(text, dimension, "--point")
-    try:
-        return Point(coords)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_boundary_point(text: str, dimension: int) -> tuple[Fraction, ...]:
-    return _fractions(text, dimension - 1, "--point")
-
-
 def _parse_topology(text: str, dimension: int) -> TopologySpec:
     from .topology import TopologySpec
 
@@ -103,18 +94,11 @@ def _parse_family(text: str, dimension: int) -> SequenceFamily:
     return TangentCircle(anchor, param)
 
 
-def _emit(payload: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
-    else:
-        print(human)
-
-
 def _verdict_lines(block: dict) -> str:
     return "\n".join(f"  {name}: {value}" for name, value in block.items())
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple:
     from .theorems import classify
 
     report = classify(args.set, args.dimension)
@@ -127,28 +111,26 @@ def _cmd_classify(args) -> int:
         + _verdict_lines(payload["boundary_subspace"])
         + "\n(use `explain` for rule citations)"
     )
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return payload, human
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> tuple:
     expr = parse(args.set, args.dimension)
-    point = _parse_boundary_point(args.point, args.dimension)
+    point = _fractions(args.point, args.dimension - 1, "--point")
     word = _MEMBERSHIP_WORDS[member(expr, point)]
     payload = {
         "set": to_text(expr),
         "point": [str(c) for c in point],
         "membership": word,
     }
-    _emit(payload, args.json, word)
-    return EXIT_OK
+    return payload, word
 
 
-def _cmd_nbhd(args) -> int:
+def _cmd_nbhd(args) -> tuple:
     from .topology import local_base_element
 
     topo = _parse_topology(args.topology, args.dimension)
-    point = _parse_point(args.point, args.dimension)
+    point = Point(_fractions(args.point, args.dimension, "--point"))
     eps = _rational(args.eps, "--eps")
     element = local_base_element(topo, point, eps)
     payload = {
@@ -161,11 +143,10 @@ def _cmd_nbhd(args) -> int:
         f"{element.kind} at ({','.join(element.center.to_json())}) "
         f"radius {element.radius}"
     )
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return payload, human
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args) -> tuple:
     from .topology import decide_convergence
 
     topo = _parse_topology(args.topology, args.dimension)
@@ -195,11 +176,10 @@ def _cmd_converge(args) -> int:
             else:
                 lines.append(f"  {record['kind']}: {len(record['entries'])} isolating balls")
         human = "\n".join(lines)
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return payload, human
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple:
     from .descriptive import compare
 
     eA = parse(args.set_a, args.dimension)
@@ -211,11 +191,10 @@ def _cmd_compare(args) -> int:
         "subset_a_in_b": fwd.value,
         "relation": order.value,
     }
-    _emit(payload, args.json, f"tau(A) vs tau(B): {order.value}")
-    return EXIT_OK
+    return payload, f"tau(A) vs tau(B): {order.value}"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     from .harness import SuiteConfig, run_suite
 
     cfg = SuiteConfig(
@@ -234,11 +213,10 @@ def _cmd_check(args) -> int:
     if result.failures:
         first = result.failures[0]
         human += f"\n  first counterexample (sample {first.index}): {first.check} {first.data}"
-    _emit(payload, args.json, human)
-    return EXIT_OK if result.ok else EXIT_VERIFICATION
+    return payload, human, EXIT_OK if result.ok else EXIT_VERIFICATION
 
 
-def _cmd_explain(args) -> int:
+def _cmd_explain(args) -> tuple:
     from .theorems import classify, explain, verdict_json
 
     report = classify(args.set, args.dimension)
@@ -254,13 +232,45 @@ def _cmd_explain(args) -> int:
         lines.append(f"  [{s.rule}] \"{s.citation}\" -> {s.verdict}")
         for key, value in s.inputs.items():
             lines.append(f"        {key} = {value}")
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dimension", type=int, default=2, help="session dimension n >= 2 (default 2)")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+_REQUIRED = {"required": True}
+
+# name -> (help, handler, the command's own flags in help order)
+_COMMANDS = {
+    "classify": ("property report for (X_n, tau(A))", _cmd_classify, {
+        "--set": {**_REQUIRED, "help": "boundary-set expression A"},
+    }),
+    "member": ("membership of a boundary point in A", _cmd_member, {
+        "--set": _REQUIRED,
+        "--point": {**_REQUIRED, "help": "n-1 comma-separated rationals (p or p/q)"},
+    }),
+    "nbhd": ("basic neighborhood of a point", _cmd_nbhd, {
+        "--topology": {**_REQUIRED, "help": "euclidean, niemytzki, or a set expression"},
+        "--point": {**_REQUIRED, "help": "n comma-separated rationals (p or p/q)"},
+        "--eps": {**_REQUIRED, "help": "a positive rational (p or p/q)"},
+    }),
+    "converge": ("convergence of a closed-form family", _cmd_converge, {
+        "--family": {**_REQUIRED, "help": "vertical((coords);rat) or tangent-circle((coords);rat)"},
+        "--topology": _REQUIRED,
+    }),
+    "compare": ("order of tau(A) versus tau(B)", _cmd_compare, {
+        "--set-a": _REQUIRED,
+        "--set-b": _REQUIRED,
+        "--budget": {"type": int, "default": DEFAULT_BUDGET},
+        "--seed": {"type": int, "default": 0},
+    }),
+    "check": ("run a verification suite", _cmd_check, {
+        "--suite": {**_REQUIRED, "help": "one of S1, S2, S3, S4, S5, S6, S7"},
+        "--samples": {"type": int, "default": 10_000},
+        "--seed": {"type": int, "default": 42},
+    }),
+    "explain": ("trace one property's verdict", _cmd_explain, {
+        "--set": _REQUIRED,
+        "--property": _REQUIRED,
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,52 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact classification of tangent-ball topologies on the closed half-space.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("classify", help="property report for (X_n, tau(A))")
-    _add_common(p)
-    p.add_argument("--set", required=True, help="boundary-set expression A")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = commands.add_parser("member", help="membership of a boundary point in A")
-    _add_common(p)
-    p.add_argument("--set", required=True)
-    p.add_argument("--point", required=True, help="n-1 comma-separated rationals (p or p/q)")
-    p.set_defaults(handler=_cmd_member)
-
-    p = commands.add_parser("nbhd", help="basic neighborhood of a point")
-    _add_common(p)
-    p.add_argument("--topology", required=True, help="euclidean, niemytzki, or a set expression")
-    p.add_argument("--point", required=True, help="n comma-separated rationals (p or p/q)")
-    p.add_argument("--eps", required=True, help="a positive rational (p or p/q)")
-    p.set_defaults(handler=_cmd_nbhd)
-
-    p = commands.add_parser("converge", help="convergence of a closed-form family")
-    _add_common(p)
-    p.add_argument("--family", required=True, help="vertical((coords);rat) or tangent-circle((coords);rat)")
-    p.add_argument("--topology", required=True)
-    p.set_defaults(handler=_cmd_converge)
-
-    p = commands.add_parser("compare", help="order of tau(A) versus tau(B)")
-    _add_common(p)
-    p.add_argument("--set-a", required=True)
-    p.add_argument("--set-b", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = commands.add_parser("check", help="run a verification suite")
-    _add_common(p)
-    p.add_argument("--suite", required=True, help="one of S1, S2, S3, S4, S5, S6, S7")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(handler=_cmd_check)
-
-    p = commands.add_parser("explain", help="trace one property's verdict")
-    _add_common(p)
-    p.add_argument("--set", required=True)
-    p.add_argument("--property", required=True)
-    p.set_defaults(handler=_cmd_explain)
-
+    for name, (text, handler, flags) in _COMMANDS.items():
+        p = commands.add_parser(name, help=text)
+        p.add_argument("--dimension", type=int, default=2, help="session dimension n >= 2 (default 2)")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -369,7 +340,7 @@ def _main(argv) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.handler(args)
+        payload, human, *code = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -379,6 +350,8 @@ def _main(argv) -> int:
     except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(json.dumps(payload, indent=2, ensure_ascii=False) if args.json else human)
+    return code[0] if code else EXIT_OK
 
 
 if __name__ == "__main__":

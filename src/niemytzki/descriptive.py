@@ -511,7 +511,10 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
 
 def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """Three-valued subset test: structural rules prove True, a witness in
-    e1 \\ e2 proves False, otherwise Unknown."""
+    e1 \\ e2 proves False, otherwise Unknown.  A budget below 1 is refused
+    whatever the sets, as ``find_witness`` refuses it."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     e1, e2 = normalize(e1), normalize(e2)
     if _structural_subset(e1, e2):
         return T

@@ -94,7 +94,16 @@ class TestExitCodes:
         (["explain", "--set", "cantor", "--property", "nope"], 1, "error: unknown property 'nope'; known: "),
         (["nbhd", "--topology", "bernstein", "--point", "0,0", "--eps", "1"], 4,
          "undecidable: membership of ['0', '0'] in bernstein is unknown\n"),
-    ], ids=["unknown-suite", "unknown-property", "undecidable"])
+        (["nbhd", "--topology", "niemytzki", "--point=0,-1", "--eps", "1"], 1,
+         "error: point lies below the boundary hyperplane\n"),
+        (["member", "--set", "cantor", "--point", "1,2"], 1,
+         "error: --point needs 1 coordinate(s), got 2\n"),
+        (["compare", "--set-a", "all", "--set-b", "all", "--budget", "0"], 1,
+         "error: budget must be positive\n"),
+        (["compare", "--set-a", "empty", "--set-b", "all", "--budget", "0"], 1,
+         "error: budget must be positive\n"),
+    ], ids=["unknown-suite", "unknown-property", "undecidable", "point-below-boundary",
+            "point-arity", "budget-all-all", "budget-empty-all"])
     def test_each_caught_error_has_its_exit_code_and_line(self, argv, code, err, capsys):
         assert cli.main(argv) == code
         out, printed = capsys.readouterr()

@@ -21,6 +21,7 @@ from niemytzki.descriptive import (
     _structural_subset,
     _flip,
     _pair_flags,
+    compare,
     compare_topologies,
     contains_closed_uncountable,
     infer,
@@ -476,6 +477,16 @@ def test_a_union_against_a_union_compiles_no_point_test():
     points = [m for m in half.members if isinstance(m, SinglePoint)]
     assert len(points) == 12
     assert not any(hasattr(m, "_member_test") for m in points)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("a, b", [("all", "all"), ("empty", "all"), ("cantor", "cball(0;2)")])
+def test_a_budget_below_one_is_refused_whatever_the_sets(a, b, budget):
+    eA, eB = parse(a, 2), parse(b, 2)
+    assert subset(eA, eB) is TRUE  # a pair the structural rules decide
+    for call in (subset, compare, compare_topologies):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            call(eA, eB, budget=budget)
 
 
 def test_points_of_another_arity_still_raise():

@@ -1,0 +1,113 @@
+"""Laws of set algebra as a soundness net: two expressions that the laws
+make equal denote one set, so no `infer` flag and no `classify` verdict may
+be True for one and False for the other.  Unknown on one side is allowed;
+the laws are independent of the rules under test.
+
+Trees are `random_expr` trees of depth 3 at n = 2 and n = 3, drawn through
+their seed."""
+
+import random
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from niemytzki.descriptive import PUBLIC_FLAGS
+from niemytzki.setdsl import All, Empty, FiniteSet, Inter, SinglePoint, Union, complement, join, random_expr
+from niemytzki.theorems import classify
+from niemytzki.trivalent import UNKNOWN
+
+
+def _union(*members):
+    return join(Union, members)
+
+
+def _inter(*members):
+    return join(Inter, members)
+
+
+LAWS = {
+    "de_morgan": lambda a, b, c: [
+        (complement(_union(a, b)), _inter(complement(a), complement(b))),
+        (complement(_inter(a, b)), _union(complement(a), complement(b))),
+    ],
+    "distributivity": lambda a, b, c: [
+        (_inter(a, _union(b, c)), _union(_inter(a, b), _inter(a, c))),
+        (_union(a, _inter(b, c)), _inter(_union(a, b), _union(a, c))),
+    ],
+    "absorption": lambda a, b, c: [
+        (_union(a, _inter(a, b)), a),
+        (_inter(a, _union(a, b)), a),
+    ],
+    "commutation": lambda a, b, c: [
+        (_union(a, b), _union(b, a)),
+        (_inter(a, b), _inter(b, a)),
+    ],
+}
+
+
+_coordinate = st.builds(Fr, st.integers(-8, 8), st.integers(1, 8))  # as random_expr draws one
+
+
+@st.composite
+def _trees(draw, count):
+    """A dimension and `count` seeded trees of that dimension."""
+    n = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return n, [random_expr(rng, n, max_depth=3) for _ in range(count)]
+
+
+@st.composite
+def _point_pairs(draw):
+    """A dimension and the pairs point(p) = finite{p} and finite{p;q} =
+    point(p) | point(q), each joined with a tree both ways, and the
+    complements of those joins."""
+    n, (tree,) = draw(_trees(1))
+    point = st.tuples(*[_coordinate] * (n - 1))
+    p, q = draw(point), draw(point)
+    pairs = []
+    for left, right in ((SinglePoint(p), FiniteSet((p,))),
+                        (FiniteSet((p, q)), _union(SinglePoint(p), SinglePoint(q)))):
+        joins = [(op(left, tree), op(right, tree)) for op in (_union, _inter)]
+        pairs += joins + [(complement(x), complement(y)) for x, y in joins]
+    return n, pairs
+
+
+def _verdicts(e, n):
+    """Every `infer` flag and every `classify` verdict of e, by name."""
+    report = classify(e, n)
+    flags = report.set_classes  # infer(e), as classify read it
+    return {**{f"flag.{name}": getattr(flags, name) for name in PUBLIC_FLAGS},
+            **{name: report.verdict(name) for name in report.property_names()}}
+
+
+def contradictions(x, y, n):
+    """Names on which x and y, equal sets, get opposite settled answers: True
+    against False, or two different settled dimensions."""
+    vx, vy = _verdicts(x, n), _verdicts(y, n)
+    unsettled = (UNKNOWN, None)
+    return [name for name in vx
+            if vx[name] not in unsettled and vy[name] not in unsettled and vx[name] != vy[name]]
+
+
+@pytest.mark.parametrize("law", LAWS)
+@settings(max_examples=120)
+@given(_trees(3))
+def test_a_law_of_set_algebra_never_contradicts(law, case):
+    n, (a, b, c) = case
+    for x, y in LAWS[law](a, b, c):
+        assert not contradictions(x, y, n), (x, y)
+
+
+@settings(max_examples=200)
+@given(_point_pairs())
+def test_points_and_finite_sets_of_the_same_points_never_contradict(case):
+    n, pairs = case
+    for x, y in pairs:
+        assert not contradictions(x, y, n), (x, y)
+
+
+def test_the_check_sees_a_contradiction():
+    assert "flag.equals_empty" in contradictions(All(), Empty(), 2)
+    assert not contradictions(All(), All(), 2)
