@@ -444,11 +444,23 @@ def _flags(e: SetExpr) -> tuple[int, int]:
     return _PRIMITIVE_PAIRS.get(type(e)) or _pair_flags(e)
 
 
-def infer(e: SetExpr) -> DescClass:
-    """Descriptive-class record of a boundary-set expression."""
-    t, f = _flags(normalize(e))
+def flag_record(e: SetExpr) -> tuple[int, int]:
+    """The flag record of a boundary-set expression: its flags in the low
+    half, its complement's in the high half (see the module docstring)."""
+    return _flags(normalize(e))
+
+
+def desc_class(record: tuple[int, int], half: int = 0) -> DescClass:
+    """The public flags on one half of a flag record: 0 for the set, 1 for
+    its complement."""
+    t, f = (x >> half * _HALF for x in record)
     return DescClass(*(T if t >> i & 1 else F if f >> i & 1 else U
                        for i in range(len(PUBLIC_FLAGS))))
+
+
+def infer(e: SetExpr) -> DescClass:
+    """Descriptive-class record of a boundary-set expression."""
+    return desc_class(flag_record(e))
 
 
 def contains_closed_uncountable(e: SetExpr) -> Verdict:

@@ -28,22 +28,38 @@ Rule table:
 
 The report is built from one table, ``_RULES``, with one row per rule step
 in trace order: the rule id, its citation, its targets, and two functions
-of the facts of the call (the normal tree A and its complement, their flag
-records and texts, dim A and the verdicts settled so far): the step's
-inputs and its verdict.  ``classify`` evaluates the rows in order.  A
-verdict that is a ``Verdict`` settles the row's targets and traces the
-row, so a verdict and its trace cannot disagree; a string only traces it,
-as evidence (an axiom, the R4 pivot, a dimension, a consistent corollary);
-None leaves the row out of the report (an axiom or a corollary C1-C4 about
-another set).  A corollary row raises SoundnessError when a settled verdict
-contradicts it.
+of the facts of a key (the flag records of A and of its complement, which
+named set A is, n, dim A and the verdicts settled so far): the step's
+inputs and its verdict.  A verdict that is a ``Verdict`` settles the row's
+targets and traces the row, so a verdict and its trace cannot disagree; a
+string only traces it, as evidence (an axiom, the R4 pivot, a dimension, a
+consistent corollary); None leaves the row out of the report (an axiom or
+a corollary C1-C4 about another set).  A corollary row raises
+SoundnessError when a settled verdict contradicts it.
+
+Every verdict and every step depends on A only through its key: A's flag
+record (``descriptive.flag_record``, whose high half holds the
+complement's flags), n, dim A, and whether A is one of the named sets the
+axiom and corollary rows test by identity (``_NAMED``).  So the rows are
+evaluated once per key, into a template cached by ``_template``: the
+settled verdicts, dim X_n, the set's flags and the trace.  ``classify``
+normalises A, looks its key up and writes in the two texts that belong to
+A itself: its own, as ``space``, and its complement's, in the steps that
+show it (R4-input, and AX-bernstein on a Bernstein set), which it rebuilds.
+Every other step is shared by every report of every key that gives it, one
+object per distinct (rule, targets, inputs, verdict), and builds its JSON
+form once, beside it; a step and its JSON form are read-only.
+``PropertyReport.to_json`` puts fresh containers around those shared forms,
+so a caller may add keys to its payload or change its verdicts and its trace
+list, but no step's JSON form.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from typing import Optional, Union as TUnion
 
-from .descriptive import DescClass, SoundnessError, infer
+from .descriptive import DescClass, SoundnessError, desc_class, flag_record
 from .geometry import _record
 from .setdsl import (
     All,
@@ -61,7 +77,6 @@ from .setdsl import (
     SetExpr,
     SinglePoint,
     Union,
-    complement,
     complement_text,
     normalize_for,
     to_text,
@@ -80,13 +95,19 @@ BOUNDARY_ORDER = ("hereditarily_collectionwise_normal", "perfect", "lindelof", "
 
 @_record
 class TraceStep:
+    """One step of a report's trace.  Reports share their steps (see the
+    module docstring), so a step and its JSON form are read-only."""
+
     rule: str
     citation: str
     targets: tuple[str, ...]
     inputs: dict[str, str]
     verdict: str
 
-    def to_json(self) -> dict:
+    @cached_property
+    def _json(self) -> dict:
+        # built on first use and kept beside the fields, out of ==, hash
+        # and the pickled state
         return {
             "rule": self.rule,
             "citation": self.citation,
@@ -94,6 +115,9 @@ class TraceStep:
             "inputs": dict(self.inputs),
             "verdict": self.verdict,
         }
+
+    def to_json(self) -> dict:
+        return self._json
 
 
 @_record
@@ -165,23 +189,26 @@ _BOUNDARY_DIM = NodeTable({
 _QUADRUPLE = ("lindelof", "normal", "paracompact", "countably_paracompact")
 
 
+# The sets that rows test by identity: the Bernstein axiom rows and the
+# corollaries C1-C4.  A key names A only when A is one of them.
+_NAMED = frozenset((Bernstein(), Complement(Bernstein()), Cantor(), Rationals(),
+                    Complement(Rationals())))
+
+
 class _Facts:
-    """What the rows of ``_RULES`` read in one call: the normal tree A and its
-    complement, their flag records and texts, dim A, and the verdicts
-    settled so far, each under its public name."""
+    """What the rows of ``_RULES`` read for one key: the flag records of A
+    and of its complement, the named set A is (or None), n, dim A, and the
+    verdicts settled so far, each under its public name."""
 
-    __slots__ = ("e", "desc", "comp", "comp_desc", "text", "comp_text",
-                 "dimension", "boundary_dim", "settled")
+    __slots__ = ("desc", "comp_desc", "named", "dimension", "boundary_dim", "settled")
 
-    def __init__(self, expr: TUnion[SetExpr, str], dimension: int):
-        e = self.e = normalize_for(expr, dimension)
-        self.desc = infer(e)
-        self.comp = complement(e)
-        self.comp_desc = infer(self.comp)
-        self.text = to_text(e)
-        self.comp_text = complement_text(e, self.text)
+    def __init__(self, record: tuple[int, int], dimension: int,
+                 boundary_dim: Optional[int], named: Optional[SetExpr]):
+        self.desc = desc_class(record)
+        self.comp_desc = desc_class(record, 1)
+        self.named = named
         self.dimension = dimension
-        self.boundary_dim: Optional[int] = _BOUNDARY_DIM[type(e)](dimension)
+        self.boundary_dim = boundary_dim
         self.settled: dict[str, Verdict] = {}
 
     @property
@@ -210,16 +237,20 @@ def _dim_text(dim: Optional[int]) -> str:
     return "unknown" if dim is None else str(dim)
 
 
-def _pivot_inputs(f: _Facts) -> dict[str, str]:
+# A row shows the complement's text under the input "complement", the one
+# input that the key does not fix: a template holds None there, and classify
+# writes in the text of its own A's complement.
+
+def _pivot_inputs(f: _Facts) -> dict[str, Optional[str]]:
     return {
-        "complement": f.comp_text,
+        "complement": None,
         "contains_closed_uncountable(complement)": f.comp_desc.contains_closed_uncountable.value,
     }
 
 
 def _bernstein_compacta(f: _Facts) -> Optional[str]:
-    comp = f.comp.body if isinstance(f.comp, Complement) else f.comp
-    if isinstance(comp, Bernstein):
+    # the complement is a Bernstein set, or the complement of one
+    if f.named in (Bernstein(), Complement(Bernstein())):
         return f.comp_desc.contains_closed_uncountable.value
     return None
 
@@ -228,7 +259,7 @@ def _corollary(rule: str, citation: str, prim: SetExpr, **expected: Verdict) -> 
     """The row of a corollary about the one set prim: there it checks each
     settled verdict it names, and elsewhere it is left out."""
     def check(f: _Facts) -> Optional[str]:
-        if f.e != prim:
+        if f.named != prim:
             return None
         for name, want in expected.items():
             if f.settled[name] is not want:
@@ -238,7 +269,7 @@ def _corollary(rule: str, citation: str, prim: SetExpr, **expected: Verdict) -> 
 
 
 # One row per rule step, in trace order: (rule, citation, targets, inputs,
-# verdict), the last two functions of the call's _Facts (the module docstring
+# verdict), the last two functions of a key's _Facts (the module docstring
 # says what a verdict does).  Each citation quotes its statement verbatim, so
 # a trace is auditable.
 _SEPARABLE = "the space (X_n, τ(A)) is first-countable and separable"
@@ -259,14 +290,14 @@ _RULES: tuple[tuple, ...] = (
      lambda f: {"equals_all(A)": f.desc.equals_all.value},
      lambda f: f.desc.equals_all),
     ("AX-bernstein", "neither a G_δ-set nor an F_σ-set", ("perfect",), _no_inputs,
-     lambda f: FALSE.value if isinstance(f.e, Bernstein) and f.desc.g_delta is FALSE else None),
+     lambda f: FALSE.value if isinstance(f.named, Bernstein) and f.desc.g_delta is FALSE else None),
     ("R3", "The space (L_n, τ(A)|L_n) is perfect iff A is a G_δ-set in (L_n, (τ_E)|L_n).",
      ("perfect", "boundary.perfect"),
      lambda f: {"g_delta(A)": f.desc.g_delta.value},
      lambda f: f.desc.g_delta),
     # R4: the Lindelöf quadruple via the complement pivot
     ("AX-bernstein", "do not contain uncountable compacta", _QUADRUPLE,
-     lambda f: {"complement": f.comp_text}, _bernstein_compacta),
+     lambda f: {"complement": None}, _bernstein_compacta),
     ("R4-input",
      "The space (L_n, τ(A)|L_n) is Lindelöf iff L_n \\ A does not contain "
      "a closed uncountable subset of (L_n, (τ_E)|L_n).",
@@ -312,9 +343,24 @@ _RULES: tuple[tuple, ...] = (
 )
 
 
-def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
-    """Full property report for (X_n, tau(A)) and its boundary subspace."""
-    facts = _Facts(expr, dimension)
+# Bounded, as descriptive's record cache is, though a session of fresh
+# expressions meets a few hundred keys and fewer distinct steps.
+@lru_cache(maxsize=2**12)
+def _step(rule: str, citation: str, targets: tuple[str, ...],
+          inputs: tuple[tuple[str, Optional[str]], ...], verdict: str) -> TraceStep:
+    """The one step of these fields (inputs as their items), shared by every
+    template that holds it."""
+    return TraceStep(rule, citation, targets, dict(inputs), verdict)
+
+
+@lru_cache(maxsize=2**12)
+def _template(record: tuple[int, int], dimension: int, boundary_dim: Optional[int],
+              named: Optional[SetExpr]) -> tuple:
+    """The rows of ``_RULES`` evaluated in order for one key, as what the
+    key settles of a report: its properties, dim X_n, its boundary verdicts,
+    its trace, the trace positions that show the complement's text, and the
+    set's flags."""
+    facts = _Facts(record, dimension, boundary_dim, named)
     settled = facts.settled
     trace: list[TraceStep] = []
     for rule, citation, targets, inputs, verdict in _RULES:
@@ -325,16 +371,39 @@ def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
             for name in targets:
                 settled[name] = found
             found = found.value
-        trace.append(TraceStep(rule, citation, targets, inputs(facts), found))
+        trace.append(_step(rule, citation, targets, tuple(inputs(facts).items()), found))
+    return ({name: settled[name] for name in PROPERTY_ORDER},
+            facts.dim,
+            {name: settled[f"boundary.{name}"] for name in BOUNDARY_ORDER},
+            tuple(trace),
+            tuple(i for i, step in enumerate(trace) if "complement" in step.inputs),
+            facts.desc)
+
+
+def classify(expr: TUnion[SetExpr, str], dimension: int = 2) -> PropertyReport:
+    """Full property report for (X_n, tau(A)) and its boundary subspace."""
+    e = normalize_for(expr, dimension)
+    boundary_dim = _BOUNDARY_DIM[type(e)](dimension)
+    properties, dim, boundary, trace, spliced, set_classes = _template(
+        flag_record(e), dimension, boundary_dim, e if e in _NAMED else None)
+    text = to_text(e)
+    if spliced:
+        comp_text = complement_text(e, text)
+        trace = list(trace)
+        for i in spliced:
+            step = trace[i]
+            trace[i] = TraceStep(step.rule, step.citation, step.targets,
+                                 {**step.inputs, "complement": comp_text}, step.verdict)
+        trace = tuple(trace)
     report = PropertyReport(
-        space=facts.text,
+        space=text,
         dimension=dimension,
-        properties={name: settled[name] for name in PROPERTY_ORDER},
-        dim=facts.dim,
-        boundary={name: settled[f"boundary.{name}"] for name in BOUNDARY_ORDER},
-        boundary_dim=facts.boundary_dim,
-        trace=tuple(trace),
-        set_classes=facts.desc,
+        properties=dict(properties),
+        dim=dim,
+        boundary=dict(boundary),
+        boundary_dim=boundary_dim,
+        trace=trace,
+        set_classes=set_classes,
     )
     _assert_coherent(report)
     return report

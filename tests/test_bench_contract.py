@@ -18,3 +18,16 @@ def test_stream_drain_reports_every_stream():
     assert set(out) == {f"harness.generate_samples.{suite}.samples_per_s"
                         for suite in inputs.SUITES} | {"harness.sampler.accept_ratio"}
     assert all(value > 0 for value, _ in out.values())
+
+
+def test_clear_caches_leaves_classify_cold():
+    from niemytzki import theorems
+    from perfbench.workloads import clear_caches
+
+    theorems.classify("cantor | point(1/2,0)", 3)
+    clear_caches()
+    for cache in (theorems._template, theorems._step):
+        assert cache.cache_info().currsize == 0
+    misses = theorems._template.cache_info().misses
+    theorems.classify("cantor | point(1/2,0)", 3)
+    assert theorems._template.cache_info().misses == misses + 1

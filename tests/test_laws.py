@@ -1,7 +1,8 @@
 """Laws of set algebra as a soundness net: two expressions that the laws
 make equal denote one set, so no `infer` flag and no `classify` verdict may
 be True for one and False for the other.  Unknown on one side is allowed;
-the laws are independent of the rules under test.
+the laws are independent of the rules under test.  The order of the
+topologies is a law too: `compare(A, B)` is `compare(B, A)` read backwards.
 
 Trees are `random_expr` trees of depth 3 at n = 2 and n = 3, drawn through
 their seed."""
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from niemytzki.descriptive import PUBLIC_FLAGS
+from niemytzki.descriptive import PUBLIC_FLAGS, TopologyOrder, compare
 from niemytzki.setdsl import All, Empty, FiniteSet, Inter, SinglePoint, Union, complement, join, random_expr
 from niemytzki.theorems import classify
 from niemytzki.trivalent import UNKNOWN
@@ -43,6 +44,20 @@ LAWS = {
     "commutation": lambda a, b, c: [
         (_union(a, b), _union(b, a)),
         (_inter(a, b), _inter(b, a)),
+    ],
+    "association": lambda a, b, c: [
+        (_union(_union(a, b), c), _union(a, _union(b, c))),
+        (_inter(_inter(a, b), c), _inter(a, _inter(b, c))),
+    ],
+    "complement_pairs": lambda a, b, c: [
+        (_union(a, complement(a)), All()),
+        (_inter(a, complement(a)), Empty()),
+    ],
+    "constants": lambda a, b, c: [
+        (_inter(a, Empty()), Empty()),
+        (_union(a, All()), All()),
+        (_union(a, Empty()), a),
+        (_inter(a, All()), a),
     ],
 }
 
@@ -106,6 +121,20 @@ def test_points_and_finite_sets_of_the_same_points_never_contradict(case):
     n, pairs = case
     for x, y in pairs:
         assert not contradictions(x, y, n), (x, y)
+
+
+# the order of tau(B) against tau(A), given that of tau(A) against tau(B)
+_MIRROR = {TopologyOrder.FINER: TopologyOrder.COARSER, TopologyOrder.COARSER: TopologyOrder.FINER,
+           **{order: order for order in (TopologyOrder.EQUAL, TopologyOrder.INCOMPARABLE,
+                                         TopologyOrder.UNKNOWN)}}
+
+
+@settings(max_examples=200)
+@given(_trees(2))
+def test_compare_mirrors_its_arguments(case):
+    _, (a, b) = case
+    fwd, rev, order = compare(a, b)
+    assert compare(b, a) == (rev, fwd, _MIRROR[order]), (a, b)
 
 
 def test_the_check_sees_a_contradiction():

@@ -108,6 +108,16 @@ def test_records_holding_dicts_are_unhashable():
     assert classify("cantor", 2) == classify("cantor", 2)
 
 
+def test_a_steps_json_form_is_not_part_of_its_value():
+    fresh, cached = (TraceStep("R2", "c", ("locally_compact",), {"equals_all(A)": "false"}, "false")
+                     for _ in range(2))
+    assert cached.to_json() is cached.to_json()  # built once, then shared
+    assert "_json" in vars(cached) and "_json" not in vars(fresh)
+    assert fresh == cached and repr(fresh) == repr(cached)
+    assert pickle.dumps(fresh) == pickle.dumps(cached)
+    assert pickle.loads(pickle.dumps(cached)).to_json() == fresh.to_json()
+
+
 def test_keyword_construction_and_defaults():
     assert SuiteConfig("S2") == SuiteConfig(suite="S2", samples=10_000, seed=42, dimension=2)
     cfg = SuiteConfig(seed=3, suite="S4", dimension=3)

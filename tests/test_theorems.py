@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from niemytzki import setdsl, theorems
+from niemytzki import descriptive, setdsl, theorems
 from niemytzki.descriptive import (
-    DescClass,
     SoundnessError,
     compare,
     compare_topologies,
@@ -346,18 +346,97 @@ def test_classify_is_the_rule_oracle_on_the_named_sets(text, n):
     assert _as_ref(classify(e, n)) == classify_ref(e, n)
 
 
-def test_a_rule_output_against_a_corollary_raises(monkeypatch):
-    real = theorems.infer
+# --- the per-key templates -------------------------------------------------------
+
+def _report_bytes(report) -> str:
+    return json.dumps(report.to_json(), ensure_ascii=False)
+
+
+def _explained(report) -> dict:
+    return {name: explain(report, name) for name in report.property_names()}
+
+
+def _complement_input(report) -> str:
+    (step,) = [s for s in report.trace if s.rule == "R4-input"]
+    return step.inputs["complement"]
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 4]))
+def test_a_cold_and_a_warm_template_give_the_same_report(seed, n):
+    e = normalize(random_expr(random.Random(seed), n))
+    theorems._template.cache_clear()
+    theorems._step.cache_clear()
+    cold = classify(e, n)
+    misses = theorems._template.cache_info().misses
+    warm = classify(e, n)
+    assert theorems._template.cache_info().misses == misses  # a hit
+    assert _report_bytes(cold) == _report_bytes(warm)
+    assert _explained(cold) == _explained(warm)
+    assert _as_ref(cold) == _as_ref(warm) == classify_ref(e, n)
+    # the two texts are A's own, printed from the trees
+    assert cold.space == to_text(e)
+    assert _complement_input(cold) == to_text(complement(e))
+
+
+@pytest.mark.parametrize("first, second", [("point(1)", "point(2)"),
+                                           ("cball(0;1)", "cball(3;1/2)")])
+def test_sets_of_one_key_keep_their_own_texts(first, second):
+    a, b = parse(first), parse(second)
+    assert descriptive.flag_record(a) == descriptive.flag_record(b)
+    one = classify(a, 2)
+    hits = theorems._template.cache_info().hits
+    two = classify(b, 2)
+    assert theorems._template.cache_info().hits == hits + 1  # the same template
+    for report, text in ((one, first), (two, second)):
+        assert report.space == report.to_json()["space"] == text
+        assert _complement_input(report) == f"!{text}"
+        assert explain(report, "lindelof")[0].inputs["complement"] == f"!{text}"
+
+
+def test_a_changed_payload_leaks_into_no_other():
+    reports = [classify("cantor", 2), classify("cantor", 2), classify("cball(0;1)", 2)]
+    before = [_report_bytes(r) for r in reports]
+    for report in reports:
+        payload = report.to_json()
+        payload["set_classes"] = report.set_classes.to_json()
+        payload["trace"].append({"rule": "X"})
+        payload["properties"]["perfect"] = "false"
+        payload["boundary_subspace"]["dim"] = 7
+        payload["space"] = "changed"
+    assert [_report_bytes(r) for r in reports] == before
+    assert [_report_bytes(r) for r in (classify("cantor", 2), classify("cball(0;1)", 2))] == \
+        [before[0], before[2]]
+    assert "set_classes" not in reports[0].to_json()
+
+
+def test_the_template_caches_are_bounded():
+    for cache in (theorems._template, theorems._step):
+        assert cache.cache_info().maxsize is not None
+
+
+@pytest.fixture
+def cold_templates():
+    """Empty the template cache before and after a test that patches what
+    it is built from, so the test builds its own and leaves none behind."""
+    theorems._template.cache_clear()
+    yield
+    theorems._template.cache_clear()
+
+
+def test_a_rule_output_against_a_corollary_raises(monkeypatch, cold_templates):
+    real = theorems.flag_record
+    # contains_closed_uncountable on the complement's half of a record
+    pivot = descriptive._BIT["contains_closed_uncountable"] << descriptive._HALF
 
     def lindelof_cantor(e):
         # the complement of the Cantor set without a closed uncountable subset
-        desc = real(e)
-        if e == complement(Cantor()):
-            fields = {name: getattr(desc, name) for name in DescClass._fields}
-            return DescClass(**{**fields, "contains_closed_uncountable": FALSE})
-        return desc
+        t, f = real(e)
+        if e == Cantor():
+            return t & ~pivot, f | pivot
+        return t, f
 
-    monkeypatch.setattr(theorems, "infer", lindelof_cantor)
+    monkeypatch.setattr(theorems, "flag_record", lindelof_cantor)
     with pytest.raises(SoundnessError,
                        match=r"^rule output for lindelof contradicts the corollary C2$"):
         classify("cantor")
