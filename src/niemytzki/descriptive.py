@@ -46,7 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import _record, _scaled, _sq_sign
+from .geometry import _record, _sq_sign
 from .setdsl import (
     All,
     Bernstein,
@@ -55,7 +55,6 @@ from .setdsl import (
     Complement,
     DEFAULT_BUDGET,
     Empty,
-    FiniteSet,
     IN,
     Inter,
     Lattice,
@@ -63,10 +62,13 @@ from .setdsl import (
     OpenBall,
     Rationals,
     SetExpr,
-    SinglePoint,
     Union,
     WITHIN,
     _COORDS,
+    _POINT_KINDS,
+    _first_in,
+    _point_forms,
+    _structural,
     arity,
     axis,
     complement,
@@ -74,10 +76,8 @@ from .setdsl import (
     join,
     leaves,
     member,
-    member_test,
     normalize,
     on_axis,
-    structural_candidates,
 )
 from .trivalent import FALSE, TRUE, UNKNOWN, Verdict
 
@@ -155,8 +155,7 @@ _PRIMITIVE_AXIOMS = {
     # closed nor open, and hold no closed uncountable subset.  The row holds
     # for both halves: the complement of a Bernstein set is one too.
     Bernstein: tuple(x | x << _HALF for x in _row(F, F, F, F, F, F, F, F, F, F, F)),
-    SinglePoint: _row(T, F, T, F, T, T, T, F, F, F, T),
-    FiniteSet: _row(T, F, T, F, T, T, T, F, F, F, T),
+    **dict.fromkeys(_POINT_KINDS, _row(T, F, T, F, T, T, T, F, F, F, T)),
     ClosedBall: _row(F, F, T, F, T, T, T, T, F, F, T),
     OpenBall: _row(F, F, F, T, T, T, F, T, F, F, T),
 }
@@ -271,30 +270,28 @@ def _ball_within(a: SetExpr, b: SetExpr) -> bool:
             and within(_sq_sign(a.scaled, b.scaled, b.radius - a.radius), 0))
 
 
+# The two union rows read b's arity nowhere: b is a candidate ball of the
+# tree's own arity, and every point or ball they compare with it goes
+# through geometry._sq_sign, which refuses another arity.
+
 def _union_inside(e: Union, b: ClosedBall) -> bool:
     # no point holds a ball, and a ball that holds b has its center within
     # R of b's along the first axis
     index = e.index
-    if index.shapes:
-        index.check(b.center)
-        if any(_ball_within(b, m) for m in index.balls_near(b.scaled)):
-            return True
-    return any(_INSIDE[type(m)](m, b) for m in index.others)
+    return (any(_ball_within(b, m) for m in index.balls_near(b.scaled))
+            or any(_INSIDE[type(m)](m, b) for m in index.others))
 
 
 def _union_disjoint(e: Union, b: ClosedBall) -> bool:
-    # a point or a ball that meets b meets the slab of b along the first axis
+    # a point or a ball that meets b meets the slab of b along the first axis;
+    # the balls first: b often lies in one of them, which settles the answer
+    # before the points near b are found by bisection
     index = e.index
-    if index.shapes:
-        index.check(b.center)
-        lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
-        # the balls first: b often lies in one of them, which settles the
-        # answer before the points near b are found by bisection
-        if not (all(_DISJOINT[type(m)](m, b) for m in index.balls_near(b.scaled, b.radius))
-                and all(_sq_sign(form, b.scaled, b.radius) > 0
-                        for form in index.points_between(lo, hi))):
-            return False
-    return all(_DISJOINT[type(m)](m, b) for m in index.others)
+    lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
+    return (all(_DISJOINT[type(m)](m, b) for m in index.balls_near(b.scaled, b.radius))
+            and all(_sq_sign(form, b.scaled, b.radius) > 0
+                    for form in index.points_between(lo, hi))
+            and all(_DISJOINT[type(m)](m, b) for m in index.others))
 
 
 # Sound tests that the closed ball b = B[c, r], a ClosedBall, lies in the set
@@ -302,7 +299,7 @@ def _union_disjoint(e: Union, b: ClosedBall) -> bool:
 _INSIDE = NodeTable({
     All: lambda e, b: True,
     # none of these contains a ball of positive radius
-    **dict.fromkeys((Empty, Rationals, Lattice, Cantor, Bernstein, SinglePoint, FiniteSet),
+    **dict.fromkeys((Empty, Rationals, Lattice, Cantor, Bernstein, *_POINT_KINDS),
                     lambda e, b: False),
     **dict.fromkeys((ClosedBall, OpenBall), lambda e, b: _ball_within(b, e)),
     Complement: lambda e, b: _DISJOINT[type(e.body)](e.body, b),
@@ -315,8 +312,8 @@ _DISJOINT = NodeTable({
     # rationals are dense; a Bernstein set meets every closed ball (a ball
     # is an uncountable compactum)
     **dict.fromkeys((All, Rationals, Bernstein), lambda e, b: False),
-    SinglePoint: lambda e, b: _sq_sign(e.scaled, b.scaled, b.radius) > 0,
-    FiniteSet: lambda e, b: all(_sq_sign(form, b.scaled, b.radius) > 0 for form in e.scaled),
+    **dict.fromkeys(_POINT_KINDS, lambda e, b: all(_sq_sign(form, b.scaled, b.radius) > 0
+                                                   for form in _point_forms(e))),
     # disjoint if along some axis the interval [c_i - r, c_i + r] holds no integer
     Lattice: lambda e, b: any(math.ceil(ci - b.radius) > math.floor(ci + b.radius)
                               for ci in b.center),
@@ -344,7 +341,7 @@ def _balls_in_ball(e: SetExpr) -> list[tuple[tuple[Fraction, ...], Fraction]]:
 # The (center, radius) candidates each kind of leaf offers the ball-witness
 # search: only a ball offers any.
 _BALL_CANDIDATES = NodeTable({
-    **dict.fromkeys((Empty, All, Rationals, Lattice, Cantor, Bernstein, SinglePoint, FiniteSet),
+    **dict.fromkeys((Empty, All, Rationals, Lattice, Cantor, Bernstein, *_POINT_KINDS),
                     lambda e: ()),
     **dict.fromkeys((ClosedBall, OpenBall), _balls_in_ball),
 })
@@ -405,8 +402,9 @@ def _combine_node(e: SetExpr) -> tuple[int, int]:
 
 
 def _point_witness(e: SetExpr, m: int) -> bool:
-    test = member_test(e, m)  # built once, for every candidate
-    return any(test(_scaled(cand)) is IN for cand in structural_candidates(e, m))
+    # the structural candidates alone, harvested only if the span lets the
+    # search read them
+    return _first_in(e, m, _structural(e, m)) is not None
 
 
 # flag, the value a witness settles it to, the search for that witness
@@ -473,14 +471,6 @@ def contains_closed_uncountable(e: SetExpr) -> Verdict:
 
 
 # --- subset and the topology poset ----------------------------------------------
-
-_POINT_KINDS = (SinglePoint, FiniteSet)
-
-
-def _point_forms(e: SetExpr) -> tuple:
-    """The cached scaled forms of a point's or a finite set's points."""
-    return e.scaled if type(e) is FiniteSet else (e.scaled,)
-
 
 def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     """Sound (never falsely True) structural subset test."""

@@ -51,12 +51,13 @@ generates, with one ``exec``, an ``__init__`` that takes the fields
 positionally or by keyword (a class attribute beside the annotation is the
 default) and then calls ``__post_init__``, an ``__eq__`` that compares the
 field tuples of two records of the same class and a ``__hash__`` of the
-field tuple; classes of one shape share one compiled source.  ``__repr__``
-reads ``Name(field=value!r, ...)``.  Assigning or deleting an attribute
-raises AttributeError; ``__post_init__`` and cached properties write past
-that guard.  A record pickles its fields alone.  The helper stands in for
-``dataclasses``, which a cold command would otherwise import (with
-``inspect``) and run for every class.
+field tuple, cached beside the fields as ``_hash`` on first use so that a
+lookup does not hash a whole subtree again; classes of one shape share one
+compiled source.  ``__repr__`` reads ``Name(field=value!r, ...)``.
+Assigning or deleting an attribute raises AttributeError; ``__post_init__``
+and cached properties write past that guard.  A record pickles its fields
+alone.  The helper stands in for ``dataclasses``, which a cold command would
+otherwise import (with ``inspect``) and run for every class.
 """
 
 from __future__ import annotations
@@ -121,7 +122,12 @@ def _record(cls: type) -> type:
         f"        return {mine} == {mine.replace('self.', 'other.')}",
         "    return NotImplemented",
         "def __hash__(self):",
-        f"    return hash({mine})",
+        "    try:",
+        "        return self._hash",
+        "    except AttributeError:",
+        f"        h = hash({mine})",
+        "        _setattr(self, '_hash', h)",
+        "        return h",
     ])), env)
     for name in ("__init__", "__eq__", "__hash__"):
         fn = env[name]
@@ -173,6 +179,13 @@ def _scaled(coords: Sequence[Fraction]) -> _Scaled:
         return (c.numerator,), c.denominator
     d = lcm(*[c.denominator for c in coords])
     return tuple([c.numerator * (d // c.denominator) for c in coords]), d
+
+
+def _form(pairs: Sequence[tuple[int, int]]) -> _Scaled:
+    """The scaled form of the coordinates k / den of integer pairs (k, den),
+    den > 0, over the lcm of their denominators; no pair need be reduced."""
+    d = lcm(*[den for _, den in pairs])
+    return tuple([k * (d // den) for k, den in pairs]), d
 
 
 def _unscaled(form: _Scaled) -> tuple[Fraction, ...]:

@@ -45,6 +45,7 @@ from .geometry import (
     _level_int,
     _record,
     _Scaled,
+    _form,
     _in_tangent_int,
     _sphere_form,
     _sq_int,
@@ -177,12 +178,6 @@ def _rand_rat_open(rng: random.Random, lo: _Rat, hi: _Rat) -> _Rat:
         if ln * den < k * ld and k * hd < hn * den:  # lo < k/den < hi
             return v
     raise SamplingError(f"no rational found in ({Fraction(*lo)}, {Fraction(*hi)})")
-
-
-def _form(rats: list[_Rat]) -> _Scaled:
-    """The scaled form of drawn pairs, over the lcm of their denominators."""
-    d = lcm(*[den for _, den in rats])
-    return tuple([k * (d // den) for k, den in rats]), d
 
 
 def _shift(base: _Scaled, offsets: _Scaled) -> _Scaled:

@@ -56,10 +56,13 @@ groups ``_COORDS`` and the witness candidates ``_POINT_CANDIDATES`` here,
 record in ``_PRIMITIVE_PAIRS``, whose two halves hold the flags of the
 primitive and of its complement.  That table is never searched, so the
 closed row must decide, on both halves, every flag a witness search settles.
-A primitive that carries coordinates also needs a cached ``scaled`` form of
-them and a place in :class:`UnionIndex`: a union reads its coordinate
-leaves only through that index, sorted by first coordinate, so a leaf the
-index does not know is tested as one of its ``others`` on every query.
+The two point leaves, ``point`` and ``finite``, differ only in their text,
+their ``==`` and the fields ``_COORDS`` reads: they share one row in every
+other table, and read their cached forms through ``_point_forms``.  A
+primitive that carries coordinates also needs a cached ``scaled`` form of
+them and a place in :class:`UnionIndex`: a union reads its coordinate leaves
+only through that index, sorted by first coordinate, so a leaf the index
+does not know is tested as one of its ``others`` on every query.
 
 Membership is one test per node, built once from its ``_MEMBER_TESTS`` row
 and its members' tests and cached beside the node's fields, as its hash is.
@@ -75,17 +78,18 @@ ever answer OUT.  Points, finite sets and balls give their x_1 hull and
 ``rationals`` and ``lattice`` anywhere; an intersection meets its members'
 spans, a union takes their hull, reading its index, and ``!b`` is nowhere
 exactly when b never answers OUT.  :func:`member` is the arity check and
-one call; :func:`find_witness` builds the test once per search and runs it
-on one stream of integer forms, cut at the budget: the tree's structural
-candidates, formed per search, then the probe points, formed once per
-arity m, then the seeded random candidates, drawn once per (seed, m),
-lazily, into one stream that keeps the forms of the first
-``DEFAULT_BUDGET`` of them and is read by every later search.  A search
-returns None at once when the span is nowhere, before any candidate is
-formed or drawn, and does not test a candidate whose x_1 lies outside the
-span, though it counts against the budget, so every answer is the one a
-search testing every candidate gives.  A ``Fraction`` is made only for the
-witness that is returned, so a witness is always a tuple of them.
+one call.  Every search for a point, here and in
+:mod:`niemytzki.descriptive`, is one loop, ``_first_in``: it builds the
+test once, returns None at once when the span is nowhere, before any
+candidate is formed or drawn, and does not test a candidate whose x_1 lies
+outside the span, so every answer is the one a search testing every
+candidate gives.  :func:`find_witness` runs it on one stream of integer
+forms, cut at the budget: the tree's structural candidates, formed per
+search, then the probe points, formed once per arity m, then the seeded
+random candidates, drawn once per (seed, m), lazily, into one stream that
+keeps the forms of the first ``DEFAULT_BUDGET`` of them and is read by
+every later search.  A ``Fraction`` is made only for the witness that is
+returned, so a witness is always a tuple of them.
 """
 
 from __future__ import annotations
@@ -98,12 +102,12 @@ import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
     DimensionMismatch,
-    _check_dims,
+    _form,
     _record,
     _Scaled,
     _scaled,
@@ -124,57 +128,38 @@ UNKNOWN = Verdict.UNKNOWN
 class SetExpr:
     """Base class of boundary-set expressions."""
 
-    # What a node caches beside its fields: its hash, its membership test
-    # (see _compiled) and the mark that it is normal (see normalize).  A
-    # scaled form or a union's index sits in __dict__.
+    # What a node caches beside its fields: its hash (see geometry._record),
+    # its membership test (see _compiled) and the mark that it is normal
+    # (see normalize).  A scaled form or a union's index sits in __dict__.
     __slots__ = ("_hash", "_member_test", "_is_normal")
 
-    def __hash__(self) -> int:
-        # the hash of the field tuple, as every record's, cached beside the
-        # fields so that a lookup does not hash the whole subtree again
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple([getattr(self, f) for f in self._fields]))
-            object.__setattr__(self, "_hash", h)
-            return h
 
-
-def _node(cls: type) -> type:
-    """A record node (``geometry._record``) whose hash is cached
-    (``SetExpr.__hash__``): the record's own would hash the subtree per call.
-    As every record does, a node pickles its fields alone."""
-    cls = _record(cls)
-    cls.__hash__ = SetExpr.__hash__
-    return cls
-
-
-@_node
+@_record
 class Empty(SetExpr):
     pass
 
 
-@_node
+@_record
 class All(SetExpr):
     pass
 
 
-@_node
+@_record
 class Rationals(SetExpr):
     pass
 
 
-@_node
+@_record
 class Lattice(SetExpr):
     """The integer lattice Z^(n-1)."""
 
 
-@_node
+@_record
 class Cantor(SetExpr):
     """The middle-thirds Cantor set embedded as C × {0}^(n-2)."""
 
 
-@_node
+@_record
 class Bernstein(SetExpr):
     """Symbolic Bernstein set: membership of individual points is unknowable."""
 
@@ -183,7 +168,7 @@ class Bernstein(SetExpr):
 # coordinates as ``scaled``, beside its fields as ``Point.scaled`` is, so a
 # point is brought to integers once however many balls it is tested against.
 
-@_node
+@_record
 class SinglePoint(SetExpr):
     coords: tuple[Fraction, ...]
 
@@ -192,7 +177,7 @@ class SinglePoint(SetExpr):
         return _scaled(self.coords)
 
 
-@_node
+@_record
 class FiniteSet(SetExpr):
     points: tuple[tuple[Fraction, ...], ...]
 
@@ -202,7 +187,7 @@ class FiniteSet(SetExpr):
         return tuple(map(_scaled, self.points))
 
 
-@_node
+@_record
 class ClosedBall(SetExpr):
     center: tuple[Fraction, ...]
     radius: Fraction
@@ -212,7 +197,7 @@ class ClosedBall(SetExpr):
         return _scaled(self.center)
 
 
-@_node
+@_record
 class OpenBall(SetExpr):
     center: tuple[Fraction, ...]
     radius: Fraction
@@ -222,12 +207,12 @@ class OpenBall(SetExpr):
         return _scaled(self.center)
 
 
-@_node
+@_record
 class Complement(SetExpr):
     body: SetExpr
 
 
-@_node
+@_record
 class Union(SetExpr):
     members: tuple[SetExpr, ...]
 
@@ -236,9 +221,19 @@ class Union(SetExpr):
         return UnionIndex(self.members)
 
 
-@_node
+@_record
 class Inter(SetExpr):
     members: tuple[SetExpr, ...]
+
+
+# The point leaves: their text, == and coordinate fields differ, and they
+# share every other row.
+_POINT_KINDS = (SinglePoint, FiniteSet)
+
+
+def _point_forms(e: SetExpr) -> tuple[_Scaled, ...]:
+    """The cached scaled forms of a point leaf's points, in order."""
+    return e.scaled if type(e) is FiniteSet else (e.scaled,)
 
 
 # the primitives written as a bare word, in the order of the grammar
@@ -716,10 +711,9 @@ class UnionIndex:
     c_1 within r + R of y.  On the grid of step 1/s, s = ceil(1/R), ``ball_floors`` and
     ``ball_tops`` hold the cells of c_1 - R and c_1 + R, so that
     :meth:`balls_near` finds those balls by bisection on integers, with at
-    most the balls within 1/s <= R more.
-    ``shapes`` holds one coordinate group of each arity among these leaves.
-    Every other member, a leaf without coordinates included, is in
-    ``others``, in order.
+    most the balls within 1/s <= R more.  ``arities`` holds the arity of
+    each of these points and centers.  Every other member, a leaf without
+    coordinates included, is in ``others``, in order.
     """
 
     def __init__(self, members: tuple[SetExpr, ...]):
@@ -729,14 +723,13 @@ class UnionIndex:
         others: list[SetExpr] = []
         for m in members:
             kind = type(m)
-            if not all(_COORDS[kind](m)):
+            groups = _COORDS[kind](m)
+            if not all(groups):
                 others.append(m)  # a group without coordinates has no first one
             elif kind in WITHIN:
                 balls.append(m)
-            elif kind is SinglePoint:
-                points.append((m.coords, m.scaled))
-            elif kind is FiniteSet:
-                points.extend(zip(m.points, m.scaled))
+            elif kind in _POINT_KINDS:
+                points.extend(zip(groups, _point_forms(m)))
             else:
                 others.append(m)
         points.sort(key=lambda pt: pt[0][0])
@@ -749,19 +742,13 @@ class UnionIndex:
         self.scale = s = ceil(1 / reach) if balls else 1
         self.ball_floors = [floor((b.center[0] - reach) * s) for b in balls]
         self.ball_tops = [floor((b.center[0] + reach) * s) for b in balls]
-        groups = [coords for coords, _ in points] + [b.center for b in balls]
-        self.shapes = tuple({len(g): g for g in groups}.values())
+        self.arities = {len(X) for X, _ in self.point_forms} | {len(b.center) for b in balls}
         self.others = tuple(others)
 
     @cached_property
     def members(self) -> frozenset[SetExpr]:
         """Every member, as a set."""
         return frozenset(self._members)
-
-    def check(self, coords: tuple[Fraction, ...]) -> None:
-        """Refuse coordinates whose arity is not every indexed leaf's."""
-        for group in self.shapes:
-            _check_dims(group, coords)
 
     def points_between(self, lo: Fraction, hi: Fraction) -> list[_Scaled]:
         """The scaled forms of the points with lo <= x_1 <= hi."""
@@ -872,22 +859,15 @@ def _cantor_test(q: _Scaled) -> Verdict:
     return IN if not any(X[1:]) and _in_cantor(X[0], d) else OUT
 
 
-def _point_test(e: SinglePoint):
-    # (a leaf without coordinates has no span: its tree fails the arity check)
-    form = e.scaled
-    X, d = form
-    span = (X[0], d, X[0], d) if X else NOWHERE
-    return (lambda q: IN if q == form else OUT), (len(e.coords),), span, True
-
-
-def _finite_test(e: FiniteSet):
-    forms = frozenset(e.scaled)
-    firsts = [p[0] for p in e.points if p]
+def _points_test(e: SetExpr):
+    # (a point without coordinates has no span: its tree fails the arity check)
+    groups, forms = _COORDS[type(e)](e), frozenset(_point_forms(e))
+    firsts = [g[0] for g in groups if g]
     span = NOWHERE
     if firsts:
         lo, hi = min(firsts), max(firsts)
         span = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return (lambda q: IN if q in forms else OUT), _distinct(map(len, e.points)), span, True
+    return (lambda q: IN if q in forms else OUT), _distinct(map(len, groups)), span, True
 
 
 def _ball_test(e: SetExpr):
@@ -939,8 +919,7 @@ def _union_test(e: Union):
         spans.append((X[0], d, Y[0], g))
     if balls:  # each within R of its center, between the outer two centers
         spans.append(_around(balls[0].scaled, balls[-1].scaled, index.reach))
-    shapes = map(len, index.shapes)
-    arities = itertools.chain(shapes, *(arities for _, arities, _, _ in parts))
+    arities = itertools.chain(index.arities, *(arities for _, arities, _, _ in parts))
     return test, _distinct(arities), _hull(spans), all(out for _, _, _, out in parts)
 
 
@@ -972,8 +951,7 @@ _MEMBER_TESTS = NodeTable({
     Lattice: _symbolic(lambda q: IN if q[1] == 1 else OUT, ANYWHERE, True),
     Cantor: _symbolic(_cantor_test, (0, 1, 1, 1), True),
     Bernstein: _symbolic(lambda q: UNKNOWN, NOWHERE, False),
-    SinglePoint: _point_test,
-    FiniteSet: _finite_test,
+    **dict.fromkeys(_POINT_KINDS, _points_test),
     ClosedBall: _ball_test,
     OpenBall: _ball_test,
     Complement: _complement_test,
@@ -1056,8 +1034,7 @@ _POINT_CANDIDATES = NodeTable({
                                                     on_axis(Fraction(1, 2), m))),
     Lattice: lambda e, m: (*(on_axis(Fraction(v), m) for v in (0, 1, -1)), (Fraction(1),) * m),
     Cantor: lambda e, m: [on_axis(c, m) for c in _CANTOR_SAMPLES],
-    SinglePoint: lambda e, m: (e.coords,),
-    FiniteSet: lambda e, m: e.points,
+    **dict.fromkeys(_POINT_KINDS, lambda e, m: _COORDS[type(e)](e)),
     OpenBall: _ball_points,
     # a closed ball also holds the point of its sphere along the first axis
     ClosedBall: lambda e, m: _ball_points(e, m) + [axis(e.center, 0, e.radius)],
@@ -1112,14 +1089,12 @@ class _Stream:
         self._lock = threading.Lock()
 
     def _draw(self, rng: random.Random) -> _Scaled:
-        nums, dens = [], []
+        pairs = []
         for _ in range(self.m):
             a, b = rng.randint(-300, 300), rng.randint(1, 100)
             g = gcd(a, b)
-            nums.append(a // g)
-            dens.append(b // g)
-        d = lcm(*dens)
-        return tuple([num * (d // den) for num, den in zip(nums, dens)]), d
+            pairs.append((a // g, b // g))
+        return _form(pairs)
 
     def __iter__(self) -> Iterator[_Scaled]:
         forms = self.forms
@@ -1148,11 +1123,16 @@ def _stream(seed, m: int) -> _Stream:
     return _Stream(seed, m)
 
 
+def _structural(e: SetExpr, m: int) -> Iterator[_Scaled]:
+    """The forms of e's structural candidates, harvested at the first read."""
+    yield from map(_scaled, structural_candidates(e, m))
+
+
 def _candidates(e: SetExpr, m: int, seed) -> Iterator[Iterable[_Scaled]]:
     """The sources of a search's candidate forms, in order: e's structural
     candidates, the probes, then the stream of (seed, m), looked up only
     once the others are spent."""
-    yield map(_scaled, structural_candidates(e, m))
+    yield _structural(e, m)
     yield _probes(m)
     yield _stream(seed, m)
 
@@ -1170,6 +1150,26 @@ def _within(span, test: _Test) -> Callable[[_Scaled], Optional[Verdict]]:
     return pruned
 
 
+def _first_in(e: SetExpr, m: int, forms: Iterable[_Scaled]) -> Optional[_Scaled]:
+    """The first of the forms that e's test, for points of m coordinates,
+    puts In, or None: the one search loop.  The test is built once, with
+    its support; a tree whose test is nowhere In returns at once, before
+    the forms are read, and a form outside a bounded span is not tested."""
+    test = member_test(e, m)
+    span = _compiled(e)[2]  # built beside the test
+    if span is NOWHERE:
+        return None
+    if span is not ANYWHERE:
+        test = _within(span, test)
+    try:
+        for form in forms:
+            if test(form) is IN:
+                return form
+    except RecursionError:
+        raise _too_deep() from None
+    return None
+
+
 def find_witness(
     e: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0, dimension: int | None = None
 ) -> Optional[tuple[Fraction, ...]]:
@@ -1178,39 +1178,23 @@ def find_witness(
     random rationals.  Absence of a witness proves nothing.  The tree is
     taken as given, as by :func:`member`.
 
-    The tree's membership test is built once per search, with its support.
-    A tree whose test never answers In (span ``NOWHERE``) returns None at
-    once, before any candidate is formed or drawn; otherwise a candidate
-    whose first coordinate lies outside the span is not tested.  It still
-    counts against the budget, so every answer is the one the search that
-    tests each candidate returns.  Every candidate is tried as its integer
-    form, in one stream cut at the budget; the probes and the random
-    candidates are read from caches shared by every search of the same
-    arity and seed (``_probes``, ``_stream``), and the random ones only once
-    the structural candidates and the probes are spent.  The witness is
-    returned as a tuple of ``Fraction``s, whatever numbers the tree holds.
-    The seed is a key of the random candidates' cache: it must be hashable,
-    and ``None`` seeds one stream from the operating system per process,
-    not one per search."""
+    The search is ``_first_in`` on one stream of integer forms cut at the
+    budget, so a candidate it skips outside the span still counts against
+    the budget.  The probes and the random candidates are read from caches
+    shared by every search of the same arity and seed (``_probes``,
+    ``_stream``), and the random ones only once the structural candidates
+    and the probes are spent.  The witness is returned as a tuple of
+    ``Fraction``s, whatever numbers the tree holds.  The seed is a key of
+    the random candidates' cache: it must be hashable, and ``None`` seeds
+    one stream from the operating system per process, not one per search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if dimension is not None:
         check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)
-    test = member_test(e, m)
-    span = _compiled(e)[2]  # built beside the test
-    if span is NOWHERE:
-        return None
-    if span is not ANYWHERE:
-        test = _within(span, test)
     forms = itertools.chain.from_iterable(_candidates(e, m, seed))
-    try:
-        for form in itertools.islice(forms, budget):
-            if test(form) is IN:
-                return _unscaled(form)
-    except RecursionError:
-        raise _too_deep() from None
-    return None
+    found = _first_in(e, m, itertools.islice(forms, budget))
+    return None if found is None else _unscaled(found)
 
 
 # --- random expressions (seeded corpora) --------------------------------------

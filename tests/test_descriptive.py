@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from niemytzki.descriptive import (
     _HALF,
     _INSIDE,
     _PRIMITIVE_PAIRS,
+    _RULES,
     _SEARCHES,
     SoundnessError,
     TopologyOrder,
@@ -24,9 +26,11 @@ from niemytzki.descriptive import (
     compare,
     compare_topologies,
     contains_closed_uncountable,
+    flag_record,
     infer,
     subset,
 )
+from niemytzki import descriptive, setdsl
 from niemytzki.geometry import DimensionMismatch
 from niemytzki.setdsl import (
     IN,
@@ -44,6 +48,8 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _COORDS,
+    _compiled,
+    find_witness,
     leaves,
     member,
     normalize,
@@ -301,11 +307,22 @@ def test_ball_predicates_equal_the_oracle(case):
     assert _DISJOINT[SinglePoint](SinglePoint(p), b) == (not ball_member_ref(p, c, r, True))
     assert _DISJOINT[FiniteSet](FiniteSet(points), b) == (
         not any(ball_member_ref(q, c, r, True) for q in points))
+    # point(p) and finite{p} are one point leaf: the same support and
+    # arities, the same answer against the ball and the same flag record
+    one, single = SinglePoint(p), FiniteSet((p,))
+    assert _compiled(one)[1:] == _compiled(single)[1:]
+    assert all(member(one, q) is member(single, q) for q in (p, c, C))
+    assert _DISJOINT[SinglePoint](one, b) == _DISJOINT[FiniteSet](single, b)
+    assert _PRIMITIVE_PAIRS[SinglePoint] == _PRIMITIVE_PAIRS[FiniteSet]
 
 
-@pytest.mark.parametrize("e", [SinglePoint((Fr(0), Fr(5))), FiniteSet(((Fr(0), Fr(5)),)),
-                               ClosedBall((Fr(0), Fr(5)), Fr(1)), OpenBall((Fr(0), Fr(5)), Fr(1))],
-                         ids=["point", "finite", "cball", "oball"])
+@pytest.mark.parametrize("e", [
+    SinglePoint((Fr(0), Fr(5))), FiniteSet(((Fr(0), Fr(5)),)),
+    ClosedBall((Fr(0), Fr(5)), Fr(1)), OpenBall((Fr(0), Fr(5)), Fr(1)),
+    # a union compares the ball with the leaves near it, through _sq_sign
+    Union((SinglePoint((Fr(0), Fr(5))), FiniteSet(((Fr(1, 2), Fr(5)),)))),
+    Union((ClosedBall((Fr(0), Fr(5)), Fr(1)), OpenBall((Fr(9), Fr(5)), Fr(1)))),
+], ids=["point", "finite", "cball", "oball", "union-of-points", "union-of-balls"])
 def test_the_ball_rows_refuse_a_center_of_another_arity(e):
     with pytest.raises(DimensionMismatch, match="dimension"):
         _DISJOINT[type(e)](e, ClosedBall((Fr(0),), Fr(1)))
@@ -494,3 +511,119 @@ def test_points_of_another_arity_still_raise():
     for x, y in ((a, b), (b, a), (FiniteSet(((Fr(1),),)), a), (SinglePoint(()), b)):
         with pytest.raises(DimensionMismatch):
             _structural_subset(x, y)
+
+
+@pytest.mark.parametrize("text", ["!rationals", "bernstein & cball(0;1)"])
+def test_a_tree_nowhere_in_harvests_no_candidate(text, monkeypatch):
+    # the span says no point is In, so neither search forms a candidate
+    def harvest(e, m):
+        raise AssertionError(f"candidates harvested for {e!r}")
+
+    monkeypatch.setattr(setdsl, "structural_candidates", harvest)
+    monkeypatch.setattr(descriptive, "structural_candidates", harvest, raising=False)
+    e = parse(text, 2)
+    assert find_witness(e) is None
+    assert descriptive._point_witness(e, 1) is False
+
+
+# --- the models of the rule base ----------------------------------------------------
+# A model is a total assignment of the 22 bits, the set's flags and its
+# complement's, that breaks no row of _RULES: held as the int of its true
+# bits.  The four swap pairs of _CROSS fix eight of the complement's bits from
+# the set's, so the other fourteen bits are enumerated.
+
+_SWAPS = (("countable", "co_countable"), ("closed", "open"), ("g_delta", "f_sigma"),
+          ("equals_all", "equals_empty"))
+_SWAPPED = {a: b for x, y in _SWAPS for a, b in ((x, y), (y, x))}
+_FREE = [_BIT[name] for name in _ALL_FLAGS] + [
+    _BIT[name] << _HALF for name in _ALL_FLAGS if name not in _SWAPPED]
+_FULL = (1 << 2 * _HALF) - 1
+
+
+def _breaks_no_row(model):
+    for need_t, need_f, put_t, put_f in _RULES:
+        if need_t & ~model == 0 and need_f & model == 0 and (put_t & ~model or put_f & model):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _models():
+    found = []
+    for choice in range(1 << len(_FREE)):
+        model = sum(bit for i, bit in enumerate(_FREE) if choice >> i & 1)
+        model |= sum(_BIT[_SWAPPED[name]] << _HALF for name in _SWAPPED if model & _BIT[name])
+        if _breaks_no_row(model):
+            found.append(model)
+    return tuple(found)
+
+
+def _consistent(record, model):
+    t, f = record
+    return t & ~model == 0 and f & model == 0
+
+
+def _shared(record):
+    """The literals every model consistent with the record holds, as a
+    record, or None when no model is consistent with it."""
+    models = [model for model in _models() if _consistent(record, model)]
+    if not models:
+        return None
+    t, f = _FULL, _FULL
+    for model in models:
+        t &= model
+        f &= ~model
+    return t, f
+
+
+def test_the_rule_base_has_68_models():
+    assert len(_FREE) == 14
+    assert len(_models()) == 68
+
+
+@pytest.mark.parametrize("kind", list(_PRIMITIVE_PAIRS), ids=lambda kind: kind.__name__)
+def test_every_primitive_record_has_a_model(kind):
+    assert any(_consistent(_PRIMITIVE_PAIRS[kind], model) for model in _models())
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.sampled_from(_SLOTS), st.booleans(), max_size=6))
+def test_the_closure_keeps_every_model_of_its_record(assignment):
+    # sound relative to the rules: a literal _close sets holds in every
+    # model of the record it closes, so a record with a model never clashes
+    record = (sum(_BIT[name] << shift for (shift, name), v in assignment.items() if v),
+              sum(_BIT[name] << shift for (shift, name), v in assignment.items() if not v))
+    models = [model for model in _models() if _consistent(record, model)]
+    if models:
+        closed = _close(record, "tree")
+        assert all(_consistent(closed, model) for model in models)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_a_flag_record_decides_every_literal_its_models_share(seed, n):
+    t, f = record = flag_record(random_expr(random.Random(seed), n))
+    shared = _shared(record)
+    assert shared is not None
+    assert shared[0] & ~t == 0 and shared[1] & ~f == 0, record
+
+
+def test_the_gap_on_arbitrary_partial_records_is_reported():
+    # forward chaining need not derive every literal the models share on an
+    # arbitrary record; flag records have no gap (the test above).  Reported,
+    # not bounded.
+    rng = random.Random(2024)
+    gaps = tried = 0
+    for _ in range(2000):
+        slots = rng.sample(_SLOTS, rng.randint(1, 6))
+        values = [rng.random() < 0.5 for _ in slots]
+        record = (sum(_BIT[name] << shift for (shift, name), v in zip(slots, values) if v),
+                  sum(_BIT[name] << shift for (shift, name), v in zip(slots, values) if not v))
+        shared = _shared(record)
+        if shared is None:
+            continue
+        tried += 1
+        t, f = _close(record, "tree")
+        gaps += bool(shared[0] & ~t or shared[1] & ~f)
+    print(f"closure gap: {gaps} of {tried} consistent partial records")
+    assert tried

@@ -3,6 +3,8 @@ make equal denote one set, so no `infer` flag and no `classify` verdict may
 be True for one and False for the other.  Unknown on one side is allowed;
 the laws are independent of the rules under test.  The order of the
 topologies is a law too: `compare(A, B)` is `compare(B, A)` read backwards.
+And where `subset(A, B)` is True, every flag and verdict monotone in the
+set keeps a True answer on one side from being False on the other.
 
 Trees are `random_expr` trees of depth 3 at n = 2 and n = 3, drawn through
 their seed."""
@@ -14,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from niemytzki.descriptive import PUBLIC_FLAGS, TopologyOrder, compare
+from niemytzki.descriptive import PUBLIC_FLAGS, TopologyOrder, compare, subset
 from niemytzki.setdsl import All, Empty, FiniteSet, Inter, SinglePoint, Union, complement, join, random_expr
 from niemytzki.theorems import classify
-from niemytzki.trivalent import UNKNOWN
+from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
 
 
 def _union(*members):
@@ -140,3 +142,36 @@ def test_compare_mirrors_its_arguments(case):
 def test_the_check_sees_a_contradiction():
     assert "flag.equals_empty" in contradictions(All(), Empty(), 2)
     assert not contradictions(All(), All(), 2)
+
+
+# Answers monotone in the set, for A ⊆ B: countable and empty pass from B
+# down to A; co-countable, all of L_n and a closed uncountable subset pass
+# from A up to B, and so do the verdicts of R1, R2 and R4, which read them.
+_DOWN = ("flag.countable", "flag.equals_empty")
+_UP = ("flag.co_countable", "flag.equals_all", "flag.contains_closed_uncountable",
+       "metrizable", "locally_compact", "lindelof")
+
+
+def monotonicity_breaks(a, b, n):
+    """Names on which a True answer for one side of A ⊆ B is False for the
+    other, the way the set's order forbids."""
+    va, vb = _verdicts(a, n), _verdicts(b, n)
+    return ([name for name in _DOWN if vb[name] is TRUE and va[name] is FALSE]
+            + [name for name in _UP if va[name] is TRUE and vb[name] is FALSE])
+
+
+@settings(max_examples=300)
+@given(_trees(2))
+def test_a_true_subset_keeps_every_monotone_answer(case):
+    n, (a, b) = case
+    for x, y in ((_inter(a, b), a), (_inter(a, b), b), (a, _union(a, b)), (b, _union(a, b)),
+                 (_inter(a, b), _union(a, b))):
+        # only the structural rules answer True, so one candidate is budget enough
+        if subset(x, y, budget=1) is TRUE:
+            assert not monotonicity_breaks(x, y, n), (x, y)
+
+
+def test_the_monotonicity_check_sees_a_break():
+    assert monotonicity_breaks(Empty(), All(), 2) == []
+    assert set(monotonicity_breaks(All(), Empty(), 2)) >= {
+        "flag.equals_empty", "flag.equals_all", "metrizable", "locally_compact", "lindelof"}
