@@ -21,7 +21,7 @@ eucl = TopologySpec.euclidean(2)
 print("A vertical sequence x_k = a + (0, 1/k) converges under every topology;")
 print("only the index bound changes:\n")
 for topo, label in [(eucl, "euclidean"), (niem, "niemytzki")]:
-    verdict = decide_convergence(Vertical(a, Fr(1)), topo, a)
+    verdict = decide_convergence(Vertical(a, Fr(1)), topo)
     bound = verdict.certificates[0]
     print(f"  {label:10}: converges, {bound.description}")
 
@@ -32,11 +32,11 @@ print("topology: the tangent ball itself blocks every term.\n")
 fam = TangentCircle(a, Fr(1))
 print("  first terms:", [p.to_json() for p in (fam.term(1), fam.term(2), fam.term(3))])
 
-v_eucl = decide_convergence(fam, eucl, a)
+v_eucl = decide_convergence(fam, eucl)
 print(f"\n  euclidean : converges = {v_eucl.converges}")
 print(f"              {v_eucl.certificates[0].description}")
 
-v_niem = decide_convergence(fam, niem, a)
+v_niem = decide_convergence(fam, niem)
 blocking, radii = v_niem.certificates
 print(f"\n  niemytzki : converges = {v_niem.converges}")
 print(
@@ -58,6 +58,6 @@ print("boundary set; a Bernstein anchor aborts (exit code 4 in the CLI):")
 from niemytzki import UndecidableMembership, parse
 
 try:
-    decide_convergence(fam, TopologySpec.modified(parse("bernstein", 2), 2), a)
+    decide_convergence(fam, TopologySpec.modified(parse("bernstein", 2), 2))
 except UndecidableMembership as exc:
     print(f"  UndecidableMembership: {exc}")

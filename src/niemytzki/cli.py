@@ -151,7 +151,7 @@ def _cmd_converge(args) -> tuple:
 
     topo = _parse_topology(args.topology, args.dimension)
     fam = _parse_family(args.family, args.dimension)
-    verdict = decide_convergence(fam, topo, fam.anchor)
+    verdict = decide_convergence(fam, topo)
     payload = {
         "family": fam.to_json(),
         "topology": topo.to_json(),

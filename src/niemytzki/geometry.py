@@ -33,14 +33,17 @@ denominators and compare two integers; :func:`sq_dist`,
 :func:`tangent_gauge`, :func:`t_level` and :func:`inner_ball_radius` build
 one Fraction from integers at the end.  The set language uses the same
 comparison, ``_sq_sign``, the sign of |p - q|^2 - r^2: its points and balls
-cache their scaled form as a Point does.
+cache their scaled form as a Point does.  Arity is checked once, by
+``_sq_int``, which every distance, gauge, level and membership reads first.
 
 The level is read on forms alone: ``_level_int(x, a, en, ed)`` is the pair
 (N, D) of the level of x for eps = en/ed, which need not be reduced.  On
 L_n it reads 0/1 at a and 1/0 at every other point, so x lies in the
 tangent ball iff N < D, and the separating function is N/D capped at 1.
-:func:`in_tangent_ball`, :func:`t_level`, :func:`separating_f` and the
-harness's suites S1-S4 all read it, and :func:`tangent_sphere_point` and
+:func:`in_tangent_ball`, :func:`t_level` and :func:`separating_f` read it
+through one preamble, ``_level``, which checks the parameter and the
+tangency point first; ``topology.contains`` and the harness's suites S1-S4
+read it on forms they already trust.  :func:`tangent_sphere_point` and
 suite S1 build their sphere points with ``_sphere_form``.
 
 Every record class of the package, from :class:`Point` here to the set
@@ -261,35 +264,26 @@ class BallSpec:
             raise ValueError("ball radius must be positive")
 
 
-def _check_dims(p: Sequence[Fraction], q: Sequence[Fraction]) -> None:
-    if len(p) != len(q):
-        raise DimensionMismatch(f"dimension {len(p)} vs {len(q)}")
-
-
 def _sq_int(p: _Scaled, q: _Scaled) -> tuple[int, int, int]:
-    """(S, d_p, d_q) with |p - q|^2 == S / (d_p * d_q)^2, all integers."""
+    """(S, d_p, d_q) with |p - q|^2 == S / (d_p * d_q)^2, all integers.
+    Forms of different arity raise DimensionMismatch."""
     (ps, dp), (qs, dq) = p, q
+    if len(ps) != len(qs):
+        raise DimensionMismatch(f"dimension {len(ps)} vs {len(qs)}")
     return sum([(a * dq - b * dp) ** 2 for a, b in zip(ps, qs)]), dp, dq
 
 
 def _sq_sign(p: _Scaled, q: _Scaled, r: Fraction) -> int:
-    """The sign (-1, 0 or 1) of |p - q|^2 - r^2, compared as integers.
-    Forms of different arity raise DimensionMismatch."""
-    _check_dims(p[0], q[0])
+    """The sign (-1, 0 or 1) of |p - q|^2 - r^2, compared as integers."""
     s, dp, dq = _sq_int(p, q)
     lhs, rhs = s * r.denominator ** 2, (r.numerator * dp * dq) ** 2
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _sq_frac(p: Point, q: Point) -> Fraction:
-    s, dp, dq = _sq_int(p.scaled, q.scaled)
-    return Fraction(s, (dp * dq) ** 2)
-
-
 def sq_dist(p: Point, q: Point) -> Fraction:
     """Squared Euclidean distance sum_i (p_i - q_i)^2, kept squared to stay rational."""
-    _check_dims(p.coords, q.coords)
-    return _sq_frac(p, q)
+    s, dp, dq = _sq_int(p.scaled, q.scaled)
+    return Fraction(s, (dp * dq) ** 2)
 
 
 def in_ball(x: Point, b: BallSpec) -> bool:
@@ -319,22 +313,35 @@ def tangent_gauge(x: Point, a: Point) -> Fraction:
     Comparing the gauge against 2*eps*x_n decides tangent-ball membership;
     the gauge equals 2*eps*x_n exactly on the bounding sphere.
     """
-    _check_dims(x.coords, a.coords)
+    gauge = sq_dist(x, a)  # a_n = 0, so the gauge is |x - a|^2
     _check_tangency(a)
-    return _sq_frac(x, a)  # a_n = 0, so the gauge is |x - a|^2
+    return gauge
 
 
 def _level_int(x: _Scaled, a: _Scaled, en: int, ed: int) -> tuple[int, int]:
     """(N, D) with N / D the level of the form x for the tangent ball at the
-    boundary form a of parameter en/ed > 0, forms of one arity: the gauge
-    over 2*eps*x_n with every denominator cleared, D > 0 for interior x.  On
-    the boundary the level reads 0/1 at a and 1/0 elsewhere, so that x lies
-    in the tangent ball iff N < D, for every x."""
+    boundary form a of parameter en/ed > 0: the gauge over 2*eps*x_n with
+    every denominator cleared, D > 0 for interior x.  On the boundary the
+    level reads 0/1 at a and 1/0 elsewhere, so that x lies in the tangent
+    ball iff N < D, for every x."""
     s, dx, da = _sq_int(x, a)
     xn = x[0][-1]
     if xn:
         return s * ed, 2 * en * xn * dx * da * da
     return (0, 1) if s == 0 else (1, 0)  # |x - a| = 0 iff x = a
+
+
+def _in_tangent_int(x: _Scaled, a: _Scaled, en: int, ed: int) -> bool:
+    """:func:`in_tangent_ball` on forms and eps = en/ed: the level is below 1."""
+    level_num, level_den = _level_int(x, a, en, ed)
+    return level_num < level_den
+
+
+def _level(x: Point, a: Point, eps: RatLike) -> tuple[int, int]:
+    """The preamble of the tangent-ball functions: check the parameter and
+    the tangency point, then read the level (N, D) of x on the cached forms."""
+    eps = _tangent_eps(a, eps)
+    return _level_int(x.scaled, a.scaled, eps.numerator, eps.denominator)
 
 
 def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
@@ -344,14 +351,7 @@ def in_tangent_ball(x: Point, a: Point, eps: RatLike) -> bool:
     Boundary points other than a are never inside: the tangent ball meets
     L_n exactly in its tangency point.
     """
-    eps = _tangent_eps(a, eps)
-    _check_dims(x.coords, a.coords)
-    return _in_tangent_int(x.scaled, a.scaled, eps.numerator, eps.denominator)
-
-
-def _in_tangent_int(x: _Scaled, a: _Scaled, en: int, ed: int) -> bool:
-    """:func:`in_tangent_ball` on forms and eps = en/ed: the level is below 1."""
-    level_num, level_den = _level_int(x, a, en, ed)
+    level_num, level_den = _level(x, a, eps)
     return level_num < level_den
 
 
@@ -362,20 +362,17 @@ def t_level(x: Point, a: Point, eps: RatLike) -> Fraction:
     tangent ball of parameter t*eps, and t < 1 iff x lies inside the tangent
     ball of parameter eps.  Undefined on the boundary hyperplane.
     """
-    eps = _tangent_eps(a, eps)
-    _check_dims(x.coords, a.coords)
+    level = _level(x, a, eps)
     if x.is_boundary:
         raise ValueError("level is undefined on the boundary hyperplane")
-    return Fraction(*_level_int(x.scaled, a.scaled, eps.numerator, eps.denominator))
+    return Fraction(*level)
 
 
 def separating_f(x: Point, a: Point, eps: RatLike) -> Fraction:
     """The separating function of the tangent ball: 0 at a, the level inside,
     1 outside.  Always in [0, 1], and f(x) < s iff x lies in the tangent ball
     of parameter s*eps, for every s in (0, 1)."""
-    eps = _tangent_eps(a, eps)
-    _check_dims(x.coords, a.coords)
-    level_num, level_den = _level_int(x.scaled, a.scaled, eps.numerator, eps.denominator)
+    level_num, level_den = _level(x, a, eps)
     return Fraction(level_num, level_den) if level_num < level_den else Fraction(1)
 
 
@@ -386,7 +383,6 @@ def inner_ball_radius(q: Point, b: BallSpec) -> Fraction:
     holds because r - d >= (r^2 - d^2)/(2r) for 0 <= d < r, and the formula
     avoids the irrational d itself.
     """
-    _check_dims(q.coords, b.center.coords)
     s, dq, dc = _sq_int(q.scaled, b.center.scaled)
     rn, rd = b.radius.numerator, b.radius.denominator
     den = (dq * dc) ** 2  # d^2 = s / den and r^2 = rn^2 / rd^2

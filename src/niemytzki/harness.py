@@ -53,6 +53,7 @@ from .geometry import (
     _unscaled,
     check_dimension,
     sq_dist,
+    t_level,
     tangent_gauge,
     tangent_sphere_point,
     translate,
@@ -341,9 +342,8 @@ def _containing_tangent_ball(rng: random.Random, x: Point) -> TangentBall:
         # a tangent ball contains no boundary point but its own anchor
         return TangentBall(x, Fraction(*_rand_rat_open(rng, _ZERO, _TWO)))
     anchor = _nearby_boundary_point(rng, x)
-    base = tangent_gauge(x, anchor) / (2 * x.coords[-1])
     scale = 1 + Fraction(*_rand_rat_open(rng, _ZERO, _ONE))
-    return TangentBall(anchor, base * scale)
+    return TangentBall(anchor, t_level(x, anchor, 1) * scale)
 
 
 def _containing_interior_ball(rng: random.Random, x: Point) -> InteriorBall:
@@ -436,6 +436,12 @@ class _Recorder:
         self.result = result
         self.index = 0
 
+    def each(self, samples: Iterator[dict]) -> Iterator[dict]:
+        """The samples, each yielded with ``index`` set to its position."""
+        for index, sample in enumerate(samples):
+            self.index = index
+            yield sample
+
     def check(self, condition: bool, name: str, **data) -> None:
         self.result.checks += 1
         if not condition:
@@ -474,7 +480,6 @@ def _run_s1(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
         )
         level_num, level_den = _level_int(x, a, en, ed)
         rec.check(level_num == level_den, "level one on the sphere", x=x)
-        rec.index += 1
 
 
 def _run_s2(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
@@ -497,7 +502,6 @@ def _run_s2(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
             _in_tangent_int(x, a, en * (tn + td), ed * 2 * td),  # (t+1)/2 * eps
             "strictly larger levels swallow the point", x=x, t=t,
         )
-        rec.index += 1
 
 
 def _run_s3(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
@@ -515,7 +519,6 @@ def _run_s3(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
                 gauge * wrong[1] != wrong[0] * unit,
                 "no other level satisfies the equality", x=x, t=t, wrong=wrong,
             )
-        rec.index += 1
 
 
 def _run_s4(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
@@ -536,7 +539,6 @@ def _run_s4(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
                 (tn < td) == _in_tangent_int(x, a, en, ed),
                 "duality at the full parameter", x=x, t=t,
             )
-        rec.index += 1
 
 
 def _run_s5(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
@@ -560,12 +562,11 @@ def _run_s5(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
                 not contains(blocking, term),
                 "blocking tangent ball excludes the term", k=k, term=term,
             )
-        verdict = decide_convergence(fam, topo, anchor, prefix=prefix)
+        verdict = decide_convergence(fam, topo, prefix=prefix)
         rec.check(verdict.converges is False, "prefix is certified non-convergent")
         for message in certificate_failures(verdict, fam, topo, prefix=prefix):
             rec.check(False, message)
         rec.check(True, "certificates verified")
-        rec.index += 1
 
 
 def _run_s6(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
@@ -581,7 +582,6 @@ def _run_s6(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
                 contains(result, y) and contains(b1, y) and contains(b2, y),
                 "refinement is contained in both parents", x=x, y=y,
             )
-        rec.index += 1
 
 
 def _run_s7(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
@@ -614,7 +614,6 @@ def _run_s7(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
         )
         rec.check(member(Union((e1, e2)), p) is (m1 | m2), "union is Kleene or", p=p)
         rec.check(member(Inter((e1, e2)), p) is (m1 & m2), "intersection is Kleene and", p=p)
-        rec.index += 1
 
 
 _SUITES: dict[str, tuple[Callable, Callable, str]] = {
@@ -656,6 +655,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteResult:
     )
     start = time.perf_counter()
     rec = _Recorder(result)
-    runner(generate(cfg), cfg, rec)
+    runner(rec.each(generate(cfg)), cfg, rec)
     result.elapsed = time.perf_counter() - start
     return result

@@ -22,7 +22,8 @@ for a black-box sequence.
 Every basic open is a :class:`~niemytzki.geometry.BallSpec`, the one ball
 record, which checks the radius; a subclass adds only where its center may
 sit.  ``contains`` is the one membership test: ``in_ball`` for interior and
-half balls, ``in_tangent_ball`` for a tangent ball.
+half balls, and the kernel's ``_in_tangent_int`` on the cached forms of a
+tangent ball, whose radius and center were checked when it was built.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .geometry import (
     DimensionMismatch,
     Point,
     RatLike,
+    _in_tangent_int,
     _record,
     in_ball,
-    in_tangent_ball,
     inner_ball_radius,
     rat,
     sq_dist,
@@ -153,11 +154,11 @@ class TangentBall(BasicOpen):
 
 
 def contains(b: BasicOpen, x: Point) -> bool:
-    """Exact membership of a point of X_n in a basic open set."""
-    if b.center.dimension != x.dimension:
-        raise DimensionMismatch("basic open and point live in different dimensions")
-    if isinstance(b, TangentBall):
-        return in_tangent_ball(x, b.center, b.radius)
+    """Exact membership of a point of X_n in a basic open set.  A point of
+    another dimension raises DimensionMismatch, from the kernel."""
+    if isinstance(b, TangentBall):  # checked when built: read its forms
+        r = b.radius
+        return _in_tangent_int(x.scaled, b.center.scaled, r.numerator, r.denominator)
     return in_ball(x, b)
 
 
@@ -427,7 +428,7 @@ def _isolating_radii(
 
 
 def decide_convergence(
-    fam: SequenceFamily, topo: TopologySpec, limit: Point, prefix: int = 100
+    fam: SequenceFamily, topo: TopologySpec, prefix: int = 100
 ) -> ConvergenceVerdict:
     """Convergence of a closed-form family to its anchor under tau(A).
 
@@ -435,12 +436,11 @@ def decide_convergence(
     k > h/eps for half-ball neighborhoods and k > h/(2 eps) for tangent
     balls.  Tangent-circle families converge exactly when the anchor keeps
     Euclidean neighborhoods; otherwise the tangent ball of the family's own
-    parameter blocks every term and the prefix is certified discrete.
+    parameter blocks every term and the prefix is certified discrete.  A
+    finite list, which has no anchor for a limit, stays inconclusive.
     """
     if isinstance(fam, FiniteList):
         return ConvergenceVerdict(None, ())
-    if limit != fam.anchor:
-        raise ValueError("the limit must be the family's anchor")
     if fam.anchor.dimension != topo.dimension:
         raise DimensionMismatch("family dimension differs from the topology's")
     euclidean_at_anchor = _keeps_half_balls(topo, fam.anchor)

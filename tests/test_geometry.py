@@ -13,7 +13,10 @@ from niemytzki.geometry import (
     BallSpec,
     DimensionMismatch,
     Point,
+    _in_tangent_int,
+    _level_int,
     _scaled,
+    _sq_int,
     _sq_sign,
     in_ball,
     in_tangent_ball,
@@ -336,12 +339,18 @@ class TestKernelContracts:
                 with pytest.raises(DimensionMismatch, match="dimension 2 vs 3"):
                     call(x, Point.boundary(0, 0), 1)
 
+    @pytest.mark.parametrize("kernel", [
+        lambda p, q: _sq_sign(p, q, Fr(1)),
+        _sq_int,
+        lambda p, q: _level_int(p, q, 1, 1),
+        lambda p, q: _in_tangent_int(p, q, 1, 1),
+    ], ids=["_sq_sign", "_sq_int", "_level_int", "_in_tangent_int"])
     @pytest.mark.parametrize("p, q", [((Fr(0), Fr(5)), (Fr(0),)), ((), (Fr(1),)),
                                       ((Fr(1),) * 3, (Fr(1),) * 2)])
-    def test_tuples_of_different_arity_are_refused(self, p, q):
+    def test_tuples_of_different_arity_are_refused(self, p, q, kernel):
         for a, b in ((p, q), (q, p)):
             with pytest.raises(DimensionMismatch, match=f"dimension {len(a)} vs {len(b)}"):
-                _sq_sign(_scaled(a), _scaled(b), Fr(1))
+                kernel(_scaled(a), _scaled(b))
 
     def test_parameter_and_tangency_come_first(self):
         with pytest.raises(ValueError, match="parameter must be positive"):

@@ -3,10 +3,18 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from niemytzki.geometry import BallSpec, Point, in_ball, tangent_gauge, tangent_sphere_point
+from niemytzki.geometry import (
+    BallSpec,
+    DimensionMismatch,
+    Point,
+    in_ball,
+    tangent_gauge,
+    tangent_sphere_point,
+)
 from niemytzki import setdsl
 from niemytzki.setdsl import ParseError, parse
 from niemytzki.topology import (
+    BasicOpen,
     BlockingNeighborhood,
     ConvergenceVerdict,
     DiscretenessRadii,
@@ -156,6 +164,16 @@ class TestContains:
     def test_sphere_point_is_excluded(self):
         assert not contains(TangentBall(Point.boundary(0), Fr(1)), Point.of(1, 1))
 
+    @pytest.mark.parametrize("make", [InteriorBall, HalfBall, TangentBall, BasicOpen],
+                             ids=lambda c: c.__name__)
+    def test_a_point_of_another_dimension_is_refused(self, make):
+        for n, m in ((2, 3), (3, 2)):
+            center = Point.of(*[0] * (n - 1), 1 if make is InteriorBall else 0)
+            b = make(center, Fr(1, 2))
+            for x in (Point.of(*[0] * (m - 1), 1), Point.boundary(*[0] * (m - 1))):
+                with pytest.raises(DimensionMismatch, match=f"dimension {m} vs {n}"):
+                    contains(b, x)
+
 
 class TestRefine:
     def test_same_element_refines_to_itself_on_the_boundary(self):
@@ -235,7 +253,7 @@ class TestSequenceFamilies:
 class TestDecideConvergence:
     def test_vertical_under_niemytzki(self):
         fam = Vertical(Point.boundary(0), Fr(1))
-        verdict = decide_convergence(fam, NIEM2, fam.anchor)
+        verdict = decide_convergence(fam, NIEM2)
         assert verdict.converges is True
         bound = verdict.certificates[0]
         assert isinstance(bound, IndexBound)
@@ -244,13 +262,13 @@ class TestDecideConvergence:
 
     def test_vertical_under_euclidean(self):
         fam = Vertical(Point.boundary(0), Fr(1))
-        verdict = decide_convergence(fam, EUCL2, fam.anchor)
+        verdict = decide_convergence(fam, EUCL2)
         assert verdict.certificates[0].coefficient == Fr(1)
         assert certificate_failures(verdict, fam, EUCL2) == []
 
     def test_tangent_circle_is_discrete_under_niemytzki(self):
         fam = TangentCircle(Point.boundary(0), Fr(1))
-        verdict = decide_convergence(fam, NIEM2, fam.anchor)
+        verdict = decide_convergence(fam, NIEM2)
         assert verdict.converges is False
         blocking, radii = verdict.certificates
         assert isinstance(blocking, BlockingNeighborhood)
@@ -262,7 +280,7 @@ class TestDecideConvergence:
 
     def test_tangent_circle_converges_under_euclidean(self):
         fam = TangentCircle(Point.boundary(0), Fr(1))
-        verdict = decide_convergence(fam, EUCL2, fam.anchor)
+        verdict = decide_convergence(fam, EUCL2)
         assert verdict.converges is True
         assert verdict.certificates[0].form == "quadratic"
         assert verdict.certificates[0].coefficient == Fr(4)
@@ -271,12 +289,12 @@ class TestDecideConvergence:
     def test_tangent_circle_converges_when_the_anchor_keeps_half_balls(self):
         topo = TopologySpec.modified(parse("rationals"), 2)
         fam = TangentCircle(Point.boundary("1/2"), Fr(1))
-        assert decide_convergence(fam, topo, fam.anchor).converges is True
+        assert decide_convergence(fam, topo).converges is True
 
     def test_discrete_at_an_excluded_anchor(self):
         topo = TopologySpec.modified(parse("lattice"), 2)
         fam = TangentCircle(Point.boundary("1/2"), Fr(1))
-        verdict = decide_convergence(fam, topo, fam.anchor)
+        verdict = decide_convergence(fam, topo)
         assert verdict.converges is False
         assert certificate_failures(verdict, fam, topo) == []
 
@@ -291,18 +309,13 @@ class TestDecideConvergence:
         topo = TopologySpec.modified(parse("bernstein"), 2)
         fam = Vertical(Point.boundary(0), Fr(1))
         with pytest.raises(UndecidableMembership):
-            decide_convergence(fam, topo, fam.anchor)
+            decide_convergence(fam, topo)
 
     def test_finite_lists_are_inconclusive(self):
         fam = FiniteList((Point.of(0, 1), Point.of(0, "1/2")))
-        verdict = decide_convergence(fam, NIEM2, Point.boundary(0))
+        verdict = decide_convergence(fam, NIEM2)
         assert verdict.converges is None
         assert verdict.certificates == ()
-
-    def test_limit_must_be_the_anchor(self):
-        fam = Vertical(Point.boundary(0), Fr(1))
-        with pytest.raises(ValueError):
-            decide_convergence(fam, NIEM2, Point.boundary(1))
 
 
 class TestVerdictJson:
@@ -312,7 +325,7 @@ class TestVerdictJson:
 
     def test_blocking_serialization_round_trip_fields(self):
         fam = TangentCircle(Point.boundary(0), Fr(1))
-        verdict = decide_convergence(fam, NIEM2, fam.anchor)
+        verdict = decide_convergence(fam, NIEM2)
         data = verdict.to_json()
         assert data["converges"] is False
         kinds = [c["kind"] for c in data["certificates"]]
@@ -345,7 +358,7 @@ class TestIsolationAgainstThePairOracle:
     @pytest.mark.parametrize("anchor_first, eps", _CIRCLES)
     def test_radii_equal_the_pairwise_ones(self, anchor_first, eps, n, prefix):
         fam = _circle(anchor_first, eps, n)
-        verdict = decide_convergence(fam, TopologySpec.niemytzki(n), fam.anchor, prefix)
+        verdict = decide_convergence(fam, TopologySpec.niemytzki(n), prefix)
         entries = verdict.certificates[1].entries
         assert [(p.coords, r) for p, r in entries] == isolating_radii_ref(
             fam.anchor.coords, eps, prefix)
@@ -355,14 +368,14 @@ class TestIsolationAgainstThePairOracle:
     @pytest.mark.parametrize("anchor_first, eps", _CIRCLES)
     def test_honest_certificates_pass_both_checks(self, anchor_first, eps, n, prefix):
         fam = _circle(anchor_first, eps, n)
-        verdict = decide_convergence(fam, TopologySpec.niemytzki(n), fam.anchor, prefix)
+        verdict = decide_convergence(fam, TopologySpec.niemytzki(n), prefix)
         entries = verdict.certificates[1].entries
         assert _radii_failures(fam, entries, prefix) == [] == _ref_failures(
             fam, entries, prefix)
 
     def _honest(self, prefix=10):
         fam = _circle(Fr(0), Fr(1), 2)
-        verdict = decide_convergence(fam, NIEM2, fam.anchor, prefix)
+        verdict = decide_convergence(fam, NIEM2, prefix)
         return fam, list(verdict.certificates[1].entries)
 
     def _same_failures(self, fam, entries, prefix=10):
