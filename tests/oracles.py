@@ -88,9 +88,10 @@ def inner_radius_ref(q, center, radius) -> Fraction:
     return (r * r - sq_dist_ref(q, center)) / (2 * r)
 
 
-# --- the S1-S4 suite checks, on public sample records -----------------------
-# A record's points are read as coordinate tuples (a Point through its
-# coords); every check is decided by the references above.
+# --- the S1-S4, S6 and S7 suite checks, on public sample records ------------
+# A record's points are read as coordinate tuples: a Point through its
+# coords, a scaled form (X, d) as X_i / d.  Every check is decided by the
+# references above, and S7's by tree_member_ref below.
 
 
 def sphere_point_ref(a, eps, v) -> tuple[Fraction, ...]:
@@ -107,11 +108,39 @@ def _text(value) -> str:
     return str(value)
 
 
+def coords_ref(p) -> tuple:
+    """A point's coordinates: a Point's, a scaled form's X_i / d, or the
+    tuple itself."""
+    if hasattr(p, "coords"):
+        return tuple(p.coords)
+    if len(p) == 2 and isinstance(p[0], tuple):
+        X, d = p
+        return tuple(Fraction(c, d) for c in X)
+    return tuple(p)
+
+
+def basic_open_ref(b, x) -> bool:
+    """x in the basic open b, read by its class name: {a} ∪ B(a(r), r) for a
+    tangent ball at a, B(a, r) ∩ X_n for a half ball, B(a, r) otherwise."""
+    a, r, kind = coords_ref(b.center), b.radius, type(b).__name__
+    if kind == "TangentBall":
+        return in_tangent_ball_ref(x, a, r)
+    return in_ball_ref(x, a, r) and (kind != "HalfBall" or x[-1] >= 0)
+
+
+def _or_ref(a, b):
+    if a is True or b is True:
+        return True
+    return False if a is False and b is False else None
+
+
 def suite_checks_ref(suite: str, sample: dict) -> tuple[list[str], list[tuple[str, dict]]]:
-    """The checks one S1-S4 record undergoes: each check's name in order,
-    and (name, data) for each check that fails, with the data as text.  An
-    S1 record is checked at the sphere point of its anchor, eps and
-    direction, or at its "x" if it has one."""
+    """The checks one S1-S4, S6 or S7 record undergoes: each check's name in
+    order, and (name, data) for each check that fails, with the data as
+    text.  An S1 record is checked at the sphere point of its anchor, eps
+    and direction, or at its "x" if it has one.  An S6 record also carries
+    the basic open that refine returned for it, as "refined", and the three
+    points drawn inside that one, as "witnesses"."""
     names, failures = [], []
 
     def check(holds, name, **data):
@@ -119,9 +148,39 @@ def suite_checks_ref(suite: str, sample: dict) -> tuple[list[str], list[tuple[st
         if not holds:
             failures.append((name, {k: _text(v) for k, v in data.items()}))
 
-    def coords(p):
-        return tuple(getattr(p, "coords", p))
+    coords = coords_ref
+    if suite == "S6":
+        x, b1, b2, refined = coords(sample["x"]), sample["b1"], sample["b2"], sample["refined"]
+        check(basic_open_ref(b1, x) and basic_open_ref(b2, x), "construction places x inside",
+              x=x)
+        check(basic_open_ref(refined, x), "refinement keeps the point", x=x)
+        for y in map(coords, sample["witnesses"]):
+            check(all(basic_open_ref(b, y) for b in (refined, b1, b2)),
+                  "refinement is contained in both parents", x=x, y=y)
+        return names, failures
+    if suite == "S7":
+        from niemytzki.setdsl import to_text  # the data's text alone
 
+        t1, t2, p = ref_tree(sample["e1"]), ref_tree(sample["e2"]), tuple(sample["p"])
+        c1, c2 = ("!", t1), ("!", t2)
+
+        def verdict(tree):
+            return tree_member_ref(tree, tuple(map(Fraction, p)))
+
+        m1, m2 = verdict(t1), verdict(t2)
+        check(verdict(c1) == (None if m1 is None else not m1),
+              "complement is three-valued negation", e=to_text(sample["e1"]), p=p)
+        check(verdict(("!", ("|", (t1, t2)))) == verdict(("&", (c1, c2))),
+              "De Morgan over union", p=p)
+        check(verdict(("!", ("&", (t1, t2)))) == verdict(("|", (c1, c2))),
+              "De Morgan over intersection", p=p)
+        check(verdict(("|", (t1, t1))) == m1, "union is idempotent", p=p)
+        check(verdict(("&", (t1, t1))) == m1, "intersection is idempotent", p=p)
+        check(verdict(("|", (t1, c1))) is not False, "excluded middle never fails outright", p=p)
+        check(verdict(("&", (t1, c1))) is not True, "contradiction never holds outright", p=p)
+        check(verdict(("|", (t1, t2))) == _or_ref(m1, m2), "union is Kleene or", p=p)
+        check(verdict(("&", (t1, t2))) == _and_ref(m1, m2), "intersection is Kleene and", p=p)
+        return names, failures
     a, eps = coords(sample["anchor"]), sample["eps"]
     if suite == "S1":
         x = coords(sample["x"]) if "x" in sample else sphere_point_ref(a, eps, sample["direction"])

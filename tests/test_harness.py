@@ -195,7 +195,7 @@ class TestSuites:
         assert suite_names() == ["S1", "S2", "S3", "S4", "S5", "S6", "S7"]
 
 
-# --- S1-S4, decided on integers, against the Fraction references ---------------------
+# --- S1-S4, S6 and S7 against the Fraction and tree references ----------------------
 
 def _reference_json(cfg, records):
     """run_suite's JSON for cfg as suite_checks_ref decides the records."""
@@ -208,12 +208,31 @@ def _reference_json(cfg, records):
             "seed": cfg.seed, "checks": checks, "failures": failures, "ok": not failures}
 
 
-@pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S4"])
+def _run_with_records(mp, cfg):
+    """run_suite's JSON for cfg, and the public records of its samples.  An
+    S6 record also carries what refine and _point_inside returned for it
+    in that run, which a spy records and passes on unchanged."""
+    made = {"refine": [], "_point_inside": []}
+    if cfg.suite == "S6":
+        for name, log in made.items():
+            mp.setattr(harness, name, lambda *args, f=getattr(harness, name), log=log:
+                       log.append(f(*args)) or log[-1])
+    got = run_suite(cfg).to_json()
+    records = list(generate_samples(cfg))
+    if cfg.suite == "S6":
+        witnesses = made["_point_inside"]
+        for i, record in enumerate(records):
+            record.update(refined=made["refine"][i], witnesses=witnesses[3 * i:3 * i + 3])
+    return got, records
+
+
+@pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S4", "S6", "S7"])
 @pytest.mark.parametrize("dimension", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 7, 2405])
-def test_integer_checks_equal_the_reference(suite, dimension, seed):
+def test_integer_checks_equal_the_reference(monkeypatch, suite, dimension, seed):
     cfg = SuiteConfig(suite, samples=40, seed=seed, dimension=dimension)
-    assert run_suite(cfg).to_json() == _reference_json(cfg, generate_samples(cfg))
+    got, records = _run_with_records(monkeypatch, cfg)
+    assert got == _reference_json(cfg, records)
 
 
 def _moved(form, i, step=1):
