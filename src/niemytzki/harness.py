@@ -28,8 +28,15 @@ and every check is an integer cross-product through the kernel's gauge
 (``_sq_int``), level (``_level_int``) and membership (``_in_tangent_int``).
 Fractions and Points are made in two places only: ``generate_samples``,
 which hands out each sample as its public record, and a failure's data.
-S5-S7 sample on Fractions; S6 reads the same integer draws and converts
-them where it uses them.
+S5-S7 sample on Fractions, S6 from the same integer draws, and S6 and S7
+decide on integer forms too.  S6 draws each witness point y as a form, the
+kept rejection draw or the sphere point, and decides its three
+containments with ``topology._contains``, the test ``contains`` applies to
+a Point's form.  ``refine`` and the ball builders keep their Points and
+Fractions, and the builders compute each Fraction once, from forms.  S7
+reads each sample's point into one form, with the coercion and arity check
+of ``member``, builds each composed node of its nine laws once per sample,
+and decides every law by that node's own member test.
 """
 
 from __future__ import annotations
@@ -46,17 +53,15 @@ from .geometry import (
     _record,
     _Scaled,
     _form,
+    _scaled,
     _in_tangent_int,
     _sphere_form,
     _sq_int,
     _sq_sign,
     _unscaled,
     check_dimension,
-    sq_dist,
-    t_level,
+    rat,
     tangent_gauge,
-    tangent_sphere_point,
-    translate,
 )
 from .setdsl import (
     IN,
@@ -66,7 +71,7 @@ from .setdsl import (
     Inter,
     SetExpr,
     Union,
-    member,
+    member_test,
     random_expr,
     structural_candidates,
     to_text,
@@ -78,6 +83,7 @@ from .topology import (
     TangentBall,
     TangentCircle,
     TopologySpec,
+    _contains,
     certificate_failures,
     contains,
     decide_convergence,
@@ -324,17 +330,19 @@ def _gen_s5(cfg: SuiteConfig) -> Iterator[dict]:
 
 
 def _nearby_boundary_point(rng: random.Random, x: Point) -> Point:
-    """A boundary point within 1 of x in each of its first n-1 coordinates."""
-    return Point.boundary(
-        *[c + Fraction(*_rand_rat(rng, (-1, 1), _ONE)) for c in x.boundary_coords()]
-    )
+    """A boundary point within 1 of x in each of its first n-1 coordinates:
+    X_i/d + k/den for the form (X, d) of x, each built as one Fraction."""
+    X, d = x.scaled
+    steps = [_rand_rat(rng, (-1, 1), _ONE) for _ in X[:-1]]
+    return Point.boundary(*[Fraction(c * den + k * d, d * den) for c, (k, den) in zip(X, steps)])
 
 
 def _containing_half_ball(rng: random.Random, x: Point) -> HalfBall:
     center = _nearby_boundary_point(rng, x)
-    d2 = sq_dist(x, center)
-    radius = (d2 + 3) / 2  # rational with radius^2 > d2, always
-    return HalfBall(center, radius)
+    s, dx, dc = _sq_int(x.scaled, center.scaled)
+    unit = (dx * dc) ** 2  # |x - center|^2 = s / unit
+    # (|x - center|^2 + 3) / 2: rational with radius^2 > |x - center|^2, always
+    return HalfBall(center, Fraction(s + 3 * unit, 2 * unit))
 
 
 def _containing_tangent_ball(rng: random.Random, x: Point) -> TangentBall:
@@ -342,26 +350,33 @@ def _containing_tangent_ball(rng: random.Random, x: Point) -> TangentBall:
         # a tangent ball contains no boundary point but its own anchor
         return TangentBall(x, Fraction(*_rand_rat_open(rng, _ZERO, _TWO)))
     anchor = _nearby_boundary_point(rng, x)
-    scale = 1 + Fraction(*_rand_rat_open(rng, _ZERO, _ONE))
-    return TangentBall(anchor, t_level(x, anchor, 1) * scale)
+    k, den = _rand_rat_open(rng, _ZERO, _ONE)
+    level, level_den = _level_int(x.scaled, anchor.scaled, 1, 1)  # x's level for eps 1
+    return TangentBall(anchor, Fraction(level * (den + k), level_den * den))  # times 1 + k/den
 
 
 def _containing_interior_ball(rng: random.Random, x: Point) -> InteriorBall:
-    n = x.dimension
-    r1 = x.coords[-1] * Fraction(rng.randint(1, 4), 10)
-    k, den = hi = (r1 / (2 * n)).as_integer_ratio()
-    offsets = [Fraction(*_rand_rat(rng, (-k, den), hi)) for _ in range(n)]
-    center = translate(x, offsets)
-    return InteriorBall(center, r1 / 2 + sq_dist(x, center))
+    """B(c, r1/2 + |x - c|^2) for r1 = x_n * j/10 and a center c within
+    r1/(2n) of x in each coordinate."""
+    n, (p, q) = x.dimension, x.coords[-1].as_integer_ratio()
+    j = rng.randint(1, 4)
+    k, den = hi = p * j, 20 * n * q  # r1 / (2n), not reduced
+    offsets = O, do = _form([_rand_rat(rng, (-k, den), hi) for _ in range(n)])
+    center = Point(_unscaled(_shift(x.scaled, offsets)))
+    # r1/2 + |x - c|^2 = (p*j*do^2 + 20*q*sum(O_i^2)) / (20*q*do^2)
+    radius = Fraction(p * j * do * do + 20 * q * sum([o * o for o in O]), 20 * q * do * do)
+    return InteriorBall(center, radius)
 
 
-def _point_inside(rng: random.Random, b: BasicOpen) -> Point:
+def _point_inside(rng: random.Random, b: BasicOpen) -> _Scaled:
+    """The scaled form of a point drawn inside the basic open b."""
+    center = b.center.scaled
     if isinstance(b, TangentBall):
         if rng.randint(0, 5) == 0:
-            return b.center
-        level = Fraction(*_rand_rat_open(rng, _ZERO, _ONE))
+            return center
+        k, den = _rand_rat_open(rng, _ZERO, _ONE)  # the level of the point
         direction = _rand_direction(rng, b.center.dimension)
-        return tangent_sphere_point(b.center, level * b.radius, direction)
+        return _sphere_form(center, k * b.radius.numerator, den * b.radius.denominator, direction)
     # an interior ball, or a half ball: its box stops at the boundary
     k, den = hi = b.radius.as_integer_ratio()
     last_lo = _ZERO if isinstance(b, HalfBall) else (-k, den)
@@ -371,7 +386,7 @@ def _point_inside(rng: random.Random, b: BasicOpen) -> Point:
         offsets.append(_rand_rat(rng, last_lo, hi))
         return offsets
 
-    return Point(_unscaled(_draw_inside(b.center.scaled, draw, Fraction(0), b.radius)))
+    return _draw_inside(center, draw, Fraction(0), b.radius)
 
 
 def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
@@ -577,9 +592,9 @@ def _run_s6(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
         result = refine(b1, b2, x)
         rec.check(contains(result, x), "refinement keeps the point", x=x)
         for _ in range(3):
-            y = _point_inside(rng, result)
+            y = _point_inside(rng, result)  # a form, decided as contains decides a Point
             rec.check(
-                contains(result, y) and contains(b1, y) and contains(b2, y),
+                _contains(result, y) and _contains(b1, y) and _contains(b2, y),
                 "refinement is contained in both parents", x=x, y=y,
             )
 
@@ -587,33 +602,30 @@ def _run_s6(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
 def _run_s7(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
     for sample in samples:
         e1, e2, p = sample["e1"], sample["e2"], sample["p"]
-        m1, m2 = member(e1, p), member(e2, p)
+        coords = tuple(map(rat, p))  # read as member reads it: one form, one arity
+        q, m = _scaled(coords), len(coords)
+
+        def verdict(e: SetExpr):
+            return member_test(e, m)(q)
+
+        # each composed node is built once, so its test is compiled once
+        c1, c2, union, inter = Complement(e1), Complement(e2), Union((e1, e2)), Inter((e1, e2))
+        m1, m2 = verdict(e1), verdict(e2)
+        rec.check(verdict(c1) is ~m1, "complement is three-valued negation", e=e1, p=p)
         rec.check(
-            member(Complement(e1), p) is ~m1,
-            "complement is three-valued negation", e=e1, p=p,
-        )
+            verdict(Complement(union)) is verdict(Inter((c1, c2))), "De Morgan over union", p=p)
         rec.check(
-            member(Complement(Union((e1, e2))), p)
-            is member(Inter((Complement(e1), Complement(e2))), p),
-            "De Morgan over union", p=p,
-        )
-        rec.check(
-            member(Complement(Inter((e1, e2))), p)
-            is member(Union((Complement(e1), Complement(e2))), p),
+            verdict(Complement(inter)) is verdict(Union((c1, c2))),
             "De Morgan over intersection", p=p,
         )
-        rec.check(member(Union((e1, e1)), p) is m1, "union is idempotent", p=p)
-        rec.check(member(Inter((e1, e1)), p) is m1, "intersection is idempotent", p=p)
+        rec.check(verdict(Union((e1, e1))) is m1, "union is idempotent", p=p)
+        rec.check(verdict(Inter((e1, e1))) is m1, "intersection is idempotent", p=p)
         rec.check(
-            member(Union((e1, Complement(e1))), p) in (IN, UNKNOWN),
-            "excluded middle never fails outright", p=p,
-        )
+            verdict(Union((e1, c1))) in (IN, UNKNOWN), "excluded middle never fails outright", p=p)
         rec.check(
-            member(Inter((e1, Complement(e1))), p) in (OUT, UNKNOWN),
-            "contradiction never holds outright", p=p,
-        )
-        rec.check(member(Union((e1, e2)), p) is (m1 | m2), "union is Kleene or", p=p)
-        rec.check(member(Inter((e1, e2)), p) is (m1 & m2), "intersection is Kleene and", p=p)
+            verdict(Inter((e1, c1))) in (OUT, UNKNOWN), "contradiction never holds outright", p=p)
+        rec.check(verdict(union) is (m1 | m2), "union is Kleene or", p=p)
+        rec.check(verdict(inter) is (m1 & m2), "intersection is Kleene and", p=p)
 
 
 _SUITES: dict[str, tuple[Callable, Callable, str]] = {

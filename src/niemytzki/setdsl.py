@@ -766,6 +766,9 @@ class UnionIndex:
         return self.balls[bisect_left(self.ball_tops, lo):bisect_right(self.ball_floors, hi)]
 
 
+# The kinds a UnionIndex places, and the index of a union with none of them
+_INDEXED, _BARE = frozenset((*_POINT_KINDS, *WITHIN)), UnionIndex(())
+
 # --- membership tests ------------------------------------------------------------
 # A test reads a query point as its geometry._scaled form (X, d).  For
 # rational coordinates in lowest terms that form is canonical,
@@ -891,10 +894,12 @@ def _complement_test(e: Complement):
 
 def _union_test(e: Union):
     """One set lookup among the union's points, then the balls near the
-    query along the first axis, then the other members in order."""
-    index = e.index
-    parts = list(map(_compiled, index.others))  # no comprehension frame per level
-    others = tuple(test for test, _, _, _ in parts)
+    query along the first axis, then the others in order: every member of a
+    union without a point or ball, which reads no index.  The others' records
+    are read as columns by map and zip, which add no frame per level."""
+    index = e.index if any(type(m) in _INDEXED for m in e.members) else _BARE
+    members = e.members if index is _BARE else index.others
+    others, arities, spans, outs = list(zip(*map(_compiled, members))) or [()] * 4
     points, balls = index.points, index.balls
 
     def test(q: _Scaled) -> Verdict:
@@ -913,19 +918,16 @@ def _union_test(e: Union):
                 unknown = True
         return UNKNOWN if unknown else OUT
 
-    spans = [span for _, _, span, _ in parts]
     if points:
         (X, d), (Y, g) = index.point_forms[0], index.point_forms[-1]
-        spans.append((X[0], d, Y[0], g))
+        spans += ((X[0], d, Y[0], g),)
     if balls:  # each within R of its center, between the outer two centers
-        spans.append(_around(balls[0].scaled, balls[-1].scaled, index.reach))
-    arities = itertools.chain(index.arities, *(arities for _, arities, _, _ in parts))
-    return test, _distinct(arities), _hull(spans), all(out for _, _, _, out in parts)
+        spans += (_around(balls[0].scaled, balls[-1].scaled, index.reach),)
+    return test, _distinct(itertools.chain(index.arities, *arities)), _hull(spans), all(outs)
 
 
 def _inter_test(e: Inter):
-    parts = list(map(_compiled, e.members))
-    members = tuple(test for test, _, _, _ in parts)
+    members, arities, spans, outs = list(zip(*map(_compiled, e.members))) or [()] * 4
 
     def test(q: _Scaled) -> Verdict:
         unknown = False
@@ -937,9 +939,7 @@ def _inter_test(e: Inter):
                 unknown = True
         return UNKNOWN if unknown else IN
 
-    arities = itertools.chain.from_iterable(arities for _, arities, _, _ in parts)
-    return (test, _distinct(arities), _meet(span for _, _, span, _ in parts),
-            any(out for _, _, _, out in parts))
+    return test, _distinct(itertools.chain(*arities)), _meet(spans), any(outs)
 
 
 # Each row builds a node's record, reading its members' records.

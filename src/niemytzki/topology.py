@@ -21,9 +21,11 @@ for a black-box sequence.
 
 Every basic open is a :class:`~niemytzki.geometry.BallSpec`, the one ball
 record, which checks the radius; a subclass adds only where its center may
-sit.  ``contains`` is the one membership test: ``in_ball`` for interior and
-half balls, and the kernel's ``_in_tangent_int`` on the cached forms of a
-tangent ball, whose radius and center were checked when it was built.
+sit.  ``contains`` is the one membership test.  It reads the point's scaled
+form through ``_contains``, which suite S6 calls on the forms it draws: the
+kernel's ``_sq_sign`` for interior and half balls, and its
+``_in_tangent_int`` on the cached forms of a tangent ball, whose radius and
+center were checked when it was built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .geometry import (
     RatLike,
     _in_tangent_int,
     _record,
-    in_ball,
+    _Scaled,
+    _sq_sign,
     inner_ball_radius,
     rat,
     sq_dist,
@@ -156,10 +159,16 @@ class TangentBall(BasicOpen):
 def contains(b: BasicOpen, x: Point) -> bool:
     """Exact membership of a point of X_n in a basic open set.  A point of
     another dimension raises DimensionMismatch, from the kernel."""
-    if isinstance(b, TangentBall):  # checked when built: read its forms
-        r = b.radius
-        return _in_tangent_int(x.scaled, b.center.scaled, r.numerator, r.denominator)
-    return in_ball(x, b)
+    return _contains(b, x.scaled)
+
+
+def _contains(b: BasicOpen, q: _Scaled) -> bool:
+    """:func:`contains` on the scaled form q of a point of X_n, which need
+    not be reduced."""
+    r = b.radius
+    if isinstance(b, TangentBall):
+        return _in_tangent_int(q, b.center.scaled, r.numerator, r.denominator)
+    return _sq_sign(q, b.center.scaled, r) < 0
 
 
 def _keeps_half_balls(topo: TopologySpec, p: Point) -> bool:

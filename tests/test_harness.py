@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from niemytzki import harness
+from niemytzki import harness, setdsl
 from niemytzki.geometry import (
     BallSpec,
     Point,
@@ -26,7 +26,7 @@ from niemytzki.harness import (
     run_suite,
     suite_names,
 )
-from niemytzki.setdsl import UNKNOWN, Complement, parse
+from niemytzki.setdsl import IN, OUT, UNKNOWN, Complement, Inter, Union, parse
 from niemytzki.topology import TangentCircle
 
 import oracles
@@ -184,8 +184,8 @@ class TestSuites:
                   "p": (Fr(1, 2), Fr(3))}
         run, _, name = harness._SUITES["S7"]
         monkeypatch.setitem(harness._SUITES, "S7", (run, lambda cfg: iter([sample]), name))
-        monkeypatch.setattr(harness, "member", lambda e, p, member=harness.member:
-                            UNKNOWN if isinstance(e, Complement) else member(e, p))
+        monkeypatch.setattr(harness, "member_test", lambda e, m, test=harness.member_test:
+                            (lambda q: UNKNOWN) if isinstance(e, Complement) else test(e, m))
         result = run_suite(SuiteConfig("S7", samples=1, dimension=3)).to_json()
         assert result["failures"][0] == {
             "index": 0, "check": "complement is three-valued negation",
@@ -306,15 +306,64 @@ for faults in FAULTS.values():
 del FAULTS["S3"]["membership negated"]  # S3 reads no membership
 
 
+def _basic_open_negated(mp):
+    for name in ("contains", "_contains"):  # on Points and on forms
+        mp.setattr(harness, name, lambda b, x, inside=getattr(harness, name): not inside(b, x))
+    mp.setattr(oracles, "basic_open_ref", lambda b, x, inside=oracles.basic_open_ref:
+               not inside(b, x))
+
+
+def _refinement_enlarged(mp):
+    # refine's answer grows by half, so points drawn inside it may leave a
+    # parent; the spy of _run_with_records hands the grown ball to the reference
+    mp.setattr(harness, "refine", lambda b1, b2, x, refine=harness.refine:
+               (lambda b: type(b)(b.center, b.radius * Fr(3, 2)))(refine(b1, b2, x)))
+
+
+_REF_VERDICT = {IN: True, OUT: False, UNKNOWN: None}
+
+
+def _connective_fault(kind, change):
+    """The member test of every node of the kind, and the reference's
+    verdict on its tree, changed by `change`, a function of the right
+    verdict."""
+    symbol = {Complement: "!", Union: "|", Inter: "&"}[kind]
+    to_ref = {v: k for k, v in _REF_VERDICT.items()}
+
+    def apply(mp):
+        row = setdsl._MEMBER_TESTS[kind]
+        mp.setitem(setdsl._MEMBER_TESTS, kind, lambda e: (
+            lambda test, *rest: (lambda q: change(test(q)), *rest))(*row(e)))
+        mp.setattr(oracles, "tree_member_ref", lambda tree, p, ref=oracles.tree_member_ref: (
+            _REF_VERDICT[change(to_ref[ref(tree, p)])] if tree[0] == symbol else ref(tree, p)))
+    return apply
+
+
+# S6 and S7 take faults of their own: S6 decides no level, and S7 no geometry.
+# A stream fault cannot fail S6: a shrunk parent reaches refine as well, and
+# a parent that no longer holds x makes refine raise.
+FAULTS["S6"] = {
+    "basic-open membership negated": _basic_open_negated,
+    "refinement enlarged by half": _refinement_enlarged,
+}
+FAULTS["S7"] = {
+    "complement answers as its body": _connective_fault(Complement, lambda v: ~v),
+    "union reads Unknown as Out": _connective_fault(
+        Union, lambda v: OUT if v is UNKNOWN else v),
+    "intersection reads Unknown as In": _connective_fault(
+        Inter, lambda v: IN if v is UNKNOWN else v),
+}
+
+
 def _faulted_runs(mp, suite, fault, dimension):
     """run_suite's JSON under the fault, and the reference's."""
     FAULTS[suite][fault](mp)
     cfg = SuiteConfig(suite, samples=30, seed=5, dimension=dimension)
-    records = list(generate_samples(cfg))
+    got, records = _run_with_records(mp, cfg)
     if suite == "S1":  # the public record leaves the sphere point out
         for record, sample in zip(records, harness._SUITES[suite][1](cfg)):
             record["x"] = _unscaled(sample["sphere"])
-    return run_suite(cfg).to_json(), _reference_json(cfg, records)
+    return got, _reference_json(cfg, records)
 
 
 @pytest.mark.parametrize("suite, fault", [(suite, name) for suite, faults in FAULTS.items()
@@ -330,11 +379,13 @@ def test_every_check_fails_under_some_fault(monkeypatch):
     checks, failed = set(), set()
     for suite, faults in FAULTS.items():
         cfg = SuiteConfig(suite, samples=30, seed=5, dimension=3)
-        for record in generate_samples(cfg):
+        with monkeypatch.context() as mp:
+            _, records = _run_with_records(mp, cfg)
+        for record in records:
             checks.update((suite, name) for name in suite_checks_ref(suite, record)[0])
         for fault in faults:
             with monkeypatch.context() as mp:
                 got, _ = _faulted_runs(mp, suite, fault, 3)
             failed.update((suite, f["check"]) for f in got["failures"])
-    assert len(checks) == 18
+    assert len(checks) == 18 + 3 + 9  # S1-S4, S6, S7
     assert failed == checks

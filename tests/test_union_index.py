@@ -36,7 +36,13 @@ from niemytzki.setdsl import (
 from niemytzki.theorems import classify
 from niemytzki.trivalent import FALSE, TRUE
 
-from oracles import union_holds_ball_ref, union_member_ref, union_misses_ball_ref
+from oracles import (
+    ref_tree,
+    tree_member_ref,
+    union_holds_ball_ref,
+    union_member_ref,
+    union_misses_ball_ref,
+)
 
 _DEN = 10**4
 _coordinate = st.fractions(min_value=-20, max_value=20, max_denominator=_DEN)
@@ -140,6 +146,26 @@ def test_the_union_index_equals_the_oracle(case):
 def test_a_union_of_mixed_arity_is_refused():
     with pytest.raises(DimensionMismatch):
         member(Union((SinglePoint((Fr(1),)), SinglePoint((Fr(1), Fr(2))))), (Fr(1),))
+
+
+def test_only_a_union_with_a_point_or_ball_member_builds_an_index(monkeypatch):
+    built, near = [], []
+    init, balls_near = setdsl.UnionIndex.__init__, setdsl.UnionIndex.balls_near
+    monkeypatch.setattr(setdsl.UnionIndex, "__init__",
+                        lambda index, members: built.append(members) or init(index, members))
+    monkeypatch.setattr(setdsl.UnionIndex, "balls_near",
+                        lambda index, *args: near.append(args) or balls_near(index, *args))
+    # two intersections, with no union below them: its members are all others
+    u = parse("(oball(0;1) & !point(1/2)) | (!cantor & lattice)", 2)
+    for p in (Fr(1, 4), Fr(1, 2), Fr(1), Fr(3, 2), Fr(5)):
+        assert (member(u, (p,)) is IN) == tree_member_ref(ref_tree(u), (p,))
+    assert built == [] and "index" not in vars(u)
+    # a wide union of points and balls is read through its index
+    full, half = _wide(16)
+    wide = parse(full, 2)
+    assert subset(parse(half, 2), wide) is TRUE
+    assert member(wide, (Fr(-3),)) is IN
+    assert built.count(wide.members) == 1 and near
 
 
 # --- the cached forms ----------------------------------------------------------
