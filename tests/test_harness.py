@@ -328,14 +328,21 @@ def _connective_fault(kind, change):
     verdict on its tree, changed by `change`, a function of the right
     verdict."""
     symbol = {Complement: "!", Union: "|", Inter: "&"}[kind]
-    to_ref = {v: k for k, v in _REF_VERDICT.items()}
+    to_verdict = {v: k for k, v in _REF_VERDICT.items()}
 
     def apply(mp):
-        row = setdsl._MEMBER_TESTS[kind]
-        mp.setitem(setdsl._MEMBER_TESTS, kind, lambda e: (
-            lambda test, *rest: (lambda q: change(test(q)), *rest))(*row(e)))
-        mp.setattr(oracles, "tree_member_ref", lambda tree, p, ref=oracles.tree_member_ref: (
-            _REF_VERDICT[change(to_ref[ref(tree, p)])] if tree[0] == symbol else ref(tree, p)))
+        row, ref = setdsl._MEMBER_TESTS[kind], oracles.tree_member_ref
+
+        def faulty_row(e):
+            test, *rest = row(e)
+            return (lambda q: change(test(q)), *rest)
+
+        def faulty_ref(tree, p):
+            v = ref(tree, p)
+            return _REF_VERDICT[change(to_verdict[v])] if tree[0] == symbol else v
+
+        mp.setitem(setdsl._MEMBER_TESTS, kind, faulty_row)
+        mp.setattr(oracles, "tree_member_ref", faulty_ref)
     return apply
 
 
