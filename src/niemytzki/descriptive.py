@@ -28,6 +28,17 @@ include:
   * a Bernstein set and its complement contain no uncountable compacta and
     are neither G_delta nor F_sigma (trusted axioms).
 
+Two witness searches settle flags the rules leave Unknown on a union or an
+intersection.  The closed-ball search tries candidate balls B[c, r], each
+held as the scaled form of c and the radius r: the balls about each ball
+leaf, moved on integers from the leaf's cached form, then six fixed balls,
+formed once per arity; equal balls are tried once.  The ``_INSIDE`` and
+``_DISJOINT`` rows test a candidate against a node on its form: only the
+ball rows add or subtract two radii as Fractions, and the Cantor row builds
+its first-axis interval as Fractions when it runs.  A union reads only the
+leaves its index puts near the candidate.  The point search is the set
+language's one search loop on the tree's structural candidates.
+
 :func:`compare` settles A ⊆ B and B ⊆ A, each by :func:`subset`, and reads
 the order of tau(A) and tau(B) off the two verdicts; :func:`compare_topologies`
 is that order alone.  Every entry point takes any tree and normalises it,
@@ -41,12 +52,11 @@ signals an implementation bug, never a property of the input.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import _record, _sq_sign
+from .geometry import _record, _Scaled, _scaled, _shifted, _sq_sign, _unscaled
 from .setdsl import (
     All,
     Bernstein,
@@ -70,7 +80,6 @@ from .setdsl import (
     _point_forms,
     _structural,
     arity,
-    axis,
     complement,
     find_witness,
     join,
@@ -262,83 +271,100 @@ def _interval_misses_cantor(lo: Fraction, hi: Fraction, depth: int = 0) -> bool:
     return False
 
 
-def _ball_within(a: SetExpr, b: SetExpr) -> bool:
-    """Whether the ball a lies in the ball b (each a ClosedBall or an OpenBall)."""
+def _ball_within(q: _Scaled, r: Fraction, b: SetExpr, kind: type = ClosedBall) -> bool:
+    """Whether the ball of the kind (a ClosedBall or an OpenBall) about the
+    form q with radius r lies in the ball b."""
     # strict only for a closed ball inside an open one
-    within = WITHIN[type(b) if type(a) is ClosedBall else ClosedBall]
-    return (within(a.radius, b.radius)
-            and within(_sq_sign(a.scaled, b.scaled, b.radius - a.radius), 0))
+    within = WITHIN[type(b) if kind is ClosedBall else ClosedBall]
+    return within(r, b.radius) and within(_sq_sign(q, b.scaled, b.radius - r), 0)
 
 
-# The two union rows read b's arity nowhere: b is a candidate ball of the
-# tree's own arity, and every point or ball they compare with it goes
-# through geometry._sq_sign, which refuses another arity.
+# The two union rows read the query's arity nowhere: the query is a
+# candidate ball of the tree's own arity, and every point or ball they
+# compare with it goes through geometry._sq_sign, which refuses another arity.
 
-def _union_inside(e: Union, b: ClosedBall) -> bool:
-    # no point holds a ball, and a ball that holds b has its center within
-    # R of b's along the first axis
+def _union_inside(e: Union, q: _Scaled, r: Fraction) -> bool:
+    # no point holds a ball, and a ball that holds the query has its center
+    # within R of the query's along the first axis
     index = e.index
-    return (any(_ball_within(b, m) for m in index.balls_near(b.scaled))
-            or any(_INSIDE[type(m)](m, b) for m in index.others))
+    return (any(_ball_within(q, r, m) for m in index.balls_near(q))
+            or any(_INSIDE[type(m)](m, q, r) for m in index.others))
 
 
-def _union_disjoint(e: Union, b: ClosedBall) -> bool:
-    # a point or a ball that meets b meets the slab of b along the first axis;
-    # the balls first: b often lies in one of them, which settles the answer
-    # before the points near b are found by bisection
+def _union_disjoint(e: Union, q: _Scaled, r: Fraction) -> bool:
+    # a point or a ball that meets the query meets its slab along the first
+    # axis; the balls first: the query often lies in one of them, which
+    # settles the answer before the points near it are found by bisection
     index = e.index
-    lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
-    return (all(_DISJOINT[type(m)](m, b) for m in index.balls_near(b.scaled, b.radius))
-            and all(_sq_sign(form, b.scaled, b.radius) > 0
-                    for form in index.points_between(lo, hi))
-            and all(_DISJOINT[type(m)](m, b) for m in index.others))
+    return (all(_DISJOINT[type(m)](m, q, r) for m in index.balls_near(q, r))
+            and all(_sq_sign(form, q, r) > 0 for form in index.points_between(q, r))
+            and all(_DISJOINT[type(m)](m, q, r) for m in index.others))
 
 
-# Sound tests that the closed ball b = B[c, r], a ClosedBall, lies in the set
-# e, and that it misses e: one row per kind of node.
+def _lattice_disjoint(e: Lattice, q: _Scaled, r: Fraction) -> bool:
+    # along some axis [c_i - r, c_i + r] holds no integer: the last multiple
+    # of the denominator at or below its top lies below its bottom
+    (X, d), n, k = q, r.numerator, r.denominator
+    w, den = n * d, d * k
+    return any((x * k + w) // den * den < x * k - w for x in X)
+
+
+def _cantor_disjoint(e: Cantor, q: _Scaled, r: Fraction) -> bool:
+    # off C x {0} along a later axis, or along the first an interval that
+    # the Cantor test reads as rationals, built only here
+    (X, d), n, k = q, r.numerator, r.denominator
+    w, den = n * d, d * k
+    return (any(abs(x) * k > w for x in X[1:])
+            or _interval_misses_cantor(Fraction(X[0] * k - w, den), Fraction(X[0] * k + w, den)))
+
+
+# Sound tests that the closed ball B[c, r], given as the scaled form q of c
+# and the radius r, lies in the set e, and that it misses e: one row per kind
+# of node.
 _INSIDE = NodeTable({
-    All: lambda e, b: True,
+    All: lambda e, q, r: True,
     # none of these contains a ball of positive radius
     **dict.fromkeys((Empty, Rationals, Lattice, Cantor, Bernstein, *_POINT_KINDS),
-                    lambda e, b: False),
-    **dict.fromkeys((ClosedBall, OpenBall), lambda e, b: _ball_within(b, e)),
-    Complement: lambda e, b: _DISJOINT[type(e.body)](e.body, b),
+                    lambda e, q, r: False),
+    **dict.fromkeys((ClosedBall, OpenBall), lambda e, q, r: _ball_within(q, r, e)),
+    Complement: lambda e, q, r: _DISJOINT[type(e.body)](e.body, q, r),
     Union: _union_inside,
-    Inter: lambda e, b: all(_INSIDE[type(m)](m, b) for m in e.members),
+    Inter: lambda e, q, r: all(_INSIDE[type(m)](m, q, r) for m in e.members),
 })
 
 _DISJOINT = NodeTable({
-    Empty: lambda e, b: True,
+    Empty: lambda e, q, r: True,
     # rationals are dense; a Bernstein set meets every closed ball (a ball
     # is an uncountable compactum)
-    **dict.fromkeys((All, Rationals, Bernstein), lambda e, b: False),
-    **dict.fromkeys(_POINT_KINDS, lambda e, b: all(_sq_sign(form, b.scaled, b.radius) > 0
-                                                   for form in _point_forms(e))),
-    # disjoint if along some axis the interval [c_i - r, c_i + r] holds no integer
-    Lattice: lambda e, b: any(math.ceil(ci - b.radius) > math.floor(ci + b.radius)
-                              for ci in b.center),
-    Cantor: lambda e, b: (_interval_misses_cantor(b.center[0] - b.radius, b.center[0] + b.radius)
-                          or any(ci - b.radius > 0 or ci + b.radius < 0 for ci in b.center[1:])),
+    **dict.fromkeys((All, Rationals, Bernstein), lambda e, q, r: False),
+    **dict.fromkeys(_POINT_KINDS, lambda e, q, r: all(_sq_sign(form, q, r) > 0
+                                                      for form in _point_forms(e))),
+    Lattice: _lattice_disjoint,
+    Cantor: _cantor_disjoint,
     # disjoint if the point of B[c, r] nearest the center lies outside the ball
-    **dict.fromkeys((ClosedBall, OpenBall), lambda e, b: not WITHIN[type(e)](
-        _sq_sign(b.scaled, e.scaled, b.radius + e.radius), 0)),
-    Complement: lambda e, b: _INSIDE[type(e.body)](e.body, b),
+    **dict.fromkeys((ClosedBall, OpenBall), lambda e, q, r: not WITHIN[type(e)](
+        _sq_sign(q, e.scaled, r + e.radius), 0)),
+    Complement: lambda e, q, r: _INSIDE[type(e.body)](e.body, q, r),
     Union: _union_disjoint,
-    Inter: lambda e, b: any(_DISJOINT[type(m)](m, b) for m in e.members),
+    Inter: lambda e, q, r: any(_DISJOINT[type(m)](m, q, r) for m in e.members),
 })
 
-
-def _balls_in_ball(e: SetExpr) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Balls about the center of a ball and about points off it along each axis."""
-    center, radius = e.center, e.radius
-    cands = [(center, radius / 2), (center, radius / 4)]
-    for i in range(len(center)):
-        for frac in (Fraction(3, 4), Fraction(1, 2), Fraction(-3, 4), Fraction(-1, 2)):
-            cands.append((axis(center, i, frac * radius), radius / 8))
-    return cands
+# The centers of the small balls about a ball: off its center along each
+# axis by these fractions u/v of its radius
+_OFFSETS = ((3, 4), (1, 2), (-3, 4), (-1, 2))
 
 
-# The (center, radius) candidates each kind of leaf offers the ball-witness
+def _balls_in_ball(e: SetExpr) -> list[tuple[_Scaled, Fraction]]:
+    """Balls about the center of a ball and about points off it along each
+    axis, as (form, radius)."""
+    form, n, k = e.scaled, e.radius.numerator, e.radius.denominator
+    eighth = Fraction(n, 8 * k)
+    return [(form, Fraction(n, 2 * k)), (form, Fraction(n, 4 * k)),
+            *((_shifted(form, i, u * n, v * k), eighth)
+              for i in range(len(form[0])) for u, v in _OFFSETS)]
+
+
+# The (form, radius) candidates each kind of leaf offers the ball-witness
 # search: only a ball offers any.
 _BALL_CANDIDATES = NodeTable({
     **dict.fromkeys((Empty, All, Rationals, Lattice, Cantor, Bernstein, *_POINT_KINDS),
@@ -347,19 +373,32 @@ _BALL_CANDIDATES = NodeTable({
 })
 
 
-def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    cands = [cand for node in leaves(e) for cand in _BALL_CANDIDATES[type(node)](node)]
-    zeros = on_axis(Fraction(0), m)
-    halves = (Fraction(1, 2),) * m
-    cands += [
+# Like setdsl._probes, formed once per arity and bounded.
+@lru_cache(maxsize=32)
+def _fixed_balls(m: int) -> tuple[tuple[_Scaled, Fraction], ...]:
+    """The candidates every search in R^m tries after its leaves', as (form, radius)."""
+    zeros, halves = on_axis(Fraction(0), m), (Fraction(1, 2),) * m
+    return tuple((_scaled(c), r) for c, r in (
         (zeros, Fraction(1)),
         (zeros, Fraction(1, 2)),
         (halves, Fraction(1, 4)),
         (halves, Fraction(1, 16)),
-        ((Fraction(5, 2),) + (Fraction(1, 2),) * (m - 1), Fraction(1, 4)),
-        ((Fraction(-5, 2),) + (Fraction(1, 2),) * (m - 1), Fraction(1, 4)),
-    ]
-    return list(dict.fromkeys(cands))
+        ((Fraction(5, 2),) + halves[1:], Fraction(1, 4)),
+        ((Fraction(-5, 2),) + halves[1:], Fraction(1, 4)),
+    ))
+
+
+def _ball_forms(e: SetExpr, m: int) -> list[tuple[_Scaled, Fraction]]:
+    """The candidate balls of the search in e, as (form, radius), in order,
+    each once: forms are canonical, so equal balls have equal keys."""
+    cands = [cand for node in leaves(e) for cand in _BALL_CANDIDATES[type(node)](node)]
+    cands += _fixed_balls(m)
+    return list({(q, r.numerator, r.denominator): (q, r) for q, r in cands}.values())
+
+
+def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """The candidate balls of the search in e, as (center, radius)."""
+    return [(_unscaled(form), r) for form, r in _ball_forms(e, m)]
 
 
 _BALL_SEARCH_BUDGET = 1000
@@ -367,9 +406,7 @@ _BALL_SEARCH_BUDGET = 1000
 
 def _closed_ball_witness(e: SetExpr, m: int) -> bool:
     inside = _INSIDE[type(e)]
-    # each candidate is a leaf, so its center is scaled once for every test
-    return any(inside(e, ClosedBall(center, radius))
-               for center, radius in _candidate_balls(e, m)[:_BALL_SEARCH_BUDGET])
+    return any(inside(e, q, r) for q, r in _ball_forms(e, m)[:_BALL_SEARCH_BUDGET])
 
 
 # --- inference -----------------------------------------------------------------
@@ -507,7 +544,7 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         rest = (Fraction(0),) * (len(b.center) - 1)
         return all(member(b, (end,) + rest) is IN for end in (Fraction(0), Fraction(1)))
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
-        return _ball_within(a, b)
+        return _ball_within(a.scaled, a.radius, b, type(a))
     return False
 
 

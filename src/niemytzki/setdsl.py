@@ -102,7 +102,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
@@ -705,44 +705,39 @@ class UnionIndex:
 
     The points of the union, its ``point`` members and the points of its
     ``finite`` members, are in the set ``points`` by their scaled form, and
-    also sorted by first coordinate.  The closed and open balls are sorted
-    by the first coordinate c_1 of their centers; with R their largest
-    radius (``reach``), every ball that meets the slab |x_1 - y| <= r has
-    c_1 within r + R of y.  On the grid of step 1/s, s = ceil(1/R), ``ball_floors`` and
-    ``ball_tops`` hold the cells of c_1 - R and c_1 + R, so that
-    :meth:`balls_near` finds those balls by bisection on integers, with at
-    most the balls within 1/s <= R more.  ``arities`` holds the arity of
-    each of these points and centers.  Every other member, a leaf without
-    coordinates included, is in ``others``, in order.
+    sorted by first coordinate, with their unit cells floor(x_1) in
+    ``point_cells``.  The balls are sorted by the first coordinate c_1 of
+    their centers; with R their largest radius (``reach``), a ball that meets
+    the slab |x_1 - y| <= r has c_1 within r + R of y.  On the grid of step
+    1/s, s = ceil(1/R), ``ball_floors`` and ``ball_tops`` hold the cells of
+    c_1 - R and c_1 + R.  Every cell is an integer floor division on a cached
+    form, so a query bisects integers and reads at most the members of the
+    slab's end cells more.  ``arities`` holds the arity of each point and
+    center.  Every other member, a leaf without coordinates included, is in
+    ``others``, in order.
     """
 
     def __init__(self, members: tuple[SetExpr, ...]):
         self._members = members
-        points: list[tuple[tuple[Fraction, ...], _Scaled]] = []
-        balls: list[SetExpr] = []
-        others: list[SetExpr] = []
+        points, balls, others = [], [], []  # points as (coordinates, form)
         for m in members:
-            kind = type(m)
-            groups = _COORDS[kind](m)
-            if not all(groups):
-                others.append(m)  # a group without coordinates has no first one
-            elif kind in WITHIN:
+            kind, groups = type(m), _COORDS[type(m)](m)
+            if kind in WITHIN and all(groups):
                 balls.append(m)
-            elif kind in _POINT_KINDS:
+            elif kind in _POINT_KINDS and all(groups):
                 points.extend(zip(groups, _point_forms(m)))
             else:
-                others.append(m)
+                others.append(m)  # a group without coordinates has no first one
         points.sort(key=lambda pt: pt[0][0])
         balls.sort(key=lambda b: b.center[0])
-        self.points = frozenset(form for _, form in points)
-        self.point_firsts = [coords[0] for coords, _ in points]
-        self.point_forms = [form for _, form in points]
+        self.point_forms = forms = [form for _, form in points]
+        self.points, self.point_cells = frozenset(forms), [X[0] // d for X, d in forms]
         self.reach = reach = max((b.radius for b in balls), default=0)
         self.balls = balls
-        self.scale = s = ceil(1 / reach) if balls else 1
-        self.ball_floors = [floor((b.center[0] - reach) * s) for b in balls]
-        self.ball_tops = [floor((b.center[0] + reach) * s) for b in balls]
-        self.arities = {len(X) for X, _ in self.point_forms} | {len(b.center) for b in balls}
+        self.scale = s = -(-reach.denominator // reach.numerator) if balls else 1
+        cells = tuple(zip(*[_slab(b.scaled, reach, s) for b in balls]))
+        self.ball_floors, self.ball_tops = cells or ((), ())
+        self.arities = {len(X) for X, _ in forms} | {len(b.center) for b in balls}
         self.others = tuple(others)
 
     @cached_property
@@ -750,20 +745,24 @@ class UnionIndex:
         """Every member, as a set."""
         return frozenset(self._members)
 
-    def points_between(self, lo: Fraction, hi: Fraction) -> list[_Scaled]:
-        """The scaled forms of the points with lo <= x_1 <= hi."""
-        firsts = self.point_firsts
-        return self.point_forms[bisect_left(firsts, lo):bisect_right(firsts, hi)]
+    def points_between(self, q: _Scaled, r: Fraction) -> list[_Scaled]:
+        """The forms of the points in the unit cells the slab |x_1 - y_1| <= r about q meets."""
+        (lo, hi), cells = _slab(q, r, 1), self.point_cells
+        return self.point_forms[bisect_left(cells, lo):bisect_right(cells, hi)]
 
     def balls_near(self, q: _Scaled, r: Fraction = 0) -> list[SetExpr]:
         """The balls that may meet the slab |x_1 - y_1| <= r around the
         point y of scaled form q: every ball with |c_1 - y_1| <= r + R, and
         at most those within 1/s more."""
-        (Y, d), s = q, self.scale
-        a, b = r.numerator, r.denominator
-        y, w = Y[0] * b * s, a * d * s  # the slab's cells: floor((y -+ w) / (b d))
-        lo, hi = (y - w) // (b * d), (y + w) // (b * d)
+        lo, hi = _slab(q, r, self.scale)
         return self.balls[bisect_left(self.ball_tops, lo):bisect_right(self.ball_floors, hi)]
+
+
+def _slab(q: _Scaled, r: Fraction, s: int) -> tuple[int, int]:
+    """The cells floor((y_1 -+ r) s) of the slab |x_1 - y_1| <= r around the form q."""
+    (Y, d), a, b = q, r.numerator, r.denominator
+    y, w = Y[0] * b * s, a * d * s
+    return (y - w) // (b * d), (y + w) // (b * d)
 
 
 # The kinds a UnionIndex places, and the index of a union with none of them
@@ -1019,7 +1018,7 @@ def on_axis(v: Fraction, m: int) -> tuple[Fraction, ...]:
 
 def _ball_points(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
     """A ball's center and the points half a radius off it along each axis."""
-    half = e.radius / 2
+    half = Fraction(e.radius, 2)  # a Fraction for an int radius too
     points = [e.center]
     for i in range(len(e.center)):
         points += (axis(e.center, i, half), axis(e.center, i, -half))

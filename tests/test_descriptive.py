@@ -31,7 +31,7 @@ from niemytzki.descriptive import (
     subset,
 )
 from niemytzki import descriptive, setdsl
-from niemytzki.geometry import DimensionMismatch
+from niemytzki.geometry import DimensionMismatch, _scaled
 from niemytzki.setdsl import (
     IN,
     All,
@@ -56,6 +56,7 @@ from niemytzki.setdsl import (
     parse,
     random_expr,
 )
+from niemytzki.theorems import classify
 from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
 
 import catalog
@@ -294,25 +295,25 @@ def test_ball_predicates_equal_the_oracle(case):
             want = ball_member_ref(p, center, radius, closed)
             assert (member(kind(center, radius), p) is TRUE) == want
         e = kind(C, R)
-        assert _INSIDE[kind](e, ClosedBall(c, r)) == ball_within_ref(c, r, True, C, R, closed)
-        assert _DISJOINT[kind](e, ClosedBall(c, r)) == ball_disjoint_ref(c, r, C, R, closed)
+        assert _INSIDE[kind](e, _scaled(c), r) == ball_within_ref(c, r, True, C, R, closed)
+        assert _DISJOINT[kind](e, _scaled(c), r) == ball_disjoint_ref(c, r, C, R, closed)
         for inner in (ClosedBall, OpenBall):
             want = ball_within_ref(c, r, inner is ClosedBall, C, R, closed)
             assert (subset(inner(c, r), e, budget=20) is TRUE) == want
     # B[c, r] holds no finite set and misses one iff it holds none of its points
     points = (C, p)
-    b = ClosedBall(c, r)
-    assert not _INSIDE[SinglePoint](SinglePoint(p), b)
-    assert not _INSIDE[FiniteSet](FiniteSet(points), b)
-    assert _DISJOINT[SinglePoint](SinglePoint(p), b) == (not ball_member_ref(p, c, r, True))
-    assert _DISJOINT[FiniteSet](FiniteSet(points), b) == (
+    b = (_scaled(c), r)
+    assert not _INSIDE[SinglePoint](SinglePoint(p), *b)
+    assert not _INSIDE[FiniteSet](FiniteSet(points), *b)
+    assert _DISJOINT[SinglePoint](SinglePoint(p), *b) == (not ball_member_ref(p, c, r, True))
+    assert _DISJOINT[FiniteSet](FiniteSet(points), *b) == (
         not any(ball_member_ref(q, c, r, True) for q in points))
     # point(p) and finite{p} are one point leaf: the same support and
     # arities, the same answer against the ball and the same flag record
     one, single = SinglePoint(p), FiniteSet((p,))
     assert _compiled(one)[1:] == _compiled(single)[1:]
     assert all(member(one, q) is member(single, q) for q in (p, c, C))
-    assert _DISJOINT[SinglePoint](one, b) == _DISJOINT[FiniteSet](single, b)
+    assert _DISJOINT[SinglePoint](one, *b) == _DISJOINT[FiniteSet](single, *b)
     assert _PRIMITIVE_PAIRS[SinglePoint] == _PRIMITIVE_PAIRS[FiniteSet]
 
 
@@ -325,7 +326,29 @@ def test_ball_predicates_equal_the_oracle(case):
 ], ids=["point", "finite", "cball", "oball", "union-of-points", "union-of-balls"])
 def test_the_ball_rows_refuse_a_center_of_another_arity(e):
     with pytest.raises(DimensionMismatch, match="dimension"):
-        _DISJOINT[type(e)](e, ClosedBall((Fr(0),), Fr(1)))
+        _DISJOINT[type(e)](e, ((0,), 1), Fr(1))
+
+
+# Trees built in Python whose ball radius is an int, each with its twin of
+# a Fraction radius: the ball searches work on its numerator and denominator.
+INT_RADIUS_TREES = {
+    "union": (lambda r: Union((ClosedBall((0,), r), SinglePoint((5,)))), 2),
+    "inter": (lambda r: Inter((OpenBall((0, 1), 2 * r), Complement(SinglePoint((0, 1))))), 3),
+    "complement": (lambda r: Complement(Union((OpenBall((1, 2), r), Lattice()))), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(INT_RADIUS_TREES))
+def test_an_int_radius_answers_as_its_fraction_twin(name):
+    make, n = INT_RADIUS_TREES[name]
+    answers = []
+    for radius in (1, Fr(1)):
+        e = make(radius)
+        descriptive._pair_flags.cache_clear()  # the twins are equal keys
+        answers.append((infer(e).to_json(), classify(e, n).to_json(),
+                        subset(All(), e), subset(e, Complement(e)),
+                        find_witness(e, dimension=n), find_witness(Complement(e), dimension=n)))
+    assert answers[0] == answers[1]
 
 
 class TestCompareTopologies:
@@ -449,7 +472,7 @@ def _subset_in_the_former_order(a, b):
         rest = (Fr(0),) * (len(b.center) - 1)
         return all(member(b, (end,) + rest) is IN for end in (Fr(0), Fr(1)))
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
-        return _ball_within(a, b)
+        return _ball_within(a.scaled, a.radius, b, type(a))
     return False
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from niemytzki.descriptive import _DISJOINT, _INSIDE, _candidate_balls, compare_topologies, infer, subset
-from niemytzki.geometry import DimensionMismatch
+from niemytzki.geometry import DimensionMismatch, _scaled
 from niemytzki.setdsl import (
     IN,
     OUT,
@@ -115,8 +115,8 @@ def test_every_tree_operation_has_a_row_for_every_kind(kind):
     infer(e)
     assert classify(e, 2).boundary_dim in (-1, 0, 1, None)
     for c, r in (((Fr(0),), Fr(1, 2)), ((Fr(9),), Fr(1))):
-        assert _INSIDE[type(e)](e, ClosedBall(c, r)) in (True, False)
-        assert _DISJOINT[type(e)](e, ClosedBall(c, r)) in (True, False)
+        assert _INSIDE[type(e)](e, _scaled(c), r) in (True, False)
+        assert _DISJOINT[type(e)](e, _scaled(c), r) in (True, False)
     assert arity(e) in (None, 1)
     assert all(len(g) == 1 for g in _COORDS[type(e)](e))
     assert all(len(p) == 1 for p in structural_candidates(e, 1))

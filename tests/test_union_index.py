@@ -2,6 +2,7 @@
 the cached scaled forms of the leaves, and how the witness searches grow
 with the width of a union."""
 
+import math
 import pickle
 import random
 from fractions import Fraction as Fr
@@ -14,7 +15,6 @@ from niemytzki import descriptive, geometry, setdsl
 from niemytzki.descriptive import (
     _DISJOINT,
     _INSIDE,
-    _candidate_balls,
     _closed_ball_witness,
     compare_topologies,
     subset,
@@ -30,6 +30,7 @@ from niemytzki.setdsl import (
     OpenBall,
     SinglePoint,
     Union,
+    _compiled,
     member,
     parse,
 )
@@ -121,16 +122,16 @@ def _node(leaf):
 @given(_union_case())
 def test_the_union_index_equals_the_oracle(case):
     members, c, r, p = case
-    b = ClosedBall(c, r)
+    b = (geometry._scaled(c), r)
     # the union, the union of its coordinate leaves alone, and each member
     # alone, where it sets the largest radius
     leaves = [leaf for leaf in members if leaf[0] not in ("cantor", "!cball")]
     for part in (members, leaves, *([leaf] for leaf in members)):
         v = Union(tuple(map(_node, part)))
         assert (member(v, p) is IN) == union_member_ref(part, p)
-        assert _INSIDE[Union](v, b) == union_holds_ball_ref(part, c, r)
+        assert _INSIDE[Union](v, *b) == union_holds_ball_ref(part, c, r)
         if ("cantor",) not in part:  # the Cantor row is a sound test, not exact
-            assert _DISJOINT[Union](v, b) == union_misses_ball_ref(part, c, r)
+            assert _DISJOINT[Union](v, *b) == union_misses_ball_ref(part, c, r)
     u = Union(tuple(map(_node, members)))
     # a point or a finite set lies in the union, or one of its points is
     # the witness of the gap
@@ -141,6 +142,36 @@ def test_the_union_index_equals_the_oracle(case):
         TRUE if all(union_member_ref(members, q) for q in pts) else FALSE)
     for node in u.members:
         assert subset(node, u, budget=20) is TRUE
+
+
+@given(_union_case())
+def test_the_index_cells_and_span_equal_fraction_arithmetic(case):
+    members, c, r, p = case
+    coords = [leaf for leaf in members if leaf[0] not in ("cantor", "!cball")]
+    u = Union(tuple(map(_node, coords)))
+    index = u.index
+    points = [q for leaf in coords if leaf[0] in ("point", "finite")
+              for q in ((leaf[1],) if leaf[0] == "point" else leaf[1])]
+    balls = [leaf[1:] for leaf in coords if leaf[0] in ("cball", "oball")]
+    # the points and the balls in exact first-coordinate order
+    firsts = [Fr(X[0], d) for X, d in index.point_forms]
+    assert firsts == sorted(q[0] for q in points)
+    assert [b.center[0] for b in index.balls] == sorted(C[0] for C, _ in balls)
+    if balls:
+        R = max(radius for _, radius in balls)
+        s = math.ceil(1 / R)
+        assert index.scale == s
+        assert list(index.ball_floors) == [math.floor((b.center[0] - R) * s) for b in index.balls]
+        assert list(index.ball_tops) == [math.floor((b.center[0] + R) * s) for b in index.balls]
+    # the slab query holds every point of the slab, about c and about p
+    for y, radius in ((c, r), (p, r), (p, Fr(0))):
+        near = index.points_between(geometry._scaled(y), radius)
+        assert {geometry._scaled(q) for q in points if abs(q[0] - y[0]) <= radius} <= set(near)
+    # the span of the union's test holds each point and each ball along x_1
+    a, b, top, g = _compiled(u)[2]
+    lo, hi = Fr(a, b), Fr(top, g)
+    assert all(lo <= q[0] <= hi for q in points)
+    assert all(lo <= C[0] - radius and C[0] + radius <= hi for C, radius in balls)
 
 
 def test_a_union_of_mixed_arity_is_refused():
@@ -197,10 +228,12 @@ def test_each_point_is_scaled_once(monkeypatch):
     monkeypatch.setattr(setdsl, "_scaled", lambda coords: calls.append(coords)
                         or geometry._scaled(coords))
     assert member(u, p) is OUT and calls == [p]
-    # each candidate ball's center once, not once per ball of the union
+    # a warm search on a wide union forms no point: each candidate ball is
+    # a form moved on integers, and the index and the leaves' forms are cached
+    wide = Complement(parse(_wide(128)[0], 2))
+    found = _closed_ball_witness(wide, 1)
     calls.clear()
-    assert _closed_ball_witness(Complement(u), 2)
-    assert len(calls) <= len(_candidate_balls(Complement(u), 2))
+    assert _closed_ball_witness(wide, 1) == found and calls == []
 
 
 # --- growth with width -----------------------------------------------------------
