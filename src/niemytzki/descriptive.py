@@ -55,8 +55,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .geometry import _record, _Scaled, _scaled, _shifted, _sq_sign, _unscaled
+from .geometry import _record, _Scaled, _scaled, _sq_sign, _unscaled
 from .setdsl import (
     All,
     Bernstein,
@@ -352,6 +353,17 @@ _DISJOINT = NodeTable({
 # The centers of the small balls about a ball: off its center along each
 # axis by these fractions u/v of its radius
 _OFFSETS = ((3, 4), (1, 2), (-3, 4), (-1, 2))
+
+
+def _shifted(form: _Scaled, i: int, u: int, v: int) -> _Scaled:
+    """The form of the point moved by u/v, v > 0, along axis i, canonical as
+    ``geometry._scaled`` forms it when the form is: over the denominator d*v,
+    less the gcd of every integer of the form."""
+    X, d = form
+    N = [x * v for x in X]
+    N[i] += u * d
+    g = gcd(*N, d * v)
+    return tuple([x // g for x in N]), d * v // g
 
 
 def _balls_in_ball(e: SetExpr) -> list[tuple[_Scaled, Fraction]]:

@@ -44,9 +44,7 @@ tangent ball iff N < D, and the separating function is N/D capped at 1.
 through one preamble, ``_level``, which checks the parameter and the
 tangency point first; ``topology.contains`` and the harness's suites S1-S4
 read it on forms they already trust.  :func:`tangent_sphere_point` and
-suite S1 build their sphere points with ``_sphere_form``, and the candidate
-balls of :mod:`niemytzki.descriptive` move a form along one axis with
-``_shifted``.
+suite S1 build their sphere points with ``_sphere_form``.
 
 Every record class of the package, from :class:`Point` here to the set
 expressions, topologies, certificates and reports, is made by
@@ -69,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from types import CodeType
 from typing import Sequence, Union
 
@@ -197,17 +195,6 @@ def _unscaled(form: _Scaled) -> tuple[Fraction, ...]:
     """The rational coordinates of a form (X, d), which need not be reduced."""
     X, d = form
     return tuple([Fraction(c, d) for c in X])
-
-
-def _shifted(form: _Scaled, i: int, u: int, v: int) -> _Scaled:
-    """The form of the point moved by u/v, v > 0, along axis i, canonical as
-    :func:`_scaled` forms it when the form is: over the denominator d*v, less
-    the gcd of every integer of the form."""
-    X, d = form
-    N = [x * v for x in X]
-    N[i] += u * d
-    g = gcd(*N, d * v)
-    return tuple([x // g for x in N]), d * v // g
 
 
 @_record

@@ -705,39 +705,43 @@ class UnionIndex:
 
     The points of the union, its ``point`` members and the points of its
     ``finite`` members, are in the set ``points`` by their scaled form, and
-    sorted by first coordinate, with their unit cells floor(x_1) in
-    ``point_cells``.  The balls are sorted by the first coordinate c_1 of
-    their centers; with R their largest radius (``reach``), a ball that meets
-    the slab |x_1 - y| <= r has c_1 within r + R of y.  On the grid of step
-    1/s, s = ceil(1/R), ``ball_floors`` and ``ball_tops`` hold the cells of
-    c_1 - R and c_1 + R.  Every cell is an integer floor division on a cached
-    form, so a query bisects integers and reads at most the members of the
-    slab's end cells more.  ``arities`` holds the arity of each point and
-    center.  Every other member, a leaf without coordinates included, is in
-    ``others``, in order.
+    in ``point_forms`` sorted by first coordinate.  The balls are sorted by
+    the first coordinate c_1 of their centers; with R their largest radius
+    (``reach``), every ball that meets the slab |x_1 - y| <= r has c_1
+    within r + R of y.  On the grid of step 1/s, s = ceil(1/R),
+    ``ball_floors`` and ``ball_tops`` hold the cells of c_1 - R and c_1 + R,
+    integer floor divisions on the balls' cached forms.  ``arities`` holds
+    the arity of each of these points and centers.  Every other member, a
+    leaf without coordinates included, is in ``others``, in order.
     """
 
     def __init__(self, members: tuple[SetExpr, ...]):
         self._members = members
-        points, balls, others = [], [], []  # points as (coordinates, form)
+        points: list[tuple[tuple[Fraction, ...], _Scaled]] = []
+        balls: list[SetExpr] = []
+        others: list[SetExpr] = []
         for m in members:
-            kind, groups = type(m), _COORDS[type(m)](m)
-            if kind in WITHIN and all(groups):
+            kind = type(m)
+            groups = _COORDS[kind](m)
+            if not all(groups):
+                others.append(m)  # a group without coordinates has no first one
+            elif kind in WITHIN:
                 balls.append(m)
-            elif kind in _POINT_KINDS and all(groups):
+            elif kind in _POINT_KINDS:
                 points.extend(zip(groups, _point_forms(m)))
             else:
-                others.append(m)  # a group without coordinates has no first one
+                others.append(m)
         points.sort(key=lambda pt: pt[0][0])
         balls.sort(key=lambda b: b.center[0])
-        self.point_forms = forms = [form for _, form in points]
-        self.points, self.point_cells = frozenset(forms), [X[0] // d for X, d in forms]
+        self.points = frozenset(form for _, form in points)
+        self.point_forms = [form for _, form in points]
         self.reach = reach = max((b.radius for b in balls), default=0)
         self.balls = balls
         self.scale = s = -(-reach.denominator // reach.numerator) if balls else 1
-        cells = tuple(zip(*[_slab(b.scaled, reach, s) for b in balls]))
-        self.ball_floors, self.ball_tops = cells or ((), ())
-        self.arities = {len(X) for X, _ in forms} | {len(b.center) for b in balls}
+        spans = [_around(b.scaled, b.scaled, reach) for b in balls]  # c_1 -+ R
+        self.ball_floors = [lo * s // den for lo, den, _, _ in spans]
+        self.ball_tops = [hi * s // den for _, _, hi, den in spans]
+        self.arities = {len(X) for X, _ in self.point_forms} | {len(b.center) for b in balls}
         self.others = tuple(others)
 
     @cached_property
@@ -746,23 +750,20 @@ class UnionIndex:
         return frozenset(self._members)
 
     def points_between(self, q: _Scaled, r: Fraction) -> list[_Scaled]:
-        """The forms of the points in the unit cells the slab |x_1 - y_1| <= r about q meets."""
-        (lo, hi), cells = _slab(q, r, 1), self.point_cells
-        return self.point_forms[bisect_left(cells, lo):bisect_right(cells, hi)]
+        """The forms of the points with |x_1 - y_1| <= r, y of form q: two
+        bisections, each comparing x_1 with an end of the slab on integers."""
+        lo, den, hi, _ = _around(q, q, r)  # the slab is [lo/den, hi/den]
+        forms = self.point_forms
+        return forms[bisect_left(forms, True, key=lambda p: p[0][0] * den >= lo * p[1]):
+                     bisect_left(forms, True, key=lambda p: p[0][0] * den > hi * p[1])]
 
     def balls_near(self, q: _Scaled, r: Fraction = 0) -> list[SetExpr]:
         """The balls that may meet the slab |x_1 - y_1| <= r around the
         point y of scaled form q: every ball with |c_1 - y_1| <= r + R, and
         at most those within 1/s more."""
-        lo, hi = _slab(q, r, self.scale)
-        return self.balls[bisect_left(self.ball_tops, lo):bisect_right(self.ball_floors, hi)]
-
-
-def _slab(q: _Scaled, r: Fraction, s: int) -> tuple[int, int]:
-    """The cells floor((y_1 -+ r) s) of the slab |x_1 - y_1| <= r around the form q."""
-    (Y, d), a, b = q, r.numerator, r.denominator
-    y, w = Y[0] * b * s, a * d * s
-    return (y - w) // (b * d), (y + w) // (b * d)
+        (lo, den, hi, _), s = _around(q, q, r), self.scale
+        return self.balls[bisect_left(self.ball_tops, lo * s // den):
+                          bisect_right(self.ball_floors, hi * s // den)]
 
 
 # The kinds a UnionIndex places, and the index of a union with none of them

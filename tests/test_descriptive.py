@@ -18,6 +18,7 @@ from niemytzki.descriptive import (
     SoundnessError,
     TopologyOrder,
     _ball_within,
+    _shifted,
     _bits,
     _close,
     _structural_subset,
@@ -66,6 +67,7 @@ from oracles import (
     ball_member_ref,
     ball_within_ref,
     close_pair_ref,
+    scaled_ref,
 )
 
 
@@ -327,6 +329,16 @@ def test_ball_predicates_equal_the_oracle(case):
 def test_the_ball_rows_refuse_a_center_of_another_arity(e):
     with pytest.raises(DimensionMismatch, match="dimension"):
         _DISJOINT[type(e)](e, ((0,), 1), Fr(1))
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=4),
+       st.integers(0, 3), st.fractions(max_denominator=10**6))
+def test_a_shifted_form_is_the_form_of_the_shifted_point(coords, i, t):
+    # canonical, so a candidate center moved on integers equals it moved in
+    # Fractions
+    i %= len(coords)
+    moved = [*coords[:i], coords[i] + t, *coords[i + 1:]]
+    assert _shifted(_scaled(coords), i, t.numerator, t.denominator) == scaled_ref(moved)
 
 
 # Trees built in Python whose ball radius is an int, each with its twin of

@@ -16,7 +16,6 @@ from niemytzki.geometry import (
     _in_tangent_int,
     _level_int,
     _scaled,
-    _shifted,
     _sq_int,
     _sq_sign,
     in_ball,
@@ -296,14 +295,6 @@ class TestScaledForm:
         assert (X, d) == scaled_ref(coords)
         assert d > 0 and tuple(Fr(x, d) for x in X) == tuple(coords)
         assert gcd(*X, d) == 1 and all(type(x) is int for x in (*X, d))
-
-    @given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=4),
-           st.integers(0, 3), st.fractions(max_denominator=10**6))
-    def test_a_shifted_form_is_the_form_of_the_shifted_point(self, coords, i, t):
-        # canonical, so a point moved on integers equals it moved in Fractions
-        i %= len(coords)
-        moved = [*coords[:i], coords[i] + t, *coords[i + 1:]]
-        assert _shifted(_scaled(coords), i, t.numerator, t.denominator) == scaled_ref(moved)
 
     @pytest.mark.parametrize("coords, form", [
         ((Fr(-3, 4),), ((-3,), 4)),

@@ -163,15 +163,26 @@ def test_the_index_cells_and_span_equal_fraction_arithmetic(case):
         assert index.scale == s
         assert list(index.ball_floors) == [math.floor((b.center[0] - R) * s) for b in index.balls]
         assert list(index.ball_tops) == [math.floor((b.center[0] + R) * s) for b in index.balls]
-    # the slab query holds every point of the slab, about c and about p
+    # the slab query is exact: the points of the slab, in order, about c
+    # and about p, whose slab ends often fall on a point
     for y, radius in ((c, r), (p, r), (p, Fr(0))):
         near = index.points_between(geometry._scaled(y), radius)
-        assert {geometry._scaled(q) for q in points if abs(q[0] - y[0]) <= radius} <= set(near)
+        assert near == [form for form, x in zip(index.point_forms, firsts)
+                        if abs(x - y[0]) <= radius]
+        assert set(near) == {geometry._scaled(q) for q in points if abs(q[0] - y[0]) <= radius}
     # the span of the union's test holds each point and each ball along x_1
     a, b, top, g = _compiled(u)[2]
     lo, hi = Fr(a, b), Fr(top, g)
     assert all(lo <= q[0] <= hi for q in points)
     assert all(lo <= C[0] - radius and C[0] + radius <= hi for C, radius in balls)
+
+
+def test_the_slab_query_reads_no_point_outside_the_slab():
+    # many points in one unit cell: a query beside them finds none, and a
+    # query among them only the points of its slab
+    index = Union(tuple(SinglePoint((Fr(j, 400),)) for j in range(200))).index
+    assert index.points_between(((3,), 4), Fr(1, 8)) == []
+    assert index.points_between(((1,), 4), Fr(1, 400)) == [((99,), 400), ((1,), 4), ((101,), 400)]
 
 
 def test_a_union_of_mixed_arity_is_refused():
@@ -225,15 +236,24 @@ def test_each_point_is_scaled_once(monkeypatch):
     p = (Fr(1, 3), Fr(3))
     assert member(u, p) is OUT  # the balls' forms are cached from here on
     calls = []
-    monkeypatch.setattr(setdsl, "_scaled", lambda coords: calls.append(coords)
-                        or geometry._scaled(coords))
+
+    def spy(coords):
+        calls.append(coords)
+        return geometry._scaled(coords)
+
+    monkeypatch.setattr(setdsl, "_scaled", spy)
     assert member(u, p) is OUT and calls == [p]
-    # a warm search on a wide union forms no point: each candidate ball is
-    # a form moved on integers, and the index and the leaves' forms are cached
+    # no candidate ball's center is formed as a point, in either module: each
+    # is moved on integers from its leaf's cached form, and the fixed ones
+    # are formed once per arity, so a warm search forms nothing, however
+    # many candidates it tries
+    monkeypatch.setattr(descriptive, "_scaled", spy)
     wide = Complement(parse(_wide(128)[0], 2))
-    found = _closed_ball_witness(wide, 1)
+    assert _closed_ball_witness(Complement(u), 2)
+    assert _closed_ball_witness(wide, 1)
     calls.clear()
-    assert _closed_ball_witness(wide, 1) == found and calls == []
+    assert _closed_ball_witness(Complement(u), 2)
+    assert _closed_ball_witness(wide, 1) and calls == []
 
 
 # --- growth with width -----------------------------------------------------------
