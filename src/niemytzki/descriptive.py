@@ -37,7 +37,10 @@ formed once per arity; equal balls are tried once.  The ``_INSIDE`` and
 ball rows add or subtract two radii as Fractions, and the Cantor row builds
 its first-axis interval as Fractions when it runs.  A union reads only the
 leaves its index puts near the candidate.  The point search is the set
-language's one search loop on the tree's structural candidates.
+language's one search loop on the tree's structural candidate forms,
+harvested leaf by leaf as it reads them.  The structural subset rules
+decide a point leaf in a set by that set's member test on the leaf's
+cached forms.
 
 :func:`compare` settles A ⊆ B and B ⊆ A, each by :func:`subset`, and reads
 the order of tau(A) and tau(B) off the two verdicts; :func:`compare_topologies`
@@ -55,7 +58,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .geometry import _record, _Scaled, _scaled, _sq_sign, _unscaled
 from .setdsl import (
@@ -75,17 +77,19 @@ from .setdsl import (
     SetExpr,
     Union,
     WITHIN,
-    _COORDS,
     _POINT_KINDS,
     _first_in,
     _point_forms,
+    _shifted,
     _structural,
+    _too_deep,
     arity,
     complement,
     find_witness,
     join,
     leaves,
     member,
+    member_test,
     normalize,
     on_axis,
 )
@@ -355,17 +359,6 @@ _DISJOINT = NodeTable({
 _OFFSETS = ((3, 4), (1, 2), (-3, 4), (-1, 2))
 
 
-def _shifted(form: _Scaled, i: int, u: int, v: int) -> _Scaled:
-    """The form of the point moved by u/v, v > 0, along axis i, canonical as
-    ``geometry._scaled`` forms it when the form is: over the denominator d*v,
-    less the gcd of every integer of the form."""
-    X, d = form
-    N = [x * v for x in X]
-    N[i] += u * d
-    g = gcd(*N, d * v)
-    return tuple([x // g for x in N]), d * v // g
-
-
 def _balls_in_ball(e: SetExpr) -> list[tuple[_Scaled, Fraction]]:
     """Balls about the center of a ball and about points off it along each
     axis, as (form, radius)."""
@@ -451,8 +444,8 @@ def _combine_node(e: SetExpr) -> tuple[int, int]:
 
 
 def _point_witness(e: SetExpr, m: int) -> bool:
-    # the structural candidates alone, harvested only if the span lets the
-    # search read them
+    # the structural candidates alone, a leaf's harvested only if the span
+    # lets the search read them and no earlier leaf's candidate was In
     return _first_in(e, m, _structural(e, m)) is not None
 
 
@@ -541,14 +534,18 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     if isinstance(a, Complement) and isinstance(b, Complement):
         return _structural_subset(b.body, a.body)
     if type(a) in _POINT_KINDS:
+        mine = _point_forms(a)
         if type(b) in _POINT_KINDS:
-            mine, theirs = _point_forms(a), _point_forms(b)
+            theirs = _point_forms(b)
             arities = {len(X) for X, _ in mine + theirs}
             # equal points have equal forms; a pair without one arity m >= 1
-            # takes the member path below, which raises
+            # takes the member test below, which raises
             if len(arities) == 1 and 0 not in arities:
                 return all(form in theirs for form in mine)
-        return all(member(b, p) is IN for p in _COORDS[type(a)](a))
+        try:  # member on each point, read off its cached form
+            return all(member_test(b, len(form[0]))(form) is IN for form in mine)
+        except RecursionError:
+            raise _too_deep() from None
     if isinstance(a, Lattice) and isinstance(b, Rationals):
         return True
     if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):

@@ -32,11 +32,15 @@ S5-S7 sample on Fractions, S6 from the same integer draws, and S6 and S7
 decide on integer forms too.  S6 draws each witness point y as a form, the
 kept rejection draw or the sphere point, and decides its three
 containments with ``topology._contains``, the test ``contains`` applies to
-a Point's form.  ``refine`` and the ball builders keep their Points and
+a Point's form.  A sample whose x lies outside b1 or b2 fails the check
+"construction places x inside" and undergoes no other, since ``refine``
+needs x in both.  ``refine`` and the ball builders keep their Points and
 Fractions, and the builders compute each Fraction once, from forms.  S7
-reads each sample's point into one form, with the coercion and arity check
-of ``member``, builds each composed node of its nine laws once per sample,
-and decides every law by that node's own member test.
+picks a sample's point among the structural candidate forms of its two
+trees' union (``setdsl._structural``) and unscales only the one it picks;
+it reads each sample's point into one form, with the coercion and arity
+check of ``member``, builds each composed node of its nine laws once per
+sample, and decides every law by that node's own member test.
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ from .setdsl import (
     Inter,
     SetExpr,
     Union,
+    _structural,
     member_test,
     random_expr,
-    structural_candidates,
     to_text,
 )
 from .topology import (
@@ -417,9 +421,9 @@ def _gen_s7(cfg: SuiteConfig) -> Iterator[dict]:
     for _ in range(cfg.samples):
         e1 = random_expr(rng, cfg.dimension, max_depth=3)
         e2 = random_expr(rng, cfg.dimension, max_depth=3)
-        pool = structural_candidates(Union((e1, e2)), m)
+        pool = list(_structural(Union((e1, e2)), m))  # forms; the one picked is unscaled
         if pool and rng.randint(0, 2) > 0:
-            p = pool[rng.randint(0, len(pool) - 1)]
+            p = _unscaled(pool[rng.randint(0, len(pool) - 1)])
         else:
             p = tuple(
                 Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(m)
@@ -588,7 +592,10 @@ def _run_s6(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
     rng = random.Random(cfg.seed + 1)  # witness stream, separate from the samples
     for sample in samples:
         x, b1, b2 = sample["x"], sample["b1"], sample["b2"]
-        rec.check(contains(b1, x) and contains(b2, x), "construction places x inside", x=x)
+        inside = contains(b1, x) and contains(b2, x)
+        rec.check(inside, "construction places x inside", x=x)
+        if not inside:
+            continue  # refine needs x in both parents
         result = refine(b1, b2, x)
         rec.check(contains(result, x), "refinement keeps the point", x=x)
         for _ in range(3):

@@ -84,12 +84,19 @@ test once, returns None at once when the span is nowhere, before any
 candidate is formed or drawn, and does not test a candidate whose x_1 lies
 outside the span, so every answer is the one a search testing every
 candidate gives.  :func:`find_witness` runs it on one stream of integer
-forms, cut at the budget: the tree's structural candidates, formed per
-search, then the probe points, formed once per arity m, then the seeded
-random candidates, drawn once per (seed, m), lazily, into one stream that
-keeps the forms of the first ``DEFAULT_BUDGET`` of them and is read by
-every later search.  A ``Fraction`` is made only for the witness that is
-returned, so a witness is always a tuple of them.
+forms, cut at the budget: the tree's structural candidates, then the probe
+points, formed once per arity m, then the seeded random candidates, drawn
+once per (seed, m), lazily, into one stream that keeps the forms of the
+first ``DEFAULT_BUDGET`` of them and is read by every later search.  The
+structural candidates are harvested lazily too, by ``_structural``: each
+leaf's ``_POINT_CANDIDATES`` row gives canonical forms (a point leaf its
+cached ones, a ball its center's and those moved off it on integers by
+``_shifted``, the plain leaves theirs, formed once per arity), each kept
+once as an (X, d) tuple, and a leaf's row is read only when the search
+gets past the leaf before it.  A ``Fraction`` is made only for the witness
+that is returned, so a witness is always a tuple of them;
+:func:`structural_candidates` reads the same forms back as ``Fraction``
+tuples.
 """
 
 from __future__ import annotations
@@ -1007,44 +1014,76 @@ _PROBE_VALUES = (
 )
 
 
-def axis(center: tuple[Fraction, ...], i: int, offset: Fraction) -> tuple[Fraction, ...]:
-    """The center moved by offset along coordinate axis i."""
-    return center[:i] + (center[i] + offset,) + center[i + 1:]
-
-
 def on_axis(v: Fraction, m: int) -> tuple[Fraction, ...]:
     """The point (v, 0, ..., 0) with m coordinates."""
     return (v,) + (Fraction(0),) * (m - 1)
 
 
-def _ball_points(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
+def _shifted(form: _Scaled, i: int, u: int, v: int) -> _Scaled:
+    """The form of the point moved by u/v, v > 0, along axis i, canonical as
+    ``geometry._scaled`` forms it when the form is: over the denominator d*v,
+    less the gcd of every integer of the form."""
+    X, d = form
+    N = [x * v for x in X]
+    N[i] += u * d
+    g = gcd(*N, d * v)
+    return tuple([x // g for x in N]), d * v // g
+
+
+def _ball_points(e: SetExpr, m: int) -> list[_Scaled]:
     """A ball's center and the points half a radius off it along each axis."""
-    half = Fraction(e.radius, 2)  # a Fraction for an int radius too
-    points = [e.center]
-    for i in range(len(e.center)):
-        points += (axis(e.center, i, half), axis(e.center, i, -half))
-    return points
+    q, n, k = e.scaled, e.radius.numerator, e.radius.denominator
+    return [q, *(_shifted(q, i, s * n, 2 * k) for i in range(len(q[0])) for s in (1, -1))]
 
 
-# The witness candidates each kind of leaf offers a search in R^m; some may
-# have another arity than m.
+@lru_cache(maxsize=32)
+def _plain_forms(m: int) -> dict[type, tuple[_Scaled, ...]]:
+    """The candidates of each leaf without fields in R^m, formed once per arity."""
+    zeros = (0,) * (m - 1)
+
+    def along(*values: Fraction) -> tuple[_Scaled, ...]:  # the forms of on_axis(v, m)
+        return tuple(((v.numerator, *zeros), v.denominator) for v in values)
+
+    return {
+        All: along(Fraction(0), Fraction(1, 2)),
+        Lattice: along(Fraction(0), Fraction(1), Fraction(-1)) + (((1,) * m, 1),),
+        Cantor: along(*_CANTOR_SAMPLES),
+    }
+
+
+# The witness candidates each kind of leaf offers a search in R^m, as
+# canonical forms; some may have another arity than m.
 _POINT_CANDIDATES = NodeTable({
     **dict.fromkeys((Empty, Bernstein), lambda e, m: ()),
-    **dict.fromkeys((All, Rationals), lambda e, m: (on_axis(Fraction(0), m),
-                                                    on_axis(Fraction(1, 2), m))),
-    Lattice: lambda e, m: (*(on_axis(Fraction(v), m) for v in (0, 1, -1)), (Fraction(1),) * m),
-    Cantor: lambda e, m: [on_axis(c, m) for c in _CANTOR_SAMPLES],
-    **dict.fromkeys(_POINT_KINDS, lambda e, m: _COORDS[type(e)](e)),
+    **dict.fromkeys((All, Rationals), lambda e, m: _plain_forms(m)[All]),
+    **dict.fromkeys((Lattice, Cantor), lambda e, m: _plain_forms(m)[type(e)]),
+    **dict.fromkeys(_POINT_KINDS, lambda e, m: _point_forms(e)),
     OpenBall: _ball_points,
     # a closed ball also holds the point of its sphere along the first axis
-    ClosedBall: lambda e, m: _ball_points(e, m) + [axis(e.center, 0, e.radius)],
+    ClosedBall: lambda e, m: _ball_points(e, m) + [
+        _shifted(e.scaled, 0, e.radius.numerator, e.radius.denominator)],
 })
 
 
+def _structural(e: SetExpr, m: int) -> Iterator[_Scaled]:
+    """The forms of e's structural candidates in R^m, in order, each once:
+    the leaves' rows in pre-order, a leaf harvested only when the reader
+    gets past the one before it.  Forms are canonical, so equal points have
+    equal forms."""
+    seen = set()
+    for node in leaves(e):
+        for form in _POINT_CANDIDATES[type(node)](node, m):
+            if form not in seen and len(form[0]) == m:
+                seen.add(form)
+                yield form
+
+
 def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic candidate points harvested from the expression tree."""
-    acc = (cand for node in leaves(e) for cand in _POINT_CANDIDATES[type(node)](node, m))
-    return list(dict.fromkeys(cand for cand in acc if len(cand) == m))
+    """The structural witness candidates of the tree in R^m, in the order a
+    search tries them, each once, as tuples of ``Fraction``s: the forms
+    ``_structural`` harvests, unscaled.  A leaf's candidates of another
+    arity than m are left out."""
+    return list(map(_unscaled, _structural(e, m)))
 
 
 # Candidates a witness search tries unless told otherwise, the default of
@@ -1123,11 +1162,6 @@ def _stream(seed, m: int) -> _Stream:
     return _Stream(seed, m)
 
 
-def _structural(e: SetExpr, m: int) -> Iterator[_Scaled]:
-    """The forms of e's structural candidates, harvested at the first read."""
-    yield from map(_scaled, structural_candidates(e, m))
-
-
 def _candidates(e: SetExpr, m: int, seed) -> Iterator[Iterable[_Scaled]]:
     """The sources of a search's candidate forms, in order: e's structural
     candidates, the probes, then the stream of (seed, m), looked up only
@@ -1180,7 +1214,9 @@ def find_witness(
 
     The search is ``_first_in`` on one stream of integer forms cut at the
     budget, so a candidate it skips outside the span still counts against
-    the budget.  The probes and the random candidates are read from caches
+    the budget.  The structural candidates are the forms ``_structural``
+    harvests leaf by leaf, so a search that stops early reads no later
+    leaf's row.  The probes and the random candidates are read from caches
     shared by every search of the same arity and seed (``_probes``,
     ``_stream``), and the random ones only once the structural candidates
     and the probes are spent.  The witness is returned as a tuple of

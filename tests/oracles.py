@@ -138,9 +138,10 @@ def suite_checks_ref(suite: str, sample: dict) -> tuple[list[str], list[tuple[st
     """The checks one S1-S4, S6 or S7 record undergoes: each check's name in
     order, and (name, data) for each check that fails, with the data as
     text.  An S1 record is checked at the sphere point of its anchor, eps
-    and direction, or at its "x" if it has one.  An S6 record also carries
-    the basic open that refine returned for it, as "refined", and the three
-    points drawn inside that one, as "witnesses"."""
+    and direction, or at its "x" if it has one.  An S6 record whose x lies
+    in both parents also carries the basic open that refine returned for
+    it, as "refined", and the three points drawn inside that one, as
+    "witnesses"; one whose x does not undergoes the first check alone."""
     names, failures = [], []
 
     def check(holds, name, **data):
@@ -150,9 +151,12 @@ def suite_checks_ref(suite: str, sample: dict) -> tuple[list[str], list[tuple[st
 
     coords = coords_ref
     if suite == "S6":
-        x, b1, b2, refined = coords(sample["x"]), sample["b1"], sample["b2"], sample["refined"]
-        check(basic_open_ref(b1, x) and basic_open_ref(b2, x), "construction places x inside",
-              x=x)
+        x, b1, b2 = coords(sample["x"]), sample["b1"], sample["b2"]
+        inside = basic_open_ref(b1, x) and basic_open_ref(b2, x)
+        check(inside, "construction places x inside", x=x)
+        if not inside:  # nothing refines x, so no further check is made
+            return names, failures
+        refined = sample["refined"]
         check(basic_open_ref(refined, x), "refinement keeps the point", x=x)
         for y in map(coords, sample["witnesses"]):
             check(all(basic_open_ref(b, y) for b in (refined, b1, b2)),
@@ -368,8 +372,8 @@ def random_forms_ref(seed, m: int, count: int) -> list[tuple[tuple[int, ...], in
 
 
 # --- the witness search, every candidate tested ----------------------------
-# The structural candidates are the package's own harvest; the probes are
-# written out here, and every candidate is decided by tree_member_ref.
+# The structural candidates and the probes are written out here, in
+# Fraction arithmetic, and every candidate is decided by tree_member_ref.
 
 
 def ref_tree(e):
@@ -389,6 +393,55 @@ def ref_tree(e):
     return (kind.lower(),)
 
 
+def _leaves_ref(tree):
+    """The leaves of a tree as ref_tree spells it, pre-order, left to right."""
+    if tree[0] == "!":
+        yield from _leaves_ref(tree[1])
+    elif tree[0] in ("|", "&"):
+        for member in tree[1]:
+            yield from _leaves_ref(member)
+    else:
+        yield tree
+
+
+_CANTOR_SAMPLES_REF = (0, 1, Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4),
+                       Fraction(1, 9), Fraction(2, 9), Fraction(7, 9), Fraction(8, 9))
+
+
+def structural_candidates_ref(e, m: int) -> list[tuple[Fraction, ...]]:
+    """The witness candidates of e's leaves, pre-order, each once (by its
+    Fraction tuple), those of m coordinates: (0, 1/2) on the first axis for
+    all and rationals; 0, 1, -1 on it and (1, ..., 1) for lattice; the
+    Cantor samples on it; a point leaf's points; a ball's center and the
+    points r/2 off it along each axis, and for a closed ball c + r e_1."""
+    def on_axis(v):
+        return (Fraction(v),) + (Fraction(0),) * (m - 1)
+
+    found = []
+    for leaf in _leaves_ref(ref_tree(e)):
+        kind = leaf[0]
+        if kind in ("all", "rationals"):
+            cands = [on_axis(0), on_axis(Fraction(1, 2))]
+        elif kind == "lattice":
+            cands = [on_axis(0), on_axis(1), on_axis(-1), (Fraction(1),) * m]
+        elif kind == "cantor":
+            cands = [on_axis(v) for v in _CANTOR_SAMPLES_REF]
+        elif kind == "point":
+            cands = [leaf[1]]
+        elif kind == "finite":
+            cands = list(leaf[1])
+        elif kind in ("cball", "oball"):
+            c, r = tuple(map(Fraction, leaf[1])), Fraction(leaf[2])
+            cands = [c] + [c[:i] + (c[i] + s * r / 2,) + c[i + 1:]
+                           for i in range(len(c)) for s in (1, -1)]
+            if kind == "cball":
+                cands.append((c[0] + r,) + c[1:])
+        else:
+            cands = []
+        found += [tuple(map(Fraction, p)) for p in cands]
+    return [p for p in dict.fromkeys(found) if len(p) == m]
+
+
 def probes_ref(m: int) -> list[tuple[Fraction, ...]]:
     """The fixed probe points of R^m, in the order a search tries them."""
     zeros = (Fraction(0),) * (m - 1)
@@ -405,10 +458,8 @@ def find_witness_ref(tree, budget: int, seed, m: int):
     """The first of budget candidates in which the tree holds (True): its
     structural candidates, the probes, then the random candidates of seed;
     None if no candidate is a witness."""
-    from niemytzki.setdsl import structural_candidates
-
     ref = ref_tree(tree)
-    fixed = structural_candidates(tree, m) + probes_ref(m)
+    fixed = structural_candidates_ref(tree, m) + probes_ref(m)
     for cand in fixed[:budget]:
         if tree_member_ref(ref, cand) is True:
             return tuple(map(Fraction, cand))

@@ -18,7 +18,6 @@ from niemytzki.descriptive import (
     SoundnessError,
     TopologyOrder,
     _ball_within,
-    _shifted,
     _bits,
     _close,
     _structural_subset,
@@ -50,6 +49,8 @@ from niemytzki.setdsl import (
     Union,
     _COORDS,
     _compiled,
+    _shifted,
+    arity,
     find_witness,
     leaves,
     member,
@@ -548,17 +549,37 @@ def test_points_of_another_arity_still_raise():
             _structural_subset(x, y)
 
 
+def _spy_on_harvest(monkeypatch, read):
+    """Every row of setdsl._POINT_CANDIDATES, the one harvest of both point
+    searches, wrapped to pass each leaf it reads to read first."""
+    for kind, row in list(setdsl._POINT_CANDIDATES.items()):
+        monkeypatch.setitem(setdsl._POINT_CANDIDATES, kind,
+                            lambda e, m, row=row: read(e) or row(e, m))
+
+
 @pytest.mark.parametrize("text", ["!rationals", "bernstein & cball(0;1)"])
 def test_a_tree_nowhere_in_harvests_no_candidate(text, monkeypatch):
     # the span says no point is In, so neither search forms a candidate
-    def harvest(e, m):
+    def read(e):
         raise AssertionError(f"candidates harvested for {e!r}")
 
-    monkeypatch.setattr(setdsl, "structural_candidates", harvest)
-    monkeypatch.setattr(descriptive, "structural_candidates", harvest, raising=False)
+    _spy_on_harvest(monkeypatch, read)
     e = parse(text, 2)
     assert find_witness(e) is None
     assert descriptive._point_witness(e, 1) is False
+
+
+@pytest.mark.parametrize("text", ["point(1/3) | cball(5;1) | lattice | finite{7;8}",
+                                  "cball(0,1;2) & oball(1,1;2)"])
+def test_a_search_whose_first_candidate_is_in_reads_one_leaf(text, monkeypatch):
+    read = []
+    _spy_on_harvest(monkeypatch, read.append)
+    e = parse(text, 3 if "," in text else 2)
+    first = next(leaves(e))
+    for search in (lambda: find_witness(e), lambda: descriptive._point_witness(e, arity(e))):
+        read.clear()
+        assert search()
+        assert read == [first]
 
 
 # --- the models of the rule base ----------------------------------------------------

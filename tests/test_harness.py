@@ -210,19 +210,28 @@ def _reference_json(cfg, records):
 
 def _run_with_records(mp, cfg):
     """run_suite's JSON for cfg, and the public records of its samples.  An
-    S6 record also carries what refine and _point_inside returned for it
-    in that run, which a spy records and passes on unchanged."""
-    made = {"refine": [], "_point_inside": []}
+    S6 record whose sample reached refine in that run also carries what
+    refine and _point_inside returned for it, which spies record and pass
+    on unchanged."""
+    refined, drawn = {}, []  # refine's answers by their arguments, _point_inside's in order
     if cfg.suite == "S6":
-        for name, log in made.items():
-            mp.setattr(harness, name, lambda *args, f=getattr(harness, name), log=log:
-                       log.append(f(*args)) or log[-1])
+        def refine(*args, f=harness.refine):
+            refined[args] = f(*args)
+            return refined[args]
+
+        def point_inside(*args, f=harness._point_inside):
+            drawn.append(f(*args))
+            return drawn[-1]
+
+        mp.setattr(harness, "refine", refine)
+        mp.setattr(harness, "_point_inside", point_inside)
     got = run_suite(cfg).to_json()
     records = list(generate_samples(cfg))
-    if cfg.suite == "S6":
-        witnesses = made["_point_inside"]
-        for i, record in enumerate(records):
-            record.update(refined=made["refine"][i], witnesses=witnesses[3 * i:3 * i + 3])
+    witnesses = iter(drawn)
+    for record in records if cfg.suite == "S6" else ():
+        args = (record["b1"], record["b2"], record["x"])
+        if args in refined:
+            record.update(refined=refined[args], witnesses=[next(witnesses) for _ in range(3)])
     return got, records
 
 
@@ -346,12 +355,25 @@ def _connective_fault(kind, change):
     return apply
 
 
+def _refinement_moved(mp):
+    # refine's answer moves off x by its diameter along the first axis, so it
+    # no longer holds x: a tangent ball holds no boundary point but its own
+    def moved(b):
+        c = b.center.coords
+        return type(b)(Point((c[0] + 2 * b.radius,) + c[1:]), b.radius)
+    mp.setattr(harness, "refine", lambda b1, b2, x, refine=harness.refine:
+               moved(refine(b1, b2, x)))
+
+
 # S6 and S7 take faults of their own: S6 decides no level, and S7 no geometry.
-# A stream fault cannot fail S6: a shrunk parent reaches refine as well, and
-# a parent that no longer holds x makes refine raise.
+# A parent shrunk so far that it may lose x fails the construction; such a
+# sample does not reach refine, which needs x in both parents.
 FAULTS["S6"] = {
     "basic-open membership negated": _basic_open_negated,
     "refinement enlarged by half": _refinement_enlarged,
+    "refinement moved off x": _refinement_moved,
+    "b2's radius divided by 1000": _stream_fault("S6", lambda s: {
+        **s, "b2": type(s["b2"])(s["b2"].center, s["b2"].radius / 1000)}),
 }
 FAULTS["S7"] = {
     "complement answers as its body": _connective_fault(Complement, lambda v: ~v),

@@ -55,8 +55,10 @@ from oracles import (
     probes_ref,
     random_forms_ref,
     ref_tree,
+    structural_candidates_ref,
     tree_member_ref,
 )
+from test_golden import _wide_union
 
 
 class TestParser:
@@ -526,6 +528,25 @@ class TestFindWitness:
     def test_a_witness_is_fractions_from_a_tree_of_ints(self, e, want):
         w = find_witness(e)
         assert w == want and all(type(c) is Fr for c in w)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_structural_candidates_are_the_oracle_s(self, n):
+        # read off the forms the searches harvest, in the order of the oracle's
+        # Fraction arithmetic, at the tree's arity and one above it
+        rng = random.Random(30 + n)
+        m = n - 1
+        trees = [random_expr(rng, n) for _ in range(60)]
+        trees += [ClosedBall((Fr(1, 3),) * m, 2), OpenBall(tuple(range(m)), 3),
+                  join(Union, [ClosedBall((Fr(-1, 2),) * m, 1), Lattice(), Cantor(),
+                               FiniteSet(((Fr(1, 4),) * m, (Fr(0),) * m)), OpenBall((0,) * m, 1)])]
+        if n == 2:
+            trees.append(_wide_union(rng))
+        for e in trees:
+            for tree in (e, complement(e)):
+                for arity in (m, m + 1):
+                    got = structural_candidates(tree, arity)
+                    assert got == structural_candidates_ref(tree, arity)
+                    assert all(type(c) is Fr for p in got for c in p)
 
 
 class TestCandidateStream:
