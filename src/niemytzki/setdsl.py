@@ -1036,27 +1036,28 @@ def _ball_points(e: SetExpr, m: int) -> list[_Scaled]:
     return [q, *(_shifted(q, i, s * n, 2 * k) for i in range(len(q[0])) for s in (1, -1))]
 
 
-@lru_cache(maxsize=32)
-def _plain_forms(m: int) -> dict[type, tuple[_Scaled, ...]]:
-    """The candidates of each leaf without fields in R^m, formed once per arity."""
+# The first coordinates v of the points (v, 0, ..., 0) each leaf without
+# fields offers a search; lattice offers (1, ..., 1) as well.
+_AXIS_VALUES = {
+    **dict.fromkeys((All, Rationals), (Fraction(0), Fraction(1, 2))),
+    Lattice: (Fraction(0), Fraction(1), Fraction(-1)),
+    Cantor: _CANTOR_SAMPLES,
+}
+
+
+@lru_cache(maxsize=128)
+def _plain_forms(kind: type, m: int) -> tuple[_Scaled, ...]:
+    """The candidates of a leaf without fields in R^m, formed once per arity."""
     zeros = (0,) * (m - 1)
-
-    def along(*values: Fraction) -> tuple[_Scaled, ...]:  # the forms of on_axis(v, m)
-        return tuple(((v.numerator, *zeros), v.denominator) for v in values)
-
-    return {
-        All: along(Fraction(0), Fraction(1, 2)),
-        Lattice: along(Fraction(0), Fraction(1), Fraction(-1)) + (((1,) * m, 1),),
-        Cantor: along(*_CANTOR_SAMPLES),
-    }
+    forms = tuple([((v.numerator, *zeros), v.denominator) for v in _AXIS_VALUES[kind]])
+    return forms + (((1,) * m, 1),) if kind is Lattice else forms
 
 
 # The witness candidates each kind of leaf offers a search in R^m, as
 # canonical forms; some may have another arity than m.
 _POINT_CANDIDATES = NodeTable({
     **dict.fromkeys((Empty, Bernstein), lambda e, m: ()),
-    **dict.fromkeys((All, Rationals), lambda e, m: _plain_forms(m)[All]),
-    **dict.fromkeys((Lattice, Cantor), lambda e, m: _plain_forms(m)[type(e)]),
+    **dict.fromkeys(_AXIS_VALUES, lambda e, m: _plain_forms(type(e), m)),
     **dict.fromkeys(_POINT_KINDS, lambda e, m: _point_forms(e)),
     OpenBall: _ball_points,
     # a closed ball also holds the point of its sphere along the first axis
