@@ -34,11 +34,13 @@ held as the scaled form of c and the radius r: the balls about each ball
 leaf, moved on integers from the leaf's cached form, then six fixed balls,
 formed once per arity; equal balls are tried once.  The ``_INSIDE`` and
 ``_DISJOINT`` rows test a candidate against a node on its form: only the
-ball rows add or subtract two radii as Fractions, and the Cantor row builds
-its first-axis interval as Fractions when it runs.  A union reads only the
-leaves its index puts near the candidate.  The point search is the set
-language's one search loop on the tree's structural candidate forms,
-harvested leaf by leaf as it reads them.  The structural subset rules
+ball rows add or subtract two radii as Fractions, and the Cantor row reads
+its first-axis interval by the set language's one integer Cantor walk,
+exact on the line.  A union reads only the leaves its index puts near the
+candidate.  The point search is the set language's one search loop on the
+tree's structural candidate forms, harvested leaf by leaf as it reads them.
+The structural subset rules first split a union on the left and an
+intersection on the right into their members, two exact identities, and
 decide a point leaf in a set by that set's member test on the leaf's
 cached forms.
 
@@ -59,7 +61,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import _record, _Scaled, _scaled, _sq_sign, _unscaled
+from .geometry import _record, _Scaled, _scaled, _sq_sign
 from .setdsl import (
     All,
     Bernstein,
@@ -78,6 +80,7 @@ from .setdsl import (
     Union,
     WITHIN,
     _POINT_KINDS,
+    _cantor_meets,
     _first_in,
     _point_forms,
     _shifted,
@@ -88,7 +91,6 @@ from .setdsl import (
     find_witness,
     join,
     leaves,
-    member,
     member_test,
     normalize,
     on_axis,
@@ -257,25 +259,6 @@ _PRIMITIVE_PAIRS = {kind: _close(row, kind.__name__) for kind, row in _PRIMITIVE
 
 # --- closed-ball witness search -------------------------------------------------
 
-_ONE_THIRD = Fraction(1, 3)
-_TWO_THIRDS = Fraction(2, 3)
-
-
-def _interval_misses_cantor(lo: Fraction, hi: Fraction, depth: int = 0) -> bool:
-    """Sound test that the closed interval [lo, hi] avoids the Cantor set."""
-    if hi < 0 or lo > 1:
-        return True
-    if lo > _ONE_THIRD and hi < _TWO_THIRDS:
-        return True
-    if depth > 64:
-        return False
-    if hi <= _ONE_THIRD:
-        return _interval_misses_cantor(3 * lo, 3 * hi, depth + 1)
-    if lo >= _TWO_THIRDS:
-        return _interval_misses_cantor(3 * lo - 2, 3 * hi - 2, depth + 1)
-    return False
-
-
 def _ball_within(q: _Scaled, r: Fraction, b: SetExpr, kind: type = ClosedBall) -> bool:
     """Whether the ball of the kind (a ClosedBall or an OpenBall) about the
     form q with radius r lies in the ball b."""
@@ -316,11 +299,11 @@ def _lattice_disjoint(e: Lattice, q: _Scaled, r: Fraction) -> bool:
 
 def _cantor_disjoint(e: Cantor, q: _Scaled, r: Fraction) -> bool:
     # off C x {0} along a later axis, or along the first an interval that
-    # the Cantor test reads as rationals, built only here
+    # misses C: exact for m = 1
     (X, d), n, k = q, r.numerator, r.denominator
-    w, den = n * d, d * k
+    w = n * d
     return (any(abs(x) * k > w for x in X[1:])
-            or _interval_misses_cantor(Fraction(X[0] * k - w, den), Fraction(X[0] * k + w, den)))
+            or not _cantor_meets(X[0] * k - w, X[0] * k + w, d * k))
 
 
 # Sound tests that the closed ball B[c, r], given as the scaled form q of c
@@ -399,11 +382,6 @@ def _ball_forms(e: SetExpr, m: int) -> list[tuple[_Scaled, Fraction]]:
     cands = [cand for node in leaves(e) for cand in _BALL_CANDIDATES[type(node)](node)]
     cands += _fixed_balls(m)
     return list({(q, r.numerator, r.denominator): (q, r) for q, r in cands}.values())
-
-
-def _candidate_balls(e: SetExpr, m: int) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """The candidate balls of the search in e, as (center, radius)."""
-    return [(_unscaled(form), r) for form, r in _ball_forms(e, m)]
 
 
 _BALL_SEARCH_BUDGET = 1000
@@ -518,8 +496,11 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     """Sound (never falsely True) structural subset test."""
     if a == b or isinstance(a, Empty) or isinstance(b, All):
         return True
-    if isinstance(a, Union) and all(_structural_subset(m, b) for m in a.members):
-        return True
+    # exact splits: no later row proves what the parts do not
+    if isinstance(a, Union):
+        return all(_structural_subset(m, b) for m in a.members)
+    if isinstance(b, Inter):
+        return all(_structural_subset(a, m) for m in b.members)
     if isinstance(b, Union):
         if a in b.index.members:
             return True
@@ -529,29 +510,20 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
             return True
     if isinstance(a, Inter) and any(_structural_subset(m, b) for m in a.members):
         return True
-    if isinstance(b, Inter) and all(_structural_subset(a, m) for m in b.members):
-        return True
     if isinstance(a, Complement) and isinstance(b, Complement):
         return _structural_subset(b.body, a.body)
     if type(a) in _POINT_KINDS:
-        mine = _point_forms(a)
-        if type(b) in _POINT_KINDS:
-            theirs = _point_forms(b)
-            arities = {len(X) for X, _ in mine + theirs}
-            # equal points have equal forms; a pair without one arity m >= 1
-            # takes the member test below, which raises
-            if len(arities) == 1 and 0 not in arities:
-                return all(form in theirs for form in mine)
         try:  # member on each point, read off its cached form
-            return all(member_test(b, len(form[0]))(form) is IN for form in mine)
+            return all(member_test(b, len(form[0]))(form) is IN for form in _point_forms(a))
         except RecursionError:
             raise _too_deep() from None
     if isinstance(a, Lattice) and isinstance(b, Rationals):
         return True
     if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):
         # the Cantor set lies on the segment between these ends; balls are convex
-        rest = (Fraction(0),) * (len(b.center) - 1)
-        return all(member(b, (end,) + rest) is IN for end in (Fraction(0), Fraction(1)))
+        m = len(b.center)
+        test, rest = member_test(b, m), (0,) * (m - 1)
+        return all(test(((end,) + rest, 1)) is IN for end in (0, 1))
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
         return _ball_within(a.scaled, a.radius, b, type(a))
     return False

@@ -677,33 +677,35 @@ def parse_rational(text: str) -> Fraction:
 # --- membership --------------------------------------------------------------
 
 def in_cantor(x: Fraction) -> bool:
-    """Exact middle-thirds membership for a rational in [0, 1].
+    """Exact middle-thirds membership for a rational in [0, 1]: the walk of
+    :func:`_cantor_meets` on the one-point interval [x, x]."""
+    return _cantor_meets(x.numerator, x.numerator, x.denominator)
 
-    x lies in C iff some ternary expansion of x uses only digits {0, 2}.  The
-    digit-0 and digit-2 branches cover the disjoint intervals [0, 1/3] and
-    [2/3, 1], so at most one of them is ever playable: the walk
-    m -> 3m or 3m - 2q on the numerator (denominator q fixed) is
-    deterministic, dies inside the middle gap, and x is in C iff it revisits
-    a state.
+
+def _cantor_meets(lo: int, hi: int, q: int) -> bool:
+    """Whether the closed interval [lo/q, hi/q] meets the middle-thirds
+    Cantor set C, for q > 0.
+
+    Clamped to [0, 1], an interval that meets C either holds 1/3 or 2/3,
+    both in C, or lies in one of the thirds [0, 1/3) and (2/3, 1], where
+    x -> 3x or 3x - 2 maps C's part onto C; in the middle gap it misses C.
+    So the walk on the numerators (q fixed) is deterministic and exact.  The
+    lower end takes the step of its own ternary walk, so a numerator seen
+    twice is a point of C; that ends the walk of a single point.  A wider
+    interval ends sooner: its width triples at each step, and an interval
+    as wide as 1/3 holds 1/3 or 2/3.
     """
-    return _in_cantor(x.numerator, x.denominator)
-
-
-def _in_cantor(m: int, q: int) -> bool:
-    """:func:`in_cantor` of m / q, for q > 0."""
-    if m < 0 or m > q:
-        return False
+    lo, hi = max(lo, 0), min(hi, q)
     seen = set()
-    while m not in seen:
-        seen.add(m)
-        t = 3 * m
-        if t <= q:
-            m = t
-        elif t >= 2 * q:
-            m = t - 2 * q
+    while lo <= hi and lo not in seen:
+        seen.add(lo)
+        if 3 * hi < q:
+            lo, hi = 3 * lo, 3 * hi
+        elif 3 * lo > 2 * q:
+            lo, hi = 3 * lo - 2 * q, 3 * hi - 2 * q
         else:
-            return False
-    return True
+            return 3 * lo <= q or 3 * hi >= 2 * q
+    return lo <= hi
 
 
 class UnionIndex:
@@ -866,7 +868,7 @@ def _symbolic(test: _Test, span, may_out: bool):
 
 def _cantor_test(q: _Scaled) -> Verdict:
     X, d = q
-    return IN if not any(X[1:]) and _in_cantor(X[0], d) else OUT
+    return IN if not any(X[1:]) and _cantor_meets(X[0], X[0], d) else OUT
 
 
 def _points_test(e: SetExpr):

@@ -34,6 +34,33 @@ def cantor_brute(x: Fraction) -> bool:
     return True
 
 
+def cantor_meets_ref(lo, hi) -> bool:
+    """The closed interval [lo, hi] meets the Cantor set C, in Fractions.
+
+    Clipped to [0, 1], it meets C if an end lies in C (by
+    :func:`cantor_brute`).  Otherwise it meets C iff it holds 1/3 or 2/3,
+    or lies in a closed third whose part of C is C scaled by 1/3: then it is
+    moved onto [0, 1] with that part, its ends still off C.  The width
+    triples at each move, and a clipped interval as wide as 1/3 with no end
+    in C holds 1/3 or 2/3, so there is no depth cap.
+    """
+    lo, hi = max(Fraction(lo), Fraction(0)), min(Fraction(hi), Fraction(1))
+    if lo > hi:
+        return False
+    if cantor_brute(lo) or cantor_brute(hi):
+        return True
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    while True:
+        if lo < third < hi or lo < two_thirds < hi:
+            return True
+        if hi < third:
+            lo, hi = 3 * lo, 3 * hi
+        elif lo > two_thirds:
+            lo, hi = 3 * lo - 2, 3 * hi - 2
+        else:
+            return False
+
+
 # --- the rational kernel, straight from its definitions --------------------
 # Points are plain coordinate tuples here; nothing below reads geometry.
 
@@ -294,7 +321,8 @@ def leaf_holds_ball_ref(leaf, c, r) -> bool:
 
 
 def leaf_misses_ball_ref(leaf, c, r) -> bool:
-    """B[c, r] misses the leaf (the Cantor set is not covered)."""
+    """B[c, r] misses the leaf (the Cantor set only on the line, m = 1,
+    where the ball is the interval [c - r, c + r])."""
     kind = leaf[0]
     if kind == "point":
         return not ball_member_ref(leaf[1], c, r, True)
@@ -304,7 +332,9 @@ def leaf_misses_ball_ref(leaf, c, r) -> bool:
         return ball_disjoint_ref(c, r, leaf[1], leaf[2], kind == "cball")
     if kind == "!cball":
         return ball_within_ref(c, r, True, leaf[1], leaf[2], True)
-    raise ValueError(f"no reference for {kind}")
+    if kind == "cantor" and len(c) == 1:
+        return not cantor_meets_ref(c[0] - r, c[0] + r)
+    raise ValueError(f"no reference for {kind} in R^{len(c)}")
 
 
 def union_holds_ball_ref(members, c, r) -> bool:

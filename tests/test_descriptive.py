@@ -320,6 +320,16 @@ def test_ball_predicates_equal_the_oracle(case):
     assert _PRIMITIVE_PAIRS[SinglePoint] == _PRIMITIVE_PAIRS[FiniteSet]
 
 
+@pytest.mark.parametrize("depth", [1, 64, 65, 69, 200])
+def test_the_cantor_row_is_exact_on_the_line_at_any_depth(depth):
+    # B[c, r] with c = 3^-depth / 2 and r = 3^-depth / 10 is the interval
+    # [2/5, 3/5] * 3^-depth, in a middle gap of C; about c = 3^-depth, a
+    # point of C, it meets C
+    r, e = Fr(1, 10 * 3 ** depth), Cantor()
+    assert _DISJOINT[Cantor](e, ((1,), 2 * 3 ** depth), r) is True
+    assert _DISJOINT[Cantor](e, ((1,), 3 ** depth), r) is False
+
+
 @pytest.mark.parametrize("e", [
     SinglePoint((Fr(0), Fr(5))), FiniteSet(((Fr(0), Fr(5)),)),
     ClosedBall((Fr(0), Fr(5)), Fr(1)), OpenBall((Fr(0), Fr(5)), Fr(1)),
@@ -497,6 +507,14 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
     both = normalize(Union((e1, e2)))
     for a, b in ((e1, e2), (e2, e1), (e1, both), (both, e1), (both, both), (e2, both)):
         assert _structural_subset(a, b) == _subset_in_the_former_order(a, b)
+    # an intersection and a union holding it, on either side: the splits of
+    # a union on the left and an intersection on the right come first now
+    meet = normalize(Inter((e1, e2)))
+    held = normalize(Union((meet, Cantor())))
+    for x in (meet, held):
+        for y in (e1, e2, both, meet, held):
+            for a, b in ((x, y), (y, x)):
+                assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
     # points and finite sets against each other, decided on their forms
     coords = [(Fr(0),) * (n - 1)] + [p for m in leaves(both) if type(m) in (SinglePoint, FiniteSet)
                                      for p in _COORDS[type(m)](m)]
@@ -508,12 +526,16 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
             assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
 
 
-def test_a_sub_union_of_points_compiles_no_point_test():
+def _wide_shape():
+    """A union of 24 points and 8 balls, the wide shape, and its first half."""
     rng = random.Random(11)
     members = [f"point({i + Fr(rng.randint(0, 49), 50)})" for i in range(32)]
-    members[3::4] = [f"cball({-3 - 3 * i};1/2)" for i in range(8)]  # the wide shape
-    full = parse(" | ".join(members), 2)
-    half = parse(" | ".join(members[:16]), 2)
+    members[3::4] = [f"cball({-3 - 3 * i};1/2)" for i in range(8)]
+    return parse(" | ".join(members), 2), parse(" | ".join(members[:16]), 2)
+
+
+def test_a_sub_union_of_points_compiles_no_point_test():
+    full, half = _wide_shape()
     assert subset(half, full) is TRUE
     points = [m for m in full.members if isinstance(m, SinglePoint)]
     assert len(points) == 24
@@ -521,15 +543,24 @@ def test_a_sub_union_of_points_compiles_no_point_test():
 
 
 def test_a_union_against_a_union_compiles_no_point_test():
-    rng = random.Random(11)
-    members = [f"point({i + Fr(rng.randint(0, 49), 50)})" for i in range(32)]
-    members[3::4] = [f"cball({-3 - 3 * i};1/2)" for i in range(8)]  # the wide shape
-    full = parse(" | ".join(members), 2)
-    half = parse(" | ".join(members[:16]), 2)
+    full, half = _wide_shape()
     assert subset(full, half) is FALSE
     points = [m for m in half.members if isinstance(m, SinglePoint)]
     assert len(points) == 12
     assert not any(hasattr(m, "_member_test") for m in points)
+
+
+def test_a_union_on_the_left_is_split_before_anything_else(monkeypatch):
+    # each member of full against half once, up to the first that fails:
+    # no member of half is tried as a container of all of full
+    full, half = _wide_shape()
+    calls = []
+    structural = descriptive._structural_subset
+    monkeypatch.setattr(descriptive, "_structural_subset",
+                        lambda a, b: calls.append((a, b)) or structural(a, b))
+    assert descriptive._structural_subset(full, half) is False
+    assert len(calls) <= len(full.members) + 1
+    assert all(b is half for _, b in calls)
 
 
 @pytest.mark.parametrize("budget", [0, -1])

@@ -19,7 +19,7 @@ over ``infer`` of each expression and of its complement in a seeded corpus
 answers; this pins the work done to reach them.
 
 Candidate digest: the witness searches' candidate lists, in order, from
-``structural_candidates`` and ``descriptive._candidate_balls`` at the
+``structural_candidates`` and ``descriptive._ball_forms``, unscaled, at the
 tree's own arity m and at m + 1, for seeded random expressions and their
 complements (n = 2, 3 and 4) and one wide union.  Any change to what a leaf
 contributes, to the order or to the deduplication moves the digest.
@@ -61,8 +61,8 @@ import random
 from fractions import Fraction
 
 from niemytzki import cli, descriptive
-from niemytzki.descriptive import _candidate_balls, infer
-from niemytzki.geometry import Point
+from niemytzki.descriptive import _ball_forms, infer
+from niemytzki.geometry import Point, _unscaled
 from niemytzki.harness import SuiteConfig, generate_samples, run_suite, suite_names
 from niemytzki.setdsl import (
     Cantor,
@@ -167,7 +167,8 @@ def golden_candidate_digest() -> str:
     for e, m in exprs:
         for tree in (e, complement(e)):
             for arity in (m, m + 1):
-                lists = (structural_candidates(tree, arity), _candidate_balls(tree, arity))
+                balls = [(_unscaled(q), r) for q, r in _ball_forms(tree, arity)]
+                lists = (structural_candidates(tree, arity), balls)
                 h.update(repr(lists).encode())
     return h.hexdigest()
 

@@ -32,6 +32,7 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _Parser,
+    _cantor_meets,
     _compiled,
     _probes,
     _stream,
@@ -51,6 +52,7 @@ from niemytzki.setdsl import (
 )
 from oracles import (
     cantor_brute,
+    cantor_meets_ref,
     find_witness_ref,
     probes_ref,
     random_forms_ref,
@@ -480,6 +482,43 @@ class TestCantorOracleAgreement:
         x = Fr(1, 3) + Fr(1, 999983 * 999979)
         assert cantor_brute(x) is False
         assert in_cantor(x) is False
+
+
+def _cantor_form(digits):
+    """The point of C with these ternary digits, each 0 or 2, as (numerator, 3^k)."""
+    return sum(d * 3 ** i for i, d in enumerate(reversed(digits))), 3 ** len(digits)
+
+
+@st.composite
+def _interval(draw):
+    """(lo, hi, q): an interval [lo/q, hi/q] of width 0 to 1, about [0, 1]; q
+    up to 10**6 or a power of 3, or the ends placed near a point of C."""
+    if draw(st.booleans()):
+        q = draw(st.one_of(st.integers(1, 10**6), st.integers(0, 40).map(lambda k: 3**k)))
+        lo = draw(st.integers(-q, 2 * q))
+    else:
+        c, k = _cantor_form(draw(st.lists(st.sampled_from([0, 2]), min_size=1, max_size=40)))
+        f = draw(st.integers(1, 10))
+        lo, q = c * f + draw(st.integers(-3, 3)), k * f
+    return lo, lo + draw(st.integers(0, q)) // draw(st.sampled_from([1, 9, 3**20])), q
+
+
+class TestCantorInterval:
+    @given(_interval())
+    def test_the_walk_equals_the_fraction_oracle(self, case):
+        lo, hi, q = case
+        assert _cantor_meets(lo, hi, q) == cantor_meets_ref(Fr(lo, q), Fr(hi, q))
+
+    @pytest.mark.parametrize("depth", [1, 63, 64, 65, 69, 200])
+    def test_a_gap_of_any_depth_is_missed_and_its_ends_are_met(self, depth):
+        # [2/5, 3/5] * 3^-depth lies in a middle gap at that depth, in the
+        # copies of C at 0 and at 2/3; [1/3, 2/3] * 3^-depth is its closure
+        for shift in (0, 2 * 3 ** (depth - 1)):
+            q = 5 * 3 ** depth
+            assert _cantor_meets(2 + 5 * shift, 3 + 5 * shift, q) is False
+            assert cantor_meets_ref(Fr(2 + 5 * shift, q), Fr(3 + 5 * shift, q)) is False
+            q = 3 ** (depth + 1)
+            assert _cantor_meets(1 + 3 * shift, 2 + 3 * shift, q) is True
 
 
 class TestFindWitness:
