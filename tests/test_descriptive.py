@@ -328,6 +328,9 @@ def test_the_cantor_row_is_exact_on_the_line_at_any_depth(depth):
     r, e = Fr(1, 10 * 3 ** depth), Cantor()
     assert _DISJOINT[Cantor](e, ((1,), 2 * 3 ** depth), r) is True
     assert _DISJOINT[Cantor](e, ((1,), 3 ** depth), r) is False
+    # so the closed-ball search finds a ball in the gap, about the ball leaf
+    gap = parse(f"!cantor & cball({Fr(1, 2 * 3 ** depth)};{r})", 2)
+    assert infer(gap).contains_closed_uncountable is TRUE
 
 
 @pytest.mark.parametrize("e", [
@@ -508,7 +511,7 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
     for a, b in ((e1, e2), (e2, e1), (e1, both), (both, e1), (both, both), (e2, both)):
         assert _structural_subset(a, b) == _subset_in_the_former_order(a, b)
     # an intersection and a union holding it, on either side: the splits of
-    # a union on the left and an intersection on the right come first now
+    # a union on the left and an intersection on the right come first
     meet = normalize(Inter((e1, e2)))
     held = normalize(Union((meet, Cantor())))
     for x in (meet, held):
