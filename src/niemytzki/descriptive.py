@@ -42,7 +42,8 @@ tree's structural candidate forms, harvested leaf by leaf as it reads them.
 The structural subset rules first split a union on the left and an
 intersection on the right into their members, two exact identities, and
 decide a point leaf in a set by that set's member test on the leaf's
-cached forms.
+cached forms.  A ball is tried inside a union only at the balls the index
+puts near its center and at the members that are neither points nor balls.
 
 :func:`compare` settles A ⊆ B and B ⊆ A, each by :func:`subset`, and reads
 the order of tau(A) and tau(B) off the two verdicts; :func:`compare_topologies`
@@ -433,7 +434,9 @@ _SEARCHES = (("contains_closed_uncountable", T, _closed_ball_witness),
 
 
 # Bounded so a long session of fresh expressions cannot grow it without
-# limit; the benchmark's corpus and wide workloads stay well below it.
+# limit; the benchmark's corpus and wide workloads stay well below it.  A
+# key holds its tree alive, with the caches on its nodes, so a text parsed
+# again while its record is cached reads that tree from setdsl.parse's table.
 @lru_cache(maxsize=2**14)
 def _pair_flags(key: SetExpr) -> tuple[int, int]:
     """Joint record of a union or an intersection and of its complement.
@@ -502,11 +505,17 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
     if isinstance(b, Inter):
         return all(_structural_subset(a, m) for m in b.members)
     if isinstance(b, Union):
-        if a in b.index.members:
+        index = b.index
+        if a in index.members:
             return True
-        # a point or a finite set is decided below, by one test through b's index
-        if type(a) not in _POINT_KINDS and any(
-                _structural_subset(a, m) for m in b.members):
+        # a point or a finite set is decided below, by one test through b's
+        # index; no point holds a ball, and a ball that holds a ball holds its
+        # center, so only the balls near that center are tried
+        if type(a) in WITHIN:
+            holders = [*index.balls_near(a.scaled), *index.others]
+        else:
+            holders = () if type(a) in _POINT_KINDS else b.members
+        if any(_structural_subset(a, m) for m in holders):
             return True
     if isinstance(a, Inter) and any(_structural_subset(m, b) for m in a.members):
         return True

@@ -44,7 +44,12 @@ differ in arity.  A marked complement may be one connective deeper than
 :data:`MAX_TREE_DEPTH` allows; every walk has room for that level, as
 :func:`~niemytzki.theorems.classify` walks the complement of each set.
 :func:`normalize` of a marked tree is one read, so every entry point takes
-any tree and each tree is normalised once.
+any tree and each tree is normalised once.  :func:`parse` first looks the
+text and dimension up in a table of weak references, ``_PARSED``, and
+returns the tree already alive for them: a text parsed again while a caller
+or a cache holds its tree is not read again, and what that tree caches (its
+hash, index, member test and scaled forms) is reused.  The table holds no
+tree alive and never an error, so it needs no clearing.
 
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
@@ -106,6 +111,7 @@ import operator
 import random
 import re
 import threading
+import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -655,14 +661,31 @@ class _Parser:
 MAX_TREE_DEPTH = 2 * _Parser.MAX_DEPTH + 2
 
 
+# The tree parsed from each (text, dimension) while something else holds
+# it.  An entry goes with its tree: no tree holds a reference cycle, so the
+# last holder's release frees it at once.  Keys that compare equal read the
+# same tree, since the parser reads dimension - 1 alone.
+_PARSED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def parse(text: str, dimension: int = 2) -> SetExpr:
     """Parse a boundary-set expression for a session of the given dimension.
 
     Raises :class:`ParseError` with a byte offset on syntax errors and on
     coordinate groups whose arity differs from dimension - 1.
+
+    The tree is returned marked normal, and it is the one already alive for
+    the same text and dimension if there is one: a text parsed again while
+    its tree is held, by a caller or a cache keyed by it, is not read again,
+    and its index, member test, scaled forms and hash are reused as built.
+    The table that finds it holds no tree alive and never an error.
     """
     check_dimension(dimension)
-    return _marked(_Parser(text, dimension).parse())
+    key = (text, dimension)
+    tree = _PARSED.get(key)
+    if tree is None:
+        tree = _PARSED[key] = _marked(_Parser(text, dimension).parse())
+    return tree
 
 
 def parse_rational(text: str) -> Fraction:

@@ -20,14 +20,27 @@ def test_stream_drain_reports_every_stream():
     assert all(value > 0 for value, _ in out.values())
 
 
-def test_clear_caches_leaves_classify_cold():
-    from niemytzki import theorems
+def test_clear_caches_leaves_classify_cold(monkeypatch):
+    from niemytzki import setdsl, theorems
     from perfbench.workloads import clear_caches
 
-    theorems.classify("cantor | point(1/2,0)", 3)
+    text = "cantor | point(1/2,0)"
+    theorems.classify(text, 3)
     clear_caches()
     for cache in (theorems._template, theorems._step):
         assert cache.cache_info().currsize == 0
+    # parse's table has no cache_clear: emptying the caches that held the
+    # tree lets it go, so the text is read again
+    assert (text, 3) not in setdsl._PARSED
+    runs = []
+
+    class Counted(setdsl._Parser):
+        def __init__(self, *args):
+            runs.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(setdsl, "_Parser", Counted)
     misses = theorems._template.cache_info().misses
-    theorems.classify("cantor | point(1/2,0)", 3)
+    theorems.classify(text, 3)
     assert theorems._template.cache_info().misses == misses + 1
+    assert runs == [(text, 3)]

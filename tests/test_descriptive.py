@@ -527,6 +527,19 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
     for a in pool:
         for b in pool + [both]:
             assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
+    # balls on, inside, beside and far from the case's balls, against its
+    # unions: a union on the right is tried only at the balls near a ball
+    zero = (Fr(0),) * (n - 1)
+    tried = [ClosedBall(zero, Fr(1)), OpenBall((Fr(5000),) + zero[1:], Fr(1, 8))]
+    for m in [m for m in leaves(held) if type(m) in (ClosedBall, OpenBall)][:4]:
+        (c, *rest), r = m.center, m.radius
+        tried += [kind((c + shift,) + tuple(rest), r * scale)
+                  for kind in (ClosedBall, OpenBall)
+                  for shift, scale in ((0, 1), (0, Fr(1, 2)), (r / 2, Fr(1, 2)), (r, Fr(1, 2)),
+                                       (100 * r, 1))]
+    for a in tried:
+        for b in (e1, e2, both, meet, held):
+            assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
 
 
 def _wide_shape():
@@ -564,6 +577,29 @@ def test_a_union_on_the_left_is_split_before_anything_else(monkeypatch):
     assert descriptive._structural_subset(full, half) is False
     assert len(calls) <= len(full.members) + 1
     assert all(b is half for _, b in calls)
+
+
+@pytest.mark.parametrize("ball, held", [
+    ("cball(5000;1/8)", False),  # far from every ball
+    ("oball(-6;1/4)", True),
+    ("cball(-6;1/2)", True),
+    ("cball(-7/2;1/2)", False),  # centered on a ball's edge
+])
+def test_a_ball_is_tried_only_against_the_balls_near_it(monkeypatch, ball, held):
+    # no point holds a ball, and a ball that holds one holds its center, so
+    # a ball against a union of points and balls reads only the balls near
+    # its center along the first axis
+    full, _ = _wide_shape()
+    a = parse(ball, 2)
+    near = full.index.balls_near(a.scaled)
+    assert len(near) <= 2 and not full.index.others
+    calls = []
+    structural = descriptive._structural_subset
+    monkeypatch.setattr(descriptive, "_structural_subset",
+                        lambda a, b: calls.append((a, b)) or structural(a, b))
+    assert descriptive._structural_subset(a, full) is held
+    assert len(calls) <= 1 + len(near)
+    assert all(b is full or b in near for _, b in calls)
 
 
 @pytest.mark.parametrize("budget", [0, -1])

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from niemytzki import setdsl
 from niemytzki.geometry import _scaled
 from niemytzki.setdsl import (
     ANYWHERE,
@@ -128,6 +130,48 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("cantor cantor")
+
+
+class TestParseTable:
+    """parse returns the tree alive for the same text and dimension, and its
+    table holds no tree alive itself."""
+
+    TEXT = "point(17/3) | cball(-5;2/7) & !lattice"
+
+    def test_one_text_and_dimension_give_one_tree_while_it_is_held(self):
+        tree = parse(self.TEXT, 2)
+        assert parse(self.TEXT, 2) is tree
+        assert parse(self.TEXT, 2.0) is tree  # a key equal to (text, 2)
+        assert normalize(tree) is tree
+        assert parse(self.TEXT.replace(" ", ""), 2) == tree
+        assert parse("cantor", 3) is not parse("cantor", 2)
+
+    def test_bad_text_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse("cantor | point(1;2)", 2)
+            assert err.value.position == 16
+        assert ("cantor | point(1;2)", 2) not in setdsl._PARSED
+
+    def test_a_held_tree_is_not_read_at_another_dimension(self):
+        tree = parse("point(1)", 2)
+        with pytest.raises(ParseError):
+            parse("point(1)", 3)
+        assert parse("point(1)", 2) is tree
+
+    def test_a_released_tree_leaves_no_entry(self):
+        text = "finite{3/11;-2} | oball(9/13;1/2)"
+        tree = parse(text, 2)
+        assert member(tree, (Fr(3, 11),)) is IN  # builds its index and tests
+        assert setdsl._PARSED[text, 2] is tree
+        enabled = gc.isenabled()
+        gc.disable()
+        try:  # no tree holds a reference cycle, so its last release frees it
+            del tree
+            assert (text, 2) not in setdsl._PARSED
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestNormalize:
