@@ -43,13 +43,18 @@ The structural subset rules first split a union on the left and an
 intersection on the right into their members, two exact identities, and
 decide a point leaf in a set by that set's member test on the leaf's
 cached forms.  A ball is tried inside a union only at the balls the index
-puts near its center and at the members that are neither points nor balls.
+puts near its center and at the members that are neither points nor balls,
+inside another ball exactly, and inside any other set by the closed-ball
+row ``_INSIDE`` on its form.
 
 :func:`compare` settles A ⊆ B and B ⊆ A, each by :func:`subset`, and reads
 the order of tau(A) and tau(B) off the two verdicts; :func:`compare_topologies`
-is that order alone.  Every entry point takes any tree and normalises it,
-which for a tree marked normal, as :func:`~niemytzki.setdsl.parse` returns
-one, is a single read.
+is that order alone.  :func:`subset` remembers its answers per process in one
+bounded memo keyed by the text and dimension each tree was parsed from, as
+:func:`~niemytzki.setdsl.parse` records them on the tree, so the memo holds
+no tree alive and a repeated compare of texts parsed again is two lookups.
+Every entry point takes any tree and normalises it, which for a tree marked
+normal, as :func:`~niemytzki.setdsl.parse` returns one, is a single read.
 
 True/False answers are sound claims; Unknown is the fallback — the engine
 never guesses.  A contradiction between rules raises SoundnessError and
@@ -80,6 +85,7 @@ from .setdsl import (
     SetExpr,
     Union,
     WITHIN,
+    _PARSED,
     _POINT_KINDS,
     _cantor_meets,
     _first_in,
@@ -508,14 +514,14 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         index = b.index
         if a in index.members:
             return True
-        # a point or a finite set is decided below, by one test through b's
-        # index; no point holds a ball, and a ball that holds a ball holds its
-        # center, so only the balls near that center are tried
+        # no point holds a ball, and a ball that holds a ball holds its
+        # center, so only the balls near that center are tried; no later
+        # row holds a ball in a union
         if type(a) in WITHIN:
-            holders = [*index.balls_near(a.scaled), *index.others]
-        else:
-            holders = () if type(a) in _POINT_KINDS else b.members
-        if any(_structural_subset(a, m) for m in holders):
+            return any(_structural_subset(a, m)
+                       for m in (*index.balls_near(a.scaled), *index.others))
+        # a point or a finite set is decided below, by one test through b's index
+        if type(a) not in _POINT_KINDS and any(_structural_subset(a, m) for m in b.members):
             return True
     if isinstance(a, Inter) and any(_structural_subset(m, b) for m in a.members):
         return True
@@ -533,18 +539,32 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
         m = len(b.center)
         test, rest = member_test(b, m), (0,) * (m - 1)
         return all(test(((end,) + rest, 1)) is IN for end in (0, 1))
-    if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
-        return _ball_within(a.scaled, a.radius, b, type(a))
+    if type(a) in WITHIN:
+        if type(b) in WITHIN:  # exact: an open ball may fill an open ball of its radius
+            return _ball_within(a.scaled, a.radius, b, type(a))
+        # the closed ball B[c, r] holds the open one, so this is sound for both
+        return _INSIDE[type(b)](b, a.scaled, a.radius)
     return False
 
 
-def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
-    """Three-valued subset test: structural rules prove True, a witness in
-    e1 \\ e2 proves False, otherwise Unknown.  A budget below 1 is refused
-    whatever the sets, as ``find_witness`` refuses it."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    e1, e2 = normalize(e1), normalize(e2)
+def _memo_key(e: SetExpr) -> object:
+    """The key of a normal tree in the subset memo: the (text, dimension) that
+    setdsl.parse built it from, else the tree itself."""
+    return getattr(e, "_parse_key", e)
+
+
+def _memo_tree(key: object) -> SetExpr:
+    # a parse key's tree is alive: the caller of subset holds it
+    return key if isinstance(key, SetExpr) else _PARSED[key]
+
+
+# Bounded, as _pair_flags is.  A key is a parse text where there is one, so
+# an entry holds no tree alive, and a repeated subset of texts that were
+# parsed again is one lookup.  typed: budgets and seeds that compare equal
+# may search differently, as setdsl._stream's key says.
+@lru_cache(maxsize=2**12, typed=True)
+def _subset_memo(key1: object, key2: object, budget: int, seed) -> Verdict:
+    e1, e2 = _memo_tree(key1), _memo_tree(key2)
     if _structural_subset(e1, e2):
         return T
     # find_witness reads the dimension off gap: e1's arity, else e2's
@@ -552,6 +572,22 @@ def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0
     if find_witness(gap, budget=budget, seed=seed) is not None:
         return F
     return U
+
+
+def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
+    """Three-valued subset test: structural rules prove True, a witness in
+    e1 \\ e2 proves False, otherwise Unknown.  A budget below 1 is refused
+    whatever the sets, as ``find_witness`` refuses it.
+
+    Answers are remembered per process, in one bounded memo keyed by the
+    text and dimension each tree was parsed from (a tree built otherwise is
+    its own key), with the budget and the seed.  The seed must therefore be
+    hashable, as for ``find_witness``; with ``seed=None`` an answer is fixed
+    for the process once it has been given.  An error is never remembered.
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    return _subset_memo(_memo_key(normalize(e1)), _memo_key(normalize(e2)), budget, seed)
 
 
 class TopologyOrder(Enum):

@@ -49,7 +49,9 @@ text and dimension up in a table of weak references, ``_PARSED``, and
 returns the tree already alive for them: a text parsed again while a caller
 or a cache holds its tree is not read again, and what that tree caches (its
 hash, index, member test and scaled forms) is reused.  The table holds no
-tree alive and never an error, so it needs no clearing.
+tree alive and never an error, so it needs no clearing.  A tree it stores
+records its key at its root, so a cache may hold that key, not the tree, and
+find the tree again here while it lives.
 
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
@@ -142,9 +144,11 @@ class SetExpr:
     """Base class of boundary-set expressions."""
 
     # What a node caches beside its fields: its hash (see geometry._record),
-    # its membership test (see _compiled) and the mark that it is normal
-    # (see normalize).  A scaled form or a union's index sits in __dict__.
-    __slots__ = ("_hash", "_member_test", "_is_normal")
+    # its membership test (see _compiled), the mark that it is normal (see
+    # normalize) and, at the root of a tree that parse built, the (text,
+    # dimension) key of parse's table, by which descriptive.subset remembers
+    # its answers.  A scaled form or a union's index sits in __dict__.
+    __slots__ = ("_hash", "_member_test", "_is_normal", "_parse_key")
 
 
 @_record
@@ -678,13 +682,17 @@ def parse(text: str, dimension: int = 2) -> SetExpr:
     the same text and dimension if there is one: a text parsed again while
     its tree is held, by a caller or a cache keyed by it, is not read again,
     and its index, member test, scaled forms and hash are reused as built.
-    The table that finds it holds no tree alive and never an error.
+    The table that finds it holds no tree alive and never an error.  A new
+    tree records its key, ``(text, dimension)``, at its root:
+    :func:`~niemytzki.descriptive.subset` remembers its answers by that key,
+    not by the tree, and finds the tree again here.
     """
     check_dimension(dimension)
     key = (text, dimension)
     tree = _PARSED.get(key)
     if tree is None:
         tree = _PARSED[key] = _marked(_Parser(text, dimension).parse())
+        object.__setattr__(tree, "_parse_key", key)
     return tree
 
 

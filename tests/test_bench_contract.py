@@ -44,3 +44,28 @@ def test_clear_caches_leaves_classify_cold(monkeypatch):
     theorems.classify(text, 3)
     assert theorems._template.cache_info().misses == misses + 1
     assert runs == [(text, 3)]
+
+
+def test_clear_caches_leaves_compare_cold(monkeypatch):
+    from niemytzki import descriptive, setdsl
+    from perfbench.workloads import clear_caches
+
+    a, b = "cball(0;1) | point(5)", "oball(0;2) | lattice"
+
+    def compare():
+        # parsed again each time, as the corpus workload does
+        return descriptive.compare_topologies(setdsl.parse(a, 2), setdsl.parse(b, 2))
+
+    searches = []
+    find = descriptive.find_witness
+    monkeypatch.setattr(descriptive, "find_witness",
+                        lambda *args, **kwargs: searches.append(args) or find(*args, **kwargs))
+    want = compare()
+    assert searches
+    searches.clear()
+    assert compare() is want  # warm: both subsets are read from the memo
+    assert not searches
+    clear_caches()
+    assert descriptive._subset_memo.cache_info().currsize == 0
+    assert compare() is want
+    assert searches

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as Fr
 from functools import lru_cache
@@ -33,6 +34,7 @@ from niemytzki.descriptive import (
 from niemytzki import descriptive, setdsl
 from niemytzki.geometry import DimensionMismatch, _scaled
 from niemytzki.setdsl import (
+    DEFAULT_BUDGET,
     IN,
     All,
     Bernstein,
@@ -57,6 +59,7 @@ from niemytzki.setdsl import (
     normalize,
     parse,
     random_expr,
+    to_text,
 )
 from niemytzki.theorems import classify
 from niemytzki.trivalent import FALSE, TRUE, UNKNOWN
@@ -68,7 +71,10 @@ from oracles import (
     ball_member_ref,
     ball_within_ref,
     close_pair_ref,
+    leaf_misses_ball_ref,
+    ref_tree,
     scaled_ref,
+    tree_member_ref,
 )
 
 
@@ -476,7 +482,8 @@ def test_the_flag_cache_holds_no_primitive():
 
 def _subset_in_the_former_order(a, b):
     """The structural subset rules with a union b tried member by member,
-    and before a union a, as they were once ordered."""
+    and before a union a, as they were once ordered, and the closed-ball
+    test of a ball against any set as the last row."""
     again = _subset_in_the_former_order
     if a == b or isinstance(a, Empty) or isinstance(b, All):
         return True
@@ -499,6 +506,8 @@ def _subset_in_the_former_order(a, b):
         return all(member(b, (end,) + rest) is IN for end in (Fr(0), Fr(1)))
     if isinstance(a, (ClosedBall, OpenBall)) and isinstance(b, (ClosedBall, OpenBall)):
         return _ball_within(a.scaled, a.radius, b, type(a))
+    if isinstance(a, (ClosedBall, OpenBall)):
+        return _INSIDE[type(b)](b, a.scaled, a.radius)
     return False
 
 
@@ -607,9 +616,11 @@ def test_a_ball_is_tried_only_against_the_balls_near_it(monkeypatch, ball, held)
 def test_a_budget_below_one_is_refused_whatever_the_sets(a, b, budget):
     eA, eB = parse(a, 2), parse(b, 2)
     assert subset(eA, eB) is TRUE  # a pair the structural rules decide
+    memo = descriptive._subset_memo.cache_info()
     for call in (subset, compare, compare_topologies):
         with pytest.raises(ValueError, match="budget must be positive"):
             call(eA, eB, budget=budget)
+    assert descriptive._subset_memo.cache_info() == memo  # refused before any lookup
 
 
 def test_points_of_another_arity_still_raise():
@@ -617,6 +628,133 @@ def test_points_of_another_arity_still_raise():
     for x, y in ((a, b), (b, a), (FiniteSet(((Fr(1),),)), a), (SinglePoint(()), b)):
         with pytest.raises(DimensionMismatch):
             _structural_subset(x, y)
+
+
+# --- a ball against a complement --------------------------------------------------
+
+@pytest.mark.parametrize("ball, outside", [
+    ("cball(1/2;1/10)", "!cantor"),  # inside the middle third
+    ("cball(1/2;1/10)", "!lattice"),
+    ("cball(5/2;1/10)", "!cball(0;1)"),
+    ("oball(5/2;1/10)", "!cball(0;1)"),
+    ("cball(1/2;1/10)", "!(cantor | point(0))"),
+])
+def test_a_ball_that_misses_a_set_lies_in_its_complement(ball, outside):
+    assert subset(parse(ball, 2), parse(outside, 2)) is TRUE
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _ball_and_leaves(draw):
+    """A ball of R^m, m = 1 or 2, and one to three leaves, as trees and as
+    the oracle spells them: points, finite sets, balls, and the Cantor set on
+    the line, where the oracle decides it."""
+    m = draw(st.sampled_from([1, 2]))
+    point = st.lists(_small, min_size=m, max_size=m).map(tuple)
+    radius = st.fractions(min_value=Fr(1, 8), max_value=3, max_denominator=8)
+    kinds = ["point", "finite", "cball", "oball"] + ["cantor"] * (m == 1)
+    leaves_ref = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "point":
+            leaves_ref.append((kind, draw(point)))
+        elif kind == "finite":
+            leaves_ref.append((kind, tuple(draw(st.lists(point, min_size=1, max_size=3,
+                                                          unique=True)))))
+        elif kind == "cantor":
+            leaves_ref.append((kind,))
+        else:
+            leaves_ref.append((kind, draw(point), draw(radius)))
+    ball = draw(st.sampled_from([ClosedBall, OpenBall]))(draw(point), draw(radius))
+    return ball, leaves_ref
+
+
+def _leaf(leaf):
+    kind, *fields = leaf
+    return {"point": SinglePoint, "finite": FiniteSet, "cball": ClosedBall,
+            "oball": OpenBall, "cantor": Cantor}[kind](*fields)
+
+
+@settings(max_examples=300)
+@given(_ball_and_leaves())
+def test_a_ball_lies_in_a_complement_only_where_the_oracle_puts_it(case):
+    # the closed ball B[c, r] holds the open one: the row reads the closed
+    # ball, so it is exact for a closed ball and sound for an open one
+    ball, leaves_ref = case
+    outside = normalize(Complement(Union(tuple(map(_leaf, leaves_ref)))))
+    c, r = ball.center, ball.radius
+    misses = all(leaf_misses_ball_ref(leaf, c, r) for leaf in leaves_ref)
+    held = _structural_subset(ball, outside)
+    if type(ball) is ClosedBall:
+        assert held == misses
+    elif held:
+        assert misses
+    if held:
+        tree = ref_tree(outside)
+        for p in [c] + [c[:i] + (c[i] + s * r / 2,) + c[i + 1:]
+                        for i in range(len(c)) for s in (1, -1)]:
+            assert tree_member_ref(tree, p) is not False
+
+
+# --- the subset memo -------------------------------------------------------------
+
+def _fresh(text, n):
+    """The tree of text read again, whatever parse's table holds: no parse key."""
+    return normalize(setdsl._Parser(text, n).parse())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_a_remembered_subset_is_the_subset_of_fresh_trees(seed, n):
+    rng = random.Random(seed)
+    t1, t2 = to_text(random_expr(rng, n)), to_text(random_expr(rng, n))
+    # "(t)" is another text of t's tree, so another key
+    for x, y in ((t1, t2), (t2, t1), (t1, f"({t1})"), (f"({t2})", t1), (f"({t1})", t2)):
+        first = subset(parse(x, n), parse(y, n))  # each tree is released here
+        hits = descriptive._subset_memo.cache_info().hits
+        again = subset(parse(x, n), parse(y, n))
+        assert descriptive._subset_memo.cache_info().hits == hits + 1
+        want = descriptive._subset_memo.__wrapped__(_fresh(x, n), _fresh(y, n), DEFAULT_BUDGET, 0)
+        assert first is again is want
+
+
+def test_the_memo_holds_texts_not_trees():
+    a, b = "finite{7/3;-2} | oball(5/7;1/2)", "!lattice & cball(0;3)"
+    enabled = gc.isenabled()
+    gc.disable()
+    try:  # as for parse's table: the last release frees a tree at once
+        compare(parse(a, 2), parse(b, 2))
+        assert (a, 2) not in setdsl._PARSED and (b, 2) not in setdsl._PARSED
+        hits = descriptive._subset_memo.cache_info().hits
+        compare(parse(a, 2), parse(b, 2))
+        assert descriptive._subset_memo.cache_info().hits == hits + 2
+        assert (a, 2) not in setdsl._PARSED and (b, 2) not in setdsl._PARSED
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_equal_seeds_of_two_types_are_remembered_apart():
+    # the witness is a random candidate, and the stream is keyed by type
+    a, b = parse("lattice", 2), parse("finite{0;1;-1;2;-2;5;3;-3}", 2)
+    before = descriptive._subset_memo.cache_info()
+    for seed in (10**20, 1e20):
+        assert subset(a, b, seed=seed) is descriptive._subset_memo.__wrapped__(
+            _fresh("lattice", 2), _fresh("finite{0;1;-1;2;-2;5;3;-3}", 2), DEFAULT_BUDGET, seed)
+    after = descriptive._subset_memo.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 2, before.hits)
+
+
+def test_an_error_is_not_remembered():
+    point, ball = parse("point(0)", 2), parse("cball(0,0;1)", 3)
+    before = descriptive._subset_memo.cache_info()
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch):
+            subset(point, ball)
+    after = descriptive._subset_memo.cache_info()
+    assert (after.misses, after.hits, after.currsize) == (
+        before.misses + 2, before.hits, before.currsize)
 
 
 def _spy_on_harvest(monkeypatch, read):

@@ -85,7 +85,7 @@ from niemytzki.setdsl import (
 )
 from niemytzki.topology import BasicOpen
 
-GOLDEN_SHA256 = "fca2871ef7942f47d090037759cf859320915f88bff8773c6e50c4eed6d4c4f9"
+GOLDEN_SHA256 = "810dd01387a4f6ae8f1c94a300c353f0c797bcb74a0726cadbfca5b3a93c0094"
 GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873ff02e24"
 GOLDEN_SUITE_N4_SHA256 = "be194f85789cef83971ba9fabfb37c60793fef41f2418e94a7743b504b364b43"
 GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
