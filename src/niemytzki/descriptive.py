@@ -31,21 +31,25 @@ include:
 Two witness searches settle flags the rules leave Unknown on a union or an
 intersection.  The closed-ball search tries candidate balls B[c, r], each
 held as the scaled form of c and the radius r: the balls about each ball
-leaf, moved on integers from the leaf's cached form, then six fixed balls,
-formed once per arity; equal balls are tried once.  The ``_INSIDE`` and
-``_DISJOINT`` rows test a candidate against a node on its form: only the
-ball rows add or subtract two radii as Fractions, and the Cantor row reads
-its first-axis interval by the set language's one integer Cantor walk,
-exact on the line.  A union reads only the leaves its index puts near the
-candidate.  The point search is the set language's one search loop on the
+leaf, moved on integers from the leaf's cached form and harvested leaf by
+leaf as the search reads them, then six fixed balls, formed once per arity;
+equal balls are tried once.  A candidate of a union's member ball lies in
+it, so the union's complement counts it against the budget untested.  The
+``_INSIDE`` and ``_DISJOINT`` rows test a candidate against a node on its
+form: only the ball rows add or subtract two radii as Fractions, and the
+Cantor row reads its first-axis interval by the set language's one integer
+Cantor walk, exact on the line.  A union reads only the leaves its index
+puts near the candidate.  The point search is the set language's one search loop on the
 tree's structural candidate forms, harvested leaf by leaf as it reads them.
-The structural subset rules first split a union on the left and an
-intersection on the right into their members, two exact identities, and
-decide a point leaf in a set by that set's member test on the leaf's
-cached forms.  A ball is tried inside a union only at the balls the index
-puts near its center and at the members that are neither points nor balls,
-inside another ball exactly, and inside any other set by the closed-ball
-row ``_INSIDE`` on its form.
+The structural subset rules are three-valued.  They first split a union on
+the left and an intersection on the right into their members, two exact
+identities whose parts combine by Kleene conjunction, and decide a point
+leaf in a set by that set's member test on the leaf's cached forms: IN
+proves True and OUT proves False.  Every other row proves True or leaves
+Unknown.  A ball is tried inside a union only at the balls the index puts
+near its center and at the members that are neither points nor balls, inside
+another ball exactly, and inside any other set by the closed-ball row
+``_INSIDE`` on its form.
 
 :func:`compare` settles A ⊆ B and B ⊆ A, each by :func:`subset`, and reads
 the order of tau(A) and tau(B) off the two verdicts; :func:`compare_topologies`
@@ -66,6 +70,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .geometry import _record, _Scaled, _scaled, _sq_sign
 from .setdsl import (
@@ -383,20 +389,30 @@ def _fixed_balls(m: int) -> tuple[tuple[_Scaled, Fraction], ...]:
     ))
 
 
-def _ball_forms(e: SetExpr, m: int) -> list[tuple[_Scaled, Fraction]]:
-    """The candidate balls of the search in e, as (form, radius), in order,
-    each once: forms are canonical, so equal balls have equal keys."""
-    cands = [cand for node in leaves(e) for cand in _BALL_CANDIDATES[type(node)](node)]
-    cands += _fixed_balls(m)
-    return list({(q, r.numerator, r.denominator): (q, r) for q, r in cands}.values())
+def _ball_forms(e: SetExpr, m: int) -> Iterator[tuple[SetExpr | None, _Scaled, Fraction]]:
+    """The candidate balls of the search in e, in order, each once, as
+    (leaf that first offered it or None, form, radius), harvested leaf by
+    leaf as read.  Forms are canonical, so equal balls have equal keys."""
+    seen = set()
+    for leaf, cands in chain(((node, _BALL_CANDIDATES[type(node)](node)) for node in leaves(e)),
+                             ((None, _fixed_balls(m)),)):
+        for q, r in cands:
+            key = q, r.numerator, r.denominator
+            if key not in seen:
+                seen.add(key)
+                yield leaf, q, r
 
 
 _BALL_SEARCH_BUDGET = 1000
 
 
 def _closed_ball_witness(e: SetExpr, m: int) -> bool:
+    # a candidate offered by a member ball of a union cannot miss the union:
+    # in its complement it is skipped untested, yet counts against the budget
     inside = _INSIDE[type(e)]
-    return any(inside(e, q, r) for q, r in _ball_forms(e, m)[:_BALL_SEARCH_BUDGET])
+    held = e.body.index.members if type(e) is Complement and type(e.body) is Union else ()
+    return any(leaf not in held and inside(e, q, r)
+               for leaf, q, r in islice(_ball_forms(e, m), _BALL_SEARCH_BUDGET))
 
 
 # --- inference -----------------------------------------------------------------
@@ -501,50 +517,61 @@ def contains_closed_uncountable(e: SetExpr) -> Verdict:
 
 # --- subset and the topology poset ----------------------------------------------
 
-def _structural_subset(a: SetExpr, b: SetExpr) -> bool:
-    """Sound (never falsely True) structural subset test."""
+def _every(verdicts: Iterable[Verdict]) -> Verdict:
+    """The Kleene conjunction of the verdicts, read up to the first False."""
+    every = T
+    for v in verdicts:
+        if v is F:
+            return F
+        every &= v
+    return every
+
+
+def _structural_subset(a: SetExpr, b: SetExpr) -> Verdict:
+    """Sound three-valued structural subset test.  Only a point's member
+    test answers False; the splits and the complement row pass it on."""
     if a == b or isinstance(a, Empty) or isinstance(b, All):
-        return True
+        return T
     # exact splits: no later row proves what the parts do not
     if isinstance(a, Union):
-        return all(_structural_subset(m, b) for m in a.members)
+        return _every(_structural_subset(m, b) for m in a.members)
     if isinstance(b, Inter):
-        return all(_structural_subset(a, m) for m in b.members)
+        return _every(_structural_subset(a, m) for m in b.members)
     if isinstance(b, Union):
         index = b.index
         if a in index.members:
-            return True
+            return T
         # no point holds a ball, and a ball that holds a ball holds its
         # center, so only the balls near that center are tried; no later
         # row holds a ball in a union
         if type(a) in WITHIN:
-            return any(_structural_subset(a, m)
-                       for m in (*index.balls_near(a.scaled), *index.others))
+            return T if any(_structural_subset(a, m) is T
+                            for m in (*index.balls_near(a.scaled), *index.others)) else U
         # a point or a finite set is decided below, by one test through b's index
-        if type(a) not in _POINT_KINDS and any(_structural_subset(a, m) for m in b.members):
-            return True
-    if isinstance(a, Inter) and any(_structural_subset(m, b) for m in a.members):
-        return True
+        if type(a) not in _POINT_KINDS and any(_structural_subset(a, m) is T for m in b.members):
+            return T
+    if isinstance(a, Inter) and any(_structural_subset(m, b) is T for m in a.members):
+        return T
     if isinstance(a, Complement) and isinstance(b, Complement):
         return _structural_subset(b.body, a.body)
     if type(a) in _POINT_KINDS:
         try:  # member on each point, read off its cached form
-            return all(member_test(b, len(form[0]))(form) is IN for form in _point_forms(a))
+            return _every(member_test(b, len(form[0]))(form) for form in _point_forms(a))
         except RecursionError:
             raise _too_deep() from None
     if isinstance(a, Lattice) and isinstance(b, Rationals):
-        return True
+        return T
     if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):
         # the Cantor set lies on the segment between these ends; balls are convex
         m = len(b.center)
         test, rest = member_test(b, m), (0,) * (m - 1)
-        return all(test(((end,) + rest, 1)) is IN for end in (0, 1))
+        return T if all(test(((end,) + rest, 1)) is IN for end in (0, 1)) else U
     if type(a) in WITHIN:
         if type(b) in WITHIN:  # exact: an open ball may fill an open ball of its radius
-            return _ball_within(a.scaled, a.radius, b, type(a))
+            return T if _ball_within(a.scaled, a.radius, b, type(a)) else U
         # the closed ball B[c, r] holds the open one, so this is sound for both
-        return _INSIDE[type(b)](b, a.scaled, a.radius)
-    return False
+        return T if _INSIDE[type(b)](b, a.scaled, a.radius) else U
+    return U
 
 
 def _memo_key(e: SetExpr) -> object:
@@ -565,19 +592,19 @@ def _memo_tree(key: object) -> SetExpr:
 @lru_cache(maxsize=2**12, typed=True)
 def _subset_memo(key1: object, key2: object, budget: int, seed) -> Verdict:
     e1, e2 = _memo_tree(key1), _memo_tree(key2)
-    if _structural_subset(e1, e2):
-        return T
+    if (verdict := _structural_subset(e1, e2)) is not U:
+        return verdict
     # find_witness reads the dimension off gap: e1's arity, else e2's
     gap = join(Inter, (e1, complement(e2)))
-    if find_witness(gap, budget=budget, seed=seed) is not None:
-        return F
-    return U
+    return U if find_witness(gap, budget=budget, seed=seed) is None else F
 
 
 def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
-    """Three-valued subset test: structural rules prove True, a witness in
-    e1 \\ e2 proves False, otherwise Unknown.  A budget below 1 is refused
-    whatever the sets, as ``find_witness`` refuses it.
+    """Three-valued subset test: the structural rules prove True, or False
+    where a point of e1 is OUT of e2 by e2's member test; what they leave
+    Unknown a witness in e1 \\ e2, searched within the budget, proves False.
+    A budget below 1 is refused whatever the sets, as ``find_witness``
+    refuses it.
 
     Answers are remembered per process, in one bounded memo keyed by the
     text and dimension each tree was parsed from (a tree built otherwise is

@@ -1,7 +1,9 @@
 import gc
 import random
+import sys
 from fractions import Fraction as Fr
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +55,9 @@ from niemytzki.setdsl import (
     _compiled,
     _shifted,
     arity,
+    complement,
     find_witness,
+    join,
     leaves,
     member,
     normalize,
@@ -76,6 +80,12 @@ from oracles import (
     scaled_ref,
     tree_member_ref,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.inputs import wide_members  # noqa: E402
 
 
 def V(flag: bool):
@@ -518,7 +528,7 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
     e1, e2 = normalize(random_expr(rng, n)), normalize(random_expr(rng, n))
     both = normalize(Union((e1, e2)))
     for a, b in ((e1, e2), (e2, e1), (e1, both), (both, e1), (both, both), (e2, both)):
-        assert _structural_subset(a, b) == _subset_in_the_former_order(a, b)
+        assert (_structural_subset(a, b) is TRUE) == _subset_in_the_former_order(a, b)
     # an intersection and a union holding it, on either side: the splits of
     # a union on the left and an intersection on the right come first
     meet = normalize(Inter((e1, e2)))
@@ -526,7 +536,7 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
     for x in (meet, held):
         for y in (e1, e2, both, meet, held):
             for a, b in ((x, y), (y, x)):
-                assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
+                assert (_structural_subset(a, b) is TRUE) == _subset_in_the_former_order(a, b), (a, b)
     # points and finite sets against each other, decided on their forms
     coords = [(Fr(0),) * (n - 1)] + [p for m in leaves(both) if type(m) in (SinglePoint, FiniteSet)
                                      for p in _COORDS[type(m)](m)]
@@ -535,7 +545,7 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
     pool.append(FiniteSet(tuple(coords + coords[:1])))  # a repeated point
     for a in pool:
         for b in pool + [both]:
-            assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
+            assert (_structural_subset(a, b) is TRUE) == _subset_in_the_former_order(a, b), (a, b)
     # balls on, inside, beside and far from the case's balls, against its
     # unions: a union on the right is tried only at the balls near a ball
     zero = (Fr(0),) * (n - 1)
@@ -548,7 +558,7 @@ def test_the_rule_order_changes_no_structural_subset(seed, n):
                                        (100 * r, 1))]
     for a in tried:
         for b in (e1, e2, both, meet, held):
-            assert _structural_subset(a, b) == _subset_in_the_former_order(a, b), (a, b)
+            assert (_structural_subset(a, b) is TRUE) == _subset_in_the_former_order(a, b), (a, b)
 
 
 def _wide_shape():
@@ -583,9 +593,97 @@ def test_a_union_on_the_left_is_split_before_anything_else(monkeypatch):
     structural = descriptive._structural_subset
     monkeypatch.setattr(descriptive, "_structural_subset",
                         lambda a, b: calls.append((a, b)) or structural(a, b))
-    assert descriptive._structural_subset(full, half) is False
+    assert descriptive._structural_subset(full, half) is FALSE
     assert len(calls) <= len(full.members) + 1
     assert all(b is half for _, b in calls)
+
+
+# --- the False half: a point's member test --------------------------------------
+
+def _subset_ref(a, b, budget=DEFAULT_BUDGET, seed=0):
+    """subset as it was before a point's member test could answer False:
+    the structural rules' True, else a witness's False, else Unknown."""
+    if _structural_subset(a, b) is TRUE:
+        return TRUE
+    gap = join(Inter, (a, complement(b)))
+    return UNKNOWN if find_witness(gap, budget=budget, seed=seed) is None else FALSE
+
+
+def _point_outside(a, b):
+    """A point the tree oracle puts in a and not in b, among the point
+    leaves of both trees and the witness of their gap, or None."""
+    pool = [p for tree in (a, b) for leaf in leaves(tree) if type(leaf) in (SinglePoint, FiniteSet)
+            for p in _COORDS[type(leaf)](leaf)]
+    witness = find_witness(join(Inter, (a, complement(b))))
+    if witness is not None:
+        pool.append(witness)
+    ta, tb = ref_tree(a), ref_tree(b)
+    return next((p for p in pool
+                 if tree_member_ref(ta, p) is True and tree_member_ref(tb, p) is False), None)
+
+
+def _subset_pairs(e1, e2):
+    """Pairs of trees built from e1 and e2: each against the other, against
+    their union and their intersection, and the complements of both."""
+    both, meet = join(Union, (e1, e2)), join(Inter, (e1, e2))
+    pairs = [(e1, e2), (e2, e1), (e1, both), (both, e1), (both, e2), (meet, e1), (e1, meet)]
+    return pairs + [(complement(b), complement(a)) for a, b in pairs]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_a_subset_verdict_is_the_former_one_or_a_proved_false(seed, n):
+    rng = random.Random(seed)
+    e1, e2 = normalize(random_expr(rng, n)), normalize(random_expr(rng, n))
+    pairs = _subset_pairs(e1, e2)
+    if n == 2:  # a wide union and its first half, with e1 beside each
+        full, half = _wide_shape()
+        pairs += _subset_pairs(full, join(Union, (half, e1))) + [(full, half), (half, full)]
+    for a, b in pairs:
+        want, got = _subset_ref(a, b), subset(a, b)
+        assert got is want or (want, got) == (UNKNOWN, FALSE), (a, b)
+        if got is FALSE:
+            assert _point_outside(a, b) is not None, (a, b)
+
+
+def test_a_sub_union_compare_runs_no_witness_search(monkeypatch):
+    # the first point of full outside half is OUT of it by half's member test
+    full, half = _wide_shape()
+    descriptive._subset_memo.cache_clear()
+    monkeypatch.setattr(descriptive, "find_witness",
+                        lambda *args, **kwargs: pytest.fail("find_witness ran"))
+    assert compare(half, full) == (TRUE, FALSE, TopologyOrder.FINER)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_a_decided_subset_never_flips_with_the_budget_or_the_seed(seed, n):
+    rng = random.Random(seed)
+    e1, e2 = normalize(random_expr(rng, n)), normalize(random_expr(rng, n))
+    for a, b in ((e1, e2), (e2, e1), (e1, join(Union, (e1, e2)))):
+        decided = set()
+        for s in (0, 5):
+            verdicts = [subset(a, b, budget=budget, seed=s) for budget in (1, 30, DEFAULT_BUDGET)]
+            # a larger budget searches the smaller one's candidates first
+            for small, large in zip(verdicts, verdicts[1:]):
+                assert small is UNKNOWN or large is small, (a, b, s, verdicts)
+            decided.update(v for v in verdicts if v is not UNKNOWN)
+        assert len(decided) <= 1, (a, b)
+
+
+def test_a_wide_sub_union_past_the_budget_is_decided_false():
+    # the budgeted search spends its 1,000 candidates on the first half's
+    # members before it reaches a point of full outside half, so the former
+    # rule answered Unknown; the member test of that point answers False
+    members = wide_members(random.Random(71), 1024)
+    full = parse(" | ".join(members), 2)
+    half = parse(" | ".join(members[:len(members) // 2]), 2)
+    assert _subset_ref(full, half) is UNKNOWN
+    assert subset(full, half) is FALSE and subset(half, full) is TRUE
+    point = next(m.coords for m in full.members if isinstance(m, SinglePoint)
+                 and m not in half.index.members)
+    assert tree_member_ref(ref_tree(full), point) is True
+    assert tree_member_ref(ref_tree(half), point) is False
 
 
 @pytest.mark.parametrize("ball, held", [
@@ -606,7 +704,7 @@ def test_a_ball_is_tried_only_against_the_balls_near_it(monkeypatch, ball, held)
     structural = descriptive._structural_subset
     monkeypatch.setattr(descriptive, "_structural_subset",
                         lambda a, b: calls.append((a, b)) or structural(a, b))
-    assert descriptive._structural_subset(a, full) is held
+    assert (descriptive._structural_subset(a, full) is TRUE) is held
     assert len(calls) <= 1 + len(near)
     assert all(b is full or b in near for _, b in calls)
 
@@ -685,7 +783,7 @@ def test_a_ball_lies_in_a_complement_only_where_the_oracle_puts_it(case):
     outside = normalize(Complement(Union(tuple(map(_leaf, leaves_ref)))))
     c, r = ball.center, ball.radius
     misses = all(leaf_misses_ball_ref(leaf, c, r) for leaf in leaves_ref)
-    held = _structural_subset(ball, outside)
+    held = _structural_subset(ball, outside) is TRUE
     if type(ball) is ClosedBall:
         assert held == misses
     elif held:

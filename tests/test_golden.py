@@ -167,7 +167,7 @@ def golden_candidate_digest() -> str:
     for e, m in exprs:
         for tree in (e, complement(e)):
             for arity in (m, m + 1):
-                balls = [(_unscaled(q), r) for q, r in _ball_forms(tree, arity)]
+                balls = [(_unscaled(q), r) for _, q, r in _ball_forms(tree, arity)]
                 lists = (structural_candidates(tree, arity), balls)
                 h.update(repr(lists).encode())
     return h.hexdigest()

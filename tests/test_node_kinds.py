@@ -83,7 +83,7 @@ def test_member_refuses_cantor_without_coordinates():
                          ids=["top", "in-union", "in-complement"])
 @pytest.mark.parametrize("call", [lambda e: member(e, ZERO), to_text, infer, normalize,
                                   lambda e: structural_candidates(e, 1),
-                                  lambda e: _ball_forms(e, 1)],
+                                  lambda e: list(_ball_forms(e, 1))],
                          ids=["member", "to_text", "infer", "normalize",
                               "structural_candidates", "candidate_balls"])
 def test_a_node_that_is_not_an_expression_is_refused(call, e):
@@ -120,7 +120,7 @@ def test_every_tree_operation_has_a_row_for_every_kind(kind):
     assert arity(e) in (None, 1)
     assert all(len(g) == 1 for g in _COORDS[type(e)](e))
     assert all(len(p) == 1 for p in structural_candidates(e, 1))
-    assert all(len(_unscaled(q)) == 1 and r > 0 for q, r in _ball_forms(e, 1))
+    assert all(len(_unscaled(q)) == 1 and r > 0 for _, q, r in _ball_forms(e, 1))
 
 
 NESTED = Union((Inter((SinglePoint((Fr(1, 3),)), Complement(ClosedBall((Fr(2),), Fr(1, 2))))),

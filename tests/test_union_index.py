@@ -8,14 +8,18 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niemytzki import descriptive, geometry, setdsl
 from niemytzki.descriptive import (
+    _BALL_CANDIDATES,
+    _BALL_SEARCH_BUDGET,
     _DISJOINT,
     _INSIDE,
+    _ball_forms,
     _closed_ball_witness,
+    _fixed_balls,
     compare_topologies,
     subset,
 )
@@ -31,8 +35,13 @@ from niemytzki.setdsl import (
     SinglePoint,
     Union,
     _compiled,
+    complement,
+    join,
+    leaves,
     member,
+    normalize,
     parse,
+    random_expr,
 )
 from niemytzki.theorems import classify
 from niemytzki.trivalent import FALSE, TRUE
@@ -301,3 +310,82 @@ def test_a_wide_union_takes_one_flag_cache_entry(k):
     descriptive._pair_flags.cache_clear()
     classify(_wide(k)[0], 2)
     assert descriptive._pair_flags.cache_info().currsize == 1
+
+
+# --- the closed-ball search ------------------------------------------------------
+
+def _ball_forms_ref(e, m):
+    """The candidate balls as the search once listed them, as (form, radius):
+    every leaf's, then the fixed ones, each once, in order, cut at the budget."""
+    cands = [cand for node in leaves(e) for cand in _BALL_CANDIDATES[type(node)](node)]
+    cands += _fixed_balls(m)
+    unique = {(q, r.numerator, r.denominator): (q, r) for q, r in cands}
+    return list(unique.values())[:_BALL_SEARCH_BUDGET]
+
+
+def _ball_witness_ref(e, m):
+    """The search as it once ran: every listed candidate tested."""
+    return any(_INSIDE[type(e)](e, q, r) for q, r in _ball_forms_ref(e, m))
+
+
+def _searched(e, m):
+    """The closed-ball search's answer on e in R^m, after checking its
+    candidates, read as a list of the lazy harvest, against the reference."""
+    forms = [(q, r) for _, q, r in _ball_forms(e, m)]
+    assert forms[:_BALL_SEARCH_BUDGET] == _ball_forms_ref(e, m)
+    found = _closed_ball_witness(e, m)
+    assert found == _ball_witness_ref(e, m), e
+    return found
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 4]))
+def test_the_ball_search_answers_as_testing_every_candidate(seed, n):
+    rng = random.Random(seed)
+    e, m = normalize(random_expr(rng, n)), n - 1
+    # beside a wide union of points and balls, so that a complement of a
+    # union has member balls whose candidates are skipped
+    trees = [e, join(Union, (e, parse(_wide(16)[0], 2)))] if n == 2 else [e]
+    for tree in trees:
+        for searched in (tree, complement(tree)):
+            _searched(searched, m)
+
+
+@pytest.mark.parametrize("k", [16, 128, 1024])
+def test_the_ball_search_of_a_wide_union_answers_as_testing_every_candidate(k):
+    full = parse(_wide(k)[0], 2)
+    assert _searched(full, 1)
+    # at k = 1,024 the first 1,000 candidates all come from the union's own
+    # balls, so the complement's search never reaches the fixed balls
+    past = len(list(_ball_forms(full, 1))) > _BALL_SEARCH_BUDGET
+    found = _searched(Complement(full), 1)
+    assert past is (k == 1024) and not (past and found)
+
+
+def test_the_complement_of_a_union_tests_no_candidate_of_its_member_balls(monkeypatch):
+    # a ball leaf inside an intersection member is no member: its
+    # candidates are tested
+    nested = "(cball(2000;1) & !point(2000))"
+    u = parse(f"{_wide(128)[0]} | {nested}", 2)
+    own = {(q, r) for b in u.members if type(b) in (ClosedBall, OpenBall)
+           for q, r in _BALL_CANDIDATES[type(b)](b)}
+    inner = set(_BALL_CANDIDATES[ClosedBall](parse("cball(2000;1)", 2)))
+    tested = []
+    inside = _INSIDE[Complement]
+    monkeypatch.setitem(descriptive._INSIDE, Complement,
+                        lambda e, q, r: tested.append((q, r)) or inside(e, q, r))
+    assert _closed_ball_witness(Complement(u), 1)
+    assert tested and own and not own & set(tested)
+    assert inner <= set(tested)
+
+
+def test_a_union_search_harvests_only_its_first_ball(monkeypatch):
+    # the first candidate of the union's first ball lies in that ball
+    u = parse(_wide(128)[0], 2)
+    harvested = []
+    for kind in (ClosedBall, OpenBall):
+        row = _BALL_CANDIDATES[kind]
+        monkeypatch.setitem(descriptive._BALL_CANDIDATES, kind,
+                            lambda b, row=row: harvested.append(b) or row(b))
+    assert _closed_ball_witness(u, 1)
+    assert harvested == [next(b for b in leaves(u) if type(b) is ClosedBall)]
