@@ -46,10 +46,11 @@ the left and an intersection on the right into their members, two exact
 identities whose parts combine by Kleene conjunction, and decide a point
 leaf in a set by that set's member test on the leaf's cached forms: IN
 proves True and OUT proves False.  Every other row proves True or leaves
-Unknown.  A ball is tried inside a union only at the balls the index puts
-near its center and at the members that are neither points nor balls, inside
-another ball exactly, and inside any other set by the closed-ball row
-``_INSIDE`` on its form.
+Unknown.  A ball on the left is decided by one row, ``_INSIDE`` read with
+the ball's own kind: exact inside a ball of either kind, inside a union read
+only at the balls the index puts near its center and at the members that
+are neither points nor balls, and inside a complement when the closed ball
+misses its body, which is sound for an open ball too.
 
 :func:`compare` settles A ⊆ B and B ⊆ A, each by :func:`subset`, and reads
 the order of tau(A) and tau(B) off the two verdicts; :func:`compare_topologies`
@@ -94,6 +95,7 @@ from .setdsl import (
     _PARSED,
     _POINT_KINDS,
     _cantor_meets,
+    _check_budget,
     _first_in,
     _point_forms,
     _shifted,
@@ -284,12 +286,11 @@ def _ball_within(q: _Scaled, r: Fraction, b: SetExpr, kind: type = ClosedBall) -
 # candidate ball of the tree's own arity, and every point or ball they
 # compare with it goes through geometry._sq_sign, which refuses another arity.
 
-def _union_inside(e: Union, q: _Scaled, r: Fraction) -> bool:
+def _union_inside(e: Union, q: _Scaled, r: Fraction, kind: type = ClosedBall) -> bool:
     # no point holds a ball, and a ball that holds the query has its center
     # within R of the query's along the first axis
     index = e.index
-    return (any(_ball_within(q, r, m) for m in index.balls_near(q))
-            or any(_INSIDE[type(m)](m, q, r) for m in index.others))
+    return any(_INSIDE[type(m)](m, q, r, kind) for m in chain(index.balls_near(q), index.others))
 
 
 def _union_disjoint(e: Union, q: _Scaled, r: Fraction) -> bool:
@@ -319,18 +320,22 @@ def _cantor_disjoint(e: Cantor, q: _Scaled, r: Fraction) -> bool:
             or not _cantor_meets(X[0] * k - w, X[0] * k + w, d * k))
 
 
-# Sound tests that the closed ball B[c, r], given as the scaled form q of c
-# and the radius r, lies in the set e, and that it misses e: one row per kind
-# of node.
+# Sound tests that a ball, given as the scaled form q of its center and its
+# radius r, lies in the set e, and that the closed ball B[c, r] misses e: one
+# row per kind of node.  _INSIDE takes the ball's kind, closed unless told:
+# a ball row is exact for either kind, and a complement's row reads the
+# closed ball, which holds the open one.
 _INSIDE = NodeTable({
-    All: lambda e, q, r: True,
+    All: lambda e, q, r, kind=ClosedBall: True,
     # none of these contains a ball of positive radius
     **dict.fromkeys((Empty, Rationals, Lattice, Cantor, Bernstein, *_POINT_KINDS),
-                    lambda e, q, r: False),
-    **dict.fromkeys((ClosedBall, OpenBall), lambda e, q, r: _ball_within(q, r, e)),
-    Complement: lambda e, q, r: _DISJOINT[type(e.body)](e.body, q, r),
+                    lambda e, q, r, kind=ClosedBall: False),
+    **dict.fromkeys((ClosedBall, OpenBall),
+                    lambda e, q, r, kind=ClosedBall: _ball_within(q, r, e, kind)),
+    Complement: lambda e, q, r, kind=ClosedBall: _DISJOINT[type(e.body)](e.body, q, r),
     Union: _union_inside,
-    Inter: lambda e, q, r: all(_INSIDE[type(m)](m, q, r) for m in e.members),
+    Inter: lambda e, q, r, kind=ClosedBall: all(_INSIDE[type(m)](m, q, r, kind)
+                                                for m in e.members),
 })
 
 _DISJOINT = NodeTable({
@@ -537,28 +542,21 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> Verdict:
         return _every(_structural_subset(m, b) for m in a.members)
     if isinstance(b, Inter):
         return _every(_structural_subset(a, m) for m in b.members)
-    if isinstance(b, Union):
-        index = b.index
-        if a in index.members:
-            return T
-        # no point holds a ball, and a ball that holds a ball holds its
-        # center, so only the balls near that center are tried; no later
-        # row holds a ball in a union
-        if type(a) in WITHIN:
-            return T if any(_structural_subset(a, m) is T
-                            for m in (*index.balls_near(a.scaled), *index.others)) else U
-        # a point or a finite set is decided below, by one test through b's index
-        if type(a) not in _POINT_KINDS and any(_structural_subset(a, m) is T for m in b.members):
-            return T
-    if isinstance(a, Inter) and any(_structural_subset(m, b) is T for m in a.members):
+    if isinstance(b, Union) and a in b.index.members:
         return T
-    if isinstance(a, Complement) and isinstance(b, Complement):
-        return _structural_subset(b.body, a.body)
+    if type(a) in WITHIN:  # the one ball row: exact wherever _INSIDE is
+        return T if _INSIDE[type(b)](b, a.scaled, a.radius, type(a)) else U
     if type(a) in _POINT_KINDS:
         try:  # member on each point, read off its cached form
             return _every(member_test(b, len(form[0]))(form) for form in _point_forms(a))
         except RecursionError:
             raise _too_deep() from None
+    if isinstance(b, Union) and any(_structural_subset(a, m) is T for m in b.members):
+        return T
+    if isinstance(a, Inter) and any(_structural_subset(m, b) is T for m in a.members):
+        return T
+    if isinstance(a, Complement) and isinstance(b, Complement):
+        return _structural_subset(b.body, a.body)
     if isinstance(a, Lattice) and isinstance(b, Rationals):
         return T
     if isinstance(a, Cantor) and isinstance(b, (ClosedBall, OpenBall)):
@@ -566,11 +564,6 @@ def _structural_subset(a: SetExpr, b: SetExpr) -> Verdict:
         m = len(b.center)
         test, rest = member_test(b, m), (0,) * (m - 1)
         return T if all(test(((end,) + rest, 1)) is IN for end in (0, 1)) else U
-    if type(a) in WITHIN:
-        if type(b) in WITHIN:  # exact: an open ball may fill an open ball of its radius
-            return T if _ball_within(a.scaled, a.radius, b, type(a)) else U
-        # the closed ball B[c, r] holds the open one, so this is sound for both
-        return T if _INSIDE[type(b)](b, a.scaled, a.radius) else U
     return U
 
 
@@ -603,8 +596,8 @@ def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0
     """Three-valued subset test: the structural rules prove True, or False
     where a point of e1 is OUT of e2 by e2's member test; what they leave
     Unknown a witness in e1 \\ e2, searched within the budget, proves False.
-    A budget below 1 is refused whatever the sets, as ``find_witness``
-    refuses it.
+    A budget below 1 or above ``sys.maxsize`` is refused whatever the sets,
+    by the rule ``find_witness`` keeps.
 
     Answers are remembered per process, in one bounded memo keyed by the
     text and dimension each tree was parsed from (a tree built otherwise is
@@ -612,8 +605,7 @@ def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0
     hashable, as for ``find_witness``; with ``seed=None`` an answer is fixed
     for the process once it has been given.  An error is never remembered.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    _check_budget(budget)
     return _subset_memo(_memo_key(normalize(e1)), _memo_key(normalize(e2)), budget, seed)
 
 

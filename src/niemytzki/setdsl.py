@@ -112,6 +112,7 @@ import itertools
 import operator
 import random
 import re
+import sys
 import threading
 import weakref
 from bisect import bisect_left, bisect_right
@@ -1126,6 +1127,15 @@ def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
 DEFAULT_BUDGET = 1000
 
 
+def _check_budget(budget: int) -> None:
+    """Refuse a budget below 1, and one above sys.maxsize, which no search
+    can be cut at: the one budget rule of find_witness and of subset."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if budget > sys.maxsize:
+        raise ValueError(f"budget must be at most {sys.maxsize}")
+
+
 # The probes and the random candidates depend only on the arity m and the
 # seed, so each is formed once per process and read by every search.  Both
 # caches are bounded, so a session of many seeds keeps the latest few.
@@ -1256,9 +1266,9 @@ def find_witness(
     and the probes are spent.  The witness is returned as a tuple of
     ``Fraction``s, whatever numbers the tree holds.  The seed is a key of
     the random candidates' cache: it must be hashable, and ``None`` seeds
-    one stream from the operating system per process, not one per search."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    one stream from the operating system per process, not one per search.
+    A budget below 1 or above ``sys.maxsize`` raises ValueError."""
+    _check_budget(budget)
     if dimension is not None:
         check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)

@@ -309,12 +309,14 @@ def union_member_ref(members, p) -> bool:
     return any(leaf_member_ref(leaf, p) for leaf in members)
 
 
-def leaf_holds_ball_ref(leaf, c, r) -> bool:
-    """B[c, r] lies in the leaf: never in a point, a finite set or the
-    Cantor set, which hold no ball."""
+def leaf_holds_ball_ref(leaf, c, r, closed=True) -> bool:
+    """The ball (c, r), closed unless told, lies in the leaf: never in a
+    point, a finite set or the Cantor set, which hold no ball.  Against a
+    complement it reads whether B[c, r] misses the body, which is exact for
+    a closed ball and sound for an open one."""
     kind = leaf[0]
     if kind in ("cball", "oball"):
-        return ball_within_ref(c, r, True, leaf[1], leaf[2], kind == "cball")
+        return ball_within_ref(c, r, closed, leaf[1], leaf[2], kind == "cball")
     if kind == "!cball":
         return ball_disjoint_ref(c, r, leaf[1], leaf[2], True)
     return False
@@ -337,9 +339,10 @@ def leaf_misses_ball_ref(leaf, c, r) -> bool:
     raise ValueError(f"no reference for {kind} in R^{len(c)}")
 
 
-def union_holds_ball_ref(members, c, r) -> bool:
-    """Some member holds B[c, r]: what a sound test may read off a union."""
-    return any(leaf_holds_ball_ref(leaf, c, r) for leaf in members)
+def union_holds_ball_ref(members, c, r, closed=True) -> bool:
+    """Some member holds the ball (c, r), closed unless told: what a sound
+    test may read off a union."""
+    return any(leaf_holds_ball_ref(leaf, c, r, closed) for leaf in members)
 
 
 def union_misses_ball_ref(members, c, r) -> bool:

@@ -102,8 +102,15 @@ class TestExitCodes:
          "error: budget must be positive\n"),
         (["compare", "--set-a", "empty", "--set-b", "all", "--budget", "0"], 1,
          "error: budget must be positive\n"),
+        # refused whatever the sets: before any rule runs, not where the
+        # search would be cut at the budget
+        (["compare", "--set-a", "all", "--set-b", "all", "--budget", "99999999999999999999"], 1,
+         f"error: budget must be at most {sys.maxsize}\n"),
+        (["compare", "--set-a", "cball(0;1)", "--set-b", "oball(0;1)",
+          "--budget", "99999999999999999999"], 1, f"error: budget must be at most {sys.maxsize}\n"),
     ], ids=["unknown-suite", "unknown-property", "undecidable", "point-below-boundary",
-            "point-arity", "budget-all-all", "budget-empty-all"])
+            "point-arity", "budget-all-all", "budget-empty-all", "large-budget-all-all",
+            "large-budget-balls"])
     def test_each_caught_error_has_its_exit_code_and_line(self, argv, code, err, capsys):
         assert cli.main(argv) == code
         out, printed = capsys.readouterr()

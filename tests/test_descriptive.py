@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction as Fr
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from niemytzki.descriptive import (
     _SEARCHES,
     SoundnessError,
     TopologyOrder,
+    _ball_forms,
     _ball_within,
     _bits,
     _close,
@@ -695,28 +697,35 @@ def test_a_wide_sub_union_past_the_budget_is_decided_false():
 def test_a_ball_is_tried_only_against_the_balls_near_it(monkeypatch, ball, held):
     # no point holds a ball, and a ball that holds one holds its center, so
     # a ball against a union of points and balls reads only the balls near
-    # its center along the first axis
+    # its center along the first axis; a member of the union reads none
     full, _ = _wide_shape()
     a = parse(ball, 2)
     near = full.index.balls_near(a.scaled)
     assert len(near) <= 2 and not full.index.others
-    calls = []
-    structural = descriptive._structural_subset
-    monkeypatch.setattr(descriptive, "_structural_subset",
-                        lambda a, b: calls.append((a, b)) or structural(a, b))
-    assert (descriptive._structural_subset(a, full) is TRUE) is held
-    assert len(calls) <= 1 + len(near)
-    assert all(b is full or b in near for _, b in calls)
+    read = []
+    within = descriptive._ball_within
+    monkeypatch.setattr(descriptive, "_ball_within",
+                        lambda q, r, b, kind=ClosedBall: read.append(b) or within(q, r, b, kind))
+    assert (_structural_subset(a, full) is TRUE) is held
+    assert len(read) <= len(near)
+    assert all(any(b is m for m in near) for b in read)
+    assert bool(read) is (bool(near) and a not in full.index.members)
 
 
-@pytest.mark.parametrize("budget", [0, -1])
-@pytest.mark.parametrize("a, b", [("all", "all"), ("empty", "all"), ("cantor", "cball(0;2)")])
-def test_a_budget_below_one_is_refused_whatever_the_sets(a, b, budget):
+@pytest.mark.parametrize("budget", [0, -1, sys.maxsize + 1, 10**20])
+@pytest.mark.parametrize("a, b, want", [
+    ("all", "all", TRUE),  # pairs the structural rules decide
+    ("empty", "all", TRUE),
+    ("cantor", "cball(0;2)", TRUE),
+    ("cball(0;1)", "oball(0;1)", FALSE),  # a pair the witness search decides
+])
+def test_a_budget_out_of_range_is_refused_whatever_the_sets(a, b, want, budget):
     eA, eB = parse(a, 2), parse(b, 2)
-    assert subset(eA, eB) is TRUE  # a pair the structural rules decide
+    assert subset(eA, eB, budget=sys.maxsize) is want
     memo = descriptive._subset_memo.cache_info()
+    message = "budget must be positive" if budget < 1 else f"budget must be at most {sys.maxsize}"
     for call in (subset, compare, compare_topologies):
-        with pytest.raises(ValueError, match="budget must be positive"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             call(eA, eB, budget=budget)
     assert descriptive._subset_memo.cache_info() == memo  # refused before any lookup
 
@@ -793,6 +802,39 @@ def test_a_ball_lies_in_a_complement_only_where_the_oracle_puts_it(case):
         for p in [c] + [c[:i] + (c[i] + s * r / 2,) + c[i + 1:]
                         for i in range(len(c)) for s in (1, -1)]:
             assert tree_member_ref(tree, p) is not False
+
+
+# --- an open ball: exact wherever the closed ball is ---------------------------
+
+@pytest.mark.parametrize("ball, outer, want", [
+    # the open ball fills the open ball of twice its radius that it touches
+    # from within; the closed one reaches the point 1, outside it
+    ("oball(1/2;1/2)", "oball(0;1) | point(5)", TRUE),
+    ("oball(1/2;1/2)", "(oball(0;1) & cball(0;2)) | point(5)", TRUE),
+    ("cball(1/2;1/2)", "oball(0;1) | point(5)", FALSE),
+])
+def test_a_ball_in_a_union_is_decided_for_its_own_kind(ball, outer, want):
+    a, b = parse(ball, 2), parse(outer, 2)
+    assert _structural_subset(a, b) is (want if want is TRUE else UNKNOWN)
+    assert subset(a, b) is want
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_an_open_ball_lies_wherever_its_closed_ball_does(seed, n):
+    # the search's candidates, and balls on each ball leaf and tangent to it
+    # from within
+    e = random_expr(random.Random(seed), n)
+    for tree in (e, complement(e)):
+        balls = list(islice(((q, r) for _, q, r in _ball_forms(tree, n - 1)), 40))
+        for m in leaves(tree):
+            if type(m) in (ClosedBall, OpenBall):
+                k, d = m.radius.numerator, m.radius.denominator
+                balls += [(m.scaled, m.radius), (_shifted(m.scaled, 0, k, 2 * d), m.radius / 2)]
+        inside = _INSIDE[type(tree)]
+        for q, r in balls:
+            if inside(tree, q, r):
+                assert inside(tree, q, r, OpenBall), (tree, q, r)
 
 
 # --- the subset memo -------------------------------------------------------------

@@ -24,6 +24,15 @@ tree's own arity m and at m + 1, for seeded random expressions and their
 complements (n = 2, 3 and 4) and one wide union.  Any change to what a leaf
 contributes, to the order or to the deduplication moves the digest.
 
+Structural digest: the three-valued ``_structural_subset`` verdict of every
+ordered pair in a pool per case: two seeded random expressions (n = 2 and
+3), their union, their intersection and their complements, against the
+pool and the union's first three ball leaves.  Each case adds closed and
+open balls on, inside and tangent to those leaves, within and without, on
+the left.  About 17,700 verdicts in all.  The rules' True and False must stay
+exactly where they are, and so must their Unknowns, which ``subset`` hands
+to the witness search.
+
 Witness digest: ``find_witness`` at budgets 1, 5, 40 and 1000 and seeds 0
 and 3, on seeded random expressions e, their complements and the gaps
 e1 & !e2 between neighbours (n = 2, 3 and 4), and on hand-built gaps whose
@@ -61,7 +70,7 @@ import random
 from fractions import Fraction
 
 from niemytzki import cli, descriptive
-from niemytzki.descriptive import _ball_forms, infer
+from niemytzki.descriptive import _ball_forms, _structural_subset, infer
 from niemytzki.geometry import Point, _unscaled
 from niemytzki.harness import SuiteConfig, generate_samples, run_suite, suite_names
 from niemytzki.setdsl import (
@@ -77,6 +86,8 @@ from niemytzki.setdsl import (
     complement,
     find_witness,
     join,
+    leaves,
+    normalize,
     parse,
     parse_rational,
     random_expr,
@@ -90,6 +101,7 @@ GOLDEN_SUITE_SHA256 = "cadf7ca4998573c5c951e4794fe71fe42f1f066c01380f04b52dfb873
 GOLDEN_SUITE_N4_SHA256 = "be194f85789cef83971ba9fabfb37c60793fef41f2418e94a7743b504b364b43"
 GOLDEN_INFERENCE_SHA256 = "037f960f9e2839f1b544c17acc09dccfb42c24344f7dc7241684078002cc0097"
 GOLDEN_CANDIDATE_SHA256 = "a93f0b80c0c0a86d36bfdaf835465f4c7aead8d69684fda80993f414dcba8a4b"
+GOLDEN_STRUCTURAL_SHA256 = "a6642d18b5aa7b4a9e81cdf8fa63d1f7e458c29be2e87a842040ffffa6dac61a"
 GOLDEN_WITNESS_SHA256 = "41ab03164abc479a301ada11c5e0db881c9a3020f54a69991c2d716863b10ced"
 GOLDEN_PARSE_SHA256 = "ba5618ae52d3b1a7f344b423cd58b22b43525aa8b9dc19388721b0b3e1cde947"
 
@@ -170,6 +182,33 @@ def golden_candidate_digest() -> str:
                 balls = [(_unscaled(q), r) for _, q, r in _ball_forms(tree, arity)]
                 lists = (structural_candidates(tree, arity), balls)
                 h.update(repr(lists).encode())
+    return h.hexdigest()
+
+
+def _balls_about(e: SetExpr) -> tuple[list[SetExpr], list[SetExpr]]:
+    """The first three ball leaves of e, and closed and open balls on each
+    of them, inside it about its center, and tangent to it from within and
+    from without along the first axis."""
+    found = [m for m in leaves(e) if type(m) in (ClosedBall, OpenBall)][:3]
+    balls = []
+    for m in found:
+        (c, *rest), r = m.center, m.radius
+        for shift, radius in ((0, r), (0, r / 2), (r / 2, r / 2), (3 * r / 2, r / 2)):
+            balls += [normalize(kind((c + shift, *rest), radius)) for kind in (ClosedBall, OpenBall)]
+    return found, balls
+
+
+def golden_structural_digest() -> str:
+    h = hashlib.sha256()
+    rng = random.Random(2405)
+    for n in (2, 3):
+        for _ in range(75):
+            e1, e2 = random_expr(rng, n), random_expr(rng, n)
+            pool = [e1, e2, join(Union, (e1, e2)), join(Inter, (e1, e2)),
+                    complement(e1), complement(e2)]
+            found, balls = _balls_about(pool[2])
+            for a in pool + balls:
+                h.update("".join(_structural_subset(a, b).value[0] for b in pool + found).encode())
     return h.hexdigest()
 
 
@@ -336,6 +375,10 @@ def test_golden_candidate_digest():
     assert golden_candidate_digest() == GOLDEN_CANDIDATE_SHA256
 
 
+def test_golden_structural_digest():
+    assert golden_structural_digest() == GOLDEN_STRUCTURAL_SHA256
+
+
 def test_golden_witness_digest():
     assert golden_witness_digest() == GOLDEN_WITNESS_SHA256
 
@@ -354,6 +397,7 @@ if __name__ == "__main__":
     print(f"GOLDEN_SUITE_N4_SHA256 = {golden_suite_n4_digest()!r}")
     print(f"GOLDEN_INFERENCE_SHA256 = {golden_inference_digest()!r}")
     print(f"GOLDEN_CANDIDATE_SHA256 = {golden_candidate_digest()!r}")
+    print(f"GOLDEN_STRUCTURAL_SHA256 = {golden_structural_digest()!r}")
     print(f"GOLDEN_WITNESS_SHA256 = {golden_witness_digest()!r}")
     print(f"GOLDEN_PARSE_SHA256 = {golden_parse_digest()!r}")
     print(f"WITNESS_SEARCH_COUNTS = {witness_search_counts()!r}")

@@ -580,6 +580,16 @@ class TestFindWitness:
     def test_complement_of_rationals_is_unwitnessable(self):
         assert find_witness(Complement(Rationals()), 1000, 0) is None
 
+    @pytest.mark.parametrize("budget", [0, -1, sys.maxsize + 1, 10**20])
+    def test_a_budget_out_of_range_is_refused(self, budget):
+        # even where the search would end before it reads a candidate
+        message = "budget must be positive" if budget < 1 else f"budget must be at most {sys.maxsize}"
+        for e in (Empty(), All(), parse("cball(0;1) & !oball(0;1)")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                find_witness(e, budget=budget)
+        assert find_witness(Empty(), budget=sys.maxsize) is None
+        assert find_witness(All(), budget=sys.maxsize) == (Fr(0),)
+
     @pytest.mark.parametrize("dimension", [1, 0, -3])
     def test_a_dimension_below_two_is_refused(self, dimension):
         with pytest.raises(ValueError, match="dimension must be at least 2"):

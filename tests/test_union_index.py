@@ -139,6 +139,7 @@ def test_the_union_index_equals_the_oracle(case):
         v = Union(tuple(map(_node, part)))
         assert (member(v, p) is IN) == union_member_ref(part, p)
         assert _INSIDE[Union](v, *b) == union_holds_ball_ref(part, c, r)
+        assert _INSIDE[Union](v, *b, OpenBall) == union_holds_ball_ref(part, c, r, closed=False)
         # the Cantor row is exact on the line, and only sound in R^2 and R^3
         if ("cantor",) not in part or len(c) == 1:
             assert _DISJOINT[Union](v, *b) == union_misses_ball_ref(part, c, r)
