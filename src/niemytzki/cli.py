@@ -273,8 +273,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse as Python 3.13 reads a lone ``--`` flag value (``--set=--``):
+    as that text, which the flag's type then reads.  Before 3.13 argparse
+    drops it and hands the flag ``[]``, which no command expects."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.option_strings:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="niemytzki",
         description="Exact classification of tangent-ball topologies on the closed half-space.",
     )

@@ -31,16 +31,18 @@ include:
 Two witness searches settle flags the rules leave Unknown on a union or an
 intersection.  The closed-ball search tries candidate balls B[c, r], each
 held as the scaled form of c and the radius r: the balls about each ball
-leaf, moved on integers from the leaf's cached form and harvested leaf by
-leaf as the search reads them, then six fixed balls, formed once per arity;
-equal balls are tried once.  A candidate of a union's member ball lies in
-it, so the union's complement counts it against the budget untested.  The
-``_INSIDE`` and ``_DISJOINT`` rows test a candidate against a node on its
-form: only the ball rows add or subtract two radii as Fractions, and the
-Cantor row reads its first-axis interval by the set language's one integer
-Cantor walk, exact on the line.  A union reads only the leaves its index
-puts near the candidate.  The point search is the set language's one search loop on the
-tree's structural candidate forms, harvested leaf by leaf as it reads them.
+leaf (``_balls_in_ball``; no other kind of leaf offers any, so a new
+primitive needs no row for this search), moved on integers from the leaf's
+cached form and harvested leaf by leaf as the search reads them, then six
+fixed balls, formed once per arity; equal balls are tried once.  A
+candidate of a union's member ball lies in it, so the union's complement
+counts it against the budget untested.  The ``_INSIDE`` and ``_DISJOINT``
+rows test a candidate against a node on its form: only the ball rows add or
+subtract two radii as Fractions, and the Cantor row reads its first-axis
+interval by the set language's one integer Cantor walk, exact on the line.
+A union reads only the leaves its index puts near the candidate.  The point
+search is the set language's one search loop on the tree's structural
+candidate forms, harvested leaf by leaf as it reads them.
 The structural subset rules are three-valued.  They first split a union on
 the left and an intersection on the right into their members, two exact
 identities whose parts combine by Kleene conjunction, and decide a point
@@ -95,7 +97,7 @@ from .setdsl import (
     _PARSED,
     _POINT_KINDS,
     _cantor_meets,
-    _check_budget,
+    _check_search,
     _first_in,
     _point_forms,
     _shifted,
@@ -370,15 +372,6 @@ def _balls_in_ball(e: SetExpr) -> list[tuple[_Scaled, Fraction]]:
               for i in range(len(form[0])) for u, v in _OFFSETS)]
 
 
-# The (form, radius) candidates each kind of leaf offers the ball-witness
-# search: only a ball offers any.
-_BALL_CANDIDATES = NodeTable({
-    **dict.fromkeys((Empty, All, Rationals, Lattice, Cantor, Bernstein, *_POINT_KINDS),
-                    lambda e: ()),
-    **dict.fromkeys((ClosedBall, OpenBall), _balls_in_ball),
-})
-
-
 # Like setdsl._probes, formed once per arity and bounded.
 @lru_cache(maxsize=32)
 def _fixed_balls(m: int) -> tuple[tuple[_Scaled, Fraction], ...]:
@@ -397,10 +390,11 @@ def _fixed_balls(m: int) -> tuple[tuple[_Scaled, Fraction], ...]:
 def _ball_forms(e: SetExpr, m: int) -> Iterator[tuple[SetExpr | None, _Scaled, Fraction]]:
     """The candidate balls of the search in e, in order, each once, as
     (leaf that first offered it or None, form, radius), harvested leaf by
-    leaf as read.  Forms are canonical, so equal balls have equal keys."""
+    leaf as read: only a ball leaf offers any.  Forms are canonical, so
+    equal balls have equal keys."""
     seen = set()
-    for leaf, cands in chain(((node, _BALL_CANDIDATES[type(node)](node)) for node in leaves(e)),
-                             ((None, _fixed_balls(m)),)):
+    for leaf, cands in chain(((node, _balls_in_ball(node)) for node in leaves(e)
+                              if type(node) in WITHIN), ((None, _fixed_balls(m)),)):
         for q, r in cands:
             key = q, r.numerator, r.denominator
             if key not in seen:
@@ -596,16 +590,17 @@ def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0
     """Three-valued subset test: the structural rules prove True, or False
     where a point of e1 is OUT of e2 by e2's member test; what they leave
     Unknown a witness in e1 \\ e2, searched within the budget, proves False.
-    A budget below 1 or above ``sys.maxsize`` is refused whatever the sets,
-    by the rule ``find_witness`` keeps.
+    A budget that is not an ``int``, below 1 or above ``sys.maxsize``, and
+    a seed that is not hashable, are refused whatever the sets, by the rule
+    ``find_witness`` keeps.
 
     Answers are remembered per process, in one bounded memo keyed by the
     text and dimension each tree was parsed from (a tree built otherwise is
-    its own key), with the budget and the seed.  The seed must therefore be
-    hashable, as for ``find_witness``; with ``seed=None`` an answer is fixed
-    for the process once it has been given.  An error is never remembered.
+    its own key), with the budget and the seed; with ``seed=None`` an answer
+    is fixed for the process once it has been given.  An error is never
+    remembered.
     """
-    _check_budget(budget)
+    _check_search(budget, seed)
     return _subset_memo(_memo_key(normalize(e1)), _memo_key(normalize(e2)), budget, seed)
 
 

@@ -245,6 +245,15 @@ class Point:
         return Point(tuple(data))
 
 
+def _positive(value: RatLike, what: str) -> Fraction:
+    """value as an exact rational, refused unless it is above 0: the one
+    "<what> must be positive" rule of radii, epsilons and heights."""
+    value = rat(value)
+    if value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return value
+
+
 def translate(p: Point, delta: Sequence[RatLike]) -> Point:
     if len(delta) != p.dimension:
         raise DimensionMismatch("offset arity differs from the point's dimension")
@@ -259,9 +268,7 @@ class BallSpec:
     radius: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", rat(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        object.__setattr__(self, "radius", _positive(self.radius, "ball radius"))
 
 
 def _sq_int(p: _Scaled, q: _Scaled) -> tuple[int, int, int]:
@@ -300,9 +307,7 @@ def _check_tangency(a: Point) -> None:
 
 def _tangent_eps(a: Point, eps: RatLike) -> Fraction:
     """The parameter of the tangent ball at a, as an exact positive rational."""
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("tangent-ball parameter must be positive")
+    eps = _positive(eps, "tangent-ball parameter")
     _check_tangency(a)
     return eps
 

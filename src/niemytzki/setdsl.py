@@ -55,13 +55,15 @@ find the tree again here while it lives.
 
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
-primitive needs a row in each: ``_TEXT``, ``_MEMBER_TESTS``, the coordinate
-groups ``_COORDS`` and the witness candidates ``_POINT_CANDIDATES`` here,
-``_PRIMITIVE_AXIOMS``, ``_INSIDE``, ``_DISJOINT`` and the ball candidates
-``_BALL_CANDIDATES`` in :mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in
-:mod:`niemytzki.theorems`.  Its axiom row is closed once into its kind's
-record in ``_PRIMITIVE_PAIRS``, whose two halves hold the flags of the
-primitive and of its complement.  That table is never searched, so the
+primitive needs a row in each of eight: ``_TEXT``, ``_MEMBER_TESTS``, the
+coordinate groups ``_COORDS`` and the witness candidates
+``_POINT_CANDIDATES`` here, ``_PRIMITIVE_AXIOMS``, ``_INSIDE`` and
+``_DISJOINT`` in :mod:`niemytzki.descriptive`, ``_BOUNDARY_DIM`` in
+:mod:`niemytzki.theorems`.  The ball-witness search of
+:mod:`niemytzki.descriptive` needs none: only the kinds of ``WITHIN``, the
+balls, offer it candidates.  A primitive's axiom row is closed once into
+its kind's record in ``_PRIMITIVE_PAIRS``, whose two halves hold the flags
+of the primitive and of its complement.  That table is never searched, so the
 closed row must decide, on both halves, every flag a witness search settles.
 The two point leaves, ``point`` and ``finite``, differ only in their text,
 their ``==`` and the fields ``_COORDS`` reads: they share one row in every
@@ -708,12 +710,6 @@ def parse_rational(text: str) -> Fraction:
 
 # --- membership --------------------------------------------------------------
 
-def in_cantor(x: Fraction) -> bool:
-    """Exact middle-thirds membership for a rational in [0, 1]: the walk of
-    :func:`_cantor_meets` on the one-point interval [x, x]."""
-    return _cantor_meets(x.numerator, x.numerator, x.denominator)
-
-
 def _cantor_meets(lo: int, hi: int, q: int) -> bool:
     """Whether the closed interval [lo/q, hi/q] meets the middle-thirds
     Cantor set C, for q > 0.
@@ -844,44 +840,37 @@ def _distinct(arities: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(arities)))
 
 
-def _meet(spans: Iterable) -> object:
-    """The span of an intersection: where every member's test may answer IN."""
-    found = ANYWHERE
-    for span in spans:
-        if span is NOWHERE:
-            return NOWHERE
-        if found is ANYWHERE:
-            found = span
-        elif span is not ANYWHERE:
-            a, b, c, g = found
-            a2, b2, c2, g2 = span
-            if a2 * b > a * b2:  # the higher low end
-                a, b = a2, b2
-            if c2 * g < c * g2:  # the lower high end
-                c, g = c2, g2
-            if a * g > c * b:
-                return NOWHERE
-            found = (a, b, c, g)
-    return found
+def _low(span: tuple[int, int, int, int]) -> Fraction:
+    return Fraction(span[0], span[1])
 
 
-def _hull(spans: Iterable) -> object:
-    """The span of a union: where some member's test may answer IN."""
-    found = NOWHERE
-    for span in spans:
-        if span is ANYWHERE:
-            return ANYWHERE
-        if found is NOWHERE:
-            found = span
-        elif span is not NOWHERE:
-            a, b, c, g = found
-            a2, b2, c2, g2 = span
-            if a2 * b < a * b2:
-                a, b = a2, b2
-            if c2 * g > c * g2:
-                c, g = c2, g2
-            found = (a, b, c, g)
-    return found
+def _high(span: tuple[int, int, int, int]) -> Fraction:
+    return Fraction(span[2], span[3])
+
+
+def _meet(spans: Sequence) -> object:
+    """The span of an intersection: where every member's test may answer IN.
+    Its ends are the bounded spans' highest low end and lowest high end, the
+    first of equal ends kept."""
+    if NOWHERE in spans:
+        return NOWHERE
+    bounded = [span for span in spans if span is not ANYWHERE]
+    if not bounded:
+        return ANYWHERE
+    lo, hi = max(bounded, key=_low), min(bounded, key=_high)
+    return NOWHERE if _low(lo) > _high(hi) else lo[:2] + hi[2:]
+
+
+def _hull(spans: Sequence) -> object:
+    """The span of a union: where some member's test may answer IN.  Its
+    ends are the bounded spans' lowest low end and highest high end, the
+    first of equal ends kept."""
+    if ANYWHERE in spans:
+        return ANYWHERE
+    bounded = [span for span in spans if span is not NOWHERE]
+    if not bounded:
+        return NOWHERE
+    return min(bounded, key=_low)[:2] + max(bounded, key=_high)[2:]
 
 
 def _around(lo: _Scaled, hi: _Scaled, r: Fraction) -> tuple[int, int, int, int]:
@@ -1127,13 +1116,18 @@ def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
 DEFAULT_BUDGET = 1000
 
 
-def _check_budget(budget: int) -> None:
-    """Refuse a budget below 1, and one above sys.maxsize, which no search
-    can be cut at: the one budget rule of find_witness and of subset."""
+def _check_search(budget: int, seed) -> None:
+    """Refuse a budget that is not an int (a bool included), one below 1 and
+    one above sys.maxsize, which no search can be cut at, and a seed that
+    cannot key a cache: the one budget and seed rule of find_witness and of
+    subset, kept before any rule runs."""
+    if type(budget) is not int:
+        raise TypeError(f"budget must be an int, not {type(budget).__name__}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if budget > sys.maxsize:
         raise ValueError(f"budget must be at most {sys.maxsize}")
+    hash(seed)
 
 
 # The probes and the random candidates depend only on the arity m and the
@@ -1265,10 +1259,11 @@ def find_witness(
     ``_stream``), and the random ones only once the structural candidates
     and the probes are spent.  The witness is returned as a tuple of
     ``Fraction``s, whatever numbers the tree holds.  The seed is a key of
-    the random candidates' cache: it must be hashable, and ``None`` seeds
-    one stream from the operating system per process, not one per search.
-    A budget below 1 or above ``sys.maxsize`` raises ValueError."""
-    _check_budget(budget)
+    the random candidates' cache: one that is not hashable raises
+    TypeError, and ``None`` seeds one stream from the operating system per
+    process, not one per search.  A budget that is not an ``int`` raises
+    TypeError, and one below 1 or above ``sys.maxsize`` ValueError."""
+    _check_search(budget, seed)
     if dimension is not None:
         check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)

@@ -233,10 +233,6 @@ def _normal_input(f: _Facts) -> dict[str, str]:
     return {"normal": f.normal.value}
 
 
-def _dim_text(dim: Optional[int]) -> str:
-    return "unknown" if dim is None else str(dim)
-
-
 # A row shows the complement's text under the input "complement", the one
 # input that the key does not fix: a template holds None there, and classify
 # writes in the text of its own A's complement.
@@ -320,7 +316,7 @@ _RULES: tuple[tuple, ...] = (
      lambda f: f.desc.f_sigma & f.desc.co_countable),
     ("R6", "The subset L_n of (X_n, τ(A)) is C*-embedded in (X_n, τ(A)).",
      ("boundary_z_embedded", "boundary_cstar_embedded"), _normal_input, lambda f: f.normal),
-    ("R8", "dim (X_n, τ(A)) = n", ("dim",), _normal_input, lambda f: _dim_text(f.dim)),
+    ("R8", "dim (X_n, τ(A)) = n", ("dim",), _normal_input, lambda f: str(verdict_json(f.dim))),
     # corollary cross-checks for the flagship boundary sets
     _corollary("C1", "Lindelöf but it is not perfect", Bernstein(),
                lindelof=TRUE, perfect=FALSE),
@@ -339,7 +335,7 @@ _RULES: tuple[tuple, ...] = (
      lambda f: {name: f.settled[name].value for name in ("perfect", "lindelof", "sigma_compact")},
      lambda f: "transferred"),
     ("B3", "dim (L_n, τ(A)|L_n) = dim A", ("boundary.dim",), _no_inputs,
-     lambda f: _dim_text(f.boundary_dim)),
+     lambda f: str(verdict_json(f.boundary_dim))),
 )
 
 

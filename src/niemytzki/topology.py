@@ -41,11 +41,11 @@ from .geometry import (
     Point,
     RatLike,
     _in_tangent_int,
+    _positive,
     _record,
     _Scaled,
     _sq_sign,
     inner_ball_radius,
-    rat,
     sq_dist,
     tangent_gauge,
     translate,
@@ -191,9 +191,7 @@ def local_base_element(topo: TopologySpec, p: Point, eps: RatLike) -> BasicOpen:
     is not; an Unknown membership (Bernstein boundary sets) aborts with
     UndecidableMembership.
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive(eps, "eps")
     if p.dimension != topo.dimension:
         raise DimensionMismatch("point dimension differs from the topology's")
     if not p.is_boundary:
@@ -276,11 +274,9 @@ class Vertical(SequenceFamily):
     height: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "height", rat(self.height))
         if not self.anchor.is_boundary:
             raise ValueError("the anchor must lie on the boundary hyperplane")
-        if self.height <= 0:
-            raise ValueError("height must be positive")
+        object.__setattr__(self, "height", _positive(self.height, "height"))
 
     def _term(self, k: int) -> Point:
         offset = (0,) * (self.anchor.dimension - 1) + (self.height / k,)
@@ -308,11 +304,9 @@ class TangentCircle(SequenceFamily):
     eps: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", rat(self.eps))
         if not self.anchor.is_boundary:
             raise ValueError("the anchor must lie on the boundary hyperplane")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        object.__setattr__(self, "eps", _positive(self.eps, "eps"))
 
     def _term(self, k: int) -> Point:
         den = k * k + 1

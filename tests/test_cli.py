@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from niemytzki import cli, setdsl
@@ -108,9 +108,33 @@ class TestExitCodes:
          f"error: budget must be at most {sys.maxsize}\n"),
         (["compare", "--set-a", "cball(0;1)", "--set-b", "oball(0;1)",
           "--budget", "99999999999999999999"], 1, f"error: budget must be at most {sys.maxsize}\n"),
+        # a lone "--" value is that text on every Python: argparse before
+        # 3.13 would hand the command [] instead
+        (["classify", "--set=--"], 2, "parse error: unexpected character '-' (at offset 0)\n"),
+        (["compare", "--set-a", "all", "--set-b=--"], 2,
+         "parse error: unexpected character '-' (at offset 0)\n"),
+        (["member", "--set=--", "--point", "1/4"], 2,
+         "parse error: unexpected character '-' (at offset 0)\n"),
+        (["member", "--set", "cantor", "--point=--"], 1,
+         "error: bad rational in --point: unexpected character '-' (at offset 0)\n"),
+        (["explain", "--set=--", "--property", "normal"], 2,
+         "parse error: unexpected character '-' (at offset 0)\n"),
+        (["explain", "--set", "cantor", "--property=--"], 1, "error: unknown property '--'; known: "),
+        (["nbhd", "--topology=--", "--point", "0,1", "--eps", "1"], 2,
+         "parse error: unexpected character '-' (at offset 0)\n"),
+        (["nbhd", "--topology", "niemytzki", "--point=--", "--eps", "1"], 1,
+         "error: --point needs 2 coordinate(s), got 1\n"),
+        (["nbhd", "--topology", "niemytzki", "--point", "0,1", "--eps=--"], 1,
+         "error: bad rational in --eps: unexpected character '-' (at offset 0)\n"),
+        (["converge", "--family=--", "--topology", "euclidean"], 1,
+         "error: family syntax: vertical((coords);rat) or tangent-circle((coords);rat)\n"),
+        (["check", "--suite=--"], 1, "error: unknown suite '--'; known: "),
     ], ids=["unknown-suite", "unknown-property", "undecidable", "point-below-boundary",
             "point-arity", "budget-all-all", "budget-empty-all", "large-budget-all-all",
-            "large-budget-balls"])
+            "large-budget-balls", "dashes-classify-set", "dashes-compare-set-b",
+            "dashes-member-set", "dashes-member-point", "dashes-explain-set",
+            "dashes-explain-property", "dashes-nbhd-topology", "dashes-nbhd-point",
+            "dashes-nbhd-eps", "dashes-converge-family", "dashes-check-suite"])
     def test_each_caught_error_has_its_exit_code_and_line(self, argv, code, err, capsys):
         assert cli.main(argv) == code
         out, printed = capsys.readouterr()
@@ -130,6 +154,18 @@ class TestExitCodes:
     def test_a_non_ascii_digit_is_refused(self, argv, code, err, capsys):
         assert cli.main(argv) == code
         assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--set-a", "all", "--set-b", "all", "--budget=--"],
+        ["compare", "--set-a", "all", "--set-b", "all", "--seed=--"],
+        ["check", "--suite", "S1", "--samples=--"],
+        ["check", "--suite", "S1", "--seed=--"],
+        ["classify", "--set", "all", "--dimension=--"],
+    ], ids=["budget", "compare-seed", "samples", "check-seed", "dimension"])
+    def test_a_lone_dashes_value_of_an_int_flag_is_a_usage_error(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, printed = capsys.readouterr()
+        assert out == "" and printed.endswith("invalid int value: '--'\n")
 
     def test_a_sampling_error_is_a_usage_error(self, monkeypatch, capsys):
         from niemytzki.harness import SamplingError
@@ -505,6 +541,7 @@ def _mutated_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_mutated_argv())
+@example(["classify", "--set=--", "--dimension", "2"])
 def test_mutated_input_gets_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()

@@ -730,6 +730,28 @@ def test_a_budget_out_of_range_is_refused_whatever_the_sets(a, b, want, budget):
     assert descriptive._subset_memo.cache_info() == memo  # refused before any lookup
 
 
+@pytest.mark.parametrize("budget", [2.5, True, "3", Fr(3), None])
+@pytest.mark.parametrize("a, b", [("all", "all"), ("cball(0;1)", "oball(0;1)")])
+def test_a_budget_that_is_no_int_is_refused_whatever_the_sets(a, b, budget):
+    eA, eB = parse(a, 2), parse(b, 2)
+    memo = descriptive._subset_memo.cache_info()
+    for call in (subset, compare, compare_topologies):
+        with pytest.raises(TypeError, match=f"^budget must be an int, not {type(budget).__name__}$"):
+            call(eA, eB, budget=budget)
+    assert descriptive._subset_memo.cache_info() == memo  # refused before any lookup
+
+
+@pytest.mark.parametrize("a, b", [("all", "all"), ("point(1)", "point(1)"),
+                                  ("cball(0;1)", "oball(0;1)")])
+def test_an_unhashable_seed_is_refused_whatever_the_sets(a, b):
+    eA, eB = parse(a, 2), parse(b, 2)
+    memo = descriptive._subset_memo.cache_info()
+    for call in (subset, compare, compare_topologies):
+        with pytest.raises(TypeError, match="unhashable"):
+            call(eA, eB, seed=[])
+    assert descriptive._subset_memo.cache_info() == memo
+
+
 def test_points_of_another_arity_still_raise():
     a, b = SinglePoint((Fr(1), Fr(2))), SinglePoint((Fr(1),))
     for x, y in ((a, b), (b, a), (FiniteSet(((Fr(1),),)), a), (SinglePoint(()), b)):

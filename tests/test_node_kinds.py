@@ -82,10 +82,9 @@ def test_member_refuses_cantor_without_coordinates():
 @pytest.mark.parametrize("e", [42, Union((All(), 42)), Complement(42)],
                          ids=["top", "in-union", "in-complement"])
 @pytest.mark.parametrize("call", [lambda e: member(e, ZERO), to_text, infer, normalize,
-                                  lambda e: structural_candidates(e, 1),
-                                  lambda e: list(_ball_forms(e, 1))],
+                                  lambda e: structural_candidates(e, 1)],
                          ids=["member", "to_text", "infer", "normalize",
-                              "structural_candidates", "candidate_balls"])
+                              "structural_candidates"])
 def test_a_node_that_is_not_an_expression_is_refused(call, e):
     with pytest.raises(TypeError, match="set expression"):
         call(e)

@@ -36,12 +36,13 @@ from niemytzki.setdsl import (
     _Parser,
     _cantor_meets,
     _compiled,
+    _hull,
+    _meet,
     _probes,
     _stream,
     complement,
     complement_text,
     find_witness,
-    in_cantor,
     join,
     leaves,
     member,
@@ -514,18 +515,18 @@ class TestCantorOracleAgreement:
         for q in range(1, 61):
             for p in range(0, q + 1):
                 x = Fr(p, q)
-                assert in_cantor(x) == cantor_brute(x), x
+                assert (member(Cantor(), (x,)) is IN) == cantor_brute(x), x
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=500))
     def test_matches_brute_force(self, x):
-        assert in_cantor(x) == cantor_brute(x)
+        assert (member(Cantor(), (x,)) is IN) == cantor_brute(x)
 
     def test_a_long_ternary_period_is_decided_at_its_first_one(self):
         # the denominator's ternary period is near 10**12: long division
         # through the whole period, as the oracle once did, never ends
         x = Fr(1, 3) + Fr(1, 999983 * 999979)
         assert cantor_brute(x) is False
-        assert in_cantor(x) is False
+        assert member(Cantor(), (x,)) is OUT
 
 
 def _cantor_form(digits):
@@ -589,6 +590,21 @@ class TestFindWitness:
                 find_witness(e, budget=budget)
         assert find_witness(Empty(), budget=sys.maxsize) is None
         assert find_witness(All(), budget=sys.maxsize) == (Fr(0),)
+
+    @pytest.mark.parametrize("budget", [2.5, True, "3", Fr(3), None])
+    def test_a_budget_that_is_no_int_is_refused(self, budget):
+        # before any candidate is read, with the rule's own message
+        message = f"^budget must be an int, not {type(budget).__name__}$"
+        for e in (Empty(), All(), parse("point(1)"), parse("cball(0;1) & !oball(0;1)")):
+            with pytest.raises(TypeError, match=message):
+                find_witness(e, budget=budget)
+
+    def test_an_unhashable_seed_is_refused_before_any_candidate(self):
+        # point(1) is its own first structural candidate: no seed is read
+        assert find_witness(parse("point(1)"), seed=0) == (Fr(1),)
+        for e in (Empty(), All(), parse("point(1)")):
+            with pytest.raises(TypeError, match="unhashable"):
+                find_witness(e, seed=[])
 
     @pytest.mark.parametrize("dimension", [1, 0, -3])
     def test_a_dimension_below_two_is_refused(self, dimension):
@@ -737,6 +753,23 @@ def _span(e):
     return Fr(a, b), Fr(c, g)
 
 
+@st.composite
+def _drawn_span(draw):
+    """NOWHERE, ANYWHERE or a bounded span (a, b, c, g), [a/b, c/g], whose
+    ends are few values written over random multiples of their denominators,
+    so that equal ends are common."""
+    kind = draw(st.sampled_from(("bounded",) * 4 + (NOWHERE, ANYWHERE)))
+    if kind != "bounded":
+        return kind
+
+    def end():
+        x, k = Fr(draw(st.integers(-6, 6)), draw(st.integers(1, 4))), draw(st.integers(1, 3))
+        return x.numerator * k, x.denominator * k
+
+    (a, b), (c, g) = sorted((end(), end()), key=lambda e: Fr(*e))
+    return a, b, c, g
+
+
 class TestWitnessSupport:
     """A search returns what testing every candidate in order returns: the
     support settles a hopeless search at once and skips candidates outside
@@ -768,6 +801,34 @@ class TestWitnessSupport:
                 if v is IN:
                     assert span is ANYWHERE or span is not NOWHERE and span[0] <= p[0] <= span[1]
                 assert may_out or v is not OUT
+
+    @settings(max_examples=300)
+    @given(st.lists(_drawn_span(), max_size=6))
+    @example([(1, 2, 1, 1), (2, 4, 3, 3), (-4, 8, 6, 6)])  # equal ends, other denominators
+    def test_meet_and_hull_are_interval_arithmetic(self, spans):
+        # ends compared as Fractions; of equal ends, the first span's is kept
+        bounded = [span for span in spans if span not in (NOWHERE, ANYWHERE)]
+        lows, highs = [span[:2] for span in bounded], [span[2:] for span in bounded]
+
+        def first(ends, value):
+            return next(end for end in ends if Fr(*end) == value)
+
+        if ANYWHERE in spans:
+            hull = ANYWHERE
+        elif not bounded:
+            hull = NOWHERE
+        else:
+            hull = (first(lows, min(Fr(*end) for end in lows))
+                    + first(highs, max(Fr(*end) for end in highs)))
+        assert _hull(spans) == hull
+        if NOWHERE in spans:
+            meet = NOWHERE
+        elif not bounded:
+            meet = ANYWHERE
+        else:
+            lo, hi = max(Fr(*end) for end in lows), min(Fr(*end) for end in highs)
+            meet = NOWHERE if lo > hi else first(lows, lo) + first(highs, hi)
+        assert _meet(spans) == meet
 
     @pytest.mark.parametrize("text", [
         "bernstein & cball(0;1)", "cball(0;1) & !bernstein", "cball(0;1) & !rationals",

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from niemytzki import descriptive, geometry, setdsl
 from niemytzki.descriptive import (
-    _BALL_CANDIDATES,
     _BALL_SEARCH_BUDGET,
     _DISJOINT,
     _INSIDE,
     _ball_forms,
+    _balls_in_ball,
     _closed_ball_witness,
     _fixed_balls,
     compare_topologies,
@@ -317,8 +317,9 @@ def test_a_wide_union_takes_one_flag_cache_entry(k):
 
 def _ball_forms_ref(e, m):
     """The candidate balls as the search once listed them, as (form, radius):
-    every leaf's, then the fixed ones, each once, in order, cut at the budget."""
-    cands = [cand for node in leaves(e) for cand in _BALL_CANDIDATES[type(node)](node)]
+    every ball leaf's, then the fixed ones, each once, in order, cut at the budget."""
+    cands = [cand for node in leaves(e) if type(node) in (ClosedBall, OpenBall)
+             for cand in _balls_in_ball(node)]
     cands += _fixed_balls(m)
     unique = {(q, r.numerator, r.denominator): (q, r) for q, r in cands}
     return list(unique.values())[:_BALL_SEARCH_BUDGET]
@@ -369,8 +370,8 @@ def test_the_complement_of_a_union_tests_no_candidate_of_its_member_balls(monkey
     nested = "(cball(2000;1) & !point(2000))"
     u = parse(f"{_wide(128)[0]} | {nested}", 2)
     own = {(q, r) for b in u.members if type(b) in (ClosedBall, OpenBall)
-           for q, r in _BALL_CANDIDATES[type(b)](b)}
-    inner = set(_BALL_CANDIDATES[ClosedBall](parse("cball(2000;1)", 2)))
+           for q, r in _balls_in_ball(b)}
+    inner = set(_balls_in_ball(parse("cball(2000;1)", 2)))
     tested = []
     inside = _INSIDE[Complement]
     monkeypatch.setitem(descriptive._INSIDE, Complement,
@@ -384,9 +385,7 @@ def test_a_union_search_harvests_only_its_first_ball(monkeypatch):
     # the first candidate of the union's first ball lies in that ball
     u = parse(_wide(128)[0], 2)
     harvested = []
-    for kind in (ClosedBall, OpenBall):
-        row = _BALL_CANDIDATES[kind]
-        monkeypatch.setitem(descriptive._BALL_CANDIDATES, kind,
-                            lambda b, row=row: harvested.append(b) or row(b))
+    monkeypatch.setattr(descriptive, "_balls_in_ball",
+                        lambda b: harvested.append(b) or _balls_in_ball(b))
     assert _closed_ball_witness(u, 1)
     assert harvested == [next(b for b in leaves(u) if type(b) is ClosedBall)]
