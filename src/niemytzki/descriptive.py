@@ -575,7 +575,7 @@ def _memo_tree(key: object) -> SetExpr:
 # Bounded, as _pair_flags is.  A key is a parse text where there is one, so
 # an entry holds no tree alive, and a repeated subset of texts that were
 # parsed again is one lookup.  typed: budgets and seeds that compare equal
-# may search differently, as setdsl._stream's key says.
+# may search differently, as setdsl._start's key says.
 @lru_cache(maxsize=2**12, typed=True)
 def _subset_memo(key1: object, key2: object, budget: int, seed) -> Verdict:
     e1, e2 = _memo_tree(key1), _memo_tree(key2)

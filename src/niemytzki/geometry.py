@@ -147,9 +147,19 @@ class DimensionMismatch(ValueError):
     """Operands live in different dimensions."""
 
 
+def _check_int(value: int, what: str) -> None:
+    """Refuse a value whose type is not exactly int, a bool included: the one
+    "<what> must be an int" rule of dimensions, budgets, sample counts and
+    seeds."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+
+
 def check_dimension(n: int) -> None:
-    """Refuse a session dimension n below 2, for which X_n has no boundary
-    coordinates: every module reads n - 1 of them."""
+    """Refuse a session dimension n that is not an int (a bool included),
+    and one below 2, for which X_n has no boundary coordinates: every module
+    reads n - 1 of them."""
+    _check_int(n, "dimension")
     if n < 2:
         raise ValueError("dimension must be at least 2")
 

@@ -53,6 +53,7 @@ from typing import Callable, Iterator
 
 from .geometry import (
     Point,
+    _check_int,
     _level_int,
     _record,
     _Scaled,
@@ -115,6 +116,10 @@ class SuiteConfig:
     dimension: int = 2
 
     def __post_init__(self):
+        if not isinstance(self.suite, str):
+            raise TypeError(f"suite must be a str, not {type(self.suite).__name__}")
+        _check_int(self.samples, "samples")
+        _check_int(self.seed, "seed")
         check_dimension(self.dimension)
         if self.samples <= 0:
             raise ValueError("sample count must be positive")

@@ -95,17 +95,16 @@ outside the span, so every answer is the one a search testing every
 candidate gives.  :func:`find_witness` runs it on one stream of integer
 forms, cut at the budget: the tree's structural candidates, then the probe
 points, formed once per arity m, then the seeded random candidates, drawn
-once per (seed, m), lazily, into one stream that keeps the forms of the
-first ``DEFAULT_BUDGET`` of them and is read by every later search.  The
-structural candidates are harvested lazily too, by ``_structural``: each
-leaf's ``_POINT_CANDIDATES`` row gives canonical forms (a point leaf its
-cached ones, a ball its center's and those moved off it on integers by
-``_shifted``, the plain leaves theirs, formed once per arity), each kept
-once as an (X, d) tuple, and a leaf's row is read only when the search
-gets past the leaf before it.  A ``Fraction`` is made only for the witness
-that is returned, so a witness is always a tuple of them;
-:func:`structural_candidates` reads the same forms back as ``Fraction``
-tuples.
+as the search reads them from the seed's start state, formed once per
+seed.  The structural candidates are harvested lazily too, by
+``_structural``: each leaf's ``_POINT_CANDIDATES`` row gives canonical
+forms (a point leaf its cached ones, a ball its center's and those moved
+off it on integers by ``_shifted``, the plain leaves theirs, formed once
+per arity), each kept once as an (X, d) tuple, and a leaf's row is read
+only when the search gets past the leaf before it.  A ``Fraction`` is made
+only for the witness that is returned, so a witness is always a tuple of
+them; :func:`structural_candidates` reads the same forms back as
+``Fraction`` tuples.
 """
 
 from __future__ import annotations
@@ -115,7 +114,6 @@ import operator
 import random
 import re
 import sys
-import threading
 import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -125,7 +123,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
     DimensionMismatch,
+    _check_int,
     _form,
+    _positive,
     _record,
     _Scaled,
     _scaled,
@@ -347,10 +347,10 @@ def normalize(e: SetExpr) -> SetExpr:
 
 def normalize_for(e: SetExpr | str, dimension: int) -> SetExpr:
     """The normal tree of text, read by :func:`parse`, or of a tree built in
-    Python, for a session of the given dimension: a dimension below 2
-    raises ValueError, and a tree whose coordinate groups do not have
-    dimension - 1 coordinates DimensionMismatch, as :func:`parse` raises
-    ParseError on such text."""
+    Python, for a session of the given dimension: a dimension that is not
+    an int (a bool included) raises TypeError, one below 2 ValueError, and
+    a tree whose coordinate groups do not have dimension - 1 coordinates
+    DimensionMismatch, as :func:`parse` raises ParseError on such text."""
     if isinstance(e, str):
         return parse(e, dimension)
     check_dimension(dimension)
@@ -409,8 +409,8 @@ def _arities(e: SetExpr) -> Iterator[int]:
     for leaf in leaves(e):
         kind = type(leaf)
         groups = _COORDS[kind](leaf)
-        if kind in WITHIN and _exact(leaf.radius) <= 0:
-            raise ValueError("radius must be positive")
+        if kind in WITHIN:
+            _positive(_exact(leaf.radius), "radius")
         if kind is FiniteSet and not groups:
             raise ValueError("a finite set needs at least one point")
         for group in groups:
@@ -688,8 +688,11 @@ def parse(text: str, dimension: int = 2) -> SetExpr:
     The table that finds it holds no tree alive and never an error.  A new
     tree records its key, ``(text, dimension)``, at its root:
     :func:`~niemytzki.descriptive.subset` remembers its answers by that key,
-    not by the tree, and finds the tree again here.
+    not by the tree, and finds the tree again here.  Text that is not a str
+    raises TypeError, and a dimension as :func:`normalize_for` says.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
     check_dimension(dimension)
     key = (text, dimension)
     tree = _PARSED.get(key)
@@ -1112,7 +1115,7 @@ def structural_candidates(e: SetExpr, m: int) -> list[tuple[Fraction, ...]]:
 
 # Candidates a witness search tries unless told otherwise, the default of
 # find_witness, of descriptive's subset and compare_topologies and of the
-# CLI's --budget; also how many random forms a candidate stream keeps.
+# CLI's --budget.
 DEFAULT_BUDGET = 1000
 
 
@@ -1121,8 +1124,7 @@ def _check_search(budget: int, seed) -> None:
     one above sys.maxsize, which no search can be cut at, and a seed that
     cannot key a cache: the one budget and seed rule of find_witness and of
     subset, kept before any rule runs."""
-    if type(budget) is not int:
-        raise TypeError(f"budget must be an int, not {type(budget).__name__}")
+    _check_int(budget, "budget")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if budget > sys.maxsize:
@@ -1130,9 +1132,10 @@ def _check_search(budget: int, seed) -> None:
     hash(seed)
 
 
-# The probes and the random candidates depend only on the arity m and the
-# seed, so each is formed once per process and read by every search.  Both
-# caches are bounded, so a session of many seeds keeps the latest few.
+# The probes depend only on the arity m and the random candidates on the
+# seed and m, so the probes and each seed's start state are formed once per
+# process.  Both caches are bounded, so a session of many seeds keeps the
+# latest few.
 
 @lru_cache(maxsize=32)
 def _probes(m: int) -> tuple[_Scaled, ...]:
@@ -1146,67 +1149,30 @@ def _probes(m: int) -> tuple[_Scaled, ...]:
     return tuple(map(_scaled, probes))
 
 
-class _Stream:
+# typed: seeds that compare equal may seed different draws (random.Random
+# reads an int by its absolute value, a float by its hash: 10**20 and 1e20,
+# -5 and -5.0), and an answer must not depend on which was searched first
+@lru_cache(maxsize=32, typed=True)
+def _start(seed) -> tuple:
+    """The state random.Random(seed) starts from, formed once per seed, so
+    that ``None`` reads the operating system once per process."""
+    return random.Random(seed).getstate()
+
+
+def _stream(seed, m: int) -> Iterator[_Scaled]:
     """The random witness candidates of one seed in R^m, in the order every
-    search tries them: per coordinate a/b with a = randint(-300, 300) and
-    b = randint(1, 100), read in lowest terms, the point kept as its integer
-    form (X, d).  Iterating the stream yields its candidates in that order,
-    without end.  A candidate is drawn when some reader first reaches it,
-    and the first DEFAULT_BUDGET are kept (``forms``); a reader that goes
-    past them goes on from a copy of the generator, which is no longer drawn
-    from once ``forms`` is full, and keeps nothing, so a large budget costs
-    time, not memory."""
-
-    __slots__ = ("m", "forms", "_rng", "_lock")
-
-    def __init__(self, seed, m: int):
-        self.m = m
-        self.forms: list[_Scaled] = []
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    def _draw(self, rng: random.Random) -> _Scaled:
+    search tries them, without end: per coordinate a/b with
+    a = randint(-300, 300) and b = randint(1, 100), read in lowest terms,
+    the point as its integer form (X, d), drawn as the reader reaches it."""
+    rng = random.Random()
+    rng.setstate(_start(seed))
+    while True:
         pairs = []
-        for _ in range(self.m):
+        for _ in range(m):
             a, b = rng.randint(-300, 300), rng.randint(1, 100)
             g = gcd(a, b)
             pairs.append((a // g, b // g))
-        return _form(pairs)
-
-    def __iter__(self) -> Iterator[_Scaled]:
-        forms = self.forms
-        return itertools.chain(itertools.islice(forms, len(forms)), self._drawn(len(forms)))
-
-    def _drawn(self, i: int) -> Iterator[_Scaled]:
-        """The candidates from place i on, where i <= len(forms)."""
-        forms = self.forms
-        while i < DEFAULT_BUDGET:
-            with self._lock:  # each place drawn once, by the first reader
-                if i == len(forms):
-                    forms.append(self._draw(self._rng))
-            yield forms[i]
-            i += 1
-        rng = random.Random()
-        rng.setstate(self._rng.getstate())
-        while True:
-            yield self._draw(rng)
-
-
-# typed: seeds that compare equal may seed different draws, 10**20 and 1e20,
-# and an answer must not depend on which of them was searched with first
-@lru_cache(maxsize=32, typed=True)
-def _stream(seed, m: int) -> _Stream:
-    """The one candidate stream of (seed, m)."""
-    return _Stream(seed, m)
-
-
-def _candidates(e: SetExpr, m: int, seed) -> Iterator[Iterable[_Scaled]]:
-    """The sources of a search's candidate forms, in order: e's structural
-    candidates, the probes, then the stream of (seed, m), looked up only
-    once the others are spent."""
-    yield _structural(e, m)
-    yield _probes(m)
-    yield _stream(seed, m)
+        yield _form(pairs)
 
 
 def _within(span, test: _Test) -> Callable[[_Scaled], Optional[Verdict]]:
@@ -1254,20 +1220,22 @@ def find_witness(
     budget, so a candidate it skips outside the span still counts against
     the budget.  The structural candidates are the forms ``_structural``
     harvests leaf by leaf, so a search that stops early reads no later
-    leaf's row.  The probes and the random candidates are read from caches
-    shared by every search of the same arity and seed (``_probes``,
-    ``_stream``), and the random ones only once the structural candidates
-    and the probes are spent.  The witness is returned as a tuple of
-    ``Fraction``s, whatever numbers the tree holds.  The seed is a key of
-    the random candidates' cache: one that is not hashable raises
-    TypeError, and ``None`` seeds one stream from the operating system per
-    process, not one per search.  A budget that is not an ``int`` raises
-    TypeError, and one below 1 or above ``sys.maxsize`` ValueError."""
+    leaf's row.  The probes are formed once per arity (``_probes``), and
+    the random candidates are drawn as the search reads them (``_stream``),
+    only once the structural candidates and the probes are spent, from the
+    seed's start state, formed once per process (``_start``).  The witness
+    is returned as a tuple of ``Fraction``s, whatever numbers the tree
+    holds.  The seed is a key of the start states' cache: one that is not
+    hashable raises TypeError, and ``None`` reads the operating system once
+    per process, not once per search, so two searches with it answer alike.
+    A budget that is not an ``int`` raises TypeError, and one below 1 or
+    above ``sys.maxsize`` ValueError.  A dimension that is not an ``int``
+    raises TypeError, and one below 2 ValueError."""
     _check_search(budget, seed)
     if dimension is not None:
         check_dimension(dimension)
     m = (dimension - 1) if dimension is not None else (arity(e) or 1)
-    forms = itertools.chain.from_iterable(_candidates(e, m, seed))
+    forms = itertools.chain(_structural(e, m), _probes(m), _stream(seed, m))
     found = _first_in(e, m, itertools.islice(forms, budget))
     return None if found is None else _unscaled(found)
 

@@ -448,3 +448,42 @@ def test_every_entry_point_refuses_dimension_one(capsys):
             call()
     assert main(["classify", "--dimension", "1", "--set", "cantor"]) == 1
     assert capsys.readouterr().err == "error: dimension must be at least 2\n"
+
+
+def _refusals():
+    """(call, message) for each argument of the wrong type that an entry
+    point's own rule refuses: the dimension, parse's text and SuiteConfig's
+    fields."""
+    from niemytzki.harness import SuiteConfig
+    from niemytzki.setdsl import All, find_witness, normalize_for, parse
+    from niemytzki.theorems import classify
+    from niemytzki.topology import TopologySpec
+
+    gap = parse("cball(0;1) & !oball(0;1)")  # only the random candidates decide it
+    rows = []
+    for v in (2.0, "2", True, Fr(2), None):
+        calls = [lambda v=v: classify("all", v), lambda v=v: classify(All(), v),
+                 lambda v=v: TopologySpec(v, "all"), lambda v=v: TopologySpec.modified(All(), v),
+                 lambda v=v: parse("all", v), lambda v=v: normalize_for(All(), v),
+                 lambda v=v: SuiteConfig("S1", dimension=v)]
+        if v is not None:  # find_witness's default: the tree's own arity
+            calls += [lambda v=v, e=e: find_witness(e, dimension=v) for e in (parse("all"), gap)]
+        rows += [(call, f"dimension must be an int, not {type(v).__name__}") for call in calls]
+    for v in (b"all", None, ["all"], 2):
+        message = f"text must be a str, not {type(v).__name__}"
+        rows += [(lambda v=v: parse(v), message), (lambda v=v: parse(v, 2.0), message)]
+    for v in (5, b"S1", None):
+        rows.append((lambda v=v: SuiteConfig(v), f"suite must be a str, not {type(v).__name__}"))
+    for v in (2.5, True, "10", None, Fr(10)):
+        kind = type(v).__name__
+        rows += [(lambda v=v: SuiteConfig("S1", samples=v), f"samples must be an int, not {kind}"),
+                 (lambda v=v: SuiteConfig("S6", seed=v), f"seed must be an int, not {kind}")]
+    return rows
+
+
+@pytest.mark.parametrize("call, message", _refusals())
+def test_an_argument_of_the_wrong_type_is_refused_by_its_rule(call, message):
+    # the rule's own message, never one from re, range, islice or an operator
+    with pytest.raises(TypeError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -1,3 +1,4 @@
+import enum
 import gc
 import random
 import sys
@@ -39,6 +40,7 @@ from niemytzki.setdsl import (
     _hull,
     _meet,
     _probes,
+    _start,
     _stream,
     complement,
     complement_text,
@@ -142,7 +144,8 @@ class TestParseTable:
     def test_one_text_and_dimension_give_one_tree_while_it_is_held(self):
         tree = parse(self.TEXT, 2)
         assert parse(self.TEXT, 2) is tree
-        assert parse(self.TEXT, 2.0) is tree  # a key equal to (text, 2)
+        with pytest.raises(TypeError, match="^dimension must be an int, not float$"):
+            parse(self.TEXT, 2.0)  # refused, though its key equals (text, 2)
         assert normalize(tree) is tree
         assert parse(self.TEXT.replace(" ", ""), 2) == tree
         assert parse("cantor", 3) is not parse("cantor", 2)
@@ -658,71 +661,63 @@ class TestFindWitness:
                     assert all(type(c) is Fr for p in got for c in p)
 
 
+class _MinusFive(enum.IntEnum):
+    SEED = -5
+
+
 class TestCandidateStream:
-    """The random candidates of one (seed, m) are drawn once, as the search
-    once drew them for every call, and kept up to DEFAULT_BUDGET."""
+    """The random candidates of one (seed, m) are drawn as a search reads
+    them, from the seed's start state, formed once per process."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 3, 10**20])
     def test_the_stream_is_the_search_s_draws(self, seed, m):
-        _stream.cache_clear()
         want = random_forms_ref(seed, m, 2500)
-        stream = _stream(seed, m)
-        assert list(islice(stream, 700)) == want[:700]
-        assert len(stream.forms) == 700
-        # two reads in a row past the cap, each from the state at the cap
-        assert list(islice(stream, 2500)) == want
-        assert list(islice(stream, 2500)) == want
-        assert stream.forms == want[:DEFAULT_BUDGET]
+        for _ in range(2):  # each read starts again from the seed
+            assert list(islice(_stream(seed, m), 2500)) == want
 
     def test_a_witness_past_the_cap(self):
         # the lattice without the structural candidates, the probes and
         # every integer among the first 1100 draws of seed 0: its witness is
-        # the first integer drawn after them, past the cap
+        # the first integer drawn after them, past the default budget
         draws = random_forms_ref(0, 1, 5000)
         skip = {0, 1, -1, 2, -2, 5} | {X[0] for X, d in draws[:1100] if d == 1}
         gap = parse(f"lattice & !finite{{{';'.join(map(str, sorted(skip)))}}}")
         want = next(X for X, d in draws if d == 1 and X[0] not in skip)
         assert draws.index((want, 1)) >= DEFAULT_BUDGET
-        _stream.cache_clear()
-        for _ in range(2):  # cold, then read from the kept forms
+        _start.cache_clear()
+        for _ in range(2):  # cold, then from the kept start state
             assert find_witness(gap, 5000, 0) == (Fr(want[0]),)
-            assert len(_stream(0, 1).forms) == DEFAULT_BUDGET
 
-    @pytest.mark.parametrize("seeds", [(10**20, 1e20), (0, 0.0, False)])
-    def test_equal_seeds_of_other_types_do_not_share_a_stream(self, seeds):
+    @pytest.mark.parametrize("seeds, apart", [
+        ((10**20, 1e20), True), ((0, 0.0, False), False),
+        # random.Random reads an int subclass by its absolute value, a float
+        # by its hash; the cache keys of the two differ only by their types
+        ((-5.0, _MinusFive.SEED), True),
+    ])
+    def test_equal_seeds_of_other_types_do_not_share_a_stream(self, seeds, apart):
         gap = parse("lattice & !finite{0;1;-1;2;-2;5}")
         answers = []
         for order in (seeds, seeds[::-1]):
-            _stream.cache_clear()
+            _start.cache_clear()
             answers.append({repr(seed): find_witness(gap, seed=seed) for seed in order})
         assert answers[0] == answers[1]
-        if 1e20 in seeds:  # random.Random seeds the two differently
-            assert find_witness(gap, seed=10**20) != find_witness(gap, seed=1e20)
+        # whether random.Random seeds the first two differently
+        assert (find_witness(gap, seed=seeds[0]) != find_witness(gap, seed=seeds[1])) is apart
 
-    def test_a_search_draws_only_what_it_reads(self):
-        # every structural candidate and probe is excluded, so the first
-        # random candidate is the witness
+    def test_a_seed_of_none_answers_alike_in_one_process(self):
+        # every structural candidate and probe is excluded, so the witness
+        # is a random candidate, read from one operating-system state
         gap = parse("!finite{0;1;-1;2;-2;1/2;-1/2;3/2;1/3;5}")
-        _stream.cache_clear()
-        (X, d), = random_forms_ref(7, 1, 1)
-        assert find_witness(gap, seed=7) == (Fr(X[0], d),)
-        assert len(_stream(7, 1).forms) == 1
-
-    def test_a_cleared_cache_starts_again_from_the_seed(self):
-        _stream.cache_clear()
-        old = _stream(5, 2)
-        list(islice(old, 40))
-        _stream.cache_clear()
-        fresh = _stream(5, 2)
-        assert fresh is not old and fresh.forms == []
-        assert list(islice(fresh, 40)) == random_forms_ref(5, 2, 40) == old.forms
+        _start.cache_clear()
+        first = find_witness(gap, seed=None)
+        assert first is not None and find_witness(gap, seed=None) == first
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_threads_reading_one_cold_stream_see_the_same_draws(self, seed):
-        _stream.cache_clear()
-        stream, want, read = _stream(seed, 2), random_forms_ref(seed, 2, 900), []
-        threads = [threading.Thread(target=lambda: read.append(list(islice(stream, 900))))
+    def test_threads_reading_one_seed_see_the_same_draws(self, seed):
+        _start.cache_clear()
+        want, read = random_forms_ref(seed, 2, 900), []
+        threads = [threading.Thread(target=lambda: read.append(list(islice(_stream(seed, 2), 900))))
                    for _ in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -734,7 +729,7 @@ class TestCandidateStream:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert read == [want] * len(threads) and stream.forms == want
+        assert read == [want] * len(threads)
 
 
 def _search_tree(rng: random.Random, n: int):
@@ -838,9 +833,18 @@ class TestWitnessSupport:
     def test_a_hopeless_search_draws_nothing(self, text):
         e = parse(text)
         assert _span(e) is NOWHERE
-        _stream.cache_clear()
+        _start.cache_clear()
         assert find_witness(e, seed=0) is None is find_witness_ref(e, DEFAULT_BUDGET, 0, 1)
-        assert len(_stream(0, 1).forms) == 0
+        assert _start.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("text", ["point(3)", "cball(7;1/9) & !point(7)", "lattice & !point(0)",
+                                      "!finite{0;1/2}"])
+    def test_an_early_witness_draws_nothing(self, text):
+        # a structural candidate or a probe is a witness
+        e = parse(text)
+        _start.cache_clear()
+        assert find_witness(e, seed=0) == find_witness_ref(e, DEFAULT_BUDGET, 0, 1) is not None
+        assert _start.cache_info().currsize == 0
 
     def test_a_skipped_candidate_counts_against_the_budget(self):
         # the ball's four candidates are taken out, so its first witness is
