@@ -169,11 +169,12 @@ def rat(value: RatLike) -> Fraction:
 
     A string is read as the set language's ``rat`` literal, digit cap
     included, and anything else in it raises ValueError.  Floats are
-    rejected: the whole library is exact arithmetic.
+    rejected: the whole library is exact arithmetic, and so are bools,
+    which are no numbers of the set language.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         from .setdsl import parse_rational  # setdsl imports this module
@@ -287,13 +288,18 @@ def _sq_int(p: _Scaled, q: _Scaled) -> tuple[int, int, int]:
     (ps, dp), (qs, dq) = p, q
     if len(ps) != len(qs):
         raise DimensionMismatch(f"dimension {len(ps)} vs {len(qs)}")
-    return sum([(a * dq - b * dp) ** 2 for a, b in zip(ps, qs)]), dp, dq
+    s = 0
+    for a, b in zip(ps, qs):  # t * t: a square by multiplication beats ** 2
+        t = a * dq - b * dp
+        s += t * t
+    return s, dp, dq
 
 
 def _sq_sign(p: _Scaled, q: _Scaled, r: Fraction) -> int:
     """The sign (-1, 0 or 1) of |p - q|^2 - r^2, compared as integers."""
     s, dp, dq = _sq_int(p, q)
-    lhs, rhs = s * r.denominator ** 2, (r.numerator * dp * dq) ** 2
+    rd, rn = r.denominator, r.numerator * dp * dq
+    lhs, rhs = s * rd * rd, rn * rn
     return (lhs > rhs) - (lhs < rhs)
 
 

@@ -73,6 +73,7 @@ from .setdsl import (
     OUT,
     UNKNOWN,
     Complement,
+    Draws,
     Inter,
     SetExpr,
     Union,
@@ -168,9 +169,11 @@ class SuiteResult:
 
 
 # --- deterministic rational sampling ----------------------------------------------
-# A drawn rational is an integer pair (k, den), den > 0, kept as drawn: each
-# draw depends only on the values of its bounds, so a pair need not be in
-# lowest terms.  Points are geometry's scaled forms (X, d), not reduced either.
+# Every seeded draw goes through setdsl.Draws, which draws exactly what a
+# random.Random of the same seed draws, with randint in one frame.  A drawn
+# rational is an integer pair (k, den), den > 0, kept as drawn: each draw
+# depends only on the values of its bounds, so a pair need not be in lowest
+# terms.  Points are geometry's scaled forms (X, d), not reduced either.
 
 _Rat = tuple[int, int]
 _ZERO, _ONE, _TWO = (0, 1), (1, 1), (2, 1)
@@ -275,7 +278,7 @@ def _public(sample: dict) -> dict:
 
 
 def _gen_s1(cfg: SuiteConfig) -> Iterator[dict]:
-    rng = random.Random(cfg.seed)
+    rng = Draws(cfg.seed)
     for _ in range(cfg.samples):
         anchor = _rand_boundary_point(rng, cfg.dimension)
         eps = _rand_eps(rng)
@@ -293,7 +296,7 @@ def _gen_s1(cfg: SuiteConfig) -> Iterator[dict]:
 
 
 def _gen_interior(cfg: SuiteConfig) -> Iterator[dict]:
-    rng = random.Random(cfg.seed)
+    rng = Draws(cfg.seed)
     for _ in range(cfg.samples):
         anchor = _rand_boundary_point(rng, cfg.dimension)
         eps = _rand_eps(rng)
@@ -305,7 +308,7 @@ def _gen_interior(cfg: SuiteConfig) -> Iterator[dict]:
 
 
 def _gen_s4(cfg: SuiteConfig) -> Iterator[dict]:
-    rng = random.Random(cfg.seed)
+    rng = Draws(cfg.seed)
     m = cfg.dimension - 1
     for _ in range(cfg.samples):
         anchor = _rand_boundary_point(rng, cfg.dimension)
@@ -399,7 +402,7 @@ def _point_inside(rng: random.Random, b: BasicOpen) -> _Scaled:
 
 
 def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
-    rng = random.Random(cfg.seed)
+    rng = Draws(cfg.seed)
     builders = (
         _containing_interior_ball,
         _containing_half_ball,
@@ -421,7 +424,7 @@ def _gen_s6(cfg: SuiteConfig) -> Iterator[dict]:
 
 
 def _gen_s7(cfg: SuiteConfig) -> Iterator[dict]:
-    rng = random.Random(cfg.seed)
+    rng = Draws(cfg.seed)
     m = cfg.dimension - 1
     for _ in range(cfg.samples):
         e1 = random_expr(rng, cfg.dimension, max_depth=3)
@@ -594,7 +597,7 @@ def _run_s5(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
 
 
 def _run_s6(samples: Iterator[dict], cfg: SuiteConfig, rec: _Recorder) -> None:
-    rng = random.Random(cfg.seed + 1)  # witness stream, separate from the samples
+    rng = Draws(cfg.seed + 1)  # witness stream, separate from the samples
     for sample in samples:
         x, b1, b2 = sample["x"], sample["b1"], sample["b2"]
         inside = contains(b1, x) and contains(b2, x)

@@ -1149,6 +1149,23 @@ def _probes(m: int) -> tuple[_Scaled, ...]:
     return tuple(map(_scaled, probes))
 
 
+class Draws(random.Random):
+    """random.Random with ``randint`` drawn in one frame: the stdlib's own
+    getrandbits rejection loop, inlined, so every seed draws what a
+    random.Random of the same state draws.  An empty range raises
+    ValueError: at n = 0 the loop would never end."""
+
+    def randint(self, a: int, b: int) -> int:
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
+
+
 # typed: seeds that compare equal may seed different draws (random.Random
 # reads an int by its absolute value, a float by its hash: 10**20 and 1e20,
 # -5 and -5.0), and an answer must not depend on which was searched first
@@ -1163,8 +1180,10 @@ def _stream(seed, m: int) -> Iterator[_Scaled]:
     """The random witness candidates of one seed in R^m, in the order every
     search tries them, without end: per coordinate a/b with
     a = randint(-300, 300) and b = randint(1, 100), read in lowest terms,
-    the point as its integer form (X, d), drawn as the reader reaches it."""
-    rng = random.Random()
+    the point as its integer form (X, d), drawn as the reader reaches it.
+    The draws go through ``Draws``, which draws exactly what random.Random
+    draws."""
+    rng = Draws()
     rng.setstate(_start(seed))
     while True:
         pairs = []

@@ -68,6 +68,15 @@ class TestPoint:
                 call()
             assert time.perf_counter() - start < 0.5
 
+    def test_bools_are_refused(self):
+        from niemytzki.setdsl import member, parse
+
+        for call in (lambda: P(True, 1), lambda: P(0, False), lambda: geometry.rat(True),
+                     lambda: BallSpec(P(0, 1), True), lambda: member(parse("point(1)", 2), (True,))):
+            with pytest.raises(TypeError, match="^not an exact rational: (True|False)$"):
+                call()
+        assert P(1, 0).coords == (Fr(1), Fr(0))  # an int is still read
+
     def test_json_round_trip_is_exact(self):
         p = P("22/7", "0", "355/113")
         data = json.loads(json.dumps(p.to_json()))
@@ -430,6 +439,24 @@ def test_kernel_equals_the_oracle(case):
     else:
         with pytest.raises(ValueError):
             inner_ball_radius(x, ball)
+
+
+_big = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**30)
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(_big, min_size=m, max_size=m), st.lists(_big, min_size=m, max_size=m),
+    st.fractions(min_value=Fr(1, 10**30), max_value=10**31, max_denominator=10**30))))
+def test_the_integer_kernel_equals_fraction_arithmetic(case):
+    # 1 to 4 coordinates with numerators and denominators up to 10**30:
+    # the kernel's squares, taken by multiplication, against Fraction's
+    p, q, r = case
+    s, dp, dq = _sq_int(_scaled(p), _scaled(q))
+    want = sq_dist_ref(p, q)
+    assert Fr(s, (dp * dq) ** 2) == want
+    assert _sq_sign(_scaled(p), _scaled(q), r) == (want > r ** 2) - (want < r ** 2)
+    if len(p) == 1 and p != q:  # the radius exactly |p - q|: the sign reads 0
+        assert _sq_sign(_scaled(p), _scaled(q), abs(p[0] - q[0])) == 0
 
 
 def test_every_entry_point_refuses_dimension_one(capsys):

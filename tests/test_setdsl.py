@@ -25,6 +25,7 @@ from niemytzki.setdsl import (
     Cantor,
     ClosedBall,
     Complement,
+    Draws,
     Empty,
     FiniteSet,
     Inter,
@@ -663,6 +664,43 @@ class TestFindWitness:
 
 class _MinusFive(enum.IntEnum):
     SEED = -5
+
+
+# (a, b) bounds of randint: a == b, width 1, widths that are powers of two
+# and their neighbours, negative bounds, and widths past 2**64
+_DRAW_BOUNDS = [(0, 0), (-7, -7), (5, 6), (0, 1), (0, 3), (0, 7), (-8, 7), (1, 16),
+                (1, 17), (0, 2**10 - 1), (0, 2**10), (-300, 300), (1, 100), (1, 10_000),
+                (-(2**63), 2**63 - 1), (0, 2**64), (-(2**70), 2**70 + 5), (-1000, -900)]
+
+
+class TestDraws:
+    """Draws draws exactly what random.Random draws from the same state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2405, 10**20, "seed"])
+    def test_randint_draws_what_random_draws(self, seed):
+        mine, stdlib = Draws(seed), random.Random(seed)
+        for i in range(4000):
+            a, b = _DRAW_BOUNDS[i % len(_DRAW_BOUNDS)]
+            assert mine.randint(a, b) == stdlib.randint(a, b), (i, a, b)
+        assert mine.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("seed", [3, 11, 2**40])
+    def test_a_restored_state_draws_what_random_draws(self, seed):
+        mine, stdlib = Draws(), random.Random(seed)
+        mine.setstate(random.Random(seed).getstate())
+        assert [mine.randint(-300, 300) for _ in range(2000)] == [
+            stdlib.randint(-300, 300) for _ in range(2000)]
+
+    def test_other_draws_are_random_s_own(self):
+        mine, stdlib = Draws(5), random.Random(5)
+        assert [mine.random(), mine.randrange(10), mine.choice("abc"), mine.getrandbits(9)] == [
+            stdlib.random(), stdlib.randrange(10), stdlib.choice("abc"), stdlib.getrandbits(9)]
+
+    def test_an_empty_range_is_refused(self):
+        with pytest.raises(ValueError):
+            Draws(0).randint(3, 2)
+        with pytest.raises(ValueError):
+            Draws(0).randint(0, -5)
 
 
 class TestCandidateStream:
