@@ -13,6 +13,12 @@ allowed between tokens, and coordinate arity n-1:
                | "finite{" coords { ";" coords } "}"
                | "cball(" coords ";" rat ")" | "oball(" coords ";" rat ")"
 
+The text is read in one pass: one regex search finds the first character
+that is neither whitespace nor the start of a token (``-`` starts one only
+before a digit), before any token is read, and one ``findall`` gives the
+text of every token.  No offset is kept: a :class:`ParseError` finds the
+offset of its token by reading the text again.
+
 Membership is a three-valued :class:`~niemytzki.trivalent.Verdict`, named
 here ``IN``, ``OUT`` and ``UNKNOWN``.  Only rational points are
 representable, so ``rationals`` holds every representable point (``IN``);
@@ -34,9 +40,10 @@ tree without a second pass; :func:`normalize` applies them bottom-up to a
 tree built in Python, and :func:`normalize_for` takes text or a tree.
 
 A normal tree is one :func:`parse` could return: besides that form, each
-coordinate and radius is an ``int`` or a ``Fraction``, each radius is
-positive, each finite set has a point and every coordinate group has the
-same arity, at least one.  A tree known to be normal is marked so at its
+coordinate and radius is an ``int`` or a ``Fraction`` whose terms have at
+most ``_Parser.MAX_DIGITS`` digits, each radius is positive, each finite
+set has a point and every coordinate group has the same arity, at least
+one.  A tree known to be normal is marked so at its
 root, beside its fields as its hash is: :func:`parse` and :func:`normalize`
 mark what they return, and :func:`complement` marks its result when its
 argument is marked.  :func:`join` does not mark, since its members may
@@ -257,14 +264,8 @@ def _point_forms(e: SetExpr) -> tuple[_Scaled, ...]:
 
 
 # the primitives written as a bare word, in the order of the grammar
-_PLAIN_PRIMITIVES = {
-    "empty": Empty,
-    "all": All,
-    "rationals": Rationals,
-    "lattice": Lattice,
-    "cantor": Cantor,
-    "bernstein": Bernstein,
-}
+_PLAIN_PRIMITIVES = {"empty": Empty, "all": All, "rationals": Rationals, "lattice": Lattice,
+                     "cantor": Cantor, "bernstein": Bernstein}
 _PLAIN_NAMES = {kind: name for name, kind in _PLAIN_PRIMITIVES.items()}
 
 
@@ -403,8 +404,9 @@ def _arities(e: SetExpr) -> Iterator[int]:
 
     A leaf that :func:`parse` would refuse raises as it is reached: a
     coordinate or radius that is not an ``int`` or a ``Fraction`` TypeError,
-    as :func:`geometry.rat` does for a float; a radius <= 0 or a finite set
-    without points ValueError; a group without coordinates
+    as :func:`geometry.rat` does for a float; one whose numerator or
+    denominator has more than ``_Parser.MAX_DIGITS`` digits, a radius <= 0
+    or a finite set without points ValueError; a group without coordinates
     DimensionMismatch."""
     for leaf in leaves(e):
         kind = type(leaf)
@@ -422,9 +424,12 @@ def _arities(e: SetExpr) -> Iterator[int]:
 
 
 def _exact(c):
-    """c, if it is an int or a Fraction (a bool is not)."""
+    """c, if it is an int or a Fraction (a bool is not) whose terms have at
+    most ``_Parser.MAX_DIGITS`` digits, compared as ints, not by str()."""
     if type(c) not in (int, Fraction):
         raise TypeError(f"not an exact rational: {c!r}")
+    if abs(c.numerator) >= _LITERAL_BOUND or c.denominator >= _LITERAL_BOUND:
+        raise ValueError(f"a numerator or denominator longer than {_Parser.MAX_DIGITS} digits")
     return c
 
 
@@ -503,38 +508,20 @@ class ParseError(ValueError):
         self.position = position
 
 
-# One token per match, in order: a whitespace run is skipped, and the first
-# character no other group reads is a "bad" token.  Digits are ASCII.
-_TOKEN_RE = re.compile(r"(?P<num>-?[0-9]+)|(?P<name>[a-z]+)|(?P<sym>[|&!(){};,/])|(?P<bad>\S)")
+# One token per match of _TOKEN_RE, read by one findall once _BAD_RE found
+# no bad character; offsets are found only for an error (module docstring).
+_TOKEN_RE = re.compile(r"-?[0-9]+|[a-z]+|[|&!(){};,/]")
+_BAD_RE = re.compile(r"[^\s0-9a-z|&!(){};,/-]|-(?![0-9])")
 
-_Token = tuple[str, str, int]  # (kind, text, offset)
 
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of text, closed by one ``("end", "", len(text))``."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of text, closed by one "" for its end."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
-
-
-def _integer(text: str, pos: int) -> int:
-    if len(text.lstrip("-")) > _Parser.MAX_DIGITS:
-        raise ParseError(f"integer literal longer than {_Parser.MAX_DIGITS} digits", pos)
-    try:
-        return int(text)
-    except ValueError as exc:  # the interpreter's own limit set below MAX_DIGITS
-        raise ParseError("integer literal too long", pos) from exc
-
-
-def _unexpected(tok: _Token, wanted: str, at_end: str = "") -> ParseError:
-    kind, text, pos = tok
-    if kind == "end":
-        return ParseError("unexpected end of input" + at_end, pos)
-    return ParseError(f"expected {wanted}, found {text!r}", pos)
 
 
 class _Parser:
@@ -548,33 +535,36 @@ class _Parser:
     # for int(), held here so a raised or lifted limit does not change it.
     MAX_DIGITS = 4300
 
-    # The "end" token is never read past: its text matches no symbol and
-    # its kind no token a rule reads.
+    # The closing "" is never read past: it is no symbol, number or name.
     def __init__(self, text: str, dimension: int):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.want = dimension - 1
 
+    def _error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token i, whose offset is found by reading the
+        text again (len(text) for the closing "")."""
+        match = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        return ParseError(message, len(self.text) if match is None else match.start())
+
+    def _unexpected(self, i: int, wanted: str, at_end: str = "") -> ParseError:
+        tok = self.tokens[i]
+        if not tok:
+            return self._error("unexpected end of input" + at_end, i)
+        return self._error(f"expected {wanted}, found {tok!r}", i)
+
     def _symbol(self, sym: str) -> None:
         """Read the symbol sym."""
-        tok = self.tokens[self.i]
-        if tok[1] != sym:
-            raise _unexpected(tok, repr(sym), f", expected {sym!r}")
+        if self.tokens[self.i] != sym:
+            raise self._unexpected(self.i, repr(sym), f", expected {sym!r}")
         self.i += 1
-
-    def _read(self, kind: str, wanted: str) -> tuple[str, int]:
-        """The text and offset of the next token, which must be of the kind."""
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise _unexpected(tok, wanted)
-        self.i += 1
-        return tok[1], tok[2]
 
     def _list(self, sep: str, part: Callable[[], object]) -> list:
         """``part { sep part }``: the parts, in order."""
         parts = [part()]
-        while self.tokens[self.i][1] == sep:
+        while self.tokens[self.i] == sep:
             self.i += 1
             parts.append(part())
         return parts
@@ -585,9 +575,8 @@ class _Parser:
         return e
 
     def end(self) -> None:
-        kind, text, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r}", pos)
+        if self.tokens[self.i]:
+            raise self._error(f"trailing input {self.tokens[self.i]!r}", self.i)
 
     def expr(self) -> SetExpr:
         parts = self._list("|", self.term)
@@ -598,13 +587,14 @@ class _Parser:
         return parts[0] if len(parts) == 1 else join(Inter, parts)
 
     def factor(self) -> SetExpr:
-        _, sym, pos = self.tokens[self.i]
+        start = self.i
+        sym = self.tokens[start]
         if sym != "!" and sym != "(":
             return self.primitive()
         self.i += 1
         self.depth += 1
         if self.depth > self.MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels", pos)
+            raise self._error(f"expression nested deeper than {self.MAX_DEPTH} levels", start)
         if sym == "!":
             inner = complement(self.factor())
         else:
@@ -614,7 +604,9 @@ class _Parser:
         return inner
 
     def primitive(self) -> SetExpr:
-        name, pos = self._read("name", "a primitive")
+        start = self.i
+        name = self.tokens[start]
+        self.i += 1
         if name in _PLAIN_PRIMITIVES:
             return _PLAIN_PRIMITIVES[name]()
         if name == "point":
@@ -627,45 +619,59 @@ class _Parser:
             points = self._list(";", self.coords)
             self._symbol("}")
             return FiniteSet(tuple(points))
-        if name in ("cball", "oball"):
+        if name == "cball" or name == "oball":
             self._symbol("(")
             center = self.coords()
             self._symbol(";")
-            rpos = self.tokens[self.i][2]
+            at = self.i
             radius = self.rational()
             self._symbol(")")
             if radius <= 0:
-                raise ParseError("radius must be positive", rpos)
+                raise self._error("radius must be positive", at)
             return (ClosedBall if name == "cball" else OpenBall)(center, radius)
-        raise ParseError(f"unknown primitive {name!r}", pos)
+        if not name.isalpha():  # a number, a symbol or the end
+            raise self._unexpected(start, "a primitive")
+        raise self._error(f"unknown primitive {name!r}", start)
 
     def coords(self) -> tuple[Fraction, ...]:
-        start = self.tokens[self.i][2]
+        start = self.i
         values = self._list(",", self.rational)
         if len(values) != self.want:
-            raise ParseError(
-                f"expected {self.want} coordinate(s) for this dimension, got {len(values)}",
-                start,
-            )
+            raise self._error(f"expected {self.want} coordinate(s) for this dimension, "
+                              f"got {len(values)}", start)
         return tuple(values)
 
     def rational(self) -> Fraction:
-        text, pos = self._read("num", "a rational")
-        num = _integer(text, pos)
-        if self.tokens[self.i][1] != "/":
+        i = self.i
+        num = self._integer(i, "a rational")
+        if self.tokens[i + 1] != "/":
+            self.i = i + 1
             return Fraction(num)
-        self.i += 1
-        text, pos = self._read("num", "a denominator")
-        den = _integer(text, pos)
+        den = self._integer(i + 2, "a denominator")
         if den <= 0:
-            raise ParseError("denominator must be a positive integer", pos)
+            raise self._error("denominator must be a positive integer", i + 2)
+        self.i = i + 3
         return Fraction(num, den)
+
+    def _integer(self, i: int, wanted: str) -> int:
+        """The value of token i, which must be a number."""
+        tok = self.tokens[i]
+        if not tok[-1:].isdigit():
+            raise self._unexpected(i, wanted)
+        if len(tok.lstrip("-")) > self.MAX_DIGITS:
+            raise self._error(f"integer literal longer than {self.MAX_DIGITS} digits", i)
+        try:
+            return int(tok)
+        except ValueError as exc:  # the interpreter's own limit set below MAX_DIGITS
+            raise self._error("integer literal too long", i) from exc
 
 
 # Most connectives (!, |, &) on one root-to-leaf path of a tree that
 # normalize accepts: as many as the parser builds, a union and an
 # intersection inside each "(" plus the top union and intersection.
 MAX_TREE_DEPTH = 2 * _Parser.MAX_DEPTH + 2
+# The least int the parser does not read: one past MAX_DIGITS digits.
+_LITERAL_BOUND = 10 ** _Parser.MAX_DIGITS
 
 
 # The tree parsed from each (text, dimension) while something else holds
@@ -1028,16 +1034,8 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
 
 # --- witness search ----------------------------------------------------------
 
-_CANTOR_SAMPLES = (
-    Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3),
-    Fraction(1, 4), Fraction(3, 4), Fraction(1, 9), Fraction(2, 9),
-    Fraction(7, 9), Fraction(8, 9),
-)
-
-_PROBE_VALUES = (
-    Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-    Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(5),
-)
+_CANTOR_SAMPLES = tuple(map(Fraction, "0 1 1/3 2/3 1/4 3/4 1/9 2/9 7/9 8/9".split()))
+_PROBE_VALUES = tuple(map(Fraction, "0 1 -1 2 -2 1/2 -1/2 3/2 1/3 5".split()))
 
 
 def on_axis(v: Fraction, m: int) -> tuple[Fraction, ...]:

@@ -699,3 +699,36 @@ def classify_ref(e, n: int) -> dict:
     rules += ["B1", "B2", "B3"]
     return {"properties": p, "dim": n if normal is True else None,  # R8
             "boundary": boundary, "boundary_dim": boundary_dim, "rules": rules}
+
+
+_SYMBOLS_REF = "|&!(){};,/"
+_DIGITS_REF = "0123456789"
+_LETTERS_REF = "abcdefghijklmnopqrstuvwxyz"
+
+
+def tokens_ref(text: str):
+    """The token texts of an expression, scanned character by character
+    without ``re``: the list of texts, or (c, offset) for the first character
+    c that is neither whitespace (``str.isspace``) nor the start of a token.
+    A token is a run of ASCII digits, led by a "-" only when a digit follows
+    it, a run of a-z, or one of the ten symbols."""
+    tokens, i = [], 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        j = i + 1
+        if c in _SYMBOLS_REF:
+            pass
+        elif c in _LETTERS_REF:
+            while j < len(text) and text[j] in _LETTERS_REF:
+                j += 1
+        elif c in _DIGITS_REF or (c == "-" and j < len(text) and text[j] in _DIGITS_REF):
+            while j < len(text) and text[j] in _DIGITS_REF:
+                j += 1
+        else:
+            return c, i
+        tokens.append(text[i:j])
+        i = j
+    return tokens

@@ -190,6 +190,10 @@ BAD_LEAVES = {
     "coordinate-bool": (FiniteSet(((True,),)), TypeError),
     "finite-empty": (FiniteSet(()), ValueError),
     "no-coordinates": (SinglePoint(()), DimensionMismatch),
+    # a term longer than the parser's literal cap, which str() would refuse
+    "coordinate-4301-digits": (SinglePoint((Fr(1, 10**4300),)), ValueError),
+    "finite-4301-digits": (FiniteSet(((Fr(1),), (-10**4300,))), ValueError),
+    "radius-4301-digits": (ClosedBall(ZERO, Fr(10**4300 + 1, 3)), ValueError),
     # a float equal to a kept rational, so that dropping duplicates alone
     # would hide it
     "duplicate-float": (Union((SinglePoint((Fr(1),)), SinglePoint((1.0,)))), TypeError),

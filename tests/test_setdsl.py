@@ -1,6 +1,8 @@
+import ast
 import enum
 import gc
 import random
+import re
 import sys
 import threading
 from fractions import Fraction as Fr
@@ -64,9 +66,10 @@ from oracles import (
     random_forms_ref,
     ref_tree,
     structural_candidates_ref,
+    tokens_ref,
     tree_member_ref,
 )
-from test_golden import _wide_union
+from test_golden import PARSE_FIXED, _mutated, _wide_union
 
 
 class TestParser:
@@ -134,6 +137,112 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("cantor cantor")
+
+
+def _tokens(text: str):
+    """What the tokenizer reads: the token texts, or (c, offset) for the
+    character it refuses, as tokens_ref gives them."""
+    try:
+        return setdsl._tokenize(text)[:-1]  # less the closing ""
+    except ParseError as err:
+        c = text[err.position]
+        assert str(err) == f"unexpected character {c!r} (at offset {err.position})"
+        return c, err.position
+
+
+@st.composite
+def _mutated_text(draw):
+    """(text, n): the text of a seeded random tree at n = 2, 3 or 4, mutated
+    as the parse digest's texts are."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return _mutated(rng, to_text(random_expr(rng, n))), n
+
+
+class TestTokenizer:
+    """The one-pass tokenizer reads what a scanner without re reads."""
+
+    @pytest.mark.parametrize("text", ["1\x1c/2", "\u2003all", "point(\u0663)", "1--2", "a-",
+                                      "-", "", "   ", "cball(-1,0;1/2)|!x"])
+    def test_agrees_with_the_reference_scanner(self, text):
+        assert _tokens(text) == tokens_ref(text)
+
+    def test_re_whitespace_is_isspace(self):
+        # tokens_ref skips str.isspace() characters, the tokenizer re's \s
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+    @settings(max_examples=300)
+    @given(_mutated_text())
+    def test_agrees_with_the_reference_scanner_on_mutated_texts(self, case):
+        text, _ = case
+        assert _tokens(text) == tokens_ref(text)
+
+
+def _a_number_at(text: str, pos: int) -> bool:
+    return re.match(r"-?[0-9]", text[pos:]) is not None
+
+
+def _after(text: str, pos: int) -> str:
+    """The last character before pos that is not whitespace."""
+    return text[:pos].rstrip()[-1:]
+
+
+# (kind, message pattern, whether the offset points at what the message
+# names), the named text read from the pattern's one group if it has one
+_OFFSET_RULES = (
+    ("character", r"unexpected character (.+)", lambda text, pos, c: text[pos] == c),
+    ("denominator-expected", r"expected a denominator, found (.+)",
+     lambda text, pos, t: text.startswith(t, pos) and _after(text, pos) == "/"),
+    ("expected", r"expected .+, found (.+)", lambda text, pos, t: text.startswith(t, pos)),
+    ("trailing", r"trailing input (.+)", lambda text, pos, t: text.startswith(t, pos)),
+    ("unknown", r"unknown primitive (.+)", lambda text, pos, w: text.startswith(w, pos)),
+    ("end", r"unexpected end of input(?:, expected '.')?", lambda text, pos: pos == len(text)),
+    ("nesting", r"expression nested deeper than \d+ levels", lambda text, pos: text[pos] in "(!"),
+    ("arity", r"expected \d+ coordinate\(s\) for this dimension, got \d+",
+     lambda text, pos: _a_number_at(text, pos) and _after(text, pos) in "({;"),
+    ("literal", r"integer literal (?:longer than \d+ digits|too long)", _a_number_at),
+    ("denominator", r"denominator must be a positive integer",
+     lambda text, pos: _a_number_at(text, pos) and _after(text, pos) == "/"),
+    ("radius", r"radius must be positive",
+     lambda text, pos: _a_number_at(text, pos) and _after(text, pos) == ";"),
+)
+
+
+def _checked_offset(text: str, err: ParseError) -> str:
+    """The kind of err, once its offset is checked against its message."""
+    pos = err.position
+    message = str(err).removesuffix(f" (at offset {pos})")
+    for kind, pattern, holds in _OFFSET_RULES:
+        found = re.fullmatch(pattern, message)
+        if found:
+            named = [ast.literal_eval(g) for g in found.groups()]
+            assert holds(text, pos, *named), (text, message, pos)
+            return kind
+    raise AssertionError(f"no rule for {message!r}")
+
+
+@settings(max_examples=300)
+@given(_mutated_text())
+def test_every_error_offset_points_at_what_it_names(case):
+    text, n = case
+    try:
+        parse(text, n)
+    except ParseError as err:
+        _checked_offset(text, err)
+
+
+def test_every_offset_rule_is_met():
+    """The parse digest's texts reach every rule of _OFFSET_RULES."""
+    rng, seen = random.Random(2405), set()
+    for n in (2, 3, 4):
+        for text in (*PARSE_FIXED, *(_mutated(rng, to_text(random_expr(rng, n)))
+                                     for _ in range(400))):
+            try:
+                parse(text, n)
+            except ParseError as err:
+                seen.add(_checked_offset(text, err))
+    assert seen == {kind for kind, _, _ in _OFFSET_RULES}
 
 
 class TestParseTable:
@@ -272,6 +381,22 @@ class TestLimits:
         assert parse(f"cball(0;{digits})") == ClosedBall((Fr(0),), Fr(int(digits)))
         with pytest.raises(ParseError):
             parse(f"cball(0;{digits}9)")
+
+    @pytest.mark.parametrize("e", [
+        SinglePoint((Fr(1, 10**_Parser.MAX_DIGITS),)),
+        FiniteSet(((Fr(0),), (Fr(-(10**_Parser.MAX_DIGITS), 7),))),
+        OpenBall((Fr(0),), Fr(10**_Parser.MAX_DIGITS)),
+    ], ids=["point-denominator", "finite-numerator", "radius"])
+    def test_normalize_refuses_a_term_longer_than_the_literal_cap(self, e):
+        with pytest.raises(ValueError, match=f"^a numerator or denominator longer than "
+                                             f"{_Parser.MAX_DIGITS} digits$"):
+            normalize(e)
+
+    def test_normalize_takes_terms_at_the_literal_cap(self):
+        big = 10**_Parser.MAX_DIGITS - 1
+        for e in (SinglePoint((Fr(-big, big - 1),)), FiniteSet(((Fr(1),), (big,))),
+                  ClosedBall((Fr(0),), Fr(big, big - 1))):
+            assert parse(to_text(normalize(e))) == e
 
     @staticmethod
     def _tree(levels: int, *wraps):
