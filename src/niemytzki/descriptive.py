@@ -36,7 +36,9 @@ primitive needs no row for this search), moved on integers from the leaf's
 cached form and harvested leaf by leaf as the search reads them, then six
 fixed balls, formed once per arity; equal balls are tried once.  A
 candidate of a union's member ball lies in it, so the union's complement
-counts it against the budget untested.  The ``_INSIDE`` and ``_DISJOINT``
+tests none: while the candidates of every ball leaf and the fixed balls fit
+in the budget, it builds no member ball's candidates, and past the budget
+it counts them against it untested.  The ``_INSIDE`` and ``_DISJOINT``
 rows test a candidate against a node on its form: only the ball rows add or
 subtract two radii as Fractions, and the Cantor row reads its first-axis
 interval by the set language's one integer Cantor walk, exact on the line.
@@ -387,13 +389,16 @@ def _fixed_balls(m: int) -> tuple[tuple[_Scaled, Fraction], ...]:
     ))
 
 
-def _ball_forms(e: SetExpr, m: int) -> Iterator[tuple[SetExpr | None, _Scaled, Fraction]]:
+def _ball_forms(e: SetExpr, m: int, harvested: Iterable[SetExpr] | None = None
+                ) -> Iterator[tuple[SetExpr | None, _Scaled, Fraction]]:
     """The candidate balls of the search in e, in order, each once, as
     (leaf that first offered it or None, form, radius), harvested leaf by
-    leaf as read: only a ball leaf offers any.  Forms are canonical, so
-    equal balls have equal keys."""
+    leaf as read from the given leaves, every leaf of e by default: only a
+    ball leaf offers any.  Forms are canonical, so equal balls have equal
+    keys."""
     seen = set()
-    for leaf, cands in chain(((node, _balls_in_ball(node)) for node in leaves(e)
+    for leaf, cands in chain(((node, _balls_in_ball(node)) for node in
+                              (leaves(e) if harvested is None else harvested)
                               if type(node) in WITHIN), ((None, _fixed_balls(m)),)):
         for q, r in cands:
             key = q, r.numerator, r.denominator
@@ -406,12 +411,26 @@ _BALL_SEARCH_BUDGET = 1000
 
 
 def _closed_ball_witness(e: SetExpr, m: int) -> bool:
-    # a candidate offered by a member ball of a union cannot miss the union:
-    # in its complement it is skipped untested, yet counts against the budget
-    inside = _INSIDE[type(e)]
-    held = e.body.index.members if type(e) is Complement and type(e.body) is Union else ()
+    # A candidate that a member ball of a union offers lies strictly inside
+    # that ball (3r/4 + r/8 < r), so it cannot miss the union, and the
+    # union's complement skips it untested.  While the candidates of every
+    # ball leaf and the fixed ones fit in the budget, nothing is cut, and
+    # the search builds no member ball's candidates at all: one that a
+    # nested leaf or a fixed ball offers again is tested, and _DISJOINT's
+    # ball row refuses it, as skipping it would.  Past the budget the
+    # skipped candidates still count against it, so the search reads what
+    # it read before.
+    inside, held, harvested = _INSIDE[type(e)], (), None
+    if type(e) is Complement and type(e.body) is Union:
+        index = e.body.index
+        held = index.members
+        nested = [leaf for other in index.others for leaf in leaves(other)
+                  if type(leaf) in WITHIN]
+        offered = (len(index.balls) + len(nested)) * (2 + len(_OFFSETS) * m)
+        if offered + len(_fixed_balls(m)) <= _BALL_SEARCH_BUDGET:
+            harvested = nested
     return any(leaf not in held and inside(e, q, r)
-               for leaf, q, r in islice(_ball_forms(e, m), _BALL_SEARCH_BUDGET))
+               for leaf, q, r in islice(_ball_forms(e, m, harvested), _BALL_SEARCH_BUDGET))
 
 
 # --- inference -----------------------------------------------------------------

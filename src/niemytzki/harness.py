@@ -257,7 +257,7 @@ def _tangent_interior_point(rng: random.Random, anchor: _Scaled, eps: _Rat) -> _
 
 def generate_samples(cfg: SuiteConfig) -> Iterator[dict]:
     """The deterministic sample stream feeding the suite of the config."""
-    key = _canonical_suite(cfg.suite)
+    key = _suite_of(cfg)
     samples = _SUITES[key][1](cfg)
     return map(_public, samples) if key in _INTEGER_SUITES else samples
 
@@ -660,14 +660,16 @@ def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
-def _canonical_suite(name: str) -> str:
-    key = name.strip().upper()
+def _suite_of(cfg: SuiteConfig) -> str:
+    """The canonical name of the config's suite; anything but a SuiteConfig,
+    and a name of no suite, is refused."""
+    if not isinstance(cfg, SuiteConfig):
+        raise TypeError(f"config must be a SuiteConfig, not {type(cfg).__name__}")
+    name = cfg.suite.strip()
+    key = _ALIASES.get(name.lower(), name.upper())
     if key in _SUITES:
         return key
-    alias = _ALIASES.get(name.strip().lower())
-    if alias:
-        return alias
-    raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+    raise UnknownSuite(f"unknown suite {cfg.suite!r}; known: {', '.join(suite_names())}")
 
 
 _INTEGER_SUITES = ("S1", "S2", "S3", "S4")
@@ -675,7 +677,7 @@ _INTEGER_SUITES = ("S1", "S2", "S3", "S4")
 
 def run_suite(cfg: SuiteConfig) -> SuiteResult:
     """Run one suite to completion and report every counterexample."""
-    key = _canonical_suite(cfg.suite)
+    key = _suite_of(cfg)
     runner, generate, _ = _SUITES[key]
     result = SuiteResult(
         suite=key, dimension=cfg.dimension, samples=cfg.samples, seed=cfg.seed

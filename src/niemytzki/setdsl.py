@@ -123,10 +123,11 @@ import re
 import sys
 import weakref
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .geometry import (
     DimensionMismatch,
@@ -534,6 +535,8 @@ class _Parser:
     # Longest integer literal accepted, in digits: Python's default limit
     # for int(), held here so a raised or lifted limit does not change it.
     MAX_DIGITS = 4300
+    # Most characters of a token that an error message quotes.
+    MAX_QUOTED = 64
 
     # The closing "" is never read past: it is no symbol, number or name.
     def __init__(self, text: str, dimension: int):
@@ -549,11 +552,18 @@ class _Parser:
         match = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None), None)
         return ParseError(message, len(self.text) if match is None else match.start())
 
+    def _quoted(self, i: int) -> str:
+        """Token i as a message quotes it: whole, or cut to its first
+        MAX_QUOTED characters with its length."""
+        tok, cap = self.tokens[i], self.MAX_QUOTED
+        if len(tok) <= cap:
+            return repr(tok)
+        return f"{tok[:cap]!r} (the first {cap} of {len(tok)} characters)"
+
     def _unexpected(self, i: int, wanted: str, at_end: str = "") -> ParseError:
-        tok = self.tokens[i]
-        if not tok:
+        if not self.tokens[i]:
             return self._error("unexpected end of input" + at_end, i)
-        return self._error(f"expected {wanted}, found {tok!r}", i)
+        return self._error(f"expected {wanted}, found {self._quoted(i)}", i)
 
     def _symbol(self, sym: str) -> None:
         """Read the symbol sym."""
@@ -576,7 +586,7 @@ class _Parser:
 
     def end(self) -> None:
         if self.tokens[self.i]:
-            raise self._error(f"trailing input {self.tokens[self.i]!r}", self.i)
+            raise self._error(f"trailing input {self._quoted(self.i)}", self.i)
 
     def expr(self) -> SetExpr:
         parts = self._list("|", self.term)
@@ -631,7 +641,7 @@ class _Parser:
             return (ClosedBall if name == "cball" else OpenBall)(center, radius)
         if not name.isalpha():  # a number, a symbol or the end
             raise self._unexpected(start, "a primitive")
-        raise self._error(f"unknown primitive {name!r}", start)
+        raise self._error(f"unknown primitive {self._quoted(start)}", start)
 
     def coords(self) -> tuple[Fraction, ...]:
         start = self.i
@@ -1023,7 +1033,10 @@ def member(e: SetExpr, p: Sequence[Fraction]) -> Verdict:
     The tree is taken as given, not normalised or checked: for a tree that
     :func:`normalize` refuses the answer means nothing.  A tree too deep to
     walk within the recursion limit raises ValueError, as in
-    :func:`normalize`."""
+    :func:`normalize`.  A point that is no sequence, or is a string, raises
+    TypeError."""
+    if isinstance(p, (str, bytes, bytearray)) or not isinstance(p, Sequence):
+        raise TypeError(f"point must be a sequence of rationals, not {type(p).__name__}")
     coords = tuple(map(rat, p))
     test = member_test(e, len(coords))
     try:

@@ -447,6 +447,15 @@ class TestHostileInput:
         assert f"nested deeper than {self.CAP}" in err
         assert "offset" in err
 
+    @pytest.mark.parametrize("text, offset", [
+        ("cantor " + "a" * 100_000, 7), ("a" * 100_000, 0), ("point(" + "a" * 100_000 + ")", 6),
+    ], ids=["trailing", "unknown-primitive", "expected"])
+    def test_a_long_token_is_a_parse_error_with_a_short_message(self, text, offset, capsys):
+        assert cli.main(["classify", "--set", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f" (the first 64 of 100000 characters) (at offset {offset})\n")
+        assert len(err) < 200
+
     def test_overlong_literal_is_a_parse_error(self, capsys):
         assert cli.main(["classify", "--set", f"point({'7' * 5000})"]) == 2
         assert "(at offset 6)" in capsys.readouterr().err

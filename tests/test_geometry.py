@@ -479,10 +479,10 @@ def test_every_entry_point_refuses_dimension_one(capsys):
 
 def _refusals():
     """(call, message) for each argument of the wrong type that an entry
-    point's own rule refuses: the dimension, parse's text and SuiteConfig's
-    fields."""
-    from niemytzki.harness import SuiteConfig
-    from niemytzki.setdsl import All, find_witness, normalize_for, parse
+    point's own rule refuses: the dimension, parse's text, SuiteConfig's
+    fields, member's point and the suite runners' config."""
+    from niemytzki.harness import SuiteConfig, generate_samples, run_suite
+    from niemytzki.setdsl import All, find_witness, member, normalize_for, parse
     from niemytzki.theorems import classify
     from niemytzki.topology import TopologySpec
 
@@ -505,6 +505,14 @@ def _refusals():
         kind = type(v).__name__
         rows += [(lambda v=v: SuiteConfig("S1", samples=v), f"samples must be an int, not {kind}"),
                  (lambda v=v: SuiteConfig("S6", seed=v), f"seed must be an int, not {kind}")]
+    # a string was read character by character as the point, "12" as (1, 2),
+    # and a set or a dict in its iteration order
+    for v in ("12", b"12", bytearray(b"12"), 5, Fr(1), None, {1, 2}, {1: 0, 2: 0}, iter((1, 2))):
+        rows.append((lambda v=v: member(parse("point(1,2)", 3), v),
+                     f"point must be a sequence of rationals, not {type(v).__name__}"))
+    for v in ("S1", None, {"suite": "S1"}):
+        message = f"config must be a SuiteConfig, not {type(v).__name__}"
+        rows += [(lambda v=v: run_suite(v), message), (lambda v=v: generate_samples(v), message)]
     return rows
 
 

@@ -188,15 +188,26 @@ def _after(text: str, pos: int) -> str:
     return text[:pos].rstrip()[-1:]
 
 
+# A token as a message quotes it: whole, or its first 64 characters and its length
+_QUOTED = r"('[^']*')(?: \(the first 64 of (\d+) characters\))?"
+
+
+def _names(text: str, pos: int, quoted: str, length: int | None = None) -> bool:
+    """Whether the token at pos starts with the quoted text, and, where the
+    message cut it, is that long and was cut to its first 64 characters."""
+    return text.startswith(quoted, pos) and (
+        length is None or len(quoted) == 64 < length == len(tokens_ref(text[pos:])[0]))
+
+
 # (kind, message pattern, whether the offset points at what the message
-# names), the named text read from the pattern's one group if it has one
+# names), the named text read from the pattern's groups if it has any
 _OFFSET_RULES = (
     ("character", r"unexpected character (.+)", lambda text, pos, c: text[pos] == c),
-    ("denominator-expected", r"expected a denominator, found (.+)",
-     lambda text, pos, t: text.startswith(t, pos) and _after(text, pos) == "/"),
-    ("expected", r"expected .+, found (.+)", lambda text, pos, t: text.startswith(t, pos)),
-    ("trailing", r"trailing input (.+)", lambda text, pos, t: text.startswith(t, pos)),
-    ("unknown", r"unknown primitive (.+)", lambda text, pos, w: text.startswith(w, pos)),
+    ("denominator-expected", r"expected a denominator, found " + _QUOTED,
+     lambda text, pos, *named: _names(text, pos, *named) and _after(text, pos) == "/"),
+    ("expected", r"expected .+, found " + _QUOTED, _names),
+    ("trailing", r"trailing input " + _QUOTED, _names),
+    ("unknown", r"unknown primitive " + _QUOTED, _names),
     ("end", r"unexpected end of input(?:, expected '.')?", lambda text, pos: pos == len(text)),
     ("nesting", r"expression nested deeper than \d+ levels", lambda text, pos: text[pos] in "(!"),
     ("arity", r"expected \d+ coordinate\(s\) for this dimension, got \d+",
@@ -216,7 +227,7 @@ def _checked_offset(text: str, err: ParseError) -> str:
     for kind, pattern, holds in _OFFSET_RULES:
         found = re.fullmatch(pattern, message)
         if found:
-            named = [ast.literal_eval(g) for g in found.groups()]
+            named = [ast.literal_eval(g) for g in found.groups() if g is not None]
             assert holds(text, pos, *named), (text, message, pos)
             return kind
     raise AssertionError(f"no rule for {message!r}")
@@ -370,6 +381,22 @@ class TestLimits:
         with pytest.raises(ParseError) as err:
             parse("cantor | " + "!" * (self.CAP + 1) + "cantor")
         assert err.value.position == 9 + self.CAP
+
+    @pytest.mark.parametrize("text, offset, kind, cut", [
+        ("cantor " + "a" * 100_000, 7, "trailing", True),
+        ("b" * 100_000, 0, "unknown", True),
+        ("point(" + "c" * 100_000 + ")", 6, "expected", True),
+        ("point(1/" + "d" * 100_000 + ")", 8, "denominator-expected", True),
+        ("cantor | " + "e" * 65, 9, "unknown", True),
+        ("cantor | " + "e" * 64, 9, "unknown", False),
+    ], ids=["trailing", "unknown", "expected", "denominator", "cap-plus-one", "at-cap"])
+    def test_a_long_token_is_quoted_cut_at_its_offset(self, text, offset, kind, cut):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        message = str(err.value)
+        assert err.value.position == offset and len(message) < 200
+        assert ("(the first 64 of " in message) is cut
+        assert _checked_offset(text, err.value) == kind
 
     def test_overlong_integer_reports_the_offset(self):
         with pytest.raises(ParseError) as err:

@@ -23,7 +23,7 @@ from niemytzki.descriptive import (
     compare_topologies,
     subset,
 )
-from niemytzki.geometry import DimensionMismatch
+from niemytzki.geometry import DimensionMismatch, _unscaled
 from niemytzki.setdsl import (
     IN,
     OUT,
@@ -31,6 +31,7 @@ from niemytzki.setdsl import (
     ClosedBall,
     Complement,
     FiniteSet,
+    Inter,
     OpenBall,
     SinglePoint,
     Union,
@@ -353,8 +354,8 @@ def test_the_ball_search_answers_as_testing_every_candidate(seed, n):
             _searched(searched, m)
 
 
-@pytest.mark.parametrize("k", [16, 128, 1024])
-def test_the_ball_search_of_a_wide_union_answers_as_testing_every_candidate(k):
+@pytest.mark.parametrize("k", [16, 128, 512, 1024])
+def test_the_ball_search_of_a_wide_union_answers_as_testing_every_candidate(k, monkeypatch):
     full = parse(_wide(k)[0], 2)
     assert _searched(full, 1)
     # at k = 1,024 the first 1,000 candidates all come from the union's own
@@ -362,6 +363,43 @@ def test_the_ball_search_of_a_wide_union_answers_as_testing_every_candidate(k):
     past = len(list(_ball_forms(full, 1))) > _BALL_SEARCH_BUDGET
     found = _searched(Complement(full), 1)
     assert past is (k == 1024) and not (past and found)
+    # while the budget cannot cut it, the complement's search builds no
+    # candidate of a member ball; past the budget they still count against it
+    harvested = []
+    monkeypatch.setattr(descriptive, "_balls_in_ball",
+                        lambda b: harvested.append(b) or _balls_in_ball(b))
+    assert _closed_ball_witness(Complement(full), 1) is found
+    assert bool(harvested) is past and set(harvested) <= full.index.members
+
+
+@pytest.mark.parametrize("m, balls, nested", [(1, 165, 0), (1, 166, 0), (1, 160, 6),
+                                             (3, 71, 0), (3, 72, 0)])
+def test_the_complement_search_reads_the_last_fixed_ball_only_within_the_budget(m, balls, nested):
+    # a point in each fixed ball but the last, the only candidate that
+    # misses the union: the search reaches it exactly when the candidates of
+    # every ball leaf, member or nested, and the fixed ones fit in the budget
+    far = [ClosedBall(_shifted((Fr(0),) * m, -100 - 3 * j), Fr(1)) for j in range(balls + nested)]
+    pierced = [Inter((b, Complement(SinglePoint(b.center)))) for b in far[balls:]]
+    held = [SinglePoint(_unscaled(q)) for q, _ in _fixed_balls(m)[:-1]]
+    u = normalize(Union((*far[:balls], *pierced, *held)))
+    offered = (balls + nested) * (2 + 4 * m) + len(_fixed_balls(m))
+    assert (offered <= _BALL_SEARCH_BUDGET) is (balls + nested in (165, 71))
+    assert _searched(Complement(u), m) is (offered <= _BALL_SEARCH_BUDGET)
+
+
+@settings(max_examples=100)
+@given(_union_case(), st.sampled_from([ClosedBall, OpenBall]))
+def test_a_nested_ball_offering_a_member_ball_candidate_answers_as_the_reference(case, kind):
+    # the member B[c, r] and the nested ball about c of radius r/2 both offer
+    # the ball about c of radius r/4: where the nested leaf offers it again,
+    # the complement's search tests and refuses it
+    members, c, r, p = case
+    ball, nested = ClosedBall(c, r), kind(c, r / 2)
+    assert set(_balls_in_ball(ball)) & set(_balls_in_ball(nested))
+    u = normalize(Union((*map(_node, members), ball, Inter((nested, Complement(SinglePoint(p)))))))
+    assert type(u) is Union and ball in u.index.members
+    for e in (u, complement(u)):
+        _searched(e, len(c))
 
 
 def test_the_complement_of_a_union_tests_no_candidate_of_its_member_balls(monkeypatch):
