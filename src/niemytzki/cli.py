@@ -338,10 +338,11 @@ def _undecidable() -> type:
 
 
 def _usage_errors() -> tuple[type, ...]:
-    from .harness import SamplingError, UnknownSuite
+    # UsageError and harness.UnknownSuite are ValueErrors
+    from .harness import SamplingError
     from .theorems import UnknownProperty
 
-    return (UsageError, UnknownSuite, UnknownProperty, SamplingError, ValueError)
+    return (UnknownProperty, SamplingError, ValueError)
 
 
 def _main(argv) -> int:

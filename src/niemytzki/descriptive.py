@@ -34,17 +34,17 @@ held as the scaled form of c and the radius r: the balls about each ball
 leaf (``_balls_in_ball``; no other kind of leaf offers any, so a new
 primitive needs no row for this search), moved on integers from the leaf's
 cached form and harvested leaf by leaf as the search reads them, then six
-fixed balls, formed once per arity; equal balls are tried once.  A
-candidate of a union's member ball lies in it, so the union's complement
-tests none: while the candidates of every ball leaf and the fixed balls fit
-in the budget, it builds no member ball's candidates, and past the budget
-it counts them against it untested.  The ``_INSIDE`` and ``_DISJOINT``
-rows test a candidate against a node on its form: only the ball rows add or
-subtract two radii as Fractions, and the Cantor row reads its first-axis
-interval by the set language's one integer Cantor walk, exact on the line.
-A union reads only the leaves its index puts near the candidate.  The point
-search is the set language's one search loop on the tree's structural
-candidate forms, harvested leaf by leaf as it reads them.
+fixed balls, formed once per arity; equal balls are tried once, and every
+candidate harvested is tested and counts against the budget.  A candidate
+of a union's member ball lies in it, so the union's complement harvests
+none: it reads the ball leaves under the union's other members, then the
+fixed balls, however many member balls there are.  The ``_INSIDE`` and
+``_DISJOINT`` rows test a candidate against a node on its form: only the
+ball rows add or subtract two radii as Fractions, and the Cantor row reads
+its first-axis interval by the set language's one integer Cantor walk,
+exact on the line.  A union reads only the leaves its index puts near the
+candidate.  The point search is the set language's one search loop on the
+tree's structural candidate forms, harvested leaf by leaf as it reads them.
 The structural subset rules are three-valued.  They first split a union on
 the left and an intersection on the right into their members, two exact
 identities whose parts combine by Kleene conjunction, and decide a point
@@ -389,22 +389,19 @@ def _fixed_balls(m: int) -> tuple[tuple[_Scaled, Fraction], ...]:
     ))
 
 
-def _ball_forms(e: SetExpr, m: int, harvested: Iterable[SetExpr] | None = None
-                ) -> Iterator[tuple[SetExpr | None, _Scaled, Fraction]]:
-    """The candidate balls of the search in e, in order, each once, as
-    (leaf that first offered it or None, form, radius), harvested leaf by
-    leaf as read from the given leaves, every leaf of e by default: only a
-    ball leaf offers any.  Forms are canonical, so equal balls have equal
-    keys."""
+def _ball_forms(nodes: Iterable[SetExpr], m: int) -> Iterator[tuple[_Scaled, Fraction]]:
+    """The candidate balls of a search in R^m, in order, each once, as (form,
+    radius): those about each ball among the nodes, harvested node by node
+    as read (no other kind of leaf offers any), then the fixed ones.  Forms
+    are canonical, so equal balls have equal keys."""
     seen = set()
-    for leaf, cands in chain(((node, _balls_in_ball(node)) for node in
-                              (leaves(e) if harvested is None else harvested)
-                              if type(node) in WITHIN), ((None, _fixed_balls(m)),)):
+    for cands in chain((_balls_in_ball(node) for node in nodes if type(node) in WITHIN),
+                       (_fixed_balls(m),)):
         for q, r in cands:
             key = q, r.numerator, r.denominator
             if key not in seen:
                 seen.add(key)
-                yield leaf, q, r
+                yield q, r
 
 
 _BALL_SEARCH_BUDGET = 1000
@@ -412,25 +409,15 @@ _BALL_SEARCH_BUDGET = 1000
 
 def _closed_ball_witness(e: SetExpr, m: int) -> bool:
     # A candidate that a member ball of a union offers lies strictly inside
-    # that ball (3r/4 + r/8 < r), so it cannot miss the union, and the
-    # union's complement skips it untested.  While the candidates of every
-    # ball leaf and the fixed ones fit in the budget, nothing is cut, and
-    # the search builds no member ball's candidates at all: one that a
-    # nested leaf or a fixed ball offers again is tested, and _DISJOINT's
-    # ball row refuses it, as skipping it would.  Past the budget the
-    # skipped candidates still count against it, so the search reads what
-    # it read before.
-    inside, held, harvested = _INSIDE[type(e)], (), None
+    # that ball (3r/4 + r/8 < r), so it cannot miss the union: the union's
+    # complement harvests only the leaves of its other members, then the
+    # fixed balls.  One that a nested leaf offers again is tested, and
+    # _DISJOINT's ball row refuses it.
+    nodes = leaves(e)
     if type(e) is Complement and type(e.body) is Union:
-        index = e.body.index
-        held = index.members
-        nested = [leaf for other in index.others for leaf in leaves(other)
-                  if type(leaf) in WITHIN]
-        offered = (len(index.balls) + len(nested)) * (2 + len(_OFFSETS) * m)
-        if offered + len(_fixed_balls(m)) <= _BALL_SEARCH_BUDGET:
-            harvested = nested
-    return any(leaf not in held and inside(e, q, r)
-               for leaf, q, r in islice(_ball_forms(e, m, harvested), _BALL_SEARCH_BUDGET))
+        nodes = (leaf for other in e.body.index.others for leaf in leaves(other))
+    inside = _INSIDE[type(e)]
+    return any(inside(e, q, r) for q, r in islice(_ball_forms(nodes, m), _BALL_SEARCH_BUDGET))
 
 
 # --- inference -----------------------------------------------------------------
@@ -610,8 +597,9 @@ def subset(e1: SetExpr, e2: SetExpr, budget: int = DEFAULT_BUDGET, seed: int = 0
     where a point of e1 is OUT of e2 by e2's member test; what they leave
     Unknown a witness in e1 \\ e2, searched within the budget, proves False.
     A budget that is not an ``int``, below 1 or above ``sys.maxsize``, and
-    a seed that is not hashable, are refused whatever the sets, by the rule
-    ``find_witness`` keeps.
+    a seed that is not hashable, or not None, an int, a float, a str or
+    bytes, are refused whatever the sets, by the rule ``find_witness``
+    keeps.
 
     Answers are remembered per process, in one bounded memo keyed by the
     text and dimension each tree was parsed from (a tree built otherwise is

@@ -1133,14 +1133,17 @@ DEFAULT_BUDGET = 1000
 def _check_search(budget: int, seed) -> None:
     """Refuse a budget that is not an int (a bool included), one below 1 and
     one above sys.maxsize, which no search can be cut at, and a seed that
-    cannot key a cache: the one budget and seed rule of find_witness and of
-    subset, kept before any rule runs."""
+    cannot key a cache or that random.Random refuses: the one budget and
+    seed rule of find_witness and of subset, kept before any rule runs."""
     _check_int(budget, "budget")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if budget > sys.maxsize:
         raise ValueError(f"budget must be at most {sys.maxsize}")
     hash(seed)
+    if not isinstance(seed, (type(None), int, float, str, bytes)):
+        raise TypeError(f"seed must be None, an int, a float, a str or bytes, "
+                        f"not {type(seed).__name__}")
 
 
 # The probes depend only on the arity m and the random candidates on the
@@ -1256,8 +1259,9 @@ def find_witness(
     seed's start state, formed once per process (``_start``).  The witness
     is returned as a tuple of ``Fraction``s, whatever numbers the tree
     holds.  The seed is a key of the start states' cache: one that is not
-    hashable raises TypeError, and ``None`` reads the operating system once
-    per process, not once per search, so two searches with it answer alike.
+    hashable, or not None, an int, a float, a str or bytes, raises
+    TypeError, and ``None`` reads the operating system once per process,
+    not once per search, so two searches with it answer alike.
     A budget that is not an ``int`` raises TypeError, and one below 1 or
     above ``sys.maxsize`` ValueError.  A dimension that is not an ``int``
     raises TypeError, and one below 2 ValueError."""

@@ -440,10 +440,13 @@ def decide_convergence(
     balls.  Tangent-circle families converge exactly when the anchor keeps
     Euclidean neighborhoods; otherwise the tangent ball of the family's own
     parameter blocks every term and the prefix is certified discrete.  A
-    finite list, which has no anchor for a limit, stays inconclusive.
+    finite list, which has no anchor for a limit, stays inconclusive, and
+    anything else raises TypeError.
     """
     if isinstance(fam, FiniteList):
         return ConvergenceVerdict(None, ())
+    if not isinstance(fam, (Vertical, TangentCircle)):
+        raise TypeError(f"not a sequence family: {fam!r}")
     if fam.anchor.dimension != topo.dimension:
         raise DimensionMismatch("family dimension differs from the topology's")
     euclidean_at_anchor = _keeps_half_balls(topo, fam.anchor)
@@ -463,20 +466,18 @@ def decide_convergence(
             )
         return ConvergenceVerdict(True, (bound,))
 
-    if isinstance(fam, TangentCircle):
-        if euclidean_at_anchor:
-            bound = IndexBound(
-                "quadratic",
-                4 * fam.eps * fam.eps,
-                "inside B(a, eps) once k^2 + 1 > 4*eps_0^2/eps^2 "
-                "(eps_0 the family parameter)",
-            )
-            return ConvergenceVerdict(True, (bound,))
-        blocking = BlockingNeighborhood(TangentBall(fam.anchor, fam.eps))
-        radii = DiscretenessRadii(_isolating_radii(fam, prefix))
-        return ConvergenceVerdict(False, (blocking, radii))
-
-    raise TypeError(f"not a sequence family: {fam!r}")
+    # a tangent circle
+    if euclidean_at_anchor:
+        bound = IndexBound(
+            "quadratic",
+            4 * fam.eps * fam.eps,
+            "inside B(a, eps) once k^2 + 1 > 4*eps_0^2/eps^2 "
+            "(eps_0 the family parameter)",
+        )
+        return ConvergenceVerdict(True, (bound,))
+    blocking = BlockingNeighborhood(TangentBall(fam.anchor, fam.eps))
+    radii = DiscretenessRadii(_isolating_radii(fam, prefix))
+    return ConvergenceVerdict(False, (blocking, radii))
 
 
 # the neighborhood sizes at which certificate_failures re-checks an index bound

@@ -89,6 +89,18 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
 
+    def test_the_package_runs_as_a_module(self):
+        # python -m niemytzki, through __main__.py, answers and exits as the CLI
+        # module does
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for args, code in ((("member", "--set", "cantor", "--point", "1/4"), 0),
+                           (("nonsense",), 1)):
+            proc = subprocess.run([sys.executable, "-m", "niemytzki", *args],
+                                  capture_output=True, text=True, env=env)
+            direct = run_cli(*args)
+            assert proc.returncode == direct.returncode == code
+            assert (proc.stdout, proc.stderr) == (direct.stdout, direct.stderr)
+
     @pytest.mark.parametrize("argv,code,err", [
         (["check", "--suite", "S9"], 1, "error: unknown suite 'S9'; known: S1, S2, S3, S4, S5, S6, S7\n"),
         (["explain", "--set", "cantor", "--property", "nope"], 1, "error: unknown property 'nope'; known: "),

@@ -848,7 +848,7 @@ def test_an_open_ball_lies_wherever_its_closed_ball_does(seed, n):
     # from within
     e = random_expr(random.Random(seed), n)
     for tree in (e, complement(e)):
-        balls = list(islice(((q, r) for _, q, r in _ball_forms(tree, n - 1)), 40))
+        balls = list(islice(_ball_forms(leaves(tree), n - 1), 40))
         for m in leaves(tree):
             if type(m) in (ClosedBall, OpenBall):
                 k, d = m.radius.numerator, m.radius.denominator

@@ -26,6 +26,7 @@ from niemytzki.geometry import (
     t_level,
     tangent_gauge,
     tangent_sphere_point,
+    translate,
 )
 from niemytzki.topology import HalfBall, TangentBall, contains
 from oracles import (
@@ -480,11 +481,12 @@ def test_every_entry_point_refuses_dimension_one(capsys):
 def _refusals():
     """(call, message) for each argument of the wrong type that an entry
     point's own rule refuses: the dimension, parse's text, SuiteConfig's
-    fields, member's point and the suite runners' config."""
+    fields, member's point, the suite runners' config and a search's seed."""
+    from niemytzki.descriptive import compare, compare_topologies, subset
     from niemytzki.harness import SuiteConfig, generate_samples, run_suite
     from niemytzki.setdsl import All, find_witness, member, normalize_for, parse
     from niemytzki.theorems import classify
-    from niemytzki.topology import TopologySpec
+    from niemytzki.topology import TopologySpec, decide_convergence
 
     gap = parse("cball(0;1) & !oball(0;1)")  # only the random candidates decide it
     rows = []
@@ -513,6 +515,18 @@ def _refusals():
     for v in ("S1", None, {"suite": "S1"}):
         message = f"config must be a SuiteConfig, not {type(v).__name__}"
         rows += [(lambda v=v: run_suite(v), message), (lambda v=v: generate_samples(v), message)]
+    for v in (5, "vertical", Point.boundary(0)):
+        rows.append((lambda v=v: decide_convergence(v, TopologySpec.niemytzki(2)),
+                     f"not a sequence family: {v!r}"))
+    # hashable seeds random.Random refuses (Python 3.10 takes a tuple): refused
+    # where the structural candidates answer, and where only random ones do
+    for v in ((1, 2), Fr(1, 2), frozenset({1})):
+        message = f"seed must be None, an int, a float, a str or bytes, not {type(v).__name__}"
+        rows += [(lambda v=v, e=e: find_witness(e, seed=v), message)
+                 for e in (parse("point(1)"), gap)]
+        rows += [(lambda v=v, a=a, b=b, call=call: call(parse(a), parse(b), seed=v), message)
+                 for a, b in (("all", "all"), ("cball(0;1)", "oball(0;1)"))
+                 for call in (subset, compare, compare_topologies)]
     return rows
 
 
@@ -522,3 +536,40 @@ def test_an_argument_of_the_wrong_type_is_refused_by_its_rule(call, message):
     with pytest.raises(TypeError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def _value_refusals():
+    """(call, error, message) for each documented value an entry point
+    refuses: one outside its domain, or of another dimension."""
+    from niemytzki.harness import SuiteConfig
+    from niemytzki.topology import (BasicOpen, TangentCircle, TopologySpec, Vertical,
+                                    decide_convergence, local_base_element, refine)
+
+    a, niem2 = Point.boundary(0), TopologySpec.niemytzki(2)
+    rows = [(lambda v=v: SuiteConfig("S1", samples=v), ValueError,
+             "sample count must be positive") for v in (0, -3)]
+    rows += [(lambda d=d: translate(P(0, 1), d), DimensionMismatch,
+              "offset arity differs from the point's dimension") for d in ((1,), (1, 0, 0))]
+    rows += [(lambda d=d: tangent_sphere_point(a, 1, d), DimensionMismatch,
+              "direction arity differs from the point's dimension") for d in ((1,), (0, 1, 1))]
+    rows += [(lambda d=d: tangent_sphere_point(a, 1, d), ValueError,
+              "direction must point into the open half-space (v_n > 0)") for d in ((1, 0), (0, -1))]
+    rows += [(lambda x=x: local_base_element(niem2, x, 1), DimensionMismatch,
+              "point dimension differs from the topology's")
+             for x in (P(0, 0, 1), Point.boundary(0, 0))]
+    rows += [(lambda f=f: decide_convergence(f, niem2), DimensionMismatch,
+              "family dimension differs from the topology's")
+             for f in (Vertical(Point.boundary(0, 0), 1), TangentCircle(Point.boundary(0, 0), 1))]
+    rows += [(lambda kind=kind: kind(P(0, 1), 1), ValueError,
+              "the anchor must lie on the boundary hyperplane") for kind in (Vertical, TangentCircle)]
+    plain = BasicOpen(a, Fr(1))
+    rows.append((lambda: refine(plain, plain, a), ValueError,
+                 "a boundary point lies in no interior ball"))
+    return rows
+
+
+@pytest.mark.parametrize("call, error, message", _value_refusals())
+def test_a_value_outside_its_domain_is_refused_by_its_rule(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -29,6 +29,7 @@ from niemytzki.setdsl import (
     Union,
     _COORDS,
     arity,
+    leaves,
     member,
     normalize,
     parse,
@@ -119,7 +120,7 @@ def test_every_tree_operation_has_a_row_for_every_kind(kind):
     assert arity(e) in (None, 1)
     assert all(len(g) == 1 for g in _COORDS[type(e)](e))
     assert all(len(p) == 1 for p in structural_candidates(e, 1))
-    assert all(len(_unscaled(q)) == 1 and r > 0 for _, q, r in _ball_forms(e, 1))
+    assert all(len(_unscaled(q)) == 1 and r > 0 for q, r in _ball_forms(leaves(e), 1))
 
 
 NESTED = Union((Inter((SinglePoint((Fr(1, 3),)), Complement(ClosedBall((Fr(2),), Fr(1, 2))))),

@@ -305,6 +305,30 @@ class TestDecideConvergence:
         assert certificate_failures(verdict, fam, NIEM2, prefix=3) == [
             "index bound of unknown form 'cubic'"]
 
+    def test_each_tampered_certificate_fails_with_its_message(self, monkeypatch):
+        a = Point.boundary(0)
+        vertical, circle = Vertical(a, Fr(1)), TangentCircle(a, Fr(1))
+        # the honest bound is k > 1/(2 eps): 3/eps disagrees where they differ
+        bound = ConvergenceVerdict(True, (IndexBound("linear", Fr(3), "k > 3/eps"),))
+        assert certificate_failures(bound, vertical, NIEM2, prefix=3) == [
+            f"index bound disagrees at k={k}, eps={eps}"
+            for eps, ks in (("2", [1]), ("1", [1, 2, 3]), ("1/2", [2, 3]),
+                            ("1/3", [2, 3]), ("2/7", [2, 3])) for k in ks]
+        # the terms lie on the sphere of the parameter-1 ball, inside this one
+        wide = ConvergenceVerdict(False, (BlockingNeighborhood(TangentBall(a, Fr(2))),))
+        assert certificate_failures(wide, circle, NIEM2, prefix=3) == [
+            f"blocking neighborhood admits term k={k}" for k in (1, 2, 3)]
+        assert certificate_failures(ConvergenceVerdict(False, ("radii",)), circle, NIEM2,
+                                    prefix=3) == ["unknown certificate 'radii'"]
+        # terms moved twice as far from the anchor lie off the sphere, and
+        # outside the blocking ball
+        term = TangentCircle._term
+        monkeypatch.setattr(TangentCircle, "_term",
+                            lambda self, k: Point.of(*(2 * c for c in term(self, k).coords)))
+        honest = ConvergenceVerdict(False, (BlockingNeighborhood(TangentBall(a, Fr(1))),))
+        assert certificate_failures(honest, TangentCircle(a, Fr(1)), NIEM2, prefix=3) == [
+            f"gauge equality fails at k={k}" for k in (1, 2, 3)]
+
     def test_bernstein_anchor_aborts(self):
         topo = TopologySpec.modified(parse("bernstein"), 2)
         fam = Vertical(Point.boundary(0), Fr(1))

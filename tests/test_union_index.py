@@ -16,7 +16,6 @@ from niemytzki.descriptive import (
     _BALL_SEARCH_BUDGET,
     _DISJOINT,
     _INSIDE,
-    _ball_forms,
     _balls_in_ball,
     _closed_ball_witness,
     _fixed_balls,
@@ -317,27 +316,46 @@ def test_a_wide_union_takes_one_flag_cache_entry(k):
 # --- the closed-ball search ------------------------------------------------------
 
 def _ball_forms_ref(e, m):
-    """The candidate balls as the search once listed them, as (form, radius):
-    every ball leaf's, then the fixed ones, each once, in order, cut at the budget."""
-    cands = [cand for node in leaves(e) if type(node) in (ClosedBall, OpenBall)
+    """The candidate balls the search tests on e in R^m, as (form, radius):
+    on a union's complement those of the ball leaves under the members that
+    are neither points nor balls, else those of every ball leaf, then the
+    fixed ones, each once, in order, cut at the budget."""
+    nodes = list(leaves(e))
+    if type(e) is Complement and type(e.body) is Union:
+        nodes = [leaf for member in e.body.members
+                 if type(member) not in (SinglePoint, FiniteSet, ClosedBall, OpenBall)
+                 for leaf in leaves(member)]
+    cands = [cand for node in nodes if type(node) in (ClosedBall, OpenBall)
              for cand in _balls_in_ball(node)]
     cands += _fixed_balls(m)
     unique = {(q, r.numerator, r.denominator): (q, r) for q, r in cands}
     return list(unique.values())[:_BALL_SEARCH_BUDGET]
 
 
-def _ball_witness_ref(e, m):
-    """The search as it once ran: every listed candidate tested."""
-    return any(_INSIDE[type(e)](e, q, r) for q, r in _ball_forms_ref(e, m))
-
-
 def _searched(e, m):
-    """The closed-ball search's answer on e in R^m, after checking its
-    candidates, read as a list of the lazy harvest, against the reference."""
-    forms = [(q, r) for _, q, r in _ball_forms(e, m)]
-    assert forms[:_BALL_SEARCH_BUDGET] == _ball_forms_ref(e, m)
-    found = _closed_ball_witness(e, m)
-    assert found == _ball_witness_ref(e, m), e
+    """The closed-ball search's answer on e in R^m, after checking that it
+    tests the reference's candidates in order, up to the first that lies in
+    e, and no other."""
+    inside, tested = _INSIDE[type(e)], []
+
+    def spy(node, q, r, *kind):
+        if node is e:
+            tested.append((q, r))
+        return inside(node, q, r, *kind)
+
+    descriptive._INSIDE[type(e)] = spy
+    try:
+        found = _closed_ball_witness(e, m)
+    finally:
+        descriptive._INSIDE[type(e)] = inside
+    want, hit = [], False
+    for q, r in _ball_forms_ref(e, m):
+        want.append((q, r))
+        if inside(e, q, r):
+            hit = True
+            break
+    assert tested == want, e
+    assert found is hit, e
     return found
 
 
@@ -347,43 +365,42 @@ def test_the_ball_search_answers_as_testing_every_candidate(seed, n):
     rng = random.Random(seed)
     e, m = normalize(random_expr(rng, n)), n - 1
     # beside a wide union of points and balls, so that a complement of a
-    # union has member balls whose candidates are skipped
+    # union has member balls whose candidates it never harvests
     trees = [e, join(Union, (e, parse(_wide(16)[0], 2)))] if n == 2 else [e]
     for tree in trees:
         for searched in (tree, complement(tree)):
             _searched(searched, m)
 
 
-@pytest.mark.parametrize("k", [16, 128, 512, 1024])
+@pytest.mark.parametrize("k", [16, 128, 512, 1024, 4096])
 def test_the_ball_search_of_a_wide_union_answers_as_testing_every_candidate(k, monkeypatch):
     full = parse(_wide(k)[0], 2)
     assert _searched(full, 1)
-    # at k = 1,024 the first 1,000 candidates all come from the union's own
-    # balls, so the complement's search never reaches the fixed balls
-    past = len(list(_ball_forms(full, 1))) > _BALL_SEARCH_BUDGET
-    found = _searched(Complement(full), 1)
-    assert past is (k == 1024) and not (past and found)
-    # while the budget cannot cut it, the complement's search builds no
-    # candidate of a member ball; past the budget they still count against it
+    # the union has no member but points and balls, so its complement's
+    # search harvests no ball at any width, and reads the fixed balls alone:
+    # at k = 16 each of them meets the union
+    assert _searched(Complement(full), 1) is (k != 16)
     harvested = []
     monkeypatch.setattr(descriptive, "_balls_in_ball",
                         lambda b: harvested.append(b) or _balls_in_ball(b))
-    assert _closed_ball_witness(Complement(full), 1) is found
-    assert bool(harvested) is past and set(harvested) <= full.index.members
+    _closed_ball_witness(Complement(full), 1)
+    assert harvested == []
 
 
 @pytest.mark.parametrize("m, balls, nested", [(1, 165, 0), (1, 166, 0), (1, 160, 6),
-                                             (3, 71, 0), (3, 72, 0)])
+                                             (1, 0, 165), (1, 0, 166), (3, 71, 0),
+                                             (3, 72, 0), (3, 0, 71), (3, 0, 72)])
 def test_the_complement_search_reads_the_last_fixed_ball_only_within_the_budget(m, balls, nested):
     # a point in each fixed ball but the last, the only candidate that
     # misses the union: the search reaches it exactly when the candidates of
-    # every ball leaf, member or nested, and the fixed ones fit in the budget
+    # the nested ball leaves and the fixed ones fit in the budget, however
+    # many member balls there are
     far = [ClosedBall(_shifted((Fr(0),) * m, -100 - 3 * j), Fr(1)) for j in range(balls + nested)]
     pierced = [Inter((b, Complement(SinglePoint(b.center)))) for b in far[balls:]]
     held = [SinglePoint(_unscaled(q)) for q, _ in _fixed_balls(m)[:-1]]
     u = normalize(Union((*far[:balls], *pierced, *held)))
-    offered = (balls + nested) * (2 + 4 * m) + len(_fixed_balls(m))
-    assert (offered <= _BALL_SEARCH_BUDGET) is (balls + nested in (165, 71))
+    offered = nested * (2 + 4 * m) + len(_fixed_balls(m))
+    assert (offered <= _BALL_SEARCH_BUDGET) is (nested not in (166, 72))
     assert _searched(Complement(u), m) is (offered <= _BALL_SEARCH_BUDGET)
 
 
