@@ -55,10 +55,13 @@ any tree and each tree is normalised once.  :func:`parse` first looks the
 text and dimension up in a table of weak references, ``_PARSED``, and
 returns the tree already alive for them: a text parsed again while a caller
 or a cache holds its tree is not read again, and what that tree caches (its
-hash, index, member test and scaled forms) is reused.  The table holds no
-tree alive and never an error, so it needs no clearing.  A tree it stores
-records its key at its root, so a cache may hold that key, not the tree, and
-find the tree again here while it lives.
+hash, index, member test and scaled forms) is reused.  The parser looks
+each coordinate leaf up in the same table by its arity and tokens, before it
+reads a coordinate, so trees alive together share equal leaves and their
+caches.  The table holds no tree alive and never an error, so it needs no
+clearing.  A tree it stores records its key at its root, the later one for a
+leaf that is the whole of two texts, so a cache may hold that key, not the
+tree, and find the tree again here while it lives.
 
 Each operation on the tree is one table keyed by node type, mostly a
 :class:`NodeTable`, so a walk decides a node's kind with one lookup.  A new
@@ -268,6 +271,7 @@ def _point_forms(e: SetExpr) -> tuple[_Scaled, ...]:
 _PLAIN_PRIMITIVES = {"empty": Empty, "all": All, "rationals": Rationals, "lattice": Lattice,
                      "cantor": Cantor, "bernstein": Bernstein}
 _PLAIN_NAMES = {kind: name for name, kind in _PLAIN_PRIMITIVES.items()}
+_LEAF_CLOSE = {"point": ")", "finite": "}", "cball": ")", "oball": ")"}
 
 
 class NodeTable(dict):
@@ -614,11 +618,26 @@ class _Parser:
         return inner
 
     def primitive(self) -> SetExpr:
+        name = self.tokens[self.i]
+        if name in _PLAIN_PRIMITIVES:
+            self.i += 1
+            return _PLAIN_PRIMITIVES[name]()
+        try:  # no coordinate holds its leaf's close: a leaf runs to the first
+            end = self.tokens.index(_LEAF_CLOSE[name], self.i) + 1
+        except (KeyError, ValueError):  # no coordinate leaf, or no close: an error
+            return self.leaf()
+        key = (self.want, " ".join(self.tokens[self.i:end]))
+        e = _PARSED.get(key)
+        if e is None:
+            e = _PARSED[key] = self.leaf()
+        else:
+            self.i = end
+        return e
+
+    def leaf(self) -> SetExpr:
         start = self.i
         name = self.tokens[start]
         self.i += 1
-        if name in _PLAIN_PRIMITIVES:
-            return _PLAIN_PRIMITIVES[name]()
         if name == "point":
             self._symbol("(")
             coords = self.coords()
@@ -684,10 +703,11 @@ MAX_TREE_DEPTH = 2 * _Parser.MAX_DEPTH + 2
 _LITERAL_BOUND = 10 ** _Parser.MAX_DIGITS
 
 
-# The tree parsed from each (text, dimension) while something else holds
-# it.  An entry goes with its tree: no tree holds a reference cycle, so the
-# last holder's release frees it at once.  Keys that compare equal read the
-# same tree, since the parser reads dimension - 1 alone.
+# The tree parsed from each (text, dimension), and the coordinate leaf from
+# each (arity, its tokens joined by " ", which no token holds), while
+# something else holds it.  An entry goes with its tree: no tree holds a
+# reference cycle, so the last holder's release frees it at once.  Keys that
+# compare equal read the same tree, since the parser reads dimension - 1 alone.
 _PARSED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -701,7 +721,9 @@ def parse(text: str, dimension: int = 2) -> SetExpr:
     the same text and dimension if there is one: a text parsed again while
     its tree is held, by a caller or a cache keyed by it, is not read again,
     and its index, member test, scaled forms and hash are reused as built.
-    The table that finds it holds no tree alive and never an error.  A new
+    Within a text, each ``point``, ``finite``, ``cball`` or ``oball`` leaf
+    with the same tokens and arity as a leaf alive in any tree is that leaf.
+    The table that finds both holds no tree alive and never an error.  A new
     tree records its key, ``(text, dimension)``, at its root:
     :func:`~niemytzki.descriptive.subset` remembers its answers by that key,
     not by the tree, and finds the tree again here.  Text that is not a str

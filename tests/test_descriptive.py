@@ -897,6 +897,23 @@ def test_the_memo_holds_texts_not_trees():
             gc.enable()
 
 
+def test_a_leaf_read_under_two_texts_answers_through_either_key():
+    # parse reads a coordinate leaf alive in any tree from its table, so a
+    # leaf that is a whole text is the tree of each text that spells it; its
+    # parse key is the last text's, and the memo finds it through both
+    p, ball = parse("point(1)", 2), parse("cball(0;2)", 2)
+    assert p._parse_key == ("point(1)", 2)
+    first = subset(p, ball), subset(ball, p), compare(p, ball), member(p, (Fr(1),))
+    assert first == (TRUE, FALSE, (TRUE, FALSE, TopologyOrder.FINER), IN)
+    q = parse("point( 1 )", 2)
+    assert q is p and p._parse_key == ("point( 1 )", 2)
+    assert descriptive._memo_tree(("point(1)", 2)) is p
+    assert descriptive._memo_tree(("point( 1 )", 2)) is p
+    for e in (p, parse("point(1)", 2), parse("point( 1 )", 2)):
+        assert (subset(e, ball), subset(ball, e), compare(e, ball), member(e, (Fr(1),))) == first
+        assert compare(e, p) == (TRUE, TRUE, TopologyOrder.EQUAL)
+
+
 def test_equal_seeds_of_two_types_are_remembered_apart():
     # the witness is a random candidate, and the stream is keyed by type
     a, b = parse("lattice", 2), parse("finite{0;1;-1;2;-2;5;3;-3}", 2)

@@ -48,7 +48,9 @@ fixed hostile texts (ending early, nested too deep, literals too long), and
 ``parse_rational`` of mutated ``rat`` literals.  Each text hashes its canonical text or the
 class, message and offset of the error it raises, so any change to what
 the parser accepts, to what it builds or to an error's message or offset
-moves the digest.
+moves the digest.  The digest is taken twice: once as each tree is released,
+and once with every tree held, so that each leaf a text repeats is the one
+parse's table returns and must read as a fresh parse would.
 
 Suite digest: every record of ``generate_samples`` and the JSON of
 ``run_suite`` for S1-S7 at n = 2 and 3, 60 samples, seed 2405.  Any change to
@@ -69,7 +71,7 @@ import json
 import random
 from fractions import Fraction
 
-from niemytzki import cli, descriptive
+from niemytzki import cli, descriptive, setdsl
 from niemytzki.descriptive import _ball_forms, _structural_subset, infer
 from niemytzki.geometry import Point, _unscaled
 from niemytzki.harness import SuiteConfig, generate_samples, run_suite, suite_names
@@ -276,13 +278,22 @@ def _parsed(read, text: str) -> str:
         return f"{type(exc).__name__}: {exc} @ {getattr(exc, 'position', None)}"
 
 
-def golden_parse_digest() -> str:
+def golden_parse_digest(held: list | None = None) -> str:
+    """The parse digest; with a list ``held``, every tree parsed is kept in
+    it, so a leaf that a later text repeats is read from parse's table."""
     h = hashlib.sha256()
     rng = random.Random(2405)
+
+    def read(text: str, n: int) -> str:
+        tree = parse(text, n)
+        if held is not None:
+            held.append(tree)
+        return to_text(tree)
+
     for n in (2, 3, 4):
         texts = [_mutated(rng, to_text(random_expr(rng, n))) for _ in range(400)]
         for text in (*PARSE_FIXED, *texts):
-            h.update(_parsed(lambda t: to_text(parse(t, n)), text).encode())
+            h.update(_parsed(lambda t: read(t, n), text).encode())
     for _ in range(300):
         literal = str(Fraction(rng.randint(-99, 99), rng.randint(1, 30)))
         h.update(_parsed(parse_rational, _mutated(rng, literal)).encode())
@@ -385,6 +396,22 @@ def test_golden_witness_digest():
 
 def test_golden_parse_digest():
     assert golden_parse_digest() == GOLDEN_PARSE_SHA256
+
+
+def test_golden_parse_digest_with_every_tree_held(monkeypatch):
+    reads = []
+
+    class Counted(setdsl._Parser):
+        def leaf(self):
+            reads.append(self.i)
+            return super().leaf()
+
+    monkeypatch.setattr(setdsl, "_Parser", Counted)
+    golden_parse_digest()
+    fresh = len(reads)
+    held: list = []
+    assert golden_parse_digest(held) == GOLDEN_PARSE_SHA256
+    assert len(reads) - fresh < fresh  # repeated leaves came from the table
 
 
 def test_witness_searches_run_as_often_as_pinned():

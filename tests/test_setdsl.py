@@ -284,6 +284,33 @@ class TestParseTable:
             parse("point(1)", 3)
         assert parse("point(1)", 2) is tree
 
+    def test_trees_alive_together_share_their_coordinate_leaves(self):
+        a = parse("point(7919/104729) | cantor", 2)
+        b = parse("point(7919/104729) & all", 2)
+        leaf = a.members[0]
+        assert b.members[0] is leaf
+        c = parse("finite{1/7919;2} | cball(-7919;1/3) | oball(7919;2/3) | cantor", 2)
+        d = parse("!(oball(7919;2/3) & cball(-7919;1/3)) & finite{1/7919;2}", 2)
+        shared = {id(e) for e in leaves(c) if type(e) is not Cantor}
+        assert len(shared) == 3 and shared == {id(e) for e in leaves(d)}
+        assert sum(e is leaf for e in setdsl._PARSED.values()) == 1  # its leaf entry
+        gone = SinglePoint((Fr(7919, 104729),))
+        del a, b, leaf
+        gc.collect()
+        assert not [e for e in setdsl._PARSED.values() if e == gone]
+
+    def test_a_held_leaf_leaves_each_error_as_it_was(self):
+        held = [parse("cball(0;1)", 2), parse("point(1) | cantor", 2)]
+        with pytest.raises(ParseError, match=r"^radius must be positive \(at offset 8\)$"):
+            parse("cball(0;0)", 2)
+        # a leaf's entry is keyed by its arity too: the n = 2 leaf is not
+        # read at n = 3, where its text lacks a coordinate
+        for text in ("point(1)", "point(1) | cantor"):
+            with pytest.raises(ParseError, match=r"^expected 2 coordinate\(s\) for this "
+                                                 r"dimension, got 1 \(at offset 6\)$"):
+                parse(text, 3)
+        assert parse("cantor | point(1)", 2).members[1] is held[1].members[0]
+
     def test_a_released_tree_leaves_no_entry(self):
         text = "finite{3/11;-2} | oball(9/13;1/2)"
         tree = parse(text, 2)
